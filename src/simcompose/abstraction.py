@@ -27,6 +27,7 @@ from .linalg import (
     Matrix,
     NumericsError,
     as_matrix,
+    block_diag,
     check_spd,
     least_squares,
     pbh_stabilizable,
@@ -81,7 +82,6 @@ class ComparisonGains:
     lam: float
     rho: float
     mu: tuple[float, ...]
-    alpha: float = 1.0
 
     @property
     def mu_total(self) -> float:
@@ -306,7 +306,6 @@ def build_abstraction(
     sys: LinearSystem,
     p,
     certificate: tuple | None = None,
-    strict: bool = True,
 ) -> AbstractionResult:
     """Construct the abstract twin of ``sys`` along the injection ``p``.
 
@@ -322,14 +321,17 @@ def build_abstraction(
         Injected deviation certificate. When omitted one is computed;
         injected certificates are verified at the loose tolerance
         appropriate for rounded published data.
-    strict : bool
-        When True, failed injection conditions raise ``ValueError``.
-        When False the construction proceeds best-effort (used to probe
-        invalid instances; the relation checker will reject them).
+
+    Raises
+    ------
+    ValueError
+        If the injection conditions fail.
+    NumericsError
+        If the certificate or the construction identities fail.
     """
     p = as_matrix(p, "P")
     report = check_P_conditions(sys, p)
-    if strict and not report.ok:
+    if not report.ok:
         raise ValueError(
             "injection conditions failed for "
             f"{sys.name}: " + "; ".join(report.lines())
@@ -351,20 +353,12 @@ def build_abstraction(
     ahat, k2 = sol_a[:nhat, :], sol_a[nhat:, :]
     sol_d, res_d, _ = least_squares(pb, sys.D)
     dhat, k3 = sol_d[:nhat, :], sol_d[nhat:, :]
-    if strict:
-        scale = max(1.0, spectral_norm(sys.A))
-        if res_a > ALGEBRAIC_TOL * scale or res_d > ALGEBRAIC_TOL * max(1.0, spectral_norm(sys.D)):
-            raise NumericsError(
-                f"construction identities inconsistent: residuals {res_a:.3e}, {res_d:.3e}"
-            )
-        phat, e, f = _left_inverse_through_kernel(sys, p)
-    else:
-        try:
-            phat, e, f = _left_inverse_through_kernel(sys, p)
-        except NumericsError:
-            phat = np.linalg.pinv(p)
-            e = kernel(_stacked_outputs(sys)).basis
-            f, _, _ = least_squares(e, np.eye(sys.n) - p @ phat)
+    scale = max(1.0, spectral_norm(sys.A))
+    if res_a > ALGEBRAIC_TOL * scale or res_d > ALGEBRAIC_TOL * max(1.0, spectral_norm(sys.D)):
+        raise NumericsError(
+            f"construction identities inconsistent: residuals {res_a:.3e}, {res_d:.3e}"
+        )
+    phat, e, f = _left_inverse_through_kernel(sys, p)
 
     bhat = np.hstack([phat @ sys.B, phat @ sys.A @ e])
     k4, rho = compute_k4(m, p, bhat, sys.B)
@@ -418,17 +412,29 @@ def eval_simfn(fn: QuadraticSimFn, xhat, x) -> float:
     return float(np.sqrt(max(e @ fn.M @ e, 0.0)))
 
 
+def interface_gains(fns) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """Gain blocks of the interface law of one or more subsystems.
+
+    The law ``u = K1 (x - P xhat) - K2 xhat - K3 what + K4 uhat``,
+    grouped by signal, gives ``-(K1 P) - K2`` on ``xhat``, ``K1`` on
+    ``x``, ``-K3`` on ``what`` and ``K4`` on ``uhat``. The gains of
+    several subsystems are stacked block-diagonally, in the order of
+    ``fns``, so the blocks act on the stacked signals.
+    """
+    p, k1, k2, k3, k4 = (
+        block_diag([getattr(fn, key) for fn in fns])
+        for key in ("P", "K1", "K2", "K3", "K4")
+    )
+    return -(k1 @ p) - k2, k1, -k3, k4
+
+
 def interface(fn: QuadraticSimFn, xhat, x, what, uhat) -> np.ndarray:
     """Concrete input that tracks the abstract system.
 
     ``u = K1 (x - P xhat) - K2 xhat - K3 what + K4 uhat``.
     """
-    xhat = np.asarray(xhat, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    what = np.asarray(what, dtype=float).reshape(-1)
-    uhat = np.asarray(uhat, dtype=float).reshape(-1)
-    e = x - fn.P @ xhat
-    return fn.K1 @ e - fn.K2 @ xhat - fn.K3 @ what + fn.K4 @ uhat
+    signals = [np.asarray(s, dtype=float).reshape(-1) for s in (xhat, x, what, uhat)]
+    return sum(g @ s for g, s in zip(interface_gains([fn]), signals))
 
 
 @dataclass

@@ -29,9 +29,6 @@ EPSILON_CAP = 1e3
 #: Fraction of the maximal feasible epsilon used by default.
 EPSILON_SAFETY = 0.99
 
-_POWER_TOL = 1e-13
-_POWER_MAX_ITER = 10_000
-
 
 class SmallGainError(NumericsError):
     """The network gain loop is too strong for composition."""
@@ -133,11 +130,14 @@ def gain_matrices(ic: Interconnection, gains: dict[str, ComparisonGains]) -> Gai
 
 
 def perron(mat) -> tuple[float, np.ndarray]:
-    """Spectral radius and a nonnegative dominant vector of ``mat >= 0``.
+    """Spectral radius and a positive dominant vector of ``mat >= 0``.
 
-    Power iteration on ``mat + I`` (the shift makes it converge for
-    periodic structures too); falls back to a dense eigendecomposition
-    when the iteration stalls. The vector is normalized to unit maximum.
+    Dense eigendecomposition: the dominant eigenvalue of a nonnegative
+    matrix is real, and some eigenvector for it can be taken
+    sign-uniform. When that vector has zero entries (a reducible
+    matrix), it is taken from ``mat`` plus a uniform ``REDUCIBLE_SHIFT``
+    instead, so it is strictly positive. The vector is normalized to
+    unit maximum.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     n = mat.shape[0]
@@ -147,32 +147,17 @@ def perron(mat) -> tuple[float, np.ndarray]:
         raise ValueError("gain matrix must be nonnegative")
     if n == 0:
         return 0.0, np.zeros(0)
-    v = np.full(n, 1.0 / np.sqrt(n))
-    theta = 1.0
-    for _ in range(_POWER_MAX_ITER):
-        w = mat @ v + v
-        theta = float(np.linalg.norm(w))
-        if theta == 0.0:
-            return 0.0, np.full(n, 1.0)
-        w /= theta
-        if np.linalg.norm(mat @ w + w - theta * w) <= _POWER_TOL * max(1.0, theta):
-            v = w
-            break
-        v = w
-    else:
-        # dense fallback; the dominant eigenvalue of a nonnegative matrix
-        # is real, and some eigenvector for it can be taken sign-uniform
-        vals, vecs = np.linalg.eig(mat)
+
+    def dominant(a):
+        vals, vecs = np.linalg.eig(a)
         idx = int(np.argmax(vals.real))
-        vec = vecs[:, idx].real
-        if vec.sum() < 0:
-            vec = -vec
-        rho = max(float(vals[idx].real), 0.0)
-        vec = np.abs(vec)
-        return rho, vec / vec.max()
-    rho = max(theta - 1.0, 0.0)
-    peak = np.abs(v).max()
-    return rho, np.abs(v) / peak if peak else np.full(n, 1.0)
+        vec = np.abs(vecs[:, idx].real)
+        return max(float(vals[idx].real), 0.0), vec / vec.max()
+
+    rho, vec = dominant(mat)
+    if vec.min() <= 1e-12:
+        _, vec = dominant(mat + REDUCIBLE_SHIFT * np.ones((n, n)))
+    return rho, vec
 
 
 def _dominant_cycle(scaled: Matrix, names: tuple[str, ...]):
@@ -209,11 +194,10 @@ def small_gain(
 ) -> OmegaPath:
     """Find a weight vector certifying the network small-gain condition.
 
-    Default path: take the dominant vector of ``Gamma Lambda^{-1}``
-    (perturbed by a tiny uniform shift when it is not strictly
-    positive), normalize it so the max-form deviation function bounds
-    the stacked output mismatch with unit coefficient, and pick
-    ``epsilon`` just inside the feasible interval.
+    Default path: take the positive dominant vector of ``Gamma
+    Lambda^{-1}`` (see :func:`perron`), normalize it so the max-form
+    deviation function bounds the stacked output mismatch with unit
+    coefficient, and pick ``epsilon`` just inside the feasible interval.
 
     ``eta``/``epsilon`` overrides are accepted verbatim; the strict
     inequality is then only reported, not enforced.
@@ -232,9 +216,6 @@ def small_gain(
         raise SmallGainError(rho_spec, cycle, gain)
 
     if eta is None:
-        if n and vec.min() <= 1e-12 * max(vec.max(), 1.0):
-            # reducible network: perturb to make the dominant vector positive
-            _, vec = perron(scaled + REDUCIBLE_SHIFT * np.ones((n, n)))
         eta_vec = vec.copy()
         # normalize so that sqrt(N) * max_i eta_i / lam_i == 1; the
         # composed function then bounds the stacked output mismatch

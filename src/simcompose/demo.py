@@ -24,7 +24,6 @@ PUBLISHED = {
     "composed_lam": 0.8,
     "composed_rho": 4.8,
     "bound_coefficient": 5.9,
-    "v_level": 0.85,
 }
 
 # Decay certificates for the two node types, quoted to three digits.

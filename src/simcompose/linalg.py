@@ -18,16 +18,12 @@ import os
 import numpy as np
 
 Matrix = np.ndarray
-SpdMatrix = np.ndarray
 
 #: Environment variable overriding the relative rank/eigenvalue tolerance.
 TOL_ENV_VAR = "SIMCOMPOSE_TOL"
 
 #: Default relative tolerance coefficient for rank decisions.
 DEFAULT_REL_TOL = 1e-9
-
-#: Absolute ceiling on iterations of iterative routines in this module.
-_MAX_POWER_ITERATIONS = 10_000
 
 
 class NumericsError(RuntimeError):
@@ -61,6 +57,20 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
+
+
+def block_diag(blocks) -> Matrix:
+    """Block-diagonal matrix of 2-D blocks, any of which may be empty."""
+    blocks = [as_matrix(b) for b in blocks]
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
 
 
 def spectral_norm(a) -> float:
@@ -101,13 +111,6 @@ def spectral_abscissa(a) -> float:
     if vals.size == 0:
         return -np.inf
     return float(vals.real.max())
-
-
-def spectral_radius(a) -> float:
-    vals = eigenvalues(a)
-    if vals.size == 0:
-        return 0.0
-    return float(np.abs(vals).max())
 
 
 def is_hurwitz(a) -> bool:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstraction import AbstractionResult
+from .abstraction import AbstractionResult, interface_gains
 from .compose import ComposedSimFn, GainMatrices, compose_abstractions, perron
-from .linalg import Matrix, NumericsError, as_matrix
+from .linalg import Matrix, NumericsError
 from .systems import (
     Interconnection,
     LinearSystem,
@@ -243,19 +243,6 @@ class RefinementRun:
         return self.concrete.times
 
 
-def _block_diag(blocks) -> Matrix:
-    blocks = [as_matrix(b) for b in blocks]
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
-
-
 def refine_and_run(
     concrete: Interconnection,
     abstractions: dict[str, AbstractionResult],
@@ -300,11 +287,7 @@ def refine_and_run(
         raise ValueError("composition and interconnection name orders differ")
     order = [abstractions[name] for name in mono_c.names]
 
-    p_bd = _block_diag([r.simfn.P for r in order])
-    k1_bd = _block_diag([r.simfn.K1 for r in order])
-    k2_bd = _block_diag([r.simfn.K2 for r in order])
-    k3_bd = _block_diag([r.simfn.K3 for r in order])
-    k4_bd = _block_diag([r.simfn.K4 for r in order])
+    xhat_gain, x_gain, what_gain, uhat_gain = interface_gains([r.simfn for r in order])
     what_map = np.vstack(
         [internal_input_matrix(abstract_ic, r.system) for r in order]
     )
@@ -312,14 +295,13 @@ def refine_and_run(
     n_hat = mono_a.A.shape[0]
     n = mono_c.A.shape[0]
     b_bd = mono_c.B
-    # u = K1 (x - P xhat) - K2 xhat - K3 what + K4 uhat, with what read
-    # off the abstract states, makes the joint system block triangular.
-    gain_to_abstract = -(k1_bd @ p_bd) - k2_bd - k3_bd @ what_map
+    # the interface law, with what read off the abstract states, makes
+    # the joint system block triangular
     a_joint = np.zeros((n_hat + n, n_hat + n))
     a_joint[:n_hat, :n_hat] = mono_a.A
-    a_joint[n_hat:, :n_hat] = b_bd @ gain_to_abstract
-    a_joint[n_hat:, n_hat:] = mono_c.A + b_bd @ k1_bd
-    b_joint = np.vstack([mono_a.B, b_bd @ k4_bd])
+    a_joint[n_hat:, :n_hat] = b_bd @ (xhat_gain + what_gain @ what_map)
+    a_joint[n_hat:, n_hat:] = mono_c.A + b_bd @ x_gain
+    b_joint = np.vstack([mono_a.B, b_bd @ uhat_gain])
 
     if uhat.width != b_joint.shape[1]:
         raise ValueError(
@@ -373,18 +355,15 @@ def scalar_bound(v0: float, lam: float, rho: float, u_inf: float, times) -> np.n
     return np.exp(-lam * times) * v0 + (rho / lam) * u_inf
 
 
-def appendix_gammas(alpha: float, lam: float, rho: float, mu_total: float) -> tuple[float, float]:
+def appendix_gammas(lam: float, rho: float, mu_total: float) -> tuple[float, float]:
     """Conservative worst-case external/internal gain coefficients.
 
-    These are ``4 rho / (alpha lam)`` and ``4 mu_total / (alpha lam)``,
-    reported alongside the tighter ``rho / lam`` used by
-    :func:`scalar_bound`.
+    These are ``4 rho / lam`` and ``4 mu_total / lam``, reported
+    alongside the tighter ``rho / lam`` used by :func:`scalar_bound`.
     """
     if lam <= 0:
         raise ValueError(f"decay rate must be positive, got {lam}")
-    if alpha <= 0:
-        raise ValueError(f"comparison coefficient must be positive, got {alpha}")
-    return 4.0 * rho / (alpha * lam), 4.0 * mu_total / (alpha * lam)
+    return 4.0 * rho / lam, 4.0 * mu_total / lam
 
 
 def vector_bound(
@@ -537,11 +516,8 @@ def bound_report(
 
 
 def write_csv(path, run: RefinementRun) -> None:
-    """Export a run as CSV: time, concrete states and outputs, deviations.
-
-    Floats are written with 17 significant digits so rereading them
-    reproduces the doubles bit for bit.
-    """
+    """Export a run as CSV: time, concrete states and outputs, deviations
+    (see :func:`write_table`)."""
     header = (
         ["t"]
         + [f"x[{i}]" for i in range(run.concrete.states.shape[1])]
@@ -552,10 +528,17 @@ def write_csv(path, run: RefinementRun) -> None:
     table = np.column_stack(
         [run.times, run.concrete.states, run.concrete.outputs, run.v_composed, run.v]
     )
+    write_table(path, table, header)
+
+
+def write_table(path, table, header=None) -> None:
+    """Write a float matrix as CSV, one line per row, after an optional
+    header line. Floats are written with 17 significant digits so
+    rereading them reproduces the doubles bit for bit."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        np.savetxt(fh, np.atleast_2d(table), fmt="%.17g", delimiter=",")
 
 
 def write_gnuplot(path, csv_path, run: RefinementRun) -> None:
