@@ -31,7 +31,7 @@ from .compose import (
     small_gain,
 )
 from .geometry import Subspace, image, kernel, minimal_invariant
-from .linalg import NumericsError, rel_tol
+from .linalg import NumericsError
 from .simulate import (
     BoundReport,
     RefinementRun,
@@ -89,7 +89,6 @@ __all__ = [
     "kernel",
     "minimal_invariant",
     "refine_and_run",
-    "rel_tol",
     "scalar_bound",
     "simfn_from_relation",
     "small_gain",

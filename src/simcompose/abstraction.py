@@ -31,6 +31,7 @@ from .linalg import (
     check_spd,
     least_squares,
     pbh_stabilizable,
+    residual_ok,
     spectral_abscissa,
     spectral_norm,
     sqrtm_spd,
@@ -39,9 +40,6 @@ from .linalg import (
     weighted_norm,
 )
 from .systems import LinearSystem
-
-#: Residual accepted for the algebraic construction identities.
-ALGEBRAIC_TOL = 1e-8
 
 #: Eigenvalue slack accepted for certificates this package computed itself.
 COMPUTED_CERT_TOL = 1e-7
@@ -251,16 +249,15 @@ def check_P_conditions(sys: LinearSystem, p) -> PConditionReport:
     reach = image(np.hstack([p, sys.B]))
     inv_res = reach.residual(sys.A @ p)
     dist_res = reach.residual(sys.D) if sys.p else 0.0
-    scale = max(1.0, spectral_norm(sys.A))
     c_stack = _stacked_outputs(sys)
     comp = image(p).sum(kernel(c_stack))
     return PConditionReport(
         n=n,
         stabilizable=ok_stab,
         witness=witness,
-        invariance_ok=inv_res <= ALGEBRAIC_TOL * scale,
+        invariance_ok=residual_ok(inv_res, sys.A),
         invariance_residual=float(inv_res),
-        disturbance_ok=dist_res <= ALGEBRAIC_TOL * max(1.0, spectral_norm(sys.D)),
+        disturbance_ok=residual_ok(dist_res, sys.D),
         disturbance_residual=float(dist_res),
         complement_ok=comp.dim == n,
         complement_dim=comp.dim,
@@ -295,7 +292,7 @@ def _left_inverse_through_kernel(sys: LinearSystem, p: Matrix) -> tuple[Matrix, 
     phat = np.linalg.solve(t_full, np.eye(n))[:nhat, :]
     e = ker_c.basis
     f, f_res, _ = least_squares(e, np.eye(n) - p @ phat)
-    if f_res > ALGEBRAIC_TOL * max(1.0, spectral_norm(p)):
+    if not residual_ok(f_res, p):
         raise NumericsError(
             f"projector residual {f_res:.3e}: I - P phat does not factor through ker C"
         )
@@ -353,8 +350,7 @@ def build_abstraction(
     ahat, k2 = sol_a[:nhat, :], sol_a[nhat:, :]
     sol_d, res_d, _ = least_squares(pb, sys.D)
     dhat, k3 = sol_d[:nhat, :], sol_d[nhat:, :]
-    scale = max(1.0, spectral_norm(sys.A))
-    if res_a > ALGEBRAIC_TOL * scale or res_d > ALGEBRAIC_TOL * max(1.0, spectral_norm(sys.D)):
+    if not (residual_ok(res_a, sys.A) and residual_ok(res_d, sys.D)):
         raise NumericsError(
             f"construction identities inconsistent: residuals {res_a:.3e}, {res_d:.3e}"
         )
@@ -506,7 +502,6 @@ def check_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> Relat
         raise ValueError(
             f"relation lives in dimension {r.ambient}, expected {a12.shape[0]}"
         )
-    scale = max(1.0, spectral_norm(a12))
     target = r.sum(image(b12))
     inv_res = target.residual(a12 @ r.basis) if r.dim else 0.0
     dist_res = target.residual(d12) if d12.shape[1] else 0.0
@@ -525,10 +520,10 @@ def check_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> Relat
         disturbance_residual=float(dist_res),
         output_residual=float(out_res),
         feedthrough_residual=float(feed_res),
-        invariance_ok=inv_res <= ALGEBRAIC_TOL * scale,
-        disturbance_ok=dist_res <= ALGEBRAIC_TOL * max(1.0, spectral_norm(d12)),
-        output_ok=out_res <= ALGEBRAIC_TOL * max(1.0, spectral_norm(c12)),
-        feedthrough_ok=feed_res <= ALGEBRAIC_TOL * max(1.0, spectral_norm(b21)),
+        invariance_ok=residual_ok(inv_res, a12),
+        disturbance_ok=residual_ok(dist_res, d12),
+        output_ok=residual_ok(out_res, c12),
+        feedthrough_ok=residual_ok(feed_res, b21),
     )
 
 

@@ -24,7 +24,7 @@ from .abstraction import AbstractionResult, build_abstraction, check_P_condition
 from .compose import SmallGainError, compose_simfn, gain_matrices, small_gain
 from .demo import PUBLISHED, demo_certificates, demo_project, demo_projections
 from .geometry import image, minimal_invariant
-from .linalg import NumericsError, pbh_stabilizable
+from .linalg import NumericsError
 from .simulate import (
     BOUND_TOL,
     Signal,
@@ -398,21 +398,21 @@ def cmd_check(args) -> int:
     print(f"interconnection: {len(ic.subsystems)} subsystems, wiring ok")
     all_ok = True
     for sub in ic.subsystems:
-        stabilizable, witness = pbh_stabilizable(sub.A, sub.B)
-        if stabilizable:
-            print(f"{sub.name}: stabilizable yes")
-        else:
-            all_ok = False
-            print(f"{sub.name}: stabilizable NO (eigenvalue {_fmt(witness.real)}"
-                  f"{witness.imag:+.6g}j uncontrollable)")
         p = resolve_injection(sub, project.directives[sub.name])
         try:
             report = check_P_conditions(sub, p)
         except ValueError as exc:
             all_ok = False
-            print(f"  injection rejected: {exc}")
+            print(f"{sub.name}: injection rejected: {exc}")
             continue
-        for line in report.lines():
+        if report.stabilizable:
+            print(f"{sub.name}: stabilizable yes")
+        else:
+            witness = report.witness
+            print(f"{sub.name}: stabilizable NO (eigenvalue {_fmt(witness.real)}"
+                  f"{witness.imag:+.6g}j uncontrollable)")
+        # the header above states the stabilizability line of the report
+        for line in report.lines()[1:]:
             print(f"  {line}")
         all_ok = all_ok and report.ok
     print("check:", "pass" if all_ok else "FAIL")

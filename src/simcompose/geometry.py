@@ -19,12 +19,9 @@ from .linalg import (
     least_squares,
     pbh_stabilizable,
     rank_tol,
+    residual_ok,
     spectral_norm,
 )
-
-#: Absolute residual accepted when certifying invariance identities
-#: such as (A + B K) R inside R; scaled by max(1, ||A||).
-INVARIANCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,7 @@ def friend(a, b, r: Subspace) -> Matrix | None:
     w, _, _ = least_squares(proj_out @ b, -proj_out @ a @ v)
     k = w @ v.T
     residual = spectral_norm(proj_out @ (a + b @ k) @ v)
-    if residual > INVARIANCE_TOL * max(1.0, spectral_norm(a)):
+    if not residual_ok(residual, a):
         return None
     return k
 
@@ -205,7 +202,7 @@ def quotient(a, r: Subspace) -> QuotientData:
     v = r.basis
     v_perp = r.complement().basis
     residual = spectral_norm(v_perp.T @ a @ v) if r.dim and v_perp.shape[1] else 0.0
-    if residual > INVARIANCE_TOL * max(1.0, spectral_norm(a)):
+    if not residual_ok(residual, a):
         raise ValueError(
             f"subspace is not invariant: out-of-subspace residual {residual:.3e}"
         )

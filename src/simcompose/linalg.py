@@ -6,24 +6,23 @@ equations via Kronecker vectorization, a shifted-gramian stabilizing
 feedback, PBH stabilizability tests, weighted spectral norms, and a
 minimum-norm least-squares solver with a consistency flag.
 
-Tolerances are relative. The module-wide coefficient (default ``1e-9``)
-can be overridden through the ``SIMCOMPOSE_TOL`` environment variable,
-which is read on every call so tests can monkeypatch it.
+Two relative tolerances are fixed here and used package-wide:
+``REL_TOL`` scales singular-value cutoffs for rank decisions, and
+``RESIDUAL_TOL`` bounds the residual of a construction identity through
+:func:`residual_ok`.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 Matrix = np.ndarray
 
-#: Environment variable overriding the relative rank/eigenvalue tolerance.
-TOL_ENV_VAR = "SIMCOMPOSE_TOL"
+#: Relative tolerance coefficient for rank and eigenvalue decisions.
+REL_TOL = 1e-9
 
-#: Default relative tolerance coefficient for rank decisions.
-DEFAULT_REL_TOL = 1e-9
+#: Relative residual accepted for construction and invariance identities.
+RESIDUAL_TOL = 1e-8
 
 
 class NumericsError(RuntimeError):
@@ -33,20 +32,6 @@ class NumericsError(RuntimeError):
     requirement: a matrix that must be Hurwitz is not, a gramian that
     must be invertible is singular, a residual exceeds its bound.
     """
-
-
-def rel_tol() -> float:
-    """Relative tolerance coefficient, honoring ``SIMCOMPOSE_TOL``."""
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_REL_TOL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{TOL_ENV_VAR} must be a positive float, got {raw!r}") from None
-    if value <= 0.0:
-        raise ValueError(f"{TOL_ENV_VAR} must be a positive float, got {raw!r}")
-    return value
 
 
 def as_matrix(a, name: str = "matrix") -> Matrix:
@@ -80,6 +65,15 @@ def spectral_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def residual_ok(residual: float, ref) -> bool:
+    """Whether an identity residual is at noise level relative to ``ref``.
+
+    Accepts ``residual <= RESIDUAL_TOL * max(1, |ref|_2)``; the floor at 1
+    keeps an absolute tolerance for small or zero reference matrices.
+    """
+    return residual <= RESIDUAL_TOL * max(1.0, spectral_norm(ref))
+
+
 def rank_tol(a) -> float:
     """Singular-value cutoff for rank decisions about ``a``.
 
@@ -89,8 +83,8 @@ def rank_tol(a) -> float:
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
-        return rel_tol()
-    return rel_tol() * max(a.shape) * max(1.0, spectral_norm(a))
+        return REL_TOL
+    return REL_TOL * max(a.shape) * max(1.0, spectral_norm(a))
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -160,7 +154,7 @@ def solve_lyapunov(a, q) -> Matrix:
     m = np.linalg.solve(lhs, -q.ravel(order="F")).reshape((n, n), order="F")
     m = _symmetrize(m)
     residual = np.linalg.norm(a.T @ m + m @ a + q, "fro")
-    bound = 1e-8 * (spectral_norm(a) * spectral_norm(m) + spectral_norm(q))
+    bound = RESIDUAL_TOL * (spectral_norm(a) * spectral_norm(m) + spectral_norm(q))
     if residual > max(bound, 1e-14):
         raise NumericsError(
             f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}; "
@@ -190,7 +184,7 @@ def pbh_stabilizable(a, b) -> tuple[bool, complex | None]:
         raise ValueError(f"b must have {n} rows, got {b.shape}")
     if n == 0:
         return True, None
-    margin = rel_tol() * max(1.0, spectral_norm(a))
+    margin = REL_TOL * max(1.0, spectral_norm(a))
     for s in eigenvalues(a):
         if s.real < -margin:
             continue
@@ -363,10 +357,10 @@ def least_squares(a, b) -> tuple[Matrix, float, bool]:
     b2 = as_matrix(b_arr, "b")
     if b2.shape[0] != a.shape[0]:
         raise ValueError(f"a has {a.shape[0]} rows but b has {b2.shape[0]}")
-    cutoff = rel_tol() * max(a.shape) if a.size else None
+    cutoff = REL_TOL * max(a.shape) if a.size else None
     x, *_ = np.linalg.lstsq(a, b2, rcond=cutoff)
     residual = float(np.linalg.norm(a @ x - b2, "fro"))
-    consistent = residual <= rel_tol() * float(np.linalg.norm(b2, "fro"))
+    consistent = residual <= REL_TOL * float(np.linalg.norm(b2, "fro"))
     if squeeze:
         return x[:, 0], residual, consistent
     return x, residual, consistent

@@ -13,7 +13,7 @@ import numpy as np
 
 from .abstraction import AbstractionResult, interface_gains
 from .compose import ComposedSimFn, GainMatrices, compose_abstractions, perron
-from .linalg import Matrix, NumericsError
+from .linalg import REL_TOL, Matrix, NumericsError
 from .systems import (
     Interconnection,
     LinearSystem,
@@ -139,7 +139,12 @@ def time_grid(t_final: float, dt: float) -> np.ndarray:
         raise ValueError(f"step size must be positive, got {dt}")
     if t_final < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_final}")
-    return np.arange(int(round(t_final / dt)) + 1) * dt
+    steps = int(round(t_final / dt))
+    if abs(steps * dt - t_final) > REL_TOL * max(1.0, t_final):
+        raise ValueError(
+            f"horizon {t_final!r} is not a whole number of steps of size {dt!r}"
+        )
+    return np.arange(steps + 1) * dt
 
 
 def _step_maps(a: Matrix, dt: float) -> tuple[Matrix, Matrix]:
@@ -158,9 +163,15 @@ def _step_maps(a: Matrix, dt: float) -> tuple[Matrix, Matrix]:
     return phi, core
 
 
-def _run_lti(a: Matrix, drive: np.ndarray, x0: np.ndarray, grid: np.ndarray, dt: float) -> np.ndarray:
-    """March ``x+ = phi x + drive[k]`` over the grid, watching for blow-up."""
-    phi, _ = _step_maps(a, dt)
+def _run_lti(a: Matrix, b: Matrix, inputs: np.ndarray, x0: np.ndarray,
+             grid: np.ndarray, dt: float) -> np.ndarray:
+    """March ``x+ = phi x + core B inputs[k]`` over the grid, watching for blow-up.
+
+    ``inputs`` holds one input row per grid point, held over the step
+    that starts there.
+    """
+    phi, core = _step_maps(a, dt)
+    drive = inputs @ (core @ b).T
     states = np.empty((len(grid), len(x0)))
     x = x0
     # overflow is handled by the explicit finiteness check below
@@ -205,19 +216,20 @@ def integrate(sys, x0, u: Signal | None = None, w: Signal | None = None,
     if len(x0) != n:
         raise ValueError(f"initial state has length {len(x0)}, expected {n}")
     grid = time_grid(t_final, dt)
-    _, core = _step_maps(a, dt)
-    drive = np.zeros((len(grid), n))
+    mats, inputs = [], []
     for mat, sig in ((b, u), (d, w)):
-        if mat is None or mat.shape[1] == 0:
+        if mat is None:
             continue
-        if sig is None:
-            sig = Signal.zero(mat.shape[1])
-        if sig.width != mat.shape[1]:
+        width = mat.shape[1]
+        if sig is None or width == 0:
+            sig = Signal.zero(width)
+        if sig.width != width:
             raise ValueError(
-                f"signal width {sig.width} does not match input width {mat.shape[1]}"
+                f"signal width {sig.width} does not match input width {width}"
             )
-        drive += sig.sample(grid) @ (core @ mat).T
-    states = _run_lti(a, drive, x0, grid, dt)
+        mats.append(mat)
+        inputs.append(sig.sample(grid))
+    states = _run_lti(a, np.hstack(mats), np.hstack(inputs), x0, grid, dt)
     return Trajectory(grid, states, states @ c.T)
 
 
@@ -316,9 +328,9 @@ def refine_and_run(
         )
 
     grid = time_grid(t_final, dt)
-    _, core = _step_maps(a_joint, dt)
-    drive = uhat.sample(grid) @ (core @ b_joint).T
-    states = _run_lti(a_joint, drive, np.concatenate([xhat0, x0]), grid, dt)
+    states = _run_lti(
+        a_joint, b_joint, uhat.sample(grid), np.concatenate([xhat0, x0]), grid, dt
+    )
 
     xhat_states = states[:, :n_hat]
     x_states = states[:, n_hat:]

@@ -11,8 +11,9 @@ from simcompose.linalg import (
     eigenvalues,
     is_hurwitz,
     least_squares,
+    RESIDUAL_TOL,
     pbh_stabilizable,
-    rel_tol,
+    residual_ok,
     solve_lyapunov,
     spectral_abscissa,
     spectral_norm,
@@ -253,14 +254,13 @@ def test_least_squares_matrix_rhs():
     assert residual <= 1e-9
 
 
-def test_rel_tol_env_override(monkeypatch):
-    monkeypatch.delenv("SIMCOMPOSE_TOL", raising=False)
-    assert rel_tol() == 1e-9
-    monkeypatch.setenv("SIMCOMPOSE_TOL", "1e-6")
-    assert rel_tol() == 1e-6
-    monkeypatch.setenv("SIMCOMPOSE_TOL", "garbage")
-    with pytest.raises(ValueError):
-        rel_tol()
-    monkeypatch.setenv("SIMCOMPOSE_TOL", "-1e-9")
-    with pytest.raises(ValueError):
-        rel_tol()
+def test_residual_ok_scales_with_reference_norm():
+    big = 4.0 * np.eye(2)
+    # equality is accepted, and the tolerance scales with the spectral norm
+    assert residual_ok(RESIDUAL_TOL * 4.0, big)
+    assert not residual_ok(RESIDUAL_TOL * 4.0 * (1.0 + 1e-6), big)
+    # below unit norm the floor keeps the tolerance absolute
+    small = 1e-3 * np.eye(2)
+    assert residual_ok(RESIDUAL_TOL, small)
+    assert not residual_ok(2.0 * RESIDUAL_TOL, small)
+    assert residual_ok(RESIDUAL_TOL, np.zeros((3, 0)))

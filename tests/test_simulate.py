@@ -117,6 +117,15 @@ def test_time_grid():
         time_grid(1.0, 0.0)
     with pytest.raises(ValueError):
         time_grid(-1.0, 0.1)
+    # whole multiples whose quotient rounds in binary still pass
+    assert len(time_grid(20.0, 1e-3)) == 20001
+    assert len(time_grid(0.1, 1e-3)) == 101
+    assert len(time_grid(0.0, 1e-3)) == 1
+    # a horizon between grid points is rejected, naming both values
+    with pytest.raises(ValueError, match=r"horizon 1\.0005.* 0\.001"):
+        time_grid(1.0005, 1e-3)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        time_grid(1.0, 0.3)
 
 
 def test_integrate_scalar_decay():
