@@ -13,6 +13,7 @@ project, 3 numerical failure.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -31,6 +32,7 @@ from .simulate import (
     appendix_gammas,
     bound_report,
     refine_and_run,
+    time_grid,
     write_csv,
     write_gnuplot,
     write_table,
@@ -48,12 +50,12 @@ _SIGNAL_KINDS = ("zero", "constant", "square", "samples")
 
 
 def parse_entry(entry, parameters: dict, where: str) -> float:
-    """One matrix entry: a number, or ``[sign][coefficient]name``."""
+    """One finite matrix entry: a number, or ``[sign][coefficient]name``."""
     if isinstance(entry, bool):
         raise ProjectError(f"{where}: boolean is not a matrix entry")
     if isinstance(entry, (int, float)):
-        return float(entry)
-    if isinstance(entry, str):
+        value = float(entry)
+    elif isinstance(entry, str):
         match = _ENTRY_RE.match(entry.strip())
         if not match:
             raise ProjectError(f"{where}: cannot parse entry {entry!r}")
@@ -61,8 +63,13 @@ def parse_entry(entry, parameters: dict, where: str) -> float:
         if name not in parameters:
             raise ProjectError(f"{where}: unknown parameter {name!r} in {entry!r}")
         value = (float(coefficient) if coefficient else 1.0) * parameters[name]
-        return -value if sign == "-" else value
-    raise ProjectError(f"{where}: entry {entry!r} has unsupported type")
+        value = -value if sign == "-" else value
+    else:
+        raise ProjectError(f"{where}: entry {entry!r} has unsupported type")
+    # JSON admits NaN and Infinity
+    if not math.isfinite(value):
+        raise ProjectError(f"{where}: entry {entry!r} is not finite")
+    return value
 
 
 def parse_matrix(rows, parameters: dict, where: str) -> list[list[float]]:
@@ -497,15 +504,18 @@ def _run_pipeline(project: Project, t_final=None, dt=None, v0=None):
     Returns the abstractions, gain matrices, small-gain path, composed
     deviation function, run and bound report.
     """
-    results = build_abstractions(project)
-    gm, path, composed = run_compose(project, results)
     sim = project.simulation
     horizon = sim.t_final if t_final is None else t_final
+    step = sim.dt if dt is None else dt
+    # reject a bad horizon or step before any signal is built from it
+    time_grid(horizon, step)
+    results = build_abstractions(project)
+    gm, path, composed = run_compose(project, results)
     uhat = build_input_signal(project, results, horizon)
     xhat0, x0 = resolve_initial_states(project, results)
     run = refine_and_run(
         project.interconnection, results, composed, x0, xhat0, uhat,
-        t_final=horizon, dt=sim.dt if dt is None else dt,
+        t_final=horizon, dt=step,
     )
     report = bound_report(run, composed, gm, uhat, v0=v0)
     return results, gm, path, composed, run, report

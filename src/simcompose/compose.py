@@ -12,6 +12,7 @@ inequality ``(1 + eps) Gamma Lambda^{-1} eta < eta``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,17 @@ class GainMatrices:
     def scaled(self) -> Matrix:
         """``Gamma Lambda^{-1}`` (column scaling by decay rates)."""
         return self.gamma / self.lam[None, :]
+
+    @cached_property
+    def dominant(self) -> tuple[float, np.ndarray]:
+        """:func:`perron` of :attr:`scaled`, computed once per instance.
+
+        :func:`small_gain` and the vector bound both need the spectral
+        radius; the vector is read-only because every caller shares it.
+        """
+        radius, vec = perron(self.scaled)
+        vec.setflags(write=False)
+        return radius, vec
 
 
 @dataclass(frozen=True)
@@ -209,7 +221,7 @@ def small_gain(
     """
     scaled = gm.scaled
     n = scaled.shape[0]
-    rho_spec, vec = perron(scaled)
+    rho_spec, vec = gm.dominant
     overridden = eta is not None or epsilon is not None
     if not overridden and rho_spec >= 1.0:
         cycle, gain = _dominant_cycle(scaled, gm.names)

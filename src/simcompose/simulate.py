@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abstraction import AbstractionResult, interface_gains
-from .compose import ComposedSimFn, GainMatrices, compose_abstractions, perron
+from .compose import ComposedSimFn, GainMatrices, compose_abstractions
 from .linalg import REL_TOL, Matrix, NumericsError
 from .systems import (
     Interconnection,
@@ -135,6 +135,11 @@ class Trajectory:
 
 
 def time_grid(t_final: float, dt: float) -> np.ndarray:
+    """Uniform grid ``0, dt, ..., t_final``; ``t_final`` must be a whole
+    number of steps, and both must be finite."""
+    for label, value in (("horizon", t_final), ("step size", dt)):
+        if not np.isfinite(value):
+            raise ValueError(f"{label} must be finite, got {value!r}")
     if dt <= 0:
         raise ValueError(f"step size must be positive, got {dt}")
     if t_final < 0:
@@ -221,7 +226,7 @@ def integrate(sys, x0, u: Signal | None = None, w: Signal | None = None,
         if mat is None:
             continue
         width = mat.shape[1]
-        if sig is None or width == 0:
+        if sig is None:
             sig = Signal.zero(width)
         if sig.width != width:
             raise ValueError(
@@ -414,7 +419,7 @@ def vector_bound(
     if np.any(uhat_inf < 0):
         raise ValueError("input norms must be nonnegative")
     scaled = gm.scaled
-    radius, _ = perron(scaled)
+    radius, _ = gm.dominant
     if radius >= 1.0:
         raise NumericsError(
             f"deviation recursion diverges: spectral radius {radius:.6g} >= 1"

@@ -45,7 +45,7 @@ class LinearSystem:
     C_int: dict[str, Matrix] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.A = as_matrix(self.A, f"{self.name}.A")
+        self.A = self._finite(as_matrix(self.A, f"{self.name}.A"), "A")
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError(f"{self.name}.A must be square, got {self.A.shape}")
@@ -70,6 +70,11 @@ class LinearSystem:
                 raise ValueError(f"{self.name} lists two channels from {ch.source}")
             seen.add(ch.source)
 
+    def _finite(self, mat: Matrix, label: str) -> Matrix:
+        if not np.isfinite(mat).all():
+            raise ValueError(f"{self.name}.{label} has non-finite entries")
+        return mat
+
     def _coerce(self, mat, n: int, label: str) -> Matrix:
         mat = np.asarray(mat, dtype=float)
         if mat.ndim == 1:
@@ -78,7 +83,7 @@ class LinearSystem:
             mat = mat.reshape(n, -1)
         if mat.ndim != 2 or mat.shape[0] != n:
             raise ValueError(f"{self.name}.{label} must have {n} rows, got shape {mat.shape}")
-        return mat
+        return self._finite(mat, label)
 
     def _coerce_rows(self, mat, n: int, label: str) -> Matrix:
         mat = np.asarray(mat, dtype=float)
@@ -88,7 +93,7 @@ class LinearSystem:
             mat = mat.reshape(-1, n)
         if mat.ndim != 2 or mat.shape[1] != n:
             raise ValueError(f"{self.name}.{label} must have {n} columns, got shape {mat.shape}")
-        return mat
+        return self._finite(mat, label)
 
     @property
     def n(self) -> int:

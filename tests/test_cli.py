@@ -347,6 +347,31 @@ def test_cli_bounds(tmp_path, capsys):
     assert "margin" in out
 
 
+def test_cli_rejects_non_finite_horizon_and_step(tmp_path, capsys):
+    path = write_project(tmp_path, demo_project())
+    for flag, value, label in (
+        ("--tfinal", "inf", "horizon"), ("--tfinal", "nan", "horizon"),
+        ("--dt", "nan", "step size"),
+    ):
+        assert main(["bounds", path, flag, value]) == 1
+        assert f"error: {label} must be finite, got {value}" in capsys.readouterr().err
+    doc = demo_project()
+    doc["simulation"]["t_final"] = float("inf")
+    assert main(["bounds", write_project(tmp_path, doc)]) == 2
+    assert "t_final: entry inf is not finite" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_matrix_entry(tmp_path, capsys):
+    doc = demo_project()
+    doc["subsystems"][0]["A"][0][1] = float("nan")
+    assert main(["compose", write_project(tmp_path, doc)]) == 2
+    assert "subsystem s1.A[0][1]: entry nan is not finite" in capsys.readouterr().err
+    doc = demo_project()
+    doc["parameters"]["d1"] = float("inf")
+    with pytest.raises(ProjectError, match=r"D\[2\]\[0\]: entry 'd1' is not finite"):
+        parse_project(doc)
+
+
 def test_cli_reproduce_example(capsys):
     assert main(["reproduce-example"]) == 0
     first = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Linear-algebra kernel tests: frozen hand values plus seeded sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -120,6 +122,99 @@ def test_solve_lyapunov_rejects_non_hurwitz():
         solve_lyapunov(np.array([[1.0]]), np.eye(1))
     with pytest.raises(NumericsError):
         solve_lyapunov(TRIPLE_INTEGRATOR, np.eye(3))
+
+
+# A shifted, stabilized closed loop from a random injection instance:
+# |A|_2 = 1.4e5, eigenvector condition 1.2e7, |M|_2 = 1.9e8. The plain
+# sign iteration leaves a residual of about 5 here; the Kronecker solve
+# reached 2.7e-3 and scipy's Bartels-Stewart 8.6e-3.
+STIFF_CLOSED_LOOP = np.array([
+    [9188.716029967482, 18761.390441889896, -26857.85265569105, 10801.241437389475],
+    [17932.617200048895, 36613.17915174901, -52412.9198836981, 21079.359697883163],
+    [4185.407773380968, 8545.122633273082, -12232.65873205971, 4920.220642551055],
+    [-28564.650972331518, -58321.94610168635, 83489.87064552422, -33576.23538572964],
+])
+
+
+def lyapunov_oracle(a, q):
+    # scipy solves A X + X A^H = Q, so transpose and negate to match.
+    return scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+
+
+def test_solve_lyapunov_matches_scipy_up_to_100_states():
+    rng = np.random.default_rng(41)
+    for n in range(1, 101):
+        a = random_hurwitz(rng, n)
+        q = random_spd(rng, n)
+        m = solve_lyapunov(a, q)
+        ref = lyapunov_oracle(a, q)
+        assert np.allclose(m, ref, rtol=1e-8, atol=1e-10 * np.abs(ref).max()), n
+
+
+def test_solve_lyapunov_near_defective_closed_loop():
+    # the stabilized triple integrator has a nearly defective triple
+    # eigenvalue; shifted by half its decay margin as decay_certificate does
+    k = stabilize(TRIPLE_INTEGRATOR, TRIPLE_INPUT)
+    a_cl = TRIPLE_INTEGRATOR + TRIPLE_INPUT @ k
+    a = a_cl + 0.5 * abs(spectral_abscissa(a_cl)) * np.eye(3)
+    m = solve_lyapunov(a, np.eye(3))
+    ref = lyapunov_oracle(a, np.eye(3))
+    assert np.allclose(m, ref, rtol=1e-9, atol=0.0)
+    assert np.linalg.norm(a.T @ m + m @ a + np.eye(3), 2) <= 1e-12 * np.linalg.norm(m, 2)
+
+
+def test_solve_lyapunov_stiff_residual_below_kronecker_level():
+    a = STIFF_CLOSED_LOOP
+    q = np.eye(4)
+    m = solve_lyapunov(a, q)
+    assert np.array_equal(m, m.T)
+    assert np.linalg.eigvalsh(m)[0] > 0.0
+    assert np.linalg.norm(a.T @ m + m @ a + q, 2) < 1e-2 * np.linalg.norm(q, 2)
+
+
+def test_solve_lyapunov_200_states():
+    # the Kronecker system would be 40000 x 40000, 12.8 GB
+    rng = np.random.default_rng(43)
+    n = 200
+    a = random_hurwitz(rng, n)
+    q = random_spd(rng, n)
+    m = solve_lyapunov(a, q)
+    ref = lyapunov_oracle(a, q)
+    assert np.allclose(m, ref, rtol=1e-8, atol=1e-10 * np.abs(ref).max())
+
+
+def test_solve_lyapunov_far_from_normal_fails_only_with_numerics_error():
+    # Hurwitz Jordan-like blocks with superdiagonals up to 1e4, seen in a
+    # random basis. Some are too ill-conditioned to solve, and on some a
+    # sign iterate is numerically singular; every failure must still be
+    # a NumericsError, and every returned M must meet the residual gate.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 8))
+        block = -10 ** rng.uniform(-2, 1) * np.eye(n)
+        block += np.diag(np.full(n - 1, 10 ** rng.uniform(2, 4)), 1)
+        t = rng.standard_normal((n, n))
+        a = t @ block @ np.linalg.inv(t)
+        try:
+            m = solve_lyapunov(a, np.eye(n))
+        except NumericsError:
+            continue
+        residual = np.linalg.norm(a.T @ m + m @ a + np.eye(n), "fro")
+        assert residual <= 1e-8 * (spectral_norm(a) * spectral_norm(m) + 1.0)
+
+
+def test_solve_lyapunov_memory_is_quadratic():
+    n = 60
+    rng = np.random.default_rng(47)
+    a = random_hurwitz(rng, n)
+    tracemalloc.start()
+    try:
+        solve_lyapunov(a, np.eye(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few dozen n x n arrays, against 8 n^4 = 104 MB for Kronecker
+    assert peak < 100 * 8 * n * n
 
 
 def test_solve_lyapunov_rejects_asymmetric_q():

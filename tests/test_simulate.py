@@ -128,6 +128,17 @@ def test_time_grid():
         time_grid(1.0, 0.3)
 
 
+def test_time_grid_rejects_non_finite_values():
+    for t_final, dt, message in (
+        (np.inf, 1e-3, "horizon must be finite, got inf"),
+        (np.nan, 1e-3, "horizon must be finite, got nan"),
+        (1.0, np.nan, "step size must be finite, got nan"),
+        (1.0, np.inf, "step size must be finite, got inf"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            time_grid(t_final, dt)
+
+
 def test_integrate_scalar_decay():
     sys = LinearSystem("s", [[-1.0]], np.zeros((1, 0)), [[1.0]], [])
     traj = integrate(sys, [1.0], t_final=1.0, dt=1e-3)
@@ -199,6 +210,14 @@ def test_integrate_argument_checks():
         integrate(mono, [0.0], w=Signal.constant([1.0]))
     with pytest.raises(TypeError):
         integrate(object(), [0.0])
+
+
+def test_integrate_checks_width_of_zero_width_input():
+    sys = LinearSystem("s", [[-1.0]], np.zeros((1, 0)), [[1.0]], [])
+    with pytest.raises(ValueError, match="signal width 2 does not match input width 0"):
+        integrate(sys, [1.0], u=Signal.constant([5.0, 7.0]))
+    traj = integrate(sys, [1.0], u=Signal.zero(0), t_final=0.1)
+    assert traj.states[-1, 0] == pytest.approx(np.exp(-0.1), rel=1e-12)
 
 
 def test_integrate_zero_horizon():
@@ -361,6 +380,26 @@ def test_bound_report_v0_override():
     assert report.scalar_samples[0] == pytest.approx(
         0.85 + composed.rho / composed.lam * uhat.sup_norm, rel=1e-12
     )
+
+
+def test_pipeline_computes_spectral_radius_once(monkeypatch):
+    import simcompose.compose as compose_module
+    import simcompose.simulate as simulate_module
+
+    calls = []
+    real_perron = compose_module.perron
+
+    def counted(mat):
+        calls.append(mat)
+        return real_perron(mat)
+
+    # patched in both modules, so a second decomposition anywhere counts
+    monkeypatch.setattr(compose_module, "perron", counted)
+    monkeypatch.setattr(simulate_module, "perron", counted, raising=False)
+    ic, results, gm, path, composed, uhat, run = demo_pipeline(t_final=2.0)
+    bound_report(run, composed, gm, uhat)
+    assert len(calls) == 1
+    assert gm.dominant[0] == path.rho_spec
 
 
 def test_csv_export_roundtrip(tmp_path):

@@ -41,6 +41,15 @@ def test_zero_width_input_matrix():
     assert sys.B.shape == (1, 0)
 
 
+def test_non_finite_entries_are_rejected():
+    with pytest.raises(ValueError, match=r"s\.A has non-finite entries"):
+        LinearSystem("s", [[np.nan]], [[1.0]], [[1.0]], [])
+    with pytest.raises(ValueError, match=r"s\.B has non-finite entries"):
+        LinearSystem("s", [[-1.0]], [[np.inf]], [[1.0]], [])
+    with pytest.raises(ValueError, match=r"s\.C_int\[t\] has non-finite entries"):
+        LinearSystem("s", [[-1.0]], [[1.0]], [[1.0]], [], (), {"t": [[np.nan]]})
+
+
 def test_d_width_must_match_declared_channels():
     with pytest.raises(ValueError):
         LinearSystem(
