@@ -46,7 +46,13 @@ class ProjectError(ValueError):
 
 _ENTRY_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?|\.\d+)?\*?([A-Za-z_]\w*)$")
 
-_SIGNAL_KINDS = ("zero", "constant", "square", "samples")
+# the numeric fields each input signal kind reads
+_SIGNAL_FIELDS = {
+    "zero": (),
+    "constant": ("value",),
+    "square": ("amplitude", "period"),
+    "samples": ("times", "values"),
+}
 
 
 def parse_entry(entry, parameters: dict, where: str) -> float:
@@ -70,6 +76,15 @@ def parse_entry(entry, parameters: dict, where: str) -> float:
     if not math.isfinite(value):
         raise ProjectError(f"{where}: entry {entry!r} is not finite")
     return value
+
+
+def parse_numbers(value, parameters: dict, where: str):
+    """A number, or a nested array of them, read entry by entry."""
+    if isinstance(value, list):
+        return [
+            parse_numbers(e, parameters, f"{where}[{i}]") for i, e in enumerate(value)
+        ]
+    return parse_entry(value, parameters, where)
 
 
 def parse_matrix(rows, parameters: dict, where: str) -> list[list[float]]:
@@ -161,11 +176,22 @@ def _parse_simulation(block, parameters: dict) -> SimulationSpec:
     if not isinstance(inputs, dict):
         raise ProjectError("inputs must map subsystem names to signal specs")
     for name, sig in inputs.items():
-        if not isinstance(sig, dict) or sig.get("kind") not in _SIGNAL_KINDS:
+        if not isinstance(sig, dict) or sig.get("kind") not in _SIGNAL_FIELDS:
             raise ProjectError(
-                f"input for {name!r} needs a kind out of {_SIGNAL_KINDS}"
+                f"input for {name!r} needs a kind out of {tuple(_SIGNAL_FIELDS)}"
             )
-    spec.inputs = inputs
+        where = f"simulation.inputs.{name}"
+        parsed = {"kind": sig["kind"]}
+        for key in _SIGNAL_FIELDS[sig["kind"]]:
+            if key not in sig:
+                raise ProjectError(f"{where}: a {sig['kind']} input needs {key!r}")
+            parsed[key] = parse_numbers(sig[key], parameters, f"{where}.{key}")
+        period = parsed.get("period")
+        if period is not None and not (isinstance(period, float) and period > 0):
+            raise ProjectError(
+                f"{where}.period: expected a positive number, got {period!r}"
+            )
+        spec.inputs[name] = parsed
     return spec
 
 
@@ -223,6 +249,9 @@ def parse_project(doc) -> Project:
         if "simulation" in doc
         else SimulationSpec()
     )
+    for name in simulation.inputs:
+        if name not in directives:
+            raise ProjectError(f"simulation.inputs.{name}: no subsystem is named {name!r}")
     return Project(
         interconnection=Interconnection(subsystems),
         directives=directives,
@@ -337,19 +366,22 @@ def build_input_signal(project: Project, results, t_final: float) -> Signal:
             parts.append(Signal.zero(width))
             continue
         kind = spec["kind"]
-        if kind == "constant":
-            sig = Signal.constant(np.asarray(spec["value"], dtype=float))
-        elif kind == "square":
-            sig = Signal.square(
-                np.asarray(spec["amplitude"], dtype=float),
-                float(spec["period"]),
-                t_final,
-            )
-        else:  # samples
-            sig = Signal(
-                np.asarray(spec["times"], dtype=float),
-                np.asarray(spec["values"], dtype=float),
-            )
+        try:
+            if kind == "constant":
+                sig = Signal.constant(np.asarray(spec["value"], dtype=float))
+            elif kind == "square":
+                sig = Signal.square(
+                    np.asarray(spec["amplitude"], dtype=float),
+                    float(spec["period"]),
+                    t_final,
+                )
+            else:  # samples
+                sig = Signal(
+                    np.asarray(spec["times"], dtype=float),
+                    np.asarray(spec["values"], dtype=float),
+                )
+        except ValueError as exc:
+            raise ProjectError(f"simulation.inputs.{sub.name}: {exc}") from exc
         if sig.width != width:
             raise ProjectError(
                 f"input for {sub.name} has width {sig.width},"

@@ -372,6 +372,49 @@ def test_cli_rejects_non_finite_matrix_entry(tmp_path, capsys):
         parse_project(doc)
 
 
+def test_cli_rejects_bad_input_signal_entries(tmp_path, capsys):
+    for field, value, message in (
+        ("period", float("inf"), "simulation.inputs.s1.period: entry inf is not finite"),
+        ("period", 0.0, "simulation.inputs.s1.period: expected a positive number, got 0.0"),
+        ("period", [5.0], "simulation.inputs.s1.period: expected a positive number"),
+        ("amplitude", [float("nan")], "simulation.inputs.s1.amplitude[0]: entry nan is not finite"),
+        ("amplitude", ["gain"], "simulation.inputs.s1.amplitude[0]: unknown parameter 'gain'"),
+    ):
+        doc = demo_project()
+        doc["simulation"]["inputs"]["s1"][field] = value
+        assert main(["bounds", write_project(tmp_path, doc)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+    doc = demo_project()
+    del doc["simulation"]["inputs"]["s1"]["period"]
+    assert main(["bounds", write_project(tmp_path, doc)]) == 2
+    assert "simulation.inputs.s1: a square input needs 'period'" in capsys.readouterr().err
+    doc = demo_project()
+    doc["simulation"]["inputs"]["s1"] = {
+        "kind": "samples", "times": [0.0, 0.0], "values": [[0.1], [0.2]],
+    }
+    assert main(["bounds", write_project(tmp_path, doc)]) == 2
+    assert "simulation.inputs.s1: sample times must be strictly increasing" in (
+        capsys.readouterr().err
+    )
+    doc = demo_project()
+    doc["simulation"]["inputs"]["S1"] = doc["simulation"]["inputs"].pop("s1")
+    assert main(["bounds", write_project(tmp_path, doc)]) == 2
+    assert "simulation.inputs.S1: no subsystem is named 'S1'" in capsys.readouterr().err
+
+
+def test_input_signal_entries_read_parameters():
+    doc = solo_project(inputs={
+        "solo": {"kind": "square", "amplitude": ["2*d"], "period": "p"},
+    })
+    doc["parameters"] = {"d": 0.05, "p": 0.4}
+    project = parse_project(doc)
+    assert project.simulation.inputs["solo"] == {
+        "kind": "square", "amplitude": [0.1], "period": 0.4,
+    }
+    sig = build_input_signal(project, build_abstractions(project), 1.0)
+    assert np.allclose(sig.value(0.1), [0.1])
+    assert np.allclose(sig.value(0.3), [-0.1])
+
 def test_cli_reproduce_example(capsys):
     assert main(["reproduce-example"]) == 0
     first = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Signals, fixed-step integration, refinement runs, and bound reports."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,13 @@ from simcompose.demo import (
     demo_interconnection,
     demo_projections,
 )
+from simcompose import simulate
 from simcompose.linalg import NumericsError
 from simcompose.simulate import (
+    BOUND_TOL,
     Signal,
+    _run_lti,
+    _step_maps,
     appendix_gammas,
     bound_report,
     integrate,
@@ -442,3 +448,110 @@ def test_run_lti_stability_against_long_horizon():
     traj = integrate(sys, x0, t_final=20.0, dt=1e-3)
     exact = expm_eig(a, 20.0) @ x0
     assert np.max(np.abs(traj.states[-1] - exact)) <= 1e-8
+
+
+def reference_march(a, b, inputs, x0, grid, dt):
+    """The per-step recursion ``x+ = phi x + core B u_k`` that the blocked
+    propagator must reproduce, one matrix-vector product per step."""
+    phi, core = _step_maps(a, dt)
+    drive = inputs @ (core @ b).T
+    states = np.empty((len(grid), len(x0)))
+    states[0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(grid) - 1):
+            states[k + 1] = phi @ states[k] + drive[k]
+    return states
+
+
+def assert_matches_reference(a, b, inputs, x0, grid, dt):
+    got = _run_lti(a, b, inputs, x0, grid, dt)
+    ref = reference_march(a, b, inputs, x0, grid, dt)
+    assert got.shape == ref.shape == (len(grid), len(x0))
+    scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale
+
+
+def test_run_lti_matches_reference_on_demo_joint_system(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _run_lti(*args)
+
+    monkeypatch.setattr(simulate, "_run_lti", recording)
+    demo_pipeline(t_final=20.0)
+    (args,) = calls
+    assert len(args[4]) == 20001
+    assert_matches_reference(*args)
+
+
+def test_run_lti_matches_reference_with_input_switching_every_step():
+    rng = np.random.default_rng(411)
+    a = random_hurwitz(rng, 12)
+    b = rng.standard_normal((12, 3))
+    dt = 1e-2
+    grid = time_grid(30.0, dt)
+    inputs = rng.standard_normal((len(grid), 3))
+    assert_matches_reference(a, b, inputs, rng.standard_normal(12), grid, dt)
+
+
+def test_run_lti_matches_reference_on_every_grid_length():
+    # every length of the last, partial block, a single step and an
+    # empty grid; the input switches at every step
+    rng = np.random.default_rng(412)
+    a = random_hurwitz(rng, 5)
+    b = rng.standard_normal((5, 2))
+    dt = 0.05
+    for steps in list(range(0, 70)) + [1000, 4099]:
+        grid = np.arange(steps + 1) * dt
+        inputs = rng.standard_normal((steps + 1, 2))
+        assert_matches_reference(a, b, inputs, rng.standard_normal(5), grid, dt)
+
+
+def test_run_lti_matches_reference_with_zero_width_input():
+    rng = np.random.default_rng(413)
+    a = random_hurwitz(rng, 4)
+    grid = time_grid(7.0, 1e-3)
+    assert_matches_reference(
+        a, np.zeros((4, 0)), np.zeros((len(grid), 0)), rng.standard_normal(4), grid, 1e-3
+    )
+
+
+def test_run_lti_reports_the_reference_blowup_time():
+    a, dt = np.array([[5.0]]), 1e-2
+    grid = time_grid(300.0, dt)
+    args = (a, np.zeros((1, 0)), np.zeros((len(grid), 0)), np.array([1.0]), grid, dt)
+    ref = reference_march(*args)
+    bad = ~np.isfinite(ref).all(axis=1)
+    assert bad.any()
+    first = grid[np.argmax(bad)]
+    with pytest.raises(NumericsError, match="non-finite") as info:
+        _run_lti(*args)
+    reported = float(re.search(r"t = (\S+)$", str(info.value)).group(1))
+    assert abs(reported - first) <= dt
+
+
+def test_run_lti_unexcited_unstable_mode_stays_finite():
+    # phi^L of the unstable mode overflows for long blocks; the state
+    # never touches that mode, so the run must not see inf * 0 = NaN
+    a = np.diag([-1.0, 800.0])
+    sys = LinearSystem("s", a, np.zeros((2, 0)), np.eye(2), [])
+    traj = integrate(sys, [1.0, 0.0], t_final=300.0, dt=1e-2)
+    ref = reference_march(
+        a, np.zeros((2, 0)), np.zeros((len(traj.times), 0)), np.array([1.0, 0.0]),
+        traj.times, 1e-2,
+    )
+    assert np.isfinite(ref).all()
+    assert np.array_equal(traj.states[:, 1], np.zeros(len(traj.times)))
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12
+
+
+def test_demo_bounds_hold_on_a_ten_times_finer_grid():
+    # bound_report checks grid points only; a finer grid samples the
+    # gaps of the default one
+    _, _, gm, _, composed, uhat, run = demo_pipeline(dt=1e-4)
+    assert len(run.times) == 200001
+    report = bound_report(run, composed, gm, uhat)
+    assert report.min_margin >= -BOUND_TOL
+    assert float(np.min(report.vvec_margin)) >= -BOUND_TOL
+    assert report.ok

@@ -1,5 +1,5 @@
-"""Source-level guards on the package: no environment knobs, and each
-tolerance constant defined by exactly one module."""
+"""Source-level guards on the package: no environment knobs, each
+tolerance constant defined by exactly one module, and one propagator."""
 
 import ast
 from collections import defaultdict
@@ -50,3 +50,22 @@ def test_each_tolerance_has_one_owner():
     assert {"REL_TOL", "RESIDUAL_TOL", "BOUND_TOL"} <= owners.keys()
     shared = {name: files for name, files in owners.items() if len(files) != 1}
     assert shared == {}
+
+
+def calls_by_function() -> dict[str, set[str]]:
+    """Names called inside each module-level function, nested code included."""
+    called = defaultdict(set)
+    for path in MODULES:
+        for func in parse(path).body:
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                        called[func.name].add(node.func.id)
+    return called
+
+
+def test_one_propagator():
+    called = calls_by_function()
+    assert {name for name, names in called.items() if "_step_maps" in names} == {"_run_lti"}
+    assert "_run_lti" in called["integrate"]
+    assert "_run_lti" in called["refine_and_run"]
