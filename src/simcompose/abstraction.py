@@ -17,7 +17,7 @@ routes must agree and are kept separate on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,13 +31,13 @@ from .linalg import (
     check_spd,
     least_squares,
     pbh_stabilizable,
+    rank_tol,
     residual_ok,
     spectral_abscissa,
     spectral_norm,
     sqrtm_spd,
     stabilize,
     solve_lyapunov,
-    weighted_norm,
 )
 from .systems import LinearSystem
 
@@ -88,7 +88,12 @@ class ComparisonGains:
 
 @dataclass
 class PConditionReport:
-    """Verdicts for the four injection conditions on ``(system, P)``."""
+    """Verdicts for the four injection conditions on ``(system, P)``.
+
+    Also carries what the checks computed and the construction reuses:
+    ``im P``, ``ker C`` (``C`` stacked over all output blocks) and the
+    spectral norms of ``A``, ``D`` and ``P``.
+    """
 
     n: int
     stabilizable: bool
@@ -99,6 +104,11 @@ class PConditionReport:
     disturbance_residual: float
     complement_ok: bool
     complement_dim: int
+    image_p: Subspace = field(repr=False, compare=False)
+    kernel_c: Subspace = field(repr=False, compare=False)
+    norm_a: float = field(repr=False, compare=False)
+    norm_d: float = field(repr=False, compare=False)
+    norm_p: float = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -149,7 +159,9 @@ def _stacked_outputs(sys: LinearSystem) -> Matrix:
     return np.vstack(blocks)
 
 
-def decay_certificate(a, b, c) -> tuple[Matrix, Matrix, float]:
+def decay_certificate(
+    a, b, c, pbh: tuple[bool, complex | None] | None = None
+) -> tuple[Matrix, Matrix, float]:
     """Compute ``(M, K1, lam)`` certifying exponential deviation decay.
 
     ``K1`` stabilizes ``(a, b)``; ``lam`` is half the closed-loop decay
@@ -160,12 +172,13 @@ def decay_certificate(a, b, c) -> tuple[Matrix, Matrix, float]:
 
     ``c`` may be a single output matrix or a list of blocks; the scaling
     uses the worst block. The 1 percent headroom keeps both inequalities
-    strictly satisfied under roundoff.
+    strictly satisfied under roundoff. ``pbh`` is the PBH verdict on
+    ``(a, b)`` when the caller already has it (see :func:`stabilize`).
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     n = a.shape[0]
-    k1 = stabilize(a, b)
+    k1 = stabilize(a, b, pbh=pbh)
     a_cl = a + b @ k1
     abscissa = spectral_abscissa(a_cl)
     if not abscissa < 0.0:
@@ -203,7 +216,11 @@ def certificate_slacks(a, b, c, m, k1, lam) -> tuple[float, float]:
     b = as_matrix(b, "b")
     m = check_spd(m, "M")
     k1 = as_matrix(k1, "K1")
-    blocks = _output_blocks(c)
+    return _slacks(a, b, _output_blocks(c), m, k1, lam)
+
+
+def _slacks(a, b, blocks, m, k1, lam) -> tuple[float, float]:
+    """:func:`certificate_slacks` of already validated matrices."""
     if blocks:
         output_slack = min(
             float(np.linalg.eigvalsh(m - blk.T @ blk)[0]) for blk in blocks
@@ -219,7 +236,11 @@ def certificate_slacks(a, b, c, m, k1, lam) -> tuple[float, float]:
 def check_certificate(a, b, c, m, k1, lam, tol: float) -> None:
     """Raise ``NumericsError`` if either certificate inequality is
     violated by more than ``tol`` (absolute eigenvalue slack)."""
-    out_slack, decay_slack = certificate_slacks(a, b, c, m, k1, lam)
+    _require_slacks(certificate_slacks(a, b, c, m, k1, lam), tol)
+
+
+def _require_slacks(slacks: tuple[float, float], tol: float) -> None:
+    out_slack, decay_slack = slacks
     if out_slack < -tol or decay_slack < -tol:
         raise NumericsError(
             f"certificate rejected: output slack {out_slack:.3e}, decay slack "
@@ -237,46 +258,58 @@ def check_P_conditions(sys: LinearSystem, p) -> PConditionReport:
        output blocks).
 
     ``P`` must be injective; that is a shape-level requirement, not a
-    condition, so a rank-deficient ``P`` raises ``ValueError``.
+    condition, so a rank-deficient ``P`` raises ``ValueError``. Its rank
+    is decided at the package cutoff :func:`~simcompose.linalg.rank_tol`.
     """
     p = as_matrix(p, "P")
     n = sys.n
     if p.shape[0] != n:
         raise ValueError(f"P must have {n} rows, got {p.shape}")
-    if np.linalg.matrix_rank(p, tol=None) < p.shape[1]:
+    norm_p = spectral_norm(p)
+    im_p = image(p, tol=rank_tol(p, norm_p))
+    if im_p.dim < p.shape[1]:
         raise ValueError("P must have full column rank (injective state mapping)")
-    ok_stab, witness = pbh_stabilizable(sys.A, sys.B)
+    norm_a = spectral_norm(sys.A)
+    norm_d = spectral_norm(sys.D)
+    ok_stab, witness = pbh_stabilizable(sys.A, sys.B, norm=norm_a)
     reach = image(np.hstack([p, sys.B]))
     inv_res = reach.residual(sys.A @ p)
     dist_res = reach.residual(sys.D) if sys.p else 0.0
-    c_stack = _stacked_outputs(sys)
-    comp = image(p).sum(kernel(c_stack))
+    ker_c = kernel(_stacked_outputs(sys))
+    comp = im_p.sum(ker_c)
     return PConditionReport(
         n=n,
         stabilizable=ok_stab,
         witness=witness,
-        invariance_ok=residual_ok(inv_res, sys.A),
+        invariance_ok=residual_ok(inv_res, sys.A, norm=norm_a),
         invariance_residual=float(inv_res),
-        disturbance_ok=residual_ok(dist_res, sys.D),
+        disturbance_ok=residual_ok(dist_res, sys.D, norm=norm_d),
         disturbance_residual=float(dist_res),
         complement_ok=comp.dim == n,
         complement_dim=comp.dim,
+        image_p=im_p,
+        kernel_c=ker_c,
+        norm_a=norm_a,
+        norm_d=norm_d,
+        norm_p=norm_p,
     )
 
 
-def _left_inverse_through_kernel(sys: LinearSystem, p: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+def _left_inverse_through_kernel(
+    sys: LinearSystem, p: Matrix, report: PConditionReport
+) -> tuple[Matrix, Matrix, Matrix]:
     """Build ``(phat, e, f)`` with ``phat p = I``, ``C p phat = C`` and
     ``p phat + e f = I`` where ``im e = ker C``.
 
     Decomposes the state space as ``im p (+) W`` with ``W`` a complement
     of ``im p  ker C`` inside ``ker C``; ``phat`` reads off the ``p``
-    coordinate of that splitting.
+    coordinate of that splitting. ``im p``, ``ker C`` and ``|p|`` come
+    from ``report``, the :func:`check_P_conditions` of ``(sys, p)``.
     """
     n = sys.n
     nhat = p.shape[1]
-    c_stack = _stacked_outputs(sys)
-    ker_c = kernel(c_stack)
-    overlap = image(p).intersect(ker_c)
+    ker_c = report.kernel_c
+    overlap = report.image_p.intersect(ker_c)
     # complement of the overlap inside ker C, expressed in ambient coordinates
     coords = ker_c.basis.T @ overlap.basis
     w_basis = ker_c.basis @ kernel(coords.T).basis if ker_c.dim else np.zeros((n, 0))
@@ -292,7 +325,7 @@ def _left_inverse_through_kernel(sys: LinearSystem, p: Matrix) -> tuple[Matrix, 
     phat = np.linalg.solve(t_full, np.eye(n))[:nhat, :]
     e = ker_c.basis
     f, f_res, _ = least_squares(e, np.eye(n) - p @ phat)
-    if not residual_ok(f_res, p):
+    if not residual_ok(f_res, p, norm=report.norm_p):
         raise NumericsError(
             f"projector residual {f_res:.3e}: I - P phat does not factor through ker C"
         )
@@ -335,14 +368,19 @@ def build_abstraction(
         )
     blocks = sys.output_blocks()
     if certificate is None:
-        m, k1, lam = decay_certificate(sys.A, sys.B, blocks)
-        check_certificate(sys.A, sys.B, blocks, m, k1, lam, COMPUTED_CERT_TOL)
+        m, k1, lam = decay_certificate(
+            sys.A, sys.B, blocks, pbh=(report.stabilizable, report.witness)
+        )
+        tol = COMPUTED_CERT_TOL
     else:
         m, k1, lam = certificate
-        m = check_spd(m, "M")
-        k1 = as_matrix(k1, "K1") if np.size(k1) else np.zeros((sys.m, sys.n))
-        lam = float(lam)
-        check_certificate(sys.A, sys.B, blocks, m, k1, lam, INJECTED_CERT_TOL)
+        tol = INJECTED_CERT_TOL
+    # the one symmetry and definiteness check of M: the slacks, K4 and
+    # every mu below work on this M and on its one square root
+    m = check_spd(m, "M")
+    k1 = as_matrix(k1, "K1") if np.size(k1) else np.zeros((sys.m, sys.n))
+    lam = float(lam)
+    _require_slacks(_slacks(sys.A, sys.B, blocks, m, k1, lam), tol)
 
     nhat = p.shape[1]
     pb = np.hstack([p, sys.B])
@@ -350,15 +388,19 @@ def build_abstraction(
     ahat, k2 = sol_a[:nhat, :], sol_a[nhat:, :]
     sol_d, res_d, _ = least_squares(pb, sys.D)
     dhat, k3 = sol_d[:nhat, :], sol_d[nhat:, :]
-    if not (residual_ok(res_a, sys.A) and residual_ok(res_d, sys.D)):
+    if not (
+        residual_ok(res_a, sys.A, norm=report.norm_a)
+        and residual_ok(res_d, sys.D, norm=report.norm_d)
+    ):
         raise NumericsError(
             f"construction identities inconsistent: residuals {res_a:.3e}, {res_d:.3e}"
         )
-    phat, e, f = _left_inverse_through_kernel(sys, p)
+    phat, e, f = _left_inverse_through_kernel(sys, p, report)
 
     bhat = np.hstack([phat @ sys.B, phat @ sys.A @ e])
-    k4, rho = compute_k4(m, p, bhat, sys.B)
-    mu = tuple(weighted_norm(m, sys.D[:, k]) for k in range(sys.p))
+    root = sqrtm_spd(m, checked=True)
+    k4, rho = compute_k4(m, p, bhat, sys.B, root=root)
+    mu = tuple(spectral_norm(root @ sys.D[:, k, None]) for k in range(sys.p))
 
     abstract = LinearSystem(
         name=sys.name,
@@ -382,18 +424,20 @@ def build_abstraction(
     )
 
 
-def compute_k4(m, p, bhat, b) -> tuple[Matrix, float]:
+def compute_k4(m, p, bhat, b, root=None) -> tuple[Matrix, float]:
     """Abstract-input matching gain and the resulting deviation gain.
 
     Minimizes ``|sqrt(M) (P Bhat - B K4)|`` columnwise (minimum-norm
     solution); ``rho`` is the spectral norm of the optimal residual.
     With no concrete input (``B`` has zero width) this degenerates to
-    ``K4`` empty and ``rho = |sqrt(M) P Bhat|``.
+    ``K4`` empty and ``rho = |sqrt(M) P Bhat|``. ``root`` is
+    ``sqrtm_spd(m)`` when the caller has already formed it.
     """
     p = as_matrix(p, "P")
     bhat = as_matrix(bhat, "Bhat")
     b = as_matrix(b, "B")
-    root = sqrtm_spd(m)
+    if root is None:
+        root = sqrtm_spd(m)
     target = root @ (p @ bhat)
     k4, _, _ = least_squares(root @ b, target)
     rho = spectral_norm(target - (root @ b) @ k4)

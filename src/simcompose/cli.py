@@ -25,7 +25,7 @@ from .abstraction import AbstractionResult, build_abstraction, check_P_condition
 from .compose import SmallGainError, compose_simfn, gain_matrices, small_gain
 from .demo import PUBLISHED, demo_certificates, demo_project, demo_projections
 from .geometry import image, minimal_invariant
-from .linalg import NumericsError
+from .linalg import NumericsError, spectral_norm
 from .simulate import (
     BOUND_TOL,
     Signal,
@@ -495,7 +495,7 @@ def cmd_abstract(args) -> int:
             f" Dhat {_fmt_matrix(result.system.D)},"
             f" lambda {_fmt(gains.lam)}, rho {_fmt(gains.rho)},"
             f" mu {_fmt_vector(gains.mu)},"
-            f" K4 norm {_fmt(np.linalg.norm(result.simfn.K4, 2) if result.simfn.K4.size else 0.0)}"
+            f" K4 norm {_fmt(spectral_norm(result.simfn.K4))}"
         )
     text = "\n".join(summary) + "\n"
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="ascii") as fh:
@@ -710,6 +710,10 @@ def main(argv=None) -> int:
         return 1
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a numerical failure, not a bad input
+        print(f"error: numerical failure in numpy.linalg: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,32 +71,43 @@ def block_diag(blocks) -> Matrix:
 
 
 def spectral_norm(a) -> float:
+    """Largest singular value; 0 for an empty matrix.
+
+    The same LAPACK call ``np.linalg.norm(a, 2)`` makes, without its
+    axis-handling wrapper, so the value is bit-identical.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def residual_ok(residual: float, ref) -> bool:
+def residual_ok(residual: float, ref, norm: float | None = None) -> bool:
     """Whether an identity residual is at noise level relative to ``ref``.
 
     Accepts ``residual <= RESIDUAL_TOL * max(1, |ref|_2)``; the floor at 1
     keeps an absolute tolerance for small or zero reference matrices.
+    ``norm`` is ``|ref|_2`` when the caller has already computed it.
     """
-    return residual <= RESIDUAL_TOL * max(1.0, spectral_norm(ref))
+    if norm is None:
+        norm = spectral_norm(ref)
+    return residual <= RESIDUAL_TOL * max(1.0, norm)
 
 
-def rank_tol(a) -> float:
+def rank_tol(a, norm: float | None = None) -> float:
     """Singular-value cutoff for rank decisions about ``a``.
 
     Scales with the larger dimension and the spectral norm; the norm
     factor is floored at 1 so zero and near-zero matrices still get a
-    positive tolerance.
+    positive tolerance. ``norm`` is ``|a|_2`` when the caller has
+    already computed it.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return REL_TOL
-    return REL_TOL * max(a.shape) * max(1.0, spectral_norm(a))
+    if norm is None:
+        norm = spectral_norm(a)
+    return REL_TOL * max(a.shape) * max(1.0, norm)
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -281,12 +292,14 @@ def solve_lyapunov(a, q) -> Matrix:
     return m
 
 
-def pbh_stabilizable(a, b) -> tuple[bool, complex | None]:
+def pbh_stabilizable(a, b, norm: float | None = None) -> tuple[bool, complex | None]:
     """PBH test: is the pair ``(a, b)`` stabilizable?
 
     Checks ``rank [a - s I, b] == n`` for every eigenvalue ``s`` of ``a``
     that lies in the closed right half plane (within tolerance of the
     imaginary axis counts, so marginally stable clusters are tested too).
+    Every pencil is ranked at the one cutoff ``rank_tol([a, b])``.
+    ``norm`` is ``|a|_2`` when the caller has already computed it.
 
     Returns
     -------
@@ -302,12 +315,14 @@ def pbh_stabilizable(a, b) -> tuple[bool, complex | None]:
         raise ValueError(f"b must have {n} rows, got {b.shape}")
     if n == 0:
         return True, None
-    margin = REL_TOL * max(1.0, spectral_norm(a))
-    for s in eigenvalues(a):
-        if s.real < -margin:
-            continue
+    margin = REL_TOL * max(1.0, spectral_norm(a) if norm is None else norm)
+    tested = [s for s in eigenvalues(a) if not s.real < -margin]
+    if not tested:
+        return True, None
+    tol = rank_tol(np.hstack([a, b]))
+    for s in tested:
         pencil = np.hstack([a - s * np.eye(n), b]).astype(complex)
-        if np.linalg.matrix_rank(pencil, tol=rank_tol(np.hstack([a, b]))) < n:
+        if np.linalg.matrix_rank(pencil, tol=tol) < n:
             return False, complex(s)
     return True, None
 
@@ -364,7 +379,7 @@ def _place_block(block: Matrix, bu: Matrix) -> Matrix:
     return g[:, np.newaxis] * f_row[np.newaxis, :]
 
 
-def stabilize(a, b) -> Matrix:
+def stabilize(a, b, pbh: tuple[bool, complex | None] | None = None) -> Matrix:
     """Return ``K`` such that ``a + b K`` is Hurwitz.
 
     Already-Hurwitz matrices get ``K = 0``. Otherwise unstable
@@ -376,6 +391,10 @@ def stabilize(a, b) -> Matrix:
     is a one- or two-dimensional placement, and the gains stay moderate
     where a single gramian-based design would overdrive the weakly
     coupled directions.
+
+    ``pbh`` is the verdict ``pbh_stabilizable(a, b)`` when the caller
+    has already computed it for these same matrices; the test is then
+    not run again.
 
     Raises
     ------
@@ -395,7 +414,7 @@ def stabilize(a, b) -> Matrix:
     m = b.shape[1]
     if is_hurwitz(a):
         return np.zeros((m, n))
-    ok, witness = pbh_stabilizable(a, b)
+    ok, witness = pbh_stabilizable(a, b) if pbh is None else pbh
     if not ok:
         raise NumericsError(
             f"pair is not stabilizable: eigenvalue {witness} cannot be moved by the input"
@@ -420,23 +439,26 @@ def check_spd(m, name: str = "matrix") -> Matrix:
     m = as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got {m.shape}")
-    if spectral_norm(m - m.T) > rank_tol(m):
+    tol = rank_tol(m)
+    if spectral_norm(m - m.T) > tol:
         raise ValueError(f"{name} must be symmetric")
     m = _symmetrize(m)
     if m.shape[0]:
         w = np.linalg.eigvalsh(m)
-        if w[0] < -rank_tol(m) * max(1.0, abs(w[-1])):
+        if w[0] < -tol * max(1.0, abs(w[-1])):
             raise NumericsError(f"{name} is not positive semidefinite (eigenvalue {w[0]:.3e})")
     return m
 
 
-def sqrtm_spd(m) -> Matrix:
+def sqrtm_spd(m, checked: bool = False) -> Matrix:
     """Symmetric square root of a positive semidefinite matrix.
 
     Computed from the eigendecomposition; eigenvalues below the noise
-    floor are clipped to zero.
+    floor are clipped to zero. ``checked`` says ``m`` is already the
+    output of :func:`check_spd`, so the check is not run again.
     """
-    m = check_spd(m)
+    if not checked:
+        m = check_spd(m)
     if m.shape[0] == 0:
         return m
     w, u = np.linalg.eigh(m)

@@ -135,9 +135,16 @@ class LinearSystem:
 
 @dataclass
 class Interconnection:
-    """A named collection of subsystems with compatible channel wiring."""
+    """A named collection of subsystems with compatible channel wiring.
+
+    :meth:`validate` also records the position of each name and the
+    state offsets of the stacked state, so lookups and assembly take
+    one pass over the network.
+    """
 
     subsystems: list[LinearSystem]
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    _state_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.subsystems = list(self.subsystems)
@@ -148,6 +155,8 @@ class Interconnection:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate subsystem names in {names}")
         index = {name: i for i, name in enumerate(names)}
+        self._positions = index
+        self._state_offsets = _offsets(s.n for s in self.subsystems)
         for sub in self.subsystems:
             order = [index.get(ch.source) for ch in sub.channels_in]
             for ch, idx in zip(sub.channels_in, order):
@@ -182,10 +191,7 @@ class Interconnection:
         return [s.name for s in self.subsystems]
 
     def index(self, name: str) -> int:
-        for i, s in enumerate(self.subsystems):
-            if s.name == name:
-                return i
-        raise KeyError(name)
+        return self._positions[name]
 
     def __getitem__(self, name: str) -> LinearSystem:
         return self.subsystems[self.index(name)]
@@ -223,7 +229,7 @@ def _offsets(sizes) -> tuple[int, ...]:
 def internal_input_matrix(ic: Interconnection, receiver: LinearSystem) -> Matrix:
     """Matrix mapping the stacked interconnection state to ``receiver``'s
     internal input vector ``w`` (channel blocks in declared order)."""
-    state_offsets = _offsets(s.n for s in ic.subsystems)
+    state_offsets = ic._state_offsets
     n_total = state_offsets[-1]
     rows = []
     for ch in receiver.channels_in:
@@ -238,9 +244,13 @@ def internal_input_matrix(ic: Interconnection, receiver: LinearSystem) -> Matrix
 
 
 def build_monolithic(ic: Interconnection) -> MonolithicSystem:
-    """Flatten an interconnection by substituting ``w_ij = C_ji x_j``."""
+    """Flatten an interconnection by substituting ``w_ij = C_ji x_j``.
+
+    Each coupling ``D_i[:, channel from j] @ C_ji`` is written straight
+    into its ``(i, j)`` block.
+    """
     subs = ic.subsystems
-    state_offsets = _offsets(s.n for s in subs)
+    state_offsets = ic._state_offsets
     input_offsets = _offsets(s.m for s in subs)
     output_offsets = _offsets(s.q for s in subs)
     n_total = state_offsets[-1]
@@ -250,7 +260,13 @@ def build_monolithic(ic: Interconnection) -> MonolithicSystem:
     for i, sub in enumerate(subs):
         rows = slice(state_offsets[i], state_offsets[i + 1])
         a[rows, rows] = sub.A
-        a[rows, :] += sub.D @ internal_input_matrix(ic, sub)
+        offset = 0
+        for ch in sub.channels_in:
+            j = ic.index(ch.source)
+            d_ch = sub.D[:, offset:offset + ch.width]
+            # added onto zeros, as in a full-width sum, so zero signs match it
+            a[rows, state_offsets[j]:state_offsets[j + 1]] += d_ch @ subs[j].C_int[sub.name]
+            offset += ch.width
         b[rows, input_offsets[i]:input_offsets[i + 1]] = sub.B
         c[output_offsets[i]:output_offsets[i + 1], rows] = sub.C_ext
     return MonolithicSystem(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from simcompose import abstraction, linalg
 from conftest import random_valid_instance
 from simcompose.abstraction import (
     QuadraticSimFn,
@@ -152,6 +153,17 @@ def test_p_conditions_reject_rank_deficient():
         check_P_conditions(sub, np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
 
 
+def test_p_conditions_rank_uses_the_package_cutoff():
+    # sigma_min = 1e-12 lies between numpy's default matrix_rank cutoff
+    # (3 * eps here) and rank_tol (3e-9 here): P is rank deficient under
+    # the package's one rank rule
+    sub = demo_interconnection()["s1"]
+    p = np.array([[1.0, 0.0], [0.0, 1e-12], [0.0, 0.0]])
+    assert np.linalg.svd(p, compute_uv=False)[-1] > 3 * np.finfo(float).eps
+    with pytest.raises(ValueError, match="full column rank"):
+        check_P_conditions(sub, p)
+
+
 def test_p_conditions_flag_bad_direction():
     # Injecting along the second integrator state: that direction lies in
     # ker C, so im P + ker C misses the first state, and A maps it outside
@@ -169,6 +181,40 @@ def test_build_abstraction_rejects_bad_injection_when_strict():
     bad = np.array([[0.0], [1.0], [0.0]])
     with pytest.raises(ValueError):
         build_abstraction(sub, bad)
+
+
+def test_build_abstraction_runs_each_check_once(monkeypatch):
+    # one call computes the PBH verdict, the check of M and sqrt(M) once
+    # and passes them on, for a pair that stabilize has to move
+    sub = demo_interconnection()["s1"]
+    assert not is_hurwitz(sub.A)
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("pbh_stabilizable", "sqrtm_spd", "check_spd"):
+        wrapped = counted(name, getattr(linalg, name))
+        for module in (linalg, abstraction):
+            monkeypatch.setattr(module, name, wrapped)
+    build_abstraction(sub, demo_projections()["s1"])
+    assert counts == {"pbh_stabilizable": 1, "sqrtm_spd": 1, "check_spd": 1}
+
+
+def test_decay_certificate_alone_still_runs_pbh():
+    a = np.diag([1.0, -1.0])
+    b = np.array([[0.0], [1.0]])
+    with pytest.raises(NumericsError, match=r"eigenvalue \(1\+0j\)"):
+        decay_certificate(a, b, np.eye(2))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 5), (5, 1), (4, 4), (60, 62)])
+def test_spectral_norm_matches_numpy_exactly(shape):
+    a = np.random.default_rng(7).standard_normal(shape)
+    assert spectral_norm(a) == np.linalg.norm(a, 2)
 
 
 def test_integrator_abstraction_structure():

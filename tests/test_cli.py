@@ -277,6 +277,20 @@ def test_cli_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_linalg_error_exits_3(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError; it must still exit as a numerical
+    # failure, not as a failed analysis
+    def broken(project):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("simcompose.cli.build_abstractions", broken)
+    path = write_project(tmp_path, demo_project())
+    assert main(["compose", path]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "SVD did not converge" in err
+
+
 def test_cli_compose_demo(tmp_path, capsys):
     path = write_project(tmp_path, demo_project())
     assert main(["compose", path]) == 0

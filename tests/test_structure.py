@@ -1,5 +1,6 @@
 """Source-level guards on the package: no environment knobs, each
-tolerance constant defined by exactly one module, and one propagator."""
+tolerance constant defined by exactly one module, one propagator, and
+one owner for the 2-norm and rank decisions."""
 
 import ast
 from collections import defaultdict
@@ -69,3 +70,35 @@ def test_one_propagator():
     assert {name for name, names in called.items() if "_step_maps" in names} == {"_run_lti"}
     assert "_run_lti" in called["integrate"]
     assert "_run_lti" in called["refine_and_run"]
+
+
+def _is_numpy_linalg(func: ast.expr, name: str) -> bool:
+    """``func`` is ``np.linalg.<name>`` or ``numpy.linalg.<name>``."""
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == name
+        and isinstance(func.value, ast.Attribute)
+        and func.value.attr == "linalg"
+        and isinstance(func.value.value, ast.Name)
+        and func.value.value.id in ("np", "numpy")
+    )
+
+
+def test_two_norm_and_rank_have_one_owner():
+    # the 2-norm and every rank decision go through linalg (spectral_norm,
+    # rank_tol), never through numpy directly
+    found = []
+    for stem in ("abstraction", "geometry", "compose"):
+        path = SRC / f"{stem}.py"
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            if _is_numpy_linalg(node.func, "matrix_rank"):
+                found.append(f"{path.name}:{node.lineno} matrix_rank")
+            elif _is_numpy_linalg(node.func, "norm"):
+                order = node.args[1] if len(node.args) > 1 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "ord"), None
+                )
+                if isinstance(order, ast.Constant) and order.value == 2:
+                    found.append(f"{path.name}:{node.lineno} norm(..., 2)")
+    assert found == []

@@ -203,6 +203,102 @@ def test_monolithic_demo_against_brute_force():
     assert mono.C.shape == (4, 10)
 
 
+def random_network(rng, max_width, count=5):
+    """Subsystems of 1-4 states, each receiving from a random subset of
+    the others over channels 1 to ``max_width`` wide."""
+    names = [f"n{i}" for i in range(count)]
+    sizes = rng.integers(1, 5, size=count)
+    sources = [
+        [j for j in range(count) if j != i and rng.uniform() < 0.6] for i in range(count)
+    ]
+    widths = {
+        (i, j): int(rng.integers(1, max_width + 1)) for i in range(count) for j in sources[i]
+    }
+    subs = []
+    for i, name in enumerate(names):
+        n = sizes[i]
+        channels = tuple(InternalChannel(names[j], widths[i, j]) for j in sources[i])
+        outputs = {
+            names[k]: rng.standard_normal((widths[k, i], n))
+            for k in range(count) if i in sources[k]
+        }
+        subs.append(LinearSystem(
+            name, rng.standard_normal((n, n)), rng.standard_normal((n, int(rng.integers(0, 3)))),
+            rng.standard_normal((int(rng.integers(0, 3)), n)),
+            rng.standard_normal((n, sum(ch.width for ch in channels))),
+            channels, outputs,
+        ))
+    return Interconnection(subs)
+
+
+def reference_assembly(ic):
+    """One full-width row block ``D_i @ W_i`` per subsystem, with ``W_i``
+    mapping the whole stacked state to ``w_i``, built independently here."""
+    names = [s.name for s in ic.subsystems]
+    offsets = np.concatenate([[0], np.cumsum([s.n for s in ic.subsystems])])
+    n_total = offsets[-1]
+    a = np.zeros((n_total, n_total))
+    b = np.zeros((n_total, sum(s.m for s in ic.subsystems)))
+    c = np.zeros((sum(s.q for s in ic.subsystems), n_total))
+    w_maps = []
+    col_b = row_c = 0
+    for i, sub in enumerate(ic.subsystems):
+        rows = slice(offsets[i], offsets[i + 1])
+        w_map = np.zeros((sub.p, n_total))
+        row = 0
+        for ch in sub.channels_in:
+            j = names.index(ch.source)
+            block = ic.subsystems[j].C_int[sub.name]
+            w_map[row:row + ch.width, offsets[j]:offsets[j + 1]] = block
+            row += ch.width
+        w_maps.append(w_map)
+        a[rows, rows] = sub.A
+        a[rows, :] += sub.D @ w_map
+        b[rows, col_b:col_b + sub.m] = sub.B
+        c[row_c:row_c + sub.q, rows] = sub.C_ext
+        col_b += sub.m
+        row_c += sub.q
+    return a, b, c, w_maps
+
+
+def test_monolithic_assembly_equals_reference_exactly():
+    # Scalar channels, several per receiver: each coupling entry has one
+    # nonzero term, so the block products must match the full-width
+    # reference bit for bit.
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        ic = random_network(rng, max_width=1)
+        ref_a, ref_b, ref_c, w_maps = reference_assembly(ic)
+        mono = build_monolithic(ic)
+        assert np.array_equal(mono.A, ref_a)
+        assert np.array_equal(mono.B, ref_b)
+        assert np.array_equal(mono.C, ref_c)
+        for sub, w_map in zip(ic.subsystems, w_maps):
+            assert np.array_equal(internal_input_matrix(ic, sub), w_map)
+        assert [ic.index(name) for name in ic.names] == list(range(len(ic.names)))
+
+
+def test_monolithic_assembly_wide_channels():
+    # Wider channels sum several terms; the block product leaves out the
+    # zero terms of the full-width one, so BLAS may order the sum
+    # differently, at most a few roundoffs apart.
+    rng = np.random.default_rng(31)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        ic = random_network(rng, max_width=3)
+        ref_a, ref_b, ref_c, w_maps = reference_assembly(ic)
+        mono = build_monolithic(ic)
+        scale = max(
+            float(np.abs(sub.D).sum(axis=1).max(initial=0.0) * np.abs(w).max(initial=0.0))
+            for sub, w in zip(ic.subsystems, w_maps)
+        )
+        assert np.abs(mono.A - ref_a).max() <= 8 * eps * max(scale, 1.0)
+        assert np.array_equal(mono.B, ref_b)
+        assert np.array_equal(mono.C, ref_c)
+        for sub, w_map in zip(ic.subsystems, w_maps):
+            assert np.array_equal(internal_input_matrix(ic, sub), w_map)
+
+
 def test_monolithic_permutation_equivariance():
     rng = np.random.default_rng(83)
     for _ in range(10):
