@@ -324,7 +324,7 @@ def _left_inverse_through_kernel(
         raise NumericsError("state decomposition [P, W] is numerically singular")
     phat = np.linalg.solve(t_full, np.eye(n))[:nhat, :]
     e = ker_c.basis
-    f, f_res, _ = least_squares(e, np.eye(n) - p @ phat)
+    f, f_res = least_squares(e, np.eye(n) - p @ phat)
     if not residual_ok(f_res, p, norm=report.norm_p):
         raise NumericsError(
             f"projector residual {f_res:.3e}: I - P phat does not factor through ker C"
@@ -384,9 +384,9 @@ def build_abstraction(
 
     nhat = p.shape[1]
     pb = np.hstack([p, sys.B])
-    sol_a, res_a, _ = least_squares(pb, sys.A @ p)
+    sol_a, res_a = least_squares(pb, sys.A @ p)
     ahat, k2 = sol_a[:nhat, :], sol_a[nhat:, :]
-    sol_d, res_d, _ = least_squares(pb, sys.D)
+    sol_d, res_d = least_squares(pb, sys.D)
     dhat, k3 = sol_d[:nhat, :], sol_d[nhat:, :]
     if not (
         residual_ok(res_a, sys.A, norm=report.norm_a)
@@ -439,7 +439,7 @@ def compute_k4(m, p, bhat, b, root=None) -> tuple[Matrix, float]:
     if root is None:
         root = sqrtm_spd(m)
     target = root @ (p @ bhat)
-    k4, _, _ = least_squares(root @ b, target)
+    k4, _ = least_squares(root @ b, target)
     rho = spectral_norm(target - (root @ b) @ k4)
     return k4, float(rho)
 
@@ -597,7 +597,7 @@ def simfn_from_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> 
         raise ValueError("relation is not the graph of a map on the abstract states")
     p = x2 @ np.linalg.inv(x1) if nhat else np.zeros((n, 0))
     m, k1, lam = decay_certificate(sys2.A, sys2.B, sys2.output_blocks())
-    k2, _, _ = least_squares(sys2.B, sys2.A @ p - p @ sys1.A)
-    k3, _, _ = least_squares(sys2.B, sys2.D - p @ sys1.D)
+    k2, _ = least_squares(sys2.B, sys2.A @ p - p @ sys1.A)
+    k3, _ = least_squares(sys2.B, sys2.D - p @ sys1.D)
     k4, _ = compute_k4(m, p, sys1.B, sys2.B)
     return QuadraticSimFn(P=p, M=m, K1=k1, K2=k2, K3=k3, K4=k4, lam=lam)

@@ -160,7 +160,7 @@ def friend(a, b, r: Subspace) -> Matrix | None:
     proj_out = np.eye(n) - v @ v.T
     # A v + B (K v) must stay in span(v): solve for W = K v minimizing
     # the out-of-subspace residual, minimum-norm via least squares.
-    w, _, _ = least_squares(proj_out @ b, -proj_out @ a @ v)
+    w, _ = least_squares(proj_out @ b, -proj_out @ a @ v)
     k = w @ v.T
     residual = spectral_norm(proj_out @ (a + b @ k) @ v)
     if not residual_ok(residual, a):

@@ -139,15 +139,16 @@ class Interconnection:
 
     :meth:`validate` also records the position of each name and the
     state offsets of the stacked state, so lookups and assembly take
-    one pass over the network.
+    one pass over the network. ``subsystems`` is stored as a tuple, so
+    those records cannot fall out of step with it.
     """
 
-    subsystems: list[LinearSystem]
+    subsystems: tuple[LinearSystem, ...]
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
     _state_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.subsystems = list(self.subsystems)
+        self.subsystems = tuple(self.subsystems)
         self.validate()
 
     def validate(self):

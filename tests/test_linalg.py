@@ -21,14 +21,12 @@ from simcompose.linalg import (
     spectral_norm,
     sqrtm_spd,
     stabilize,
-    weighted_norm,
 )
 
 TRIPLE_INTEGRATOR = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
 TRIPLE_INPUT = np.array([[0.0], [0.0], [1.0]])
 DAMPED_NODE = np.array([[0.0, 1.0], [-6.0, -5.0]])
 
-M_INTEGRATOR = np.array([[4.59, 4.07, 0.90], [4.07, 4.72, 1.24], [0.90, 1.24, 0.61]])
 M_NODE = np.array([[26.0, 10.0], [10.0, 4.0]])
 
 
@@ -189,6 +187,7 @@ def test_solve_lyapunov_far_from_normal_fails_only_with_numerics_error():
     # sign iterate is numerically singular; every failure must still be
     # a NumericsError, and every returned M must meet the residual gate.
     rng = np.random.default_rng(5)
+    solved = 0
     for _ in range(200):
         n = int(rng.integers(2, 8))
         block = -10 ** rng.uniform(-2, 1) * np.eye(n)
@@ -199,8 +198,11 @@ def test_solve_lyapunov_far_from_normal_fails_only_with_numerics_error():
             m = solve_lyapunov(a, np.eye(n))
         except NumericsError:
             continue
+        solved += 1
         residual = np.linalg.norm(a.T @ m + m @ a + np.eye(n), "fro")
         assert residual <= 1e-8 * (spectral_norm(a) * spectral_norm(m) + 1.0)
+    # robustness floor: refinement with the sign iterates solves 67 draws
+    assert solved >= 65
 
 
 def test_solve_lyapunov_memory_is_quadratic():
@@ -278,6 +280,9 @@ def test_check_spd():
         check_spd(np.array([[1.0, 1.0], [0.0, 1.0]]), "M")
     with pytest.raises(NumericsError):
         check_spd(np.diag([1.0, -1.0]), "M")
+    # the cutoff scales with |M|_2 once, not squared
+    with pytest.raises(NumericsError):
+        check_spd(np.diag([1e6, -100.0]), "M")
 
 
 def test_sqrtm_spd_squares_back():
@@ -290,51 +295,22 @@ def test_sqrtm_spd_squares_back():
         assert np.allclose(root @ root, m, rtol=1e-9, atol=1e-10)
 
 
-def test_weighted_norm_identity_is_euclidean():
-    rng = np.random.default_rng(61)
-    for _ in range(20):
-        x = rng.standard_normal(4)
-        assert weighted_norm(np.eye(4), x) == pytest.approx(np.linalg.norm(x), rel=1e-10)
-    a = rng.standard_normal((4, 3))
-    assert weighted_norm(np.eye(4), a) == pytest.approx(spectral_norm(a), rel=1e-10)
-
-
-def test_weighted_norm_reference_values():
-    # e3-direction weight of the 3x3 certificate: sqrt(0.61).
-    assert weighted_norm(M_INTEGRATOR, np.array([0.0, 0.0, 1.0])) == pytest.approx(
-        np.sqrt(0.61), abs=1e-12
-    )
-    # (1, -2) direction of the 2x2 certificate: 26 - 20 - 20 + 16 = 2.
-    assert weighted_norm(M_NODE, np.array([1.0, -2.0])) == pytest.approx(
-        np.sqrt(2.0), abs=1e-12
-    )
-
-
-def test_weighted_norm_homogeneous():
-    rng = np.random.default_rng(67)
-    m = random_spd(rng, 3)
-    x = rng.standard_normal(3)
-    assert weighted_norm(m, 2.0 * x) == pytest.approx(2.0 * weighted_norm(m, x), rel=1e-12)
-
-
 def test_least_squares_exact_system():
     a = np.array([[1.0, 1.0], [-2.0, 0.0]])
-    x, residual, consistent = least_squares(a, np.array([-2.0, 4.0]))
+    x, residual = least_squares(a, np.array([-2.0, 4.0]))
     assert np.allclose(x, [-2.0, 0.0], atol=1e-12)
-    assert consistent
     assert residual <= 1e-12
 
 
 def test_least_squares_minimum_norm():
-    x, _, consistent = least_squares(np.array([[1.0, 0.0]]), np.array([3.0]))
-    assert consistent
+    x, residual = least_squares(np.array([[1.0, 0.0]]), np.array([3.0]))
+    assert residual <= 1e-12
     assert np.allclose(x, [3.0, 0.0], atol=1e-12)
 
 
 def test_least_squares_inconsistent():
     a = np.array([[1.0], [1.0]])
-    x, residual, consistent = least_squares(a, np.array([0.0, 1.0]))
-    assert not consistent
+    x, residual = least_squares(a, np.array([0.0, 1.0]))
     assert x[0] == pytest.approx(0.5, abs=1e-12)
     assert residual == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
@@ -343,8 +319,7 @@ def test_least_squares_matrix_rhs():
     rng = np.random.default_rng(71)
     a = rng.standard_normal((5, 3))
     target = rng.standard_normal((3, 2))
-    x, residual, consistent = least_squares(a, a @ target)
-    assert consistent
+    x, residual = least_squares(a, a @ target)
     assert np.allclose(x, target, atol=1e-9)
     assert residual <= 1e-9
 

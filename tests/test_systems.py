@@ -145,6 +145,13 @@ def test_channels_must_follow_subsystem_order():
         Interconnection([s1, s2, receiver])
 
 
+def test_interconnection_subsystems_are_immutable():
+    ic = scalar_pair()
+    assert isinstance(ic.subsystems, tuple)
+    with pytest.raises(AttributeError):
+        ic.subsystems.append(LinearSystem("c", [[-1.0]], [[1.0]], [[1.0]], []))
+
+
 def test_single_subsystem_network():
     ic = Interconnection([LinearSystem("solo", [[-1.0]], [[1.0]], [[1.0]], [])])
     mono = build_monolithic(ic)
