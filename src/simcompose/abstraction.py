@@ -239,12 +239,12 @@ def check_certificate(a, b, c, m, k1, lam, tol: float) -> None:
     _require_slacks(certificate_slacks(a, b, c, m, k1, lam), tol)
 
 
-def _require_slacks(slacks: tuple[float, float], tol: float) -> None:
+def _require_slacks(slacks: tuple[float, float], tol: float, cause: str = "") -> None:
     out_slack, decay_slack = slacks
     if out_slack < -tol or decay_slack < -tol:
         raise NumericsError(
             f"certificate rejected: output slack {out_slack:.3e}, decay slack "
-            f"{decay_slack:.3e}, tolerance {tol:.1e}"
+            f"{decay_slack:.3e}, tolerance {tol:.1e}{cause}"
         )
 
 
@@ -372,15 +372,22 @@ def build_abstraction(
             sys.A, sys.B, blocks, pbh=(report.stabilizable, report.witness)
         )
         tol = COMPUTED_CERT_TOL
+        # the solve's residual gate is relative to |A| |M|, the slack absolute
+        cause = (
+            "; M came from the shifted Lyapunov solve, which met its residual"
+            " gate, but the closed loop is too far from normal for the decay"
+            " inequality"
+        )
     else:
         m, k1, lam = certificate
         tol = INJECTED_CERT_TOL
+        cause = ""
     # the one symmetry and definiteness check of M: the slacks, K4 and
     # every mu below work on this M and on its one square root
     m = check_spd(m, "M")
     k1 = as_matrix(k1, "K1") if np.size(k1) else np.zeros((sys.m, sys.n))
     lam = float(lam)
-    _require_slacks(_slacks(sys.A, sys.B, blocks, m, k1, lam), tol)
+    _require_slacks(_slacks(sys.A, sys.B, blocks, m, k1, lam), tol, cause)
 
     nhat = p.shape[1]
     pb = np.hstack([p, sys.B])

@@ -715,6 +715,11 @@ def main(argv=None) -> int:
         # a ValueError subclass, but a numerical failure, not a bad input
         print(f"error: numerical failure in numpy.linalg: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # project files are read through load_project, so this is an output
+        target = exc.filename if exc.filename is not None else getattr(args, "out", None)
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

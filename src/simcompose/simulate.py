@@ -600,12 +600,37 @@ def write_csv(path, run: RefinementRun) -> None:
 
 def write_table(path, table, header=None) -> None:
     """Write a float matrix as CSV, one line per row, after an optional
-    header line. Floats are written with 17 significant digits so
-    rereading them reproduces the doubles bit for bit."""
-    with open(path, "w", encoding="ascii") as fh:
+    header line.
+
+    Every value is written exactly as ``b"%.17g" % value`` writes it, so
+    rereading reproduces the doubles bit for bit and the file matches
+    ``np.savetxt(fmt="%.17g", delimiter=",")`` byte for byte.  Chunks of
+    ``2**13`` values are formatted in numpy (see :class:`_G17`).
+
+    For ``|x|`` in ``[1e-280, 1e280]`` the scaled value
+    ``y = |x| 10**(16 - E0)``, ``E0 = floor(log10 |x|)``, is one exact
+    Dekker product against ``10**k = hi + lo`` plus the correction
+    ``|x| lo``; its error is below ``1e-14`` units of the last digit.  So
+    rounding ``y`` to the integer ``N`` gives the correctly rounded 17
+    digits whenever the fraction of ``y`` lies more than ``_TIE_WINDOW``
+    (``1e-9``) from one half and ``y`` lies more than that inside
+    ``[1e16, 1e17 - 0.5)``, where ``N`` keeps 17 digits.  Zeros are
+    written directly.  Every other value is formatted by ``%`` itself:
+    near-ties, values where ``log10`` is off by one, and ``|x|`` outside
+    the range, inf and NaN included.
+    """
+    table = np.atleast_2d(np.asarray(table, dtype=float))
+    rows, cols = table.shape
+    with open(path, "wb") as fh:
         if header is not None:
-            fh.write(",".join(header) + "\n")
-        np.savetxt(fh, np.atleast_2d(table), fmt="%.17g", delimiter=",")
+            fh.write((",".join(header) + "\n").encode("ascii"))
+        if cols == 0:
+            fh.write(b"\n" * rows)
+            return
+        flat = table.ravel()
+        fmt = _G17(cols, min(flat.size, _CHUNK))
+        for start in range(0, flat.size, _CHUNK):
+            fh.write(fmt(flat[start:start + _CHUNK], start))
 
 
 def write_gnuplot(path, csv_path, run: RefinementRun) -> None:
@@ -629,3 +654,156 @@ def write_gnuplot(path, csv_path, run: RefinementRun) -> None:
                 ]
             )
         )
+
+
+# Values per formatting chunk.  Its temporaries, about 200 bytes a value,
+# keep the writer's peak memory under 2 MB beyond the table itself.
+_CHUNK = 1 << 13
+# Veltkamp's splitter for doubles, 2**27 + 1.
+_SPLIT = 134217729.0
+# The fast path's magnitude range; its powers 10**k stay normal doubles.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_K_MIN, _K_MAX = -270, 300
+# Distance from a rounding tie, or from the ends of [1e16, 1e17 - 0.5),
+# below which a value goes to the exact fallback; the scaled value's error
+# is under 1e-14.
+_TIE_WINDOW = 1e-9
+_QUADS = np.arange(10000, dtype=np.int16)
+# "%04d" of 0..9999 as one uint32 each, and its trailing zeros
+_DIGITS4 = (
+    np.stack([_QUADS // 10**j % 10 for j in (3, 2, 1, 0)], axis=1).astype(np.uint8) + ord("0")
+).view(np.uint32).ravel()
+_TRAILING4 = sum((_QUADS % 10**j == 0).astype(np.int8) for j in (1, 2, 3, 4))
+_EXP_OFFSET = 400
+_EXPONENTS = np.array(
+    [b"e%+03d" % e for e in range(-_EXP_OFFSET, _EXP_OFFSET)], dtype="S5"
+)
+# One value's slots: sign | "0" | 17 integer digits | "." | "000" |
+# 17 fraction digits | exponent | separator.  Both digit fields hold all
+# 17 digits; the mask keeps the integer part from the first and the
+# fraction from the second.
+_TEMPLATE = np.frombuffer(b"-0" + b"?" * 17 + b".000" + b"?" * 22 + b",", np.uint8)
+_SLOTS = len(_TEMPLATE)
+
+
+def _slot_masks() -> np.ndarray:
+    """Kept slots for every (category, significant digits, sign).
+
+    Categories ``E + 4`` are ``%g``'s fixed notation, ``-4 <= E < 17``;
+    21 and 22 are exponent notation with two and three exponent digits.
+    """
+    masks = np.zeros((23, 17, 2, _SLOTS), bool)
+    sig = np.arange(1, 18)[:, None, None]
+    j = np.arange(17)
+    for cat in range(23):
+        e = cat - 4
+        fixed = cat < 21
+        m = masks[cat]
+        # integer digits in the first field, after the "0." of |x| < 1
+        whole = (e + 1 if e >= 0 else 0) if fixed else 1
+        m[..., 1] = fixed and e < 0
+        m[..., 2:19] = j < whole
+        m[..., 19] = sig[..., 0] > whole
+        m[..., 20:23] = np.arange(3) < (-e - 1 if fixed else 0)
+        m[..., 23:40] = (j >= whole) & (j < sig)
+        m[..., 40:45] = np.arange(5) < (0 if fixed else cat - 17)
+    masks[..., 0] = [False, True]
+    masks[..., -1] = True
+    return masks.reshape(-1, _SLOTS).view(np.dtype((np.void, _SLOTS))).ravel()
+
+
+_MASKS = _slot_masks()
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split ``a = hi + lo`` into halves of 26 bits each."""
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+class _G17:
+    """``%.17g`` text of the values of one table, chunk by chunk.
+
+    Holds the slot buffer and the powers of ten, ``10**k = hi + lo``
+    with ``hi`` split for the Dekker product; a power is built, in exact
+    integer arithmetic, the first time a chunk needs it.
+    """
+
+    def __init__(self, cols: int, size: int):
+        self.cols = cols
+        self.slots = np.empty((size, _SLOTS), np.uint8)
+        self.built = np.zeros(_K_MAX - _K_MIN + 1, bool)
+        self.powers = np.empty((4, _K_MAX - _K_MIN + 1))
+
+    def _powers_of_ten(self, k: np.ndarray) -> np.ndarray:
+        idx = k - _K_MIN
+        for i in np.unique(idx[~self.built[idx]]):
+            e = int(i) + _K_MIN
+            num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+            # integer true division rounds correctly: hi is 10**e rounded,
+            # lo the exact remainder num/den - hi rounded
+            hi = num / den
+            a, b = hi.as_integer_ratio()
+            self.powers[:, i] = (hi, *_split(hi), (num * b - a * den) / (den * b))
+            self.built[i] = True
+        return np.take(self.powers, idx, axis=1)
+
+    def _round17(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``|v|`` as ``N 10**(E - 16)`` with ``N`` the correctly rounded
+        17-digit integer; returns ``(N, E, exact)``, where ``exact`` is
+        false for the values the fallback must format.  Zeros give
+        ``N = 0``, ``E = 0``."""
+        x = np.abs(v)
+        zero = x == 0.0
+        exact = (x >= _FAST_MIN) & (x <= _FAST_MAX)
+        x[~exact] = 1.0
+        e = np.floor(np.log10(x)).astype(np.int64)
+        hi, hi1, hi2, lo = self._powers_of_ten(16 - e)
+        # y = x 10**k = p + c: Dekker's exact product x hi = p + err, plus x lo
+        p = x * hi
+        x1, x2 = _split(x)
+        c = (((x1 * hi1 - p) + x1 * hi2 + x2 * hi1) + x2 * hi2) + x * lo
+        floor = np.floor(c)
+        frac = c - floor
+        exact &= np.abs(frac - 0.5) > _TIE_WINDOW
+        # y must round into [1e16, 1e17): no carry into an 18th digit
+        exact &= ((p - 1e16) + c > _TIE_WINDOW) & ((p - 1e17) + c < -0.5 - _TIE_WINDOW)
+        digits17 = p.astype(np.int64) + (floor + (frac > 0.5)).astype(np.int64)
+        # a zero's x is 1.0, which gave E = 0
+        digits17[zero] = 0
+        return digits17, e, exact | zero
+
+    def __call__(self, v: np.ndarray, start: int) -> np.ndarray:
+        """Text of ``v``, the table's flat values from index ``start``."""
+        n = len(v)
+        digits17, e, exact = self._round17(v)
+        # the 17 digits as ASCII: a lead digit and four groups of four
+        quads = np.empty((n, 5), np.int32)
+        upper, lower = np.divmod(digits17, 10**8)
+        quads[:, 0], upper = np.divmod(upper, 10**8)
+        quads[:, 1], quads[:, 2] = np.divmod(upper, 10**4)
+        quads[:, 3], quads[:, 4] = np.divmod(lower, 10**4)
+        digits = np.take(_DIGITS4, quads).view(np.uint8)[:, 3:]
+        trailing = _TRAILING4[quads[:, 4]]
+        for col in (3, 2, 1):
+            below = 4 * (4 - col)  # trailing zeros when the groups after col are all zero
+            trailing = np.where(trailing == below, below + _TRAILING4[quads[:, col]], trailing)
+
+        # slot mask by notation, significant digits and sign
+        cat = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
+        key = (cat * 17 + 16 - trailing) * 2 + np.signbit(v)
+        mask = np.take(_MASKS, key).view(bool).reshape(n, _SLOTS)
+        raw = self.slots[:n]
+        raw[:, :2] = _TEMPLATE[:2]
+        raw[:, 19:23] = _TEMPLATE[19:23]
+        raw[:, 2:19] = digits
+        raw[:, 23:40] = digits
+        raw[:, 40:45] = np.take(_EXPONENTS, e + _EXP_OFFSET).view(np.uint8).reshape(n, 5)
+        raw[:, -1] = ord(",")
+        raw[(self.cols - 1 - start) % self.cols::self.cols, -1] = ord("\n")
+        for i in np.flatnonzero(~exact):
+            text = b"%.17g" % v[i]
+            raw[i, :len(text)] = np.frombuffer(text, np.uint8)
+            mask[i, :-1] = np.arange(_SLOTS - 1) < len(text)
+        return raw[mask]

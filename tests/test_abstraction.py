@@ -130,6 +130,29 @@ def test_injected_integrator_certificate_needs_loose_tolerance():
     assert -5e-2 < min(out_slack, decay_slack) < 0.0
 
 
+# Draw 102 of test_linalg's far-from-normal Lyapunov draws: a 2x2 Jordan
+# block at -0.0227 with superdiagonal about 2e3, seen in a random basis.
+FAR_FROM_NORMAL = np.array(
+    [[1006.0411635689442, -1665.1842743209959], [607.839334359755, -1006.0865668593262]]
+)
+
+
+def test_computed_certificate_rejection_names_the_lyapunov_solve():
+    # The shifted solve meets its residual gate, which is relative to
+    # |A| |M|, yet the decay slack is -0.40; the message must say so.
+    far = LinearSystem("far", FAR_FROM_NORMAL, np.zeros((2, 0)), np.eye(2), np.zeros((2, 0)))
+    with pytest.raises(NumericsError) as computed:
+        build_abstraction(far, np.eye(2))
+    assert "decay slack -3.973e-01" in str(computed.value)
+    assert str(computed.value).endswith(
+        "; M came from the shifted Lyapunov solve, which met its residual gate,"
+        " but the closed loop is too far from normal for the decay inequality"
+    )
+    with pytest.raises(NumericsError) as injected:
+        build_abstraction(far, np.eye(2), certificate=(np.eye(2), np.zeros((0, 2)), 1.0))
+    assert str(injected.value).endswith("tolerance 5.0e-02")
+
+
 def test_p_conditions_identity_injection():
     sub = demo_interconnection()["s1"]
     report = check_P_conditions(sub, np.eye(3))

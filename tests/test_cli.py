@@ -353,6 +353,19 @@ def test_cli_simulate_writes_outputs(tmp_path, capsys):
     assert "conservative external gain" in out
 
 
+def test_cli_unwritable_out_exits_1(tmp_path, capsys):
+    path = write_project(tmp_path, demo_project())
+    missing = tmp_path / "no" / "such" / "run.csv"
+    assert main(["simulate", path, "--out", str(missing), "--tfinal", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {missing}: No such file or directory" in err
+    assert "Traceback" not in err
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file where the output directory should go")
+    assert main(["abstract", path, "--out", str(blocker / "matrices")]) == 1
+    assert f"error: cannot write {blocker / 'matrices'}: Not a directory" in capsys.readouterr().err
+
+
 def test_cli_bounds(tmp_path, capsys):
     path = write_project(tmp_path, demo_project())
     assert main(["bounds", path, "--tfinal", "2.0", "--v0", "0.85"]) == 0

@@ -1,9 +1,13 @@
 """Signals, fixed-step integration, refinement runs, and bound reports."""
 
+import io
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hurwitz
 from simcompose.abstraction import build_abstraction
@@ -32,6 +36,7 @@ from simcompose.simulate import (
     vector_bound,
     write_csv,
     write_gnuplot,
+    write_table,
 )
 from simcompose.systems import Interconnection, InternalChannel, LinearSystem, build_monolithic
 
@@ -424,6 +429,117 @@ def test_csv_export_roundtrip(tmp_path):
     assert np.array_equal(table[:, 0], run.times)
     assert np.array_equal(table[:, 1:11], run.concrete.states)
     assert np.array_equal(table[:, 15], run.v_composed)
+
+
+def percent_text(table) -> bytes:
+    """``%.17g`` of every value, one value at a time (test oracle)."""
+    table = np.atleast_2d(np.asarray(table, dtype=float))
+    return b"".join(b",".join(b"%.17g" % x for x in row) + b"\n" for row in table.tolist())
+
+
+def savetxt_text(table) -> bytes:
+    """What ``np.savetxt`` writes for the table (test oracle)."""
+    buf = io.BytesIO()
+    np.savetxt(buf, np.atleast_2d(table), fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def written(tmp_path, table, header=None) -> bytes:
+    path = tmp_path / "table.csv"
+    write_table(path, table, header)
+    return path.read_bytes()
+
+
+def test_write_table_matches_percent_on_random_bit_patterns(tmp_path):
+    # uniform 64-bit patterns cover every exponent; about 9% fall outside
+    # the fast path's [1e-280, 1e280] and go to the exact fallback
+    rng = np.random.default_rng(2024)
+    values = rng.integers(0, 2**64, size=1_050_000, dtype=np.uint64).view(np.float64)
+    table = values[np.isfinite(values)][:1_000_000].reshape(-1, 8)
+    assert written(tmp_path, table) == percent_text(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_write_table_matches_percent_property(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("g17") / "row.csv"
+    write_table(path, values)
+    assert path.read_bytes() == b",".join(b"%.17g" % x for x in values) + b"\n"
+
+
+def exact_ties(rng, count):
+    """Doubles ``m / 2**k`` whose exact decimal has 18 significant digits
+    ending in 5: rounding them to 17 digits is an exact tie."""
+    ties = []
+    while len(ties) < count:
+        k = int(rng.integers(14, 24))
+        x = (2 * int(rng.integers(0, 2**(k + 4))) + 1) / 2**k
+        digits = Decimal(x).as_tuple().digits
+        if len(digits) == 18 and digits[-1] == 5:
+            ties.append(x)
+    return ties
+
+
+def test_write_table_matches_percent_on_edge_values(tmp_path):
+    tiny, huge = 5e-324, np.finfo(float).max
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    edge = np.concatenate([
+        # zeros, subnormals, the extremes, and the fallback's magnitude range
+        [0.0, tiny, 1e-310, 3e-320, 2.2250738585072014e-308, huge,
+         1e-281, 1e-280, 1e280, 1e281, 1.5e-300, 7e300],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        # the ends of [1e16, 1e17), and the fixed/exponent switch at 1e-4 and 1e-5
+        [np.nextafter(1e6, 0.0), np.nextafter(1e16, 0.0), 99999999999999999.0,
+         9.9999999999999999e-5, 9.99999999999999e-5, np.nextafter(1e-4, 0.0),
+         np.nextafter(1e-5, 1.0)],
+        # integers above 2**53, and decimals that end in zeros
+        2.0**53 + np.arange(0, 200, 2), 2.0**60 + 2.0**8 * np.arange(50), [2.0**63, 1e22, 1e23],
+        np.arange(0, 4001) / 1000, np.arange(0, 4001) / 8,
+        exact_ties(np.random.default_rng(3), 100),
+    ])
+    table = np.concatenate([edge, -edge]).reshape(-1, 1)
+    assert written(tmp_path, table) == percent_text(table)
+    assert written(tmp_path, [[np.nan, np.inf, -np.inf]]) == b"nan,inf,-inf\n"
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_write_table_is_exact_when_log10_is_off_by_one(tmp_path, monkeypatch, shift):
+    # the digits must not trust log10: a wrong decade leaves the scaled
+    # value outside [1e16, 1e17 - 0.5) and sends the value to the fallback
+    rng = np.random.default_rng(8)
+    table = rng.standard_normal((500, 4)) * 10.0 ** rng.integers(-30, 30, (500, 4))
+    real = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: real(x) + shift)
+    assert written(tmp_path, table) == percent_text(table)
+
+
+def test_write_table_matches_savetxt_on_every_shape(tmp_path):
+    rng = np.random.default_rng(17)
+    chunk = simulate._CHUNK
+    tables = [
+        np.zeros((3, 0)), np.zeros((0, 3)), np.zeros(0), rng.standard_normal(5),
+        np.float64(-2.5), np.array(7.0), rng.standard_normal((1, 1)),
+        rng.standard_normal((chunk - 1, 1)), rng.standard_normal((chunk + 1, 1)),
+        # rows that straddle a chunk boundary
+        rng.standard_normal((chunk // 7 + 1, 7)) * 10.0 ** rng.integers(-20, 20, (chunk // 7 + 1, 7)),
+        rng.standard_normal((2 * chunk // 3 + 2, 3)),
+    ]
+    for table in tables:
+        assert written(tmp_path, table) == savetxt_text(table), np.shape(table)
+    assert written(tmp_path, np.eye(2), ["a", "b"]) == b"a,b\n1,0\n0,1\n"
+
+
+def test_demo_csv_matches_savetxt(tmp_path):
+    _, _, _, _, _, _, run = demo_pipeline()
+    csv_path = tmp_path / "run.csv"
+    write_csv(csv_path, run)
+    table = np.column_stack(
+        [run.times, run.concrete.states, run.concrete.outputs, run.v_composed, run.v]
+    )
+    text = csv_path.read_bytes()
+    header, body = text.split(b"\n", 1)
+    assert header.startswith(b"t,x[0],")
+    assert body == savetxt_text(table)
 
 
 def test_gnuplot_script_references_csv(tmp_path):

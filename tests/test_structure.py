@@ -102,3 +102,15 @@ def test_two_norm_and_rank_have_one_owner():
                 if isinstance(order, ast.Constant) and order.value == 2:
                     found.append(f"{path.name}:{node.lineno} norm(..., 2)")
     assert found == []
+
+
+def test_one_table_writer():
+    # every CSV goes through simulate.write_table's exact %.17g kernel
+    users = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if (isinstance(node, ast.Attribute) and node.attr == "savetxt")
+        or (isinstance(node, ast.alias) and node.name == "savetxt")
+    ]
+    assert users == []
