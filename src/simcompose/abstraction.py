@@ -241,7 +241,7 @@ def check_certificate(a, b, c, m, k1, lam, tol: float) -> None:
 
 def _require_slacks(slacks: tuple[float, float], tol: float, cause: str = "") -> None:
     out_slack, decay_slack = slacks
-    if out_slack < -tol or decay_slack < -tol:
+    if not (out_slack >= -tol and decay_slack >= -tol):
         raise NumericsError(
             f"certificate rejected: output slack {out_slack:.3e}, decay slack "
             f"{decay_slack:.3e}, tolerance {tol:.1e}{cause}"

@@ -23,7 +23,6 @@ import numpy as np
 
 from .abstraction import AbstractionResult, build_abstraction, check_P_conditions, compute_k4
 from .compose import SmallGainError, compose_simfn, gain_matrices, small_gain
-from .demo import PUBLISHED, demo_certificates, demo_project, demo_projections
 from .geometry import image, minimal_invariant
 from .linalg import NumericsError, spectral_norm
 from .simulate import (
@@ -55,12 +54,26 @@ _SIGNAL_FIELDS = {
 }
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a float: no boolean, no integer beyond the
+    double range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProjectError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ProjectError(f"{where} is beyond the double range") from None
+
+
 def parse_entry(entry, parameters: dict, where: str) -> float:
     """One finite matrix entry: a number, or ``[sign][coefficient]name``."""
     if isinstance(entry, bool):
         raise ProjectError(f"{where}: boolean is not a matrix entry")
     if isinstance(entry, (int, float)):
-        value = float(entry)
+        try:
+            value = float(entry)
+        except OverflowError:
+            raise ProjectError(f"{where}: integer entry is beyond the double range") from None
     elif isinstance(entry, str):
         match = _ENTRY_RE.match(entry.strip())
         if not match:
@@ -90,6 +103,8 @@ def parse_numbers(value, parameters: dict, where: str):
 def parse_matrix(rows, parameters: dict, where: str) -> list[list[float]]:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ProjectError(f"{where}: expected an array of array rows")
+    if len({len(row) for row in rows}) > 1:
+        raise ProjectError(f"{where}: rows have unequal lengths")
     return [
         [parse_entry(e, parameters, f"{where}[{i}][{j}]") for j, e in enumerate(row)]
         for i, row in enumerate(rows)
@@ -120,7 +135,16 @@ class Project:
     simulation: SimulationSpec
 
 
-def _parse_directive(block, parameters: dict, where: str) -> Directive:
+def _sized_matrix(rows, parameters: dict, where: str, shape) -> np.ndarray:
+    """A matrix field that must have exactly ``shape``."""
+    rows = parse_matrix(rows, parameters, where)
+    got = (len(rows), len(rows[0]) if rows else 0)
+    if got != shape:
+        raise ProjectError(f"{where}: expected shape {shape}, got {got}")
+    return np.array(rows, dtype=float).reshape(shape)
+
+
+def _parse_directive(block, parameters: dict, where: str, sub: LinearSystem) -> Directive:
     if not isinstance(block, dict):
         raise ProjectError(f"{where}: abstraction block must be an object")
     p = block.get("P", "identity")
@@ -129,23 +153,37 @@ def _parse_directive(block, parameters: dict, where: str) -> Directive:
             raise ProjectError(f"{where}: unknown P directive {p!r}")
     else:
         p = np.array(parse_matrix(p, parameters, f"{where}.P"), dtype=float)
+        if len(p) != sub.n:
+            raise ProjectError(f"{where}.P: expected {sub.n} rows, got {len(p)}")
     certificate = None
     if "certificate" in block:
         cert = block["certificate"]
         if not isinstance(cert, dict) or not {"M", "K1", "lambda"} <= cert.keys():
             raise ProjectError(f"{where}: certificate needs M, K1 and lambda")
-        m = np.array(parse_matrix(cert["M"], parameters, f"{where}.M"), dtype=float)
-        k1_rows = parse_matrix(cert["K1"], parameters, f"{where}.K1")
+        n = sub.n
+        m = _sized_matrix(cert["M"], parameters, f"{where}.M", (n, n))
+        # an empty K1 is the zero feedback
         k1 = (
-            np.array(k1_rows, dtype=float)
-            if k1_rows
-            else np.zeros((0, m.shape[0]))
+            _sized_matrix(cert["K1"], parameters, f"{where}.K1", (sub.m, n))
+            if cert["K1"] != []
+            else np.zeros((0, n))
         )
-        lam = cert["lambda"]
-        if not isinstance(lam, (int, float)) or isinstance(lam, bool):
-            raise ProjectError(f"{where}: certificate lambda must be a number")
-        certificate = (m, k1, float(lam))
+        lam = _number(cert["lambda"], f"{where}: certificate lambda")
+        if not (math.isfinite(lam) and lam > 0):
+            raise ProjectError(
+                f"{where}: certificate lambda must be finite and positive, got {lam!r}"
+            )
+        certificate = (m, k1, lam)
     return Directive(p=p, certificate=certificate)
+
+
+def _parse_vector(value, parameters: dict, where: str) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ProjectError(f"{where}: expected an array of numbers")
+    return np.array(
+        [parse_entry(e, parameters, f"{where}[{i}]") for i, e in enumerate(value)],
+        dtype=float,
+    )
 
 
 def _parse_simulation(block, parameters: dict) -> SimulationSpec:
@@ -159,24 +197,21 @@ def _parse_simulation(block, parameters: dict) -> SimulationSpec:
     if spec.t_final <= 0 or spec.dt <= 0:
         raise ProjectError("simulation horizon and step must be positive")
     if "xhat0" in block:
-        spec.xhat0 = np.array(
-            [parse_entry(e, parameters, "xhat0") for e in block["xhat0"]], dtype=float
-        )
+        spec.xhat0 = _parse_vector(block["xhat0"], parameters, "xhat0")
     if "x0" in block:
         x0 = block["x0"]
         if x0 == "matched":
             spec.x0 = "matched"
         elif isinstance(x0, list):
-            spec.x0 = np.array(
-                [parse_entry(e, parameters, "x0") for e in x0], dtype=float
-            )
+            spec.x0 = _parse_vector(x0, parameters, "x0")
         else:
             raise ProjectError('x0 must be "matched" or an array')
     inputs = block.get("inputs", {})
     if not isinstance(inputs, dict):
         raise ProjectError("inputs must map subsystem names to signal specs")
     for name, sig in inputs.items():
-        if not isinstance(sig, dict) or sig.get("kind") not in _SIGNAL_FIELDS:
+        kind = sig.get("kind") if isinstance(sig, dict) else None
+        if not isinstance(kind, str) or kind not in _SIGNAL_FIELDS:
             raise ProjectError(
                 f"input for {name!r} needs a kind out of {tuple(_SIGNAL_FIELDS)}"
             )
@@ -202,9 +237,9 @@ def parse_project(doc) -> Project:
     parameters = doc.get("parameters", {})
     if not isinstance(parameters, dict):
         raise ProjectError("parameters must be an object of scalars")
-    for key, value in parameters.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ProjectError(f"parameter {key!r} must be a number")
+    parameters = {
+        key: _number(value, f"parameter {key!r}") for key, value in parameters.items()
+    }
     blocks = doc.get("subsystems")
     if not isinstance(blocks, list) or not blocks:
         raise ProjectError("project needs a nonempty subsystems array")
@@ -215,32 +250,43 @@ def parse_project(doc) -> Project:
         if not isinstance(block, dict) or "name" not in block:
             raise ProjectError("every subsystem block needs a name")
         name = block["name"]
+        if not isinstance(name, str):
+            raise ProjectError(f"subsystem name must be a string, got {name!r}")
         where = f"subsystem {name}"
+        a = parse_matrix(block.get("A", []), parameters, f"{where}.A")
+        b = parse_matrix(block.get("B", []), parameters, f"{where}.B")
+        c = parse_matrix(block.get("C", []), parameters, f"{where}.C")
+        d = parse_matrix(block.get("D", []), parameters, f"{where}.D") or [[] for _ in a]
+        channels = block.get("inputs", [])
+        if not isinstance(channels, list):
+            raise ProjectError(f"{where}.inputs: expected an array of channels")
+        for i, ch in enumerate(channels):
+            if not isinstance(ch, dict) or "from" not in ch or "width" not in ch:
+                raise ProjectError(f"{where}: inputs need 'from' and 'width'")
+            if not isinstance(ch["from"], str):
+                raise ProjectError(
+                    f"{where}.inputs[{i}].from: expected a subsystem name, got {ch['from']!r}"
+                )
+            width = ch["width"]
+            if isinstance(width, bool) or not isinstance(width, int):
+                raise ProjectError(
+                    f"{where}.inputs[{i}].width: expected an integer, got {width!r}"
+                )
+        outputs_to = block.get("outputs_to", {})
+        if not isinstance(outputs_to, dict):
+            raise ProjectError(f"{where}.outputs_to: expected an object of output blocks")
+        c_int = {
+            peer: parse_matrix(mat, parameters, f"{where}.outputs_to[{peer}]")
+            for peer, mat in outputs_to.items()
+        }
+        channels_in = tuple(InternalChannel(ch["from"], ch["width"]) for ch in channels)
         try:
-            a = parse_matrix(block.get("A", []), parameters, f"{where}.A")
-            b = parse_matrix(block.get("B", []), parameters, f"{where}.B")
-            c = parse_matrix(block.get("C", []), parameters, f"{where}.C")
-            d = parse_matrix(block.get("D", []), parameters, f"{where}.D")
-            channels = []
-            for ch in block.get("inputs", []):
-                if not isinstance(ch, dict) or "from" not in ch or "width" not in ch:
-                    raise ProjectError(f"{where}: inputs need 'from' and 'width'")
-                channels.append(InternalChannel(ch["from"], int(ch["width"])))
-            c_int = {
-                peer: parse_matrix(mat, parameters, f"{where}.outputs_to[{peer}]")
-                for peer, mat in block.get("outputs_to", {}).items()
-            }
-            if not d:
-                d = [[] for _ in a]
-            subsystems.append(
-                LinearSystem(name, a, b, c, d, tuple(channels), c_int)
-            )
-        except ProjectError:
-            raise
+            sub = LinearSystem(name, a, b, c, d, channels_in, c_int)
         except ValueError as exc:
             raise ProjectError(f"{where}: {exc}") from exc
+        subsystems.append(sub)
         directives[name] = (
-            _parse_directive(block["abstraction"], parameters, where)
+            _parse_directive(block["abstraction"], parameters, where, sub)
             if "abstraction" in block
             else Directive()
         )
@@ -604,6 +650,9 @@ def _judge(published, computed, rule) -> tuple[str, str]:
 
 
 def cmd_reproduce(args) -> int:
+    # demo parses its document with this module, so it is imported here
+    from .demo import PUBLISHED, demo_project
+
     project = parse_project(demo_project())
     ic = project.interconnection
     results, _, path, _, _, report = _run_pipeline(project)
@@ -614,9 +663,9 @@ def cmd_reproduce(args) -> int:
     d1, d2 = float(ic["s1"].D[2, 0]), float(-ic["s2"].D[0, 0])
     # the published interface gain is stated for the unit abstract
     # input direction, so recompute it against bhat = 1
+    s1_directive = project.directives["s1"]
     k4_scalar, _ = compute_k4(
-        demo_certificates()["s1"][0], demo_projections()["s1"],
-        np.array([[1.0]]), ic["s1"].B,
+        s1_directive.certificate[0], s1_directive.p, np.array([[1.0]]), ic["s1"].B,
     )
     s1, s2 = results["s1"], results["s2"]
     rows = [

@@ -129,7 +129,7 @@ def gain_matrices(ic: Interconnection, gains: dict[str, ComparisonGains]) -> Gai
             raise ValueError(
                 f"{sub.name}: {len(g.mu)} mu coefficients for {sub.p} scalar channels"
             )
-        if g.lam <= 0:
+        if not g.lam > 0:
             raise ValueError(f"{sub.name}: decay rate must be positive, got {g.lam}")
         lam[i] = g.lam
         rho[i] = g.rho
@@ -207,9 +207,12 @@ def small_gain(
     """Find a weight vector certifying the network small-gain condition.
 
     Default path: take the positive dominant vector of ``Gamma
-    Lambda^{-1}`` (see :func:`perron`), normalize it so the max-form
+    Lambda^{-1}`` (see :func:`perron`) and normalize it so the max-form
     deviation function bounds the stacked output mismatch with unit
-    coefficient, and pick ``epsilon`` just inside the feasible interval.
+    coefficient. Without an ``epsilon`` override, ``epsilon`` is
+    ``EPSILON_SAFETY`` times the largest value the weights admit,
+    ``min_i eta_i / (Gamma Lambda^{-1} eta)_i - 1``, capped at
+    ``EPSILON_CAP``.
 
     ``eta``/``epsilon`` overrides are accepted verbatim; the strict
     inequality is then only reported, not enforced.
@@ -217,7 +220,11 @@ def small_gain(
     Raises
     ------
     SmallGainError
-        If no overrides are given and the spectral radius is >= 1.
+        If no overrides are given and the spectral radius is >= 1, or
+        the weights admit no positive ``epsilon``.
+    ValueError
+        If an override is not finite and positive, or has the wrong
+        length.
     """
     scaled = gm.scaled
     n = scaled.shape[0]
@@ -238,35 +245,28 @@ def small_gain(
         eta_vec = np.asarray(eta, dtype=float).copy()
         if eta_vec.shape != (n,):
             raise ValueError(f"eta must have {n} entries, got shape {eta_vec.shape}")
-        if np.any(eta_vec <= 0):
-            raise ValueError("eta must be strictly positive")
+        if not (np.all(np.isfinite(eta_vec)) and np.all(eta_vec > 0)):
+            raise ValueError(f"eta must be finite and strictly positive, got {eta_vec}")
 
+    s_eta = scaled @ eta_vec
     if epsilon is None:
-        eps = EPSILON_CAP if rho_spec <= 0 else min(
-            EPSILON_SAFETY * (1.0 / rho_spec - 1.0), EPSILON_CAP
+        # Collatz-Wielandt: (1 + eps) S eta <= eta holds exactly for
+        # eps <= min_i eta_i / (S eta)_i - 1 over the rows with (S eta)_i > 0
+        driven = s_eta > 0.0
+        eps_max = (
+            float(np.min(eta_vec[driven] / s_eta[driven])) - 1.0 if driven.any() else np.inf
         )
-    else:
-        eps = float(epsilon)
-        if eps <= 0:
-            raise ValueError(f"epsilon must be positive, got {eps}")
-
-    def path_margin(e: float) -> float:
-        if n == 0:
-            return np.inf
-        return float(np.min(eta_vec - (1.0 + e) * scaled @ eta_vec))
-
-    margin = path_margin(eps)
-    if not overridden and margin <= 0.0:
-        # the cap (or the perturbed weight vector) can overshoot the
-        # feasible interval for extreme gain matrices; back off
-        for _ in range(80):
-            eps *= 0.5
-            margin = path_margin(eps)
-            if margin > 0.0:
-                break
-        else:
+        if not overridden and not eps_max > 0.0:
             cycle, gain = _dominant_cycle(scaled, gm.names)
             raise SmallGainError(rho_spec, cycle, gain)
+        eps = min(EPSILON_SAFETY * eps_max, EPSILON_CAP)
+    else:
+        eps = float(epsilon)
+    if not (np.isfinite(eps) and eps > 0):
+        source = "" if epsilon is not None else " (the largest the given eta admits)"
+        raise ValueError(f"epsilon must be finite and positive, got {eps}{source}")
+
+    margin = float(np.min(eta_vec - (1.0 + eps) * s_eta)) if n else np.inf
     return OmegaPath(
         eta=eta_vec,
         epsilon=eps,

@@ -6,11 +6,15 @@ nodes relay between them.  The example ships with explicit injections,
 deviation certificates and input signals, so every pipeline stage can
 be reproduced end to end, and the regression report compares the
 results against the values published for this network.
+
+:func:`demo_project` is the one definition of the network; the other
+helpers parse it with :func:`~simcompose.cli.parse_project`.
 """
 
 import numpy as np
 
-from .systems import Interconnection, InternalChannel, LinearSystem
+from .cli import parse_project
+from .systems import Interconnection
 
 # Rounded certificate and gain values published for this network; the
 # regression report checks the pipeline against them.
@@ -41,57 +45,6 @@ _C_INTEGRATOR = np.array([[1.0, 0.0, 0.0]])
 _A_NODE = np.array([[0.0, 1.0], [-6.0, -5.0]])
 _C_NODE = np.array([[1.0, 0.0]])
 
-
-def demo_interconnection(d1: float = 0.5, d2: float = 0.5, d3: float = 0.5) -> Interconnection:
-    """The example network with adjustable coupling strengths.
-
-    ``s1`` and ``s3`` are the integrators, ``s2`` and ``s4`` the
-    second-order nodes.  ``s1`` feeds both nodes, the nodes feed
-    ``s3``, and ``s3`` closes the loop back into ``s1``.  The nodes
-    have no external input of their own; they are driven purely
-    through the coupling.
-    """
-    s1 = LinearSystem(
-        "s1", _A_INTEGRATOR, _B_INTEGRATOR, _C_INTEGRATOR,
-        [[0.0], [0.0], [d1]],
-        (InternalChannel("s3", 1),),
-        {"s2": _C_INTEGRATOR, "s4": _C_INTEGRATOR},
-    )
-    s2 = LinearSystem(
-        "s2", _A_NODE, np.zeros((2, 0)), _C_NODE,
-        [[-d2], [2.0 * d2]],
-        (InternalChannel("s1", 1),),
-        {"s3": _C_NODE},
-    )
-    s3 = LinearSystem(
-        "s3", _A_INTEGRATOR, _B_INTEGRATOR, _C_INTEGRATOR,
-        [[0.0, 0.0], [0.0, 0.0], [d3, d3]],
-        (InternalChannel("s2", 1), InternalChannel("s4", 1)),
-        {"s1": _C_INTEGRATOR},
-    )
-    s4 = LinearSystem(
-        "s4", _A_NODE, np.zeros((2, 0)), _C_NODE,
-        [[-d2], [2.0 * d2]],
-        (InternalChannel("s1", 1),),
-        {"s3": _C_NODE},
-    )
-    return Interconnection([s1, s2, s3, s4])
-
-
-def demo_projections() -> dict[str, np.ndarray]:
-    """Injections onto the one-dimensional abstractions."""
-    integrator = np.array([[1.0], [0.0], [0.0]])
-    node = np.array([[1.0], [-2.0]])
-    return {"s1": integrator, "s2": node, "s3": integrator, "s4": node}
-
-
-def demo_certificates() -> dict[str, tuple[np.ndarray, np.ndarray, float]]:
-    """Published (M, K1, lambda) certificate per subsystem."""
-    integrator = (CERT_M_INTEGRATOR, CERT_K1_INTEGRATOR, CERT_LAM_INTEGRATOR)
-    node = (CERT_M_NODE, np.zeros((0, 2)), CERT_LAM_NODE)
-    return {"s1": integrator, "s2": node, "s3": integrator, "s4": node}
-
-
 # Abstract inputs are kept inside the ball of radius 0.1: the two
 # integrator abstractions each receive amplitude 0.1/sqrt(2), spread
 # evenly over their three input slots, with opposite signs.
@@ -102,11 +55,16 @@ DEMO_T_FINAL = 20.0
 DEMO_DT = 1e-3
 
 
-def demo_project() -> dict:
+def demo_project(d1: float = 0.5, d2: float = 0.5, d3: float = 0.5) -> dict:
     """The example as a JSON-ready project document.
 
-    Coupling entries are written through the named parameters ``d1``,
-    ``d2``, ``d3`` so the document exercises parameter substitution.
+    ``s1`` and ``s3`` are the integrators, ``s2`` and ``s4`` the
+    second-order nodes.  ``s1`` feeds both nodes, the nodes feed
+    ``s3``, and ``s3`` closes the loop back into ``s1``.  The nodes
+    have no external input of their own; they are driven purely
+    through the coupling.  The coupling strengths enter as the named
+    parameters ``d1``, ``d2``, ``d3``, so the document exercises
+    parameter substitution.
     """
     amp = DEMO_INPUT_AMPLITUDE
     node = {
@@ -131,7 +89,7 @@ def demo_project() -> dict:
         "lambda": CERT_LAM_INTEGRATOR,
     }
     return {
-        "parameters": {"d1": 0.5, "d2": 0.5, "d3": 0.5},
+        "parameters": {"d1": d1, "d2": d2, "d3": d3},
         "subsystems": [
             {
                 "name": "s1",
@@ -187,3 +145,21 @@ def demo_project() -> dict:
             },
         },
     }
+
+
+def demo_interconnection(d1: float = 0.5, d2: float = 0.5, d3: float = 0.5) -> Interconnection:
+    """The example network with adjustable coupling strengths, parsed
+    from :func:`demo_project`."""
+    return parse_project(demo_project(d1, d2, d3)).interconnection
+
+
+def demo_projections() -> dict[str, np.ndarray]:
+    """Injections onto the one-dimensional abstractions."""
+    directives = parse_project(demo_project()).directives
+    return {name: directive.p for name, directive in directives.items()}
+
+
+def demo_certificates() -> dict[str, tuple[np.ndarray, np.ndarray, float]]:
+    """Published (M, K1, lambda) certificate per subsystem."""
+    directives = parse_project(demo_project()).directives
+    return {name: directive.certificate for name, directive in directives.items()}

@@ -289,7 +289,8 @@ def pbh_stabilizable(a, b, norm: float | None = None) -> tuple[bool, complex | N
     if not tested:
         return True, None
     tol = rank_tol(np.hstack([a, b]))
-    for s in tested:
+    # a repeated eigenvalue gives the same pencil: rank it once
+    for s in dict.fromkeys(tested):
         pencil = np.hstack([a - s * np.eye(n), b]).astype(complex)
         if np.linalg.matrix_rank(pencil, tol=tol) < n:
             return False, complex(s)
@@ -389,14 +390,15 @@ def stabilize(a, b, pbh: tuple[bool, complex | None] | None = None) -> Matrix:
             f"pair is not stabilizable: eigenvalue {witness} cannot be moved by the input"
         )
     k = np.zeros((m, n))
+    acl = a
     for _ in range(2 * n + 4):
-        acl = a + b @ k
-        if is_hurwitz(acl):
-            return k
         vals, vecs = np.linalg.eig(acl.T)
         idx = int(np.argmax(vals.real))
         basis, block = _left_invariant_block(acl, vals[idx], vecs[:, idx])
         k = k + _place_block(block, basis.T @ b) @ basis.T
+        acl = a + b @ k
+        if is_hurwitz(acl):
+            return k
     raise NumericsError(
         "eigenvalue assignment did not converge; an unstable mode is "
         "too close to uncontrollable"

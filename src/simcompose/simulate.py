@@ -554,6 +554,8 @@ def bound_report(
         raise ValueError("run and gain matrices order their subsystems differently")
     if v0 is None:
         v0 = float(run.v_composed[0])
+    elif not np.isfinite(v0):
+        raise ValueError(f"bound start level v0 must be finite, got {v0}")
     u_inf = uhat.sup_norm
     scalar_samples = scalar_bound(v0, composed.lam, composed.rho, u_inf, run.times)
     margin = scalar_samples - run.mismatch
@@ -584,7 +586,8 @@ def bound_report(
 
 def write_csv(path, run: RefinementRun) -> None:
     """Export a run as CSV: time, concrete states and outputs, deviations
-    (see :func:`write_table`)."""
+    (see :func:`write_table`).  The rows are formatted straight from the
+    run's arrays, without first copying them into one table."""
     header = (
         ["t"]
         + [f"x[{i}]" for i in range(run.concrete.states.shape[1])]
@@ -592,10 +595,12 @@ def write_csv(path, run: RefinementRun) -> None:
         + ["V"]
         + [f"V_{i + 1}" for i in range(run.v.shape[1])]
     )
-    table = np.column_stack(
-        [run.times, run.concrete.states, run.concrete.outputs, run.v_composed, run.v]
+    _write_columns(
+        path,
+        [run.times[:, None], run.concrete.states, run.concrete.outputs,
+         run.v_composed[:, None], run.v],
+        header,
     )
-    write_table(path, table, header)
 
 
 def write_table(path, table, header=None) -> None:
@@ -605,7 +610,8 @@ def write_table(path, table, header=None) -> None:
     Every value is written exactly as ``b"%.17g" % value`` writes it, so
     rereading reproduces the doubles bit for bit and the file matches
     ``np.savetxt(fmt="%.17g", delimiter=",")`` byte for byte.  Chunks of
-    ``2**13`` values are formatted in numpy (see :class:`_G17`).
+    whole rows, about ``2**13`` values each, are formatted in numpy (see
+    :class:`_G17`).
 
     For ``|x|`` in ``[1e-280, 1e280]`` the scaled value
     ``y = |x| 10**(16 - E0)``, ``E0 = floor(log10 |x|)``, is one exact
@@ -619,18 +625,25 @@ def write_table(path, table, header=None) -> None:
     near-ties, values where ``log10`` is off by one, and ``|x|`` outside
     the range, inf and NaN included.
     """
-    table = np.atleast_2d(np.asarray(table, dtype=float))
-    rows, cols = table.shape
+    _write_columns(path, [np.atleast_2d(np.asarray(table, dtype=float))], header)
+
+
+def _write_columns(path, blocks, header) -> None:
+    """:func:`write_table` of the matrices ``blocks`` placed side by side;
+    they share their row count."""
+    rows = blocks[0].shape[0]
+    cols = sum(block.shape[1] for block in blocks)
     with open(path, "wb") as fh:
         if header is not None:
             fh.write((",".join(header) + "\n").encode("ascii"))
         if cols == 0:
             fh.write(b"\n" * rows)
             return
-        flat = table.ravel()
-        fmt = _G17(cols, min(flat.size, _CHUNK))
-        for start in range(0, flat.size, _CHUNK):
-            fh.write(fmt(flat[start:start + _CHUNK], start))
+        step = max(1, _CHUNK // cols)
+        fmt = _G17(cols, min(rows, step) * cols)
+        for start in range(0, rows, step):
+            chunk = np.hstack([block[start:start + step] for block in blocks])
+            fh.write(fmt(chunk.ravel()))
 
 
 def write_gnuplot(path, csv_path, run: RefinementRun) -> None:
@@ -656,8 +669,9 @@ def write_gnuplot(path, csv_path, run: RefinementRun) -> None:
         )
 
 
-# Values per formatting chunk.  Its temporaries, about 200 bytes a value,
-# keep the writer's peak memory under 2 MB beyond the table itself.
+# Values per formatting chunk, rounded down to whole rows (a wider row is
+# one chunk).  Its temporaries, about 200 bytes a value, keep the writer's
+# peak memory under 2 MB beyond the arrays it reads.
 _CHUNK = 1 << 13
 # Veltkamp's splitter for doubles, 2**27 + 1.
 _SPLIT = 134217729.0
@@ -774,8 +788,8 @@ class _G17:
         digits17[zero] = 0
         return digits17, e, exact | zero
 
-    def __call__(self, v: np.ndarray, start: int) -> np.ndarray:
-        """Text of ``v``, the table's flat values from index ``start``."""
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """Text of ``v``, the flat values of whole table rows."""
         n = len(v)
         digits17, e, exact = self._round17(v)
         # the 17 digits as ASCII: a lead digit and four groups of four
@@ -801,7 +815,7 @@ class _G17:
         raw[:, 23:40] = digits
         raw[:, 40:45] = np.take(_EXPONENTS, e + _EXP_OFFSET).view(np.uint8).reshape(n, 5)
         raw[:, -1] = ord(",")
-        raw[(self.cols - 1 - start) % self.cols::self.cols, -1] = ord("\n")
+        raw[self.cols - 1::self.cols, -1] = ord("\n")
         for i in np.flatnonzero(~exact):
             text = b"%.17g" % v[i]
             raw[i, :len(text)] = np.frombuffer(text, np.uint8)

@@ -6,6 +6,7 @@ import pytest
 from simcompose import abstraction, linalg
 from conftest import random_valid_instance
 from simcompose.abstraction import (
+    INJECTED_CERT_TOL,
     QuadraticSimFn,
     build_abstraction,
     certificate_slacks,
@@ -128,6 +129,12 @@ def test_injected_integrator_certificate_needs_loose_tolerance():
         check_certificate(*args, tol=1e-4)
     out_slack, decay_slack = certificate_slacks(*args)
     assert -5e-2 < min(out_slack, decay_slack) < 0.0
+
+
+def test_nan_slack_fails_the_certificate_check():
+    for slacks in ((np.nan, 0.0), (0.0, np.nan)):
+        with pytest.raises(NumericsError, match="certificate rejected"):
+            abstraction._require_slacks(slacks, INJECTED_CERT_TOL)
 
 
 # Draw 102 of test_linalg's far-from-normal Lyapunov draws: a 2x2 Jordan

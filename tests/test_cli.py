@@ -1,9 +1,12 @@
 """Project files, the entry grammar, and the command-line interface."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from simcompose.cli import (
     ProjectError,
@@ -134,6 +137,93 @@ def test_parse_project_errors():
     doc["subsystems"][0]["inputs"] = [{"from": "ghost"}]
     with pytest.raises(ProjectError, match="'from' and 'width'"):
         parse_project(doc)
+
+
+def _container(doc, path):
+    """The object or array holding the field at ``path``."""
+    for step in path[:-1]:
+        doc = doc[step]
+    return doc
+
+
+S1 = ("subsystems", 0)
+S1_CERT = S1 + ("abstraction", "certificate")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("simulation", "xhat0"), 5, "xhat0: expected an array of numbers"),
+    (S1 + ("inputs", 0, "width"), [1], "subsystem s1.inputs[0].width: expected an integer"),
+    (S1 + ("inputs", 0, "width"), 1.7, "subsystem s1.inputs[0].width: expected an integer"),
+    (S1 + ("inputs", 0, "width"), True, "subsystem s1.inputs[0].width: expected an integer"),
+    (S1 + ("inputs", 0, "from"), ["s3"],
+     "subsystem s1.inputs[0].from: expected a subsystem name"),
+    (S1 + ("outputs_to",), [], "subsystem s1.outputs_to: expected an object"),
+    (S1 + ("name",), ["x"], "subsystem name must be a string"),
+    (S1 + ("abstraction", "P"), [[1.0], [0.0, 1.0], [0.0]],
+     "subsystem s1.P: rows have unequal lengths"),
+    (S1 + ("abstraction", "P"), [[1.0], [0.0]], "subsystem s1.P: expected 3 rows, got 2"),
+    (S1_CERT + ("M",), [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]],
+     "subsystem s1.M: rows have unequal lengths"),
+    (S1_CERT + ("M",), [[1.0, 0.0], [0.0, 1.0]],
+     "subsystem s1.M: expected shape (3, 3), got (2, 2)"),
+    (S1_CERT + ("K1",), [[1, 2]], "subsystem s1.K1: expected shape (1, 3), got (1, 2)"),
+    (S1_CERT + ("lambda",), float("nan"),
+     "subsystem s1: certificate lambda must be finite and positive, got nan"),
+    (S1_CERT + ("lambda",), float("inf"),
+     "subsystem s1: certificate lambda must be finite and positive, got inf"),
+    (S1_CERT + ("lambda",), 0,
+     "subsystem s1: certificate lambda must be finite and positive, got 0.0"),
+    (("simulation", "inputs", "s1", "kind"), ["square"], "input for 's1' needs a kind"),
+    (("parameters", "d1"), 10**400, "parameter 'd1' is beyond the double range"),
+    (S1 + ("A", 0, 0), 10**400, "subsystem s1.A[0][0]: integer entry is beyond the double range"),
+], ids=[
+    "xhat0-scalar", "width-list", "width-float", "width-bool", "from-list",
+    "outputs_to-list", "name-list", "P-ragged", "P-rows", "M-ragged", "M-2x2", "K1-1x2",
+    "lambda-nan", "lambda-inf", "lambda-zero", "kind-list", "parameter-overflow",
+    "entry-overflow",
+])
+def test_cli_malformed_field_exits_2_and_names_it(tmp_path, capsys, path, value, message):
+    doc = demo_project()
+    _container(doc, path)[path[-1]] = value
+    assert main(["compose", write_project(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+def _paths(value, prefix=()):
+    """Every position in a JSON document, containers included."""
+    if prefix:
+        yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, prefix + (i,))
+
+
+DEMO_DOC = demo_project()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.sampled_from(list(_paths(DEMO_DOC))), JSON_VALUES)
+def test_parse_project_swapped_field_raises_only_value_error(path, value):
+    # a field of another JSON type is either accepted or a ValueError
+    # (ProjectError, or a wiring error), never another exception
+    doc = copy.deepcopy(DEMO_DOC)
+    container = _container(doc, path)
+    assume(type(container[path[-1]]) is not type(value))
+    container[path[-1]] = value
+    try:
+        parse_project(doc)
+    except ValueError:
+        pass
 
 
 def test_parse_project_shape_errors_name_the_subsystem():
@@ -323,6 +413,20 @@ def test_cli_compose_bad_eta_count(tmp_path, capsys):
     path = write_project(tmp_path, demo_project())
     assert main(["compose", path, "--eta", "1,2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compose", "--eps", "nan"], "epsilon must be finite and positive, got nan"),
+    (["compose", "--eps", "inf"], "epsilon must be finite and positive, got inf"),
+    (["compose", "--eta", "nan,0.6,0.5,0.6"], "eta must be finite and strictly positive"),
+    (["bounds", "--v0", "nan"], "bound start level v0 must be finite, got nan"),
+], ids=["eps-nan", "eps-inf", "eta-nan", "v0-nan"])
+def test_cli_non_finite_override_exits_1(tmp_path, capsys, argv, message):
+    path = write_project(tmp_path, demo_project())
+    assert main([argv[0], path, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "nan" not in captured.out.lower()
 
 
 def test_cli_abstract_exports(tmp_path, capsys):

@@ -69,8 +69,9 @@ def test_gain_matrices_validation():
     assert np.allclose(gm.gamma, [[0.0]])
     with pytest.raises(ValueError, match="mu coefficients"):
         gain_matrices(ic, {"solo": ComparisonGains(lam=1.0, rho=0.5, mu=(1.0,))})
-    with pytest.raises(ValueError, match="positive"):
-        gain_matrices(ic, {"solo": ComparisonGains(lam=0.0, rho=0.5, mu=())})
+    for lam in (0.0, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            gain_matrices(ic, {"solo": ComparisonGains(lam=lam, rho=0.5, mu=())})
 
 
 def test_perron_three_cycle():
@@ -106,6 +107,8 @@ def test_small_gain_demo_default_path():
     assert np.allclose(scaled @ path.eta, path.rho_spec * path.eta, atol=1e-6)
     assert np.sqrt(4.0) * np.max(path.eta / gm.lam) == pytest.approx(1.0, rel=1e-12)
     assert path.epsilon == pytest.approx(0.99 * (1.0 / path.rho_spec - 1.0), rel=1e-9)
+    # epsilon is the Collatz-Wielandt value of eta, not a guess backed off
+    assert path.epsilon == 0.99 * (np.min(path.eta / (scaled @ path.eta)) - 1.0)
     # The strict feasibility inequality, literally.
     assert np.all((1.0 + path.epsilon) * scaled @ path.eta < path.eta)
 
@@ -186,6 +189,14 @@ def test_small_gain_rejects_bad_overrides():
         small_gain(gm, eta=np.array([1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         small_gain(gm, epsilon=-2.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            small_gain(gm, epsilon=bad)
+        with pytest.raises(ValueError, match="eta must be finite and strictly positive"):
+            small_gain(gm, eta=np.array([bad, 0.6, 0.5, 0.6]))
+    # weights that no positive epsilon makes strict
+    with pytest.raises(ValueError, match="the largest the given eta admits"):
+        small_gain(gm, eta=np.array([1.0, 1e-3, 1.0, 1.0]))
 
 
 def test_compose_simfn_published_overrides():

@@ -523,6 +523,8 @@ def test_write_table_matches_savetxt_on_every_shape(tmp_path):
         # rows that straddle a chunk boundary
         rng.standard_normal((chunk // 7 + 1, 7)) * 10.0 ** rng.integers(-20, 20, (chunk // 7 + 1, 7)),
         rng.standard_normal((2 * chunk // 3 + 2, 3)),
+        # rows wider than a chunk
+        rng.standard_normal((3, chunk + 5)),
     ]
     for table in tables:
         assert written(tmp_path, table) == savetxt_text(table), np.shape(table)

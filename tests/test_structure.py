@@ -1,8 +1,11 @@
 """Source-level guards on the package: no environment knobs, each
-tolerance constant defined by exactly one module, one propagator, and
-one owner for the 2-norm and rank decisions."""
+tolerance constant defined by exactly one module, one propagator, one
+owner for the 2-norm and rank decisions, and one encoding of the
+bundled example."""
 
 import ast
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -114,3 +117,25 @@ def test_one_table_writer():
         or (isinstance(node, ast.alias) and node.name == "savetxt")
     ]
     assert users == []
+
+
+def test_demo_network_is_written_only_as_a_document():
+    # demo_project() is the one encoding of the example; every other
+    # helper parses it instead of building systems by hand
+    built = [
+        f"demo.py:{node.lineno} {node.func.id}"
+        for node in ast.walk(parse(SRC / "demo.py"))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("LinearSystem", "InternalChannel", "Interconnection")
+    ]
+    assert built == []
+
+
+def test_demo_and_cli_import_in_either_order():
+    for first, second in (("demo", "cli"), ("cli", "demo")):
+        code = f"import simcompose.{first}, simcompose.{second}"
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, cwd=SRC.parent,
+            capture_output=True, timeout=60,
+        )
