@@ -2,10 +2,11 @@
 
 A project is a single JSON document describing the interconnected
 subsystems, the abstraction directives (injection, optional
-certificate) and an optional simulation block.  Matrix entries are
-numbers or strings of the form ``[sign][coefficient]name`` referring
-to a named scalar parameter, which covers coupling terms such as
-``-d2`` or ``2d2`` without an expression language.
+certificate) and an optional simulation block.  :func:`read_numbers`
+reads every numeric field; its entries are numbers or strings of the
+form ``[sign][coefficient]name`` referring to a named scalar parameter,
+which covers coupling terms such as ``-d2`` or ``2d2`` without an
+expression language.
 
 Exit codes: 0 success, 1 validation or small-gain failure, 2 malformed
 project, 3 numerical failure.
@@ -18,6 +19,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -45,12 +47,22 @@ class ProjectError(ValueError):
 
 _ENTRY_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?|\.\d+)?\*?([A-Za-z_]\w*)$")
 
-# the numeric fields each input signal kind reads
-_SIGNAL_FIELDS = {
-    "zero": (),
-    "constant": ("value",),
-    "square": ("amplitude", "period"),
-    "samples": ("times", "values"),
+# entries of these exact types need no grammar (bool is excluded)
+_PLAIN = frozenset((float, int))
+
+# what a field of each depth must be, as the error states it
+_DEPTHS = ("a number", "an array of numbers", "an array of array rows")
+
+# each input signal kind: the shape of every numeric field it reads, and
+# the Signal it builds for an abstract input of ``width`` up to ``t_final``
+_SIGNAL_KINDS = {
+    "zero": ({}, lambda s, width, t_final: Signal.zero(width)),
+    "constant": ({"value": (None,)}, lambda s, width, t_final: Signal.constant(s["value"])),
+    # the period's shape is checked with its sign
+    "square": ({"amplitude": (None,), "period": None}, lambda s, width, t_final: Signal.square(
+        s["amplitude"], float(s["period"]), t_final)),
+    "samples": ({"times": (None,), "values": (None, None)},
+                lambda s, width, t_final: Signal(s["times"], s["values"])),
 }
 
 
@@ -65,50 +77,87 @@ def _number(value, where: str) -> float:
         raise ProjectError(f"{where} is beyond the double range") from None
 
 
-def parse_entry(entry, parameters: dict, where: str) -> float:
-    """One finite matrix entry: a number, or ``[sign][coefficient]name``."""
+def parse_entry(entry, parameters: dict) -> float:
+    """One finite entry: a number, or ``[sign][coefficient]name``.
+
+    The error leaves the entry's location to :func:`read_numbers`.
+    """
     if isinstance(entry, bool):
-        raise ProjectError(f"{where}: boolean is not a matrix entry")
+        raise ProjectError("boolean is not a matrix entry")
     if isinstance(entry, (int, float)):
         try:
             value = float(entry)
         except OverflowError:
-            raise ProjectError(f"{where}: integer entry is beyond the double range") from None
+            raise ProjectError("integer entry is beyond the double range") from None
     elif isinstance(entry, str):
         match = _ENTRY_RE.match(entry.strip())
         if not match:
-            raise ProjectError(f"{where}: cannot parse entry {entry!r}")
+            raise ProjectError(f"cannot parse entry {entry!r}")
         sign, coefficient, name = match.groups()
         if name not in parameters:
-            raise ProjectError(f"{where}: unknown parameter {name!r} in {entry!r}")
+            raise ProjectError(f"unknown parameter {name!r} in {entry!r}")
         value = (float(coefficient) if coefficient else 1.0) * parameters[name]
         value = -value if sign == "-" else value
     else:
-        raise ProjectError(f"{where}: entry {entry!r} has unsupported type")
+        raise ProjectError(f"entry {entry!r} has unsupported type")
     # JSON admits NaN and Infinity
     if not math.isfinite(value):
-        raise ProjectError(f"{where}: entry {entry!r} is not finite")
+        raise ProjectError(f"entry {entry!r} is not finite")
     return value
 
 
-def parse_numbers(value, parameters: dict, where: str):
-    """A number, or a nested array of them, read entry by entry."""
-    if isinstance(value, list):
-        return [
-            parse_numbers(e, parameters, f"{where}[{i}]") for i, e in enumerate(value)
-        ]
-    return parse_entry(value, parameters, where)
+def _at(index) -> str:
+    return "".join(f"[{i}]" for i in index)
 
 
-def parse_matrix(rows, parameters: dict, where: str) -> list[list[float]]:
-    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-        raise ProjectError(f"{where}: expected an array of array rows")
-    if len({len(row) for row in rows}) > 1:
-        raise ProjectError(f"{where}: rows have unequal lengths")
-    return [
-        [parse_entry(e, parameters, f"{where}[{i}][{j}]") for j, e in enumerate(row)]
-        for i, row in enumerate(rows)
-    ]
+def read_numbers(value, parameters: dict, where: str, shape=None) -> np.ndarray:
+    """A number, or a rectangular nested array of entries, as one finite
+    float array.
+
+    ``shape`` lists the dimensions the field needs, ``None`` for a free
+    one; without it any depth is read. ``[]`` is empty at any depth. A
+    rejected entry is named by its index, as in ``where[i][j]``.
+    """
+    try:
+        array = np.array(value, dtype=float)
+        leaves = (value,) if array.ndim == 0 else value
+        for _ in range(array.ndim - 1):
+            leaves = tuple(chain.from_iterable(leaves))
+        # for tiny fields, the common case, Python beats a numpy reduction
+        plain = set(map(type, leaves)) <= _PLAIN and all(map(math.isfinite, leaves))
+    except (TypeError, ValueError, OverflowError):
+        plain = False
+    if not plain:
+        # entry by entry, so that the first bad one is named
+        entries = []
+
+        def walk(item, index: tuple) -> tuple:
+            if not isinstance(item, list):
+                try:
+                    entries.append(parse_entry(item, parameters))
+                except ProjectError as exc:
+                    raise ProjectError(f"{where}{_at(index)}: {exc}") from None
+                return ()
+            shapes = {walk(sub, (*index, i)) for i, sub in enumerate(item)}
+            if len(shapes) > 1:
+                unequal = "lengths" if len({len(s) for s in shapes}) == 1 else "depths"
+                raise ProjectError(f"{where}{_at(index)}: rows have unequal {unequal}")
+            return (len(item), *shapes.pop()) if shapes else (0,)
+
+        dims = walk(value, ())
+        array = np.array(entries, dtype=float).reshape(dims)
+    if shape is None:
+        return array
+    if array.shape == (0,) and len(shape) > 1:
+        array = array.reshape((0,) * len(shape))
+    if array.ndim != len(shape):
+        raise ProjectError(f"{where}: expected {_DEPTHS[len(shape)]}")
+    for want, got in zip(shape, array.shape):
+        if want is not None and want != got:
+            if all(w is None for w in shape[1:]):
+                raise ProjectError(f"{where}: expected {shape[0]} rows, got {len(array)}")
+            raise ProjectError(f"{where}: expected shape {shape}, got {array.shape}")
+    return array
 
 
 @dataclass
@@ -135,15 +184,6 @@ class Project:
     simulation: SimulationSpec
 
 
-def _sized_matrix(rows, parameters: dict, where: str, shape) -> np.ndarray:
-    """A matrix field that must have exactly ``shape``."""
-    rows = parse_matrix(rows, parameters, where)
-    got = (len(rows), len(rows[0]) if rows else 0)
-    if got != shape:
-        raise ProjectError(f"{where}: expected shape {shape}, got {got}")
-    return np.array(rows, dtype=float).reshape(shape)
-
-
 def _parse_directive(block, parameters: dict, where: str, sub: LinearSystem) -> Directive:
     if not isinstance(block, dict):
         raise ProjectError(f"{where}: abstraction block must be an object")
@@ -152,19 +192,17 @@ def _parse_directive(block, parameters: dict, where: str, sub: LinearSystem) -> 
         if p not in ("identity", "minimal-invariant"):
             raise ProjectError(f"{where}: unknown P directive {p!r}")
     else:
-        p = np.array(parse_matrix(p, parameters, f"{where}.P"), dtype=float)
-        if len(p) != sub.n:
-            raise ProjectError(f"{where}.P: expected {sub.n} rows, got {len(p)}")
+        p = read_numbers(p, parameters, f"{where}.P", (sub.n, None))
     certificate = None
     if "certificate" in block:
         cert = block["certificate"]
         if not isinstance(cert, dict) or not {"M", "K1", "lambda"} <= cert.keys():
             raise ProjectError(f"{where}: certificate needs M, K1 and lambda")
         n = sub.n
-        m = _sized_matrix(cert["M"], parameters, f"{where}.M", (n, n))
+        m = read_numbers(cert["M"], parameters, f"{where}.M", (n, n))
         # an empty K1 is the zero feedback
         k1 = (
-            _sized_matrix(cert["K1"], parameters, f"{where}.K1", (sub.m, n))
+            read_numbers(cert["K1"], parameters, f"{where}.K1", (sub.m, n))
             if cert["K1"] != []
             else np.zeros((0, n))
         )
@@ -177,54 +215,42 @@ def _parse_directive(block, parameters: dict, where: str, sub: LinearSystem) -> 
     return Directive(p=p, certificate=certificate)
 
 
-def _parse_vector(value, parameters: dict, where: str) -> np.ndarray:
-    if not isinstance(value, list):
-        raise ProjectError(f"{where}: expected an array of numbers")
-    return np.array(
-        [parse_entry(e, parameters, f"{where}[{i}]") for i, e in enumerate(value)],
-        dtype=float,
-    )
-
-
 def _parse_simulation(block, parameters: dict) -> SimulationSpec:
     if not isinstance(block, dict):
         raise ProjectError("simulation block must be an object")
     spec = SimulationSpec()
     if "t_final" in block:
-        spec.t_final = float(parse_entry(block["t_final"], parameters, "t_final"))
+        spec.t_final = float(read_numbers(block["t_final"], parameters, "t_final", ()))
     if "dt" in block:
-        spec.dt = float(parse_entry(block["dt"], parameters, "dt"))
+        spec.dt = float(read_numbers(block["dt"], parameters, "dt", ()))
     if spec.t_final <= 0 or spec.dt <= 0:
         raise ProjectError("simulation horizon and step must be positive")
     if "xhat0" in block:
-        spec.xhat0 = _parse_vector(block["xhat0"], parameters, "xhat0")
-    if "x0" in block:
-        x0 = block["x0"]
-        if x0 == "matched":
-            spec.x0 = "matched"
-        elif isinstance(x0, list):
-            spec.x0 = _parse_vector(x0, parameters, "x0")
-        else:
-            raise ProjectError('x0 must be "matched" or an array')
+        spec.xhat0 = read_numbers(block["xhat0"], parameters, "xhat0", (None,))
+    x0 = block.get("x0", "matched")
+    if isinstance(x0, list):
+        spec.x0 = read_numbers(x0, parameters, "x0", (None,))
+    elif x0 != "matched":
+        raise ProjectError('x0 must be "matched" or an array')
     inputs = block.get("inputs", {})
     if not isinstance(inputs, dict):
         raise ProjectError("inputs must map subsystem names to signal specs")
     for name, sig in inputs.items():
         kind = sig.get("kind") if isinstance(sig, dict) else None
-        if not isinstance(kind, str) or kind not in _SIGNAL_FIELDS:
+        if not isinstance(kind, str) or kind not in _SIGNAL_KINDS:
             raise ProjectError(
-                f"input for {name!r} needs a kind out of {tuple(_SIGNAL_FIELDS)}"
+                f"input for {name!r} needs a kind out of {tuple(_SIGNAL_KINDS)}"
             )
         where = f"simulation.inputs.{name}"
-        parsed = {"kind": sig["kind"]}
-        for key in _SIGNAL_FIELDS[sig["kind"]]:
+        parsed = {"kind": kind}
+        for key, shape in _SIGNAL_KINDS[kind][0].items():
             if key not in sig:
-                raise ProjectError(f"{where}: a {sig['kind']} input needs {key!r}")
-            parsed[key] = parse_numbers(sig[key], parameters, f"{where}.{key}")
+                raise ProjectError(f"{where}: a {kind} input needs {key!r}")
+            parsed[key] = read_numbers(sig[key], parameters, f"{where}.{key}", shape)
         period = parsed.get("period")
-        if period is not None and not (isinstance(period, float) and period > 0):
+        if period is not None and not (period.ndim == 0 and period > 0):
             raise ProjectError(
-                f"{where}.period: expected a positive number, got {period!r}"
+                f"{where}.period: expected a positive number, got {sig['period']!r}"
             )
         spec.inputs[name] = parsed
     return spec
@@ -253,10 +279,10 @@ def parse_project(doc) -> Project:
         if not isinstance(name, str):
             raise ProjectError(f"subsystem name must be a string, got {name!r}")
         where = f"subsystem {name}"
-        a = parse_matrix(block.get("A", []), parameters, f"{where}.A")
-        b = parse_matrix(block.get("B", []), parameters, f"{where}.B")
-        c = parse_matrix(block.get("C", []), parameters, f"{where}.C")
-        d = parse_matrix(block.get("D", []), parameters, f"{where}.D") or [[] for _ in a]
+        a, b, c, d = (
+            read_numbers(block.get(key, []), parameters, f"{where}.{key}", (None, None))
+            for key in "ABCD"
+        )
         channels = block.get("inputs", [])
         if not isinstance(channels, list):
             raise ProjectError(f"{where}.inputs: expected an array of channels")
@@ -276,7 +302,7 @@ def parse_project(doc) -> Project:
         if not isinstance(outputs_to, dict):
             raise ProjectError(f"{where}.outputs_to: expected an object of output blocks")
         c_int = {
-            peer: parse_matrix(mat, parameters, f"{where}.outputs_to[{peer}]")
+            peer: read_numbers(mat, parameters, f"{where}.outputs_to[{peer}]", (None, None))
             for peer, mat in outputs_to.items()
         }
         channels_in = tuple(InternalChannel(ch["from"], ch["width"]) for ch in channels)
@@ -327,45 +353,30 @@ def serialize_project(project: Project) -> dict:
     subsystems = []
     for sub in project.interconnection.subsystems:
         directive = project.directives[sub.name]
-        block = {
-            "name": sub.name,
-            "A": sub.A.tolist(),
-            "B": sub.B.tolist(),
-            "C": sub.C_ext.tolist(),
-            "D": sub.D.tolist(),
-            "inputs": [
-                {"from": ch.source, "width": ch.width} for ch in sub.channels_in
-            ],
-            "outputs_to": {
-                peer: mat.tolist() for peer, mat in sorted(sub.C_int.items())
-            },
-        }
-        abstraction = {}
-        if isinstance(directive.p, str):
-            abstraction["P"] = directive.p
-        else:
-            abstraction["P"] = directive.p.tolist()
+        abstraction = {"P": directive.p}
         if directive.certificate is not None:
             m, k1, lam = directive.certificate
-            abstraction["certificate"] = {
-                "M": m.tolist(),
-                "K1": k1.tolist(),
-                "lambda": lam,
-            }
-        block["abstraction"] = abstraction
-        subsystems.append(block)
+            abstraction["certificate"] = {"M": m, "K1": k1, "lambda": lam}
+        subsystems.append({
+            "name": sub.name, "A": sub.A, "B": sub.B, "C": sub.C_ext, "D": sub.D,
+            "inputs": [{"from": ch.source, "width": ch.width} for ch in sub.channels_in],
+            "outputs_to": dict(sorted(sub.C_int.items())),
+            "abstraction": abstraction,
+        })
     sim = project.simulation
-    doc = {"subsystems": subsystems, "simulation": {
-        "t_final": sim.t_final,
-        "dt": sim.dt,
-        "inputs": sim.inputs,
-    }}
+    simulation = {"t_final": sim.t_final, "dt": sim.dt, "x0": sim.x0, "inputs": sim.inputs}
     if sim.xhat0 is not None:
-        doc["simulation"]["xhat0"] = sim.xhat0.tolist()
-    doc["simulation"]["x0"] = (
-        sim.x0 if isinstance(sim.x0, str) else sim.x0.tolist()
-    )
-    return doc
+        simulation["xhat0"] = sim.xhat0
+    return _lists({"subsystems": subsystems, "simulation": simulation})
+
+
+def _lists(value):
+    """A document with every array written back as nested lists."""
+    if isinstance(value, dict):
+        return {key: _lists(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_lists(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def resolve_injection(sys: LinearSystem, directive: Directive) -> np.ndarray:
@@ -407,25 +418,9 @@ def build_input_signal(project: Project, results, t_final: float) -> Signal:
     parts = []
     for sub in project.interconnection.subsystems:
         width = results[sub.name].system.m
-        spec = project.simulation.inputs.get(sub.name)
-        if spec is None or spec["kind"] == "zero":
-            parts.append(Signal.zero(width))
-            continue
-        kind = spec["kind"]
+        spec = project.simulation.inputs.get(sub.name, {"kind": "zero"})
         try:
-            if kind == "constant":
-                sig = Signal.constant(np.asarray(spec["value"], dtype=float))
-            elif kind == "square":
-                sig = Signal.square(
-                    np.asarray(spec["amplitude"], dtype=float),
-                    float(spec["period"]),
-                    t_final,
-                )
-            else:  # samples
-                sig = Signal(
-                    np.asarray(spec["times"], dtype=float),
-                    np.asarray(spec["values"], dtype=float),
-                )
+            sig = _SIGNAL_KINDS[spec["kind"]][1](spec, width, t_final)
         except ValueError as exc:
             raise ProjectError(f"simulation.inputs.{sub.name}: {exc}") from exc
         if sig.width != width:
@@ -553,20 +548,19 @@ def cmd_abstract(args) -> int:
 def cmd_compose(args) -> int:
     project = load_project(args.file)
     results = build_abstractions(project)
-    eta = (
-        np.array([float(tok) for tok in args.eta.split(",")])
-        if args.eta
-        else None
-    )
+    try:
+        eta = None if args.eta is None else np.array([float(t) for t in args.eta.split(",")])
+    except ValueError as exc:
+        raise ValueError(f"--eta: {exc}") from None
     gm, path, composed = run_compose(project, results, eta=eta, epsilon=args.eps)
     print("Gamma:")
     for i, name in enumerate(gm.names):
         print(f"  {name}: {_fmt_vector(gm.gamma[i])}")
     print(f"Lambda: {_fmt_vector(gm.lam)}")
     print(f"spectral radius of Gamma Lambda^-1: {_fmt(path.rho_spec)}")
-    source = "override" if path.overridden else "dominant vector"
-    print(f"eta ({source}): {_fmt_vector(path.eta)}")
-    print(f"epsilon ({source if args.eps else 'default'}): {_fmt(path.epsilon)}")
+    eta_source = "dominant vector" if args.eta is None else "override"
+    print(f"eta ({eta_source}): {_fmt_vector(path.eta)}")
+    print(f"epsilon ({'default' if args.eps is None else 'override'}): {_fmt(path.epsilon)}")
     print(f"path margin: {_fmt(path.margin)}"
           f" ({'strict' if path.validated else 'NOT strict'})")
     print(f"composed lambda: {_fmt(composed.lam)}")

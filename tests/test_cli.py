@@ -14,9 +14,8 @@ from simcompose.cli import (
     build_input_signal,
     load_project,
     main,
-    parse_entry,
-    parse_matrix,
     parse_project,
+    read_numbers,
     resolve_initial_states,
     resolve_injection,
     serialize_project,
@@ -47,37 +46,109 @@ def solo_project(inputs=None):
     }
 
 
+def read_entry(entry):
+    return float(read_numbers(entry, PARAMS, "t", ()))
+
+
 def test_parse_entry_numbers_and_parameters():
-    assert parse_entry(2, PARAMS, "t") == 2.0
-    assert parse_entry(-0.5, PARAMS, "t") == -0.5
-    assert parse_entry("d1", PARAMS, "t") == 0.5
-    assert parse_entry("-d2", PARAMS, "t") == -0.25
-    assert parse_entry("2d2", PARAMS, "t") == 0.5
-    assert parse_entry("2*d2", PARAMS, "t") == 0.5
-    assert parse_entry("+.5d1", PARAMS, "t") == 0.25
-    assert parse_entry(" d1 ", PARAMS, "t") == 0.5
+    assert read_entry(2) == 2.0
+    assert read_entry(-0.5) == -0.5
+    assert read_entry("d1") == 0.5
+    assert read_entry("-d2") == -0.25
+    assert read_entry("2d2") == 0.5
+    assert read_entry("2*d2") == 0.5
+    assert read_entry("+.5d1") == 0.25
+    assert read_entry(" d1 ") == 0.5
 
 
 def test_parse_entry_rejects_garbage():
     with pytest.raises(ProjectError, match="boolean"):
-        parse_entry(True, PARAMS, "t")
+        read_entry(True)
     with pytest.raises(ProjectError, match="unknown parameter"):
-        parse_entry("d9", PARAMS, "t")
+        read_entry("d9")
     with pytest.raises(ProjectError, match="cannot parse"):
-        parse_entry("d1+d2", PARAMS, "t")
+        read_entry("d1+d2")
     with pytest.raises(ProjectError, match="cannot parse"):
-        parse_entry("1e-3d1", PARAMS, "t")
+        read_entry("1e-3d1")
+    with pytest.raises(ProjectError, match="cannot parse"):
+        read_entry("1.5")
     with pytest.raises(ProjectError, match="unsupported type"):
-        parse_entry(None, PARAMS, "t")
+        read_entry(None)
 
 
 def test_parse_matrix():
-    rows = parse_matrix([[1, "d1"], ["-2d2", 0]], PARAMS, "M")
-    assert rows == [[1.0, 0.5], [-0.5, 0.0]]
+    rows = read_numbers([[1, "d1"], ["-2d2", 0]], PARAMS, "M", (None, None))
+    assert rows.tolist() == [[1.0, 0.5], [-0.5, 0.0]]
     with pytest.raises(ProjectError, match="array of array rows"):
-        parse_matrix([1, 2], PARAMS, "M")
+        read_numbers([1, 2], PARAMS, "M", (None, None))
     with pytest.raises(ProjectError, match=r"M\[0\]\[1\]"):
-        parse_matrix([[1, "bogus entry"]], PARAMS, "M")
+        read_numbers([[1, "bogus entry"]], PARAMS, "M", (None, None))
+
+
+def test_read_numbers_shapes():
+    assert read_numbers([], PARAMS, "B", (None, None)).shape == (0, 0)
+    assert read_numbers([[], []], PARAMS, "B", (2, None)).shape == (2, 0)
+    assert read_numbers(7, PARAMS, "t").shape == ()
+    with pytest.raises(ProjectError, match=r"^P: expected 3 rows, got 0$"):
+        read_numbers([], PARAMS, "P", (3, None))
+    with pytest.raises(ProjectError, match=r"^x: expected a number$"):
+        read_numbers([1.0], PARAMS, "x", ())
+    with pytest.raises(ProjectError, match=r"^v\[1\]: rows have unequal lengths$"):
+        read_numbers([[[1], [2]], [[3], [4, 5]]], PARAMS, "v")
+    with pytest.raises(ProjectError, match=r"^v: rows have unequal depths$"):
+        read_numbers([[1.0], [[2.0]]], PARAMS, "v")
+
+
+# a rectangular array of depth 0-2 mixing numbers and parameter entries
+ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: (x, x)),
+    st.integers(-10**6, 10**6).map(lambda k: (k, float(k))),
+    st.sampled_from([("d1", 0.5), ("-d2", -0.25), ("2*d2", 0.5), ("+.5d1", 0.25)]),
+)
+REJECTED = st.sampled_from([
+    (True, "boolean is not a matrix entry"),
+    (None, "entry None has unsupported type"),
+    ({}, "entry {} has unsupported type"),
+    ("d9", "unknown parameter 'd9'"),
+    (float("nan"), "entry nan is not finite"),
+    (10**400, "integer entry is beyond the double range"),
+])
+
+
+@st.composite
+def arrays(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    flat = draw(st.lists(ENTRIES, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    doc = np.empty(shape, dtype=object)
+    expected = np.empty(shape)
+    for k, index in enumerate(np.ndindex(shape)):
+        doc[index], expected[index] = flat[k]
+    return doc.tolist(), expected, shape
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(arrays(), st.data())
+def test_read_numbers_property(case, data):
+    doc, expected, shape = case
+    for want in (None, shape, tuple(None for _ in shape)):
+        got = read_numbers(copy.deepcopy(doc), PARAMS, "f", want)
+        assert got.shape == shape
+        assert np.array_equal(got, expected)
+    # one rejected entry is named by exactly its index
+    index = data.draw(st.sampled_from(list(np.ndindex(shape))))
+    bad, message = data.draw(REJECTED)
+    if shape:
+        container = doc
+        for i in index[:-1]:
+            container = container[i]
+        container[index[-1]] = bad
+    else:
+        doc = bad
+    where = "f" + "".join(f"[{i}]" for i in index)
+    with pytest.raises(ProjectError) as exc_info:
+        read_numbers(doc, PARAMS, "f", shape)
+    assert str(exc_info.value).startswith(f"{where}: ")
+    assert message in str(exc_info.value)
 
 
 def test_parse_project_demo_document():
@@ -272,7 +343,11 @@ def test_serialize_roundtrip_is_exact():
         assert np.array_equal(da.certificate[0], db.certificate[0])
         assert da.certificate[2] == db.certificate[2]
     assert second.simulation.t_final == first.simulation.t_final
-    assert second.simulation.inputs == first.simulation.inputs
+    assert second.simulation.inputs.keys() == first.simulation.inputs.keys()
+    for name, spec in first.simulation.inputs.items():
+        assert second.simulation.inputs[name].keys() == spec.keys()
+        for key, value in spec.items():
+            assert np.array_equal(second.simulation.inputs[name][key], value)
 
 
 def test_resolve_injection_directives():
@@ -399,6 +474,26 @@ def test_cli_compose_published_overrides(tmp_path, capsys):
     assert "NOT strict" in out
     assert "composed lambda: 0.8" in out
     assert "rho/lambda: 5.89256" in out
+
+
+def test_cli_compose_labels_each_override_by_its_own_flag(tmp_path, capsys):
+    path = write_project(tmp_path, demo_project())
+    assert main(["compose", path, "--eps", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "eta (dominant vector): [0.410223, 0.609425, 0.5, 0.609425]" in out
+    assert "epsilon (override): 4" in out
+    assert main(["compose", path, "--eta", "0.4,0.6,0.5,0.6"]) == 0
+    out = capsys.readouterr().out
+    assert "eta (override): [0.4, 0.6, 0.5, 0.6]" in out
+    assert "epsilon (default):" in out
+
+
+def test_cli_compose_unreadable_eta_names_the_flag(tmp_path, capsys):
+    path = write_project(tmp_path, demo_project())
+    assert main(["compose", path, "--eta", "a,b,c,d"]) == 1
+    err = capsys.readouterr().err
+    assert "error: --eta: " in err
+    assert "'a'" in err
 
 
 def test_cli_compose_strong_coupling_fails(tmp_path, capsys):
@@ -531,6 +626,29 @@ def test_cli_rejects_bad_input_signal_entries(tmp_path, capsys):
     doc["simulation"]["inputs"]["S1"] = doc["simulation"]["inputs"].pop("s1")
     assert main(["bounds", write_project(tmp_path, doc)]) == 2
     assert "simulation.inputs.S1: no subsystem is named 'S1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signal, message", [
+    ({"kind": "samples", "times": [0.0, 1.0], "values": [[0.1, 0.1, 0.1], [0.2]]},
+     "simulation.inputs.s1.values: rows have unequal lengths"),
+    ({"kind": "samples", "times": [0.0, 1.0], "values": [[0.1, 0.1, 0.1], 0.2]},
+     "simulation.inputs.s1.values: rows have unequal depths"),
+    ({"kind": "samples", "times": [0.0, 1.0], "values": [[[0.1, 0.1, 0.1]], [[0.2, 0.2, 0.2]]]},
+     "simulation.inputs.s1.values: expected an array of array rows"),
+    ({"kind": "samples", "times": [[0.0], [1.0]], "values": [[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]]},
+     "simulation.inputs.s1.times: expected an array of numbers"),
+    ({"kind": "square", "amplitude": [[0.1, 0.1, 0.1]], "period": 5.0},
+     "simulation.inputs.s1.amplitude: expected an array of numbers"),
+    ({"kind": "constant", "value": [[0.1], [0.1, 0.1]]},
+     "simulation.inputs.s1.value: rows have unequal lengths"),
+], ids=["values-ragged", "values-mixed-depth", "values-over-deep", "times-over-deep",
+        "amplitude-over-deep", "value-ragged"])
+def test_cli_ragged_or_over_deep_signal_field_exits_2(tmp_path, capsys, signal, message):
+    doc = demo_project()
+    doc["simulation"]["inputs"]["s1"] = signal
+    assert main(["bounds", write_project(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
 
 
 def test_input_signal_entries_read_parameters():

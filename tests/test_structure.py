@@ -1,7 +1,7 @@
 """Source-level guards on the package: no environment knobs, each
 tolerance constant defined by exactly one module, one propagator, one
-owner for the 2-norm and rank decisions, and one encoding of the
-bundled example."""
+reader of the entry grammar, one owner for the 2-norm and rank
+decisions, and one encoding of the bundled example."""
 
 import ast
 import subprocess
@@ -73,6 +73,21 @@ def test_one_propagator():
     assert {name for name, names in called.items() if "_step_maps" in names} == {"_run_lti"}
     assert "_run_lti" in called["integrate"]
     assert "_run_lti" in called["refine_and_run"]
+
+
+def test_entry_grammar_is_used_only_by_the_reader():
+    # every numeric field goes through cli.read_numbers, the one place
+    # that parses a "[sign][coefficient]name" entry
+    users = {
+        f"{path.stem}.{func.name}"
+        for path in MODULES
+        for func in parse(path).body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if (isinstance(node, ast.Name) and node.id in ("parse_entry", "_ENTRY_RE"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("parse_entry", "_ENTRY_RE"))
+    }
+    assert users == {"cli.read_numbers", "cli.parse_entry"}
 
 
 def _is_numpy_linalg(func: ast.expr, name: str) -> bool:
