@@ -47,7 +47,6 @@ from .systems import (
     Interconnection,
     InternalChannel,
     LinearSystem,
-    MonolithicSystem,
     build_monolithic,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "Interconnection",
     "InternalChannel",
     "LinearSystem",
-    "MonolithicSystem",
     "NumericsError",
     "OmegaPath",
     "PConditionReport",

@@ -385,7 +385,11 @@ def build_abstraction(
     # the one symmetry and definiteness check of M: the slacks, K4 and
     # every mu below work on this M and on its one square root
     m = check_spd(m, "M")
-    k1 = as_matrix(k1, "K1") if np.size(k1) else np.zeros((sys.m, sys.n))
+    k1 = as_matrix(k1, "K1")
+    if k1.shape != (sys.m, sys.n):
+        raise ValueError(
+            f"{sys.name}: K1 has shape {k1.shape}, expected ({sys.m}, {sys.n})"
+        )
     lam = float(lam)
     _require_slacks(_slacks(sys.A, sys.B, blocks, m, k1, lam), tol, cause)
 

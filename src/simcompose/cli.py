@@ -24,7 +24,13 @@ from itertools import chain
 import numpy as np
 
 from .abstraction import AbstractionResult, build_abstraction, check_P_conditions, compute_k4
-from .compose import SmallGainError, compose_simfn, gain_matrices, small_gain
+from .compose import (
+    SmallGainError,
+    compose_abstractions,
+    compose_simfn,
+    gain_matrices,
+    small_gain,
+)
 from .geometry import image, minimal_invariant
 from .linalg import NumericsError, spectral_norm
 from .simulate import (
@@ -32,8 +38,8 @@ from .simulate import (
     Signal,
     appendix_gammas,
     bound_report,
+    grid_steps,
     refine_and_run,
-    time_grid,
     write_csv,
     write_gnuplot,
     write_table,
@@ -204,7 +210,7 @@ def _parse_directive(block, parameters: dict, where: str, sub: LinearSystem) -> 
         k1 = (
             read_numbers(cert["K1"], parameters, f"{where}.K1", (sub.m, n))
             if cert["K1"] != []
-            else np.zeros((0, n))
+            else np.zeros((sub.m, n))
         )
         lam = _number(cert["lambda"], f"{where}: certificate lambda")
         if not (math.isfinite(lam) and lam > 0):
@@ -223,8 +229,10 @@ def _parse_simulation(block, parameters: dict) -> SimulationSpec:
         spec.t_final = float(read_numbers(block["t_final"], parameters, "t_final", ()))
     if "dt" in block:
         spec.dt = float(read_numbers(block["dt"], parameters, "dt", ()))
-    if spec.t_final <= 0 or spec.dt <= 0:
-        raise ProjectError("simulation horizon and step must be positive")
+    try:
+        grid_steps(spec.t_final, spec.dt)
+    except ValueError as exc:
+        raise ProjectError(f"simulation: {exc}") from exc
     if "xhat0" in block:
         spec.xhat0 = read_numbers(block["xhat0"], parameters, "xhat0", (None,))
     x0 = block.get("x0", "matched")
@@ -434,7 +442,8 @@ def build_input_signal(project: Project, results, t_final: float) -> Signal:
 
 def resolve_initial_states(project: Project, results):
     ic = project.interconnection
-    n_hat = sum(results[name].system.n for name in ic.names)
+    abstract = compose_abstractions(ic, results)
+    n_hat = abstract.state_offsets[-1]
     sim = project.simulation
     xhat0 = np.zeros(n_hat) if sim.xhat0 is None else sim.xhat0
     if len(xhat0) != n_hat:
@@ -442,16 +451,12 @@ def resolve_initial_states(project: Project, results):
             f"xhat0 has length {len(xhat0)}, the abstractions have {n_hat} states"
         )
     if isinstance(sim.x0, str):
-        pieces = []
-        offset = 0
-        for name in ic.names:
-            r = results[name]
-            pieces.append(r.simfn.P @ xhat0[offset:offset + r.system.n])
-            offset += r.system.n
-        x0 = np.concatenate(pieces)
+        x0 = np.concatenate([
+            results[name].simfn.P @ xhat0[abstract.state_slice(name)] for name in ic.names
+        ])
     else:
         x0 = sim.x0
-        n = sum(sub.n for sub in ic.subsystems)
+        n = ic.state_offsets[-1]
         if len(x0) != n:
             raise ProjectError(
                 f"x0 has length {len(x0)}, the interconnection has {n} states"
@@ -580,7 +585,7 @@ def _run_pipeline(project: Project, t_final=None, dt=None, v0=None):
     horizon = sim.t_final if t_final is None else t_final
     step = sim.dt if dt is None else dt
     # reject a bad horizon or step before any signal is built from it
-    time_grid(horizon, step)
+    grid_steps(horizon, step)
     results = build_abstractions(project)
     gm, path, composed = run_compose(project, results)
     uhat = build_input_signal(project, results, horizon)

@@ -133,11 +133,8 @@ def gain_matrices(ic: Interconnection, gains: dict[str, ComparisonGains]) -> Gai
             raise ValueError(f"{sub.name}: decay rate must be positive, got {g.lam}")
         lam[i] = g.lam
         rho[i] = g.rho
-        offset = 0
         for ch in sub.channels_in:
-            j = ic.index(ch.source)
-            gamma[i, j] += sum(g.mu[offset:offset + ch.width])
-            offset += ch.width
+            gamma[i, ic.index(ch.source)] += sum(g.mu[sub.channel_slice(ch.source)])
     return GainMatrices(names=names, gamma=gamma, lam=lam, rho=rho)
 
 

@@ -24,13 +24,7 @@ import numpy as np
 from .abstraction import AbstractionResult, interface_gains
 from .compose import ComposedSimFn, GainMatrices, compose_abstractions
 from .linalg import REL_TOL, Matrix, NumericsError
-from .systems import (
-    Interconnection,
-    LinearSystem,
-    MonolithicSystem,
-    build_monolithic,
-    internal_input_matrix,
-)
+from .systems import Interconnection, LinearSystem, build_monolithic, internal_input_matrix
 
 # Tolerance for flagging a sampled bound violation.  Discretisation and
 # rounding keep honest margins far above this.
@@ -144,9 +138,12 @@ class Trajectory:
             raise ValueError("time grid must be uniform")
 
 
-def time_grid(t_final: float, dt: float) -> np.ndarray:
-    """Uniform grid ``0, dt, ..., t_final``; ``t_final`` must be a whole
-    number of steps, and both must be finite."""
+def grid_steps(t_final: float, dt: float) -> int:
+    """Number of steps of size ``dt`` in the horizon ``t_final``.
+
+    Both must be finite, ``dt`` positive, ``t_final`` nonnegative and a
+    whole number of steps; otherwise ``ValueError`` names the values.
+    """
     for label, value in (("horizon", t_final), ("step size", dt)):
         if not np.isfinite(value):
             raise ValueError(f"{label} must be finite, got {value!r}")
@@ -159,7 +156,12 @@ def time_grid(t_final: float, dt: float) -> np.ndarray:
         raise ValueError(
             f"horizon {t_final!r} is not a whole number of steps of size {dt!r}"
         )
-    return np.arange(steps + 1) * dt
+    return steps
+
+
+def time_grid(t_final: float, dt: float) -> np.ndarray:
+    """Uniform grid ``0, dt, ..., t_final`` (see :func:`grid_steps`)."""
+    return np.arange(grid_steps(t_final, dt) + 1) * dt
 
 
 def _step_maps(a: Matrix, dt: float) -> tuple[Matrix, Matrix]:
@@ -246,35 +248,25 @@ def integrate(sys, x0, u: Signal | None = None, w: Signal | None = None,
               t_final: float = 1.0, dt: float = 1e-3) -> Trajectory:
     """Integrate a linear system under piecewise-constant inputs.
 
-    Classical fourth-order steps with the inputs held over each step.
-    ``sys`` is a :class:`LinearSystem` (external input ``u``, internal
-    input ``w``) or a :class:`MonolithicSystem` (``u`` only; couplings
-    are already folded into the state matrix).
+    Classical fourth-order steps with the inputs held over each step:
+    external input ``u`` and internal input ``w``.  A network flattened
+    by :func:`~simcompose.systems.build_monolithic` has no internal
+    inputs; its couplings are already folded into the state matrix.
 
     Returns
     -------
     Trajectory
         States and external outputs on the uniform grid.
     """
-    if isinstance(sys, MonolithicSystem):
-        a, b, c, d = sys.A, sys.B, sys.C, None
-        if w is not None:
-            raise ValueError(
-                "monolithic systems fold internal inputs into A; pass only u"
-            )
-    elif isinstance(sys, LinearSystem):
-        a, b, c, d = sys.A, sys.B, sys.C_ext, sys.D
-    else:
+    if not isinstance(sys, LinearSystem):
         raise TypeError(f"cannot integrate {type(sys).__name__}")
-    n = a.shape[0]
+    n = sys.n
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if len(x0) != n:
         raise ValueError(f"initial state has length {len(x0)}, expected {n}")
     grid = time_grid(t_final, dt)
-    mats, inputs = [], []
-    for mat, sig in ((b, u), (d, w)):
-        if mat is None:
-            continue
+    inputs = []
+    for mat, sig in ((sys.B, u), (sys.D, w)):
         width = mat.shape[1]
         if sig is None:
             sig = Signal.zero(width)
@@ -282,10 +274,11 @@ def integrate(sys, x0, u: Signal | None = None, w: Signal | None = None,
             raise ValueError(
                 f"signal width {sig.width} does not match input width {width}"
             )
-        mats.append(mat)
         inputs.append(sig.sample(grid))
-    states = _run_lti(a, np.hstack(mats), np.hstack(inputs), x0, grid, dt)
-    return Trajectory(grid, states, states @ c.T)
+    states = _run_lti(
+        sys.A, np.hstack([sys.B, sys.D]), np.hstack(inputs), x0, grid, dt
+    )
+    return Trajectory(grid, states, states @ sys.C_ext.T)
 
 
 @dataclass(frozen=True)
@@ -350,17 +343,18 @@ def refine_and_run(
     abstract_ic = compose_abstractions(concrete, abstractions)
     mono_c = build_monolithic(concrete)
     mono_a = build_monolithic(abstract_ic)
-    if tuple(composed.names) != mono_c.names:
+    names = tuple(concrete.names)
+    if tuple(composed.names) != names:
         raise ValueError("composition and interconnection name orders differ")
-    order = [abstractions[name] for name in mono_c.names]
+    order = [abstractions[name] for name in names]
 
     xhat_gain, x_gain, what_gain, uhat_gain = interface_gains([r.simfn for r in order])
     what_map = np.vstack(
         [internal_input_matrix(abstract_ic, r.system) for r in order]
     )
 
-    n_hat = mono_a.A.shape[0]
-    n = mono_c.A.shape[0]
+    n_hat = mono_a.n
+    n = mono_c.n
     b_bd = mono_c.B
     # the interface law, with what read off the abstract states, makes
     # the joint system block triangular
@@ -389,14 +383,14 @@ def refine_and_run(
 
     xhat_states = states[:, :n_hat]
     x_states = states[:, n_hat:]
-    yhat = xhat_states @ mono_a.C.T
-    y = x_states @ mono_c.C.T
+    yhat = xhat_states @ mono_a.C_ext.T
+    y = x_states @ mono_c.C_ext.T
 
     v = np.empty((len(grid), len(order)))
-    for i, (name, res) in enumerate(zip(mono_c.names, order)):
+    for i, (name, res) in enumerate(zip(names, order)):
         err = (
-            x_states[:, mono_c.state_slice(name)]
-            - xhat_states[:, mono_a.state_slice(name)] @ res.simfn.P.T
+            x_states[:, concrete.state_slice(name)]
+            - xhat_states[:, abstract_ic.state_slice(name)] @ res.simfn.P.T
         )
         quad = np.einsum("ti,ti->t", err @ res.simfn.M, err)
         v[:, i] = np.sqrt(np.maximum(quad, 0.0))
@@ -404,13 +398,13 @@ def refine_and_run(
     mismatch = np.linalg.norm(yhat - y, axis=1)
 
     return RefinementRun(
-        names=mono_c.names,
+        names=names,
         abstract=Trajectory(grid, xhat_states, yhat),
         concrete=Trajectory(grid, x_states, y),
         v=v,
         v_composed=v_composed,
         mismatch=mismatch,
-        input_offsets=mono_a.input_offsets,
+        input_offsets=abstract_ic.input_offsets,
     )
 
 

@@ -43,6 +43,7 @@ class LinearSystem:
     D: Matrix
     channels_in: tuple[InternalChannel, ...] = ()
     C_int: dict[str, Matrix] = field(default_factory=dict)
+    _channel_slices: dict[str, slice] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = self._finite(as_matrix(self.A, f"{self.name}.A"), "A")
@@ -54,21 +55,22 @@ class LinearSystem:
         self.D = self._coerce(self.D, n, "D")
         self.channels_in = tuple(self.channels_in)
         self.C_int = {peer: self._coerce_rows(c, n, f"C_int[{peer}]") for peer, c in self.C_int.items()}
-        width_total = sum(ch.width for ch in self.channels_in)
-        if self.D.shape[1] != width_total:
+        bounds = _offsets(ch.width for ch in self.channels_in)
+        if self.D.shape[1] != bounds[-1]:
             raise ValueError(
                 f"{self.name}.D has {self.D.shape[1]} columns but channels "
-                f"declare total width {width_total}"
+                f"declare total width {bounds[-1]}"
             )
-        seen = set()
-        for ch in self.channels_in:
+        slices = {}
+        for ch, start, stop in zip(self.channels_in, bounds, bounds[1:]):
             if ch.source == self.name:
                 raise ValueError(f"{self.name} may not receive a channel from itself")
             if ch.width <= 0:
                 raise ValueError(f"channel from {ch.source} must have positive width")
-            if ch.source in seen:
+            if ch.source in slices:
                 raise ValueError(f"{self.name} lists two channels from {ch.source}")
-            seen.add(ch.source)
+            slices[ch.source] = slice(start, stop)
+        self._channel_slices = slices
 
     def _finite(self, mat: Matrix, label: str) -> Matrix:
         if not np.isfinite(mat).all():
@@ -113,12 +115,10 @@ class LinearSystem:
 
     def channel_slice(self, source: str) -> slice:
         """Column range of ``D`` belonging to the channel from ``source``."""
-        offset = 0
-        for ch in self.channels_in:
-            if ch.source == source:
-                return slice(offset, offset + ch.width)
-            offset += ch.width
-        raise KeyError(f"{self.name} has no channel from {source}")
+        try:
+            return self._channel_slices[source]
+        except KeyError:
+            raise KeyError(f"{self.name} has no channel from {source}") from None
 
     def d_block(self, source: str) -> Matrix:
         return self.D[:, self.channel_slice(source)]
@@ -137,15 +137,19 @@ class LinearSystem:
 class Interconnection:
     """A named collection of subsystems with compatible channel wiring.
 
-    :meth:`validate` also records the position of each name and the
-    state offsets of the stacked state, so lookups and assembly take
-    one pass over the network. ``subsystems`` is stored as a tuple, so
-    those records cannot fall out of step with it.
+    :meth:`validate` also records the network layout: the position of
+    each name, and where each subsystem sits in the stacked state,
+    external input and external output vectors (``state_offsets[i]`` to
+    ``state_offsets[i + 1]`` for subsystem ``i``, and likewise for the
+    inputs and outputs). ``subsystems`` is stored as a tuple, so that
+    layout cannot fall out of step with it.
     """
 
     subsystems: tuple[LinearSystem, ...]
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
-    _state_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    state_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    input_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    output_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.subsystems = tuple(self.subsystems)
@@ -157,7 +161,9 @@ class Interconnection:
             raise ValueError(f"duplicate subsystem names in {names}")
         index = {name: i for i, name in enumerate(names)}
         self._positions = index
-        self._state_offsets = _offsets(s.n for s in self.subsystems)
+        self.state_offsets = _offsets(s.n for s in self.subsystems)
+        self.input_offsets = _offsets(s.m for s in self.subsystems)
+        self.output_offsets = _offsets(s.q for s in self.subsystems)
         for sub in self.subsystems:
             order = [index.get(ch.source) for ch in sub.channels_in]
             for ch, idx in zip(sub.channels_in, order):
@@ -197,26 +203,9 @@ class Interconnection:
     def __getitem__(self, name: str) -> LinearSystem:
         return self.subsystems[self.index(name)]
 
-
-@dataclass(frozen=True)
-class MonolithicSystem:
-    """The interconnection flattened to one closed-coupling system.
-
-    ``A`` contains the subsystem blocks on the diagonal and
-    ``D_i[:, channel j] @ C_ji`` couplings off it; ``B`` and ``C`` are
-    block diagonal over external inputs/outputs.
-    """
-
-    A: Matrix
-    B: Matrix
-    C: Matrix
-    names: tuple[str, ...]
-    state_offsets: tuple[int, ...]
-    input_offsets: tuple[int, ...]
-    output_offsets: tuple[int, ...]
-
     def state_slice(self, name: str) -> slice:
-        i = self.names.index(name)
+        """Where subsystem ``name`` sits in the stacked state."""
+        i = self.index(name)
         return slice(self.state_offsets[i], self.state_offsets[i + 1])
 
 
@@ -230,52 +219,39 @@ def _offsets(sizes) -> tuple[int, ...]:
 def internal_input_matrix(ic: Interconnection, receiver: LinearSystem) -> Matrix:
     """Matrix mapping the stacked interconnection state to ``receiver``'s
     internal input vector ``w`` (channel blocks in declared order)."""
-    state_offsets = ic._state_offsets
-    n_total = state_offsets[-1]
+    n_total = ic.state_offsets[-1]
     rows = []
     for ch in receiver.channels_in:
-        j = ic.index(ch.source)
-        sender = ic.subsystems[j]
         block = np.zeros((ch.width, n_total))
-        block[:, state_offsets[j]:state_offsets[j + 1]] = sender.C_int[receiver.name]
+        block[:, ic.state_slice(ch.source)] = ic[ch.source].C_int[receiver.name]
         rows.append(block)
     if not rows:
         return np.zeros((0, n_total))
     return np.vstack(rows)
 
 
-def build_monolithic(ic: Interconnection) -> MonolithicSystem:
+def build_monolithic(ic: Interconnection) -> LinearSystem:
     """Flatten an interconnection by substituting ``w_ij = C_ji x_j``.
 
-    Each coupling ``D_i[:, channel from j] @ C_ji`` is written straight
-    into its ``(i, j)`` block.
+    The result is one system named ``"network"`` with no internal
+    inputs, laid out as ``ic`` records: ``A`` holds the subsystem blocks
+    on the diagonal and each coupling ``D_i[:, channel from j] @ C_ji``
+    in its ``(i, j)`` block, and ``B`` and ``C_ext`` are block diagonal
+    over the external inputs and outputs.
     """
-    subs = ic.subsystems
-    state_offsets = ic._state_offsets
-    input_offsets = _offsets(s.m for s in subs)
-    output_offsets = _offsets(s.q for s in subs)
-    n_total = state_offsets[-1]
+    states, inputs, outputs = ic.state_offsets, ic.input_offsets, ic.output_offsets
+    n_total = states[-1]
     a = np.zeros((n_total, n_total))
-    b = np.zeros((n_total, input_offsets[-1]))
-    c = np.zeros((output_offsets[-1], n_total))
-    for i, sub in enumerate(subs):
-        rows = slice(state_offsets[i], state_offsets[i + 1])
+    b = np.zeros((n_total, inputs[-1]))
+    c = np.zeros((outputs[-1], n_total))
+    for i, sub in enumerate(ic.subsystems):
+        rows = slice(states[i], states[i + 1])
         a[rows, rows] = sub.A
-        offset = 0
         for ch in sub.channels_in:
-            j = ic.index(ch.source)
-            d_ch = sub.D[:, offset:offset + ch.width]
             # added onto zeros, as in a full-width sum, so zero signs match it
-            a[rows, state_offsets[j]:state_offsets[j + 1]] += d_ch @ subs[j].C_int[sub.name]
-            offset += ch.width
-        b[rows, input_offsets[i]:input_offsets[i + 1]] = sub.B
-        c[output_offsets[i]:output_offsets[i + 1], rows] = sub.C_ext
-    return MonolithicSystem(
-        A=a,
-        B=b,
-        C=c,
-        names=tuple(ic.names),
-        state_offsets=state_offsets,
-        input_offsets=input_offsets,
-        output_offsets=output_offsets,
-    )
+            a[rows, ic.state_slice(ch.source)] += (
+                sub.d_block(ch.source) @ ic[ch.source].C_int[sub.name]
+            )
+        b[rows, inputs[i]:inputs[i + 1]] = sub.B
+        c[outputs[i]:outputs[i + 1], rows] = sub.C_ext
+    return LinearSystem("network", a, b, c, np.zeros((n_total, 0)))

@@ -160,6 +160,14 @@ def test_computed_certificate_rejection_names_the_lyapunov_solve():
     assert str(injected.value).endswith("tolerance 5.0e-02")
 
 
+def test_build_abstraction_names_a_k1_of_the_wrong_shape():
+    sub = demo_interconnection()["s1"]
+    with pytest.raises(ValueError, match=r"s1: K1 has shape \(0, 3\), expected \(1, 3\)"):
+        build_abstraction(
+            sub, np.eye(3), certificate=(CERT_M_INTEGRATOR, np.zeros((0, 3)), CERT_LAM_INTEGRATOR)
+        )
+
+
 def test_p_conditions_identity_injection():
     sub = demo_interconnection()["s1"]
     report = check_P_conditions(sub, np.eye(3))

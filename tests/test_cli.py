@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from simcompose.abstraction import build_abstraction
 from simcompose.cli import (
     ProjectError,
     build_abstractions,
@@ -18,9 +19,11 @@ from simcompose.cli import (
     read_numbers,
     resolve_initial_states,
     resolve_injection,
+    run_compose,
     serialize_project,
 )
 from simcompose.demo import demo_project
+from simcompose.simulate import bound_report, refine_and_run
 
 PARAMS = {"d1": 0.5, "d2": 0.25}
 
@@ -192,7 +195,10 @@ def test_parse_project_errors():
 
     doc = solo_project()
     doc["simulation"]["t_final"] = -1.0
-    with pytest.raises(ProjectError, match="positive"):
+    with pytest.raises(ProjectError, match="simulation: horizon must be nonnegative"):
+        parse_project(doc)
+    doc["simulation"].update(t_final=1.0, dt=0)
+    with pytest.raises(ProjectError, match="simulation: step size must be positive"):
         parse_project(doc)
 
     doc = solo_project()
@@ -350,6 +356,27 @@ def test_serialize_roundtrip_is_exact():
             assert np.array_equal(second.simulation.inputs[name][key], value)
 
 
+def test_empty_k1_parses_to_the_zero_feedback():
+    # the parser is the one place an empty K1 becomes the m x n zero gain;
+    # the abstraction then sees exactly the gain it would be given by hand
+    doc = solo_project()
+    doc["subsystems"][0]["abstraction"]["certificate"] = {
+        "M": [[2.0]], "K1": [], "lambda": 0.5,
+    }
+    project = parse_project(doc)
+    m, k1, lam = project.directives["solo"].certificate
+    assert k1.shape == (1, 1) and not k1.any()
+    parsed = build_abstractions(project)["solo"]
+    explicit = build_abstraction(
+        project.interconnection["solo"], np.eye(1), certificate=(m, np.zeros((1, 1)), lam)
+    )
+    for key in ("P", "M", "K1", "K2", "K3", "K4"):
+        assert np.array_equal(getattr(parsed.simfn, key), getattr(explicit.simfn, key))
+    for key in ("A", "B", "C_ext", "D"):
+        assert np.array_equal(getattr(parsed.system, key), getattr(explicit.system, key))
+    assert parsed.gains == explicit.gains
+
+
 def test_resolve_injection_directives():
     project = parse_project(demo_project())
     ic = project.interconnection
@@ -415,6 +442,79 @@ def test_resolve_initial_states():
     project.simulation.x0 = np.zeros(9)
     with pytest.raises(ProjectError, match="x0 has length"):
         resolve_initial_states(project, results)
+
+
+_E1 = [[1.0, 0.0, 0.0]]
+
+
+def ring_document(couplings, xhat0, amplitudes, rotation):
+    """A directed ring of triple integrators (third derivative u + d w),
+    each listening to its predecessor and abstracted to its position with
+    a computed certificate; the subsystem list starts at ``rotation``."""
+    size = len(couplings)
+    names = [f"r{i}" for i in range(size)]
+    subsystems = [
+        {
+            "name": name,
+            "A": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+            "B": [[0.0], [0.0], [1.0]],
+            "C": _E1,
+            "D": [[0.0], [0.0], [couplings[i]]],
+            "inputs": [{"from": names[i - 1], "width": 1}],
+            "outputs_to": {names[(i + 1) % size]: _E1},
+            "abstraction": {"P": [[1.0], [0.0], [0.0]]},
+        }
+        for i, name in enumerate(names)
+    ]
+    order = [(i + rotation) % size for i in range(size)]
+    return {
+        "subsystems": [subsystems[i] for i in order],
+        "simulation": {
+            "t_final": 1.0,
+            "dt": 0.01,
+            "xhat0": [xhat0[i] for i in order],
+            "inputs": {
+                name: {"kind": "square", "amplitude": [amplitudes[i]] * 3, "period": 0.37}
+                for i, name in enumerate(names)
+            },
+        },
+    }
+
+
+def run_document(doc):
+    project = parse_project(doc)
+    results = build_abstractions(project)
+    gm, _, composed = run_compose(project, results)
+    uhat = build_input_signal(project, results, project.simulation.t_final)
+    xhat0, x0 = resolve_initial_states(project, results)
+    run = refine_and_run(
+        project.interconnection, results, composed, x0, xhat0, uhat,
+        t_final=project.simulation.t_final, dt=project.simulation.dt,
+    )
+    return gm, composed, run, bound_report(run, composed, gm, uhat)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.data())
+def test_pipeline_is_unchanged_by_reordering_subsystems(data):
+    size = data.draw(st.integers(2, 5))
+    entries = st.lists(st.floats(-0.5, 0.5), min_size=size, max_size=size)
+    couplings = data.draw(st.lists(st.floats(0.05, 0.25), min_size=size, max_size=size))
+    xhat0, amplitudes = data.draw(entries), data.draw(entries)
+    rotation = data.draw(st.integers(1, size - 1))
+    gm, composed, run, report = run_document(ring_document(couplings, xhat0, amplitudes, 0))
+    gm_r, composed_r, run_r, report_r = run_document(
+        ring_document(couplings, xhat0, amplitudes, rotation)
+    )
+    perm = [(i + rotation) % size for i in range(size)]
+    assert gm_r.names == tuple(gm.names[i] for i in perm)
+    assert np.array_equal(gm_r.gamma, gm.gamma[np.ix_(perm, perm)])
+    assert np.array_equal(gm_r.lam, gm.lam[perm])
+    assert np.array_equal(gm_r.rho, gm.rho[perm])
+    assert composed_r.lam == pytest.approx(composed.lam, rel=1e-12, abs=0.0)
+    assert composed_r.rho == pytest.approx(composed.rho, rel=1e-12, abs=0.0)
+    assert np.abs(run_r.v - run.v[:, perm]).max() <= 1e-9 * np.abs(run.v).max()
+    assert report_r.ok == report.ok
 
 
 def test_cli_check_demo(tmp_path, capsys):
@@ -585,6 +685,29 @@ def test_cli_rejects_non_finite_horizon_and_step(tmp_path, capsys):
     doc["simulation"]["t_final"] = float("inf")
     assert main(["bounds", write_project(tmp_path, doc)]) == 2
     assert "t_final: entry inf is not finite" in capsys.readouterr().err
+
+
+def test_cli_project_horizon_off_the_step_grid_exits_2(tmp_path, capsys):
+    # judged when the project is read, so check rejects it as bounds would
+    doc = demo_project()
+    doc["simulation"].update(t_final=1.0, dt=0.3)
+    path = write_project(tmp_path, doc)
+    for command in ("check", "bounds"):
+        assert main([command, path]) == 2
+        assert (
+            "error: simulation: horizon 1.0 is not a whole number of steps of size 0.3"
+            in capsys.readouterr().err
+        )
+
+
+def test_cli_project_zero_horizon_is_accepted_like_the_flag(tmp_path, capsys):
+    doc = demo_project()
+    doc["simulation"]["t_final"] = 0
+    assert main(["bounds", write_project(tmp_path, doc)]) == 0
+    from_document = capsys.readouterr().out
+    assert main(["bounds", write_project(tmp_path, demo_project(), "demo.json"),
+                 "--tfinal", "0"]) == 0
+    assert capsys.readouterr().out == from_document
 
 
 def test_cli_rejects_non_finite_matrix_entry(tmp_path, capsys):

@@ -217,7 +217,7 @@ def test_integrate_argument_checks():
     with pytest.raises(ValueError, match="initial state"):
         integrate(sys, [0.0, 0.0])
     mono = build_monolithic(Interconnection([sys]))
-    with pytest.raises(ValueError, match="monolithic"):
+    with pytest.raises(ValueError, match="input width 0"):
         integrate(mono, [0.0], w=Signal.constant([1.0]))
     with pytest.raises(TypeError):
         integrate(object(), [0.0])

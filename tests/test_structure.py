@@ -1,7 +1,8 @@
 """Source-level guards on the package: no environment knobs, each
 tolerance constant defined by exactly one module, one propagator, one
 reader of the entry grammar, one owner for the 2-norm and rank
-decisions, and one encoding of the bundled example."""
+decisions, one owner of the network layout, and one encoding of the
+bundled example."""
 
 import ast
 import subprocess
@@ -88,6 +89,28 @@ def test_entry_grammar_is_used_only_by_the_reader():
         or (isinstance(node, ast.Attribute) and node.attr in ("parse_entry", "_ENTRY_RE"))
     }
     assert users == {"cli.read_numbers", "cli.parse_entry"}
+
+
+def test_network_layout_has_one_owner():
+    # where each subsystem sits in the stacked vectors, and which columns
+    # of D each channel owns, is worked out by systems.py alone; every
+    # other module reads it (Interconnection.state_slice and its offsets,
+    # LinearSystem.channel_slice) instead of summing sizes itself
+    sizes = {"width", "n", "m", "q"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.stem != "systems"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.target, ast.Name)
+        and any(
+            isinstance(part, ast.Attribute) and part.attr in sizes
+            for part in ast.walk(node.value)
+        )
+    ]
+    assert found == []
 
 
 def _is_numpy_linalg(func: ast.expr, name: str) -> bool:

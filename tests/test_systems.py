@@ -152,18 +152,33 @@ def test_interconnection_subsystems_are_immutable():
         ic.subsystems.append(LinearSystem("c", [[-1.0]], [[1.0]], [[1.0]], []))
 
 
+def test_interconnection_layout():
+    ic = demo_interconnection()
+    assert ic.state_offsets == (0, 3, 5, 8, 10)
+    assert ic.input_offsets == (0, 1, 1, 2, 2)
+    assert ic.output_offsets == (0, 1, 2, 3, 4)
+    assert [ic.state_slice(name) for name in ic.names] == [
+        slice(0, 3), slice(3, 5), slice(5, 8), slice(8, 10)
+    ]
+    with pytest.raises(KeyError):
+        ic.state_slice("s5")
+    mono = build_monolithic(ic)
+    assert isinstance(mono, LinearSystem)
+    assert mono.name == "network"
+    assert (mono.n, mono.m, mono.q, mono.p) == (10, 2, 4, 0)
+
+
 def test_single_subsystem_network():
     ic = Interconnection([LinearSystem("solo", [[-1.0]], [[1.0]], [[1.0]], [])])
     mono = build_monolithic(ic)
     assert np.allclose(mono.A, [[-1.0]])
-    assert mono.names == ("solo",)
 
 
 def test_monolithic_two_scalar_loop():
     mono = build_monolithic(scalar_pair())
     assert np.allclose(mono.A, [[-1.0, 1.0], [1.0, -1.0]])
     assert mono.B.shape == (2, 0)
-    assert np.allclose(mono.C, np.eye(2))
+    assert np.allclose(mono.C_ext, np.eye(2))
 
 
 def test_monolithic_without_channels_is_block_diagonal():
@@ -207,7 +222,7 @@ def test_monolithic_demo_against_brute_force():
             col += ch.width
     assert np.allclose(mono.A, brute, atol=1e-14)
     assert mono.B.shape == (10, 2)
-    assert mono.C.shape == (4, 10)
+    assert mono.C_ext.shape == (4, 10)
 
 
 def random_network(rng, max_width, count=5):
@@ -279,7 +294,7 @@ def test_monolithic_assembly_equals_reference_exactly():
         mono = build_monolithic(ic)
         assert np.array_equal(mono.A, ref_a)
         assert np.array_equal(mono.B, ref_b)
-        assert np.array_equal(mono.C, ref_c)
+        assert np.array_equal(mono.C_ext, ref_c)
         for sub, w_map in zip(ic.subsystems, w_maps):
             assert np.array_equal(internal_input_matrix(ic, sub), w_map)
         assert [ic.index(name) for name in ic.names] == list(range(len(ic.names)))
@@ -301,7 +316,7 @@ def test_monolithic_assembly_wide_channels():
         )
         assert np.abs(mono.A - ref_a).max() <= 8 * eps * max(scale, 1.0)
         assert np.array_equal(mono.B, ref_b)
-        assert np.array_equal(mono.C, ref_c)
+        assert np.array_equal(mono.C_ext, ref_c)
         for sub, w_map in zip(ic.subsystems, w_maps):
             assert np.array_equal(internal_input_matrix(ic, sub), w_map)
 
