@@ -27,7 +27,6 @@ from .linalg import (
     Matrix,
     NumericsError,
     as_matrix,
-    block_diag,
     check_spd,
     least_squares,
     pbh_stabilizable,
@@ -144,11 +143,16 @@ class AbstractionResult:
     conditions: PConditionReport
 
 
-def _output_blocks(c) -> list[Matrix]:
-    if isinstance(c, (list, tuple)):
+def _output_blocks(c, n: int) -> list[Matrix]:
+    """Nonempty blocks of ``c``, each with ``n`` columns: ``c`` is one matrix
+    (an array or a nested list of numbers) or a list of 2-D blocks."""
+    if isinstance(c, (list, tuple)) and any(np.ndim(b) == 2 for b in c):
         blocks = [as_matrix(b, "c") for b in c]
     else:
         blocks = [as_matrix(c, "c")]
+    for block in blocks:
+        if block.shape[0] and block.shape[1] != n:
+            raise ValueError(f"output block has {block.shape[1]} columns, expected {n}")
     return [b for b in blocks if b.shape[0]]
 
 
@@ -193,9 +197,7 @@ def decay_certificate(
             "indefinite, the closed loop is too stiff"
         ) from exc
     scale = _SCALE_FLOOR
-    for block in _output_blocks(c):
-        if block.shape[1] != n:
-            raise ValueError(f"output block has {block.shape[1]} columns, expected {n}")
+    for block in _output_blocks(c, n):
         # smallest s with Cb^T Cb <= s * m0 equals |Cb L^-T|^2 for m0 = L L^T
         z = np.linalg.solve(chol, block.T)
         scale = max(scale, spectral_norm(z) ** 2)
@@ -216,7 +218,7 @@ def certificate_slacks(a, b, c, m, k1, lam) -> tuple[float, float]:
     b = as_matrix(b, "b")
     m = check_spd(m, "M")
     k1 = as_matrix(k1, "K1")
-    return _slacks(a, b, _output_blocks(c), m, k1, lam)
+    return _slacks(a, b, _output_blocks(c, a.shape[0]), m, k1, lam)
 
 
 def _slacks(a, b, blocks, m, k1, lam) -> tuple[float, float]:
@@ -463,20 +465,17 @@ def eval_simfn(fn: QuadraticSimFn, xhat, x) -> float:
     return float(np.sqrt(max(e @ fn.M @ e, 0.0)))
 
 
-def interface_gains(fns) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """Gain blocks of the interface law of one or more subsystems.
+def interface_gains(fn: QuadraticSimFn) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """Gain blocks of one subsystem's interface law.
 
     The law ``u = K1 (x - P xhat) - K2 xhat - K3 what + K4 uhat``,
     grouped by signal, gives ``-(K1 P) - K2`` on ``xhat``, ``K1`` on
-    ``x``, ``-K3`` on ``what`` and ``K4`` on ``uhat``. The gains of
-    several subsystems are stacked block-diagonally, in the order of
-    ``fns``, so the blocks act on the stacked signals.
+    ``x``, ``-K3`` on ``what`` and ``K4`` on ``uhat``.  This is the one
+    encoding of the law: :func:`interface` evaluates it at a point, and
+    :func:`~simcompose.simulate.refine_and_run` writes it into the joint
+    system one subsystem at a time.
     """
-    p, k1, k2, k3, k4 = (
-        block_diag([getattr(fn, key) for fn in fns])
-        for key in ("P", "K1", "K2", "K3", "K4")
-    )
-    return -(k1 @ p) - k2, k1, -k3, k4
+    return -(fn.K1 @ fn.P) - fn.K2, fn.K1, -fn.K3, fn.K4
 
 
 def interface(fn: QuadraticSimFn, xhat, x, what, uhat) -> np.ndarray:
@@ -485,7 +484,7 @@ def interface(fn: QuadraticSimFn, xhat, x, what, uhat) -> np.ndarray:
     ``u = K1 (x - P xhat) - K2 xhat - K3 what + K4 uhat``.
     """
     signals = [np.asarray(s, dtype=float).reshape(-1) for s in (xhat, x, what, uhat)]
-    return sum(g @ s for g, s in zip(interface_gains([fn]), signals))
+    return sum(g @ s for g, s in zip(interface_gains(fn), signals))
 
 
 @dataclass

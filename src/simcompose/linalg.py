@@ -55,20 +55,6 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     return arr
 
 
-def block_diag(blocks) -> Matrix:
-    """Block-diagonal matrix of 2-D blocks, any of which may be empty."""
-    blocks = [as_matrix(b) for b in blocks]
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
-
-
 def spectral_norm(a) -> float:
     """Largest singular value; 0 for an empty matrix.
 

@@ -24,7 +24,7 @@ import numpy as np
 from .abstraction import AbstractionResult, interface_gains
 from .compose import ComposedSimFn, GainMatrices, compose_abstractions
 from .linalg import REL_TOL, Matrix, NumericsError
-from .systems import Interconnection, LinearSystem, build_monolithic, internal_input_matrix
+from .systems import Interconnection, LinearSystem, build_monolithic
 
 # Tolerance for flagging a sampled bound violation.  Discretisation and
 # rounding keep honest margins far above this.
@@ -151,7 +151,10 @@ def grid_steps(t_final: float, dt: float) -> int:
         raise ValueError(f"step size must be positive, got {dt}")
     if t_final < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_final}")
-    steps = int(round(t_final / dt))
+    ratio = float(t_final) / float(dt)
+    if not np.isfinite(ratio):
+        raise ValueError(f"horizon {t_final!r} holds too many steps of size {dt!r} to count")
+    steps = int(round(ratio))
     if abs(steps * dt - t_final) > REL_TOL * max(1.0, t_final):
         raise ValueError(
             f"horizon {t_final!r} is not a whole number of steps of size {dt!r}"
@@ -264,6 +267,8 @@ def integrate(sys, x0, u: Signal | None = None, w: Signal | None = None,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if len(x0) != n:
         raise ValueError(f"initial state has length {len(x0)}, expected {n}")
+    if not np.isfinite(x0).all():
+        raise ValueError("initial state has non-finite entries")
     grid = time_grid(t_final, dt)
     inputs = []
     for mat, sig in ((sys.B, u), (sys.D, w)):
@@ -316,10 +321,11 @@ def refine_and_run(
     """Run the abstract network and its interface-refined concrete twin.
 
     The abstract interconnection is driven by ``uhat``; every concrete
-    input is produced by the interface from the local pair of states,
-    the abstract internal signals and the matching slice of ``uhat``.
-    Both networks are advanced together as a single joint linear
-    system, which keeps the refinement exactly synchronous.
+    input is produced by its subsystem's interface from the local pair
+    of states, the abstract signals it receives and its slice of
+    ``uhat``.  Both networks advance together as one joint linear system,
+    assembled block by block (:func:`_joint_matrices`), which keeps the
+    refinement exactly synchronous.
 
     Parameters
     ----------
@@ -332,7 +338,7 @@ def refine_and_run(
         Composition whose weights score the sampled deviations.
     x0, xhat0 : array_like
         Stacked concrete and abstract initial states, in subsystem
-        order.
+        order; every entry must be finite.
     uhat : Signal
         Stacked abstract input.
 
@@ -347,22 +353,8 @@ def refine_and_run(
     if tuple(composed.names) != names:
         raise ValueError("composition and interconnection name orders differ")
     order = [abstractions[name] for name in names]
-
-    xhat_gain, x_gain, what_gain, uhat_gain = interface_gains([r.simfn for r in order])
-    what_map = np.vstack(
-        [internal_input_matrix(abstract_ic, r.system) for r in order]
-    )
-
-    n_hat = mono_a.n
-    n = mono_c.n
-    b_bd = mono_c.B
-    # the interface law, with what read off the abstract states, makes
-    # the joint system block triangular
-    a_joint = np.zeros((n_hat + n, n_hat + n))
-    a_joint[:n_hat, :n_hat] = mono_a.A
-    a_joint[n_hat:, :n_hat] = b_bd @ (xhat_gain + what_gain @ what_map)
-    a_joint[n_hat:, n_hat:] = mono_c.A + b_bd @ x_gain
-    b_joint = np.vstack([mono_a.B, b_bd @ uhat_gain])
+    a_joint, b_joint = _joint_matrices(concrete, abstractions, abstract_ic, mono_c, mono_a)
+    n_hat, n = mono_a.n, mono_c.n
 
     if uhat.width != b_joint.shape[1]:
         raise ValueError(
@@ -375,6 +367,9 @@ def refine_and_run(
             f"initial states have lengths {len(xhat0)}/{len(x0)}, "
             f"expected {n_hat}/{n}"
         )
+    for label, start in (("xhat0", xhat0), ("x0", x0)):
+        if not np.isfinite(start).all():
+            raise ValueError(f"initial state {label} has non-finite entries")
 
     grid = time_grid(t_final, dt)
     states = _run_lti(
@@ -406,6 +401,38 @@ def refine_and_run(
         mismatch=mismatch,
         input_offsets=abstract_ic.input_offsets,
     )
+
+
+def _joint_matrices(concrete: Interconnection, abstractions: dict[str, AbstractionResult],
+                    abstract_ic: Interconnection, mono_c: LinearSystem,
+                    mono_a: LinearSystem) -> tuple[Matrix, Matrix]:
+    """State and input matrices of the joint system: the abstract network
+    (flattened as ``mono_a``) stacked over its refined twin (``mono_c``).
+
+    Subsystem ``i``'s interface reads only its own states, the ``what_i``
+    it receives and its slice of ``uhat``, so its rows ``B_i u_i`` are
+    written one subsystem at a time, where the two layouts put them.
+    """
+    n_hat = mono_a.n
+    size = n_hat + mono_c.n
+    a = np.zeros((size, size))
+    a[:n_hat, :n_hat] = mono_a.A
+    a[n_hat:, n_hat:] = mono_c.A
+    b = np.zeros((size, mono_a.m))
+    b[:n_hat] = mono_a.B
+    states, inputs = concrete.state_offsets, abstract_ic.input_offsets
+    for i, sub in enumerate(concrete.subsystems):
+        xhat_gain, x_gain, what_gain, uhat_gain = interface_gains(abstractions[sub.name].simfn)
+        rows = slice(n_hat + states[i], n_hat + states[i + 1])
+        a[rows, abstract_ic.state_slice(sub.name)] = sub.B @ xhat_gain
+        a[rows, rows] += sub.B @ x_gain
+        for ch in sub.channels_in:
+            a[rows, abstract_ic.state_slice(ch.source)] = sub.B @ (
+                what_gain[:, sub.channel_slice(ch.source)]
+                @ abstract_ic[ch.source].C_int[sub.name]
+            )
+        b[rows, inputs[i]:inputs[i + 1]] = sub.B @ uhat_gain
+    return a, b
 
 
 def scalar_bound(v0: float, lam: float, rho: float, u_inf: float, times) -> np.ndarray:

@@ -216,20 +216,6 @@ def _offsets(sizes) -> tuple[int, ...]:
     return tuple(out)
 
 
-def internal_input_matrix(ic: Interconnection, receiver: LinearSystem) -> Matrix:
-    """Matrix mapping the stacked interconnection state to ``receiver``'s
-    internal input vector ``w`` (channel blocks in declared order)."""
-    n_total = ic.state_offsets[-1]
-    rows = []
-    for ch in receiver.channels_in:
-        block = np.zeros((ch.width, n_total))
-        block[:, ic.state_slice(ch.source)] = ic[ch.source].C_int[receiver.name]
-        rows.append(block)
-    if not rows:
-        return np.zeros((0, n_total))
-    return np.vstack(rows)
-
-
 def build_monolithic(ic: Interconnection) -> LinearSystem:
     """Flatten an interconnection by substituting ``w_ij = C_ji x_j``.
 

@@ -7,7 +7,7 @@ controls its own seed and the suite stays reproducible.
 import numpy as np
 
 from simcompose.linalg import pbh_stabilizable, spectral_abscissa
-from simcompose.systems import InternalChannel, LinearSystem
+from simcompose.systems import Interconnection, InternalChannel, LinearSystem
 
 
 def random_hurwitz(rng, n):
@@ -63,3 +63,33 @@ def random_invariant_pair(rng, n, k):
     upper[k:, :k] = 0.0
     a = t @ upper @ t.T
     return a, t[:, :k], upper[:k, :k], upper[k:, k:]
+
+
+def random_network(rng, max_width, count=5, max_inputs=2):
+    """Subsystems of 1-4 states and 0 to ``max_inputs`` inputs, each
+    receiving from a random subset of the others over channels 1 to
+    ``max_width`` wide."""
+    names = [f"n{i}" for i in range(count)]
+    sizes = rng.integers(1, 5, size=count)
+    sources = [
+        [j for j in range(count) if j != i and rng.uniform() < 0.6] for i in range(count)
+    ]
+    widths = {
+        (i, j): int(rng.integers(1, max_width + 1)) for i in range(count) for j in sources[i]
+    }
+    subs = []
+    for i, name in enumerate(names):
+        n = sizes[i]
+        channels = tuple(InternalChannel(names[j], widths[i, j]) for j in sources[i])
+        outputs = {
+            names[k]: rng.standard_normal((widths[k, i], n))
+            for k in range(count) if i in sources[k]
+        }
+        subs.append(LinearSystem(
+            name, rng.standard_normal((n, n)),
+            rng.standard_normal((n, int(rng.integers(0, max_inputs + 1)))),
+            rng.standard_normal((int(rng.integers(0, 3)), n)),
+            rng.standard_normal((n, sum(ch.width for ch in channels))),
+            channels, outputs,
+        ))
+    return Interconnection(subs)

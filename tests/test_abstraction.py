@@ -89,6 +89,28 @@ def test_computed_certificates_satisfy_inequalities():
         assert decay_slack >= -1e-7
 
 
+def test_nested_list_output_matrix_is_one_matrix():
+    # [[1, 0]] is the 1 x 2 output matrix, read as the array would be,
+    # not a list of 1-D blocks each turned into a column.
+    a, b = [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]]
+    row = np.array([[1.0, 0.0]])
+    m, k1, lam = decay_certificate(a, b, [[1.0, 0.0]])
+    expected = decay_certificate(a, b, row)
+    assert np.array_equal(m, expected[0]) and np.array_equal(k1, expected[1])
+    assert lam == expected[2]
+    assert certificate_slacks(a, b, [[1.0, 0.0]], m, k1, lam) == certificate_slacks(
+        a, b, row, m, k1, lam
+    )
+    assert certificate_slacks(a, b, [row], m, k1, lam) == certificate_slacks(
+        a, b, row, m, k1, lam
+    )
+    for c in ([[1.0, 0.0, 0.0]], [row, np.ones((1, 3))]):
+        with pytest.raises(ValueError, match="output block has 3 columns, expected 2"):
+            decay_certificate(a, b, c)
+        with pytest.raises(ValueError, match="output block has 3 columns, expected 2"):
+            certificate_slacks(a, b, c, m, k1, lam)
+
+
 def test_computed_certificates_random_instances():
     rng = np.random.default_rng(101)
     for _ in range(20):

@@ -681,6 +681,12 @@ def test_cli_rejects_non_finite_horizon_and_step(tmp_path, capsys):
     ):
         assert main(["bounds", path, flag, value]) == 1
         assert f"error: {label} must be finite, got {value}" in capsys.readouterr().err
+    # finite values whose step count is not
+    assert main(["bounds", path, "--tfinal", "1e300", "--dt", "1e-10"]) == 1
+    assert (
+        "error: horizon 1e+300 holds too many steps of size 1e-10 to count"
+        in capsys.readouterr().err
+    )
     doc = demo_project()
     doc["simulation"]["t_final"] = float("inf")
     assert main(["bounds", write_project(tmp_path, doc)]) == 2
@@ -696,6 +702,14 @@ def test_cli_project_horizon_off_the_step_grid_exits_2(tmp_path, capsys):
         assert main([command, path]) == 2
         assert (
             "error: simulation: horizon 1.0 is not a whole number of steps of size 0.3"
+            in capsys.readouterr().err
+        )
+    doc["simulation"].update(t_final=1e300, dt=1e-10)
+    path = write_project(tmp_path, doc)
+    for command in ("check", "bounds"):
+        assert main([command, path]) == 2
+        assert (
+            "error: simulation: horizon 1e+300 holds too many steps of size 1e-10 to count"
             in capsys.readouterr().err
         )
 

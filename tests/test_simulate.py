@@ -3,14 +3,16 @@
 import io
 import re
 from decimal import Decimal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
-from conftest import random_hurwitz
-from simcompose.abstraction import build_abstraction
+from conftest import random_hurwitz, random_network
+from simcompose.abstraction import QuadraticSimFn, build_abstraction
 from simcompose.compose import GainMatrices, compose_simfn, gain_matrices, small_gain
 from simcompose.demo import (
     DEMO_INPUT_AMPLITUDE,
@@ -145,6 +147,7 @@ def test_time_grid_rejects_non_finite_values():
         (np.nan, 1e-3, "horizon must be finite, got nan"),
         (1.0, np.nan, "step size must be finite, got nan"),
         (1.0, np.inf, "step size must be finite, got inf"),
+        (1e300, 1e-10, "horizon 1e\\+300 holds too many steps of size 1e-10 to count"),
     ):
         with pytest.raises(ValueError, match=message):
             time_grid(t_final, dt)
@@ -221,6 +224,9 @@ def test_integrate_argument_checks():
         integrate(mono, [0.0], w=Signal.constant([1.0]))
     with pytest.raises(TypeError):
         integrate(object(), [0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="initial state has non-finite entries"):
+            integrate(sys, [bad])
 
 
 def test_integrate_checks_width_of_zero_width_input():
@@ -279,6 +285,96 @@ def test_refinement_argument_checks():
         refine_and_run(ic, results, composed, x0, xhat0, Signal.zero(5), 1.0, 1e-3)
     with pytest.raises(ValueError, match="lengths"):
         refine_and_run(ic, results, composed, np.zeros(9), xhat0, Signal.zero(8), 1.0, 1e-3)
+    bad_x0, bad_xhat0 = x0.copy(), xhat0.copy()
+    bad_x0[3], bad_xhat0[0] = np.nan, -np.inf
+    with pytest.raises(ValueError, match="initial state x0 has non-finite entries"):
+        refine_and_run(ic, results, composed, bad_x0, xhat0, Signal.zero(8), 1.0, 1e-3)
+    with pytest.raises(ValueError, match="initial state xhat0 has non-finite entries"):
+        refine_and_run(ic, results, composed, x0, bad_xhat0, Signal.zero(8), 1.0, 1e-3)
+
+
+def random_twins(rng, ic, sparse_p):
+    """A random abstract twin and interface gains for every subsystem of
+    ``ic``, wired like it.  Only the shapes matter for the assembly.
+    With ``sparse_p`` each column of ``P`` has one nonzero entry."""
+    twins, abstractions = [], {}
+    for sub in ic.subsystems:
+        nhat, mhat = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        p = rng.standard_normal((sub.n, nhat))
+        if sparse_p:
+            p *= np.arange(sub.n)[:, None] == rng.integers(0, sub.n, size=nhat)
+        twins.append(LinearSystem(
+            sub.name, rng.standard_normal((nhat, nhat)), rng.standard_normal((nhat, mhat)),
+            rng.standard_normal((sub.q, nhat)), rng.standard_normal((nhat, sub.p)),
+            sub.channels_in,
+            {peer: rng.standard_normal((blk.shape[0], nhat)) for peer, blk in sub.C_int.items()},
+        ))
+        fn = QuadraticSimFn(
+            P=p, M=np.eye(sub.n),
+            K1=rng.standard_normal((sub.m, sub.n)), K2=rng.standard_normal((sub.m, nhat)),
+            K3=rng.standard_normal((sub.m, sub.p)), K4=rng.standard_normal((sub.m, mhat)),
+            lam=1.0,
+        )
+        abstractions[sub.name] = SimpleNamespace(simfn=fn)
+    return abstractions, Interconnection(twins)
+
+
+def dense_parts(ic, abstractions, abstract_ic):
+    """The network-wide matrices of the dense formula: block-diagonal
+    ``B`` and interface gains, and the map from the stacked abstract
+    state to the stacked ``what``, one full-width row block per channel."""
+    mono_c, mono_a = build_monolithic(ic), build_monolithic(abstract_ic)
+    fns = [abstractions[name].simfn for name in ic.names]
+    gains = [block_diag(*[getattr(fn, key) for fn in fns]) for key in ("P", "K1", "K2", "K3", "K4")]
+    n_hat = abstract_ic.state_offsets[-1]
+    rows = [np.zeros((0, n_hat))]
+    for receiver in abstract_ic.subsystems:
+        for ch in receiver.channels_in:
+            block = np.zeros((ch.width, n_hat))
+            sender = abstract_ic[ch.source]
+            block[:, abstract_ic.state_slice(ch.source)] = sender.C_int[receiver.name]
+            rows.append(block)
+    return [mono_a.A, mono_a.B, mono_c.A, mono_c.B, *gains, np.vstack(rows)]
+
+
+def dense_joint(a_hat, b_hat, a_c, b_bd, p, k1, k2, k3, k4, what_map):
+    """Joint matrices from network-wide products, as a reference."""
+    xhat_gain, x_gain, what_gain, uhat_gain = -(k1 @ p) - k2, k1, -k3, k4
+    n_hat, n = len(a_hat), len(a_c)
+    a = np.zeros((n_hat + n, n_hat + n))
+    a[:n_hat, :n_hat] = a_hat
+    a[n_hat:, :n_hat] = b_bd @ (xhat_gain + what_gain @ what_map)
+    a[n_hat:, n_hat:] = a_c + b_bd @ x_gain
+    return a, np.vstack([b_hat, b_bd @ uhat_gain])
+
+
+@pytest.mark.parametrize("max_width, max_inputs", [(1, 1), (3, 2)])
+def test_joint_matrices_match_the_dense_formula(max_width, max_inputs):
+    # With scalar channels, at most one input per subsystem and one
+    # nonzero entry per column of P, every entry of every product has at
+    # most one nonzero term, so the blockwise assembly must match the
+    # dense one bit for bit.  Otherwise products sum several terms, which
+    # BLAS may order (and fuse) differently once zero terms are left out.
+    exact = max_width == 1
+    rng = np.random.default_rng(47 + max_width)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        ic = random_network(rng, max_width, max_inputs=max_inputs)
+        abstractions, abstract_ic = random_twins(rng, ic, sparse_p=exact)
+        a, b = simulate._joint_matrices(
+            ic, abstractions, abstract_ic, build_monolithic(ic), build_monolithic(abstract_ic)
+        )
+        parts = dense_parts(ic, abstractions, abstract_ic)
+        ref_a, ref_b = dense_joint(*parts)
+        assert a.shape == ref_a.shape and b.shape == ref_b.shape
+        if exact:
+            assert np.array_equal(a, ref_a)
+            assert np.array_equal(b, ref_b)
+        else:
+            # every product of absolute values bounds its terms
+            scale = max(np.abs(m).max(initial=1.0) for m in dense_joint(*map(np.abs, parts)))
+            assert np.abs(a - ref_a).max() <= 8 * eps * scale
+            assert np.abs(b - ref_b).max(initial=0.0) <= 8 * eps * scale
 
 
 def test_demo_run_respects_scalar_and_vector_bounds():

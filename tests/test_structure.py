@@ -1,8 +1,8 @@
 """Source-level guards on the package: no environment knobs, each
 tolerance constant defined by exactly one module, one propagator, one
 reader of the entry grammar, one owner for the 2-norm and rank
-decisions, one owner of the network layout, and one encoding of the
-bundled example."""
+decisions, one owner of the network layout, one reader of the
+interface law, and one encoding of the bundled example."""
 
 import ast
 import subprocess
@@ -177,3 +177,16 @@ def test_demo_and_cli_import_in_either_order():
             [sys.executable, "-c", code], check=True, cwd=SRC.parent,
             capture_output=True, timeout=60,
         )
+
+
+def test_interface_law_is_read_only_through_its_gains():
+    # simulate.py takes the law u = K1 (x - P xhat) - K2 xhat - K3 what
+    # + K4 uhat from abstraction.interface_gains, never from the gains
+    # themselves
+    path = SRC / "simulate.py"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and node.attr in ("K1", "K2", "K3", "K4")
+    ]
+    assert found == []

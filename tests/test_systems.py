@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_network
 from simcompose.demo import demo_interconnection
 from simcompose.simulate import Signal, integrate
 from simcompose.systems import (
@@ -10,7 +11,6 @@ from simcompose.systems import (
     InternalChannel,
     LinearSystem,
     build_monolithic,
-    internal_input_matrix,
 )
 
 
@@ -189,17 +189,6 @@ def test_monolithic_without_channels_is_block_diagonal():
     assert np.allclose(mono.B, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
 
 
-def test_internal_input_matrix_demo_rows():
-    ic = demo_interconnection()
-    mat = internal_input_matrix(ic, ic["s3"])
-    assert mat.shape == (2, 10)
-    expected = np.zeros((2, 10))
-    expected[0, 3] = 1.0  # s2 output, first node state
-    expected[1, 8] = 1.0  # s4 output, first node state
-    assert np.allclose(mat, expected)
-    assert internal_input_matrix(ic, ic["s2"]).shape == (1, 10)
-
-
 def test_monolithic_demo_against_brute_force():
     ic = demo_interconnection(d1=0.4, d2=0.6, d3=0.7)
     mono = build_monolithic(ic)
@@ -223,34 +212,6 @@ def test_monolithic_demo_against_brute_force():
     assert np.allclose(mono.A, brute, atol=1e-14)
     assert mono.B.shape == (10, 2)
     assert mono.C_ext.shape == (4, 10)
-
-
-def random_network(rng, max_width, count=5):
-    """Subsystems of 1-4 states, each receiving from a random subset of
-    the others over channels 1 to ``max_width`` wide."""
-    names = [f"n{i}" for i in range(count)]
-    sizes = rng.integers(1, 5, size=count)
-    sources = [
-        [j for j in range(count) if j != i and rng.uniform() < 0.6] for i in range(count)
-    ]
-    widths = {
-        (i, j): int(rng.integers(1, max_width + 1)) for i in range(count) for j in sources[i]
-    }
-    subs = []
-    for i, name in enumerate(names):
-        n = sizes[i]
-        channels = tuple(InternalChannel(names[j], widths[i, j]) for j in sources[i])
-        outputs = {
-            names[k]: rng.standard_normal((widths[k, i], n))
-            for k in range(count) if i in sources[k]
-        }
-        subs.append(LinearSystem(
-            name, rng.standard_normal((n, n)), rng.standard_normal((n, int(rng.integers(0, 3)))),
-            rng.standard_normal((int(rng.integers(0, 3)), n)),
-            rng.standard_normal((n, sum(ch.width for ch in channels))),
-            channels, outputs,
-        ))
-    return Interconnection(subs)
 
 
 def reference_assembly(ic):
@@ -290,13 +251,11 @@ def test_monolithic_assembly_equals_reference_exactly():
     rng = np.random.default_rng(29)
     for _ in range(20):
         ic = random_network(rng, max_width=1)
-        ref_a, ref_b, ref_c, w_maps = reference_assembly(ic)
+        ref_a, ref_b, ref_c, _ = reference_assembly(ic)
         mono = build_monolithic(ic)
         assert np.array_equal(mono.A, ref_a)
         assert np.array_equal(mono.B, ref_b)
         assert np.array_equal(mono.C_ext, ref_c)
-        for sub, w_map in zip(ic.subsystems, w_maps):
-            assert np.array_equal(internal_input_matrix(ic, sub), w_map)
         assert [ic.index(name) for name in ic.names] == list(range(len(ic.names)))
 
 
@@ -317,8 +276,6 @@ def test_monolithic_assembly_wide_channels():
         assert np.abs(mono.A - ref_a).max() <= 8 * eps * max(scale, 1.0)
         assert np.array_equal(mono.B, ref_b)
         assert np.array_equal(mono.C_ext, ref_c)
-        for sub, w_map in zip(ic.subsystems, w_maps):
-            assert np.array_equal(internal_input_matrix(ic, sub), w_map)
 
 
 def test_monolithic_permutation_equivariance():
