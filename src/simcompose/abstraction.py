@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
 from .geometry import Subspace, image, kernel
 from .linalg import (
     Matrix,
@@ -489,7 +488,11 @@ def interface(fn: QuadraticSimFn, xhat, x, what, uhat) -> np.ndarray:
 class RelationReport:
     """Verdicts for the joint-space relation conditions.
 
-    The first four conditions certify an approximate refinement (nonzero
+    ``controlled_invariant`` is the inclusion ``A R <= R + im B`` that
+    ``invariance_residual`` measures. ``stabilizable`` is external
+    stabilizability of ``R``, decided by one PBH test on ``(A, [B, V])``
+    with ``V`` a basis of ``R``; ``witness`` is the eigenvalue that fails
+    it. The first conditions certify an approximate refinement (nonzero
     abstract-input gain allowed); ``feedthrough_ok`` additionally holds
     only in the exact case where the abstract input can be reproduced
     through the concrete one.
@@ -502,7 +505,6 @@ class RelationReport:
     disturbance_residual: float
     output_residual: float
     feedthrough_residual: float
-    invariance_ok: bool
     disturbance_ok: bool
     output_ok: bool
     feedthrough_ok: bool
@@ -512,7 +514,6 @@ class RelationReport:
         return (
             self.controlled_invariant
             and self.stabilizable
-            and self.invariance_ok
             and self.disturbance_ok
             and self.output_ok
         )
@@ -545,9 +546,14 @@ def check_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> Relat
     """Check whether ``r`` relates abstract ``sys1`` to concrete ``sys2``.
 
     Conditions on the joint space (block matrices over both states):
-    external stabilizability of ``r``, joint-dynamics invariance modulo
-    the concrete input, disturbance coverage, output matching on ``r``,
-    and (for the exact case only) abstract-input coverage.
+    controlled invariance of ``r = im V`` modulo the concrete input,
+    external stabilizability of ``r``, disturbance coverage, output
+    matching on ``r``, and (for the exact case only) abstract-input
+    coverage. A controlled-invariant ``r`` is externally stabilizable
+    exactly when ``(A, [B, V])`` passes the PBH test: for any friend, the
+    left eigenvectors of ``A`` that annihilate ``B`` and ``V`` are those
+    of the quotient pair that annihilate its input, with the same
+    eigenvalues.
     """
     a12, b12, b21, d12, c12 = _joint_matrices(sys1, sys2)
     if r.ambient != a12.shape[0]:
@@ -559,11 +565,10 @@ def check_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> Relat
     dist_res = target.residual(d12) if d12.shape[1] else 0.0
     out_res = spectral_norm(c12 @ r.basis) if r.dim else 0.0
     feed_res = target.residual(b21) if b21.shape[1] else 0.0
-    try:
-        ok_stab, witness = geometry.externally_stabilizable(a12, b12, r)
-        invariant = True
-    except ValueError:
-        ok_stab, witness, invariant = False, None, False
+    invariant = residual_ok(inv_res, a12)
+    ok_stab, witness = (
+        pbh_stabilizable(a12, np.hstack([b12, r.basis])) if invariant else (False, None)
+    )
     return RelationReport(
         controlled_invariant=invariant,
         stabilizable=ok_stab,
@@ -572,7 +577,6 @@ def check_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> Relat
         disturbance_residual=float(dist_res),
         output_residual=float(out_res),
         feedthrough_residual=float(feed_res),
-        invariance_ok=residual_ok(inv_res, a12),
         disturbance_ok=residual_ok(dist_res, d12),
         output_ok=residual_ok(out_res, c12),
         feedthrough_ok=residual_ok(feed_res, b21),

@@ -286,6 +286,9 @@ def parse_project(doc) -> Project:
         name = block["name"]
         if not isinstance(name, str):
             raise ProjectError(f"subsystem name must be a string, got {name!r}")
+        # names prefix the files `abstract` writes inside its --out directory
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ProjectError(f"subsystem name {name!r} is not a plain file name")
         where = f"subsystem {name}"
         a, b, c, d = (
             read_numbers(block.get(key, []), parameters, f"{where}.{key}", (None, None))
@@ -602,11 +605,14 @@ def cmd_run(args) -> int:
     """``simulate`` and ``bounds``: report the bounds along a run, and
     export the trajectory when ``--out`` is given."""
     project = load_project(args.file)
+    if args.out:
+        base = os.path.splitext(args.out)[0]
+        if os.path.abspath(base + ".gp") == os.path.abspath(args.out):
+            raise ValueError(f"--out {args.out}: the gnuplot script would overwrite the trajectory")
     results, _, _, composed, run, report = _run_pipeline(
         project, args.tfinal, args.dt, args.v0
     )
     if args.out:
-        base = os.path.splitext(args.out)[0]
         write_csv(args.out, run)
         write_gnuplot(base + ".gp", os.path.basename(args.out), run)
     for line in report.lines():

@@ -685,7 +685,8 @@ def write_gnuplot(path, csv_path, run: RefinementRun) -> None:
         fh.write(
             "\n".join(
                 [
-                    f"csv = '{csv_path}'",
+                    # gnuplot doubles a quote inside a single-quoted string
+                    "csv = '" + csv_path.replace("'", "''") + "'",
                     "set datafile separator ','",
                     "set xlabel 't'",
                     "set key outside",

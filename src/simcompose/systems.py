@@ -167,16 +167,9 @@ class Interconnection:
         self.input_offsets = _offsets(s.m for s in self.subsystems)
         self.output_offsets = _offsets(s.q for s in self.subsystems)
         for sub in self.subsystems:
-            order = [index.get(ch.source) for ch in sub.channels_in]
-            for ch, idx in zip(sub.channels_in, order):
-                if idx is None:
-                    raise ValueError(f"{sub.name} receives from unknown subsystem {ch.source}")
-            if order != sorted(order):
-                raise ValueError(
-                    f"{sub.name} channels must be listed in subsystem order, got "
-                    f"{[ch.source for ch in sub.channels_in]}"
-                )
             for ch in sub.channels_in:
+                if ch.source not in index:
+                    raise ValueError(f"{sub.name} receives from unknown subsystem {ch.source}")
                 sender = self.subsystems[index[ch.source]]
                 block = sender.C_int.get(sub.name)
                 if block is None:

@@ -51,20 +51,6 @@ def random_valid_instance(rng, n, nhat, m, p=1, q=1, name="sys"):
     raise AssertionError("failed to draw a valid random instance")
 
 
-def random_invariant_pair(rng, n, k):
-    """Matrix with a known invariant subspace of dimension ``k``.
-
-    Builds ``A = T [[X, Y], [0, Z]] T^{-1}`` with orthogonal ``T``, so the
-    span of the first ``k`` columns of ``T`` is invariant and the spectrum
-    splits as ``spec(X)`` union ``spec(Z)``.
-    """
-    t, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    upper = rng.standard_normal((n, n))
-    upper[k:, :k] = 0.0
-    a = t @ upper @ t.T
-    return a, t[:, :k], upper[:k, :k], upper[k:, k:]
-
-
 def random_network(rng, max_width, count=5, max_inputs=2):
     """Subsystems of 1-4 states and 0 to ``max_inputs`` inputs, each
     receiving from a random subset of the others over channels 1 to

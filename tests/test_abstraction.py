@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simcompose import abstraction, linalg
 from conftest import random_valid_instance
@@ -541,6 +543,87 @@ def test_check_relation_rejects_mismatched_widths():
     ic = demo_interconnection()
     with pytest.raises(ValueError):
         check_relation(ic["s1"], ic["s2"], zero_subspace(5))
+
+
+def relation_of_pair(a, b, v):
+    """``check_relation`` for the concrete pair ``(a, b)`` and the relation
+    ``{0} x im v``, against a stable one-state abstract system without
+    inputs, outputs or disturbances. The abstract state adds only the
+    stable eigenvalue -1, so the verdicts are those of ``im v`` for
+    ``(a, b)``."""
+    n = a.shape[0]
+    abstract = LinearSystem("abstract", [[-1.0]], np.zeros((1, 0)), np.zeros((0, 1)), [])
+    concrete = LinearSystem("concrete", a, b, np.zeros((0, n)), [])
+    return check_relation(abstract, concrete, image(np.vstack([np.zeros((1, v.shape[1])), v])))
+
+
+def test_check_relation_external_stabilizability_examples():
+    damped_node = np.array([[0.0, 1.0], [-6.0, -5.0]])
+    report = relation_of_pair(damped_node, np.zeros((2, 0)), np.zeros((2, 0)))
+    assert report.ok and report.stabilizable and report.witness is None
+    report = relation_of_pair(np.array([[1.0]]), np.zeros((1, 0)), np.zeros((1, 0)))
+    assert report.controlled_invariant and not report.stabilizable
+    assert report.witness == pytest.approx(1.0)
+    # an unstable direction inside the relation does not matter
+    report = relation_of_pair(np.diag([3.0, -1.0]), np.zeros((2, 1)), np.array([[1.0], [0.0]]))
+    assert report.ok and report.stabilizable
+
+
+def test_check_relation_without_controlled_invariance_has_no_witness():
+    # no input authority: a generic plane is not invariant under a generic
+    # matrix, and stabilizability is not decided
+    rng = np.random.default_rng(39)
+    a = rng.standard_normal((4, 4))
+    v = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+    report = relation_of_pair(a, np.zeros((4, 1)), v)
+    assert not report.controlled_invariant and not report.ok
+    assert (report.stabilizable, report.witness) == (False, None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 7),
+    m=st.integers(1, 2),
+    k_frac=st.floats(0.0, 1.0),
+    planted=st.sampled_from([None, -1.0, 0.0, 1.5]),
+    inner=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_check_relation_decides_external_stabilizability_by_pbh(
+    n, m, k_frac, planted, inner, seed
+):
+    # R = span of the first k columns of an orthogonal Q, and
+    # A = Q [[A11, A12], [0, A22]] Q^T - B F0 keeps R controlled invariant
+    # with the friend F0. A planted mode has a decoupled row and a zero row
+    # of B. Inside R an unstable one does not matter; in the quotient, R is
+    # externally stabilizable exactly when the planted mode is stable.
+    rng = np.random.default_rng(seed)
+    k = min(int(k_frac * (n + 1)), n)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    upper = rng.standard_normal((n, n))
+    upper[k:, :k] = 0.0
+    b_local = rng.standard_normal((n, m))
+    if k == n:
+        planted = None
+    rows = {}
+    if inner and k:
+        rows[int(rng.integers(0, k))] = 2.0
+    if planted is not None:
+        rows[int(rng.integers(k, n))] = planted
+    for row, mode in rows.items():
+        upper[row] = 0.0
+        upper[row, row] = mode
+        b_local[row] = 0.0
+    b = q @ b_local
+    a = q @ upper @ q.T - b @ rng.standard_normal((m, n))
+    report = relation_of_pair(a, b, q[:, :k])
+    assert report.controlled_invariant
+    expected = planted is None or planted < 0.0
+    assert report.stabilizable == expected
+    if expected:
+        assert report.witness is None
+    else:
+        assert report.witness == pytest.approx(planted, abs=1e-8 * max(1.0, spectral_norm(a)))
 
 
 def test_simfn_from_relation_matches_direct_construction():

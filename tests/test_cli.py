@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,25 @@ def test_parse_project_rejects_a_subsystem_without_states():
     doc["subsystems"].append({"name": "z", "A": [], "B": [], "C": [], "D": []})
     with pytest.raises(ProjectError, match=r"subsystem z: z\.A has no states"):
         parse_project(doc)
+
+
+def renamed(doc, old, new):
+    """The project document with subsystem ``old`` renamed to ``new``
+    wherever it appears."""
+    return json.loads(json.dumps(doc).replace(json.dumps(old), json.dumps(new)))
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+def test_parse_project_rejects_a_name_that_is_not_a_file_name(name):
+    with pytest.raises(ProjectError, match=f"subsystem name {re.escape(repr(name))} is not"):
+        parse_project(renamed(demo_project(), "s2", name))
+
+
+def test_cli_abstract_rejects_an_escaping_name_before_writing(tmp_path, capsys):
+    path = write_project(tmp_path, renamed(demo_project(), "s2", "../escaped"))
+    assert main(["abstract", path, "--out", str(tmp_path / "absout" / "sub")]) == 2
+    assert "error: subsystem name '../escaped' is not a plain file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["project.json"]
 
 
 def test_parse_project_wiring_errors_propagate():
@@ -678,6 +698,24 @@ def test_cli_simulate_writes_outputs(tmp_path, capsys):
     assert "trajectory written to" in out
     assert "scalar bound" in out
     assert "conservative external gain" in out
+
+
+def test_cli_simulate_rejects_an_out_its_script_would_overwrite(tmp_path, capsys):
+    path = write_project(tmp_path, demo_project())
+    out = tmp_path / "run.gp"
+    assert main(["simulate", path, "--out", str(out), "--tfinal", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert f"error: --out {out}: the gnuplot script would overwrite the trajectory" in captured.err
+    assert "written" not in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["project.json"]
+
+
+def test_cli_simulate_quotes_the_csv_name_in_the_script(tmp_path, capsys):
+    # gnuplot ends a single-quoted string at a lone quote; '' is a quote
+    path = write_project(tmp_path, demo_project())
+    assert main(["simulate", path, "--out", str(tmp_path / "it's.csv"), "--tfinal", "0.01"]) == 0
+    script = (tmp_path / "it's.gp").read_text()
+    assert script.splitlines()[0] == "csv = 'it''s.csv'"
 
 
 def test_cli_unwritable_out_exits_1(tmp_path, capsys):

@@ -3,18 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_invariant_pair
-from simcompose.geometry import (
-    QuotientData,
-    Subspace,
-    externally_stabilizable,
-    friend,
-    image,
-    kernel,
-    minimal_invariant,
-    quotient,
-    zero_subspace,
-)
+from simcompose.geometry import image, kernel, minimal_invariant, zero_subspace
 from simcompose.linalg import spectral_norm
 
 DAMPED_NODE = np.array([[0.0, 1.0], [-6.0, -5.0]])
@@ -102,16 +91,6 @@ def test_sum_and_intersection_dimensions():
         assert u.contains(overlap) and w.contains(overlap)
 
 
-def test_complement_decomposes_the_space():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        n = rng.integers(1, 7)
-        u = image(rng.standard_normal((n, rng.integers(0, n + 1))))
-        comp = u.complement()
-        assert u.sum(comp).dim == n
-        assert u.intersect(comp).dim == 0
-
-
 def test_minimal_invariant_zero_seed():
     grown = minimal_invariant(np.eye(3), zero_subspace(3))
     assert grown.dim == 0
@@ -145,107 +124,3 @@ def test_minimal_invariant_matches_krylov():
         assert grown.contains(brute) and brute.contains(grown)
         if grown.dim:
             assert grown.residual(a @ grown.basis) <= 1e-8 * max(1.0, spectral_norm(a))
-
-
-def test_friend_trivial_subspaces():
-    rng = np.random.default_rng(29)
-    a = rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 2))
-    assert np.array_equal(friend(a, b, zero_subspace(4)), np.zeros((2, 4)))
-    assert np.allclose(friend(a, b, image(np.eye(4))), np.zeros((2, 4)), atol=1e-12)
-
-
-def test_friend_renders_subspace_invariant():
-    rng = np.random.default_rng(37)
-    for _ in range(25):
-        n = rng.integers(2, 7)
-        m = rng.integers(1, 3)
-        k_dim = rng.integers(1, n)
-        b = rng.standard_normal((n, m))
-        v = np.linalg.qr(rng.standard_normal((n, k_dim)))[0]
-        # Force controlled invariance: A maps the subspace into itself
-        # plus the input directions.
-        a0 = rng.standard_normal((n, n))
-        target = v @ rng.standard_normal((k_dim, k_dim)) + b @ rng.standard_normal((m, k_dim))
-        a = a0 + (target - a0 @ v) @ v.T
-        sub = image(v)
-        k = friend(a, b, sub)
-        assert k is not None
-        closed = a + b @ k
-        assert sub.residual(closed @ sub.basis) <= 1e-8 * max(1.0, spectral_norm(a))
-
-
-def test_friend_returns_none_without_controlled_invariance():
-    # No input authority at all: a generic subspace of a generic matrix
-    # is not invariant, and there is nothing to correct it with.
-    rng = np.random.default_rng(41)
-    a = rng.standard_normal((4, 4))
-    b = np.zeros((4, 1))
-    assert friend(a, b, image(rng.standard_normal((4, 2)))) is None
-
-
-def test_quotient_trivial_cases():
-    rng = np.random.default_rng(43)
-    a = rng.standard_normal((3, 3))
-    q = quotient(a, zero_subspace(3))
-    assert np.allclose(q.f22, a)
-    assert np.allclose(q.pi, np.eye(3))
-    q_full = quotient(a, image(np.eye(3)))
-    assert q_full.f22.shape == (0, 0)
-    assert q_full.dim_invariant == 3
-
-
-def test_quotient_diagonal_example():
-    q = quotient(np.diag([-1.0, 3.0]), image(np.array([[1.0], [0.0]])))
-    assert q.f22.shape == (1, 1)
-    assert q.f22[0, 0] == pytest.approx(3.0, abs=1e-12)
-
-
-def test_quotient_rejects_non_invariant():
-    with pytest.raises(ValueError):
-        quotient(DAMPED_NODE, image(np.array([[1.0], [0.0]])))
-
-
-def test_quotient_triangularizes_and_splits_spectrum():
-    rng = np.random.default_rng(53)
-    for _ in range(25):
-        n = rng.integers(2, 8)
-        k = rng.integers(1, n)
-        a, v, upper_left, lower_right = random_invariant_pair(rng, n, k)
-        q = quotient(a, image(v))
-        transformed = q.t_inv @ a @ q.t
-        assert (
-            spectral_norm(transformed[k:, :k])
-            <= 1e-8 * max(1.0, spectral_norm(a))
-        )
-        split = np.concatenate(
-            [np.linalg.eigvals(transformed[:k, :k]), np.linalg.eigvals(q.f22)]
-        )
-        full = np.linalg.eigvals(a)
-        assert np.allclose(
-            np.sort_complex(split), np.sort_complex(full), atol=1e-6
-        )
-        # The quotient commutation identity.
-        assert spectral_norm(q.f22 @ q.pi - q.pi @ a) <= 1e-8 * max(1.0, spectral_norm(a))
-
-
-def test_externally_stabilizable_examples():
-    ok, witness = externally_stabilizable(DAMPED_NODE, np.zeros((2, 0)), zero_subspace(2))
-    assert ok and witness is None
-    ok, witness = externally_stabilizable(
-        np.array([[1.0]]), np.zeros((1, 1)), zero_subspace(1)
-    )
-    assert not ok
-    assert witness == pytest.approx(1.0)
-    # Unstable direction inside the subspace does not matter.
-    ok, _ = externally_stabilizable(
-        np.diag([3.0, -1.0]), np.zeros((2, 1)), image(np.array([[1.0], [0.0]]))
-    )
-    assert ok
-
-
-def test_externally_stabilizable_needs_controlled_invariance():
-    rng = np.random.default_rng(39)
-    a = rng.standard_normal((4, 4))
-    with pytest.raises(ValueError):
-        externally_stabilizable(a, np.zeros((4, 1)), image(rng.standard_normal((4, 2))))

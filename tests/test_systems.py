@@ -1,10 +1,13 @@
 """Subsystem containers, wiring validation, and monolithic assembly tests."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from conftest import random_network
-from simcompose.demo import demo_interconnection
+from simcompose.cli import _run_pipeline, parse_project
+from simcompose.demo import demo_interconnection, demo_project
 from simcompose.simulate import Signal, integrate
 from simcompose.systems import (
     Interconnection,
@@ -143,15 +146,43 @@ def test_interconnection_validation_errors():
         ])
 
 
-def test_channels_must_follow_subsystem_order():
-    s1 = LinearSystem("a", [[-1.0]], [[1.0]], [[1.0]], [], C_int={"c": [[1.0]]})
-    s2 = LinearSystem("b", [[-1.0]], [[1.0]], [[1.0]], [], C_int={"c": [[1.0]]})
-    receiver = LinearSystem(
-        "c", [[-1.0]], [[1.0]], [[1.0]], [[1.0, 1.0]],
-        (InternalChannel("b", 1), InternalChannel("a", 1)),
-    )
-    with pytest.raises(ValueError, match="order"):
-        Interconnection([s1, s2, receiver])
+def reversed_channels(doc):
+    """The project document with every ``inputs`` list reversed and the
+    column blocks of ``D`` permuted to match."""
+    doc = copy.deepcopy(doc)
+    for block in doc["subsystems"]:
+        channels = block.get("inputs", [])
+        starts = np.cumsum([0] + [ch["width"] for ch in channels])
+        order = [j for i in reversed(range(len(channels))) for j in range(starts[i], starts[i + 1])]
+        block["D"] = [[row[j] for j in order] for row in block["D"]]
+        block["inputs"] = channels[::-1]
+    return doc
+
+
+@pytest.mark.parametrize("computed", [False, True])
+def test_channel_order_does_not_change_the_pipeline(computed):
+    # channels are looked up by source, so the order of the inputs list
+    # only fixes D's column order; with injected or computed certificates
+    # every composed figure and trajectory is bit-identical
+    doc = demo_project(d1=0.3, d2=0.3, d3=0.2)
+    doc["subsystems"][2]["D"] = [[0.0, 0.0], [0.0, 0.0], ["d3", "d1"]]
+    if computed:
+        for block in doc["subsystems"]:
+            block["abstraction"] = {"P": block["abstraction"]["P"]}
+    runs = [
+        _run_pipeline(parse_project(d), t_final=2.0)
+        for d in (doc, reversed_channels(doc))
+    ]
+    (res0, gm0, _, comp0, run0, rep0), (res1, gm1, _, comp1, run1, rep1) = runs
+    assert np.array_equal(res1["s3"].system.D, res0["s3"].system.D[:, ::-1])
+    for name in res0:
+        assert np.array_equal(res0[name].simfn.M, res1[name].simfn.M)
+    assert np.array_equal(gm0.gamma, gm1.gamma)
+    assert (comp0.lam, comp0.rho) == (comp1.lam, comp1.rho)
+    assert np.array_equal(run0.concrete.states, run1.concrete.states)
+    assert np.array_equal(run0.abstract.states, run1.abstract.states)
+    assert np.array_equal(run0.v, run1.v)
+    assert rep0.min_margin == rep1.min_margin
 
 
 def test_interconnection_subsystems_are_immutable():
