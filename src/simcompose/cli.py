@@ -40,6 +40,7 @@ from .simulate import (
     bound_report,
     grid_steps,
     refine_and_run,
+    require_memory,
     write_csv,
     write_gnuplot,
     write_table,
@@ -335,8 +336,15 @@ def parse_project(doc) -> Project:
     for name in simulation.inputs:
         if name not in directives:
             raise ProjectError(f"simulation.inputs.{name}: no subsystem is named {name!r}")
+    interconnection = Interconnection(subsystems)
+    # the abstract sizes are known only once the subsystems are abstracted,
+    # so the run is measured here by its concrete states alone
+    try:
+        require_memory(simulation.t_final, simulation.dt, interconnection.state_offsets[-1])
+    except ValueError as exc:
+        raise ProjectError(f"simulation: {exc}") from exc
     return Project(
-        interconnection=Interconnection(subsystems),
+        interconnection=interconnection,
         directives=directives,
         simulation=simulation,
     )
@@ -547,7 +555,7 @@ def cmd_abstract(args) -> int:
             f" K4 norm {_fmt(spectral_norm(result.simfn.K4))}"
         )
     text = "\n".join(summary) + "\n"
-    with open(os.path.join(args.out, "summary.txt"), "w", encoding="ascii") as fh:
+    with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
     print(text, end="")
     return 1 if failures else 0
@@ -591,6 +599,12 @@ def _run_pipeline(project: Project, t_final=None, dt=None, v0=None):
     grid_steps(horizon, step)
     results = build_abstractions(project)
     gm, path, composed = run_compose(project, results)
+    # the joint states and the abstract input samples, before any of them
+    # (or a square wave's switch times) is allocated
+    width = project.interconnection.state_offsets[-1] + sum(
+        r.system.n + r.system.m for r in results.values()
+    )
+    require_memory(horizon, step, width)
     uhat = build_input_signal(project, results, horizon)
     xhat0, x0 = resolve_initial_states(project, results)
     run = refine_and_run(

@@ -11,12 +11,24 @@ Every run, of a single system (:func:`integrate`) or of the joint
 system (:func:`refine_and_run`), goes through one propagator,
 :func:`_run_lti`.  With the input held over each step, classical
 fourth-order Runge-Kutta is the matrix recursion ``x+ = phi x + d_k``.
-The propagator evaluates that recursion in blocks of about
-``sqrt(steps)`` steps that advance side by side as the rows of one
-matrix, so a run costs about ``3 sqrt(steps)`` matrix products rather
-than one matrix-vector product per step.
+The propagator evaluates that recursion in blocks of ``L`` steps that
+advance side by side as the rows of one matrix, and the rows advance in
+one of two forms:
+
+* dense, for small or densely coupled systems: ``L`` is about
+  ``sqrt(steps)``, so a run costs about ``3 sqrt(steps)`` dense matrix
+  products rather than one matrix-vector product per step;
+* sparse, for large sparsely coupled networks: ``phi`` is built from the
+  nonzeros of ``A`` and kept as a fixed number of (column, value) pairs
+  per row, and ``L = 1``, one sparse matrix-vector product per step.
+
+One density rule picks the form from the state size and the nonzeros of
+``A`` and ``phi`` (:func:`_sparse_pays`), with constants fitted to a
+measured sweep of both forms.  The drive ``d_k`` is one dense matrix
+product in either form.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +44,12 @@ BOUND_TOL = 1e-6
 
 # Default iteration count for the vector recursion.
 DEFAULT_BOUND_ITERATIONS = 50
+
+# The density rule of the propagator (see _sparse_pays), in units of one
+# stored pair of the sparse march: its fixed cost per step, and the cost
+# per step of one of the n^2 entries of the blocked dense march.
+SPARSE_STEP_OVERHEAD = 5000
+DENSE_ENTRY_COST = 1 / 11
 
 
 @dataclass(frozen=True)
@@ -163,19 +181,42 @@ def grid_steps(t_final: float, dt: float) -> int:
     return steps
 
 
+def require_memory(t_final: float, dt: float, width: int) -> None:
+    """Reject a run that cannot fit in physical memory before it starts.
+
+    A run keeps ``width`` doubles at every point of the grid ``0, dt,
+    ..., t_final`` (see :func:`grid_steps`): its states and its input
+    samples.  ``ValueError`` names the horizon and the size when those
+    bytes exceed the machine's physical memory (``os.sysconf``); where
+    the platform does not report it, nothing is rejected.
+    """
+    need = 8 * (grid_steps(t_final, dt) + 1) * width
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise ValueError(
+            f"horizon {t_final!r} in steps of size {dt!r} needs {need / 1e9:.3g} GB"
+            f" for the run's states and inputs, more than the {have / 1e9:.3g} GB"
+            " of physical memory"
+        )
+
+
 def time_grid(t_final: float, dt: float) -> np.ndarray:
     """Uniform grid ``0, dt, ..., t_final`` (see :func:`grid_steps`)."""
     return np.arange(grid_steps(t_final, dt) + 1) * dt
 
 
-def _step_maps(a: Matrix, dt: float) -> tuple[Matrix, Matrix]:
+def _step_maps(a, dt: float):
     """One-step state map and input integral of classical fourth order.
 
     For constant input over the step the update ``x+ = phi @ x +
     core @ (B u)`` reproduces the Runge-Kutta stages exactly, so the
-    whole run reduces to one matrix recursion.
+    whole run reduces to one matrix recursion.  ``a`` is a dense matrix
+    or a :class:`_SparseRows`, and the maps come back in the same form.
     """
-    eye = np.eye(a.shape[0])
+    eye = a.identity() if isinstance(a, _SparseRows) else np.eye(a.shape[0])
     ad = dt * a
     ad2 = ad @ ad
     ad3 = ad2 @ ad
@@ -193,51 +234,175 @@ def _run_lti(a: Matrix, b: Matrix, inputs: np.ndarray, x0: np.ndarray,
     steps, and all blocks advance together, one row of a matrix each:
 
     1. a zero-state march ``Z_{j+1} = Z_j phi^T + D_j`` over every block
-       (``L`` matrix products) leaves each block's forced response;
+       (``L`` matrix products; the first step is just the drive) leaves
+       each block's forced response;
     2. the block starts follow in sequence, ``s_{b+1} = phi^L s_b +
        Z_L[b]`` (one matrix-vector product per block);
     3. a second march of the same recursion from the true starts fills
        in the states inside every block.
 
-    ``L`` is a power of two within a factor ``sqrt(2)`` of
-    ``sqrt(steps)``, halved while ``phi^L`` overflows, so that an
-    unstable mode the state never excites does not turn ``inf * 0`` into
-    NaN.  The states are written straight into the returned array; a
-    blow-up is reported at the first grid time with a non-finite state.
+    The rows advance in one of two forms, picked by :func:`_sparse_pays`:
+
+    * dense: ``phi`` and ``core B`` are dense matrices, and ``L`` is a
+      power of two within a factor ``sqrt(2)`` of ``sqrt(steps)``,
+      halved while ``phi^L`` overflows, so that an unstable mode the
+      state never excites does not turn ``inf * 0`` into NaN;
+    * sparse: ``phi`` and ``core B`` are formed from the nonzeros of
+      ``A`` and ``B`` (:class:`_SparseRows`) and ``L = 1``, so the march
+      is step 2 alone, one sparse matrix-vector product per step.  The
+      dense ``phi``, ``phi^L`` and ``core B`` products are never formed;
+      ``core B`` is made dense only for the drive, one matrix product.
+
+    The states are written straight into the returned array; a blow-up
+    is reported at the first grid time with a non-finite state.
     """
-    phi, core = _step_maps(a, dt)
-    drive = inputs @ (core @ b).T
-    states = np.empty((len(grid), len(x0)))
-    phit = phi.T
+    n = len(x0)
+    phi = None
+    # A's nonzeros bound phi's from below, so a dense A builds nothing sparse
+    if _sparse_pays(n, np.count_nonzero(a)):
+        phi, core = _step_maps(_SparseRows.from_dense(a), dt)
+        if not _sparse_pays(n, phi.pairs):
+            phi = None
+    sparse = phi is not None
+    if sparse:
+        core_b = (core @ _SparseRows.from_dense(b)).todense()
+    else:
+        phi, core = _step_maps(a, dt)
+        core_b = core @ b
+    drive = inputs @ core_b.T
+    states = np.empty((len(grid), n))
     # overflow is handled by the explicit finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
         block, power = 1, phi
-        for _ in range((len(grid) - 1).bit_length() // 2):
+        for _ in range(0 if sparse else (len(grid) - 1).bit_length() // 2):
             square = power @ power
             if not np.isfinite(square).all():
                 break
             block, power = 2 * block, square
 
-        def march(length):
-            # row j + 1 of every block from row j, for j < length
-            for j in range(length):
+        def march(first, stop):
+            # row j + 1 of every block from row j, for first <= j < stop
+            for j in range(first, stop):
                 rows = states[j + 1::block]
                 m = len(rows)
-                rows[...] = states[j::block][:m] @ phit + drive[j::block][:m]
+                rows[...] = states[j::block][:m] @ phi.T + drive[j::block][:m]
 
+        # the zero-state march starts from zero rows, so its first step
+        # is the drive
+        firsts = states[1::block]
+        firsts[...] = drive[::block][:len(firsts)]
+        march(1, block)
         starts = states[::block]
-        starts[...] = 0.0
-        march(block)
         starts[0] = x0
         for k in range(1, len(starts)):
             starts[k] += power @ starts[k - 1]
-        march(block - 1)
+        march(0, block - 1)
     if not _finite(states):
         row_ok = _finite(states, axis=1)
         raise NumericsError(
             f"state diverged to non-finite values at t = {grid[np.argmin(row_ok)]:.6g}"
         )
     return states
+
+
+def _sparse_pays(n: int, pairs: int) -> bool:
+    """The density rule: whether the sparse row form of :func:`_run_lti`
+    beats the dense one for ``n`` states and a step map of ``pairs``
+    stored (column, value) pairs.
+
+    Per step, the sparse march costs ``SPARSE_STEP_OVERHEAD + pairs``,
+    counted in stored pairs, and the blocked dense march about
+    ``DENSE_ENTRY_COST * n^2`` (its ``n^3`` set-up products come on top,
+    which favours the sparse form on short runs).  Both constants are
+    fitted to a sweep of both forms over ring networks and block-diagonal
+    systems of 100 to 1024 states, 200 to 20 000 steps (CHANGES.md).  No
+    system of fewer than 235 states takes the sparse form.  The rule is
+    applied to the nonzeros of ``A`` first, which bound ``phi``'s from
+    below, and then to the pairs of the sparse ``phi`` itself.
+    """
+    return SPARSE_STEP_OVERHEAD + pairs <= DENSE_ENTRY_COST * n * n
+
+
+class _SparseRows:
+    """A matrix stored as the same number of (column, value) pairs in
+    every row, with just the algebra :func:`_step_maps` and the march use.
+
+    Rows with fewer nonzeros are padded with the pair (own column, 0),
+    the last column for a row beyond it.  A padded pair adds ``0 * x_i``
+    to row ``i``, which is NaN only when ``x_i`` is already not finite.
+    """
+
+    def __init__(self, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]):
+        self.cols, self.vals, self.shape = cols, vals, shape
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, shape) -> "_SparseRows":
+        """Sum of the entries ``vals`` at ``(rows, cols)``, exact zeros left out."""
+        n, m = shape
+        keys, where = np.unique(rows * m + cols, return_inverse=True)
+        sums = np.bincount(where, weights=vals, minlength=len(keys))
+        keep = sums != 0.0
+        rows, cols = np.divmod(keys[keep], m)
+        counts = np.bincount(rows, minlength=n)
+        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        width = int(counts.max(initial=0))
+        out_cols = np.repeat(np.minimum(np.arange(n), m - 1)[:, None], width, axis=1)
+        out_vals = np.zeros((n, width))
+        out_cols[rows, slot] = cols
+        out_vals[rows, slot] = sums[keep]
+        return cls(out_cols, out_vals, shape)
+
+    @classmethod
+    def from_dense(cls, a: Matrix) -> "_SparseRows":
+        rows, cols = np.nonzero(a)
+        return cls.from_triplets(rows, cols, a[rows, cols], a.shape)
+
+    def identity(self) -> "_SparseRows":
+        n = self.shape[0]
+        return _SparseRows(np.arange(n)[:, None], np.ones((n, 1)), (n, n))
+
+    @property
+    def pairs(self) -> int:
+        return self.vals.size
+
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n, width = self.cols.shape
+        return np.repeat(np.arange(n), width), self.cols.ravel(), self.vals.ravel()
+
+    def todense(self) -> Matrix:
+        out = np.zeros(self.shape)
+        rows, cols, vals = self.triplets()
+        np.add.at(out, (rows, cols), vals)
+        return out
+
+    def __add__(self, other: "_SparseRows") -> "_SparseRows":
+        both = zip(self.triplets(), other.triplets())
+        return _SparseRows.from_triplets(*(np.concatenate(p) for p in both), self.shape)
+
+    def __mul__(self, scalar: float) -> "_SparseRows":
+        return _SparseRows(self.cols, self.vals * scalar, self.shape)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar: float) -> "_SparseRows":
+        return _SparseRows(self.cols, self.vals / scalar, self.shape)
+
+    def __matmul__(self, other):
+        """Product with a vector (dense result) or a :class:`_SparseRows`."""
+        if isinstance(other, np.ndarray):
+            return np.einsum("ij,ij->i", self.vals, other[self.cols])
+        n, width = self.cols.shape
+        terms = width * other.cols.shape[1]
+        shape = (n, other.shape[1])
+        if terms > shape[1]:
+            # more terms per row than the product has entries: form it densely
+            return _SparseRows.from_dense(self.todense() @ other.todense())
+        return _SparseRows.from_triplets(
+            np.repeat(np.arange(n), terms),
+            other.cols[self.cols].ravel(),
+            (self.vals[:, :, None] * other.vals[self.cols]).ravel(),
+            shape,
+        )
 
 
 def _finite(x: np.ndarray, axis=None):
@@ -681,7 +846,7 @@ def write_gnuplot(path, csv_path, run: RefinementRun) -> None:
         f"csv using 1:{n + 2 + j} with lines title 'y[{j}]'" for j in range(q)
     ]
     plots.append(f"csv using 1:{n + q + 2} with lines title 'V'")
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             "\n".join(
                 [

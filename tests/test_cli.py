@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from simcompose import simulate
 from simcompose.abstraction import build_abstraction
 from simcompose.cli import (
     ProjectError,
@@ -24,7 +26,7 @@ from simcompose.cli import (
     serialize_project,
 )
 from simcompose.demo import demo_project
-from simcompose.simulate import bound_report, refine_and_run
+from simcompose.simulate import Signal, bound_report, refine_and_run
 
 PARAMS = {"d1": 0.5, "d2": 0.25}
 
@@ -544,6 +546,49 @@ def test_pipeline_is_unchanged_by_reordering_subsystems(data):
     assert report_r.ok == report.ok
 
 
+def test_cli_bounds_on_a_hundred_node_ring_matches_the_exact_propagation(
+    tmp_path, capsys, monkeypatch
+):
+    # the 400 joint states take the sparse row form; the oracle is the
+    # exact propagation with held inputs, and the tolerance the global
+    # error of classical fourth order, T |A|^5 dt^4 / 120 with a factor 10
+    rng = np.random.default_rng(431)
+    size = 100
+    doc = ring_document(
+        rng.uniform(0.12, 0.2, size).tolist(), rng.uniform(-0.5, 0.5, size).tolist(),
+        rng.uniform(-0.05, 0.05, size).tolist(), 0,
+    )
+    runs, forms = [], []
+    real_run, real_maps = simulate._run_lti, simulate._step_maps
+
+    def recording(*args):
+        runs.append((args, real_run(*args)))
+        return runs[-1][1]
+
+    def spy(a, dt):
+        forms.append(type(a))
+        return real_maps(a, dt)
+
+    monkeypatch.setattr(simulate, "_run_lti", recording)
+    monkeypatch.setattr(simulate, "_step_maps", spy)
+    assert main(["bounds", write_project(tmp_path, doc)]) == 0
+    assert "VIOLATED" not in capsys.readouterr().out
+    ((a, b, inputs, x0, grid, dt), states), = runs
+    assert a.shape == (4 * size, 4 * size)
+    assert forms == [simulate._SparseRows]
+    n, width = b.shape
+    aug = np.zeros((n + width, n + width))
+    aug[:n, :n], aug[:n, n:] = a, b
+    step = expm(aug * dt)
+    exact = np.empty_like(states)
+    exact[0] = x0
+    for k in range(len(grid) - 1):
+        exact[k + 1] = step[:n, :n] @ exact[k] + step[:n, n:] @ inputs[k]
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    tol = 10.0 * grid[-1] * np.linalg.norm(a, 2) ** 5 * dt ** 4 / 120.0 * scale
+    assert np.max(np.abs(states - exact)) <= tol
+
+
 def test_cli_check_demo(tmp_path, capsys):
     path = write_project(tmp_path, demo_project())
     assert main(["check", path]) == 0
@@ -716,6 +761,45 @@ def test_cli_simulate_quotes_the_csv_name_in_the_script(tmp_path, capsys):
     assert main(["simulate", path, "--out", str(tmp_path / "it's.csv"), "--tfinal", "0.01"]) == 0
     script = (tmp_path / "it's.gp").read_text()
     assert script.splitlines()[0] == "csv = 'it''s.csv'"
+
+
+def test_cli_writes_non_ascii_output_names(tmp_path, capsys):
+    path = write_project(tmp_path, demo_project())
+    assert main(["simulate", path, "--out", str(tmp_path / "ü.csv"), "--tfinal", "0.01"]) == 0
+    script = (tmp_path / "ü.gp").read_text(encoding="utf-8")
+    assert script.splitlines()[0] == "csv = 'ü.csv'"
+    out_dir = tmp_path / "matrices"
+    doc = renamed(demo_project(), "s2", "sé")
+    assert main(["abstract", write_project(tmp_path, doc), "--out", str(out_dir)]) == 0
+    summary = (out_dir / "summary.txt").read_text(encoding="utf-8")
+    assert "sé: nhat 1, Ahat [-2]" in summary
+    assert (out_dir / "sé_Ahat.csv").exists()
+    capsys.readouterr()
+
+
+def test_cli_rejects_a_horizon_too_long_to_hold(tmp_path, capsys, monkeypatch):
+    # 10^15 steps: check and bounds both reject the run before any signal,
+    # a square wave's switch times first, is allocated
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a signal was built")
+
+    monkeypatch.setattr(Signal, "square", unreachable)
+    doc = demo_project()
+    doc["simulation"].update(t_final=1e15, dt=1)
+    path = write_project(tmp_path, doc)
+    message = re.compile(
+        r"error: simulation: horizon 1000000000000000\.0 in steps of size 1\.0 needs"
+        r" \S+ GB for the run's states and inputs, more than the \S+ GB of physical memory\n"
+    )
+    for command in ("check", "bounds"):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert message.fullmatch(captured.err), captured.err
+        assert "pass" not in captured.out
+    # as an override, the horizon is measured once the abstract sizes are known
+    path = write_project(tmp_path, demo_project())
+    assert main(["bounds", path, "--tfinal", "1e15", "--dt", "1"]) == 1
+    assert "error: horizon 1000000000000000.0 in steps of size 1.0 needs" in capsys.readouterr().err
 
 
 def test_cli_unwritable_out_exits_1(tmp_path, capsys):

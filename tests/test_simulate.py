@@ -153,6 +153,25 @@ def test_time_grid_rejects_non_finite_values():
             time_grid(t_final, dt)
 
 
+def test_require_memory_compares_the_run_with_physical_memory(monkeypatch):
+    # 1000 pages of 4096 bytes hold 512 000 doubles
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
+    monkeypatch.setattr(simulate.os, "sysconf", pages.__getitem__)
+    simulate.require_memory(511999.0, 1.0, 1)
+    simulate.require_memory(255999.0, 1.0, 2)
+    with pytest.raises(ValueError, match=r"^horizon 512000\.0 in steps of size 1\.0 needs"
+                       r" 0\.0041 GB .* than the 0\.0041 GB of physical memory$"):
+        simulate.require_memory(512000.0, 1.0, 1)
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        simulate.require_memory(1.5, 1.0, 1)
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(simulate.os, "sysconf", unknown)
+    simulate.require_memory(1e12, 1.0, 1000)
+
+
 def test_integrate_scalar_decay():
     sys = LinearSystem("s", [[-1.0]], np.zeros((1, 0)), [[1.0]], [])
     traj = integrate(sys, [1.0], t_final=1.0, dt=1e-3)
@@ -792,6 +811,190 @@ def test_run_lti_unexcited_unstable_mode_stays_finite():
     assert np.isfinite(ref).all()
     assert np.array_equal(traj.states[:, 1], np.zeros(len(traj.times)))
     assert np.max(np.abs(traj.states - ref)) <= 1e-12
+
+
+def sparse_ring(rng, nodes=128):
+    """A directed ring of stable third-order nodes, each listening to the
+    first state of its predecessor, with one input on every third state:
+    ``3 * nodes`` states and at most four nonzeros a row, large and
+    sparse enough for the density rule to pick the sparse row form."""
+    n = 3 * nodes
+    a = np.zeros((n, n))
+    first = np.arange(0, n, 3)
+    a[first, first + 1] = a[first + 1, first + 2] = 1.0
+    a[first + 2, first] = -1.0
+    a[first + 2, first + 1] = a[first + 2, first + 2] = -3.0
+    a[first + 2, np.roll(first, 1)] = rng.uniform(0.1, 0.2, nodes)
+    b = np.zeros((n, 2))
+    b[first + 2, rng.integers(0, 2, nodes)] = rng.uniform(-1.0, 1.0, nodes)
+    return a, b
+
+
+def forms_taken(monkeypatch) -> list:
+    """Record the form of every step map ``_run_lti`` builds; the last
+    one is the form the run took."""
+    forms = []
+    real = simulate._step_maps
+
+    def spy(a, dt):
+        forms.append("sparse" if isinstance(a, simulate._SparseRows) else "dense")
+        return real(a, dt)
+
+    monkeypatch.setattr(simulate, "_step_maps", spy)
+    return forms
+
+
+def test_density_rule_keeps_small_and_dense_systems_dense(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _run_lti(*args)
+
+    monkeypatch.setattr(simulate, "_run_lti", recording)
+    demo_pipeline(t_final=0.01)
+    (demo_args,) = calls
+    forms = forms_taken(monkeypatch)
+
+    def form(a, b):
+        forms.clear()
+        grid = time_grid(0.03, 0.01)
+        _run_lti(a, b, np.ones((len(grid), b.shape[1])), np.ones(len(a)), grid, 0.01)
+        return forms[-1]
+
+    rng = np.random.default_rng(421)
+    assert len(demo_args[0]) == 14
+    assert form(demo_args[0], demo_args[1]) == "dense"
+    assert form(random_hurwitz(rng, 189), rng.standard_normal((189, 3))) == "dense"
+    for n in range(1, 21):
+        assert form(random_hurwitz(rng, n), rng.standard_normal((n, 2))) == "dense"
+        assert form(-np.eye(n), np.zeros((n, 0))) == "dense"
+    assert form(*sparse_ring(rng)) == "sparse"
+    assert forms == ["sparse"]
+
+
+def test_density_rule_reads_the_state_size_and_the_pairs():
+    # the fixed cost per step keeps every system under 235 states dense;
+    # above it, phi's stored pairs decide
+    assert not simulate._sparse_pays(234, 0)
+    assert simulate._sparse_pays(235, 0)
+    assert simulate._sparse_pays(800, 8000)
+    assert not simulate._sparse_pays(800, 800 * 800 // 10)
+
+
+def test_sparse_form_matches_reference_on_every_grid_length(monkeypatch):
+    forms = forms_taken(monkeypatch)
+    rng = np.random.default_rng(422)
+    a, b = sparse_ring(rng)
+    dt = 0.05
+    for steps in range(0, 70):
+        grid = np.arange(steps + 1) * dt
+        inputs = rng.standard_normal((steps + 1, 2))
+        assert_matches_reference(a, b, inputs, rng.standard_normal(len(a)), grid, dt)
+    assert set(forms) == {"sparse"}
+
+
+def test_sparse_form_matches_reference_with_input_switching_every_step(monkeypatch):
+    forms = forms_taken(monkeypatch)
+    rng = np.random.default_rng(423)
+    a, b = sparse_ring(rng)
+    dt = 1e-2
+    grid = time_grid(20.0, dt)
+    inputs = rng.standard_normal((len(grid), 2))
+    assert_matches_reference(a, b, inputs, rng.standard_normal(len(a)), grid, dt)
+    assert forms == ["sparse"]
+
+
+def test_sparse_form_matches_reference_with_zero_width_input(monkeypatch):
+    forms = forms_taken(monkeypatch)
+    rng = np.random.default_rng(424)
+    a, _ = sparse_ring(rng)
+    grid = time_grid(2.0, 1e-3)
+    assert_matches_reference(
+        a, np.zeros((len(a), 0)), np.zeros((len(grid), 0)), rng.standard_normal(len(a)),
+        grid, 1e-3,
+    )
+    assert forms == ["sparse"]
+
+
+def test_sparse_form_reports_the_reference_blowup_time(monkeypatch):
+    forms = forms_taken(monkeypatch)
+    rng = np.random.default_rng(425)
+    a, b = sparse_ring(rng)
+    a[0, 0] = 5.0
+    dt = 0.1
+    grid = time_grid(300.0, dt)
+    args = (a, b, np.zeros((len(grid), 2)), rng.standard_normal(len(a)), grid, dt)
+    ref = reference_march(*args)
+    bad = ~np.isfinite(ref).all(axis=1)
+    assert bad.any()
+    first = grid[np.argmax(bad)]
+    with pytest.raises(NumericsError, match="non-finite") as info:
+        _run_lti(*args)
+    reported = float(re.search(r"t = (\S+)$", str(info.value)).group(1))
+    assert abs(reported - first) <= dt
+    assert forms == ["sparse"]
+
+
+def test_sparse_form_unexcited_unstable_mode_stays_finite(monkeypatch):
+    forms = forms_taken(monkeypatch)
+    rng = np.random.default_rng(426)
+    ring_a, ring_b = sparse_ring(rng)
+    a = block_diag(ring_a, [[800.0]])
+    b = np.vstack([ring_b, np.zeros((1, 2))])
+    x0 = np.append(rng.standard_normal(len(ring_a)), 0.0)
+    dt = 1e-2
+    grid = time_grid(30.0, dt)
+    inputs = rng.standard_normal((len(grid), 2))
+    got = _run_lti(a, b, inputs, x0, grid, dt)
+    ref = reference_march(a, b, inputs, x0, grid, dt)
+    assert np.isfinite(ref).all()
+    assert np.array_equal(got[:, -1], np.zeros(len(grid)))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
+    assert forms == ["sparse"]
+
+
+def test_sparse_attempt_with_a_hub_row_falls_back_to_the_dense_form(monkeypatch):
+    # one state feeds and reads every other: A has about 3n nonzeros, but
+    # phi is full, so the sparse maps are built (their products densely)
+    # and then set aside
+    forms = forms_taken(monkeypatch)
+    rng = np.random.default_rng(427)
+    n = 400
+    a = -2.0 * np.eye(n)
+    a[0, 1:] = rng.uniform(-0.01, 0.01, n - 1)
+    a[1:, 0] = rng.uniform(-0.5, 0.5, n - 1)
+    b = rng.standard_normal((n, 1))
+    grid = time_grid(0.5, 1e-2)
+    assert_matches_reference(
+        a, b, rng.standard_normal((len(grid), 1)), rng.standard_normal(n), grid, 1e-2
+    )
+    assert forms == ["sparse", "dense"]
+
+
+def test_sparse_rows_pad_with_the_rows_own_column():
+    # a padded pair adds 0 * x_i to row i, so a non-finite state elsewhere
+    # never turns a finite row into NaN
+    m = np.array([[2.0, 0.0, 0.0], [1.0, 3.0, 4.0], [0.0, 0.0, 5.0]])
+    rows = simulate._SparseRows.from_dense(m)
+    assert rows.cols.tolist() == [[0, 0, 0], [0, 1, 2], [2, 2, 2]]
+    assert np.array_equal(rows.todense(), m)
+    with np.errstate(invalid="ignore"):
+        out = rows @ np.array([np.inf, 1.0, 2.0])
+    assert out[2] == 10.0
+    assert not np.isfinite(out[:2]).any()
+
+
+def test_sparse_step_maps_match_the_dense_ones():
+    rng = np.random.default_rng(428)
+    a, b = sparse_ring(rng)
+    dt = 1e-2
+    phi, core = _step_maps(a, dt)
+    sparse_phi, sparse_core = _step_maps(simulate._SparseRows.from_dense(a), dt)
+    assert np.max(np.abs(sparse_phi.todense() - phi)) <= 1e-15 * np.abs(phi).max()
+    core_b = (sparse_core @ simulate._SparseRows.from_dense(b)).todense()
+    assert np.max(np.abs(core_b - core @ b)) <= 1e-15 * np.abs(core @ b).max()
+    assert sparse_phi.pairs < len(a) ** 2 / 20
 
 
 def test_demo_bounds_hold_on_a_ten_times_finer_grid():

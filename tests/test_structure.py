@@ -1,6 +1,6 @@
 """Source-level guards on the package: no environment knobs, each
-tolerance constant defined by exactly one module, one propagator, one
-reader of the entry grammar, one owner for the 2-norm and rank
+tolerance constant defined by exactly one module, one propagator with
+one per-step loop, one reader of the entry grammar, one owner for the 2-norm and rank
 decisions, one owner of the network layout, one reader of the
 interface law, and one encoding of the bundled example."""
 
@@ -74,6 +74,40 @@ def test_one_propagator():
     assert {name for name, names in called.items() if "_step_maps" in names} == {"_run_lti"}
     assert "_run_lti" in called["integrate"]
     assert "_run_lti" in called["refine_and_run"]
+
+
+def test_simulate_reads_no_environment_and_marches_in_one_function():
+    # the propagator's form is chosen by its density rule, never by a
+    # setting, and _run_lti is the only loop over the grid: every other
+    # function in simulate.py works on whole arrays
+    tree = parse(SRC / "simulate.py")
+    readers = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv", "putenv"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "os")
+    ]
+    assert readers == []
+    per_grid_point = {"grid", "states", "starts", "times", "inputs", "drive"}
+    marching = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for loop in ast.walk(func):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            head = loop.iter if isinstance(loop, ast.For) else loop.test
+            measured = {
+                arg.id
+                for call in ast.walk(head)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "len"
+                for arg in call.args
+                if isinstance(arg, ast.Name)
+            }
+            if measured & per_grid_point:
+                marching.add(func.name)
+    assert marching == {"_run_lti"}
 
 
 def test_entry_grammar_is_used_only_by_the_reader():
