@@ -13,12 +13,11 @@ from .abstraction import (
     QuadraticSimFn,
     RelationReport,
     build_abstraction,
+    certificate_slacks,
     check_P_conditions,
     check_relation,
     decay_certificate,
-    graph_subspace,
     interface,
-    simfn_from_relation,
 )
 from .compose import (
     ComposedSimFn,
@@ -74,13 +73,13 @@ __all__ = [
     "bound_report",
     "build_abstraction",
     "build_monolithic",
+    "certificate_slacks",
     "check_P_conditions",
     "check_relation",
     "compose_abstractions",
     "compose_simfn",
     "decay_certificate",
     "gain_matrices",
-    "graph_subspace",
     "image",
     "integrate",
     "interface",
@@ -88,7 +87,6 @@ __all__ = [
     "minimal_invariant",
     "refine_and_run",
     "scalar_bound",
-    "simfn_from_relation",
     "small_gain",
     "vector_bound",
     "__version__",

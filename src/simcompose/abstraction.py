@@ -10,31 +10,47 @@ space, this module constructs an abstract twin
 together with a quadratic function ``V(xhat, x) = |sqrt(M) (x - P xhat)|``
 and an interface feedback such that ``V`` decays at rate ``lam`` up to
 gains on the abstract input (``rho``) and on internal-input mismatch
-(one ``mu`` coefficient per scalar disturbance column). The same data
-can be produced from a joint-space relation instead of ``P``; both
-routes must agree and are kept separate on purpose.
+(one ``mu`` coefficient per scalar disturbance column).
+:func:`check_relation` states the same conditions on a joint-space
+relation instead of ``P``.
+
+The unit of certification is a stack: subsystems of one shape (state,
+input, disturbance and abstract sizes, output block rows, and whether
+the certificate is computed or injected) are checked and certified
+together, each ``numpy.linalg`` routine called once for the whole stack
+(:mod:`~simcompose.linalg`). One subsystem is a stack of one. Steps that
+depend on a member's data (its ranks, its PBH pencils, its iteration
+counts) run on the members they concern, so every member's numbers are
+those it gets alone, and a member that fails drops out of the stack with
+the error it raises alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import Subspace, image, kernel
+from .geometry import Subspace, image, intersections, kernel, residuals, sums
 from .linalg import (
     Matrix,
     NumericsError,
     as_matrix,
+    as_stack,
+    by_shape,
     check_spd,
     least_squares,
     pbh_stabilizable,
+    per_member,
     rank_tol,
     residual_ok,
     spectral_norm,
     sqrtm_spd,
     stabilize,
     solve_lyapunov,
+    stack,
+    unstack,
 )
 from .systems import LinearSystem
 
@@ -162,9 +178,61 @@ def _stacked_outputs(sys: LinearSystem) -> Matrix:
     return np.vstack(blocks)
 
 
-def decay_certificate(
-    a, b, c, pbh: tuple[bool, complex | None] | None = None
-) -> tuple[Matrix, Matrix, float]:
+def _system_stack(systems) -> tuple[Matrix, Matrix, Matrix, list[Matrix]]:
+    """``A``, ``B``, ``D`` and the output blocks of same-shape subsystems,
+    each stacked over the subsystems."""
+    blocks = [sys.output_blocks() for sys in systems]
+    shapes = {
+        (sys.A.shape, sys.B.shape, sys.D.shape, tuple(blk.shape for blk in own))
+        for sys, own in zip(systems, blocks)
+    }
+    if len(shapes) != 1:
+        raise ValueError(f"a stack needs subsystems of one shape, got {sorted(shapes)}")
+    return (
+        stack([sys.A for sys in systems]),
+        stack([sys.B for sys in systems]),
+        stack([sys.D for sys in systems]),
+        [stack(column) for column in zip(*blocks)],
+    )
+
+
+class _Members(SimpleNamespace):
+    """Data of the members of a stack still being certified: arrays are
+    stacks along axis 0, lists hold one item per member and tuples hold
+    several stacks. ``positions`` are the members' places in the stack."""
+
+    def drop(self, failed: dict, failures: dict) -> None:
+        """Record ``failed``, keyed by place among these members, in
+        ``failures``, keyed by place in the stack, and remove them."""
+        if not failed:
+            return
+        keep = np.ones(len(self.positions), dtype=bool)
+        for j, exc in failed.items():
+            failures[int(self.positions[j])] = exc
+            keep[j] = False
+
+        def take(value):
+            if isinstance(value, np.ndarray):
+                return value[keep]
+            if isinstance(value, tuple):
+                return tuple(take(v) for v in value)
+            return [v for v, k in zip(value, keep) if k]
+
+        for key, value in list(vars(self).items()):
+            setattr(self, key, take(value))
+
+
+def _finish(single: bool, results: list, failures: dict):
+    """A stack's per-member results and failures; for one subsystem, its
+    result, or its failure raised."""
+    if not single:
+        return results, failures
+    if failures:
+        raise failures[0]
+    return results[0]
+
+
+def decay_certificate(a, b, c, pbh=None):
     """Compute ``(M, K1, lam)`` certifying exponential deviation decay.
 
     ``K1`` stabilizes ``(a, b)``; ``lam`` is half the closed-loop decay
@@ -178,28 +246,49 @@ def decay_certificate(
     uses the worst block. The 1 percent headroom keeps both inequalities
     strictly satisfied under roundoff. ``pbh`` is the PBH verdict on
     ``(a, b)`` when the caller already has it (see :func:`stabilize`).
+
+    For a stack, ``a`` and ``b`` are stacks, ``c`` a list of block stacks
+    and ``pbh`` a pair of per-member sequences; returns ``(M, K1, lam,
+    failures)``.
     """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    n = a.shape[0]
-    k1, abscissa = stabilize(a, b, pbh=pbh)
-    a_cl = a + b @ k1
-    lam = 0.5 * abs(abscissa)
-    m0 = solve_lyapunov(a_cl + lam * np.eye(n), np.eye(n))
-    try:
-        chol = np.linalg.cholesky(m0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(
-            "certificate scaling failed: the Lyapunov solution is numerically "
-            "indefinite, the closed loop is too stiff"
-        ) from exc
-    scale = _SCALE_FLOOR
-    for block in _output_blocks(c, n):
+    a, single = as_stack(a, "a")
+    b, _ = as_stack(b, "b")
+    count, n = a.shape[0], a.shape[-1]
+    blocks = [blk[np.newaxis] for blk in _output_blocks(c, n)] if single else list(c)
+    if single and pbh is not None:
+        pbh = ([pbh[0]], [pbh[1]])
+    k1, abscissa, failed = stabilize(a, b, pbh=pbh)
+    failures: dict[int, Exception] = {}
+    live = _Members(
+        positions=np.arange(count), a=a, b=b, k1=k1, abscissa=abscissa, blocks=tuple(blocks)
+    )
+    live.drop(failed, failures)
+    lam = 0.5 * np.abs(live.abscissa)
+    m0, failed = solve_lyapunov(
+        live.a + live.b @ live.k1 + lam[:, None, None] * np.eye(n),
+        np.tile(np.eye(n), (len(lam), 1, 1)),
+    )
+    live.lam, live.m0 = lam, m0
+    live.drop(failed, failures)
+    chol, singular = per_member(np.linalg.cholesky, live.m0)
+    live.chol = chol
+    live.drop({j: NumericsError(
+        "certificate scaling failed: the Lyapunov solution is numerically "
+        "indefinite, the closed loop is too stiff"
+    ) for j in singular}, failures)
+    scale = np.full(len(live.positions), _SCALE_FLOOR)
+    for block in live.blocks:
         # smallest s with Cb^T Cb <= s * m0 equals |Cb L^-T|^2 for m0 = L L^T
-        z = np.linalg.solve(chol, block.T)
-        scale = max(scale, spectral_norm(z) ** 2)
-    m = 1.01 * scale * m0
-    return m, k1, lam
+        z = np.linalg.solve(live.chol, block.swapaxes(-1, -2))
+        # squared by Python's pow, as one member is: numpy squares by a
+        # product, which differs from pow in the last bit
+        squared = np.array([norm ** 2 for norm in spectral_norm(z).tolist()])
+        scale = np.where(squared > scale, squared, scale)
+    m = np.zeros((count, n, n))
+    m[live.positions] = (1.01 * scale)[:, None, None] * live.m0
+    lam = np.zeros(count)
+    lam[live.positions] = live.lam
+    return unstack(single, failures, m, k1, lam)
 
 
 def certificate_slacks(a, b, c, m, k1, lam) -> tuple[float, float]:
@@ -215,27 +304,27 @@ def certificate_slacks(a, b, c, m, k1, lam) -> tuple[float, float]:
     b = as_matrix(b, "b")
     m = check_spd(m, "M")
     k1 = as_matrix(k1, "K1")
-    return _slacks(a, b, _output_blocks(c, a.shape[0]), m, k1, lam)
+    blocks = [blk[np.newaxis] for blk in _output_blocks(c, a.shape[0])]
+    slacks = _slacks(a[np.newaxis], b[np.newaxis], blocks, m[np.newaxis], k1[np.newaxis],
+                     np.array([lam], dtype=float))
+    return float(slacks[0][0]), float(slacks[1][0])
 
 
-def _slacks(a, b, blocks, m, k1, lam) -> tuple[float, float]:
-    """:func:`certificate_slacks` of already validated matrices."""
-    if blocks:
-        output_slack = min(
-            float(np.linalg.eigvalsh(m - blk.T @ blk)[0]) for blk in blocks
+def _slacks(a, b, blocks, m, k1, lam) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`certificate_slacks` of validated stacks, one pair per member."""
+    count, n = m.shape[0], m.shape[-1]
+    if not n:
+        return np.zeros(count), np.zeros(count)
+    output_slack = np.linalg.eigvalsh(m)[:, 0] if not blocks else None
+    for blk in blocks:
+        slack = np.linalg.eigvalsh(m - blk.swapaxes(-1, -2) @ blk)[:, 0]
+        # the first block's slack unless a later one is smaller, as min() keeps it
+        output_slack = slack if output_slack is None else np.where(
+            slack < output_slack, slack, output_slack
         )
-    else:
-        output_slack = float(np.linalg.eigvalsh(m)[0]) if m.shape[0] else 0.0
     a_cl = a + b @ k1
-    decay = a_cl.T @ m + m @ a_cl + 2.0 * lam * m
-    decay_slack = -float(np.linalg.eigvalsh(decay)[-1]) if m.shape[0] else 0.0
-    return output_slack, decay_slack
-
-
-def check_certificate(a, b, c, m, k1, lam, tol: float) -> None:
-    """Raise ``NumericsError`` if either certificate inequality is
-    violated by more than ``tol`` (absolute eigenvalue slack)."""
-    _require_slacks(certificate_slacks(a, b, c, m, k1, lam), tol)
+    decay = a_cl.swapaxes(-1, -2) @ m + m @ a_cl + (2.0 * lam)[:, None, None] * m
+    return output_slack, -np.linalg.eigvalsh(decay)[:, -1]
 
 
 def _require_slacks(slacks: tuple[float, float], tol: float, cause: str = "") -> None:
@@ -247,7 +336,7 @@ def _require_slacks(slacks: tuple[float, float], tol: float, cause: str = "") ->
         )
 
 
-def check_P_conditions(sys: LinearSystem, p) -> PConditionReport:
+def check_P_conditions(sys, p):
     """Check the four conditions an injection ``P`` must satisfy.
 
     1. ``(A, B)`` stabilizable;
@@ -259,83 +348,135 @@ def check_P_conditions(sys: LinearSystem, p) -> PConditionReport:
     ``P`` must be injective; that is a shape-level requirement, not a
     condition, so a rank-deficient ``P`` raises ``ValueError``. Its rank
     is decided at the package cutoff :func:`~simcompose.linalg.rank_tol`.
+
+    ``sys`` may be a sequence of same-shape subsystems and ``p`` the
+    stack of their injections: then returns ``(reports, failures)``, with
+    ``None`` for a member whose ``P`` is rejected.
     """
-    p = as_matrix(p, "P")
-    n = sys.n
-    if p.shape[0] != n:
-        raise ValueError(f"P must have {n} rows, got {p.shape}")
+    single = isinstance(sys, LinearSystem)
+    systems = [sys] if single else list(sys)
+    p, _ = as_stack(p, "P")
+    n = systems[0].n
+    if p.shape[-2] != n:
+        raise ValueError(f"P must have {n} rows, got {p.shape[-2:]}")
+    a, b, d, blocks = _system_stack(systems)
     norm_p = spectral_norm(p)
     im_p = image(p, tol=rank_tol(p, norm_p))
-    if im_p.dim < p.shape[1]:
-        raise ValueError("P must have full column rank (injective state mapping)")
-    norm_a = spectral_norm(sys.A)
-    norm_d = spectral_norm(sys.D)
-    ok_stab, witness = pbh_stabilizable(sys.A, sys.B, norm=norm_a)
-    reach = image(np.hstack([p, sys.B]))
-    inv_res = reach.residual(sys.A @ p)
-    dist_res = reach.residual(sys.D) if sys.p else 0.0
-    ker_c = kernel(_stacked_outputs(sys))
-    comp = im_p.sum(ker_c)
-    return PConditionReport(
-        n=n,
-        stabilizable=ok_stab,
-        witness=witness,
-        invariance_ok=residual_ok(inv_res, sys.A, norm=norm_a),
-        invariance_residual=float(inv_res),
-        disturbance_ok=residual_ok(dist_res, sys.D, norm=norm_d),
-        disturbance_residual=float(dist_res),
-        complement_ok=comp.dim == n,
-        complement_dim=comp.dim,
-        image_p=im_p,
-        kernel_c=ker_c,
-        norm_a=norm_a,
-        norm_d=norm_d,
-        norm_p=norm_p,
-    )
+    live = _Members(positions=np.arange(len(systems)), a=a, b=b, d=d, p=p,
+                    blocks=tuple(blocks), norm_p=norm_p, im_p=im_p)
+    failures: dict[int, Exception] = {}
+    deficient = [j for j, space in enumerate(im_p) if space.dim < p.shape[-1]]
+    live.drop({
+        j: ValueError("P must have full column rank (injective state mapping)")
+        for j in deficient
+    }, failures)
+    reports: list = [None] * len(systems)
+    if len(live.positions):
+        norm_a = spectral_norm(live.a)
+        norm_d = spectral_norm(live.d)
+        ok_stab, witness = pbh_stabilizable(live.a, live.b, norm=norm_a)
+        reach = image(np.concatenate([live.p, live.b], axis=-1))
+        inv_res = residuals(reach, live.a @ live.p)
+        dist_res = residuals(reach, live.d)
+        outputs = (
+            np.concatenate(live.blocks, axis=-2) if live.blocks
+            else np.zeros((len(live.positions), 0, n))
+        )
+        ker_c = kernel(outputs)
+        comp = sums(live.im_p, ker_c)
+        stab, inv_ok, dist_ok = (
+            ok_stab.tolist(),
+            residual_ok(inv_res, None, norm=norm_a).tolist(),
+            residual_ok(dist_res, None, norm=norm_d).tolist(),
+        )
+        for j, i in enumerate(live.positions.tolist()):
+            reports[i] = PConditionReport(
+                n=n,
+                stabilizable=stab[j],
+                witness=witness[j],
+                invariance_ok=inv_ok[j],
+                invariance_residual=inv_res[j].item(),
+                disturbance_ok=dist_ok[j],
+                disturbance_residual=dist_res[j].item(),
+                complement_ok=comp[j].dim == n,
+                complement_dim=comp[j].dim,
+                image_p=live.im_p[j],
+                kernel_c=ker_c[j],
+                norm_a=norm_a[j].item(),
+                norm_d=norm_d[j].item(),
+                norm_p=live.norm_p[j].item(),
+            )
+    return _finish(single, reports, failures)
 
 
-def _left_inverse_through_kernel(
-    sys: LinearSystem, p: Matrix, report: PConditionReport
-) -> tuple[Matrix, Matrix, Matrix]:
+def _left_inverse_through_kernel(p: np.ndarray, reports: list):
     """Build ``(phat, e, f)`` with ``phat p = I``, ``C p phat = C`` and
-    ``p phat + e f = I`` where ``im e = ker C``.
+    ``p phat + e f = I`` where ``im e = ker C``, for each member of the
+    stack ``p``.
 
     Decomposes the state space as ``im p (+) W`` with ``W`` a complement
     of ``im p  ker C`` inside ``ker C``; ``phat`` reads off the ``p``
     coordinate of that splitting. ``im p``, ``ker C`` and ``|p|`` come
-    from ``report``, the :func:`check_P_conditions` of ``(sys, p)``.
+    from ``reports``, the :func:`check_P_conditions` of each member.
+    Returns ``(phat, e, f, failures)``; ``e`` and ``f`` are lists, since
+    ``dim ker C`` is each member's own.
     """
-    n = sys.n
-    nhat = p.shape[1]
-    ker_c = report.kernel_c
-    overlap = report.image_p.intersect(ker_c)
-    # complement of the overlap inside ker C, expressed in ambient coordinates
-    coords = ker_c.basis.T @ overlap.basis
-    w_basis = ker_c.basis @ kernel(coords.T).basis if ker_c.dim else np.zeros((n, 0))
-    t_full = np.hstack([p, w_basis])
-    if t_full.shape[1] != n:
-        raise NumericsError(
-            f"im P and ker C do not decompose the state space: got dimension "
-            f"{t_full.shape[1]} of {n}"
-        )
-    svals = np.linalg.svd(t_full, compute_uv=False)
-    if svals[-1] <= 1e-12 * svals[0]:
-        raise NumericsError("state decomposition [P, W] is numerically singular")
-    phat = np.linalg.solve(t_full, np.eye(n))[:nhat, :]
-    e = ker_c.basis
-    f, f_res = least_squares(e, np.eye(n) - p @ phat)
-    if not residual_ok(f_res, p, norm=report.norm_p):
-        raise NumericsError(
-            f"projector residual {f_res:.3e}: I - P phat does not factor through ker C"
-        )
-    return phat, e, f
+    count, n, nhat = p.shape
+    ker_c = [report.kernel_c for report in reports]
+    overlap = intersections([report.image_p for report in reports], ker_c)
+    t_full = by_shape(
+        _splitting, p, [space.basis for space in ker_c], [space.basis for space in overlap]
+    )
+    failures: dict[int, Exception] = {}
+    for j, t in enumerate(t_full):
+        if t.shape[1] != n:
+            failures[j] = NumericsError(
+                f"im P and ker C do not decompose the state space: got dimension "
+                f"{t.shape[1]} of {n}"
+            )
+    square = [j for j in range(count) if j not in failures]
+    phat = np.zeros((count, nhat, n))
+    e: list = [None] * count
+    f: list = [None] * count
+    if not square:
+        return phat, e, f, failures
+    t = stack([t_full[j] for j in square])
+    svals = np.linalg.svd(t, compute_uv=False)
+    singular = svals[:, -1] <= 1e-12 * svals[:, 0]
+    good = []
+    for j, bad in zip(square, singular.tolist()):
+        if bad:
+            failures[j] = NumericsError("state decomposition [P, W] is numerically singular")
+        else:
+            good.append(j)
+    projectors = []
+    if len(good) == count:
+        phat = np.linalg.solve(t, np.eye(n))[:, :nhat, :]
+        projectors = np.eye(n) - p @ phat
+    elif good:
+        phat[good] = np.linalg.solve(t[~singular], np.eye(n))[:, :nhat, :]
+        projectors = np.eye(n) - p[good] @ phat[good]
+    for j, rest in zip(good, projectors):
+        e[j] = ker_c[j].basis
+        f[j], f_res = least_squares(e[j], rest)
+        if not residual_ok(f_res, None, norm=reports[j].norm_p):
+            failures[j] = NumericsError(
+                f"projector residual {f_res:.3e}: I - P phat does not factor through ker C"
+            )
+    return phat, e, f, failures
 
 
-def build_abstraction(
-    sys: LinearSystem,
-    p,
-    certificate: tuple | None = None,
-) -> AbstractionResult:
+def _splitting(p, k, o):
+    """``[P, W]`` for stacks of injections ``p``, ``ker C`` bases ``k``
+    and bases ``o`` of ``im P`` and ``ker C``'s overlap: ``W`` spans a
+    complement of the overlap inside ``ker C``, in ambient coordinates."""
+    inside = kernel((k.swapaxes(-1, -2) @ o).swapaxes(-1, -2))
+    return by_shape(
+        lambda p, k, w: np.concatenate([p, k @ w], axis=-1), p, k, [space.basis for space in inside]
+    )
+
+
+def build_abstraction(sys, p, certificate=None):
     """Construct the abstract twin of ``sys`` along the injection ``p``.
 
     Solves ``A P = P Ahat + B K2`` and ``D = P Dhat + B K3`` in the
@@ -351,6 +492,13 @@ def build_abstraction(
         injected certificates are verified at the loose tolerance
         appropriate for rounded published data.
 
+    A stack is certified in one pass: ``sys`` is then a sequence of
+    same-shape subsystems, ``p`` the stack of their injections and
+    ``certificate`` ``None`` (every certificate computed) or one injected
+    certificate per member, all of one shape. Returns ``(results,
+    failures)``: ``results[i]`` is ``None`` where ``failures[i]`` holds
+    the error member ``i`` raises alone.
+
     Raises
     ------
     ValueError
@@ -358,17 +506,31 @@ def build_abstraction(
     NumericsError
         If the certificate or the construction identities fail.
     """
-    p = as_matrix(p, "P")
-    report = check_P_conditions(sys, p)
-    if not report.ok:
-        raise ValueError(
-            "injection conditions failed for "
-            f"{sys.name}: " + "; ".join(report.lines())
-        )
-    blocks = sys.output_blocks()
+    single = isinstance(sys, LinearSystem)
+    systems = [sys] if single else list(sys)
+    if single and certificate is not None:
+        certificate = [certificate]
+    p, _ = as_stack(p, "P")
+    count = len(systems)
+    reports, failed = check_P_conditions(systems, p)
+    for j, report in enumerate(reports):
+        if report is not None and not report.ok:
+            failed[j] = ValueError(
+                "injection conditions failed for "
+                f"{systems[j].name}: " + "; ".join(report.lines())
+            )
+    failures: dict[int, Exception] = {}
+    live = _Members(positions=np.arange(count), systems=systems, reports=reports, p=p)
+    live.drop(failed, failures)
+    results: list = [None] * count
+    if not len(live.positions):
+        return _finish(single, results, failures)
+    a, b, d, blocks = _system_stack(live.systems)
+    live.a, live.b, live.d, live.blocks = a, b, d, tuple(blocks)
     if certificate is None:
-        m, k1, lam = decay_certificate(
-            sys.A, sys.B, blocks, pbh=(report.stabilizable, report.witness)
+        m, k1, lam, failed = decay_certificate(
+            a, b, blocks,
+            pbh=([r.stabilizable for r in live.reports], [r.witness for r in live.reports]),
         )
         tol = COMPUTED_CERT_TOL
         # the solve's residual gate is relative to |A| |M|, the slack absolute
@@ -378,80 +540,112 @@ def build_abstraction(
             " inequality"
         )
     else:
-        m, k1, lam = certificate
+        injected = [certificate[i] for i in live.positions.tolist()]
+        m = stack([as_matrix(cert[0], "M") for cert in injected])
+        k1 = stack([as_matrix(cert[1], "K1") for cert in injected])
+        lam = np.array([float(cert[2]) for cert in injected])
+        failed = {}
         tol = INJECTED_CERT_TOL
         cause = ""
+    live.m, live.k1, live.lam = m, k1, lam
+    live.drop(failed, failures)
     # the one symmetry and definiteness check of M: the slacks, K4 and
     # every mu below work on this M and on its one square root
-    m = check_spd(m, "M")
-    k1 = as_matrix(k1, "K1")
-    if k1.shape != (sys.m, sys.n):
-        raise ValueError(
-            f"{sys.name}: K1 has shape {k1.shape}, expected ({sys.m}, {sys.n})"
-        )
-    lam = float(lam)
-    _require_slacks(_slacks(sys.A, sys.B, blocks, m, k1, lam), tol, cause)
+    live.m, failed = check_spd(live.m, "M")
+    live.drop(failed, failures)
+    n, m_in = a.shape[-1], b.shape[-1]
+    if live.k1.shape[1:] != (m_in, n):
+        live.drop({
+            j: ValueError(f"{sub.name}: K1 has shape {live.k1.shape[1:]}, expected ({m_in}, {n})")
+            for j, sub in enumerate(live.systems)
+        }, failures)
+        return _finish(single, results, failures)
+    failed = {}
+    for j, slacks in enumerate(zip(*(s.tolist() for s in _slacks(
+        live.a, live.b, live.blocks, live.m, live.k1, live.lam
+    )))):
+        try:
+            _require_slacks(slacks, tol, cause)
+        except NumericsError as exc:
+            failed[j] = exc
+    live.drop(failed, failures)
 
-    nhat = p.shape[1]
-    pb = np.hstack([p, sys.B])
-    sol_a, res_a = least_squares(pb, sys.A @ p)
-    ahat, k2 = sol_a[:nhat, :], sol_a[nhat:, :]
-    sol_d, res_d = least_squares(pb, sys.D)
-    dhat, k3 = sol_d[:nhat, :], sol_d[nhat:, :]
-    if not (
-        residual_ok(res_a, sys.A, norm=report.norm_a)
-        and residual_ok(res_d, sys.D, norm=report.norm_d)
-    ):
-        raise NumericsError(
-            f"construction identities inconsistent: residuals {res_a:.3e}, {res_d:.3e}"
-        )
-    phat, e, f = _left_inverse_through_kernel(sys, p, report)
+    nhat = p.shape[-1]
+    pb = np.concatenate([live.p, live.b], axis=-1)
+    ap = live.a @ live.p
+    live.sol_a, live.sol_d, failed = [], [], {}
+    for j, report in enumerate(live.reports):
+        sol_a, res_a = least_squares(pb[j], ap[j])
+        sol_d, res_d = least_squares(pb[j], live.d[j])
+        live.sol_a.append(sol_a)
+        live.sol_d.append(sol_d)
+        if not (
+            residual_ok(res_a, None, norm=report.norm_a)
+            and residual_ok(res_d, None, norm=report.norm_d)
+        ):
+            failed[j] = NumericsError(
+                f"construction identities inconsistent: residuals {res_a:.3e}, {res_d:.3e}"
+            )
+    live.drop(failed, failures)
+    live.phat, live.e, live.f, failed = _left_inverse_through_kernel(live.p, live.reports)
+    live.drop(failed, failures)
+    if not len(live.positions):
+        return _finish(single, results, failures)
 
-    bhat = np.hstack([phat @ sys.B, phat @ sys.A @ e])
-    root = sqrtm_spd(m, checked=True)
-    k4, rho = compute_k4(m, p, bhat, sys.B, root=root)
-    mu = tuple(spectral_norm(root @ sys.D[:, k, None]) for k in range(sys.p))
-
-    abstract = LinearSystem(
-        name=sys.name,
-        A=ahat,
-        B=bhat,
-        C_ext=sys.C_ext @ p,
-        D=dhat,
-        channels_in=sys.channels_in,
-        C_int={peer: blk @ p for peer, blk in sys.C_int.items()},
+    bhat = by_shape(
+        lambda phat_b, phat_a, e: np.concatenate([phat_b, phat_a @ e], axis=-1),
+        live.phat @ live.b, live.phat @ live.a, live.e,
     )
-    simfn = QuadraticSimFn(P=p, M=m, K1=k1, K2=k2, K3=k3, K4=k4, lam=lam)
-    gains = ComparisonGains(lam=lam, rho=rho, mu=mu)
-    return AbstractionResult(
-        system=abstract,
-        simfn=simfn,
-        gains=gains,
-        phat=phat,
-        e=e,
-        f=f,
-        conditions=report,
-    )
+    root = sqrtm_spd(live.m, checked=True)
+    k4_rho = by_shape(compute_k4, live.m, live.p, bhat, live.b, root)
+    mu = [spectral_norm(root @ live.d[:, :, k, None]).tolist() for k in range(live.d.shape[-1])]
+    lam = live.lam.tolist()
+    for j, i in enumerate(live.positions.tolist()):
+        sub, pj, sol_a, sol_d = live.systems[j], live.p[j], live.sol_a[j], live.sol_d[j]
+        k4, rho = k4_rho[j]
+        abstract = LinearSystem(
+            name=sub.name,
+            A=sol_a[:nhat, :],
+            B=bhat[j],
+            C_ext=sub.C_ext @ pj,
+            D=sol_d[:nhat, :],
+            channels_in=sub.channels_in,
+            C_int={peer: blk @ pj for peer, blk in sub.C_int.items()},
+        )
+        simfn = QuadraticSimFn(
+            P=pj, M=live.m[j], K1=live.k1[j], K2=sol_a[nhat:, :], K3=sol_d[nhat:, :], K4=k4,
+            lam=lam[j],
+        )
+        gains = ComparisonGains(lam=lam[j], rho=float(rho), mu=tuple(column[j] for column in mu))
+        results[i] = AbstractionResult(
+            system=abstract, simfn=simfn, gains=gains, phat=live.phat[j], e=live.e[j],
+            f=live.f[j], conditions=live.reports[j],
+        )
+    return _finish(single, results, failures)
 
 
-def compute_k4(m, p, bhat, b, root=None) -> tuple[Matrix, float]:
+def compute_k4(m, p, bhat, b, root=None):
     """Abstract-input matching gain and the resulting deviation gain.
 
     Minimizes ``|sqrt(M) (P Bhat - B K4)|`` columnwise (minimum-norm
     solution); ``rho`` is the spectral norm of the optimal residual.
     With no concrete input (``B`` has zero width) this degenerates to
     ``K4`` empty and ``rho = |sqrt(M) P Bhat|``. ``root`` is
-    ``sqrtm_spd(m)`` when the caller has already formed it.
+    ``sqrtm_spd(m)`` when the caller has already formed it. Stacks give
+    a stack of gains and one ``rho`` per member (the least-squares
+    solves run member by member).
     """
-    p = as_matrix(p, "P")
-    bhat = as_matrix(bhat, "Bhat")
-    b = as_matrix(b, "B")
-    if root is None:
-        root = sqrtm_spd(m)
+    p, single = as_stack(p, "P")
+    bhat, _ = as_stack(bhat, "Bhat")
+    b, _ = as_stack(b, "B")
+    root, _ = as_stack(sqrtm_spd(m) if root is None else root)
     target = root @ (p @ bhat)
-    k4, _ = least_squares(root @ b, target)
-    rho = spectral_norm(target - (root @ b) @ k4)
-    return k4, float(rho)
+    root_b = root @ b
+    k4 = stack([least_squares(x, y)[0] for x, y in zip(root_b, target)])
+    rho = spectral_norm(target - root_b @ k4)
+    if single:
+        return k4[0], float(rho[0])
+    return k4, rho
 
 
 def eval_simfn(fn: QuadraticSimFn, xhat, x) -> float:
@@ -519,7 +713,10 @@ class RelationReport:
         )
 
 
-def _joint_matrices(sys1: LinearSystem, sys2: LinearSystem):
+def _relation_matrices(sys1: LinearSystem, sys2: LinearSystem):
+    """Joint-space matrices of the relation between abstract ``sys1`` and
+    concrete ``sys2``: ``A`` of both states, the concrete and abstract
+    input matrices, the stacked disturbances and the output difference."""
     n1, n2 = sys1.n, sys2.n
     if sys1.p != sys2.p:
         raise ValueError(
@@ -555,7 +752,7 @@ def check_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> Relat
     of the quotient pair that annihilate its input, with the same
     eigenvalues.
     """
-    a12, b12, b21, d12, c12 = _joint_matrices(sys1, sys2)
+    a12, b12, b21, d12, c12 = _relation_matrices(sys1, sys2)
     if r.ambient != a12.shape[0]:
         raise ValueError(
             f"relation lives in dimension {r.ambient}, expected {a12.shape[0]}"
@@ -581,35 +778,3 @@ def check_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> Relat
         output_ok=residual_ok(out_res, c12),
         feedthrough_ok=residual_ok(feed_res, b21),
     )
-
-
-def graph_subspace(p) -> Subspace:
-    """The relation ``{(xhat, P xhat)}`` as a joint-space subspace."""
-    p = as_matrix(p, "P")
-    return image(np.vstack([np.eye(p.shape[1]), p]))
-
-
-def simfn_from_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> QuadraticSimFn:
-    """Deviation certificate built from a joint-space relation.
-
-    Requires ``r`` to be the graph of an injection (abstract states on
-    top); extracts that map and assembles the certificate directly from
-    the relation conditions. Kept as an independent route so it can be
-    cross-checked against :func:`build_abstraction`.
-    """
-    nhat, n = sys1.n, sys2.n
-    if r.ambient != nhat + n:
-        raise ValueError(f"relation ambient {r.ambient} does not match {nhat}+{n}")
-    if r.dim != nhat:
-        raise ValueError(f"graph relation must have dimension {nhat}, got {r.dim}")
-    x1 = r.basis[:nhat, :]
-    x2 = r.basis[nhat:, :]
-    svals = np.linalg.svd(x1, compute_uv=False) if nhat else np.zeros(0)
-    if nhat and svals[-1] <= 1e-10 * max(1.0, svals[0]):
-        raise ValueError("relation is not the graph of a map on the abstract states")
-    p = x2 @ np.linalg.inv(x1) if nhat else np.zeros((n, 0))
-    m, k1, lam = decay_certificate(sys2.A, sys2.B, sys2.output_blocks())
-    k2, _ = least_squares(sys2.B, sys2.A @ p - p @ sys1.A)
-    k3, _ = least_squares(sys2.B, sys2.D - p @ sys1.D)
-    k4, _ = compute_k4(m, p, sys1.B, sys2.B)
-    return QuadraticSimFn(P=p, M=m, K1=k1, K2=k2, K3=k3, K4=k4, lam=lam)

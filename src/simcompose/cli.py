@@ -32,7 +32,7 @@ from .compose import (
     small_gain,
 )
 from .geometry import image, minimal_invariant
-from .linalg import NumericsError, spectral_norm
+from .linalg import NumericsError, spectral_norm, stack
 from .simulate import (
     BOUND_TOL,
     Signal,
@@ -41,6 +41,7 @@ from .simulate import (
     grid_steps,
     refine_and_run,
     require_memory,
+    square_switches,
     write_csv,
     write_gnuplot,
     write_table,
@@ -340,13 +341,26 @@ def parse_project(doc) -> Project:
     # the abstract sizes are known only once the subsystems are abstracted,
     # so the run is measured here by its concrete states alone
     try:
-        require_memory(simulation.t_final, simulation.dt, interconnection.state_offsets[-1])
+        require_memory(
+            simulation.t_final, simulation.dt, interconnection.state_offsets[-1],
+            _most_switches(simulation, simulation.t_final),
+        )
     except ValueError as exc:
         raise ProjectError(f"simulation: {exc}") from exc
     return Project(
         interconnection=interconnection,
         directives=directives,
         simulation=simulation,
+    )
+
+
+def _most_switches(simulation: SimulationSpec, t_final: float) -> float:
+    """The most switch times any one square-wave input holds up to
+    ``t_final``: the input signal has a row at each of them at least."""
+    return max(
+        (square_switches(float(spec["period"]), t_final)
+         for spec in simulation.inputs.values() if spec["kind"] == "square"),
+        default=0,
     )
 
 
@@ -363,41 +377,6 @@ def load_project(path) -> Project:
     return parse_project(doc)
 
 
-def serialize_project(project: Project) -> dict:
-    """Project back to a JSON document with all parameters resolved.
-
-    Floats survive the JSON round trip bit for bit, so parsing the
-    result reproduces the same interconnection exactly.
-    """
-    subsystems = []
-    for sub in project.interconnection.subsystems:
-        directive = project.directives[sub.name]
-        abstraction = {"P": directive.p}
-        if directive.certificate is not None:
-            m, k1, lam = directive.certificate
-            abstraction["certificate"] = {"M": m, "K1": k1, "lambda": lam}
-        subsystems.append({
-            "name": sub.name, "A": sub.A, "B": sub.B, "C": sub.C_ext, "D": sub.D,
-            "inputs": [{"from": ch.source, "width": ch.width} for ch in sub.channels_in],
-            "outputs_to": dict(sorted(sub.C_int.items())),
-            "abstraction": abstraction,
-        })
-    sim = project.simulation
-    simulation = {"t_final": sim.t_final, "dt": sim.dt, "x0": sim.x0, "inputs": sim.inputs}
-    if sim.xhat0 is not None:
-        simulation["xhat0"] = sim.xhat0
-    return _lists({"subsystems": subsystems, "simulation": simulation})
-
-
-def _lists(value):
-    """A document with every array written back as nested lists."""
-    if isinstance(value, dict):
-        return {key: _lists(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_lists(item) for item in value]
-    return value.tolist() if isinstance(value, np.ndarray) else value
-
-
 def resolve_injection(sys: LinearSystem, directive: Directive) -> np.ndarray:
     if isinstance(directive.p, np.ndarray):
         return directive.p
@@ -409,18 +388,48 @@ def resolve_injection(sys: LinearSystem, directive: Directive) -> np.ndarray:
     return minimal_invariant(sys.A, seed).basis
 
 
-def _abstract_one(project: Project, sub: LinearSystem) -> AbstractionResult:
-    directive = project.directives[sub.name]
-    return build_abstraction(
-        sub, resolve_injection(sub, directive), certificate=directive.certificate
-    )
+def certify(project: Project) -> dict[str, AbstractionResult | Exception]:
+    """Each subsystem's abstraction, or the error its certification raised.
+
+    Subsystems of one shape (state, input and disturbance widths, the
+    injection's shape, the rows of each output block, and the shapes of
+    an injected certificate or its absence) are certified as one stack
+    by :func:`build_abstraction`; one subsystem is a stack of one.
+    Results are in network order.
+    """
+    groups: dict[tuple, list] = {}
+    for sub in project.interconnection.subsystems:
+        directive = project.directives[sub.name]
+        p = resolve_injection(sub, directive)
+        cert = directive.certificate
+        signature = (
+            sub.n, sub.m, sub.p, p.shape,
+            tuple(block.shape[0] for block in sub.output_blocks()),
+            None if cert is None else (np.shape(cert[0]), np.shape(cert[1])),
+        )
+        groups.setdefault(signature, []).append((sub, p, cert))
+    outcomes = {}
+    for members in groups.values():
+        systems = [sub for sub, _, _ in members]
+        injected = members[0][2] is not None
+        results, failures = build_abstraction(
+            systems,
+            stack([p for _, p, _ in members]),
+            [cert for _, _, cert in members] if injected else None,
+        )
+        for i, sub in enumerate(systems):
+            outcomes[sub.name] = failures.get(i, results[i])
+    return {name: outcomes[name] for name in project.interconnection.names}
 
 
 def build_abstractions(project: Project) -> dict[str, AbstractionResult]:
-    return {
-        sub.name: _abstract_one(project, sub)
-        for sub in project.interconnection.subsystems
-    }
+    """Every subsystem's abstraction; raises the error of the first
+    subsystem, in network order, whose certification fails."""
+    outcomes = certify(project)
+    for outcome in outcomes.values():
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def run_compose(project: Project, results, eta=None, epsilon=None):
@@ -536,18 +545,16 @@ def cmd_abstract(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     summary = []
     failures = []
-    for sub in project.interconnection.subsystems:
-        try:
-            result = _abstract_one(project, sub)
-        except (ValueError, NumericsError) as exc:
-            failures.append(sub.name)
-            summary.append(f"{sub.name}: construction failed: {exc}")
+    for name, result in certify(project).items():
+        if isinstance(result, Exception):
+            failures.append(name)
+            summary.append(f"{name}: construction failed: {result}")
             continue
         for label, pick in _EXPORTS:
-            write_table(os.path.join(args.out, f"{sub.name}_{label}.csv"), pick(result))
+            write_table(os.path.join(args.out, f"{name}_{label}.csv"), pick(result))
         gains = result.gains
         summary.append(
-            f"{sub.name}: nhat {result.system.n},"
+            f"{name}: nhat {result.system.n},"
             f" Ahat {_fmt_matrix(result.system.A)},"
             f" Dhat {_fmt_matrix(result.system.D)},"
             f" lambda {_fmt(gains.lam)}, rho {_fmt(gains.rho)},"
@@ -604,7 +611,7 @@ def _run_pipeline(project: Project, t_final=None, dt=None, v0=None):
     width = project.interconnection.state_offsets[-1] + sum(
         r.system.n + r.system.m for r in results.values()
     )
-    require_memory(horizon, step, width)
+    require_memory(horizon, step, width, _most_switches(sim, horizon))
     uhat = build_input_signal(project, results, horizon)
     xhat0, x0 = resolve_initial_states(project, results)
     run = refine_and_run(

@@ -16,6 +16,24 @@ import numpy as np
 from .cli import parse_project
 from .systems import Interconnection
 
+__all__ = [
+    "CERT_K1_INTEGRATOR",
+    "CERT_LAM_INTEGRATOR",
+    "CERT_LAM_NODE",
+    "CERT_M_INTEGRATOR",
+    "CERT_M_NODE",
+    "DEMO_DT",
+    "DEMO_INPUT_AMPLITUDE",
+    "DEMO_INPUT_PERIOD",
+    "DEMO_T_FINAL",
+    "DEMO_XHAT0",
+    "PUBLISHED",
+    "demo_certificates",
+    "demo_interconnection",
+    "demo_project",
+    "demo_projections",
+]
+
 # Rounded certificate and gain values published for this network; the
 # regression report checks the pipeline against them.
 PUBLISHED = {

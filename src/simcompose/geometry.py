@@ -5,6 +5,12 @@ A subspace is represented by an orthonormal basis (columns) plus the
 tolerance it was computed at. Tolerances travel with the subspace and
 are never re-derived from the basis, so containment decisions stay
 consistent across composite operations.
+
+:func:`image` and :func:`kernel` of a stack of matrices give one
+subspace per member, each at its own rank; :func:`residuals`,
+:func:`sums` and :func:`intersections` work on sequences of subspaces,
+one per member, and stack the members of equal dimensions into one call
+(:func:`~simcompose.linalg.by_shape`). One subspace is a stack of one.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, as_matrix, rank_tol
+from .linalg import Matrix, as_matrix, as_stack, by_shape, rank_tol
 
 
 @dataclass(frozen=True)
@@ -36,74 +42,122 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def project(self, x) -> np.ndarray:
-        """Orthogonal projection of vectors (columns) onto the subspace."""
-        x = np.asarray(x, dtype=float)
-        return self.basis @ (self.basis.T @ x)
-
     def residual(self, x) -> float:
         """Largest distance of the given columns from the subspace."""
-        x = as_matrix(np.asarray(x, dtype=float), "x")
-        if x.shape[1] == 0:
-            return 0.0
-        r = x - self.project(x)
-        return float(np.linalg.norm(r, axis=0).max())
-
-    def contains(self, other) -> bool:
-        """Containment test for a Subspace or for explicit column vectors."""
-        if isinstance(other, Subspace):
-            if other.ambient != self.ambient:
-                raise ValueError("ambient dimensions differ")
-            return self.residual(other.basis) <= max(self.tol, other.tol)
-        return self.residual(other) <= self.tol
+        return float(residuals([self], as_matrix(x, "x")[np.newaxis])[0])
 
     def sum(self, other: "Subspace") -> "Subspace":
-        if other.ambient != self.ambient:
-            raise ValueError("ambient dimensions differ")
-        tol = max(self.tol, other.tol)
-        stacked = np.hstack([self.basis, other.basis])
-        return image(stacked, tol=tol) if stacked.size else zero_subspace(self.ambient, tol)
+        return sums([self], [other])[0]
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection, computed from the kernel of the stacked bases."""
-        if other.ambient != self.ambient:
-            raise ValueError("ambient dimensions differ")
-        tol = max(self.tol, other.tol)
-        if self.dim == 0 or other.dim == 0:
-            return zero_subspace(self.ambient, tol)
-        # columns [a; b] with S a = T b span the intersection via S a
-        null = kernel(np.hstack([self.basis, -other.basis]), tol=tol)
-        vecs = self.basis @ null.basis[: self.dim]
-        return image(vecs, tol=tol)
+        return intersections([self], [other])[0]
 
 
 def zero_subspace(ambient: int, tol: float | None = None) -> Subspace:
     return Subspace(ambient, np.zeros((ambient, 0)), rank_tol(np.eye(max(ambient, 1))) if tol is None else tol)
 
 
-def image(a, tol: float | None = None) -> Subspace:
-    """Column space of ``a`` as an orthonormal-basis subspace."""
-    a = as_matrix(a, "a")
-    if tol is None:
-        tol = rank_tol(a)
-    if a.shape[1] == 0:
-        return Subspace(a.shape[0], np.zeros((a.shape[0], 0)), tol)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol))
-    return Subspace(a.shape[0], u[:, :rank], tol)
+def _member_tols(a: np.ndarray, tol) -> np.ndarray:
+    tol = np.asarray(rank_tol(a) if tol is None else tol, dtype=float)
+    return np.full(len(a), tol) if tol.ndim == 0 else tol
 
 
-def kernel(a, tol: float | None = None) -> Subspace:
-    """Null space of ``a`` as an orthonormal-basis subspace."""
-    a = as_matrix(a, "a")
-    n = a.shape[1]
-    if tol is None:
-        tol = rank_tol(a)
-    if a.shape[0] == 0 or n == 0:
-        return Subspace(n, np.eye(n), tol)
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > tol))
-    return Subspace(n, vt[rank:].T, tol)
+def image(a, tol=None):
+    """Column space of ``a`` as an orthonormal-basis subspace; a list of
+    them, one per member, for a stack."""
+    a, single = as_stack(a, "a")
+    rows, cols = a.shape[-2:]
+    tols = _member_tols(a, tol)
+    if cols == 0:
+        spaces = [Subspace(rows, np.zeros((rows, 0)), t) for t in tols.tolist()]
+    else:
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        ranks = (s > tols[:, None]).sum(axis=-1).tolist()
+        spaces = [Subspace(rows, x[:, :r], t) for x, r, t in zip(u, ranks, tols.tolist())]
+    return spaces[0] if single else spaces
+
+
+def kernel(a, tol=None):
+    """Null space of ``a`` as an orthonormal-basis subspace; a list of
+    them, one per member, for a stack."""
+    a, single = as_stack(a, "a")
+    rows, n = a.shape[-2:]
+    tols = _member_tols(a, tol)
+    if rows == 0 or n == 0:
+        spaces = [Subspace(n, np.eye(n), t) for t in tols.tolist()]
+    else:
+        _, s, vt = np.linalg.svd(a, full_matrices=True)
+        ranks = (s > tols[:, None]).sum(axis=-1).tolist()
+        spaces = [Subspace(n, x[r:].T, t) for x, r, t in zip(vt, ranks, tols.tolist())]
+    return spaces[0] if single else spaces
+
+
+def residuals(spaces, x) -> np.ndarray:
+    """Largest distance of the columns of ``x[i]`` from ``spaces[i]``, for
+    each member; ``x`` is a stack."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] == 0:
+        return np.zeros(len(spaces))
+
+    def largest(basis, cols):
+        r = cols - basis @ (basis.swapaxes(-1, -2) @ cols)
+        # the column norms as np.linalg.norm(r, axis=0) sums them
+        return np.sqrt(np.add.reduce(r * r, axis=-2)).max(axis=-1)
+
+    return np.array(by_shape(largest, [s.basis for s in spaces], x))
+
+
+def sums(first, second) -> list[Subspace]:
+    """``first[i] + second[i]`` for each member."""
+    out: list = [None] * len(first)
+    todo = []
+    for i, (u, w) in enumerate(zip(first, second)):
+        if w.ambient != u.ambient:
+            raise ValueError("ambient dimensions differ")
+        if u.ambient and u.dim + w.dim:
+            todo.append(i)
+        else:
+            out[i] = zero_subspace(u.ambient, max(u.tol, w.tol))
+    stacked = by_shape(
+        lambda u, w, tol: image(np.concatenate([u, w], axis=-1), tol=tol),
+        [first[i].basis for i in todo],
+        [second[i].basis for i in todo],
+        np.array([max(first[i].tol, second[i].tol) for i in todo]),
+    )
+    for i, space in zip(todo, stacked):
+        out[i] = space
+    return out
+
+
+def intersections(first, second) -> list[Subspace]:
+    """``first[i] & second[i]`` for each member, from the kernel of the
+    stacked bases: columns ``[a; b]`` with ``S a = T b`` span it via ``S a``."""
+    out: list = [None] * len(first)
+    todo = []
+    for i, (u, w) in enumerate(zip(first, second)):
+        if w.ambient != u.ambient:
+            raise ValueError("ambient dimensions differ")
+        if u.dim and w.dim:
+            todo.append(i)
+        else:
+            out[i] = zero_subspace(u.ambient, max(u.tol, w.tol))
+    tols = np.array([max(first[i].tol, second[i].tol) for i in todo])
+    nulls = by_shape(
+        lambda u, w, tol: kernel(np.concatenate([u, -w], axis=-1), tol=tol),
+        [first[i].basis for i in todo],
+        [second[i].basis for i in todo],
+        tols,
+    )
+    stacked = by_shape(
+        lambda u, null, tol: image(u @ null[:, : u.shape[-1]], tol=tol),
+        [first[i].basis for i in todo],
+        [null.basis for null in nulls],
+        tols,
+    )
+    for i, space in zip(todo, stacked):
+        out[i] = space
+    return out
 
 
 def minimal_invariant(a, seed: Subspace) -> Subspace:

@@ -7,6 +7,21 @@ refinement on the same iterates, hundreds of states), a stabilizing
 feedback by eigenvalue assignment, PBH stabilizability tests, symmetric
 square roots, and a minimum-norm least-squares solver.
 
+The unit of work is a stack: same-shape matrices along a leading axis,
+which each ``numpy.linalg`` routine processes in one call, with the
+same LAPACK result for every member as alone. One matrix is a stack of
+one and runs the same code. Steps that depend on a member's data (the
+sign iteration's stopping step, the refinement's accept/reject, the
+pencils the PBH test ranks, the eigenvalue placement) run on the
+members still concerned, so every member's arithmetic is the one it
+gets alone. A routine that can fail for one member returns, for a
+stack, its failures beside the values (a dict from member position to
+the exception); for one matrix it raises the failure. Reductions keep
+the kernels one matrix uses: a Frobenius norm, a BLAS dot for one
+matrix, is a row-by-column product per member. Only
+:func:`least_squares` takes one matrix at a time: ``lstsq`` has no
+stacked form.
+
 Two relative tolerances are fixed here and used package-wide:
 ``REL_TOL`` scales singular-value cutoffs for rank decisions, and
 ``RESIDUAL_TOL`` bounds the residual of a construction identity through
@@ -55,140 +70,295 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     return arr
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value; 0 for an empty matrix.
+def as_stack(a, name: str = "matrix") -> tuple[np.ndarray, bool]:
+    """``(stack, single)``: ``a`` as a float stack of matrices along a
+    leading axis, and whether it was one matrix, made a stack of one (a
+    1-D input becomes a column, as in :func:`as_matrix`)."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim == 3:
+        return arr, False
+    return as_matrix(arr, name)[np.newaxis], True
+
+
+def stack(arrays) -> np.ndarray:
+    """``np.stack`` of same-shape arrays, and a view of one array as a
+    stack of one. Either way every member keeps its memory layout, which
+    decides the BLAS kernel a product of it takes, and so its last bits."""
+    return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
+
+
+def by_shape(fn, *members):
+    """Apply ``fn`` to the members of equal shapes as stacks.
+
+    ``members`` are stacks (arrays along axis 0) or sequences with one
+    array per member; every set of members whose arrays have equal shapes
+    is passed to ``fn`` as stacks (:func:`stack`) in one call. Returns ``fn``'s result for
+    each member, in order (a tuple per member when ``fn`` returns a tuple
+    of stacks). This is how a data-dependent shape, such as each member's
+    own rank, keeps the one-call-per-stack rule: the members split by
+    that shape, not one by one.
+    """
+    count = len(members[0])
+    if not count:
+        return []
+    lists = [seq for seq in members if not isinstance(seq, np.ndarray)]
+    if count == 1 or all(x.shape == seq[0].shape for seq in lists for x in seq):
+        result = fn(*[seq if isinstance(seq, np.ndarray) else stack(seq) for seq in members])
+        return list(zip(*result)) if isinstance(result, tuple) else list(result)
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(*[[x.shape for x in seq] for seq in lists])):
+        groups.setdefault(key, []).append(i)
+    out: list = [None] * count
+    for positions in groups.values():
+        result = fn(*[stack([seq[i] for i in positions]) for seq in members])
+        for j, i in enumerate(positions):
+            out[i] = tuple(r[j] for r in result) if isinstance(result, tuple) else result[j]
+    return out
+
+
+def unstack(single: bool, failures: dict, *values):
+    """A stack's values followed by its failures (member position to
+    exception); for one matrix, its values alone, or its failure raised."""
+    if not single:
+        return (*values, failures)
+    if failures:
+        raise failures[0]
+    member = tuple(v[0].item() if v.ndim == 1 else v[0] for v in values)
+    return member if len(member) > 1 else member[0]
+
+
+def per_member(fn, stacked: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """``fn`` (``inv`` or ``cholesky``) over a stack in one call; only if
+    some member makes it raise ``LinAlgError`` is it applied member by
+    member. Returns the values and the positions that raised."""
+    try:
+        return fn(stacked), []
+    except np.linalg.LinAlgError:
+        pass
+    values = np.zeros_like(stacked)
+    failed = []
+    for i, member in enumerate(stacked):
+        try:
+            values[i] = fn(member)
+        except np.linalg.LinAlgError:
+            failed.append(i)
+    return values, failed
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a C-ordered stack.
+
+    ``np.linalg.norm(x, "fro")`` of one matrix is a BLAS dot of its
+    entries; a row-by-column product per member is the same dot, where
+    a stacked ``einsum`` would sum in another order.
+    """
+    flat = x.reshape(x.shape[0], 1, x.shape[-2] * x.shape[-1])
+    return np.sqrt((flat @ flat.swapaxes(-1, -2))[:, 0, 0])
+
+
+def spectral_norm(a):
+    """Largest singular value; 0 for an empty matrix. A stack gives one
+    value per member.
 
     The same LAPACK call ``np.linalg.norm(a, 2)`` makes, without its
     axis-handling wrapper, so the value is bit-identical.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2:
+        a = np.atleast_2d(a)
     if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+        norms = np.zeros(a.shape[:-2])
+    else:
+        norms = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(norms) if a.ndim == 2 else norms
 
 
-def residual_ok(residual: float, ref, norm: float | None = None) -> bool:
+def residual_ok(residual, ref, norm=None):
     """Whether an identity residual is at noise level relative to ``ref``.
 
     Accepts ``residual <= RESIDUAL_TOL * max(1, |ref|_2)``; the floor at 1
     keeps an absolute tolerance for small or zero reference matrices.
     ``norm`` is ``|ref|_2`` when the caller has already computed it.
+    Residuals and norms of a stack are judged member by member.
     """
     if norm is None:
         norm = spectral_norm(ref)
-    return residual <= RESIDUAL_TOL * max(1.0, norm)
+    if isinstance(residual, float) and isinstance(norm, float):
+        return residual <= RESIDUAL_TOL * max(1.0, norm)
+    return residual <= RESIDUAL_TOL * np.maximum(1.0, norm)
 
 
-def rank_tol(a, norm: float | None = None) -> float:
+def rank_tol(a, norm=None):
     """Singular-value cutoff for rank decisions about ``a``.
 
     Scales with the larger dimension and the spectral norm; the norm
     factor is floored at 1 so zero and near-zero matrices still get a
     positive tolerance. ``norm`` is ``|a|_2`` when the caller has
-    already computed it.
+    already computed it. A stack gives one cutoff per member.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0:
-        return REL_TOL
-    if norm is None:
-        norm = spectral_norm(a)
-    return REL_TOL * max(a.shape) * max(1.0, norm)
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2:
+        a = np.atleast_2d(a)
+    if a.shape[-1] * a.shape[-2] == 0:
+        tol = np.full(a.shape[:-2], REL_TOL)
+    else:
+        if norm is None:
+            norm = spectral_norm(a)
+        tol = REL_TOL * max(a.shape[-2:]) * np.maximum(1.0, norm)
+    return float(tol) if a.ndim == 2 else tol
 
 
 def eigenvalues(a) -> np.ndarray:
-    """Eigenvalues of a square matrix, sorted by (real, imag) for determinism."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"eigenvalues need a square matrix, got {a.shape}")
-    if a.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
-    vals = np.linalg.eigvals(a)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    """Eigenvalues of a square matrix, sorted by (real, imag) for
+    determinism; a stack gives one sorted row per member."""
+    a, single = as_stack(a)
+    n = a.shape[-1]
+    if a.shape[-2] != n:
+        raise ValueError(f"eigenvalues need a square matrix, got {a.shape[-2:]}")
+    if n == 0:
+        vals = np.zeros(a.shape[:-1], dtype=complex)
+    else:
+        vals = np.linalg.eigvals(a)
+        order = np.lexsort((vals.imag, vals.real), axis=-1)
+        vals = vals[np.arange(len(vals))[:, np.newaxis], order]
+    return vals[0] if single else vals
 
 
-def spectral_abscissa(a) -> float:
-    """Largest real part over the spectrum (``-inf`` for a 0x0 matrix)."""
+def spectral_abscissa(a):
+    """Largest real part over the spectrum (``-inf`` for a 0x0 matrix);
+    one value per member of a stack."""
     vals = eigenvalues(a)
-    if vals.size == 0:
-        return -np.inf
-    return float(vals.real.max())
+    if vals.shape[-1] == 0:
+        abscissa = np.full(vals.shape[:-1], -np.inf)
+    else:
+        abscissa = vals.real.max(axis=-1)
+    return float(abscissa) if abscissa.ndim == 0 else abscissa
 
 
 def _symmetrize(m: Matrix) -> Matrix:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def _sign_iterates(at: Matrix) -> list[tuple[float, Matrix]]:
-    """Scaled Newton iterates for the matrix sign function of ``at``.
+def _sign_iterates(at: np.ndarray):
+    """Scaled Newton iterates for the matrix sign function of each member.
 
     ``E <- (c E + E^-1 / c) / 2`` from ``E = at``, with the determinant
     scaling ``c = |det E|^(-1/n)``, converges quadratically to
     ``sign(at) = -I`` for a Hurwitz matrix (Roberts 1980; Byers 1987).
-    Returns every ``(c, E)`` the step was taken from; the last step is
-    the one after ``|E + I|_1`` fell below ``_SIGN_TOL``, which brings
-    the iterate to roundoff.
+    Each member takes the steps it would take alone: the last is the one
+    after ``|E + I|_1`` fell below ``_SIGN_TOL``, which brings the iterate
+    to roundoff. Returns ``(steps, singular)``: ``steps`` lists, per step,
+    ``(positions, c, E)`` of the members that took it, and ``singular``
+    the positions whose iterate was numerically singular (they leave
+    the iteration).
     """
-    n = at.shape[0]
+    n = at.shape[-1]
     eye = np.eye(n)
+    live = np.arange(at.shape[0])
     e = at
     steps = []
+    singular: list[int] = []
+    # members that stopped take their last step (c = 1) with the next step
+    # of the others, so a stack takes as many steps as its slowest member
+    stopped, stopped_e = live[:0], e[:0]
     for _ in range(_SIGN_MAX_STEPS):
-        c = float(np.exp(-np.linalg.slogdet(e)[1] / n))
-        steps.append((c, e))
-        e = 0.5 * (c * e + np.linalg.inv(e) / c)
-        if np.linalg.norm(e + eye, 1) <= _SIGN_TOL:
-            steps.append((1.0, e))
+        if not live.size:
             break
-    return steps
+        c = np.exp(-np.linalg.slogdet(e)[1] / n)
+        inv, failed = per_member(np.linalg.inv, e)
+        if failed:
+            singular.extend(live[failed].tolist())
+            ok = np.ones(live.size, dtype=bool)
+            ok[failed] = False
+            live, c, e, inv = live[ok], c[ok], e[ok], inv[ok]
+        steps.append((
+            np.concatenate([live, stopped]),
+            np.concatenate([c, np.ones(stopped.size)]),
+            np.concatenate([e, stopped_e]),
+        ))
+        e = 0.5 * (c[:, None, None] * e + inv / c[:, None, None])
+        done = np.linalg.norm(e + eye, 1, axis=(-2, -1)) <= _SIGN_TOL
+        stopped, stopped_e = live[done], e[done]
+        live, e = live[~done], e[~done]
+    if stopped.size:
+        steps.append((stopped, np.ones(stopped.size), stopped_e))
+    return steps, singular
 
 
-def _sign_solve(steps, r: Matrix) -> Matrix:
+def _sign_solve(steps, r: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
     """Approximate ``X`` with ``A^T X + X A = -R`` from the sign iterates of ``A^T``.
 
     Runs the coupled iteration ``G <- (c G + E^-1 G E^-T / c) / 2`` from
     ``G = R``; ``G`` tends to ``2 X`` as ``E`` tends to ``-I``. The map
     is linear in ``R``, so the same iterates serve any right-hand side.
     The products with ``E^-1`` are LU solves: on stiff inputs they keep
-    the residual orders of magnitude below an explicit inverse.
+    the residual orders of magnitude below an explicit inverse. Only the
+    members flagged in ``members`` (all by default) are advanced.
     """
-    g = r
-    for c, e in steps:
-        g = 0.5 * (c * g + np.linalg.solve(e, np.linalg.solve(e, g).T).T / c)
+    g = np.array(r)
+    for positions, c, e in steps:
+        if members is not None:
+            take = members[positions]
+            positions, c, e = positions[take], c[take], e[take]
+        if not positions.size:
+            continue
+        c = c[:, None, None]
+        x = g[positions]
+        g[positions] = 0.5 * (
+            c * x + np.linalg.solve(e, np.linalg.solve(e, x).swapaxes(-1, -2)).swapaxes(-1, -2) / c
+        )
     return 0.5 * g
 
 
-def _refine(a: Matrix, q: Matrix, m: Matrix, steps) -> tuple[Matrix, float]:
+def _refine(a, q, m, steps) -> tuple[np.ndarray, np.ndarray]:
     """Iterative refinement of ``A^T M + M A = -Q`` with the sign iterates.
 
     Unless the residual ``R`` of ``m`` is already at roundoff, ``8 n eps
     (2 |A|_F |M|_F + |Q|_F)``, each cycle solves the correction equation
     ``A^T D + D A = -R`` by :func:`_sign_solve` on the same iterates
     (Moler 1967) and keeps ``m + D`` only if that lowers the residual,
-    for at most ``_REFINE_CYCLES`` cycles. Returns the refined ``m`` and
-    the Frobenius norm of its residual.
+    for at most ``_REFINE_CYCLES`` cycles; a member stops at its first
+    rejected correction. Returns the refined ``m`` and the Frobenius
+    norm of each residual.
     """
-    def residual_of(x):
-        return a.T @ x + x @ a + q
+    def residual_of(a, x, q):
+        return a.swapaxes(-1, -2) @ x + x @ a + q
 
-    residual = residual_of(m)
-    res_norm = np.linalg.norm(residual, "fro")
-    roundoff = 8 * a.shape[0] * _EPS * (
-        2.0 * np.linalg.norm(a, "fro") * np.linalg.norm(m, "fro") + np.linalg.norm(q, "fro")
+    residual = residual_of(a, m, q)
+    res_norm = _frobenius(residual)
+    roundoff = 8 * a.shape[-1] * _EPS * (
+        2.0 * _frobenius(a) * _frobenius(m) + _frobenius(q)
     )
-    if res_norm <= roundoff:
-        return m, res_norm
+    active = ~(res_norm <= roundoff)
     for _ in range(_REFINE_CYCLES):
-        trial = _symmetrize(m + _sign_solve(steps, residual))
-        trial_residual = residual_of(trial)
-        trial_norm = np.linalg.norm(trial_residual, "fro")
-        if not trial_norm < res_norm:
+        if not active.any():
             break
-        m, residual, res_norm = trial, trial_residual, trial_norm
+        pos = np.flatnonzero(active)
+        trial = _symmetrize(m[pos] + _sign_solve(steps, residual, active)[pos])
+        trial_residual = residual_of(a[pos], trial, q[pos])
+        trial_norm = _frobenius(trial_residual)
+        better = trial_norm < res_norm[pos]
+        kept = pos[better]
+        m[kept], residual[kept], res_norm[kept] = (
+            trial[better], trial_residual[better], trial_norm[better]
+        )
+        active[pos[~better]] = False
     return m, res_norm
 
 
-def solve_lyapunov(a, q) -> Matrix:
+def _restrict(steps, keep: np.ndarray):
+    """The sign iterates of the members flagged in ``keep``, renumbered
+    as positions of the stack of those members."""
+    where = np.cumsum(keep) - 1
+    out = []
+    for positions, c, e in steps:
+        take = keep[positions]
+        if take.any():
+            out.append((where[positions[take]], c[take], e[take]))
+    return out
+
+
+def solve_lyapunov(a, q):
     """Solve ``A^T M + M A = -Q`` for symmetric ``M``.
 
     O(n^3) time and O(n^2) memory, so hundreds of states are practical.
@@ -199,8 +369,13 @@ def solve_lyapunov(a, q) -> Matrix:
 
     Parameters
     ----------
-    a : array, n x n, must be Hurwitz.
-    q : array, n x n, symmetric.
+    a : array, n x n, must be Hurwitz; or a stack of them.
+    q : array, n x n, symmetric; or a stack of them.
+
+    Returns
+    -------
+    ``M``; for stacks ``(M, failures)``, with a zero ``M`` for each
+    member that failed.
 
     Raises
     ------
@@ -208,148 +383,221 @@ def solve_lyapunov(a, q) -> Matrix:
         If ``a`` is not Hurwitz, the sign iteration meets a numerically
         singular iterate, or the residual check fails.
     """
-    a = as_matrix(a, "a")
-    q = as_matrix(q, "q")
-    n = a.shape[0]
-    if a.shape != (n, n) or q.shape != (n, n):
-        raise ValueError(f"need square matrices of equal size, got {a.shape} and {q.shape}")
-    if spectral_norm(q - q.T) > rank_tol(q):
-        raise ValueError("q must be symmetric")
+    a, single = as_stack(a, "a")
+    q, _ = as_stack(q, "q")
+    count, n = a.shape[0], a.shape[-1]
+    if a.shape[1:] != (n, n) or q.shape != a.shape:
+        raise ValueError(
+            f"need square matrices of equal size, got {a.shape[-2:]} and {q.shape[-2:]}"
+        )
+    failures: dict[int, Exception] = {}
+    for i in np.flatnonzero(spectral_norm(q - q.swapaxes(-1, -2)) > rank_tol(q)).tolist():
+        failures[i] = ValueError("q must be symmetric")
     abscissa = spectral_abscissa(a)
-    if not abscissa < 0.0:
-        worst = eigenvalues(a)[-1]
-        raise NumericsError(
+    for i in np.flatnonzero(~(abscissa < 0.0)).tolist():
+        worst = eigenvalues(a[i])[-1]
+        failures.setdefault(i, NumericsError(
             f"Lyapunov equation requires a Hurwitz matrix; eigenvalue {worst} "
             f"has real part {worst.real:.6g} >= 0"
-        )
-    q = _symmetrize(q)
-    if n == 0:
-        return np.zeros((0, 0))
-
-    try:
-        steps = _sign_iterates(a.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(
-            "Lyapunov sign iteration reached a numerically singular iterate; "
-            "the equation is too ill-conditioned for the dense solver"
-        ) from exc
+        ))
+    solution = np.zeros((count, n, n))
+    live = np.setdiff1d(np.arange(count), list(failures))
+    if n == 0 or not live.size:
+        return unstack(single, failures, solution)
+    a, q = a[live], _symmetrize(q[live])
+    steps, singular = _sign_iterates(a.swapaxes(-1, -2))
+    if singular:
+        for i in singular:
+            failures[int(live[i])] = NumericsError(
+                "Lyapunov sign iteration reached a numerically singular iterate; "
+                "the equation is too ill-conditioned for the dense solver"
+            )
+        keep = np.ones(live.size, dtype=bool)
+        keep[singular] = False
+        steps, live, a, q = _restrict(steps, keep), live[keep], a[keep], q[keep]
     m, residual = _refine(a, q, _symmetrize(_sign_solve(steps, q)), steps)
     bound = RESIDUAL_TOL * (spectral_norm(a) * spectral_norm(m) + spectral_norm(q))
-    if residual > max(bound, 1e-14):
-        raise NumericsError(
-            f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}; "
+    for j in np.flatnonzero(residual > np.maximum(bound, 1e-14)).tolist():
+        failures[int(live[j])] = NumericsError(
+            f"Lyapunov residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}; "
             "the equation is too ill-conditioned for the dense solver"
         )
-    return m
+    solution[live] = m
+    return unstack(single, failures, solution)
 
 
-def pbh_stabilizable(a, b, norm: float | None = None) -> tuple[bool, complex | None]:
+def pbh_stabilizable(a, b, norm=None):
     """PBH test: is the pair ``(a, b)`` stabilizable?
 
     Checks ``rank [a - s I, b] == n`` for every eigenvalue ``s`` of ``a``
     that lies in the closed right half plane (within tolerance of the
     imaginary axis counts, so marginally stable clusters are tested too).
     Every pencil is ranked at the one cutoff ``rank_tol([a, b])``.
-    ``norm`` is ``|a|_2`` when the caller has already computed it.
+    ``norm`` is ``|a|_2`` when the caller has already computed it. A
+    stack ranks the pencils of all its members in one call.
 
     Returns
     -------
     (ok, witness)
-        ``witness`` is an offending eigenvalue when ``ok`` is False.
+        ``witness`` is an offending eigenvalue when ``ok`` is False, the
+        first in sorted order. For a stack, an array of verdicts and a
+        list of witnesses.
     """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"a must be square, got {a.shape}")
-    if b.shape[0] != n:
-        raise ValueError(f"b must have {n} rows, got {b.shape}")
-    if n == 0:
-        return True, None
-    margin = REL_TOL * max(1.0, spectral_norm(a) if norm is None else norm)
-    tested = [s for s in eigenvalues(a) if not s.real < -margin]
-    if not tested:
-        return True, None
-    tol = rank_tol(np.hstack([a, b]))
-    # a repeated eigenvalue gives the same pencil: rank it once
-    for s in dict.fromkeys(tested):
-        pencil = np.hstack([a - s * np.eye(n), b]).astype(complex)
-        if np.linalg.matrix_rank(pencil, tol=tol) < n:
-            return False, complex(s)
-    return True, None
+    a, single = as_stack(a, "a")
+    b, _ = as_stack(b, "b")
+    count, n = a.shape[0], a.shape[-1]
+    if a.shape[-2] != n:
+        raise ValueError(f"a must be square, got {a.shape[-2:]}")
+    if b.shape[-2] != n:
+        raise ValueError(f"b must have {n} rows, got {b.shape[-2:]}")
+    ok = [True] * count
+    witness: list = [None] * count
+    if n and count:
+        if norm is None:
+            norm = spectral_norm(a)
+        vals = eigenvalues(a)
+        # "not below -margin", as the eigenvalues are finite
+        tested = vals.real >= np.reshape(-REL_TOL * np.maximum(1.0, norm), (-1, 1))
+        # a repeated eigenvalue gives the same pencil: rank it once (the
+        # sort puts equal eigenvalues next to each other)
+        tested[:, 1:] &= vals[:, 1:] != vals[:, :-1]
+        member, which = np.nonzero(tested)
+        if member.size:
+            s = vals[member, which]
+            tol = rank_tol(np.concatenate([a, b], axis=-1))
+            pencils = np.concatenate(
+                [a[member] - s[:, None, None] * np.eye(n), b[member]], axis=-1
+            ).astype(complex)
+            short = np.linalg.matrix_rank(pencils, tol=tol[member]) < n
+            # the first failing eigenvalue of each member is its witness
+            for i, value in zip(member[short][::-1].tolist(), s[short][::-1].tolist()):
+                ok[i] = False
+                witness[i] = complex(value)
+    if single:
+        return ok[0], witness[0]
+    return np.array(ok), witness
 
 
-def _left_invariant_block(acl: Matrix, lam: complex, u: np.ndarray):
-    """Orthonormal left-invariant basis for one eigenvalue or pair.
+def _real_directions(u: np.ndarray, member_real: np.ndarray) -> np.ndarray:
+    """Unit real left eigenvectors for real eigenvalues, as ``(L, n, 1)``.
 
-    ``u`` is a (possibly complex) eigenvector of ``acl.T``. Returns
-    ``(U, L)`` with ``U^T acl = L U^T``; ``L`` is 1 x 1 for a real
-    eigenvalue and 2 x 2 for a conjugate pair.
+    Strips the arbitrary complex phase of each ``u``: the direction is
+    real. A member whose whole spectrum is real has real eigenvectors
+    alone, so its phase is stripped in real arithmetic, as it would be
+    on its own; ``member_real`` flags those members.
     """
-    if abs(lam.imag) <= 1e-10 * max(1.0, abs(lam)):
-        # strip the arbitrary complex phase, the direction is real
-        phase = u[np.argmax(np.abs(u))]
-        real = (u * np.conj(phase / abs(phase))).real
-        basis = real[:, np.newaxis] / np.linalg.norm(real)
-    else:
-        basis, _ = np.linalg.qr(np.column_stack([u.real, u.imag]))
-    return basis, basis.T @ acl @ basis
+    rows = np.arange(len(u))
+    phase = u[rows, np.argmax(np.abs(u), axis=-1)]
+    real = (u * np.conj(phase / np.abs(phase))[:, None]).real
+    if np.iscomplexobj(u):
+        sign = phase.real / np.abs(phase.real)
+        real = np.where(member_real[:, None], u.real * sign[:, None], real)
+    return real[:, :, None] / np.sqrt(
+        (real[:, None, :] @ real[:, :, None])[:, 0, 0]
+    )[:, None, None]
 
 
-def _place_block(block: Matrix, bu: Matrix) -> Matrix:
-    """Feedback ``F`` moving the spectrum of ``block + bu F`` left of -1.
+def _place_real(block: np.ndarray, bu: np.ndarray) -> np.ndarray:
+    """Feedback moving one real eigenvalue ``block`` (``1 x 1``) to
+    ``-1 - max(lam, 0)`` by a min-norm shift."""
+    lam = block[:, 0, 0]
+    shift = -1.0 - np.maximum(lam, 0.0) - lam
+    row = bu[:, 0, :]
+    norm_sq = (row[:, None, :] @ row[:, :, None])[:, 0, 0]
+    return (shift / norm_sq)[:, None, None] * row[:, :, None]
 
-    One real eigenvalue gets a min-norm shift; a conjugate pair keeps
-    its frequency and gets its real part reflected past -1, through an
-    exact solve when ``bu`` has full row rank and a two-state polynomial
+
+def _place_pair(block: np.ndarray, bu: np.ndarray) -> np.ndarray:
+    """Feedback giving a conjugate pair ``block`` (``2 x 2``) its
+    frequency with the real part reflected past -1.
+
+    An exact solve when ``bu`` has full row rank; a two-state polynomial
     placement when only one input direction is available.
     """
-    if block.shape[0] == 1:
-        lam = float(block[0, 0])
-        shift = -1.0 - max(lam, 0.0) - lam
-        row = bu[0]
-        return (shift / float(row @ row)) * row[:, np.newaxis]
-    sigma = 0.5 * float(np.trace(block))
-    omega_sq = max(float(np.linalg.det(block)) - sigma * sigma, 0.0)
-    target = -1.0 - max(sigma, 0.0)
-    if np.linalg.matrix_rank(bu) == 2:
-        omega = np.sqrt(omega_sq)
-        desired = np.array([[target, omega], [-omega, target]])
-        return np.linalg.pinv(bu) @ (desired - block)
-    # single usable input direction: classical two-state placement on
-    # the characteristic polynomial s^2 - 2 target s + (target^2 + omega^2)
-    _, _, vt = np.linalg.svd(bu)
-    g = vt[0]
-    bv = bu @ g
-    ctrb = np.column_stack([bv, block @ bv])
-    poly = (
-        block @ block
-        - 2.0 * target * block
-        + (target * target + omega_sq) * np.eye(2)
-    )
-    f_row = -np.linalg.solve(ctrb.T, np.array([0.0, 1.0])) @ poly
-    return g[:, np.newaxis] * f_row[np.newaxis, :]
+    count = len(block)
+    sigma = 0.5 * (block[:, 0, 0] + block[:, 1, 1])
+    omega_sq = np.maximum(np.linalg.det(block) - sigma * sigma, 0.0)
+    target = -1.0 - np.maximum(sigma, 0.0)
+    gain = np.zeros((count, bu.shape[-1], 2))
+    full = np.linalg.matrix_rank(bu) == 2
+    if full.any():
+        omega = np.sqrt(omega_sq[full])
+        desired = np.empty((int(full.sum()), 2, 2))
+        desired[:, 0, 0] = desired[:, 1, 1] = target[full]
+        desired[:, 0, 1], desired[:, 1, 0] = omega, -omega
+        gain[full] = np.linalg.pinv(bu[full]) @ (desired - block[full])
+    one = ~full
+    if one.any():
+        # single usable input direction: classical two-state placement on
+        # the characteristic polynomial s^2 - 2 target s + (target^2 + omega^2)
+        blk, t = block[one], target[one]
+        g = np.linalg.svd(bu[one])[2][:, 0, :]
+        bv = bu[one] @ g[:, :, None]
+        ctrb = np.concatenate([bv, blk @ bv], axis=-1)
+        poly = (
+            blk @ blk
+            - (2.0 * t)[:, None, None] * blk
+            + (t * t + omega_sq[one])[:, None, None] * np.eye(2)
+        )
+        rhs = np.broadcast_to(np.array([[0.0], [1.0]]), (len(blk), 2, 1))
+        f_row = -np.linalg.solve(ctrb.swapaxes(-1, -2), rhs).swapaxes(-1, -2) @ poly
+        gain[one] = g[:, :, None] * f_row
+    return gain
 
 
-def stabilize(a, b, pbh: tuple[bool, complex | None] | None = None) -> tuple[Matrix, float]:
+def _assignment_step(acl: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Feedback update that moves the rightmost eigenvalue (or conjugate
+    pair) of each closed loop ``acl`` left of -1 and no other.
+
+    If ``U`` spans a left invariant subspace of ``acl`` (``U^T acl = L
+    U^T``), adding ``F U^T`` to the feedback changes only the spectrum of
+    ``L + (U^T b) F``. ``U`` is one real direction or an orthonormal
+    basis of a pair's real and imaginary parts.
+    """
+    count, n = acl.shape[0], acl.shape[-1]
+    vals, vecs = np.linalg.eig(acl.swapaxes(-1, -2))
+    rows = np.arange(count)
+    idx = np.argmax(vals.real, axis=-1)
+    lam, u = vals[rows, idx], vecs[rows, :, idx]
+    update = np.zeros((count, b.shape[-1], n))
+    real = np.abs(lam.imag) <= 1e-10 * np.maximum(1.0, np.abs(lam))
+    if real.any():
+        basis = _real_directions(u[real], (vals[real].imag == 0).all(axis=-1))
+        update[real] = _placed(acl[real], b[real], basis, _place_real)
+    pair = ~real
+    if pair.any():
+        basis = np.linalg.qr(np.stack([u[pair].real, u[pair].imag], axis=-1))[0]
+        update[pair] = _placed(acl[pair], b[pair], basis, _place_pair)
+    return update
+
+
+def _placed(acl, b, basis, place) -> np.ndarray:
+    """The feedback ``F U^T`` that ``place`` chooses on the invariant
+    block ``U^T acl U`` with input ``U^T b``, for ``U = basis``."""
+    basis_t = basis.swapaxes(-1, -2)
+    return place(basis_t @ acl @ basis, basis_t @ b) @ basis_t
+
+
+def stabilize(a, b, pbh=None):
     """Return ``(K, abscissa)``: ``a + b K`` is Hurwitz with spectral
     abscissa ``abscissa``.
 
     Already-Hurwitz matrices get ``K = 0``. Otherwise unstable
     eigenvalues are moved one real eigenvalue or conjugate pair at a
-    time: if ``U`` spans a left invariant subspace of the current closed
-    loop (``U^T A = L U^T``), adding ``F U^T`` to the feedback changes
-    only the spectrum of ``L + (U^T b) F`` and leaves every other
-    eigenvalue where it was. Stable modes are never touched, each step
-    is a one- or two-dimensional placement, and the gains stay moderate
-    where a single gramian-based design would overdrive the weakly
-    coupled directions. Each closed loop, the open loop first, is judged
-    by one :func:`spectral_abscissa` (the placement's ``eig`` of the
-    transpose differs in the last digits), and the passing one returned.
+    time (:func:`_assignment_step`): stable modes are never touched,
+    each step is a one- or two-dimensional placement, and the gains
+    stay moderate where a single gramian-based design would overdrive
+    the weakly coupled directions. Each closed loop, the open loop
+    first, is judged by one :func:`spectral_abscissa` (the placement's
+    ``eig`` of the transpose differs in the last digits), and the
+    passing one returned. In a stack each member leaves the loop at the
+    step its closed loop passes, so its steps are those it takes alone.
 
     ``pbh`` is the verdict ``pbh_stabilizable(a, b)`` when the caller
     has already computed it for these same matrices; the test is then
     not run again.
+
+    For a stack, returns ``(K, abscissa, failures)``.
 
     Raises
     ------
@@ -359,69 +607,92 @@ def stabilize(a, b, pbh: tuple[bool, complex | None] | None = None) -> tuple[Mat
         verification because an unstable mode is too close to
         uncontrollable.
     """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"a must be square, got {a.shape}")
-    if b.shape[0] != n:
-        raise ValueError(f"b must have {n} rows, got {b.shape}")
-    m = b.shape[1]
+    a, single = as_stack(a, "a")
+    b, _ = as_stack(b, "b")
+    count, n = a.shape[0], a.shape[-1]
+    if a.shape[-2] != n:
+        raise ValueError(f"a must be square, got {a.shape[-2:]}")
+    if b.shape[-2] != n:
+        raise ValueError(f"b must have {n} rows, got {b.shape[-2:]}")
+    if single and pbh is not None:
+        pbh = ([pbh[0]], [pbh[1]])
     abscissa = spectral_abscissa(a)
-    if abscissa < 0.0:
-        return np.zeros((m, n)), abscissa
-    ok, witness = pbh_stabilizable(a, b) if pbh is None else pbh
-    if not ok:
-        raise NumericsError(
-            f"pair is not stabilizable: eigenvalue {witness} cannot be moved by the input"
-        )
-    k = np.zeros((m, n))
-    acl = a
+    k = np.zeros((count, b.shape[-1], n))
+    failures: dict[int, Exception] = {}
+    live = np.flatnonzero(~(abscissa < 0.0))
+    if live.size:
+        if pbh is None:
+            ok, witness = pbh_stabilizable(a[live], b[live])
+        else:
+            ok = np.asarray(pbh[0], dtype=bool)[live]
+            witness = [pbh[1][i] for i in live.tolist()]
+        for i, good, w in zip(live.tolist(), ok, witness):
+            if not good:
+                failures[i] = NumericsError(
+                    f"pair is not stabilizable: eigenvalue {w} cannot be moved by the input"
+                )
+        live = live[ok]
+    acl = a[live]
     for _ in range(2 * n + 4):
-        vals, vecs = np.linalg.eig(acl.T)
-        idx = int(np.argmax(vals.real))
-        basis, block = _left_invariant_block(acl, vals[idx], vecs[:, idx])
-        k = k + _place_block(block, basis.T @ b) @ basis.T
-        acl = a + b @ k
-        abscissa = spectral_abscissa(acl)
-        if abscissa < 0.0:
-            return k, abscissa
-    raise NumericsError(
-        "eigenvalue assignment did not converge; an unstable mode is "
-        "too close to uncontrollable"
-    )
+        if not live.size:
+            break
+        k[live] = k[live] + _assignment_step(acl, b[live])
+        acl = a[live] + b[live] @ k[live]
+        closed = spectral_abscissa(acl)
+        done = closed < 0.0
+        abscissa[live[done]] = closed[done]
+        live, acl = live[~done], acl[~done]
+    for i in live.tolist():
+        failures[i] = NumericsError(
+            "eigenvalue assignment did not converge; an unstable mode is "
+            "too close to uncontrollable"
+        )
+    return unstack(single, failures, k, abscissa)
 
 
-def check_spd(m, name: str = "matrix") -> Matrix:
-    """Validate symmetry and positive semidefiniteness, return symmetrized copy."""
-    m = as_matrix(m, name)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got {m.shape}")
-    tol = rank_tol(m)
-    if spectral_norm(m - m.T) > tol:
-        raise ValueError(f"{name} must be symmetric")
+def check_spd(m, name: str = "matrix"):
+    """Validate symmetry and positive semidefiniteness, return symmetrized
+    copy; for a stack, ``(copies, failures)``."""
+    m, single = as_stack(m, name)
+    if m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"{name} must be square, got {m.shape[-2:]}")
+    tols = rank_tol(m).tolist()
+    asymmetry = spectral_norm(m - m.swapaxes(-1, -2)).tolist()
+    failures: dict[int, Exception] = {
+        i: ValueError(f"{name} must be symmetric")
+        for i, (x, tol) in enumerate(zip(asymmetry, tols)) if x > tol
+    }
     m = _symmetrize(m)
-    if m.shape[0]:
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -tol:
-            raise NumericsError(f"{name} is not positive semidefinite (eigenvalue {w[0]:.3e})")
-    return m
+    if m.shape[-1]:
+        lowest = np.linalg.eigvalsh(m)[:, 0].tolist()
+        for i, (w, tol) in enumerate(zip(lowest, tols)):
+            if w < -tol and i not in failures:
+                failures[i] = NumericsError(
+                    f"{name} is not positive semidefinite (eigenvalue {w:.3e})"
+                )
+    return unstack(single, failures, m)
 
 
 def sqrtm_spd(m, checked: bool = False) -> Matrix:
-    """Symmetric square root of a positive semidefinite matrix.
+    """Symmetric square root of a positive semidefinite matrix, or of
+    each member of a stack.
 
     Computed from the eigendecomposition; eigenvalues below the noise
     floor are clipped to zero. ``checked`` says ``m`` is already the
     output of :func:`check_spd`, so the check is not run again.
     """
+    m, single = as_stack(m)
     if not checked:
-        m = check_spd(m)
-    if m.shape[0] == 0:
-        return m
-    w, u = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    return u @ np.diag(np.sqrt(w)) @ u.T
+        m, failures = check_spd(m)
+        if failures:
+            raise next(iter(failures.values()))
+    if m.shape[-1]:
+        w, u = np.linalg.eigh(m)
+        diag = np.zeros_like(u)
+        idx = np.arange(m.shape[-1])
+        diag[:, idx, idx] = np.sqrt(np.clip(w, 0.0, None))
+        m = u @ diag @ u.swapaxes(-1, -2)
+    return m[0] if single else m
 
 
 def least_squares(a, b) -> tuple[Matrix, float]:

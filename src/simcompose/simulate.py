@@ -25,7 +25,8 @@ one of two forms:
 One density rule picks the form from the state size and the nonzeros of
 ``A`` and ``phi`` (:func:`_sparse_pays`), with constants fitted to a
 measured sweep of both forms.  The drive ``d_k`` is one dense matrix
-product in either form.
+product in the dense form, and a gather of the inputs, one column per
+stored pair of ``core B``, in the sparse form.
 """
 
 import os
@@ -181,26 +182,38 @@ def grid_steps(t_final: float, dt: float) -> int:
     return steps
 
 
-def require_memory(t_final: float, dt: float, width: int) -> None:
+def require_memory(t_final: float, dt: float, width: int, switches: float = 0) -> None:
     """Reject a run that cannot fit in physical memory before it starts.
 
     A run keeps ``width`` doubles at every point of the grid ``0, dt,
-    ..., t_final`` (see :func:`grid_steps`): its states and its input
-    samples.  ``ValueError`` names the horizon and the size when those
-    bytes exceed the machine's physical memory (``os.sysconf``); where
-    the platform does not report it, nothing is rejected.
+    ..., t_final`` (see :func:`grid_steps`), its states and its input
+    samples, and the input signal keeps a row at every switch time of
+    its square waves (``switches``, see :func:`square_switches`).
+    ``ValueError`` names the horizon and the size, and the switch times
+    when they outnumber the grid points, when those bytes exceed the
+    machine's physical memory (``os.sysconf``); where the platform does
+    not report it, nothing is rejected.
     """
-    need = 8 * (grid_steps(t_final, dt) + 1) * width
+    points = grid_steps(t_final, dt) + 1
+    need = 8 * (points + switches) * width
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
     if need > have:
+        cause = f" and {switches:.3g} square-wave switch times" if switches > points else ""
         raise ValueError(
-            f"horizon {t_final!r} in steps of size {dt!r} needs {need / 1e9:.3g} GB"
+            f"horizon {t_final!r} in steps of size {dt!r}{cause} needs {need / 1e9:.3g} GB"
             f" for the run's states and inputs, more than the {have / 1e9:.3g} GB"
             " of physical memory"
         )
+
+
+def square_switches(period: float, t_final: float) -> float:
+    """How many switch times :meth:`Signal.square` holds up to ``t_final``,
+    counted as ``np.arange`` counts them, without making them."""
+    half = period / 2.0
+    return float(np.ceil(max(t_final, half) / half))
 
 
 def time_grid(t_final: float, dt: float) -> np.ndarray:
@@ -250,8 +263,9 @@ def _run_lti(a: Matrix, b: Matrix, inputs: np.ndarray, x0: np.ndarray,
     * sparse: ``phi`` and ``core B`` are formed from the nonzeros of
       ``A`` and ``B`` (:class:`_SparseRows`) and ``L = 1``, so the march
       is step 2 alone, one sparse matrix-vector product per step.  The
-      dense ``phi``, ``phi^L`` and ``core B`` products are never formed;
-      ``core B`` is made dense only for the drive, one matrix product.
+      dense ``phi``, ``phi^L`` and ``core B`` are never formed; the drive
+      is gathered from the inputs, one column per stored pair of
+      ``core B``.
 
     The states are written straight into the returned array; a blow-up
     is reported at the first grid time with a non-finite state.
@@ -265,11 +279,10 @@ def _run_lti(a: Matrix, b: Matrix, inputs: np.ndarray, x0: np.ndarray,
             phi = None
     sparse = phi is not None
     if sparse:
-        core_b = (core @ _SparseRows.from_dense(b)).todense()
+        drive = (core @ _SparseRows.from_dense(b)).map_rows(inputs)
     else:
         phi, core = _step_maps(a, dt)
-        core_b = core @ b
-    drive = inputs @ core_b.T
+        drive = inputs @ (core @ b).T
     states = np.empty((len(grid), n))
     # overflow is handled by the explicit finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
@@ -386,6 +399,19 @@ class _SparseRows:
 
     def __truediv__(self, scalar: float) -> "_SparseRows":
         return _SparseRows(self.cols, self.vals / scalar, self.shape)
+
+    def map_rows(self, x: np.ndarray) -> np.ndarray:
+        """``x @ self.T``: every row of ``x`` mapped by the matrix, one
+        column gather of ``x`` per stored pair."""
+        if not self.pairs:
+            return np.zeros((len(x), self.shape[0]))
+        out = np.take(x, self.cols[:, 0], axis=1)
+        out *= self.vals[:, 0]
+        for cols, vals in zip(self.cols.T[1:], self.vals.T[1:]):
+            term = np.take(x, cols, axis=1)
+            term *= vals
+            out += term
+        return out
 
     def __matmul__(self, other):
         """Product with a vector (dense result) or a :class:`_SparseRows`."""

@@ -79,3 +79,40 @@ def random_network(rng, max_width, count=5, max_inputs=2):
             channels, outputs,
         ))
     return Interconnection(subs)
+
+
+def heterogeneous_ring(rng, size, coupling=0.05):
+    """Project document of a directed ring of ``size`` nodes that differ.
+
+    Each node is a companion-form chain ``x''' = -c0 x - c1 x' - c2 x'' + u
+    + d w`` whose last row comes from random stable roots, a real triple
+    or a real root and a complex pair, so the ring mixes real and complex
+    spectra. ``P = e1`` passes the injection conditions, since ``A e1``
+    lies in ``im B``. Each node hears its predecessor's position through
+    ``d`` of at most ``coupling``, small enough for the small-gain test
+    with computed certificates.
+    """
+    names = [f"h{i:03d}" for i in range(size)]
+    subsystems = []
+    for i, name in enumerate(names):
+        real = -rng.uniform(0.4, 1.5)
+        if rng.uniform() < 0.5:
+            part, freq = -rng.uniform(0.4, 1.5), rng.uniform(0.2, 2.0)
+            roots = [real, complex(part, freq), complex(part, -freq)]
+        else:
+            roots = [real, -rng.uniform(0.4, 1.5), -rng.uniform(0.4, 1.5)]
+        c0, c1, c2 = np.real(np.poly(roots))[:0:-1].tolist()
+        subsystems.append({
+            "name": name,
+            "A": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-c0, -c1, -c2]],
+            "B": [[0.0], [0.0], [1.0]],
+            "C": [[1.0, 0.0, 0.0]],
+            "D": [[0.0], [0.0], [coupling * float(rng.uniform(0.5, 1.0))]],
+            "inputs": [{"from": names[i - 1], "width": 1}],
+            "outputs_to": {names[(i + 1) % size]: [[1.0, 0.0, 0.0]]},
+            "abstraction": {"P": [[1.0], [0.0], [0.0]]},
+        })
+    return {
+        "subsystems": subsystems,
+        "simulation": {"t_final": 0.2, "dt": 0.01, "x0": "matched"},
+    }

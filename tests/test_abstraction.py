@@ -7,20 +7,18 @@ from hypothesis import strategies as st
 
 from simcompose import abstraction, linalg
 from conftest import random_valid_instance
+from oracles import check_certificate, graph_subspace, simfn_from_relation
 from simcompose.abstraction import (
     INJECTED_CERT_TOL,
     QuadraticSimFn,
     build_abstraction,
     certificate_slacks,
     check_P_conditions,
-    check_certificate,
     check_relation,
     compute_k4,
     decay_certificate,
     eval_simfn,
-    graph_subspace,
     interface,
-    simfn_from_relation,
 )
 from simcompose.demo import (
     CERT_K1_INTEGRATOR,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hurwitz, random_spd, random_valid_instance
+from oracles import graph_subspace
 from simcompose.abstraction import (
     INJECTED_CERT_TOL,
     build_abstraction,
@@ -18,7 +19,6 @@ from simcompose.abstraction import (
     check_P_conditions,
     check_relation,
     compute_k4,
-    graph_subspace,
 )
 from simcompose.cli import main
 from simcompose.compose import compose_simfn, gain_matrices, small_gain

@@ -23,10 +23,11 @@ from simcompose.cli import (
     resolve_initial_states,
     resolve_injection,
     run_compose,
-    serialize_project,
 )
 from simcompose.demo import demo_project
 from simcompose.simulate import Signal, bound_report, refine_and_run
+
+from oracles import serialize_project
 
 PARAMS = {"d1": 0.5, "d2": 0.25}
 
@@ -800,6 +801,29 @@ def test_cli_rejects_a_horizon_too_long_to_hold(tmp_path, capsys, monkeypatch):
     path = write_project(tmp_path, demo_project())
     assert main(["bounds", path, "--tfinal", "1e15", "--dt", "1"]) == 1
     assert "error: horizon 1000000000000000.0 in steps of size 1.0 needs" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_square_wave_far_below_the_step(tmp_path, capsys, monkeypatch):
+    # a period of 1e-12 puts 4e13 switch times in the demo's 20 s: check
+    # and bounds both reject it before any signal is built, naming them
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a signal was built")
+
+    monkeypatch.setattr(Signal, "square", unreachable)
+    doc = demo_project()
+    for spec in doc["simulation"]["inputs"].values():
+        spec["period"] = 1e-12
+    path = write_project(tmp_path, doc)
+    message = re.compile(
+        r"error: simulation: horizon 20\.0 in steps of size 0\.001 and 4e\+13 square-wave"
+        r" switch times needs \S+ GB for the run's states and inputs, more than the \S+ GB"
+        r" of physical memory\n"
+    )
+    for command in (["check", path], ["bounds", path, "--tfinal", "1"]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert message.fullmatch(captured.err), captured.err
+        assert "pass" not in captured.out
 
 
 def test_cli_unwritable_out_exits_1(tmp_path, capsys):

@@ -34,6 +34,7 @@ from simcompose.simulate import (
     integrate,
     refine_and_run,
     scalar_bound,
+    square_switches,
     time_grid,
     vector_bound,
     write_csv,
@@ -170,6 +171,25 @@ def test_require_memory_compares_the_run_with_physical_memory(monkeypatch):
 
     monkeypatch.setattr(simulate.os, "sysconf", unknown)
     simulate.require_memory(1e12, 1.0, 1000)
+
+
+def test_require_memory_counts_square_wave_switch_times(monkeypatch):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
+    monkeypatch.setattr(simulate.os, "sysconf", pages.__getitem__)
+    simulate.require_memory(9.0, 1.0, 1, switches=511990)
+    # switch times that outnumber the grid points are named as the cause
+    with pytest.raises(ValueError, match=r"^horizon 9\.0 in steps of size 1\.0 and 5\.12e\+05"
+                       r" square-wave switch times needs 0\.0041 GB"):
+        simulate.require_memory(9.0, 1.0, 1, switches=511991)
+    with pytest.raises(ValueError, match=r"^horizon 511000\.0 in steps of size 1\.0 needs"):
+        simulate.require_memory(511000.0, 1.0, 1, switches=1000)
+
+
+@pytest.mark.parametrize("period, t_final", [
+    (5.0, 20.0), (0.3, 1.0), (0.1, 0.7), (2.0, 0.0), (7.0, 1.0), (1e-3, 2.0), (0.2 / 3, 1.3),
+])
+def test_square_switches_count_what_signal_square_holds(period, t_final):
+    assert square_switches(period, t_final) == len(Signal.square([1.0], period, t_final).times)
 
 
 def test_integrate_scalar_decay():
@@ -915,6 +935,22 @@ def test_sparse_form_matches_reference_with_zero_width_input(monkeypatch):
         grid, 1e-3,
     )
     assert forms == ["sparse"]
+
+
+def test_sparse_drive_maps_the_input_rows():
+    # the sparse form's drive, one column gather per stored pair, is
+    # inputs @ (core B).T up to the order of the sums
+    rng = np.random.default_rng(425)
+    mat = rng.standard_normal((7, 5)) * (rng.uniform(size=(7, 5)) < 0.4)
+    mat[3] = 0.0
+    rows = simulate._SparseRows.from_dense(mat)
+    assert rows.cols.shape[1] == np.count_nonzero(mat, axis=1).max()
+    x = rng.standard_normal((11, 5))
+    np.testing.assert_allclose(rows.map_rows(x), x @ mat.T, rtol=1e-14, atol=1e-15)
+    single = simulate._SparseRows.from_dense(np.diag([2.0, -3.0]))
+    assert np.array_equal(single.map_rows(x[:, :2]), x[:, :2] * [2.0, -3.0])
+    empty = simulate._SparseRows.from_dense(np.zeros((4, 0)))
+    assert np.array_equal(empty.map_rows(np.zeros((3, 0))), np.zeros((3, 4)))
 
 
 def test_sparse_form_reports_the_reference_blowup_time(monkeypatch):

@@ -2,7 +2,9 @@
 tolerance constant defined by exactly one module, one propagator with
 one per-step loop, one reader of the entry grammar, one owner for the 2-norm and rank
 decisions, one owner of the network layout, one reader of the
-interface law, and one encoding of the bundled example."""
+interface law, one encoding of the bundled example, no function in src/
+that the program never reaches, and certification that calls numpy
+once per stack of subsystems."""
 
 import ast
 import subprocess
@@ -225,3 +227,99 @@ def test_interface_law_is_read_only_through_its_gains():
         if isinstance(node, ast.Attribute) and node.attr in ("K1", "K2", "K3", "K4")
     ]
     assert found == []
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Every name, attribute and string constant inside ``node``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
+def test_every_function_in_src_is_reachable():
+    # src/ holds what the program runs: every top-level function is
+    # reached, by name, from cli.main, from an __all__ or from bench/
+    # (whose span table names functions as strings); test-only code
+    # lives in tests/oracles.py
+    edges = defaultdict(set)
+    functions = []
+    roots = {"main"}
+    for path in MODULES:
+        for node in parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                edges[node.name] |= _referenced(node)
+                if isinstance(node, ast.FunctionDef):
+                    functions.append((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        edges[target.id] |= _referenced(node.value)
+                        if target.id == "__all__":
+                            roots |= _referenced(node.value)
+    bench = SRC.parent.parent / "bench"
+    for path in bench.glob("*.py"):
+        roots |= _referenced(parse(path))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(edges.get(name, ()))
+    assert [f"{module}.{name}" for module, name in functions if name not in reached] == []
+
+
+def test_certification_calls_numpy_once_per_stack(monkeypatch):
+    # check_P_conditions and decay_certificate call each numpy.linalg
+    # routine once per stack of same-shape subsystems: certifying a ring
+    # of 40 nodes makes as many calls as one of 20, where a loop over the
+    # members would double them. Nodes 20-39 of the larger ring repeat
+    # nodes 0-19, so both take the same data-dependent steps.
+    import numpy as np
+    from conftest import heterogeneous_ring
+    from simcompose import abstraction, cli
+
+    small = heterogeneous_ring(np.random.default_rng(5), 20)
+    large = heterogeneous_ring(np.random.default_rng(5), 40)
+    for node, twin in zip(large["subsystems"], small["subsystems"]):
+        assert (node["A"], node["D"]) == (twin["A"], twin["D"])
+    for node, twin in zip(large["subsystems"][20:], small["subsystems"]):
+        node.update(A=twin["A"], D=twin["D"])
+    calls = defaultdict(int)
+    inside = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def stage(fn):
+        def wrapper(*args, **kwargs):
+            inside.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    for name in ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+                 "matrix_rank", "norm", "pinv", "qr", "slogdet", "solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    for name in ("check_P_conditions", "decay_certificate"):
+        monkeypatch.setattr(abstraction, name, stage(getattr(abstraction, name)))
+    counts = []
+    for doc in (small, large):
+        calls.clear()
+        results = cli.build_abstractions(cli.parse_project(doc))
+        assert len(results) == len(doc["subsystems"])
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert sum(counts[0].values()) > 20
