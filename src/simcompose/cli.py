@@ -320,7 +320,7 @@ def parse_project(doc) -> Project:
         }
         channels_in = tuple(InternalChannel(ch["from"], ch["width"]) for ch in channels)
         try:
-            sub = LinearSystem(name, a, b, c, d, channels_in, c_int)
+            sub = LinearSystem(name, a, b, c, d, channels_in, c_int, finite=True)
         except ValueError as exc:
             raise ProjectError(f"{where}: {exc}") from exc
         subsystems.append(sub)

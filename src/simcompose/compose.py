@@ -23,6 +23,10 @@ from .systems import Interconnection
 #: positive weight vector.
 REDUCIBLE_SHIFT = 1e-9
 
+#: Relative width of the Collatz-Wielandt bracket at which :func:`perron`
+#: stops: a few units of roundoff, the rounding of its row ratios.
+BRACKET_TOL = 8 * np.finfo(float).eps
+
 #: Ceiling on the automatically chosen margin parameter epsilon.
 EPSILON_CAP = 1e3
 
@@ -129,12 +133,25 @@ def gain_matrices(ic: Interconnection, gains: dict[str, ComparisonGains]) -> Gai
 def perron(mat) -> tuple[float, np.ndarray]:
     """Spectral radius and a positive dominant vector of ``mat >= 0``.
 
-    Dense eigendecomposition: the dominant eigenvalue of a nonnegative
-    matrix is real, and some eigenvector for it can be taken
-    sign-uniform. When that vector has zero entries (a reducible
-    matrix), it is taken from ``mat`` plus a uniform ``REDUCIBLE_SHIFT``
-    instead, so it is strictly positive. The vector is normalized to
-    unit maximum.
+    No eigendecomposition. For an irreducible ``mat`` (its graph of
+    nonzero entries strongly connected), both come from Noda's
+    iteration (Numer. Math. 17, 1971), shifted inverse iteration whose
+    shift is the Collatz-Wielandt upper bound: from ``x = 1``, solve
+    ``(r_k I - mat) y = x_k`` with ``r_k = max_i (mat x_k)_i / (x_k)_i``
+    and scale ``y`` to unit maximum. Every iterate is positive and
+    brackets the radius, ``min_i (mat x)_i / x_i <= rho <= max_i (mat
+    x)_i / x_i``; the iteration stops when the bracket is within
+    ``BRACKET_TOL`` (relative), when it stops shrinking, or when a
+    solve is exactly singular (``r_k`` is then the radius and ``x_k``
+    its vector), and returns the upper end.
+
+    A reducible ``mat`` has the largest radius of the diagonal blocks
+    of its strongly connected components (a one-node block's radius is
+    its entry, so a nilpotent matrix gives exactly 0), and its vector
+    is Noda's on ``mat`` plus a uniform ``REDUCIBLE_SHIFT``, which is
+    irreducible, so the vector is strictly positive. The vector is
+    normalized to unit maximum. A matrix that is not square, has a
+    negative entry or is not finite raises ``ValueError``.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     n = mat.shape[0]
@@ -142,19 +159,92 @@ def perron(mat) -> tuple[float, np.ndarray]:
         raise ValueError(f"need a square matrix, got {mat.shape}")
     if np.any(mat < 0):
         raise ValueError("gain matrix must be nonnegative")
+    if not np.isfinite(mat).all():
+        raise ValueError("gain matrix must be finite")
     if n == 0:
         return 0.0, np.zeros(0)
+    blocks = _components(mat)
+    if len(blocks) == 1:
+        return _noda(mat)
+    rho = max(_noda(mat[np.ix_(block, block)])[0] for block in blocks)
+    return rho, _noda(mat + REDUCIBLE_SHIFT)[1]
 
-    def dominant(a):
-        vals, vecs = np.linalg.eig(a)
-        idx = int(np.argmax(vals.real))
-        vec = np.abs(vecs[:, idx].real)
-        return max(float(vals[idx].real), 0.0), vec / vec.max()
 
-    rho, vec = dominant(mat)
-    if vec.min() <= 1e-12:
-        _, vec = dominant(mat + REDUCIBLE_SHIFT * np.ones((n, n)))
-    return rho, vec
+def _noda(mat: Matrix) -> tuple[float, np.ndarray]:
+    """Noda's iteration on an irreducible ``mat >= 0`` (see :func:`perron`)."""
+    n = len(mat)
+    ones = np.ones(n)
+    x = ones
+    lo, hi = _collatz_wielandt(mat, x)
+    while hi - lo > BRACKET_TOL * hi:
+        # solved in the frame X^-1 mat X of the iterate, where the solution
+        # is near one, so that the small entries of x keep their accuracy
+        shifted = mat * -x / x[:, None]
+        shifted.flat[:: n + 1] += hi
+        try:
+            step = np.linalg.solve(shifted, ones)
+        except np.linalg.LinAlgError:
+            break
+        y = x * step
+        y /= y[np.argmax(np.abs(y))]
+        if not np.all(y > 0.0):
+            break
+        lo_y, hi_y = _collatz_wielandt(mat, y)
+        if not hi_y - lo_y < hi - lo:
+            break
+        x, lo, hi = y, lo_y, hi_y
+    return hi, x
+
+
+def _collatz_wielandt(mat: Matrix, x: np.ndarray) -> tuple[float, float]:
+    """``min_i`` and ``max_i`` of ``(mat x)_i / x_i`` for ``x > 0``."""
+    ratios = mat @ x / x
+    return float(ratios.min()), float(ratios.max())
+
+
+def _components(mat: Matrix) -> list[list[int]]:
+    """Strongly connected components of the graph with an edge ``i -> j``
+    for each nonzero ``mat[i, j]``: Tarjan's algorithm (1972), walked with
+    an explicit stack."""
+    n = len(mat)
+    rows, cols = np.nonzero(mat)
+    ends = np.searchsorted(rows, np.arange(1, n + 1)).tolist()
+    cols = cols.tolist()
+    edge = [0, *ends[:-1]]  # next edge of each node to follow
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack, found, count = [], [], 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        path = [root]
+        while path:
+            v = path[-1]
+            if edge[v] < ends[v]:
+                w = cols[edge[v]]
+                edge[v] += 1
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    path.append(w)
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+                continue
+            path.pop()
+            if path:
+                low[path[-1]] = min(low[path[-1]], low[v])
+            if low[v] == index[v]:
+                block = []
+                while not block or block[-1] != v:
+                    block.append(stack.pop())
+                    on_stack[block[-1]] = False
+                found.append(block)
+    return found
 
 
 def _dominant_cycle(scaled: Matrix, names: tuple[str, ...]):

@@ -17,7 +17,7 @@ subsystem may not feed itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,12 @@ class InternalChannel:
 
 @dataclass
 class LinearSystem:
-    """State-space subsystem with partitioned internal inputs/outputs."""
+    """State-space subsystem with partitioned internal inputs/outputs.
+
+    Every matrix is checked to be finite, unless ``finite=True`` says
+    that whoever read it already did (the project reader checks each
+    entry as it reads it, and names the one it rejects).
+    """
 
     name: str
     A: Matrix
@@ -44,19 +49,27 @@ class LinearSystem:
     channels_in: tuple[InternalChannel, ...] = ()
     C_int: dict[str, Matrix] = field(default_factory=dict)
     _channel_slices: dict[str, slice] = field(init=False, repr=False, compare=False)
+    _: KW_ONLY
+    finite: InitVar[bool] = False
 
-    def __post_init__(self):
-        self.A = self._finite(as_matrix(self.A, f"{self.name}.A"), "A")
+    def __post_init__(self, finite: bool):
+        def checked(mat: Matrix, label: str) -> Matrix:
+            return mat if finite else self._finite(mat, label)
+
+        self.A = checked(as_matrix(self.A, f"{self.name}.A"), "A")
         n = self.A.shape[0]
         if n == 0:
             raise ValueError(f"{self.name}.A has no states; a subsystem needs at least one")
         if self.A.shape != (n, n):
             raise ValueError(f"{self.name}.A must be square, got {self.A.shape}")
-        self.B = self._coerce(self.B, n, "B")
-        self.C_ext = self._coerce_rows(self.C_ext, n, "C_ext")
-        self.D = self._coerce(self.D, n, "D")
+        self.B = checked(self._coerce(self.B, n, "B"), "B")
+        self.C_ext = checked(self._coerce_rows(self.C_ext, n, "C_ext"), "C_ext")
+        self.D = checked(self._coerce(self.D, n, "D"), "D")
         self.channels_in = tuple(self.channels_in)
-        self.C_int = {peer: self._coerce_rows(c, n, f"C_int[{peer}]") for peer, c in self.C_int.items()}
+        self.C_int = {
+            peer: checked(self._coerce_rows(c, n, f"C_int[{peer}]"), f"C_int[{peer}]")
+            for peer, c in self.C_int.items()
+        }
         bounds = _offsets(ch.width for ch in self.channels_in)
         if self.D.shape[1] != bounds[-1]:
             raise ValueError(
@@ -87,7 +100,7 @@ class LinearSystem:
             mat = mat.reshape(n, -1)
         if mat.ndim != 2 or mat.shape[0] != n:
             raise ValueError(f"{self.name}.{label} must have {n} rows, got shape {mat.shape}")
-        return self._finite(mat, label)
+        return mat
 
     def _coerce_rows(self, mat, n: int, label: str) -> Matrix:
         mat = np.asarray(mat, dtype=float)
@@ -97,7 +110,7 @@ class LinearSystem:
             mat = mat.reshape(-1, n)
         if mat.ndim != 2 or mat.shape[1] != n:
             raise ValueError(f"{self.name}.{label} must have {n} columns, got shape {mat.shape}")
-        return self._finite(mat, label)
+        return mat
 
     @property
     def n(self) -> int:

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simcompose.abstraction import build_abstraction
 from simcompose.compose import (
+    BRACKET_TOL,
     ComposedSimFn,
     GainMatrices,
     SmallGainError,
@@ -94,6 +97,85 @@ def test_perron_zero_and_identity():
 def test_perron_rejects_negative_entries():
     with pytest.raises(ValueError):
         perron(np.array([[0.0, -1.0], [0.0, 0.0]]))
+
+
+def test_perron_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            perron(np.array([[0.0, bad], [1.0, 0.0]]))
+
+
+def collatz_wielandt(mat, vec):
+    """The bracket ``min_i (mat vec)_i / vec_i <= rho <= max_i ...``."""
+    ratios = mat @ vec / vec
+    return ratios.min(), ratios.max()
+
+
+def permuted(mat, rng):
+    """``mat`` with its nodes relabelled, so blocks are not contiguous."""
+    order = rng.permutation(len(mat))
+    return mat[np.ix_(order, order)]
+
+
+def test_perron_weighted_cycle_meets_the_geometric_mean():
+    # every eigenvalue of a cycle has the same modulus, the geometric mean
+    # of its weights; over four decades of weights a dense eig misses it
+    # in the sixth digit
+    w = 10 ** np.random.default_rng(92).uniform(-3, 1, 50)
+    s = np.roll(np.diag(w), 1, axis=0)
+    rho, vec = perron(s)
+    exact = np.exp(np.mean(np.log(w)))
+    assert rho == pytest.approx(exact, rel=1e-13)
+    assert np.all(vec > 0) and vec.max() == 1.0
+    lo, hi = collatz_wielandt(s, vec)
+    assert lo <= rho <= hi
+    assert hi - lo <= BRACKET_TOL * rho
+
+
+def test_perron_block_triangular_takes_the_largest_block_radius():
+    # diagonal blocks: a two-cycle of radius 2, a three-cycle of radius
+    # 24^(1/3) and one node; the couplings above them do not count
+    rng = np.random.default_rng(7)
+    group = np.array([0, 0, 1, 1, 1, 2])
+    for node, radius in ((1.5, 24.0 ** (1.0 / 3.0)), (5.0, 5.0)):
+        s = rng.uniform(0.5, 2.0, (6, 6)) * (group[:, None] < group[None, :])
+        s[0:2, 0:2] = [[0.0, 4.0], [1.0, 0.0]]
+        s[2:5, 2:5] = [[0.0, 0.0, 2.0], [3.0, 0.0, 0.0], [0.0, 4.0, 0.0]]
+        s[5, 5] = node
+        rho, vec = perron(permuted(s, rng))
+        assert rho == pytest.approx(radius, rel=1e-14)
+        assert np.all(vec > 0) and vec.max() == 1.0
+
+
+def test_perron_nilpotent_radius_is_exactly_zero():
+    rng = np.random.default_rng(8)
+    s = permuted(np.triu(rng.uniform(0.1, 3.0, (9, 9)), 1), rng)
+    rho, vec = perron(s)
+    assert rho == 0.0
+    assert np.all(vec > 0) and vec.max() == 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_perron_brackets_the_radius_of_irreducible_matrices(data):
+    # a weighted cycle through every node makes the matrix irreducible;
+    # further entries are drawn over four decades
+    n = data.draw(st.integers(2, 14), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    s = np.zeros((n, n))
+    s[order, np.roll(order, 1)] = 10 ** rng.uniform(-3, 1, n)
+    extra = rng.random((n, n)) < data.draw(st.floats(0.0, 1.0), label="density")
+    s[extra] += 10 ** rng.uniform(-3, 1, (n, n))[extra]
+    rho, vec = perron(s)
+    assert np.all(vec > 0) and vec.max() == 1.0
+    lo, hi = collatz_wielandt(s, vec)
+    eps = np.finfo(float).eps
+    assert lo <= rho <= hi
+    assert hi - lo <= 4 * n * eps * rho
+    assert np.max(np.abs(s @ vec - rho * vec)) <= 4 * n * eps * np.max(s.sum(axis=1))
+    assert rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(s))), rel=1e-6)
 
 
 def test_small_gain_demo_default_path():

@@ -530,7 +530,7 @@ def test_vector_bound_diverges_exactly_when_the_radius_reaches_one(data):
         s = s * (target / radius)
         radius = perron(s)[0]
     else:
-        # nilpotent: eig resolves its zero radius only to roundoff
+        # nilpotent: perron gives its zero radius exactly
         assume(radius == 0.0)
     assume(abs(radius - 1.0) >= 1e-6)
     gm = GainMatrices(names=tuple(f"s{i}" for i in range(n)), gamma=s,
@@ -951,6 +951,23 @@ def test_sparse_drive_maps_the_input_rows():
     assert np.array_equal(single.map_rows(x[:, :2]), x[:, :2] * [2.0, -3.0])
     empty = simulate._SparseRows.from_dense(np.zeros((4, 0)))
     assert np.array_equal(empty.map_rows(np.zeros((3, 0))), np.zeros((3, 4)))
+
+
+def test_sparse_drive_gathers_into_the_given_rows_in_blocks():
+    # map_rows writes into out, in blocks of _GATHER_ROWS rows, bit for
+    # bit the whole-array gather: one product and the same sums per entry
+    rng = np.random.default_rng(426)
+    mat = rng.standard_normal((9, 6)) * (rng.uniform(size=(9, 6)) < 0.5)
+    rows = simulate._SparseRows.from_dense(mat)
+    assert rows.cols.shape[1] >= 3
+    x = rng.standard_normal((2 * simulate._GATHER_ROWS + 7, 6))
+    expected = x[:, rows.cols[:, 0]] * rows.vals[:, 0]
+    for cols, vals in zip(rows.cols.T[1:], rows.vals.T[1:]):
+        expected += x[:, cols] * vals
+    states = np.full((len(x) + 1, 9), np.nan)
+    assert np.shares_memory(rows.map_rows(x, out=states[1:]), states)
+    assert np.array_equal(states[1:], expected)
+    assert np.isnan(states[0]).all()
 
 
 def test_sparse_form_reports_the_reference_blowup_time(monkeypatch):

@@ -3,8 +3,9 @@ tolerance constant defined by exactly one module, one propagator with
 one per-step loop, one reader of the entry grammar, one owner for the 2-norm and rank
 decisions, one owner of the network layout, one reader of the
 interface law, one encoding of the bundled example, no function in src/
-that the program never reaches, and certification that calls numpy
-once per stack of subsystems."""
+that the program never reaches, certification that calls numpy once
+per stack of subsystems, and no eigendecomposition in composition or
+co-simulation."""
 
 import ast
 import subprocess
@@ -179,6 +180,22 @@ def test_two_norm_and_rank_have_one_owner():
                 )
                 if isinstance(order, ast.Constant) and order.value == 2:
                     found.append(f"{path.name}:{node.lineno} norm(..., 2)")
+    assert found == []
+
+
+def test_no_eigendecomposition_in_compose_or_simulate():
+    # the spectral radius and the weights come from perron's Noda
+    # iteration; no dense eig or eigvals stands beside it
+    found = []
+    for path in (SRC / "compose.py", SRC / "simulate.py"):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Call) and any(
+                _is_numpy_linalg(node.func, name) for name in ("eig", "eigvals")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                found += [f"{path.name}:{node.lineno}" for alias in node.names
+                          if alias.name in ("eig", "eigvals")]
     assert found == []
 
 

@@ -62,6 +62,18 @@ def test_non_finite_entries_are_rejected():
         LinearSystem("s", [[-1.0]], [[1.0]], [[1.0]], [], (), {"t": [[np.nan]]})
 
 
+def test_the_project_reader_checks_finiteness_once(monkeypatch):
+    # read_numbers names a non-finite entry where it reads it; the systems
+    # it builds are not scanned again
+    def rescan(self, mat, label):
+        raise AssertionError(f"{self.name}.{label} scanned twice")
+
+    monkeypatch.setattr(LinearSystem, "_finite", rescan)
+    assert len(parse_project(demo_project()).interconnection.subsystems) == 4
+    with pytest.raises(AssertionError, match=r"s\.A scanned twice"):
+        LinearSystem("s", [[-1.0]], [[1.0]], [[1.0]], [])
+
+
 def test_d_width_must_match_declared_channels():
     with pytest.raises(ValueError):
         LinearSystem(
