@@ -34,6 +34,10 @@ import numpy as np
 
 from .geometry import Subspace, image, intersections, kernel, residuals, sums
 from .linalg import (
+    COMPUTED_CERT_TOL,
+    INJECTED_CERT_TOL,
+    SCALE_FLOOR,
+    SPLIT_RCOND,
     Matrix,
     NumericsError,
     as_matrix,
@@ -53,17 +57,6 @@ from .linalg import (
     unstack,
 )
 from .systems import LinearSystem
-
-#: Eigenvalue slack accepted for certificates this package computed itself.
-COMPUTED_CERT_TOL = 1e-7
-
-#: Eigenvalue slack for user-supplied certificates, which typically come
-#: from rounded published tables.
-INJECTED_CERT_TOL = 5e-2
-
-#: Floor on the output-scaling factor so zero-output systems still get a
-#: positive definite weight.
-_SCALE_FLOOR = 1e-12
 
 
 @dataclass
@@ -222,16 +215,6 @@ class _Members(SimpleNamespace):
             setattr(self, key, take(value))
 
 
-def _finish(single: bool, results: list, failures: dict):
-    """A stack's per-member results and failures; for one subsystem, its
-    result, or its failure raised."""
-    if not single:
-        return results, failures
-    if failures:
-        raise failures[0]
-    return results[0]
-
-
 def decay_certificate(a, b, c, pbh=None):
     """Compute ``(M, K1, lam)`` certifying exponential deviation decay.
 
@@ -276,7 +259,7 @@ def decay_certificate(a, b, c, pbh=None):
         "certificate scaling failed: the Lyapunov solution is numerically "
         "indefinite, the closed loop is too stiff"
     ) for j in singular}, failures)
-    scale = np.full(len(live.positions), _SCALE_FLOOR)
+    scale = np.full(len(live.positions), SCALE_FLOOR)
     for block in live.blocks:
         # smallest s with Cb^T Cb <= s * m0 equals |Cb L^-T|^2 for m0 = L L^T
         z = np.linalg.solve(live.chol, block.swapaxes(-1, -2))
@@ -298,7 +281,8 @@ def certificate_slacks(a, b, c, m, k1, lam) -> tuple[float, float]:
     exact certificate, and >= -tol for an acceptable one. ``output_slack``
     is the most negative eigenvalue of ``M - Cb^T Cb`` over the output
     blocks, ``decay_slack`` the negated largest eigenvalue of
-    ``(a + b k1)^T M + M (a + b k1) + 2 lam M``.
+    ``(a + b k1)^T M + M (a + b k1) + 2 lam M``; a slack is nan where
+    its matrix is not finite.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -311,27 +295,56 @@ def certificate_slacks(a, b, c, m, k1, lam) -> tuple[float, float]:
 
 
 def _slacks(a, b, blocks, m, k1, lam) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`certificate_slacks` of validated stacks, one pair per member."""
+    """:func:`certificate_slacks` of validated stacks, one pair per member.
+
+    A slack is nan where its inequality matrices are not finite (an
+    overflowing ``lam``, say); their eigenvalues are not taken.
+    """
     count, n = m.shape[0], m.shape[-1]
     if not n:
         return np.zeros(count), np.zeros(count)
-    output_slack = np.linalg.eigvalsh(m)[:, 0] if not blocks else None
-    for blk in blocks:
-        slack = np.linalg.eigvalsh(m - blk.swapaxes(-1, -2) @ blk)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs = [m - blk.swapaxes(-1, -2) @ blk for blk in blocks] or [m]
+        a_cl = a + b @ k1
+        decay = a_cl.swapaxes(-1, -2) @ m + m @ a_cl + (2.0 * lam)[:, None, None] * m
+    # one mask for every block: a nan slack of a later block would lose
+    # to a finite one in the comparison below
+    finite = np.logical_and.reduce([_finite(mat) for mat in outputs])
+    output_slack = None
+    for mat in outputs:
+        slack = _eigvalsh(mat, finite)[:, 0]
         # the first block's slack unless a later one is smaller, as min() keeps it
         output_slack = slack if output_slack is None else np.where(
             slack < output_slack, slack, output_slack
         )
-    a_cl = a + b @ k1
-    decay = a_cl.swapaxes(-1, -2) @ m + m @ a_cl + (2.0 * lam)[:, None, None] * m
-    return output_slack, -np.linalg.eigvalsh(decay)[:, -1]
+    return output_slack, -_eigvalsh(decay, _finite(decay))[:, -1]
 
 
-def _require_slacks(slacks: tuple[float, float], tol: float, cause: str = "") -> None:
+def _finite(mats: np.ndarray) -> np.ndarray:
+    return np.isfinite(mats).all(axis=(-2, -1))
+
+
+def _eigvalsh(mats: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the members flagged ``finite``, nan for the others:
+    one non-finite member would fail ``eigvalsh`` for the whole stack."""
+    values = np.full(mats.shape[:-1], np.nan)
+    if finite.any():
+        values[finite] = np.linalg.eigvalsh(mats[finite])
+    return values
+
+
+def _require_slacks(slacks: tuple[float, float], tol: float, cause: str = "",
+                    name: str = "") -> None:
+    """Reject a certificate unless both slacks are at least ``-tol``;
+    ``name`` is the subsystem the message names."""
     out_slack, decay_slack = slacks
     if not (out_slack >= -tol and decay_slack >= -tol):
+        overflowed = [kind for kind, slack in zip(("output", "decay"), slacks) if np.isnan(slack)]
+        if overflowed:
+            cause = f"; the {' and '.join(overflowed)} inequality is not finite" + cause
+        where = f" for {name}" if name else ""
         raise NumericsError(
-            f"certificate rejected: output slack {out_slack:.3e}, decay slack "
+            f"certificate rejected{where}: output slack {out_slack:.3e}, decay slack "
             f"{decay_slack:.3e}, tolerance {tol:.1e}{cause}"
         )
 
@@ -406,7 +419,7 @@ def check_P_conditions(sys, p):
                 norm_d=norm_d[j].item(),
                 norm_p=live.norm_p[j].item(),
             )
-    return _finish(single, reports, failures)
+    return unstack(single, failures, reports)
 
 
 def _left_inverse_through_kernel(p: np.ndarray, reports: list):
@@ -442,7 +455,7 @@ def _left_inverse_through_kernel(p: np.ndarray, reports: list):
         return phat, e, f, failures
     t = stack([t_full[j] for j in square])
     svals = np.linalg.svd(t, compute_uv=False)
-    singular = svals[:, -1] <= 1e-12 * svals[:, 0]
+    singular = svals[:, -1] <= SPLIT_RCOND * svals[:, 0]
     good = []
     for j, bad in zip(square, singular.tolist()):
         if bad:
@@ -524,7 +537,7 @@ def build_abstraction(sys, p, certificate=None):
     live.drop(failed, failures)
     results: list = [None] * count
     if not len(live.positions):
-        return _finish(single, results, failures)
+        return unstack(single, failures, results)
     a, b, d, blocks = _system_stack(live.systems)
     live.a, live.b, live.d, live.blocks = a, b, d, tuple(blocks)
     if certificate is None:
@@ -559,13 +572,13 @@ def build_abstraction(sys, p, certificate=None):
             j: ValueError(f"{sub.name}: K1 has shape {live.k1.shape[1:]}, expected ({m_in}, {n})")
             for j, sub in enumerate(live.systems)
         }, failures)
-        return _finish(single, results, failures)
+        return unstack(single, failures, results)
     failed = {}
     for j, slacks in enumerate(zip(*(s.tolist() for s in _slacks(
         live.a, live.b, live.blocks, live.m, live.k1, live.lam
     )))):
         try:
-            _require_slacks(slacks, tol, cause)
+            _require_slacks(slacks, tol, cause, live.systems[j].name)
         except NumericsError as exc:
             failed[j] = exc
     live.drop(failed, failures)
@@ -590,7 +603,7 @@ def build_abstraction(sys, p, certificate=None):
     live.phat, live.e, live.f, failed = _left_inverse_through_kernel(live.p, live.reports)
     live.drop(failed, failures)
     if not len(live.positions):
-        return _finish(single, results, failures)
+        return unstack(single, failures, results)
 
     bhat = by_shape(
         lambda phat_b, phat_a, e: np.concatenate([phat_b, phat_a @ e], axis=-1),
@@ -621,7 +634,7 @@ def build_abstraction(sys, p, certificate=None):
             system=abstract, simfn=simfn, gains=gains, phat=live.phat[j], e=live.e[j],
             f=live.f[j], conditions=live.reports[j],
         )
-    return _finish(single, results, failures)
+    return unstack(single, failures, results)
 
 
 def compute_k4(m, p, bhat, b, root=None):

@@ -32,9 +32,16 @@ from .compose import (
     small_gain,
 )
 from .geometry import image, minimal_invariant
-from .linalg import NumericsError, spectral_norm, stack
-from .simulate import (
+from .linalg import (
     BOUND_TOL,
+    EXACT_ENTRY_TOL,
+    PUBLISHED_ETA_TOL,
+    PUBLISHED_GAIN_TOL,
+    NumericsError,
+    spectral_norm,
+    stack,
+)
+from .simulate import (
     Signal,
     appendix_gammas,
     bound_report,
@@ -694,18 +701,20 @@ def cmd_reproduce(args) -> int:
         s1_directive.certificate[0], s1_directive.p, np.array([[1.0]]), ic["s1"].B,
     )
     s1, s2 = results["s1"], results["s2"]
+    gain, exact = PUBLISHED_GAIN_TOL, EXACT_ENTRY_TOL
     rows = [
-        ("interface gain K4 (unit input)", PUBLISHED["k4"], float(k4_scalar[0, 0]), 0.01),
-        *((f"rho {name}", PUBLISHED["rho"][name], results[name].gains.rho, 0.01)
+        ("interface gain K4 (unit input)", PUBLISHED["k4"], float(k4_scalar[0, 0]), gain),
+        *((f"rho {name}", PUBLISHED["rho"][name], results[name].gains.rho, gain)
           for name in ic.names),
-        ("mu s1 coefficient / d1", PUBLISHED["mu_over_d"]["s1"], s1.gains.mu[0] / d1, 0.01),
-        ("mu s2 coefficient / d2", PUBLISHED["mu_over_d"]["s2"], s2.gains.mu[0] / d2, 0.01),
-        ("Ahat s1", 0.0, float(np.max(np.abs(s1.system.A))), 1e-8),
-        ("Dhat s1", 0.0, float(np.max(np.abs(s1.system.D))), 1e-8),
-        ("K3 s1 / d1", 1.0, float(s1.simfn.K3[0, 0]) / d1, 1e-8),
-        ("Ahat s2", -2.0, float(s2.system.A[0, 0]), 1e-8),
-        ("Dhat s2 / d2", -1.0, float(s2.system.D[0, 0]) / d2, 1e-8),
-        ("eta (overrides, max deviation)", 0.0, float(np.max(np.abs(path.eta - eta_pub))), 0.02),
+        ("mu s1 coefficient / d1", PUBLISHED["mu_over_d"]["s1"], s1.gains.mu[0] / d1, gain),
+        ("mu s2 coefficient / d2", PUBLISHED["mu_over_d"]["s2"], s2.gains.mu[0] / d2, gain),
+        ("Ahat s1", 0.0, float(np.max(np.abs(s1.system.A))), exact),
+        ("Dhat s1", 0.0, float(np.max(np.abs(s1.system.D))), exact),
+        ("K3 s1 / d1", 1.0, float(s1.simfn.K3[0, 0]) / d1, exact),
+        ("Ahat s2", -2.0, float(s2.system.A[0, 0]), exact),
+        ("Dhat s2 / d2", -1.0, float(s2.system.D[0, 0]) / d2, exact),
+        ("eta (overrides, max deviation)", 0.0, float(np.max(np.abs(path.eta - eta_pub))),
+         PUBLISHED_ETA_TOL),
         ("composed lambda (published path)", PUBLISHED["composed_lam"], composed_pub.lam, "exact"),
         ("composed rho (published path)", PUBLISHED["composed_rho"], composed_pub.rho, (4.5, 4.8)),
         ("bound coefficient rho/lambda", PUBLISHED["bound_coefficient"],

@@ -16,22 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abstraction import AbstractionResult, ComparisonGains, QuadraticSimFn, eval_simfn
-from .linalg import Matrix, NumericsError
+from .linalg import BRACKET_TOL, EPSILON_SAFETY, REDUCIBLE_SHIFT, Matrix, NumericsError
 from .systems import Interconnection
-
-#: Perturbation added to a reducible gain matrix before extracting a
-#: positive weight vector.
-REDUCIBLE_SHIFT = 1e-9
-
-#: Relative width of the Collatz-Wielandt bracket at which :func:`perron`
-#: stops: a few units of roundoff, the rounding of its row ratios.
-BRACKET_TOL = 8 * np.finfo(float).eps
 
 #: Ceiling on the automatically chosen margin parameter epsilon.
 EPSILON_CAP = 1e3
-
-#: Fraction of the maximal feasible epsilon used by default.
-EPSILON_SAFETY = 0.99
 
 
 class SmallGainError(NumericsError):

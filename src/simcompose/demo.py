@@ -85,27 +85,35 @@ def demo_project(d1: float = 0.5, d2: float = 0.5, d3: float = 0.5) -> dict:
     parameter substitution.
     """
     amp = DEMO_INPUT_AMPLITUDE
-    node = {
-        "A": _A_NODE.tolist(),
-        "B": [[], []],
-        "C": _C_NODE.tolist(),
-        "D": [["-d2"], ["2d2"]],
-        "inputs": [{"from": "s1", "width": 1}],
-        "outputs_to": {"s3": _C_NODE.tolist()},
-        "abstraction": {
-            "P": [[1.0], [-2.0]],
-            "certificate": {
-                "M": CERT_M_NODE.tolist(),
-                "K1": [],
-                "lambda": CERT_LAM_NODE,
+
+    # each call builds fresh lists and dicts, so that editing one
+    # subsystem of the document leaves every other one as it was
+    def node(name):
+        return {
+            "name": name,
+            "A": _A_NODE.tolist(),
+            "B": [[], []],
+            "C": _C_NODE.tolist(),
+            "D": [["-d2"], ["2d2"]],
+            "inputs": [{"from": "s1", "width": 1}],
+            "outputs_to": {"s3": _C_NODE.tolist()},
+            "abstraction": {
+                "P": [[1.0], [-2.0]],
+                "certificate": {
+                    "M": CERT_M_NODE.tolist(),
+                    "K1": [],
+                    "lambda": CERT_LAM_NODE,
+                },
             },
-        },
-    }
-    integrator_cert = {
-        "M": CERT_M_INTEGRATOR.tolist(),
-        "K1": CERT_K1_INTEGRATOR.tolist(),
-        "lambda": CERT_LAM_INTEGRATOR,
-    }
+        }
+
+    def integrator_cert():
+        return {
+            "M": CERT_M_INTEGRATOR.tolist(),
+            "K1": CERT_K1_INTEGRATOR.tolist(),
+            "lambda": CERT_LAM_INTEGRATOR,
+        }
+
     return {
         "parameters": {"d1": d1, "d2": d2, "d3": d3},
         "subsystems": [
@@ -122,10 +130,10 @@ def demo_project(d1: float = 0.5, d2: float = 0.5, d3: float = 0.5) -> dict:
                 },
                 "abstraction": {
                     "P": [[1.0], [0.0], [0.0]],
-                    "certificate": integrator_cert,
+                    "certificate": integrator_cert(),
                 },
             },
-            {"name": "s2", **node},
+            node("s2"),
             {
                 "name": "s3",
                 "A": _A_INTEGRATOR.tolist(),
@@ -139,10 +147,10 @@ def demo_project(d1: float = 0.5, d2: float = 0.5, d3: float = 0.5) -> dict:
                 "outputs_to": {"s1": _C_INTEGRATOR.tolist()},
                 "abstraction": {
                     "P": [[1.0], [0.0], [0.0]],
-                    "certificate": integrator_cert,
+                    "certificate": integrator_cert(),
                 },
             },
-            {"name": "s4", **node},
+            node("s4"),
         ],
         "simulation": {
             "t_final": DEMO_T_FINAL,

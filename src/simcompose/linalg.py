@@ -22,10 +22,12 @@ matrix, is a row-by-column product per member. Only
 :func:`least_squares` takes one matrix at a time: ``lstsq`` has no
 stacked form.
 
-Two relative tolerances are fixed here and used package-wide:
-``REL_TOL`` scales singular-value cutoffs for rank decisions, and
-``RESIDUAL_TOL`` bounds the residual of a construction identity through
-:func:`residual_ok`.
+This module also owns the tolerance table below: every threshold a
+verdict of the pipeline is decided against, from the rank cutoffs and
+the certificate slacks to the small-gain weights, the sampled bounds
+and the reproduction report's rows. Each is named once, with the reason
+for its value, and the module that decides imports it; none can be set
+from outside the program.
 """
 
 from __future__ import annotations
@@ -34,20 +36,105 @@ import numpy as np
 
 Matrix = np.ndarray
 
-#: Relative tolerance coefficient for rank and eigenvalue decisions.
-REL_TOL = 1e-9
-
-#: Relative residual accepted for construction and invariance identities.
-RESIDUAL_TOL = 1e-8
-
 _EPS = float(np.finfo(float).eps)
 
+# The tolerance table. Each entry's "#:" line gives the reason for its
+# value; README's Tolerances section lists the same entries.
+
+#: Rank and eigenvalue-margin coefficient: singular values at or below
+#: ``REL_TOL * max(shape) * max(1, |A|_2)`` count as zero. About 5e6
+#: units of roundoff, so rounding never decides a rank, while the data
+#: (given to a few digits) has no genuine singular value that small.
+REL_TOL = 1e-9
+
+#: Relative residual accepted for construction and invariance identities
+#: (:func:`residual_ok`): a backward-stable solve of a consistent system
+#: stays below it up to condition numbers near 1e8; an inconsistent one
+#: leaves a residual of the data's own size.
+RESIDUAL_TOL = 1e-8
+
+#: Absolute floor of the Lyapunov residual gate: about 45 units of
+#: roundoff at unit scale, under which the relative gate of a near-zero
+#: equation would judge the rounding of its own residual.
+LYAPUNOV_RESIDUAL_FLOOR = 1e-14
+
+#: Distance ``|E + I|_1`` of a sign iterate from ``-I`` after which one
+#: more Newton step reaches roundoff: the step squares the error, and
+#: ``sqrt(eps)`` squared is ``eps``.
+SIGN_TOL = np.sqrt(_EPS)
+
+#: Relative imaginary part at or below which eigenvalue placement treats
+#: an eigenvalue as real: a real eigenvalue comes out of ``eig`` with an
+#: imaginary part at roundoff, and the real and imaginary parts of such a
+#: near-real "pair" would span no plane to place it in.
+REAL_EIG_TOL = 1e-10
+
+#: Reciprocal condition number at or below which the state decomposition
+#: ``[P, W]`` is singular: its inverse, which gives ``phat``, would keep
+#: fewer than 4 of the 16 digits.
+SPLIT_RCOND = 1e-12
+
+#: Floor on the output scaling of a computed certificate, so that a
+#: subsystem with zero outputs still gets a positive definite ``M``; no
+#: nonzero output block of unit-scale data scales that low.
+SCALE_FLOOR = 1e-12
+
+#: Eigenvalue slack accepted on the two certificate inequalities for a
+#: certificate the package computed: its 1 % headroom makes both hold in
+#: exact arithmetic, and this absorbs the rounding of their eigenvalues
+#: for matrices of norm up to about 1e8.
+COMPUTED_CERT_TOL = 1e-7
+
+#: The same slack for a certificate given in a project: published tables
+#: are rounded to two or three digits, which leaves the inequalities
+#: violated by a few 1e-3 (the bundled integrators by 8.6e-3).
+INJECTED_CERT_TOL = 5e-2
+
+#: Uniform perturbation added to a reducible gain matrix before its
+#: positive weight vector is taken: it makes the matrix irreducible, and
+#: at ``REL_TOL``'s size it moves the weights far below the gains'
+#: own precision.
+REDUCIBLE_SHIFT = 1e-9
+
+#: Relative width of the Collatz-Wielandt bracket at which the
+#: spectral-radius iteration stops: a few units of roundoff, the
+#: rounding of its row ratios, below which the bracket cannot shrink.
+BRACKET_TOL = 8 * _EPS
+
+#: Fraction of the largest feasible small-gain epsilon used by default:
+#: the largest makes one row of ``(1 + eps) S eta <= eta`` an equality,
+#: and 1 % less keeps the inequality strict after rounding.
+EPSILON_SAFETY = 0.99
+
+#: Relative tolerance of the time grid: a trajectory's steps must agree,
+#: and a horizon must be a whole number of steps, to this. Grid times
+#: ``k dt`` carry rounding of about ``k eps`` relative to ``dt``, below
+#: it up to a few million steps.
+GRID_TOL = 1e-9
+
+#: Absolute slack of a deviation bound sampled at the grid points: the
+#: integration error of RK4 at the default step, about ``dt^4``, and the
+#: rounding of the margins stay far below it.
+BOUND_TOL = 1e-6
+
+#: Reproduction report: gains and ratios published to two decimals, off
+#: by their rounding (at most 0.005) plus that of the three-digit
+#: certificates they came from.
+PUBLISHED_GAIN_TOL = 0.01
+
+#: Reproduction report: the published weights, given to one decimal,
+#: match the recomputed ones to 0.0102; a wrong published digit would
+#: miss by 0.1.
+PUBLISHED_ETA_TOL = 0.02
+
+#: Reproduction report: abstraction entries the construction determines
+#: exactly, solved to ``RESIDUAL_TOL`` at unit scale.
+EXACT_ENTRY_TOL = 1e-8
+
 # Lyapunov solver: Newton steps allowed for the sign iteration (determinant
-# scaling converges in well under 20 on every input seen), the distance
-# to -I after which one more step reaches roundoff, and the cycles of
-# iterative refinement.
+# scaling converges in well under 20 on every input seen) and the cycles
+# of iterative refinement.
 _SIGN_MAX_STEPS = 60
-_SIGN_TOL = np.sqrt(_EPS)
 _REFINE_CYCLES = 4
 
 
@@ -118,12 +205,15 @@ def by_shape(fn, *members):
 
 def unstack(single: bool, failures: dict, *values):
     """A stack's values followed by its failures (member position to
-    exception); for one matrix, its values alone, or its failure raised."""
+    exception); for one matrix, its values alone, or its failure raised.
+    Each value is a stack or a list with one entry per member."""
     if not single:
         return (*values, failures)
     if failures:
         raise failures[0]
-    member = tuple(v[0].item() if v.ndim == 1 else v[0] for v in values)
+    member = tuple(
+        v[0].item() if isinstance(v, np.ndarray) and v.ndim == 1 else v[0] for v in values
+    )
     return member if len(member) > 1 else member[0]
 
 
@@ -246,7 +336,7 @@ def _sign_iterates(at: np.ndarray):
     scaling ``c = |det E|^(-1/n)``, converges quadratically to
     ``sign(at) = -I`` for a Hurwitz matrix (Roberts 1980; Byers 1987).
     Each member takes the steps it would take alone: the last is the one
-    after ``|E + I|_1`` fell below ``_SIGN_TOL``, which brings the iterate
+    after ``|E + I|_1`` fell below ``SIGN_TOL``, which brings the iterate
     to roundoff. Returns ``(steps, singular)``: ``steps`` lists, per step,
     ``(positions, c, E)`` of the members that took it, and ``singular``
     the positions whose iterate was numerically singular (they leave
@@ -277,7 +367,7 @@ def _sign_iterates(at: np.ndarray):
             np.concatenate([e, stopped_e]),
         ))
         e = 0.5 * (c[:, None, None] * e + inv / c[:, None, None])
-        done = np.linalg.norm(e + eye, 1, axis=(-2, -1)) <= _SIGN_TOL
+        done = np.linalg.norm(e + eye, 1, axis=(-2, -1)) <= SIGN_TOL
         stopped, stopped_e = live[done], e[done]
         live, e = live[~done], e[~done]
     if stopped.size:
@@ -417,7 +507,7 @@ def solve_lyapunov(a, q):
         steps, live, a, q = _restrict(steps, keep), live[keep], a[keep], q[keep]
     m, residual = _refine(a, q, _symmetrize(_sign_solve(steps, q)), steps)
     bound = RESIDUAL_TOL * (spectral_norm(a) * spectral_norm(m) + spectral_norm(q))
-    for j in np.flatnonzero(residual > np.maximum(bound, 1e-14)).tolist():
+    for j in np.flatnonzero(residual > np.maximum(bound, LYAPUNOV_RESIDUAL_FLOOR)).tolist():
         failures[int(live[j])] = NumericsError(
             f"Lyapunov residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}; "
             "the equation is too ill-conditioned for the dense solver"
@@ -560,7 +650,7 @@ def _assignment_step(acl: np.ndarray, b: np.ndarray) -> np.ndarray:
     idx = np.argmax(vals.real, axis=-1)
     lam, u = vals[rows, idx], vecs[rows, :, idx]
     update = np.zeros((count, b.shape[-1], n))
-    real = np.abs(lam.imag) <= 1e-10 * np.maximum(1.0, np.abs(lam))
+    real = np.abs(lam.imag) <= REAL_EIG_TOL * np.maximum(1.0, np.abs(lam))
     if real.any():
         basis = _real_directions(u[real], (vals[real].imag == 0).all(axis=-1))
         update[real] = _placed(acl[real], b[real], basis, _place_real)

@@ -36,12 +36,8 @@ import numpy as np
 
 from .abstraction import AbstractionResult, interface_gains
 from .compose import ComposedSimFn, GainMatrices, compose_abstractions, perron
-from .linalg import REL_TOL, Matrix, NumericsError
+from .linalg import BOUND_TOL, GRID_TOL, Matrix, NumericsError
 from .systems import Interconnection, LinearSystem, build_monolithic
-
-# Tolerance for flagging a sampled bound violation.  Discretisation and
-# rounding keep honest margins far above this.
-BOUND_TOL = 1e-6
 
 # Default iteration count for the vector recursion.
 DEFAULT_BOUND_ITERATIONS = 50
@@ -157,7 +153,7 @@ class Trajectory:
         if not (len(self.times) == len(self.states) == len(self.outputs)):
             raise ValueError("trajectory arrays must share a length")
         steps = np.diff(self.times)
-        if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        if len(steps) and not np.allclose(steps, steps[0], rtol=GRID_TOL, atol=0.0):
             raise ValueError("time grid must be uniform")
 
 
@@ -179,7 +175,7 @@ def grid_steps(t_final: float, dt: float) -> int:
     if not ratio <= np.iinfo(np.intp).max:
         raise ValueError(f"horizon {t_final!r} holds too many steps of size {dt!r} to count")
     steps = int(round(ratio))
-    if abs(steps * dt - t_final) > REL_TOL * max(1.0, t_final):
+    if abs(steps * dt - t_final) > GRID_TOL * max(1.0, t_final):
         raise ValueError(
             f"horizon {t_final!r} is not a whole number of steps of size {dt!r}"
         )

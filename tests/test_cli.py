@@ -599,6 +599,20 @@ def test_cli_check_demo(tmp_path, capsys):
     assert "check: pass" in out
 
 
+def test_demo_subsystems_share_no_objects():
+    # editing one subsystem of the bundled document leaves its twin as it was
+    doc = demo_project()
+    s1, s2, s3, s4 = doc["subsystems"]
+    s2["abstraction"]["P"][0][0] = 7.0
+    s2["abstraction"]["certificate"]["M"][0][0] = 7.0
+    s2["outputs_to"]["s3"][0][0] = 7.0
+    s1["abstraction"]["certificate"]["M"][0][0] = 7.0
+    s1["abstraction"]["certificate"]["lambda"] = 7.0
+    s1["A"][0][1] = 7.0
+    _, _, fresh3, fresh4 = demo_project()["subsystems"]
+    assert s3 == fresh3 and s4 == fresh4
+
+
 def test_cli_check_rejects_bad_injection(tmp_path, capsys):
     doc = demo_project()
     doc["subsystems"][1]["abstraction"]["P"] = [[0.0], [1.0]]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import heterogeneous_ring, random_valid_instance
 from simcompose.abstraction import build_abstraction
 from simcompose.cli import build_abstractions, main, parse_project
+from simcompose.demo import CERT_K1_INTEGRATOR, CERT_M_INTEGRATOR, demo_project
 from simcompose.linalg import NumericsError
 from simcompose.systems import InternalChannel, LinearSystem
 
@@ -170,3 +171,57 @@ def test_injected_certificates_certify_as_a_stack():
         alone = build_abstraction(sys, np.eye(2), certificate=cert)
         assert_same(result, alone)
     assert failures == {}
+
+
+def overflowing_demo():
+    # s1's decay rate overflows 2 lam M; s3 shares its shape and stack
+    doc = demo_project()
+    doc["subsystems"][0]["abstraction"]["certificate"]["lambda"] = 1e308
+    return doc
+
+
+def test_an_overflowing_member_fails_alone_and_leaves_the_stack_as_it_was():
+    # three integrators with the published certificate; the middle one's
+    # decay rate overflows 2 lam M
+    sub = parse_project(demo_project()).interconnection["s1"]
+    systems = [
+        LinearSystem(f"i{k}", sub.A, sub.B, sub.C_ext, sub.D * (1 + 0.1 * k), sub.channels_in, {})
+        for k in range(3)
+    ]
+    certificates = [(CERT_M_INTEGRATOR, CERT_K1_INTEGRATOR, lam) for lam in (1.0, 1e308, 1.0)]
+    p = np.array([[1.0], [0.0], [0.0]])
+    results, failures = build_abstraction(systems, np.stack([p] * 3), certificates)
+    assert failures.keys() == {1} and results[1] is None
+    message = str(failures[1])
+    assert message.startswith("certificate rejected for i1: ") and "not finite" in message
+    for k in (0, 2):
+        assert_same(results[k], build_abstraction(systems[k], p, certificate=certificates[k]))
+    with pytest.raises(NumericsError) as raised:
+        build_abstraction(systems[1], p, certificate=certificates[1])
+    assert str(raised.value) == message
+
+
+def test_cli_abstract_exports_every_subsystem_but_the_overflowing_one(tmp_path, capsys):
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(overflowing_demo()), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["abstract", str(path), "--out", str(out)]) == 1
+    lines = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("s1: construction failed: certificate rejected for s1: ")
+    assert "not finite" in lines[0]
+    assert not (out / "s1_M.csv").exists()
+    for name in ("s2", "s3", "s4"):
+        assert (out / f"{name}_M.csv").exists()
+    assert main(["bounds", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate rejected for s1: ") and "not finite" in err
+
+
+def test_cli_bounds_names_the_subsystem_whose_certificate_fails(tmp_path, capsys):
+    doc = demo_project()
+    doc["subsystems"][0]["abstraction"]["certificate"]["lambda"] = 5.0
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["bounds", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate rejected for s1: output slack -8.561e-03, ")

@@ -1,13 +1,15 @@
 """Source-level guards on the package: no environment knobs, each
-tolerance constant defined by exactly one module, one propagator with
-one per-step loop, one reader of the entry grammar, one owner for the 2-norm and rank
-decisions, one owner of the network layout, one reader of the
-interface law, one encoding of the bundled example, no function in src/
-that the program never reaches, certification that calls numpy once
-per stack of subsystems, and no eigendecomposition in composition or
-co-simulation."""
+tolerance constant defined by exactly one module, every threshold a
+verdict uses named in linalg's tolerance table (and README's), one
+propagator with one per-step loop, one reader of the entry grammar, one
+owner for the 2-norm and rank decisions, one owner of the network
+layout, one reader of the interface law, one encoding of the bundled
+example, no function in src/ that the program never reaches,
+certification that calls numpy once per stack of subsystems, and no
+eigendecomposition in composition or co-simulation."""
 
 import ast
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -58,6 +60,74 @@ def test_each_tolerance_has_one_owner():
     assert {"REL_TOL", "RESIDUAL_TOL", "BOUND_TOL"} <= owners.keys()
     shared = {name: files for name, files in owners.items() if len(files) != 1}
     assert shared == {}
+
+
+def tolerance_table() -> list[str]:
+    """The entries of linalg's tolerance table: its module-level
+    assignments documented by a ``#:`` line."""
+    path = SRC / "linalg.py"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [
+        target.id
+        for node in parse(path).body
+        if isinstance(node, ast.Assign) and lines[node.lineno - 2].startswith("#:")
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    ]
+
+
+def test_tolerance_table_entries_are_assigned_only_in_linalg():
+    table = tolerance_table()
+    assert {"REL_TOL", "COMPUTED_CERT_TOL", "BRACKET_TOL", "BOUND_TOL"} <= set(table)
+    assigned = [
+        f"{path.name}:{node.lineno} {target.id}"
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id in table
+    ]
+    assert sorted(name.split(" ")[1] for name in assigned) == sorted(table)
+    assert all(name.startswith("linalg.py:") for name in assigned)
+
+
+def test_readme_lists_the_tolerance_table():
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(tolerance_table())
+
+
+def test_no_bare_threshold_decides_a_verdict():
+    # a float in (0, 1) compared against, or passed as a tolerance, is a
+    # threshold: it must be a named entry of linalg's table. The CSV
+    # writer's _G17 compares against rounding constants that format
+    # digits and decide no verdict.
+    found = set()
+    for path in MODULES:
+        tree = parse(path)
+        exempt = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "_G17"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Compare):
+                scope = node
+            elif isinstance(node, ast.keyword) and node.arg in ("tol", "rtol", "atol", "rcond"):
+                scope = node.value
+            else:
+                continue
+            found |= {
+                f"{path.name}:{literal.lineno}"
+                for literal in ast.walk(scope)
+                if isinstance(literal, ast.Constant) and type(literal.value) is float
+                and 0.0 < literal.value < 1.0
+            }
+    assert sorted(found) == []
 
 
 def calls_by_function() -> dict[str, set[str]]:
