@@ -349,6 +349,15 @@ def _require_slacks(slacks: tuple[float, float], tol: float, cause: str = "",
         )
 
 
+def check_certificate(a, b, c, m, k1, lam, tol: float) -> None:
+    """Raise ``NumericsError`` if either certificate inequality is
+    violated by more than ``tol`` (absolute eigenvalue slack), and the
+    error of :func:`~simcompose.linalg.check_spd` if ``m`` is not
+    symmetric positive semidefinite: the test :func:`build_abstraction`
+    applies to a certificate, run without the construction."""
+    _require_slacks(certificate_slacks(a, b, c, m, k1, lam), tol)
+
+
 def check_P_conditions(sys, p):
     """Check the four conditions an injection ``P`` must satisfy.
 
@@ -462,16 +471,18 @@ def _left_inverse_through_kernel(p: np.ndarray, reports: list):
             failures[j] = NumericsError("state decomposition [P, W] is numerically singular")
         else:
             good.append(j)
-    projectors = []
+    if not good:
+        return phat, e, f, failures
     if len(good) == count:
         phat = np.linalg.solve(t, np.eye(n))[:, :nhat, :]
         projectors = np.eye(n) - p @ phat
-    elif good:
+    else:
         phat[good] = np.linalg.solve(t[~singular], np.eye(n))[:, :nhat, :]
         projectors = np.eye(n) - p[good] @ phat[good]
-    for j, rest in zip(good, projectors):
-        e[j] = ker_c[j].basis
-        f[j], f_res = least_squares(e[j], rest)
+    # one solve per stack of members with the same dim ker C
+    solved = by_shape(least_squares, [ker_c[j].basis for j in good], projectors)
+    for j, (f_j, f_res) in zip(good, solved):
+        e[j], f[j] = ker_c[j].basis, f_j
         if not residual_ok(f_res, None, norm=reports[j].norm_p):
             failures[j] = NumericsError(
                 f"projector residual {f_res:.3e}: I - P phat does not factor through ker C"
@@ -584,22 +595,20 @@ def build_abstraction(sys, p, certificate=None):
     live.drop(failed, failures)
 
     nhat = p.shape[-1]
-    pb = np.concatenate([live.p, live.b], axis=-1)
-    ap = live.a @ live.p
-    live.sol_a, live.sol_d, failed = [], [], {}
-    for j, report in enumerate(live.reports):
-        sol_a, res_a = least_squares(pb[j], ap[j])
-        sol_d, res_d = least_squares(pb[j], live.d[j])
-        live.sol_a.append(sol_a)
-        live.sol_d.append(sol_d)
-        if not (
-            residual_ok(res_a, None, norm=report.norm_a)
-            and residual_ok(res_d, None, norm=report.norm_d)
-        ):
-            failed[j] = NumericsError(
-                f"construction identities inconsistent: residuals {res_a:.3e}, {res_d:.3e}"
-            )
-    live.drop(failed, failures)
+    # one SVD of [P, B] serves both identities
+    live.sol_a, res_a, live.sol_d, res_d = least_squares(
+        np.concatenate([live.p, live.b], axis=-1), live.a @ live.p, live.d
+    )
+    consistent = (
+        residual_ok(res_a, None, norm=np.array([r.norm_a for r in live.reports]))
+        & residual_ok(res_d, None, norm=np.array([r.norm_d for r in live.reports]))
+    ).tolist()
+    live.drop({
+        j: NumericsError(
+            f"construction identities inconsistent: residuals {res_a[j]:.3e}, {res_d[j]:.3e}"
+        )
+        for j, ok in enumerate(consistent) if not ok
+    }, failures)
     live.phat, live.e, live.f, failed = _left_inverse_through_kernel(live.p, live.reports)
     live.drop(failed, failures)
     if not len(live.positions):
@@ -645,8 +654,8 @@ def compute_k4(m, p, bhat, b, root=None):
     With no concrete input (``B`` has zero width) this degenerates to
     ``K4`` empty and ``rho = |sqrt(M) P Bhat|``. ``root`` is
     ``sqrtm_spd(m)`` when the caller has already formed it. Stacks give
-    a stack of gains and one ``rho`` per member (the least-squares
-    solves run member by member).
+    a stack of gains and one ``rho`` per member, from one least-squares
+    solve of the whole stack.
     """
     p, single = as_stack(p, "P")
     bhat, _ = as_stack(bhat, "Bhat")
@@ -654,7 +663,7 @@ def compute_k4(m, p, bhat, b, root=None):
     root, _ = as_stack(sqrtm_spd(m) if root is None else root)
     target = root @ (p @ bhat)
     root_b = root @ b
-    k4 = stack([least_squares(x, y)[0] for x, y in zip(root_b, target)])
+    k4, _ = least_squares(root_b, target)
     rho = spectral_norm(target - root_b @ k4)
     if single:
         return k4[0], float(rho[0])

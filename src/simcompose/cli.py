@@ -23,7 +23,13 @@ from itertools import chain
 
 import numpy as np
 
-from .abstraction import AbstractionResult, build_abstraction, check_P_conditions, compute_k4
+from .abstraction import (
+    AbstractionResult,
+    build_abstraction,
+    check_certificate,
+    check_P_conditions,
+    compute_k4,
+)
 from .compose import (
     SmallGainError,
     compose_abstractions,
@@ -35,6 +41,7 @@ from .geometry import image, minimal_invariant
 from .linalg import (
     BOUND_TOL,
     EXACT_ENTRY_TOL,
+    INJECTED_CERT_TOL,
     PUBLISHED_ETA_TOL,
     PUBLISHED_GAIN_TOL,
     NumericsError,
@@ -527,6 +534,14 @@ def cmd_check(args) -> int:
         for line in report.lines()[1:]:
             print(f"  {line}")
         all_ok = all_ok and report.ok
+        # the test bounds applies to an injected certificate
+        cert = project.directives[sub.name].certificate
+        if cert is not None:
+            try:
+                check_certificate(sub.A, sub.B, sub.output_blocks(), *cert, INJECTED_CERT_TOL)
+            except (ValueError, NumericsError) as exc:
+                all_ok = False
+                print(f"{sub.name}: {exc}")
     print("check:", "pass" if all_ok else "FAIL")
     return 0 if all_ok else 1
 

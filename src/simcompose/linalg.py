@@ -18,9 +18,7 @@ gets alone. A routine that can fail for one member returns, for a
 stack, its failures beside the values (a dict from member position to
 the exception); for one matrix it raises the failure. Reductions keep
 the kernels one matrix uses: a Frobenius norm, a BLAS dot for one
-matrix, is a row-by-column product per member. Only
-:func:`least_squares` takes one matrix at a time: ``lstsq`` has no
-stacked form.
+matrix, is a row-by-column product per member.
 
 This module also owns the tolerance table below: every threshold a
 verdict of the pipeline is decided against, from the rank cutoffs and
@@ -107,9 +105,10 @@ BRACKET_TOL = 8 * _EPS
 EPSILON_SAFETY = 0.99
 
 #: Relative tolerance of the time grid: a trajectory's steps must agree,
-#: and a horizon must be a whole number of steps, to this. Grid times
-#: ``k dt`` carry rounding of about ``k eps`` relative to ``dt``, below
-#: it up to a few million steps.
+#: and a horizon must be a whole number of steps, to this. A trajectory
+#: may also carry the rounding of its own grid points, 2 ulps of its
+#: largest time: the steps of ``k dt`` drift by about ``k eps`` relative
+#: to ``dt``, past this tolerance from several million steps.
 GRID_TOL = 1e-9
 
 #: Absolute slack of a deviation bound sampled at the grid points: the
@@ -785,27 +784,49 @@ def sqrtm_spd(m, checked: bool = False) -> Matrix:
     return m[0] if single else m
 
 
-def least_squares(a, b) -> tuple[Matrix, float]:
-    """Minimum-norm least-squares solution of ``a @ x = b``.
+def least_squares(a, *rhs):
+    """Minimum-norm least-squares solution of ``a @ x = b`` for each
+    right-hand side ``b`` in ``rhs``, or of each member of a stack.
 
-    Rank-revealing (SVD-backed); among all residual minimizers the
-    Frobenius-minimal ``x`` is returned.
+    One SVD ``a = U S V^T`` per stack serves every right-hand side:
+    singular values at or below ``REL_TOL * max(shape) * s_max`` count
+    as zero, and ``x = V S^+ U^T b`` is, among all residual minimizers,
+    the Frobenius-minimal one (Golub & Van Loan, *Matrix Computations*,
+    5.5). A matrix with no rows or no columns gives ``x = 0``.
 
     Returns
     -------
-    (x, residual)
-        ``residual`` is the Frobenius norm of ``a @ x - b``; callers judge
-        it with :func:`residual_ok`.
+    (x, residual) for each right-hand side, in order
+        ``residual`` is the Frobenius norm of ``a @ x - b``, one per
+        member of a stack; callers judge it with :func:`residual_ok`. A
+        1-D ``b`` for one matrix gives a 1-D ``x``.
     """
-    a = as_matrix(a, "a")
-    b_arr = np.asarray(b, dtype=float)
-    squeeze = b_arr.ndim == 1
-    b2 = as_matrix(b_arr, "b")
-    if b2.shape[0] != a.shape[0]:
-        raise ValueError(f"a has {a.shape[0]} rows but b has {b2.shape[0]}")
-    cutoff = REL_TOL * max(a.shape) if a.size else None
-    x, *_ = np.linalg.lstsq(a, b2, rcond=cutoff)
-    residual = float(np.linalg.norm(a @ x - b2, "fro"))
-    if squeeze:
-        return x[:, 0], residual
-    return x, residual
+    a, single = as_stack(a, "a")
+    count, rows, cols = a.shape
+    parts = [as_stack(b, "b")[0] if single else np.asarray(b, dtype=float) for b in rhs]
+    for part in parts:
+        if part.shape[:2] != (count, rows):
+            raise ValueError(
+                f"a has shape {a.shape[single:]} but b has shape {part.shape[single:]}"
+            )
+    b = np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
+    if rows and cols:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        # a dropped singular value divides by inf: its direction gets 0
+        s[s <= (REL_TOL * max(rows, cols)) * s[:, :1]] = np.inf
+        x = vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ b) / s[:, :, None])
+    else:
+        x = np.zeros((count, cols, b.shape[-1]))
+    error = a @ x - b
+    out = []
+    stop = 0
+    for given, part in zip(rhs, parts):
+        start, stop = stop, stop + part.shape[-1]
+        x_part = np.ascontiguousarray(x[..., start:stop])
+        residual = _frobenius(np.ascontiguousarray(error[..., start:stop]))
+        if single:
+            x_part, residual = x_part[0], float(residual[0])
+            if np.ndim(given) == 1:
+                x_part = x_part[:, 0]
+        out += [x_part, residual]
+    return tuple(out)

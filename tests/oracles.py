@@ -5,7 +5,6 @@ the program against, beside scipy. None of them runs in the program.
   deviation certificate from a joint-space relation, a second route to
   what :func:`~simcompose.abstraction.build_abstraction` computes from
   ``P``;
-- :func:`check_certificate` judges the two certificate inequalities;
 - :func:`project` and :func:`contains` project onto a subspace and
   decide containment;
 - :func:`serialize_project` writes a parsed project back as a document.
@@ -13,13 +12,7 @@ the program against, beside scipy. None of them runs in the program.
 
 import numpy as np
 
-from simcompose.abstraction import (
-    QuadraticSimFn,
-    certificate_slacks,
-    _require_slacks,
-    compute_k4,
-    decay_certificate,
-)
+from simcompose.abstraction import QuadraticSimFn, compute_k4, decay_certificate
 from simcompose.geometry import Subspace, image
 from simcompose.linalg import as_matrix, least_squares
 
@@ -53,12 +46,6 @@ def simfn_from_relation(sys1, sys2, r: Subspace) -> QuadraticSimFn:
     k3, _ = least_squares(sys2.B, sys2.D - p @ sys1.D)
     k4, _ = compute_k4(m, p, sys1.B, sys2.B)
     return QuadraticSimFn(P=p, M=m, K1=k1, K2=k2, K3=k3, K4=k4, lam=lam)
-
-
-def check_certificate(a, b, c, m, k1, lam, tol: float) -> None:
-    """Raise ``NumericsError`` if either certificate inequality is
-    violated by more than ``tol`` (absolute eigenvalue slack)."""
-    _require_slacks(certificate_slacks(a, b, c, m, k1, lam), tol)
 
 
 def project(space: Subspace, x) -> np.ndarray:

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from simcompose import abstraction, linalg
 from conftest import random_valid_instance
-from oracles import check_certificate, graph_subspace, simfn_from_relation
+from oracles import graph_subspace, simfn_from_relation
 from simcompose.abstraction import (
     INJECTED_CERT_TOL,
     QuadraticSimFn,
     build_abstraction,
     certificate_slacks,
+    check_certificate,
     check_P_conditions,
     check_relation,
     compute_k4,

@@ -5,9 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hurwitz, random_spd
 from simcompose.linalg import (
+    REL_TOL,
     NumericsError,
     check_spd,
     eigenvalues,
@@ -328,6 +331,58 @@ def test_least_squares_matrix_rhs():
     x, residual = least_squares(a, a @ target)
     assert np.allclose(x, target, atol=1e-9)
     assert residual <= 1e-9
+
+
+def least_squares_stack(rng, count, rows, cols, k, repeated):
+    """A stack of ``count`` random ``rows x cols`` systems with ``k``
+    right-hand sides; the members flagged in ``repeated`` repeat their
+    first column in the last, so they are rank-deficient."""
+    a = rng.standard_normal((count, rows, cols)) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
+    if cols > 1:
+        a[repeated, :, -1] = a[repeated, :, 0]
+    return a, rng.standard_normal((count, rows, k))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 4),
+    rows=st.integers(0, 5),
+    cols=st.integers(0, 5),
+    k=st.integers(1, 3),
+    repeated=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_least_squares_stack_matches_lstsq(seed, count, rows, cols, k, repeated):
+    # full-rank, rank-deficient, zero-column and zero-row members, each
+    # against numpy's lstsq at the same cutoff where the rank is clear
+    rng = np.random.default_rng(seed)
+    a, b = least_squares_stack(rng, count, rows, cols, k, np.array(repeated[:count]))
+    x, residual = least_squares(a, b)
+    assert x.shape == (count, cols, k) and residual.shape == (count,)
+    for j in range(count):
+        rcond = REL_TOL * max(rows, cols)
+        want, *_ = np.linalg.lstsq(a[j], b[j], rcond=rcond)
+        svals = np.linalg.svd(a[j], compute_uv=False) if a[j].size else np.zeros(0)
+        kept = svals[svals > rcond * svals.max(initial=0.0)]
+        if kept.size and kept[-1] < 1e-6 * kept[0]:
+            continue  # ill-conditioned: the two solvers may differ past roundoff
+        scale = 1.0 + np.abs(want).max(initial=0.0)
+        assert np.abs(x[j] - want).max(initial=0.0) <= 1e-9 * scale
+        assert residual[j] == pytest.approx(np.linalg.norm(a[j] @ want - b[j]), abs=1e-9)
+
+
+def test_least_squares_member_alone_equals_its_result_in_a_stack():
+    rng = np.random.default_rng(83)
+    for rows, cols in ((3, 3), (4, 2), (2, 5), (3, 0), (0, 3)):
+        a, b = least_squares_stack(rng, 6, rows, cols, 2, np.arange(6) % 2 == 1)
+        x, residual = least_squares(a, b)
+        for j in range(6):
+            alone, alone_residual = least_squares(a[j], b[j])
+            assert np.array_equal(alone, x[j]) and alone_residual == residual[j]
+        # two right-hand sides share the SVD and keep their own residuals
+        x1, r1, x2, r2 = least_squares(a, b[:, :, :1], b[:, :, 1:])
+        assert np.allclose(np.concatenate([x1, x2], axis=-1), x, rtol=0, atol=1e-12)
+        assert np.allclose(np.hypot(r1, r2), residual, rtol=1e-12, atol=1e-15)
 
 
 def test_residual_ok_scales_with_reference_norm():

@@ -35,6 +35,7 @@ from simcompose.simulate import (
     refine_and_run,
     scalar_bound,
     square_switches,
+    Trajectory,
     time_grid,
     vector_bound,
     write_csv,
@@ -140,6 +141,37 @@ def test_time_grid():
         time_grid(1.0005, 1e-3)
     with pytest.raises(ValueError, match="whole number of steps"):
         time_grid(1.0, 0.3)
+
+
+def test_trajectory_accepts_its_own_long_grid_and_rejects_a_moved_point():
+    # ten million steps: the rounding of k dt drifts the steps by about
+    # 1.6e-9 relative, past GRID_TOL, and is allowed as the grid's own
+    grid = time_grid(10000.0, 1e-3)
+    Trajectory(grid, np.zeros((len(grid), 0)), np.zeros((len(grid), 0)))
+    del grid
+    # on a demo-length grid, one point moved by 1e-6 dt is not rounding
+    grid = time_grid(20.0, 1e-3)
+    grid[7000] += 1e-6 * 1e-3
+    empty = np.zeros((len(grid), 0))
+    with pytest.raises(ValueError, match="time grid must be uniform"):
+        Trajectory(grid, empty, empty)
+    Trajectory(time_grid(20.0, 1e-3), empty, empty)
+
+
+def test_block_sup_norms_match_the_loop_over_blocks():
+    # empty blocks first, between and last read 0; the others match the
+    # per-block norms to the rounding of the reordered sums
+    rng = np.random.default_rng(97)
+    values = rng.standard_normal((50, 9)) * 10.0 ** rng.uniform(-3, 3, 9)
+    offsets = [0, 0, 2, 2, 3, 7, 9, 9]
+    want = [
+        np.max(np.linalg.norm(values[:, lo:hi], axis=1)) if hi > lo else 0.0
+        for lo, hi in zip(offsets[:-1], offsets[1:])
+    ]
+    got = simulate._block_sup_norms(values, offsets)
+    assert got.shape == (7,) and got[[0, 2, 6]].tolist() == [0.0, 0.0, 0.0]
+    assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+    assert simulate._block_sup_norms(values[:, :0], [0, 0]).tolist() == [0.0]
 
 
 def test_time_grid_rejects_non_finite_values():

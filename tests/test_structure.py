@@ -5,8 +5,9 @@ propagator with one per-step loop, one reader of the entry grammar, one
 owner for the 2-norm and rank decisions, one owner of the network
 layout, one reader of the interface law, one encoding of the bundled
 example, no function in src/ that the program never reaches,
-certification that calls numpy once per stack of subsystems, and no
-eigendecomposition in composition or co-simulation."""
+certification that calls numpy once per stack of subsystems, no
+``lstsq`` beside the stacked least squares, and no eigendecomposition
+in composition or co-simulation."""
 
 import ast
 import re
@@ -269,6 +270,20 @@ def test_no_eigendecomposition_in_compose_or_simulate():
     assert found == []
 
 
+def test_no_lstsq_in_src():
+    # least squares is linalg.least_squares, one SVD per stack: no
+    # per-member lstsq stands beside it, under any name
+    found = []
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Attribute) and node.attr == "lstsq":
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "scipy.linalg"):
+                found += [f"{path.name}:{node.lineno}" for alias in node.names
+                          if alias.name == "lstsq"]
+    assert found == []
+
+
 def test_one_table_writer():
     # every CSV goes through simulate.write_table's exact %.17g kernel
     users = [
@@ -363,14 +378,15 @@ def test_every_function_in_src_is_reachable():
 
 
 def test_certification_calls_numpy_once_per_stack(monkeypatch):
-    # check_P_conditions and decay_certificate call each numpy.linalg
-    # routine once per stack of same-shape subsystems: certifying a ring
-    # of 40 nodes makes as many calls as one of 20, where a loop over the
-    # members would double them. Nodes 20-39 of the larger ring repeat
-    # nodes 0-19, so both take the same data-dependent steps.
+    # build_abstraction, from the injection check to K4, calls each
+    # numpy.linalg routine once per stack of same-shape subsystems:
+    # certifying a ring of 40 nodes makes as many calls as one of 20,
+    # where a loop over the members would double them. Nodes 20-39 of
+    # the larger ring repeat nodes 0-19, so both take the same
+    # data-dependent steps.
     import numpy as np
     from conftest import heterogeneous_ring
-    from simcompose import abstraction, cli
+    from simcompose import cli
 
     small = heterogeneous_ring(np.random.default_rng(5), 20)
     large = heterogeneous_ring(np.random.default_rng(5), 40)
@@ -400,8 +416,7 @@ def test_certification_calls_numpy_once_per_stack(monkeypatch):
     for name in ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
                  "matrix_rank", "norm", "pinv", "qr", "slogdet", "solve", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    for name in ("check_P_conditions", "decay_certificate"):
-        monkeypatch.setattr(abstraction, name, stage(getattr(abstraction, name)))
+    monkeypatch.setattr(cli, "build_abstraction", stage(cli.build_abstraction))
     counts = []
     for doc in (small, large):
         calls.clear()
