@@ -21,14 +21,15 @@ together, each ``numpy.linalg`` routine called once for the whole stack
 (:mod:`~simcompose.linalg`). One subsystem is a stack of one. Steps that
 depend on a member's data (its ranks, its PBH pencils, its iteration
 counts) run on the members they concern, so every member's numbers are
-those it gets alone, and a member that fails drops out of the stack with
-the error it raises alone.
+those it gets alone. A stack is certified whole or not at all: a member
+that fails makes the stack raise the error that member raises alone, and
+``cli.certify`` certifies the halves of a failed stack again to give
+each member its own outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .linalg import (
     check_spd,
     least_squares,
     pbh_stabilizable,
-    per_member,
     rank_tol,
     residual_ok,
     spectral_norm,
@@ -54,7 +54,6 @@ from .linalg import (
     stabilize,
     solve_lyapunov,
     stack,
-    unstack,
 )
 from .systems import LinearSystem
 
@@ -189,32 +188,6 @@ def _system_stack(systems) -> tuple[Matrix, Matrix, Matrix, list[Matrix]]:
     )
 
 
-class _Members(SimpleNamespace):
-    """Data of the members of a stack still being certified: arrays are
-    stacks along axis 0, lists hold one item per member and tuples hold
-    several stacks. ``positions`` are the members' places in the stack."""
-
-    def drop(self, failed: dict, failures: dict) -> None:
-        """Record ``failed``, keyed by place among these members, in
-        ``failures``, keyed by place in the stack, and remove them."""
-        if not failed:
-            return
-        keep = np.ones(len(self.positions), dtype=bool)
-        for j, exc in failed.items():
-            failures[int(self.positions[j])] = exc
-            keep[j] = False
-
-        def take(value):
-            if isinstance(value, np.ndarray):
-                return value[keep]
-            if isinstance(value, tuple):
-                return tuple(take(v) for v in value)
-            return [v for v, k in zip(value, keep) if k]
-
-        for key, value in list(vars(self).items()):
-            setattr(self, key, take(value))
-
-
 def decay_certificate(a, b, c, pbh=None):
     """Compute ``(M, K1, lam)`` certifying exponential deviation decay.
 
@@ -231,8 +204,8 @@ def decay_certificate(a, b, c, pbh=None):
     ``(a, b)`` when the caller already has it (see :func:`stabilize`).
 
     For a stack, ``a`` and ``b`` are stacks, ``c`` a list of block stacks
-    and ``pbh`` a pair of per-member sequences; returns ``(M, K1, lam,
-    failures)``.
+    and ``pbh`` a pair of per-member sequences; the stack raises the
+    error of its first failing member.
     """
     a, single = as_stack(a, "a")
     b, _ = as_stack(b, "b")
@@ -240,38 +213,28 @@ def decay_certificate(a, b, c, pbh=None):
     blocks = [blk[np.newaxis] for blk in _output_blocks(c, n)] if single else list(c)
     if single and pbh is not None:
         pbh = ([pbh[0]], [pbh[1]])
-    k1, abscissa, failed = stabilize(a, b, pbh=pbh)
-    failures: dict[int, Exception] = {}
-    live = _Members(
-        positions=np.arange(count), a=a, b=b, k1=k1, abscissa=abscissa, blocks=tuple(blocks)
+    k1, abscissa = stabilize(a, b, pbh=pbh)
+    lam = 0.5 * np.abs(abscissa)
+    m0 = solve_lyapunov(
+        a + b @ k1 + lam[:, None, None] * np.eye(n), np.tile(np.eye(n), (count, 1, 1))
     )
-    live.drop(failed, failures)
-    lam = 0.5 * np.abs(live.abscissa)
-    m0, failed = solve_lyapunov(
-        live.a + live.b @ live.k1 + lam[:, None, None] * np.eye(n),
-        np.tile(np.eye(n), (len(lam), 1, 1)),
-    )
-    live.lam, live.m0 = lam, m0
-    live.drop(failed, failures)
-    chol, singular = per_member(np.linalg.cholesky, live.m0)
-    live.chol = chol
-    live.drop({j: NumericsError(
-        "certificate scaling failed: the Lyapunov solution is numerically "
-        "indefinite, the closed loop is too stiff"
-    ) for j in singular}, failures)
-    scale = np.full(len(live.positions), SCALE_FLOOR)
-    for block in live.blocks:
+    try:
+        chol = np.linalg.cholesky(m0)
+    except np.linalg.LinAlgError:
+        raise NumericsError(
+            "certificate scaling failed: the Lyapunov solution is numerically "
+            "indefinite, the closed loop is too stiff"
+        ) from None
+    scale = np.full(count, SCALE_FLOOR)
+    for block in blocks:
         # smallest s with Cb^T Cb <= s * m0 equals |Cb L^-T|^2 for m0 = L L^T
-        z = np.linalg.solve(live.chol, block.swapaxes(-1, -2))
+        z = np.linalg.solve(chol, block.swapaxes(-1, -2))
         # squared by Python's pow, as one member is: numpy squares by a
         # product, which differs from pow in the last bit
         squared = np.array([norm ** 2 for norm in spectral_norm(z).tolist()])
         scale = np.where(squared > scale, squared, scale)
-    m = np.zeros((count, n, n))
-    m[live.positions] = (1.01 * scale)[:, None, None] * live.m0
-    lam = np.zeros(count)
-    lam[live.positions] = live.lam
-    return unstack(single, failures, m, k1, lam)
+    m = (1.01 * scale)[:, None, None] * m0
+    return (m[0], k1[0], float(lam[0])) if single else (m, k1, lam)
 
 
 def certificate_slacks(a, b, c, m, k1, lam) -> tuple[float, float]:
@@ -282,16 +245,29 @@ def certificate_slacks(a, b, c, m, k1, lam) -> tuple[float, float]:
     is the most negative eigenvalue of ``M - Cb^T Cb`` over the output
     blocks, ``decay_slack`` the negated largest eigenvalue of
     ``(a + b k1)^T M + M (a + b k1) + 2 lam M``; a slack is nan where
-    its matrix is not finite.
+    its matrix is not finite. An ``M`` that is not symmetric positive
+    semidefinite rejects the certificate (:func:`_check_m`).
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
-    m = check_spd(m, "M")
+    m = _check_m(as_matrix(m, "M")[np.newaxis], ["certificate rejected"])
     k1 = as_matrix(k1, "K1")
     blocks = [blk[np.newaxis] for blk in _output_blocks(c, a.shape[0])]
-    slacks = _slacks(a[np.newaxis], b[np.newaxis], blocks, m[np.newaxis], k1[np.newaxis],
+    slacks = _slacks(a[np.newaxis], b[np.newaxis], blocks, m, k1[np.newaxis],
                      np.array([lam], dtype=float))
     return float(slacks[0][0]), float(slacks[1][0])
+
+
+def _check_m(m: np.ndarray, rejected) -> np.ndarray:
+    """:func:`~simcompose.linalg.check_spd` of a stack of certificate
+    ``M``: one that is not symmetric positive semidefinite rejects its
+    certificate, a ``NumericsError`` that starts with its ``rejected``."""
+    try:
+        return check_spd(m, [f"{start}: M" for start in rejected])
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise NumericsError(str(exc)) from None
 
 
 def _slacks(a, b, blocks, m, k1, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -334,27 +310,26 @@ def _eigvalsh(mats: np.ndarray, finite: np.ndarray) -> np.ndarray:
 
 
 def _require_slacks(slacks: tuple[float, float], tol: float, cause: str = "",
-                    name: str = "") -> None:
+                    rejected: str = "certificate rejected") -> None:
     """Reject a certificate unless both slacks are at least ``-tol``;
-    ``name`` is the subsystem the message names."""
+    the message starts with ``rejected``."""
     out_slack, decay_slack = slacks
     if not (out_slack >= -tol and decay_slack >= -tol):
         overflowed = [kind for kind, slack in zip(("output", "decay"), slacks) if np.isnan(slack)]
         if overflowed:
             cause = f"; the {' and '.join(overflowed)} inequality is not finite" + cause
-        where = f" for {name}" if name else ""
         raise NumericsError(
-            f"certificate rejected{where}: output slack {out_slack:.3e}, decay slack "
+            f"{rejected}: output slack {out_slack:.3e}, decay slack "
             f"{decay_slack:.3e}, tolerance {tol:.1e}{cause}"
         )
 
 
 def check_certificate(a, b, c, m, k1, lam, tol: float) -> None:
     """Raise ``NumericsError`` if either certificate inequality is
-    violated by more than ``tol`` (absolute eigenvalue slack), and the
-    error of :func:`~simcompose.linalg.check_spd` if ``m`` is not
-    symmetric positive semidefinite: the test :func:`build_abstraction`
-    applies to a certificate, run without the construction."""
+    violated by more than ``tol`` (absolute eigenvalue slack) or ``m`` is
+    not symmetric positive semidefinite: the test
+    :func:`build_abstraction` applies to a certificate, run without the
+    construction."""
     _require_slacks(certificate_slacks(a, b, c, m, k1, lam), tol)
 
 
@@ -367,13 +342,14 @@ def check_P_conditions(sys, p):
     4. ``im P + ker C`` is the whole state space (``C`` stacked over all
        output blocks).
 
-    ``P`` must be injective; that is a shape-level requirement, not a
-    condition, so a rank-deficient ``P`` raises ``ValueError``. Its rank
-    is decided at the package cutoff :func:`~simcompose.linalg.rank_tol`.
+    ``P`` must be injective and have at least one column; those are
+    shape-level requirements, not conditions, so a ``P`` that fails them
+    raises ``ValueError``. Its rank is decided at the package cutoff
+    :func:`~simcompose.linalg.rank_tol`.
 
     ``sys`` may be a sequence of same-shape subsystems and ``p`` the
-    stack of their injections: then returns ``(reports, failures)``, with
-    ``None`` for a member whose ``P`` is rejected.
+    stack of their injections: then returns the list of their reports,
+    or raises the error of the first member whose ``P`` is rejected.
     """
     single = isinstance(sys, LinearSystem)
     systems = [sys] if single else list(sys)
@@ -381,54 +357,47 @@ def check_P_conditions(sys, p):
     n = systems[0].n
     if p.shape[-2] != n:
         raise ValueError(f"P must have {n} rows, got {p.shape[-2:]}")
+    if not p.shape[-1]:
+        raise ValueError("P has no columns: an abstraction needs at least one state")
     a, b, d, blocks = _system_stack(systems)
     norm_p = spectral_norm(p)
     im_p = image(p, tol=rank_tol(p, norm_p))
-    live = _Members(positions=np.arange(len(systems)), a=a, b=b, d=d, p=p,
-                    blocks=tuple(blocks), norm_p=norm_p, im_p=im_p)
-    failures: dict[int, Exception] = {}
-    deficient = [j for j, space in enumerate(im_p) if space.dim < p.shape[-1]]
-    live.drop({
-        j: ValueError("P must have full column rank (injective state mapping)")
-        for j in deficient
-    }, failures)
-    reports: list = [None] * len(systems)
-    if len(live.positions):
-        norm_a = spectral_norm(live.a)
-        norm_d = spectral_norm(live.d)
-        ok_stab, witness = pbh_stabilizable(live.a, live.b, norm=norm_a)
-        reach = image(np.concatenate([live.p, live.b], axis=-1))
-        inv_res = residuals(reach, live.a @ live.p)
-        dist_res = residuals(reach, live.d)
-        outputs = (
-            np.concatenate(live.blocks, axis=-2) if live.blocks
-            else np.zeros((len(live.positions), 0, n))
+    if any(space.dim < p.shape[-1] for space in im_p):
+        raise ValueError("P must have full column rank (injective state mapping)")
+    norm_a = spectral_norm(a)
+    norm_d = spectral_norm(d)
+    ok_stab, witness = pbh_stabilizable(a, b, norm=norm_a)
+    reach = image(np.concatenate([p, b], axis=-1))
+    inv_res = residuals(reach, a @ p)
+    dist_res = residuals(reach, d)
+    outputs = np.concatenate(blocks, axis=-2) if blocks else np.zeros((len(systems), 0, n))
+    ker_c = kernel(outputs)
+    comp = sums(im_p, ker_c)
+    stab, inv_ok, dist_ok = (
+        ok_stab.tolist(),
+        residual_ok(inv_res, None, norm=norm_a).tolist(),
+        residual_ok(dist_res, None, norm=norm_d).tolist(),
+    )
+    reports = [
+        PConditionReport(
+            n=n,
+            stabilizable=stab[j],
+            witness=witness[j],
+            invariance_ok=inv_ok[j],
+            invariance_residual=inv_res[j].item(),
+            disturbance_ok=dist_ok[j],
+            disturbance_residual=dist_res[j].item(),
+            complement_ok=comp[j].dim == n,
+            complement_dim=comp[j].dim,
+            image_p=im_p[j],
+            kernel_c=ker_c[j],
+            norm_a=norm_a[j].item(),
+            norm_d=norm_d[j].item(),
+            norm_p=norm_p[j].item(),
         )
-        ker_c = kernel(outputs)
-        comp = sums(live.im_p, ker_c)
-        stab, inv_ok, dist_ok = (
-            ok_stab.tolist(),
-            residual_ok(inv_res, None, norm=norm_a).tolist(),
-            residual_ok(dist_res, None, norm=norm_d).tolist(),
-        )
-        for j, i in enumerate(live.positions.tolist()):
-            reports[i] = PConditionReport(
-                n=n,
-                stabilizable=stab[j],
-                witness=witness[j],
-                invariance_ok=inv_ok[j],
-                invariance_residual=inv_res[j].item(),
-                disturbance_ok=dist_ok[j],
-                disturbance_residual=dist_res[j].item(),
-                complement_ok=comp[j].dim == n,
-                complement_dim=comp[j].dim,
-                image_p=live.im_p[j],
-                kernel_c=ker_c[j],
-                norm_a=norm_a[j].item(),
-                norm_d=norm_d[j].item(),
-                norm_p=live.norm_p[j].item(),
-            )
-    return unstack(single, failures, reports)
+        for j in range(len(systems))
+    ]
+    return reports[0] if single else reports
 
 
 def _left_inverse_through_kernel(p: np.ndarray, reports: list):
@@ -440,54 +409,34 @@ def _left_inverse_through_kernel(p: np.ndarray, reports: list):
     of ``im p  ker C`` inside ``ker C``; ``phat`` reads off the ``p``
     coordinate of that splitting. ``im p``, ``ker C`` and ``|p|`` come
     from ``reports``, the :func:`check_P_conditions` of each member.
-    Returns ``(phat, e, f, failures)``; ``e`` and ``f`` are lists, since
-    ``dim ker C`` is each member's own.
+    Returns ``(phat, e, f)``; ``e`` and ``f`` are lists, since ``dim ker
+    C`` is each member's own. Raises the ``NumericsError`` of the first
+    member whose splitting fails.
     """
-    count, n, nhat = p.shape
-    ker_c = [report.kernel_c for report in reports]
-    overlap = intersections([report.image_p for report in reports], ker_c)
-    t_full = by_shape(
-        _splitting, p, [space.basis for space in ker_c], [space.basis for space in overlap]
-    )
-    failures: dict[int, Exception] = {}
-    for j, t in enumerate(t_full):
-        if t.shape[1] != n:
-            failures[j] = NumericsError(
+    n, nhat = p.shape[1:]
+    e = [report.kernel_c.basis for report in reports]
+    overlap = intersections([report.image_p for report in reports],
+                            [report.kernel_c for report in reports])
+    t = by_shape(_splitting, p, e, [space.basis for space in overlap])
+    for t_j in t:
+        if t_j.shape[1] != n:
+            raise NumericsError(
                 f"im P and ker C do not decompose the state space: got dimension "
-                f"{t.shape[1]} of {n}"
+                f"{t_j.shape[1]} of {n}"
             )
-    square = [j for j in range(count) if j not in failures]
-    phat = np.zeros((count, nhat, n))
-    e: list = [None] * count
-    f: list = [None] * count
-    if not square:
-        return phat, e, f, failures
-    t = stack([t_full[j] for j in square])
+    t = stack(t)
     svals = np.linalg.svd(t, compute_uv=False)
-    singular = svals[:, -1] <= SPLIT_RCOND * svals[:, 0]
-    good = []
-    for j, bad in zip(square, singular.tolist()):
-        if bad:
-            failures[j] = NumericsError("state decomposition [P, W] is numerically singular")
-        else:
-            good.append(j)
-    if not good:
-        return phat, e, f, failures
-    if len(good) == count:
-        phat = np.linalg.solve(t, np.eye(n))[:, :nhat, :]
-        projectors = np.eye(n) - p @ phat
-    else:
-        phat[good] = np.linalg.solve(t[~singular], np.eye(n))[:, :nhat, :]
-        projectors = np.eye(n) - p[good] @ phat[good]
+    if (svals[:, -1] <= SPLIT_RCOND * svals[:, 0]).any():
+        raise NumericsError("state decomposition [P, W] is numerically singular")
+    phat = np.linalg.solve(t, np.eye(n))[:, :nhat, :]
     # one solve per stack of members with the same dim ker C
-    solved = by_shape(least_squares, [ker_c[j].basis for j in good], projectors)
-    for j, (f_j, f_res) in zip(good, solved):
-        e[j], f[j] = ker_c[j].basis, f_j
-        if not residual_ok(f_res, None, norm=reports[j].norm_p):
-            failures[j] = NumericsError(
+    solved = by_shape(least_squares, e, np.eye(n) - p @ phat)
+    for report, (_, f_res) in zip(reports, solved):
+        if not residual_ok(f_res, None, norm=report.norm_p):
+            raise NumericsError(
                 f"projector residual {f_res:.3e}: I - P phat does not factor through ker C"
             )
-    return phat, e, f, failures
+    return phat, e, [f for f, _ in solved]
 
 
 def _splitting(p, k, o):
@@ -519,9 +468,9 @@ def build_abstraction(sys, p, certificate=None):
     A stack is certified in one pass: ``sys`` is then a sequence of
     same-shape subsystems, ``p`` the stack of their injections and
     ``certificate`` ``None`` (every certificate computed) or one injected
-    certificate per member, all of one shape. Returns ``(results,
-    failures)``: ``results[i]`` is ``None`` where ``failures[i]`` holds
-    the error member ``i`` raises alone.
+    certificate per member, all of one shape. Returns the list of their
+    results, or raises the error of its first failing member, with the
+    message that member gets alone.
 
     Raises
     ------
@@ -535,26 +484,17 @@ def build_abstraction(sys, p, certificate=None):
     if single and certificate is not None:
         certificate = [certificate]
     p, _ = as_stack(p, "P")
-    count = len(systems)
-    reports, failed = check_P_conditions(systems, p)
-    for j, report in enumerate(reports):
-        if report is not None and not report.ok:
-            failed[j] = ValueError(
-                "injection conditions failed for "
-                f"{systems[j].name}: " + "; ".join(report.lines())
+    reports = check_P_conditions(systems, p)
+    for sub, report in zip(systems, reports):
+        if not report.ok:
+            raise ValueError(
+                f"injection conditions failed for {sub.name}: " + "; ".join(report.lines())
             )
-    failures: dict[int, Exception] = {}
-    live = _Members(positions=np.arange(count), systems=systems, reports=reports, p=p)
-    live.drop(failed, failures)
-    results: list = [None] * count
-    if not len(live.positions):
-        return unstack(single, failures, results)
-    a, b, d, blocks = _system_stack(live.systems)
-    live.a, live.b, live.d, live.blocks = a, b, d, tuple(blocks)
+    a, b, d, blocks = _system_stack(systems)
     if certificate is None:
-        m, k1, lam, failed = decay_certificate(
+        m, k1, lam = decay_certificate(
             a, b, blocks,
-            pbh=([r.stabilizable for r in live.reports], [r.witness for r in live.reports]),
+            pbh=([r.stabilizable for r in reports], [r.witness for r in reports]),
         )
         tol = COMPUTED_CERT_TOL
         # the solve's residual gate is relative to |A| |M|, the slack absolute
@@ -564,86 +504,70 @@ def build_abstraction(sys, p, certificate=None):
             " inequality"
         )
     else:
-        injected = [certificate[i] for i in live.positions.tolist()]
-        m = stack([as_matrix(cert[0], "M") for cert in injected])
-        k1 = stack([as_matrix(cert[1], "K1") for cert in injected])
-        lam = np.array([float(cert[2]) for cert in injected])
-        failed = {}
+        m = stack([as_matrix(cert[0], "M") for cert in certificate])
+        k1 = stack([as_matrix(cert[1], "K1") for cert in certificate])
+        lam = np.array([float(cert[2]) for cert in certificate])
         tol = INJECTED_CERT_TOL
         cause = ""
-    live.m, live.k1, live.lam = m, k1, lam
-    live.drop(failed, failures)
+    rejected = [f"certificate rejected for {sub.name}" for sub in systems]
     # the one symmetry and definiteness check of M: the slacks, K4 and
     # every mu below work on this M and on its one square root
-    live.m, failed = check_spd(live.m, "M")
-    live.drop(failed, failures)
+    m = _check_m(m, rejected)
     n, m_in = a.shape[-1], b.shape[-1]
-    if live.k1.shape[1:] != (m_in, n):
-        live.drop({
-            j: ValueError(f"{sub.name}: K1 has shape {live.k1.shape[1:]}, expected ({m_in}, {n})")
-            for j, sub in enumerate(live.systems)
-        }, failures)
-        return unstack(single, failures, results)
-    failed = {}
-    for j, slacks in enumerate(zip(*(s.tolist() for s in _slacks(
-        live.a, live.b, live.blocks, live.m, live.k1, live.lam
+    if k1.shape[1:] != (m_in, n):
+        raise ValueError(
+            f"{systems[0].name}: K1 has shape {k1.shape[1:]}, expected ({m_in}, {n})"
+        )
+    for start, slacks in zip(rejected, zip(*(s.tolist() for s in _slacks(
+        a, b, blocks, m, k1, lam
     )))):
-        try:
-            _require_slacks(slacks, tol, cause, live.systems[j].name)
-        except NumericsError as exc:
-            failed[j] = exc
-    live.drop(failed, failures)
+        _require_slacks(slacks, tol, cause, start)
 
     nhat = p.shape[-1]
     # one SVD of [P, B] serves both identities
-    live.sol_a, res_a, live.sol_d, res_d = least_squares(
-        np.concatenate([live.p, live.b], axis=-1), live.a @ live.p, live.d
-    )
+    sol_a, res_a, sol_d, res_d = least_squares(np.concatenate([p, b], axis=-1), a @ p, d)
     consistent = (
-        residual_ok(res_a, None, norm=np.array([r.norm_a for r in live.reports]))
-        & residual_ok(res_d, None, norm=np.array([r.norm_d for r in live.reports]))
-    ).tolist()
-    live.drop({
-        j: NumericsError(
+        residual_ok(res_a, None, norm=np.array([r.norm_a for r in reports]))
+        & residual_ok(res_d, None, norm=np.array([r.norm_d for r in reports]))
+    )
+    if not consistent.all():
+        j = np.argmin(consistent)
+        raise NumericsError(
             f"construction identities inconsistent: residuals {res_a[j]:.3e}, {res_d[j]:.3e}"
         )
-        for j, ok in enumerate(consistent) if not ok
-    }, failures)
-    live.phat, live.e, live.f, failed = _left_inverse_through_kernel(live.p, live.reports)
-    live.drop(failed, failures)
-    if not len(live.positions):
-        return unstack(single, failures, results)
+    phat, e, f = _left_inverse_through_kernel(p, reports)
 
     bhat = by_shape(
         lambda phat_b, phat_a, e: np.concatenate([phat_b, phat_a @ e], axis=-1),
-        live.phat @ live.b, live.phat @ live.a, live.e,
+        phat @ b, phat @ a, e,
     )
-    root = sqrtm_spd(live.m, checked=True)
-    k4_rho = by_shape(compute_k4, live.m, live.p, bhat, live.b, root)
-    mu = [spectral_norm(root @ live.d[:, :, k, None]).tolist() for k in range(live.d.shape[-1])]
-    lam = live.lam.tolist()
-    for j, i in enumerate(live.positions.tolist()):
-        sub, pj, sol_a, sol_d = live.systems[j], live.p[j], live.sol_a[j], live.sol_d[j]
+    root = sqrtm_spd(m, checked=True)
+    k4_rho = by_shape(compute_k4, m, p, bhat, b, root)
+    mu = [spectral_norm(root @ d[:, :, k, None]).tolist() for k in range(d.shape[-1])]
+    lam = lam.tolist()
+    results = []
+    for j, sub in enumerate(systems):
+        pj, sol_a_j, sol_d_j = p[j], sol_a[j], sol_d[j]
         k4, rho = k4_rho[j]
         abstract = LinearSystem(
             name=sub.name,
-            A=sol_a[:nhat, :],
+            A=sol_a_j[:nhat, :],
             B=bhat[j],
             C_ext=sub.C_ext @ pj,
-            D=sol_d[:nhat, :],
+            D=sol_d_j[:nhat, :],
             channels_in=sub.channels_in,
             C_int={peer: blk @ pj for peer, blk in sub.C_int.items()},
         )
         simfn = QuadraticSimFn(
-            P=pj, M=live.m[j], K1=live.k1[j], K2=sol_a[nhat:, :], K3=sol_d[nhat:, :], K4=k4,
+            P=pj, M=m[j], K1=k1[j], K2=sol_a_j[nhat:, :], K3=sol_d_j[nhat:, :], K4=k4,
             lam=lam[j],
         )
         gains = ComparisonGains(lam=lam[j], rho=float(rho), mu=tuple(column[j] for column in mu))
-        results[i] = AbstractionResult(
-            system=abstract, simfn=simfn, gains=gains, phat=live.phat[j], e=live.e[j],
-            f=live.f[j], conditions=live.reports[j],
-        )
-    return unstack(single, failures, results)
+        results.append(AbstractionResult(
+            system=abstract, simfn=simfn, gains=gains, phat=phat[j], e=e[j], f=f[j],
+            conditions=reports[j],
+        ))
+    return results[0] if single else results
 
 
 def compute_k4(m, p, bhat, b, root=None):

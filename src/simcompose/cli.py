@@ -408,8 +408,9 @@ def certify(project: Project) -> dict[str, AbstractionResult | Exception]:
     Subsystems of one shape (state, input and disturbance widths, the
     injection's shape, the rows of each output block, and the shapes of
     an injected certificate or its absence) are certified as one stack
-    by :func:`build_abstraction`; one subsystem is a stack of one.
-    Results are in network order.
+    by :func:`build_abstraction`; one subsystem is a stack of one. A
+    stack that raises is halved (:func:`_certify_stack`); a
+    ``LinAlgError`` propagates. Results are in network order.
     """
     groups: dict[tuple, list] = {}
     for sub in project.interconnection.subsystems:
@@ -424,16 +425,29 @@ def certify(project: Project) -> dict[str, AbstractionResult | Exception]:
         groups.setdefault(signature, []).append((sub, p, cert))
     outcomes = {}
     for members in groups.values():
-        systems = [sub for sub, _, _ in members]
-        injected = members[0][2] is not None
-        results, failures = build_abstraction(
-            systems,
-            stack([p for _, p, _ in members]),
-            [cert for _, _, cert in members] if injected else None,
-        )
-        for i, sub in enumerate(systems):
-            outcomes[sub.name] = failures.get(i, results[i])
+        for (sub, _, _), outcome in zip(members, _certify_stack(members)):
+            outcomes[sub.name] = outcome
     return {name: outcomes[name] for name in project.interconnection.names}
+
+
+def _certify_stack(members) -> list:
+    """Each ``(subsystem, P, certificate)`` member's abstraction, or the
+    error it raises alone. A stack that raises is certified again as its
+    two halves, recursively: one failing member among N costs about
+    2 log2 N stacks, where a retry member by member would cost N."""
+    try:
+        return build_abstraction(
+            [sub for sub, _, _ in members],
+            stack([p for _, p, _ in members]),
+            None if members[0][2] is None else [cert for _, _, cert in members],
+        )
+    except np.linalg.LinAlgError:
+        raise
+    except (ValueError, NumericsError) as exc:
+        if len(members) == 1:
+            return [exc]
+    half = len(members) // 2
+    return _certify_stack(members[:half]) + _certify_stack(members[half:])
 
 
 def build_abstractions(project: Project) -> dict[str, AbstractionResult]:

@@ -14,9 +14,10 @@ one and runs the same code. Steps that depend on a member's data (the
 sign iteration's stopping step, the refinement's accept/reject, the
 pencils the PBH test ranks, the eigenvalue placement) run on the
 members still concerned, so every member's arithmetic is the one it
-gets alone. A routine that can fail for one member returns, for a
-stack, its failures beside the values (a dict from member position to
-the exception); for one matrix it raises the failure. Reductions keep
+gets alone. A routine returns a stack's values only if every member
+passes; otherwise it raises the error of its first failing member, with
+the message that member gets alone (``cli.certify`` is the one place
+that turns a failed stack into per-member outcomes). Reductions keep
 the kernels one matrix uses: a Frobenius norm, a BLAS dot for one
 matrix, is a row-by-column product per member.
 
@@ -202,38 +203,6 @@ def by_shape(fn, *members):
     return out
 
 
-def unstack(single: bool, failures: dict, *values):
-    """A stack's values followed by its failures (member position to
-    exception); for one matrix, its values alone, or its failure raised.
-    Each value is a stack or a list with one entry per member."""
-    if not single:
-        return (*values, failures)
-    if failures:
-        raise failures[0]
-    member = tuple(
-        v[0].item() if isinstance(v, np.ndarray) and v.ndim == 1 else v[0] for v in values
-    )
-    return member if len(member) > 1 else member[0]
-
-
-def per_member(fn, stacked: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """``fn`` (``inv`` or ``cholesky``) over a stack in one call; only if
-    some member makes it raise ``LinAlgError`` is it applied member by
-    member. Returns the values and the positions that raised."""
-    try:
-        return fn(stacked), []
-    except np.linalg.LinAlgError:
-        pass
-    values = np.zeros_like(stacked)
-    failed = []
-    for i, member in enumerate(stacked):
-        try:
-            values[i] = fn(member)
-        except np.linalg.LinAlgError:
-            failed.append(i)
-    return values, failed
-
-
 def _frobenius(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each member of a C-ordered stack.
 
@@ -336,17 +305,19 @@ def _sign_iterates(at: np.ndarray):
     ``sign(at) = -I`` for a Hurwitz matrix (Roberts 1980; Byers 1987).
     Each member takes the steps it would take alone: the last is the one
     after ``|E + I|_1`` fell below ``SIGN_TOL``, which brings the iterate
-    to roundoff. Returns ``(steps, singular)``: ``steps`` lists, per step,
-    ``(positions, c, E)`` of the members that took it, and ``singular``
-    the positions whose iterate was numerically singular (they leave
-    the iteration).
+    to roundoff. Returns, per step, ``(positions, c, E)`` of the members
+    that took it.
+
+    Raises
+    ------
+    NumericsError
+        If an iterate is numerically singular.
     """
     n = at.shape[-1]
     eye = np.eye(n)
     live = np.arange(at.shape[0])
     e = at
     steps = []
-    singular: list[int] = []
     # members that stopped take their last step (c = 1) with the next step
     # of the others, so a stack takes as many steps as its slowest member
     stopped, stopped_e = live[:0], e[:0]
@@ -354,12 +325,13 @@ def _sign_iterates(at: np.ndarray):
         if not live.size:
             break
         c = np.exp(-np.linalg.slogdet(e)[1] / n)
-        inv, failed = per_member(np.linalg.inv, e)
-        if failed:
-            singular.extend(live[failed].tolist())
-            ok = np.ones(live.size, dtype=bool)
-            ok[failed] = False
-            live, c, e, inv = live[ok], c[ok], e[ok], inv[ok]
+        try:
+            inv = np.linalg.inv(e)
+        except np.linalg.LinAlgError:
+            raise NumericsError(
+                "Lyapunov sign iteration reached a numerically singular iterate; "
+                "the equation is too ill-conditioned for the dense solver"
+            ) from None
         steps.append((
             np.concatenate([live, stopped]),
             np.concatenate([c, np.ones(stopped.size)]),
@@ -371,7 +343,7 @@ def _sign_iterates(at: np.ndarray):
         live, e = live[~done], e[~done]
     if stopped.size:
         steps.append((stopped, np.ones(stopped.size), stopped_e))
-    return steps, singular
+    return steps
 
 
 def _sign_solve(steps, r: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
@@ -435,18 +407,6 @@ def _refine(a, q, m, steps) -> tuple[np.ndarray, np.ndarray]:
     return m, res_norm
 
 
-def _restrict(steps, keep: np.ndarray):
-    """The sign iterates of the members flagged in ``keep``, renumbered
-    as positions of the stack of those members."""
-    where = np.cumsum(keep) - 1
-    out = []
-    for positions, c, e in steps:
-        take = keep[positions]
-        if take.any():
-            out.append((where[positions[take]], c[take], e[take]))
-    return out
-
-
 def solve_lyapunov(a, q):
     """Solve ``A^T M + M A = -Q`` for symmetric ``M``.
 
@@ -463,14 +423,16 @@ def solve_lyapunov(a, q):
 
     Returns
     -------
-    ``M``; for stacks ``(M, failures)``, with a zero ``M`` for each
-    member that failed.
+    ``M``, or the stack of them.
 
     Raises
     ------
+    ValueError
+        If ``q`` is not symmetric.
     NumericsError
         If ``a`` is not Hurwitz, the sign iteration meets a numerically
-        singular iterate, or the residual check fails.
+        singular iterate, or the residual check fails. A stack raises
+        the error of its first failing member.
     """
     a, single = as_stack(a, "a")
     q, _ = as_stack(q, "q")
@@ -479,40 +441,31 @@ def solve_lyapunov(a, q):
         raise ValueError(
             f"need square matrices of equal size, got {a.shape[-2:]} and {q.shape[-2:]}"
         )
-    failures: dict[int, Exception] = {}
-    for i in np.flatnonzero(spectral_norm(q - q.swapaxes(-1, -2)) > rank_tol(q)).tolist():
-        failures[i] = ValueError("q must be symmetric")
+    if (spectral_norm(q - q.swapaxes(-1, -2)) > rank_tol(q)).any():
+        raise ValueError("q must be symmetric")
     abscissa = spectral_abscissa(a)
-    for i in np.flatnonzero(~(abscissa < 0.0)).tolist():
-        worst = eigenvalues(a[i])[-1]
-        failures.setdefault(i, NumericsError(
+    if not (abscissa < 0.0).all():
+        worst = eigenvalues(a[np.argmin(abscissa < 0.0)])[-1]
+        raise NumericsError(
             f"Lyapunov equation requires a Hurwitz matrix; eigenvalue {worst} "
             f"has real part {worst.real:.6g} >= 0"
-        ))
-    solution = np.zeros((count, n, n))
-    live = np.setdiff1d(np.arange(count), list(failures))
-    if n == 0 or not live.size:
-        return unstack(single, failures, solution)
-    a, q = a[live], _symmetrize(q[live])
-    steps, singular = _sign_iterates(a.swapaxes(-1, -2))
-    if singular:
-        for i in singular:
-            failures[int(live[i])] = NumericsError(
-                "Lyapunov sign iteration reached a numerically singular iterate; "
-                "the equation is too ill-conditioned for the dense solver"
-            )
-        keep = np.ones(live.size, dtype=bool)
-        keep[singular] = False
-        steps, live, a, q = _restrict(steps, keep), live[keep], a[keep], q[keep]
+        )
+    if n == 0:
+        return np.zeros((n, n)) if single else np.zeros((count, n, n))
+    # C-ordered, whatever the caller's layout: the layout decides the
+    # BLAS kernels a product takes, and so its last bits
+    a, q = np.ascontiguousarray(a), _symmetrize(np.ascontiguousarray(q))
+    steps = _sign_iterates(a.swapaxes(-1, -2))
     m, residual = _refine(a, q, _symmetrize(_sign_solve(steps, q)), steps)
     bound = RESIDUAL_TOL * (spectral_norm(a) * spectral_norm(m) + spectral_norm(q))
-    for j in np.flatnonzero(residual > np.maximum(bound, LYAPUNOV_RESIDUAL_FLOOR)).tolist():
-        failures[int(live[j])] = NumericsError(
+    failed = np.flatnonzero(residual > np.maximum(bound, LYAPUNOV_RESIDUAL_FLOOR))
+    if failed.size:
+        j = failed[0]
+        raise NumericsError(
             f"Lyapunov residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}; "
             "the equation is too ill-conditioned for the dense solver"
         )
-    solution[live] = m
-    return unstack(single, failures, solution)
+    return m[0] if single else m
 
 
 def pbh_stabilizable(a, b, norm=None):
@@ -686,15 +639,14 @@ def stabilize(a, b, pbh=None):
     has already computed it for these same matrices; the test is then
     not run again.
 
-    For a stack, returns ``(K, abscissa, failures)``.
-
     Raises
     ------
     NumericsError
         If the pair fails the PBH test (message names the witness
         eigenvalue), or the assignment loop fails a final Hurwitz
         verification because an unstable mode is too close to
-        uncontrollable.
+        uncontrollable. A stack raises the error of its first failing
+        member.
     """
     a, single = as_stack(a, "a")
     b, _ = as_stack(b, "b")
@@ -707,7 +659,6 @@ def stabilize(a, b, pbh=None):
         pbh = ([pbh[0]], [pbh[1]])
     abscissa = spectral_abscissa(a)
     k = np.zeros((count, b.shape[-1], n))
-    failures: dict[int, Exception] = {}
     live = np.flatnonzero(~(abscissa < 0.0))
     if live.size:
         if pbh is None:
@@ -715,12 +666,11 @@ def stabilize(a, b, pbh=None):
         else:
             ok = np.asarray(pbh[0], dtype=bool)[live]
             witness = [pbh[1][i] for i in live.tolist()]
-        for i, good, w in zip(live.tolist(), ok, witness):
-            if not good:
-                failures[i] = NumericsError(
-                    f"pair is not stabilizable: eigenvalue {w} cannot be moved by the input"
-                )
-        live = live[ok]
+        if not ok.all():
+            raise NumericsError(
+                f"pair is not stabilizable: eigenvalue {witness[np.argmin(ok)]} "
+                "cannot be moved by the input"
+            )
     acl = a[live]
     for _ in range(2 * n + 4):
         if not live.size:
@@ -731,35 +681,38 @@ def stabilize(a, b, pbh=None):
         done = closed < 0.0
         abscissa[live[done]] = closed[done]
         live, acl = live[~done], acl[~done]
-    for i in live.tolist():
-        failures[i] = NumericsError(
+    if live.size:
+        raise NumericsError(
             "eigenvalue assignment did not converge; an unstable mode is "
             "too close to uncontrollable"
         )
-    return unstack(single, failures, k, abscissa)
+    return (k[0], float(abscissa[0])) if single else (k, abscissa)
 
 
-def check_spd(m, name: str = "matrix"):
-    """Validate symmetry and positive semidefiniteness, return symmetrized
-    copy; for a stack, ``(copies, failures)``."""
-    m, single = as_stack(m, name)
+def check_spd(m, name="matrix"):
+    """Validate symmetry (else ``ValueError``) and positive
+    semidefiniteness (else ``NumericsError``), return symmetrized copy;
+    a stack raises the error of its first failing member, and ``name``
+    may list one name per member for the message."""
+    one = isinstance(name, str)
+    m, single = as_stack(m, name if one else "matrix")
+    names = [name] * len(m) if one else list(name)
     if m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"{name} must be square, got {m.shape[-2:]}")
-    tols = rank_tol(m).tolist()
-    asymmetry = spectral_norm(m - m.swapaxes(-1, -2)).tolist()
-    failures: dict[int, Exception] = {
-        i: ValueError(f"{name} must be symmetric")
-        for i, (x, tol) in enumerate(zip(asymmetry, tols)) if x > tol
-    }
+        raise ValueError(f"{names[0]} must be square, got {m.shape[-2:]}")
+    tols = rank_tol(m)
+    asymmetric = np.flatnonzero(spectral_norm(m - m.swapaxes(-1, -2)) > tols)
+    if asymmetric.size:
+        raise ValueError(f"{names[asymmetric[0]]} must be symmetric")
     m = _symmetrize(m)
     if m.shape[-1]:
-        lowest = np.linalg.eigvalsh(m)[:, 0].tolist()
-        for i, (w, tol) in enumerate(zip(lowest, tols)):
-            if w < -tol and i not in failures:
-                failures[i] = NumericsError(
-                    f"{name} is not positive semidefinite (eigenvalue {w:.3e})"
-                )
-    return unstack(single, failures, m)
+        lowest = np.linalg.eigvalsh(m)[:, 0]
+        indefinite = np.flatnonzero(lowest < -tols)
+        if indefinite.size:
+            i = indefinite[0]
+            raise NumericsError(
+                f"{names[i]} is not positive semidefinite (eigenvalue {lowest[i]:.3e})"
+            )
+    return m[0] if single else m
 
 
 def sqrtm_spd(m, checked: bool = False) -> Matrix:
@@ -772,9 +725,7 @@ def sqrtm_spd(m, checked: bool = False) -> Matrix:
     """
     m, single = as_stack(m)
     if not checked:
-        m, failures = check_spd(m)
-        if failures:
-            raise next(iter(failures.values()))
+        m = check_spd(m)
     if m.shape[-1]:
         w, u = np.linalg.eigh(m)
         diag = np.zeros_like(u)

@@ -49,3 +49,48 @@ def test_check_rejects_the_injected_certificate_bounds_rejects(tmp_path, capsys)
         assert out.endswith("check: FAIL\n")
         assert main(["bounds", str(tmp_path / "project.json")]) == 3
         assert capsys.readouterr().err.startswith("error: certificate rejected for s1: ")
+
+
+def test_an_asymmetric_injected_m_is_a_rejected_certificate(tmp_path, capsys):
+    doc = demo_project()
+    doc["subsystems"][0]["abstraction"]["certificate"]["M"][0][1] += 1.0
+    code, out = run_check(tmp_path, capsys, doc)
+    assert code == 1
+    assert "s1: certificate rejected: M must be symmetric\n" in out
+    assert out.endswith("check: FAIL\n")
+    path = str(tmp_path / "project.json")
+    assert main(["abstract", path, "--out", str(tmp_path / "out")]) == 1
+    summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert summary[0] == "s1: construction failed: certificate rejected for s1: M must be symmetric"
+    assert not (tmp_path / "out" / "s1_M.csv").exists()
+    assert (tmp_path / "out" / "s2_M.csv").exists()
+    capsys.readouterr()
+    for command in ("bounds", "compose"):
+        assert main([command, path]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: certificate rejected for s1: M must be symmetric\n"
+
+
+def test_an_injection_with_no_columns_is_rejected(tmp_path, capsys):
+    # a stable subsystem with nothing to abstract: no inputs, no
+    # disturbances and no outputs leave the minimal invariant subspace 0
+    for k, p in enumerate(("minimal-invariant", [[], []])):
+        doc = demo_project()
+        doc["subsystems"].append(
+            {"name": "a", "A": [[-1.0, 0.0], [0.0, -2.0]], "abstraction": {"P": p}}
+        )
+        code, out = run_check(tmp_path, capsys, doc)
+        assert code == 1
+        message = "P has no columns: an abstraction needs at least one state"
+        assert f"a: injection rejected: {message}\n" in out
+        assert out.endswith("check: FAIL\n")
+        path = str(tmp_path / "project.json")
+        out_dir = tmp_path / f"out{k}"
+        assert main(["abstract", path, "--out", str(out_dir)]) == 1
+        summary = (out_dir / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert summary[-1] == f"a: construction failed: {message}"
+        for name in ("s1", "s2", "s3", "s4"):
+            assert (out_dir / f"{name}_M.csv").exists()
+        capsys.readouterr()
+        assert main(["bounds", path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

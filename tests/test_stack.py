@@ -1,5 +1,7 @@
 """Certification by stacks: subsystems of one shape are certified
-together, and each member gets exactly what it gets alone."""
+together, and each member gets exactly what it gets alone. A stack that
+fails raises a member's own error, and ``certify`` halves it until each
+member has its own outcome."""
 
 import json
 
@@ -9,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import heterogeneous_ring, random_valid_instance
+from simcompose import cli
 from simcompose.abstraction import build_abstraction
-from simcompose.cli import build_abstractions, main, parse_project
+from simcompose.cli import build_abstractions, certify, main, parse_project
 from simcompose.demo import CERT_K1_INTEGRATOR, CERT_M_INTEGRATOR, demo_project
 from simcompose.linalg import NumericsError
 from simcompose.systems import InternalChannel, LinearSystem
@@ -54,16 +57,29 @@ def certify_alone(sys, p, certificate=None):
         return exc
 
 
+def assert_outcome(outcome, alone):
+    """A member's outcome is the abstraction or the error it gets alone."""
+    if isinstance(alone, Exception):
+        assert (type(outcome), str(outcome)) == (type(alone), str(alone))
+    else:
+        assert_same(outcome, alone)
+
+
 def assert_stack_matches_alone(systems, injections):
-    results, failures = build_abstraction(systems, np.stack(injections))
-    for i, (sys, p) in enumerate(zip(systems, injections)):
-        alone = certify_alone(sys, p)
-        if isinstance(alone, Exception):
-            assert results[i] is None
-            assert type(failures[i]) is type(alone) and str(failures[i]) == str(alone)
-        else:
-            assert i not in failures
-            assert_same(results[i], alone)
+    # an all-pass stack gives each member its result alone, bit for bit;
+    # a broken one raises the error one of its members raises alone, and
+    # certify's halving gives every member its own outcome
+    alone = [certify_alone(sys, p) for sys, p in zip(systems, injections)]
+    errors = [(type(exc), str(exc)) for exc in alone if isinstance(exc, Exception)]
+    try:
+        results = build_abstraction(systems, np.stack(injections))
+    except (ValueError, NumericsError) as exc:
+        assert (type(exc), str(exc)) in errors
+        results = cli._certify_stack([(sys, p, None) for sys, p in zip(systems, injections)])
+    else:
+        assert errors == []
+    for outcome, want in zip(results, alone):
+        assert_outcome(outcome, want)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -130,14 +146,55 @@ def test_a_failing_member_fails_as_alone_and_the_first_in_network_order_is_raise
     assert isinstance(alone["s1"], NumericsError) and "certificate rejected" in str(alone["s1"])
     assert isinstance(alone["bad"], ValueError)
     assert "injection conditions failed for bad" in str(alone["bad"])
-    stack = [subs["s1"], subs["s2"], subs["s4"]]
-    results, failures = build_abstraction(stack, np.stack([np.eye(2)] * 3))
-    assert failures.keys() == {0} and str(failures[0]) == str(alone["s1"])
-    for result, name in zip(results[1:], ("s2", "s4")):
-        assert_same(result, alone[name])
+    # s1, s2 and s4 form one stack, which raises s1's error; certify
+    # gives each its own outcome
+    with pytest.raises(NumericsError) as raised:
+        build_abstraction([subs[name] for name in ("s1", "s2", "s4")], np.stack([np.eye(2)] * 3))
+    assert str(raised.value) == str(alone["s1"])
+    outcomes = certify(project)
+    assert list(outcomes) == subs.names
+    for name in subs.names:
+        assert_outcome(outcomes[name], alone[name])
     with pytest.raises(NumericsError) as raised:
         build_abstractions(project)
     assert str(raised.value) == str(alone["s1"])
+
+
+def test_certify_halves_a_failed_stack_down_to_the_failing_member(monkeypatch):
+    # 32 same-shape nodes, one of which fails its certificate: the stack
+    # and one half at each of 5 levels make 11 build_abstraction calls,
+    # where a retry member by member would make 33
+    nodes = [node(f"n{k}", [[-1.0 - 0.01 * k, 0.5], [0.0, -2.0]]) for k in range(32)]
+    nodes[13] = node("n13", FAR_FROM_NORMAL)
+    project = parse_project({"subsystems": nodes, "simulation": {"t_final": 0.1, "dt": 0.01}})
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return build_abstraction(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_abstraction", counted)
+    outcomes = certify(project)
+    assert calls[0] == 32 and len(calls) <= 11
+    subs = project.interconnection
+    for name in subs.names:
+        assert_outcome(outcomes[name], certify_alone(subs[name], project.directives[name].p))
+    assert [name for name, outcome in outcomes.items() if isinstance(outcome, Exception)] == ["n13"]
+
+
+def test_certify_lets_a_linalg_error_through(monkeypatch):
+    # numpy's LinAlgError is a ValueError, but no member's own verdict:
+    # certify neither records it nor halves the stack
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(len(args[0]))
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "build_abstraction", broken)
+    with pytest.raises(np.linalg.LinAlgError):
+        certify(parse_project(failing_doc()))
+    assert len(calls) == 1
 
 
 def test_cli_abstract_exports_every_member_but_the_failing_ones(tmp_path, capsys):
@@ -166,11 +223,11 @@ def test_injected_certificates_certify_as_a_stack():
         for k in range(3)
     ]
     certificates = [(np.eye(2) * (2.0 + k), np.zeros((1, 2)), 0.5) for k in range(3)]
-    results, failures = build_abstraction(systems, np.stack([np.eye(2)] * 3), certificates)
+    results = build_abstraction(systems, np.stack([np.eye(2)] * 3), certificates)
+    assert len(results) == 3
     for result, sys, cert in zip(results, systems, certificates):
         alone = build_abstraction(sys, np.eye(2), certificate=cert)
         assert_same(result, alone)
-    assert failures == {}
 
 
 def overflowing_demo():
@@ -182,7 +239,7 @@ def overflowing_demo():
 
 def test_an_overflowing_member_fails_alone_and_leaves_the_stack_as_it_was():
     # three integrators with the published certificate; the middle one's
-    # decay rate overflows 2 lam M
+    # decay rate overflows 2 lam M, and the stack raises its error
     sub = parse_project(demo_project()).interconnection["s1"]
     systems = [
         LinearSystem(f"i{k}", sub.A, sub.B, sub.C_ext, sub.D * (1 + 0.1 * k), sub.channels_in, {})
@@ -190,15 +247,17 @@ def test_an_overflowing_member_fails_alone_and_leaves_the_stack_as_it_was():
     ]
     certificates = [(CERT_M_INTEGRATOR, CERT_K1_INTEGRATOR, lam) for lam in (1.0, 1e308, 1.0)]
     p = np.array([[1.0], [0.0], [0.0]])
-    results, failures = build_abstraction(systems, np.stack([p] * 3), certificates)
-    assert failures.keys() == {1} and results[1] is None
-    message = str(failures[1])
-    assert message.startswith("certificate rejected for i1: ") and "not finite" in message
-    for k in (0, 2):
-        assert_same(results[k], build_abstraction(systems[k], p, certificate=certificates[k]))
     with pytest.raises(NumericsError) as raised:
+        build_abstraction(systems, np.stack([p] * 3), certificates)
+    message = str(raised.value)
+    assert message.startswith("certificate rejected for i1: ") and "not finite" in message
+    with pytest.raises(NumericsError) as alone:
         build_abstraction(systems[1], p, certificate=certificates[1])
-    assert str(raised.value) == message
+    assert str(alone.value) == message
+    outcomes = cli._certify_stack(list(zip(systems, [p] * 3, certificates)))
+    assert str(outcomes[1]) == message
+    for k in (0, 2):
+        assert_same(outcomes[k], build_abstraction(systems[k], p, certificate=certificates[k]))
 
 
 def test_cli_abstract_exports_every_subsystem_but_the_overflowing_one(tmp_path, capsys):

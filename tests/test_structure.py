@@ -5,7 +5,8 @@ propagator with one per-step loop, one reader of the entry grammar, one
 owner for the 2-norm and rank decisions, one owner of the network
 layout, one reader of the interface law, one encoding of the bundled
 example, no function in src/ that the program never reaches,
-certification that calls numpy once per stack of subsystems, no
+certification that calls numpy once per stack of subsystems, stacked
+routines that return values or raise but keep no failure dicts, no
 ``lstsq`` beside the stacked least squares, and no eigendecomposition
 in composition or co-simulation."""
 
@@ -281,6 +282,22 @@ def test_no_lstsq_in_src():
             elif isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "scipy.linalg"):
                 found += [f"{path.name}:{node.lineno}" for alias in node.names
                           if alias.name == "lstsq"]
+    assert found == []
+
+
+def test_stacked_routines_return_no_failure_dicts():
+    # a stack certifies whole or raises its first failing member's error;
+    # cli.certify alone turns a failed stack into per-member outcomes
+    found = []
+    for name in ("linalg.py", "geometry.py", "abstraction.py"):
+        for node in ast.walk(parse(SRC / name)):
+            if (
+                (isinstance(node, ast.Name) and node.id == "failures")
+                or (isinstance(node, ast.arg) and node.arg == "failures")
+                or (isinstance(node, ast.Subscript)
+                    and ast.unparse(node).replace(" ", "") == "dict[int,Exception]")
+            ):
+                found.append(f"{name}:{node.lineno}")
     assert found == []
 
 
