@@ -11,11 +11,9 @@ from .abstraction import (
     ComparisonGains,
     PConditionReport,
     QuadraticSimFn,
-    RelationReport,
     build_abstraction,
     certificate_slacks,
     check_P_conditions,
-    check_relation,
     decay_certificate,
     interface,
 )
@@ -37,7 +35,6 @@ from .simulate import (
     Signal,
     Trajectory,
     bound_report,
-    integrate,
     refine_and_run,
     scalar_bound,
     vector_bound,
@@ -65,7 +62,6 @@ __all__ = [
     "PConditionReport",
     "QuadraticSimFn",
     "RefinementRun",
-    "RelationReport",
     "Signal",
     "SmallGainError",
     "Subspace",
@@ -75,13 +71,11 @@ __all__ = [
     "build_monolithic",
     "certificate_slacks",
     "check_P_conditions",
-    "check_relation",
     "compose_abstractions",
     "compose_simfn",
     "decay_certificate",
     "gain_matrices",
     "image",
-    "integrate",
     "interface",
     "kernel",
     "minimal_invariant",

@@ -11,20 +11,22 @@ together with a quadratic function ``V(xhat, x) = |sqrt(M) (x - P xhat)|``
 and an interface feedback such that ``V`` decays at rate ``lam`` up to
 gains on the abstract input (``rho``) and on internal-input mismatch
 (one ``mu`` coefficient per scalar disturbance column).
-:func:`check_relation` states the same conditions on a joint-space
-relation instead of ``P``.
 
 The unit of certification is a stack: subsystems of one shape (state,
 input, disturbance and abstract sizes, output block rows, and whether
 the certificate is computed or injected) are checked and certified
 together, each ``numpy.linalg`` routine called once for the whole stack
-(:mod:`~simcompose.linalg`). One subsystem is a stack of one. Steps that
+(:mod:`~simcompose.linalg`). The three entry points,
+:func:`build_abstraction`, :func:`check_P_conditions` and
+:func:`decay_certificate`, take one subsystem or a stack; every routine
+they call takes stacks only, one subsystem as a stack of one. Steps that
 depend on a member's data (its ranks, its PBH pencils, its iteration
 counts) run on the members they concern, so every member's numbers are
 those it gets alone. A stack is certified whole or not at all: a member
-that fails makes the stack raise the error that member raises alone, and
+that fails makes the stack raise the error that member raises alone.
 ``cli.certify`` certifies the halves of a failed stack again to give
-each member its own outcome.
+each member its own outcome; ``cli.build_abstractions`` searches it for
+its first failing member only.
 """
 
 from __future__ import annotations
@@ -163,13 +165,6 @@ def _output_blocks(c, n: int) -> list[Matrix]:
     return [b for b in blocks if b.shape[0]]
 
 
-def _stacked_outputs(sys: LinearSystem) -> Matrix:
-    blocks = sys.output_blocks()
-    if not blocks:
-        return np.zeros((0, sys.n))
-    return np.vstack(blocks)
-
-
 def _system_stack(systems) -> tuple[Matrix, Matrix, Matrix, list[Matrix]]:
     """``A``, ``B``, ``D`` and the output blocks of same-shape subsystems,
     each stacked over the subsystems."""
@@ -207,8 +202,8 @@ def decay_certificate(a, b, c, pbh=None):
     and ``pbh`` a pair of per-member sequences; the stack raises the
     error of its first failing member.
     """
-    a, single = as_stack(a, "a")
-    b, _ = as_stack(b, "b")
+    single = np.ndim(a) != 3
+    a, b = as_stack(a, "a"), as_stack(b, "b")
     count, n = a.shape[0], a.shape[-1]
     blocks = [blk[np.newaxis] for blk in _output_blocks(c, n)] if single else list(c)
     if single and pbh is not None:
@@ -353,7 +348,7 @@ def check_P_conditions(sys, p):
     """
     single = isinstance(sys, LinearSystem)
     systems = [sys] if single else list(sys)
-    p, _ = as_stack(p, "P")
+    p = as_stack(p, "P")
     n = systems[0].n
     if p.shape[-2] != n:
         raise ValueError(f"P must have {n} rows, got {p.shape[-2:]}")
@@ -375,8 +370,8 @@ def check_P_conditions(sys, p):
     comp = sums(im_p, ker_c)
     stab, inv_ok, dist_ok = (
         ok_stab.tolist(),
-        residual_ok(inv_res, None, norm=norm_a).tolist(),
-        residual_ok(dist_res, None, norm=norm_d).tolist(),
+        residual_ok(inv_res, norm_a).tolist(),
+        residual_ok(dist_res, norm_d).tolist(),
     )
     reports = [
         PConditionReport(
@@ -432,7 +427,7 @@ def _left_inverse_through_kernel(p: np.ndarray, reports: list):
     # one solve per stack of members with the same dim ker C
     solved = by_shape(least_squares, e, np.eye(n) - p @ phat)
     for report, (_, f_res) in zip(reports, solved):
-        if not residual_ok(f_res, None, norm=report.norm_p):
+        if not residual_ok(f_res, report.norm_p):
             raise NumericsError(
                 f"projector residual {f_res:.3e}: I - P phat does not factor through ker C"
             )
@@ -483,7 +478,7 @@ def build_abstraction(sys, p, certificate=None):
     systems = [sys] if single else list(sys)
     if single and certificate is not None:
         certificate = [certificate]
-    p, _ = as_stack(p, "P")
+    p = as_stack(p, "P")
     reports = check_P_conditions(systems, p)
     for sub, report in zip(systems, reports):
         if not report.ok:
@@ -527,8 +522,8 @@ def build_abstraction(sys, p, certificate=None):
     # one SVD of [P, B] serves both identities
     sol_a, res_a, sol_d, res_d = least_squares(np.concatenate([p, b], axis=-1), a @ p, d)
     consistent = (
-        residual_ok(res_a, None, norm=np.array([r.norm_a for r in reports]))
-        & residual_ok(res_d, None, norm=np.array([r.norm_d for r in reports]))
+        residual_ok(res_a, np.array([r.norm_a for r in reports]))
+        & residual_ok(res_d, np.array([r.norm_d for r in reports]))
     )
     if not consistent.all():
         j = np.argmin(consistent)
@@ -571,27 +566,22 @@ def build_abstraction(sys, p, certificate=None):
 
 
 def compute_k4(m, p, bhat, b, root=None):
-    """Abstract-input matching gain and the resulting deviation gain.
+    """Abstract-input matching gains and the resulting deviation gains of
+    stacks, from one least-squares solve of the whole stack.
 
     Minimizes ``|sqrt(M) (P Bhat - B K4)|`` columnwise (minimum-norm
     solution); ``rho`` is the spectral norm of the optimal residual.
     With no concrete input (``B`` has zero width) this degenerates to
     ``K4`` empty and ``rho = |sqrt(M) P Bhat|``. ``root`` is
-    ``sqrtm_spd(m)`` when the caller has already formed it. Stacks give
-    a stack of gains and one ``rho`` per member, from one least-squares
-    solve of the whole stack.
+    ``sqrtm_spd(m)`` when the caller has already formed it. Returns the
+    stack of gains and one ``rho`` per member.
     """
-    p, single = as_stack(p, "P")
-    bhat, _ = as_stack(bhat, "Bhat")
-    b, _ = as_stack(b, "B")
-    root, _ = as_stack(sqrtm_spd(m) if root is None else root)
+    if root is None:
+        root = sqrtm_spd(m)
     target = root @ (p @ bhat)
     root_b = root @ b
     k4, _ = least_squares(root_b, target)
-    rho = spectral_norm(target - root_b @ k4)
-    if single:
-        return k4[0], float(rho[0])
-    return k4, rho
+    return k4, spectral_norm(target - root_b @ k4)
 
 
 def eval_simfn(fn: QuadraticSimFn, xhat, x) -> float:
@@ -622,105 +612,3 @@ def interface(fn: QuadraticSimFn, xhat, x, what, uhat) -> np.ndarray:
     """
     signals = [np.asarray(s, dtype=float).reshape(-1) for s in (xhat, x, what, uhat)]
     return sum(g @ s for g, s in zip(interface_gains(fn), signals))
-
-
-@dataclass
-class RelationReport:
-    """Verdicts for the joint-space relation conditions.
-
-    ``controlled_invariant`` is the inclusion ``A R <= R + im B`` that
-    ``invariance_residual`` measures. ``stabilizable`` is external
-    stabilizability of ``R``, decided by one PBH test on ``(A, [B, V])``
-    with ``V`` a basis of ``R``; ``witness`` is the eigenvalue that fails
-    it. The first conditions certify an approximate refinement (nonzero
-    abstract-input gain allowed); ``feedthrough_ok`` additionally holds
-    only in the exact case where the abstract input can be reproduced
-    through the concrete one.
-    """
-
-    controlled_invariant: bool
-    stabilizable: bool
-    witness: complex | None
-    invariance_residual: float
-    disturbance_residual: float
-    output_residual: float
-    feedthrough_residual: float
-    disturbance_ok: bool
-    output_ok: bool
-    feedthrough_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.controlled_invariant
-            and self.stabilizable
-            and self.disturbance_ok
-            and self.output_ok
-        )
-
-
-def _relation_matrices(sys1: LinearSystem, sys2: LinearSystem):
-    """Joint-space matrices of the relation between abstract ``sys1`` and
-    concrete ``sys2``: ``A`` of both states, the concrete and abstract
-    input matrices, the stacked disturbances and the output difference."""
-    n1, n2 = sys1.n, sys2.n
-    if sys1.p != sys2.p:
-        raise ValueError(
-            f"disturbance widths differ: {sys1.name} has {sys1.p}, {sys2.name} has {sys2.p}"
-        )
-    c1 = _stacked_outputs(sys1)
-    c2 = _stacked_outputs(sys2)
-    if c1.shape[0] != c2.shape[0]:
-        raise ValueError(
-            f"stacked output row counts differ: {c1.shape[0]} vs {c2.shape[0]}"
-        )
-    a12 = np.block([
-        [sys1.A, np.zeros((n1, n2))],
-        [np.zeros((n2, n1)), sys2.A],
-    ])
-    b12 = np.vstack([np.zeros((n1, sys2.m)), sys2.B])
-    b21 = np.vstack([sys1.B, np.zeros((n2, sys1.m))])
-    d12 = np.vstack([sys1.D, sys2.D])
-    c12 = np.hstack([-c1, c2])
-    return a12, b12, b21, d12, c12
-
-
-def check_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> RelationReport:
-    """Check whether ``r`` relates abstract ``sys1`` to concrete ``sys2``.
-
-    Conditions on the joint space (block matrices over both states):
-    controlled invariance of ``r = im V`` modulo the concrete input,
-    external stabilizability of ``r``, disturbance coverage, output
-    matching on ``r``, and (for the exact case only) abstract-input
-    coverage. A controlled-invariant ``r`` is externally stabilizable
-    exactly when ``(A, [B, V])`` passes the PBH test: for any friend, the
-    left eigenvectors of ``A`` that annihilate ``B`` and ``V`` are those
-    of the quotient pair that annihilate its input, with the same
-    eigenvalues.
-    """
-    a12, b12, b21, d12, c12 = _relation_matrices(sys1, sys2)
-    if r.ambient != a12.shape[0]:
-        raise ValueError(
-            f"relation lives in dimension {r.ambient}, expected {a12.shape[0]}"
-        )
-    target = r.sum(image(b12))
-    inv_res = target.residual(a12 @ r.basis) if r.dim else 0.0
-    dist_res = target.residual(d12) if d12.shape[1] else 0.0
-    out_res = spectral_norm(c12 @ r.basis) if r.dim else 0.0
-    feed_res = target.residual(b21) if b21.shape[1] else 0.0
-    invariant = residual_ok(inv_res, a12)
-    ok_stab, witness = (
-        pbh_stabilizable(a12, np.hstack([b12, r.basis])) if invariant else (False, None)
-    )
-    return RelationReport(
-        controlled_invariant=invariant,
-        stabilizable=ok_stab,
-        witness=witness,
-        invariance_residual=float(inv_res),
-        disturbance_residual=float(dist_res),
-        output_residual=float(out_res),
-        feedthrough_residual=float(feed_res),
-        disturbance_ok=residual_ok(dist_res, d12),
-        output_ok=residual_ok(out_res, c12),
-        feedthrough_ok=residual_ok(feed_res, b21),
-    )

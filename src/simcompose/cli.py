@@ -398,20 +398,16 @@ def resolve_injection(sys: LinearSystem, directive: Directive) -> np.ndarray:
         return np.eye(sys.n)
     # the smallest invariant subspace absorbing both input images keeps
     # every driven direction inside im P + im B
-    seed = image(np.hstack([sys.B, sys.D]))
+    seed = image(np.hstack([sys.B, sys.D])[np.newaxis])[0]
     return minimal_invariant(sys.A, seed).basis
 
 
-def certify(project: Project) -> dict[str, AbstractionResult | Exception]:
-    """Each subsystem's abstraction, or the error its certification raised.
-
-    Subsystems of one shape (state, input and disturbance widths, the
-    injection's shape, the rows of each output block, and the shapes of
-    an injected certificate or its absence) are certified as one stack
-    by :func:`build_abstraction`; one subsystem is a stack of one. A
-    stack that raises is halved (:func:`_certify_stack`); a
-    ``LinAlgError`` propagates. Results are in network order.
-    """
+def _stacks(project: Project) -> list[list]:
+    """The ``(subsystem, P, certificate)`` members of each stack, in
+    network order: subsystems of one shape (state, input and disturbance
+    widths, the injection's shape, the rows of each output block, and
+    the shapes of an injected certificate or its absence) form one
+    stack, and one subsystem is a stack of one."""
     groups: dict[tuple, list] = {}
     for sub in project.interconnection.subsystems:
         directive = project.directives[sub.name]
@@ -423,18 +419,13 @@ def certify(project: Project) -> dict[str, AbstractionResult | Exception]:
             None if cert is None else (np.shape(cert[0]), np.shape(cert[1])),
         )
         groups.setdefault(signature, []).append((sub, p, cert))
-    outcomes = {}
-    for members in groups.values():
-        for (sub, _, _), outcome in zip(members, _certify_stack(members)):
-            outcomes[sub.name] = outcome
-    return {name: outcomes[name] for name in project.interconnection.names}
+    return list(groups.values())
 
 
-def _certify_stack(members) -> list:
-    """Each ``(subsystem, P, certificate)`` member's abstraction, or the
-    error it raises alone. A stack that raises is certified again as its
-    two halves, recursively: one failing member among N costs about
-    2 log2 N stacks, where a retry member by member would cost N."""
+def _attempt(members) -> list | Exception:
+    """:func:`build_abstraction` of the members as one stack: their
+    abstractions, or the error the stack raised. A ``LinAlgError``
+    propagates."""
     try:
         return build_abstraction(
             [sub for sub, _, _ in members],
@@ -444,20 +435,68 @@ def _certify_stack(members) -> list:
     except np.linalg.LinAlgError:
         raise
     except (ValueError, NumericsError) as exc:
-        if len(members) == 1:
-            return [exc]
+        return exc
+
+
+def certify(project: Project) -> dict[str, AbstractionResult | Exception]:
+    """Each subsystem's abstraction, or the error its certification
+    raised, in network order. A stack that raises is halved
+    (:func:`_certify_stack`)."""
+    outcomes = {}
+    for members in _stacks(project):
+        for (sub, _, _), outcome in zip(members, _certify_stack(members)):
+            outcomes[sub.name] = outcome
+    return {name: outcomes[name] for name in project.interconnection.names}
+
+
+def _certify_stack(members) -> list:
+    """Each member's abstraction, or the error it raises alone. A stack
+    that raises is certified again as its two halves, recursively: one
+    failing member among N costs about 2 log2 N stacks, where a retry
+    member by member would cost N."""
+    outcome = _attempt(members)
+    if not isinstance(outcome, Exception):
+        return outcome
+    if len(members) == 1:
+        return [outcome]
     half = len(members) // 2
     return _certify_stack(members[:half]) + _certify_stack(members[half:])
+
+
+def _first_failure(members, error: Exception) -> tuple[str, Exception]:
+    """The name of the first member that fails alone, and its own error,
+    for a stack that raised ``error``: each step certifies the left half
+    and keeps it if it raises, else the right half, which then holds
+    every failure of the stack whose error is held. The member left is
+    that stack's only failure, so the error is its own, even where the
+    whole stack raised a later member's (one failing an earlier phase).
+    At most ceil(log2 N) certifications for N members."""
+    while len(members) > 1:
+        half = len(members) // 2
+        left = _attempt(members[:half])
+        if isinstance(left, Exception):
+            members, error = members[:half], left
+        else:
+            members = members[half:]
+    return members[0][0].name, error
 
 
 def build_abstractions(project: Project) -> dict[str, AbstractionResult]:
     """Every subsystem's abstraction; raises the error of the first
     subsystem, in network order, whose certification fails."""
-    outcomes = certify(project)
-    for outcome in outcomes.values():
+    results, failures = {}, {}
+    for members in _stacks(project):
+        outcome = _attempt(members)
         if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
+            name, error = _first_failure(members, outcome)
+            failures[name] = error
+        else:
+            results.update((sub.name, result) for (sub, _, _), result in zip(members, outcome))
+    names = project.interconnection.names
+    for name in names:
+        if name in failures:
+            raise failures[name]
+    return {name: results[name] for name in names}
 
 
 def run_compose(project: Project, results, eta=None, epsilon=None):
@@ -595,7 +634,7 @@ def cmd_abstract(args) -> int:
             f" Dhat {_fmt_matrix(result.system.D)},"
             f" lambda {_fmt(gains.lam)}, rho {_fmt(gains.rho)},"
             f" mu {_fmt_vector(gains.mu)},"
-            f" K4 norm {_fmt(spectral_norm(result.simfn.K4))}"
+            f" K4 norm {_fmt(spectral_norm(result.simfn.K4[np.newaxis])[0])}"
         )
     text = "\n".join(summary) + "\n"
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as fh:
@@ -726,9 +765,10 @@ def cmd_reproduce(args) -> int:
     # the published interface gain is stated for the unit abstract
     # input direction, so recompute it against bhat = 1
     s1_directive = project.directives["s1"]
-    k4_scalar, _ = compute_k4(
-        s1_directive.certificate[0], s1_directive.p, np.array([[1.0]]), ic["s1"].B,
-    )
+    k4_scalar = compute_k4(
+        s1_directive.certificate[0][np.newaxis], s1_directive.p[np.newaxis],
+        np.ones((1, 1, 1)), ic["s1"].B[np.newaxis],
+    )[0][0]
     s1, s2 = results["s1"], results["s2"]
     gain, exact = PUBLISHED_GAIN_TOL, EXACT_ENTRY_TOL
     rows = [

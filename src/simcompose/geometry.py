@@ -6,11 +6,12 @@ tolerance it was computed at. Tolerances travel with the subspace and
 are never re-derived from the basis, so containment decisions stay
 consistent across composite operations.
 
-:func:`image` and :func:`kernel` of a stack of matrices give one
-subspace per member, each at its own rank; :func:`residuals`,
+:func:`image` and :func:`kernel` take stacks of matrices only and give
+one subspace per member, each at its own rank; :func:`residuals`,
 :func:`sums` and :func:`intersections` work on sequences of subspaces,
 one per member, and stack the members of equal dimensions into one call
-(:func:`~simcompose.linalg.by_shape`). One subspace is a stack of one.
+(:func:`~simcompose.linalg.by_shape`). One matrix is passed as a stack
+of one, and one subspace as a sequence of one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, as_matrix, as_stack, by_shape, rank_tol
+from .linalg import Matrix, as_matrix, by_shape, rank_tol
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,8 @@ class Subspace:
 
 
 def zero_subspace(ambient: int, tol: float | None = None) -> Subspace:
-    return Subspace(ambient, np.zeros((ambient, 0)), rank_tol(np.eye(max(ambient, 1))) if tol is None else tol)
+    tol = rank_tol(np.eye(max(ambient, 1))[np.newaxis])[0] if tol is None else tol
+    return Subspace(ambient, np.zeros((ambient, 0)), tol)
 
 
 def _member_tols(a: np.ndarray, tol) -> np.ndarray:
@@ -63,10 +65,9 @@ def _member_tols(a: np.ndarray, tol) -> np.ndarray:
     return np.full(len(a), tol) if tol.ndim == 0 else tol
 
 
-def image(a, tol=None):
-    """Column space of ``a`` as an orthonormal-basis subspace; a list of
-    them, one per member, for a stack."""
-    a, single = as_stack(a, "a")
+def image(a: np.ndarray, tol=None) -> list[Subspace]:
+    """Column space of each member of the stack ``a``, as orthonormal-basis
+    subspaces; ``tol`` is one cutoff for every member or one per member."""
     rows, cols = a.shape[-2:]
     tols = _member_tols(a, tol)
     if cols == 0:
@@ -75,13 +76,12 @@ def image(a, tol=None):
         u, s, _ = np.linalg.svd(a, full_matrices=False)
         ranks = (s > tols[:, None]).sum(axis=-1).tolist()
         spaces = [Subspace(rows, x[:, :r], t) for x, r, t in zip(u, ranks, tols.tolist())]
-    return spaces[0] if single else spaces
+    return spaces
 
 
-def kernel(a, tol=None):
-    """Null space of ``a`` as an orthonormal-basis subspace; a list of
-    them, one per member, for a stack."""
-    a, single = as_stack(a, "a")
+def kernel(a: np.ndarray, tol=None) -> list[Subspace]:
+    """Null space of each member of the stack ``a``, as orthonormal-basis
+    subspaces; ``tol`` is one cutoff for every member or one per member."""
     rows, n = a.shape[-2:]
     tols = _member_tols(a, tol)
     if rows == 0 or n == 0:
@@ -90,7 +90,7 @@ def kernel(a, tol=None):
         _, s, vt = np.linalg.svd(a, full_matrices=True)
         ranks = (s > tols[:, None]).sum(axis=-1).tolist()
         spaces = [Subspace(n, x[r:].T, t) for x, r, t in zip(vt, ranks, tols.tolist())]
-    return spaces[0] if single else spaces
+    return spaces
 
 
 def residuals(spaces, x) -> np.ndarray:
@@ -172,7 +172,9 @@ def minimal_invariant(a, seed: Subspace) -> Subspace:
         raise ValueError("a must be square and match the seed's ambient dimension")
     current = seed
     for _ in range(n + 1):
-        grown = current.sum(image(a @ current.basis, tol=current.tol)) if current.dim else current
+        if not current.dim:
+            return current
+        grown = current.sum(image((a @ current.basis)[np.newaxis], tol=current.tol)[0])
         if grown.dim == current.dim:
             return grown
         current = grown

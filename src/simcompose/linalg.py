@@ -9,15 +9,18 @@ square roots, and a minimum-norm least-squares solver.
 
 The unit of work is a stack: same-shape matrices along a leading axis,
 which each ``numpy.linalg`` routine processes in one call, with the
-same LAPACK result for every member as alone. One matrix is a stack of
-one and runs the same code. Steps that depend on a member's data (the
+same LAPACK result for every member as alone. Every numerical routine
+here takes stacks only and returns one value per member; one matrix is passed as a
+stack of one (``a[np.newaxis]``), a view of the same memory, and its
+value read back with ``[0]``. Steps that depend on a member's data (the
 sign iteration's stopping step, the refinement's accept/reject, the
 pencils the PBH test ranks, the eigenvalue placement) run on the
 members still concerned, so every member's arithmetic is the one it
 gets alone. A routine returns a stack's values only if every member
 passes; otherwise it raises the error of its first failing member, with
-the message that member gets alone (``cli.certify`` is the one place
-that turns a failed stack into per-member outcomes). Reductions keep
+the message that member gets alone (``cli`` searches a failed stack:
+``certify`` for every failing member, ``build_abstractions`` for the
+first). Reductions keep
 the kernels one matrix uses: a Frobenius norm, a BLAS dot for one
 matrix, is a row-by-column product per member.
 
@@ -157,14 +160,13 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     return arr
 
 
-def as_stack(a, name: str = "matrix") -> tuple[np.ndarray, bool]:
-    """``(stack, single)``: ``a`` as a float stack of matrices along a
-    leading axis, and whether it was one matrix, made a stack of one (a
-    1-D input becomes a column, as in :func:`as_matrix`)."""
+def as_stack(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as a float stack of matrices along a leading axis, one matrix
+    as a stack of one (a 1-D input a column, as in :func:`as_matrix`):
+    the entry points of :mod:`~simcompose.abstraction` take either form,
+    and nothing below them does."""
     arr = np.asarray(a, dtype=float)
-    if arr.ndim == 3:
-        return arr, False
-    return as_matrix(arr, name)[np.newaxis], True
+    return arr if arr.ndim == 3 else as_matrix(arr, name)[np.newaxis]
 
 
 def stack(arrays) -> np.ndarray:
@@ -214,83 +216,62 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt((flat @ flat.swapaxes(-1, -2))[:, 0, 0])
 
 
-def spectral_norm(a):
-    """Largest singular value; 0 for an empty matrix. A stack gives one
-    value per member.
+def spectral_norm(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each member; 0 for an empty matrix.
 
     The same LAPACK call ``np.linalg.norm(a, 2)`` makes, without its
     axis-handling wrapper, so the value is bit-identical.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim < 2:
-        a = np.atleast_2d(a)
     if a.size == 0:
-        norms = np.zeros(a.shape[:-2])
-    else:
-        norms = np.linalg.svd(a, compute_uv=False)[..., 0]
-    return float(norms) if a.ndim == 2 else norms
+        return np.zeros(a.shape[:-2])
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
-def residual_ok(residual, ref, norm=None):
-    """Whether an identity residual is at noise level relative to ``ref``.
+def residual_ok(residual, norm):
+    """Whether each identity residual is at noise level relative to the
+    spectral norm ``norm`` of its reference matrix.
 
-    Accepts ``residual <= RESIDUAL_TOL * max(1, |ref|_2)``; the floor at 1
+    Accepts ``residual <= RESIDUAL_TOL * max(1, norm)``; the floor at 1
     keeps an absolute tolerance for small or zero reference matrices.
-    ``norm`` is ``|ref|_2`` when the caller has already computed it.
-    Residuals and norms of a stack are judged member by member.
     """
-    if norm is None:
-        norm = spectral_norm(ref)
-    if isinstance(residual, float) and isinstance(norm, float):
-        return residual <= RESIDUAL_TOL * max(1.0, norm)
     return residual <= RESIDUAL_TOL * np.maximum(1.0, norm)
 
 
-def rank_tol(a, norm=None):
-    """Singular-value cutoff for rank decisions about ``a``.
+def rank_tol(a: np.ndarray, norm=None) -> np.ndarray:
+    """Singular-value cutoff for rank decisions about each member.
 
     Scales with the larger dimension and the spectral norm; the norm
     factor is floored at 1 so zero and near-zero matrices still get a
     positive tolerance. ``norm`` is ``|a|_2`` when the caller has
-    already computed it. A stack gives one cutoff per member.
+    already computed it.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim < 2:
-        a = np.atleast_2d(a)
     if a.shape[-1] * a.shape[-2] == 0:
-        tol = np.full(a.shape[:-2], REL_TOL)
-    else:
-        if norm is None:
-            norm = spectral_norm(a)
-        tol = REL_TOL * max(a.shape[-2:]) * np.maximum(1.0, norm)
-    return float(tol) if a.ndim == 2 else tol
+        return np.full(a.shape[:-2], REL_TOL)
+    if norm is None:
+        norm = spectral_norm(a)
+    return REL_TOL * max(a.shape[-2:]) * np.maximum(1.0, norm)
 
 
-def eigenvalues(a) -> np.ndarray:
-    """Eigenvalues of a square matrix, sorted by (real, imag) for
-    determinism; a stack gives one sorted row per member."""
-    a, single = as_stack(a)
+def eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each square member, one row per member, sorted by
+    (real, imag) for determinism."""
     n = a.shape[-1]
     if a.shape[-2] != n:
         raise ValueError(f"eigenvalues need a square matrix, got {a.shape[-2:]}")
     if n == 0:
-        vals = np.zeros(a.shape[:-1], dtype=complex)
-    else:
-        vals = np.linalg.eigvals(a)
-        order = np.lexsort((vals.imag, vals.real), axis=-1)
-        vals = vals[np.arange(len(vals))[:, np.newaxis], order]
-    return vals[0] if single else vals
+        return np.zeros(a.shape[:-1], dtype=complex)
+    vals = np.linalg.eigvals(a)
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    return vals[np.arange(len(vals))[:, np.newaxis], order]
 
 
-def spectral_abscissa(a):
-    """Largest real part over the spectrum (``-inf`` for a 0x0 matrix);
-    one value per member of a stack."""
+def spectral_abscissa(a: np.ndarray) -> np.ndarray:
+    """Largest real part over each member's spectrum (``-inf`` for a 0x0
+    matrix)."""
     vals = eigenvalues(a)
     if vals.shape[-1] == 0:
-        abscissa = np.full(vals.shape[:-1], -np.inf)
-    else:
-        abscissa = vals.real.max(axis=-1)
-    return float(abscissa) if abscissa.ndim == 0 else abscissa
+        return np.full(vals.shape[:-1], -np.inf)
+    return vals.real.max(axis=-1)
 
 
 def _symmetrize(m: Matrix) -> Matrix:
@@ -418,25 +399,23 @@ def solve_lyapunov(a, q):
 
     Parameters
     ----------
-    a : array, n x n, must be Hurwitz; or a stack of them.
-    q : array, n x n, symmetric; or a stack of them.
+    a : stack of n x n matrices, each Hurwitz.
+    q : stack of n x n symmetric matrices.
 
     Returns
     -------
-    ``M``, or the stack of them.
+    The stack of solutions ``M``.
 
     Raises
     ------
     ValueError
-        If ``q`` is not symmetric.
+        If a ``q`` is not symmetric.
     NumericsError
-        If ``a`` is not Hurwitz, the sign iteration meets a numerically
-        singular iterate, or the residual check fails. A stack raises
-        the error of its first failing member.
+        If an ``a`` is not Hurwitz, the sign iteration meets a
+        numerically singular iterate, or the residual check fails. The
+        stack raises the error of its first failing member.
     """
-    a, single = as_stack(a, "a")
-    q, _ = as_stack(q, "q")
-    count, n = a.shape[0], a.shape[-1]
+    n = a.shape[-1]
     if a.shape[1:] != (n, n) or q.shape != a.shape:
         raise ValueError(
             f"need square matrices of equal size, got {a.shape[-2:]} and {q.shape[-2:]}"
@@ -445,13 +424,13 @@ def solve_lyapunov(a, q):
         raise ValueError("q must be symmetric")
     abscissa = spectral_abscissa(a)
     if not (abscissa < 0.0).all():
-        worst = eigenvalues(a[np.argmin(abscissa < 0.0)])[-1]
+        worst = eigenvalues(a[np.argmin(abscissa < 0.0)][np.newaxis])[0, -1]
         raise NumericsError(
             f"Lyapunov equation requires a Hurwitz matrix; eigenvalue {worst} "
             f"has real part {worst.real:.6g} >= 0"
         )
     if n == 0:
-        return np.zeros((n, n)) if single else np.zeros((count, n, n))
+        return np.zeros(a.shape)
     # C-ordered, whatever the caller's layout: the layout decides the
     # BLAS kernels a product takes, and so its last bits
     a, q = np.ascontiguousarray(a), _symmetrize(np.ascontiguousarray(q))
@@ -465,28 +444,26 @@ def solve_lyapunov(a, q):
             f"Lyapunov residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}; "
             "the equation is too ill-conditioned for the dense solver"
         )
-    return m[0] if single else m
+    return m
 
 
 def pbh_stabilizable(a, b, norm=None):
-    """PBH test: is the pair ``(a, b)`` stabilizable?
+    """PBH test: is each pair ``(a, b)`` of the stacks stabilizable?
 
     Checks ``rank [a - s I, b] == n`` for every eigenvalue ``s`` of ``a``
     that lies in the closed right half plane (within tolerance of the
     imaginary axis counts, so marginally stable clusters are tested too).
-    Every pencil is ranked at the one cutoff ``rank_tol([a, b])``.
-    ``norm`` is ``|a|_2`` when the caller has already computed it. A
-    stack ranks the pencils of all its members in one call.
+    Every pencil is ranked at its member's one cutoff ``rank_tol([a,
+    b])``, and the pencils of all members in one call. ``norm`` is
+    ``|a|_2`` when the caller has already computed it.
 
     Returns
     -------
     (ok, witness)
-        ``witness`` is an offending eigenvalue when ``ok`` is False, the
-        first in sorted order. For a stack, an array of verdicts and a
-        list of witnesses.
+        An array of verdicts and a list of witnesses: a member's witness
+        is an offending eigenvalue when its verdict is False, the first
+        in sorted order, and None otherwise.
     """
-    a, single = as_stack(a, "a")
-    b, _ = as_stack(b, "b")
     count, n = a.shape[0], a.shape[-1]
     if a.shape[-2] != n:
         raise ValueError(f"a must be square, got {a.shape[-2:]}")
@@ -515,8 +492,6 @@ def pbh_stabilizable(a, b, norm=None):
             for i, value in zip(member[short][::-1].tolist(), s[short][::-1].tolist()):
                 ok[i] = False
                 witness[i] = complex(value)
-    if single:
-        return ok[0], witness[0]
     return np.array(ok), witness
 
 
@@ -621,8 +596,8 @@ def _placed(acl, b, basis, place) -> np.ndarray:
 
 
 def stabilize(a, b, pbh=None):
-    """Return ``(K, abscissa)``: ``a + b K`` is Hurwitz with spectral
-    abscissa ``abscissa``.
+    """Return the stacks ``(K, abscissa)``: each ``a + b K`` is Hurwitz
+    with spectral abscissa ``abscissa``.
 
     Already-Hurwitz matrices get ``K = 0``. Otherwise unstable
     eigenvalues are moved one real eigenvalue or conjugate pair at a
@@ -635,28 +610,24 @@ def stabilize(a, b, pbh=None):
     passing one returned. In a stack each member leaves the loop at the
     step its closed loop passes, so its steps are those it takes alone.
 
-    ``pbh`` is the verdict ``pbh_stabilizable(a, b)`` when the caller
-    has already computed it for these same matrices; the test is then
-    not run again.
+    ``pbh`` is the verdicts and witnesses ``pbh_stabilizable(a, b)``
+    when the caller has already computed them for these same matrices;
+    the test is then not run again.
 
     Raises
     ------
     NumericsError
-        If the pair fails the PBH test (message names the witness
+        If a pair fails the PBH test (message names the witness
         eigenvalue), or the assignment loop fails a final Hurwitz
         verification because an unstable mode is too close to
-        uncontrollable. A stack raises the error of its first failing
+        uncontrollable. The stack raises the error of its first failing
         member.
     """
-    a, single = as_stack(a, "a")
-    b, _ = as_stack(b, "b")
     count, n = a.shape[0], a.shape[-1]
     if a.shape[-2] != n:
         raise ValueError(f"a must be square, got {a.shape[-2:]}")
     if b.shape[-2] != n:
         raise ValueError(f"b must have {n} rows, got {b.shape[-2:]}")
-    if single and pbh is not None:
-        pbh = ([pbh[0]], [pbh[1]])
     abscissa = spectral_abscissa(a)
     k = np.zeros((count, b.shape[-1], n))
     live = np.flatnonzero(~(abscissa < 0.0))
@@ -686,17 +657,16 @@ def stabilize(a, b, pbh=None):
             "eigenvalue assignment did not converge; an unstable mode is "
             "too close to uncontrollable"
         )
-    return (k[0], float(abscissa[0])) if single else (k, abscissa)
+    return k, abscissa
 
 
 def check_spd(m, name="matrix"):
-    """Validate symmetry (else ``ValueError``) and positive
-    semidefiniteness (else ``NumericsError``), return symmetrized copy;
-    a stack raises the error of its first failing member, and ``name``
-    may list one name per member for the message."""
-    one = isinstance(name, str)
-    m, single = as_stack(m, name if one else "matrix")
-    names = [name] * len(m) if one else list(name)
+    """Validate the symmetry (else ``ValueError``) and positive
+    semidefiniteness (else ``NumericsError``) of each member, and return
+    the symmetrized stack. The stack raises the error of its first
+    failing member; ``name`` names every member or lists one name per
+    member for the message."""
+    names = [name] * len(m) if isinstance(name, str) else list(name)
     if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{names[0]} must be square, got {m.shape[-2:]}")
     tols = rank_tol(m)
@@ -712,18 +682,16 @@ def check_spd(m, name="matrix"):
             raise NumericsError(
                 f"{names[i]} is not positive semidefinite (eigenvalue {lowest[i]:.3e})"
             )
-    return m[0] if single else m
+    return m
 
 
-def sqrtm_spd(m, checked: bool = False) -> Matrix:
-    """Symmetric square root of a positive semidefinite matrix, or of
-    each member of a stack.
+def sqrtm_spd(m: np.ndarray, checked: bool = False) -> np.ndarray:
+    """Symmetric square root of each positive semidefinite member.
 
     Computed from the eigendecomposition; eigenvalues below the noise
     floor are clipped to zero. ``checked`` says ``m`` is already the
     output of :func:`check_spd`, so the check is not run again.
     """
-    m, single = as_stack(m)
     if not checked:
         m = check_spd(m)
     if m.shape[-1]:
@@ -732,12 +700,12 @@ def sqrtm_spd(m, checked: bool = False) -> Matrix:
         idx = np.arange(m.shape[-1])
         diag[:, idx, idx] = np.sqrt(np.clip(w, 0.0, None))
         m = u @ diag @ u.swapaxes(-1, -2)
-    return m[0] if single else m
+    return m
 
 
-def least_squares(a, *rhs):
+def least_squares(a: np.ndarray, *rhs: np.ndarray):
     """Minimum-norm least-squares solution of ``a @ x = b`` for each
-    right-hand side ``b`` in ``rhs``, or of each member of a stack.
+    member of the stack ``a`` and each stack ``b`` in ``rhs``.
 
     One SVD ``a = U S V^T`` per stack serves every right-hand side:
     singular values at or below ``REL_TOL * max(shape) * s_max`` count
@@ -748,19 +716,15 @@ def least_squares(a, *rhs):
     Returns
     -------
     (x, residual) for each right-hand side, in order
-        ``residual`` is the Frobenius norm of ``a @ x - b``, one per
-        member of a stack; callers judge it with :func:`residual_ok`. A
-        1-D ``b`` for one matrix gives a 1-D ``x``.
+        ``x`` is the stack of solutions and ``residual`` the Frobenius
+        norm of each member's ``a @ x - b``; callers judge it with
+        :func:`residual_ok`.
     """
-    a, single = as_stack(a, "a")
     count, rows, cols = a.shape
-    parts = [as_stack(b, "b")[0] if single else np.asarray(b, dtype=float) for b in rhs]
-    for part in parts:
+    for part in rhs:
         if part.shape[:2] != (count, rows):
-            raise ValueError(
-                f"a has shape {a.shape[single:]} but b has shape {part.shape[single:]}"
-            )
-    b = np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
+            raise ValueError(f"a has shape {a.shape} but b has shape {part.shape}")
+    b = np.concatenate(rhs, axis=-1) if len(rhs) > 1 else rhs[0]
     if rows and cols:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         # a dropped singular value divides by inf: its direction gets 0
@@ -771,13 +735,10 @@ def least_squares(a, *rhs):
     error = a @ x - b
     out = []
     stop = 0
-    for given, part in zip(rhs, parts):
+    for part in rhs:
         start, stop = stop, stop + part.shape[-1]
-        x_part = np.ascontiguousarray(x[..., start:stop])
-        residual = _frobenius(np.ascontiguousarray(error[..., start:stop]))
-        if single:
-            x_part, residual = x_part[0], float(residual[0])
-            if np.ndim(given) == 1:
-                x_part = x_part[:, 0]
-        out += [x_part, residual]
+        out += [
+            np.ascontiguousarray(x[..., start:stop]),
+            _frobenius(np.ascontiguousarray(error[..., start:stop])),
+        ]
     return tuple(out)

@@ -7,9 +7,8 @@ so the deviation functions can be sampled along the pair of
 trajectories and compared with the scalar and vector bounds.  The
 bounds are checked at the grid points only.
 
-Every run, of a single system (:func:`integrate`) or of the joint
-system (:func:`refine_and_run`), goes through one propagator,
-:func:`_run_lti`.  With the input held over each step, classical
+Every run of the joint system (:func:`refine_and_run`) goes through one
+propagator, :func:`_run_lti`.  With the input held over each step, classical
 fourth-order Runge-Kutta is the matrix recursion ``x+ = phi x + d_k``.
 The propagator evaluates that recursion in blocks of ``L`` steps that
 advance side by side as the rows of one matrix, and the rows advance in
@@ -461,45 +460,6 @@ def _finite(x: np.ndarray, axis=None):
     return np.isfinite(x.min(axis=axis, initial=0.0)) & np.isfinite(
         x.max(axis=axis, initial=0.0)
     )
-
-
-def integrate(sys, x0, u: Signal | None = None, w: Signal | None = None,
-              t_final: float = 1.0, dt: float = 1e-3) -> Trajectory:
-    """Integrate a linear system under piecewise-constant inputs.
-
-    Classical fourth-order steps with the inputs held over each step:
-    external input ``u`` and internal input ``w``.  A network flattened
-    by :func:`~simcompose.systems.build_monolithic` has no internal
-    inputs; its couplings are already folded into the state matrix.
-
-    Returns
-    -------
-    Trajectory
-        States and external outputs on the uniform grid.
-    """
-    if not isinstance(sys, LinearSystem):
-        raise TypeError(f"cannot integrate {type(sys).__name__}")
-    n = sys.n
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if len(x0) != n:
-        raise ValueError(f"initial state has length {len(x0)}, expected {n}")
-    if not np.isfinite(x0).all():
-        raise ValueError("initial state has non-finite entries")
-    grid = time_grid(t_final, dt)
-    inputs = []
-    for mat, sig in ((sys.B, u), (sys.D, w)):
-        width = mat.shape[1]
-        if sig is None:
-            sig = Signal.zero(width)
-        if sig.width != width:
-            raise ValueError(
-                f"signal width {sig.width} does not match input width {width}"
-            )
-        inputs.append(sig.sample(grid))
-    states = _run_lti(
-        sys.A, np.hstack([sys.B, sys.D]), np.hstack(inputs), x0, grid, dt
-    )
-    return Trajectory(grid, states, states @ sys.C_ext.T)
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,38 @@ the program against, beside scipy. None of them runs in the program.
   deviation certificate from a joint-space relation, a second route to
   what :func:`~simcompose.abstraction.build_abstraction` computes from
   ``P``;
+- :func:`check_relation` checks a joint-space relation between an
+  abstract and a concrete subsystem, a test of the certificate that does
+  not go through ``P``;
+- :func:`integrate` runs one linear system through the program's one
+  propagator, ``simulate._run_lti``;
 - :func:`project` and :func:`contains` project onto a subspace and
   decide containment;
 - :func:`serialize_project` writes a parsed project back as a document.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from simcompose.abstraction import QuadraticSimFn, compute_k4, decay_certificate
 from simcompose.geometry import Subspace, image
-from simcompose.linalg import as_matrix, least_squares
+from simcompose.linalg import (
+    Matrix,
+    as_matrix,
+    least_squares,
+    pbh_stabilizable,
+    residual_ok,
+    spectral_norm,
+)
+from simcompose.simulate import Signal, Trajectory, _run_lti, time_grid
+from simcompose.systems import LinearSystem
 
 
 def graph_subspace(p) -> Subspace:
     """The relation ``{(xhat, P xhat)}`` as a joint-space subspace."""
     p = as_matrix(p, "P")
-    return image(np.vstack([np.eye(p.shape[1]), p]))
+    return image(np.vstack([np.eye(p.shape[1]), p])[np.newaxis])[0]
 
 
 def simfn_from_relation(sys1, sys2, r: Subspace) -> QuadraticSimFn:
@@ -42,10 +58,164 @@ def simfn_from_relation(sys1, sys2, r: Subspace) -> QuadraticSimFn:
         raise ValueError("relation is not the graph of a map on the abstract states")
     p = x2 @ np.linalg.inv(x1) if nhat else np.zeros((n, 0))
     m, k1, lam = decay_certificate(sys2.A, sys2.B, sys2.output_blocks())
-    k2, _ = least_squares(sys2.B, sys2.A @ p - p @ sys1.A)
-    k3, _ = least_squares(sys2.B, sys2.D - p @ sys1.D)
-    k4, _ = compute_k4(m, p, sys1.B, sys2.B)
+    b2 = sys2.B[np.newaxis]
+    k2 = least_squares(b2, (sys2.A @ p - p @ sys1.A)[np.newaxis])[0][0]
+    k3 = least_squares(b2, (sys2.D - p @ sys1.D)[np.newaxis])[0][0]
+    k4 = compute_k4(m[np.newaxis], p[np.newaxis], sys1.B[np.newaxis], b2)[0][0]
     return QuadraticSimFn(P=p, M=m, K1=k1, K2=k2, K3=k3, K4=k4, lam=lam)
+
+
+def _stacked_outputs(sys: LinearSystem) -> Matrix:
+    blocks = sys.output_blocks()
+    if not blocks:
+        return np.zeros((0, sys.n))
+    return np.vstack(blocks)
+
+
+@dataclass
+class RelationReport:
+    """Verdicts for the joint-space relation conditions.
+
+    ``controlled_invariant`` is the inclusion ``A R <= R + im B`` that
+    ``invariance_residual`` measures. ``stabilizable`` is external
+    stabilizability of ``R``, decided by one PBH test on ``(A, [B, V])``
+    with ``V`` a basis of ``R``; ``witness`` is the eigenvalue that fails
+    it. The first conditions certify an approximate refinement (nonzero
+    abstract-input gain allowed); ``feedthrough_ok`` additionally holds
+    only in the exact case where the abstract input can be reproduced
+    through the concrete one.
+    """
+
+    controlled_invariant: bool
+    stabilizable: bool
+    witness: complex | None
+    invariance_residual: float
+    disturbance_residual: float
+    output_residual: float
+    feedthrough_residual: float
+    disturbance_ok: bool
+    output_ok: bool
+    feedthrough_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.controlled_invariant
+            and self.stabilizable
+            and self.disturbance_ok
+            and self.output_ok
+        )
+
+
+def _relation_matrices(sys1: LinearSystem, sys2: LinearSystem):
+    """Joint-space matrices of the relation between abstract ``sys1`` and
+    concrete ``sys2``: ``A`` of both states, the concrete and abstract
+    input matrices, the stacked disturbances and the output difference."""
+    n1, n2 = sys1.n, sys2.n
+    if sys1.p != sys2.p:
+        raise ValueError(
+            f"disturbance widths differ: {sys1.name} has {sys1.p}, {sys2.name} has {sys2.p}"
+        )
+    c1 = _stacked_outputs(sys1)
+    c2 = _stacked_outputs(sys2)
+    if c1.shape[0] != c2.shape[0]:
+        raise ValueError(
+            f"stacked output row counts differ: {c1.shape[0]} vs {c2.shape[0]}"
+        )
+    a12 = np.block([
+        [sys1.A, np.zeros((n1, n2))],
+        [np.zeros((n2, n1)), sys2.A],
+    ])
+    b12 = np.vstack([np.zeros((n1, sys2.m)), sys2.B])
+    b21 = np.vstack([sys1.B, np.zeros((n2, sys1.m))])
+    d12 = np.vstack([sys1.D, sys2.D])
+    c12 = np.hstack([-c1, c2])
+    return a12, b12, b21, d12, c12
+
+
+def check_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> RelationReport:
+    """Check whether ``r`` relates abstract ``sys1`` to concrete ``sys2``.
+
+    Conditions on the joint space (block matrices over both states):
+    controlled invariance of ``r = im V`` modulo the concrete input,
+    external stabilizability of ``r``, disturbance coverage, output
+    matching on ``r``, and (for the exact case only) abstract-input
+    coverage. A controlled-invariant ``r`` is externally stabilizable
+    exactly when ``(A, [B, V])`` passes the PBH test: for any friend, the
+    left eigenvectors of ``A`` that annihilate ``B`` and ``V`` are those
+    of the quotient pair that annihilate its input, with the same
+    eigenvalues.
+    """
+    a12, b12, b21, d12, c12 = _relation_matrices(sys1, sys2)
+    if r.ambient != a12.shape[0]:
+        raise ValueError(
+            f"relation lives in dimension {r.ambient}, expected {a12.shape[0]}"
+        )
+
+    def norm(x):
+        return spectral_norm(x[np.newaxis])[0]
+
+    target = r.sum(image(b12[np.newaxis])[0])
+    inv_res = target.residual(a12 @ r.basis) if r.dim else 0.0
+    dist_res = target.residual(d12) if d12.shape[1] else 0.0
+    out_res = norm(c12 @ r.basis) if r.dim else 0.0
+    feed_res = target.residual(b21) if b21.shape[1] else 0.0
+    invariant = residual_ok(inv_res, norm(a12))
+    ok_stab, witness = (False, None)
+    if invariant:
+        ok, witnesses = pbh_stabilizable(a12[np.newaxis], np.hstack([b12, r.basis])[np.newaxis])
+        ok_stab, witness = ok[0], witnesses[0]
+    return RelationReport(
+        controlled_invariant=invariant,
+        stabilizable=ok_stab,
+        witness=witness,
+        invariance_residual=float(inv_res),
+        disturbance_residual=float(dist_res),
+        output_residual=float(out_res),
+        feedthrough_residual=float(feed_res),
+        disturbance_ok=residual_ok(dist_res, norm(d12)),
+        output_ok=residual_ok(out_res, norm(c12)),
+        feedthrough_ok=residual_ok(feed_res, norm(b21)),
+    )
+
+
+def integrate(sys, x0, u: Signal | None = None, w: Signal | None = None,
+              t_final: float = 1.0, dt: float = 1e-3) -> Trajectory:
+    """Integrate a linear system under piecewise-constant inputs.
+
+    Classical fourth-order steps with the inputs held over each step:
+    external input ``u`` and internal input ``w``.  A network flattened
+    by :func:`~simcompose.systems.build_monolithic` has no internal
+    inputs; its couplings are already folded into the state matrix.
+
+    Returns
+    -------
+    Trajectory
+        States and external outputs on the uniform grid.
+    """
+    if not isinstance(sys, LinearSystem):
+        raise TypeError(f"cannot integrate {type(sys).__name__}")
+    n = sys.n
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if len(x0) != n:
+        raise ValueError(f"initial state has length {len(x0)}, expected {n}")
+    if not np.isfinite(x0).all():
+        raise ValueError("initial state has non-finite entries")
+    grid = time_grid(t_final, dt)
+    inputs = []
+    for mat, sig in ((sys.B, u), (sys.D, w)):
+        width = mat.shape[1]
+        if sig is None:
+            sig = Signal.zero(width)
+        if sig.width != width:
+            raise ValueError(
+                f"signal width {sig.width} does not match input width {width}"
+            )
+        inputs.append(sig.sample(grid))
+    states = _run_lti(
+        sys.A, np.hstack([sys.B, sys.D]), np.hstack(inputs), x0, grid, dt
+    )
+    return Trajectory(grid, states, states @ sys.C_ext.T)
 
 
 def project(space: Subspace, x) -> np.ndarray:

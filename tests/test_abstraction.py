@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from simcompose import abstraction, linalg
 from conftest import random_valid_instance
-from oracles import graph_subspace, simfn_from_relation
+from oracles import check_relation, graph_subspace, integrate, simfn_from_relation
 from simcompose.abstraction import (
     INJECTED_CERT_TOL,
     QuadraticSimFn,
@@ -15,7 +15,6 @@ from simcompose.abstraction import (
     certificate_slacks,
     check_certificate,
     check_P_conditions,
-    check_relation,
     compute_k4,
     decay_certificate,
     eval_simfn,
@@ -33,7 +32,7 @@ from simcompose.demo import (
 )
 from simcompose.geometry import image, zero_subspace
 from simcompose.linalg import NumericsError, spectral_abscissa, spectral_norm
-from simcompose.simulate import Signal, integrate
+from simcompose.simulate import Signal
 from simcompose.systems import LinearSystem
 
 K4_SCALAR = 0.9 / 0.61  # argmin of 4.59 - 1.8 k + 0.61 k^2
@@ -55,16 +54,16 @@ def assert_construction_identities(sys, res, tol=1e-8):
     """The algebraic identities every construction output must satisfy."""
     p, fn = res.simfn.P, res.simfn
     ahat, dhat = res.system.A, res.system.D
-    assert spectral_norm(sys.A @ p - p @ ahat - sys.B @ fn.K2) <= tol
-    assert spectral_norm(sys.D - p @ dhat - sys.B @ fn.K3) <= tol
-    assert spectral_norm(res.system.C_ext - sys.C_ext @ p) <= tol
+    assert spectral_norm((sys.A @ p - p @ ahat - sys.B @ fn.K2)[None])[0] <= tol
+    assert spectral_norm((sys.D - p @ dhat - sys.B @ fn.K3)[None])[0] <= tol
+    assert spectral_norm((res.system.C_ext - sys.C_ext @ p)[None])[0] <= tol
     for peer, blk in sys.C_int.items():
-        assert spectral_norm(res.system.C_int[peer] - blk @ p) <= tol
-    assert spectral_norm(res.phat @ p - np.eye(p.shape[1])) <= tol
+        assert spectral_norm((res.system.C_int[peer] - blk @ p)[None])[0] <= tol
+    assert spectral_norm((res.phat @ p - np.eye(p.shape[1]))[None])[0] <= tol
     stacked = np.vstack([sys.C_ext] + [sys.C_int[k] for k in sorted(sys.C_int)])
-    assert spectral_norm(stacked @ p @ res.phat - stacked) <= tol
-    assert spectral_norm(p @ res.phat + res.e @ res.f - np.eye(sys.n)) <= tol
-    assert spectral_norm(stacked @ res.e) <= tol
+    assert spectral_norm((stacked @ p @ res.phat - stacked)[None])[0] <= tol
+    assert spectral_norm((p @ res.phat + res.e @ res.f - np.eye(sys.n))[None])[0] <= tol
+    assert spectral_norm((stacked @ res.e)[None])[0] <= tol
 
 
 def test_decay_certificate_scalar():
@@ -82,7 +81,7 @@ def test_computed_certificates_satisfy_inequalities():
         sub = ic[name]
         m, k1, lam = decay_certificate(sub.A, sub.B, sub.output_blocks())
         assert lam > 0.0
-        assert spectral_abscissa(sub.A + sub.B @ k1) < 0.0
+        assert spectral_abscissa((sub.A + sub.B @ k1)[None])[0] < 0.0
         out_slack, decay_slack = certificate_slacks(
             sub.A, sub.B, sub.output_blocks(), m, k1, lam
         )
@@ -129,7 +128,7 @@ def test_computed_certificates_random_instances():
         m_in = rng.integers(0, 3)
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, m_in))
-        if m_in == 0 and not spectral_abscissa(a) < 0.0:
+        if m_in == 0 and not spectral_abscissa(a[None])[0] < 0.0:
             a = a - (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(n)
         c = rng.standard_normal((rng.integers(1, 3), n))
         m, k1, lam = decay_certificate(a, b, c)
@@ -258,7 +257,7 @@ def test_build_abstraction_runs_each_check_once(monkeypatch):
     # one call computes the PBH verdict, the check of M and sqrt(M) once
     # and passes them on, for a pair that stabilize has to move
     sub = demo_interconnection()["s1"]
-    assert not spectral_abscissa(sub.A) < 0.0
+    assert not spectral_abscissa(sub.A[None])[0] < 0.0
     counts = {}
 
     def counted(name, fn):
@@ -289,7 +288,7 @@ def test_decay_certificate_takes_the_abscissa_stabilize_decided_on(monkeypatch):
         return real(mat)
 
     monkeypatch.setattr(linalg, "eigenvalues", counted)
-    k, abscissa = linalg.stabilize(a, b)
+    (k,), (abscissa,) = linalg.stabilize(a[None], b[None])
     in_stabilize = len(calls)
     calls.clear()
     m, k1, lam = decay_certificate(a, b, np.array([[1.0, 0.0, 0.0]]))
@@ -307,7 +306,7 @@ def test_decay_certificate_alone_still_runs_pbh():
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 5), (5, 1), (4, 4), (60, 62)])
 def test_spectral_norm_matches_numpy_exactly(shape):
     a = np.random.default_rng(7).standard_normal(shape)
-    assert spectral_norm(a) == np.linalg.norm(a, 2)
+    assert spectral_norm(a[None])[0] == np.linalg.norm(a, 2)
 
 
 def test_integrator_abstraction_structure():
@@ -363,7 +362,7 @@ def test_identity_injection_roundtrip():
     sub = demo_interconnection()["s1"]
     res = build_abstraction(sub, np.eye(3))
     # A = Ahat + B K2 exactly, and the twin keeps every output.
-    assert spectral_norm(sub.A - res.system.A - sub.B @ res.simfn.K2) <= 1e-10
+    assert spectral_norm((sub.A - res.system.A - sub.B @ res.simfn.K2)[None])[0] <= 1e-10
     x = np.array([0.3, -0.2, 0.9])
     assert eval_simfn(res.simfn, x, x) <= 1e-12
     assert_construction_identities(sub, res)
@@ -384,7 +383,7 @@ def test_construction_identities_random_instances():
 def test_compute_k4_scalar_direction():
     p = np.array([[1.0], [0.0], [0.0]])
     b = np.array([[0.0], [0.0], [1.0]])
-    k4, rho = compute_k4(CERT_M_INTEGRATOR, p, [[1.0]], b)
+    (k4,), (rho,) = compute_k4(CERT_M_INTEGRATOR[None], p[None], np.ones((1, 1, 1)), b[None])
     assert k4[0, 0] == pytest.approx(K4_SCALAR, abs=1e-9)
     assert rho == pytest.approx(RHO_INTEGRATOR, abs=1e-9)
 
@@ -392,7 +391,7 @@ def test_compute_k4_scalar_direction():
 def test_compute_k4_zero_input_matrix():
     p = np.array([[1.0], [0.0]])
     bhat = np.array([[2.0]])
-    k4, rho = compute_k4(np.eye(2), p, bhat, np.zeros((2, 1)))
+    (k4,), (rho,) = compute_k4(np.eye(2)[None], p[None], bhat[None], np.zeros((1, 2, 1)))
     assert np.max(np.abs(k4)) <= 1e-12
     assert rho == pytest.approx(2.0, abs=1e-12)
 
@@ -401,7 +400,7 @@ def test_compute_k4_exact_match_when_reachable():
     rng = np.random.default_rng(223)
     p = rng.standard_normal((3, 2))
     bhat = rng.standard_normal((2, 2))
-    k4, rho = compute_k4(np.eye(3), p, bhat, np.eye(3))
+    (k4,), (rho,) = compute_k4(np.eye(3)[None], p[None], bhat[None], np.eye(3)[None])
     assert rho <= 1e-10
     assert np.allclose(k4, p @ bhat, atol=1e-10)
 
@@ -532,7 +531,7 @@ def test_check_relation_zero_subspace_misses_disturbances():
 
 def test_check_relation_full_space_breaks_outputs():
     node = demo_interconnection()["s2"]
-    report = check_relation(node, node, image(np.eye(4)))
+    report = check_relation(node, node, image(np.eye(4)[None])[0])
     assert report.controlled_invariant
     assert not report.output_ok
     assert not report.ok
@@ -553,7 +552,9 @@ def relation_of_pair(a, b, v):
     n = a.shape[0]
     abstract = LinearSystem("abstract", [[-1.0]], np.zeros((1, 0)), np.zeros((0, 1)), [])
     concrete = LinearSystem("concrete", a, b, np.zeros((0, n)), [])
-    return check_relation(abstract, concrete, image(np.vstack([np.zeros((1, v.shape[1])), v])))
+    return check_relation(
+        abstract, concrete, image(np.vstack([np.zeros((1, v.shape[1])), v])[None])[0]
+    )
 
 
 def test_check_relation_external_stabilizability_examples():
@@ -622,7 +623,9 @@ def test_check_relation_decides_external_stabilizability_by_pbh(
     if expected:
         assert report.witness is None
     else:
-        assert report.witness == pytest.approx(planted, abs=1e-8 * max(1.0, spectral_norm(a)))
+        assert report.witness == pytest.approx(
+            planted, abs=1e-8 * max(1.0, spectral_norm(a[None])[0])
+        )
 
 
 def test_simfn_from_relation_matches_direct_construction():
@@ -658,6 +661,6 @@ def test_simfn_from_relation_rejects_non_graphs():
     with pytest.raises(ValueError):
         simfn_from_relation(loner, loner, zero_subspace(4))
     # A vertical subspace is not the graph of any map on the abstract states.
-    vertical = image(np.vstack([np.zeros((2, 2)), np.eye(2)]))
+    vertical = image(np.vstack([np.zeros((2, 2)), np.eye(2)])[None])[0]
     with pytest.raises(ValueError):
         simfn_from_relation(loner, loner, vertical)

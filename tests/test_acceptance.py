@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import random_hurwitz, random_spd, random_valid_instance
-from oracles import graph_subspace
+from oracles import check_relation, graph_subspace, integrate
 from simcompose.abstraction import (
     INJECTED_CERT_TOL,
     build_abstraction,
     certificate_slacks,
     check_P_conditions,
-    check_relation,
     compute_k4,
 )
 from simcompose.cli import main
@@ -32,7 +31,7 @@ from simcompose.demo import (
 )
 from simcompose.geometry import image, minimal_invariant
 from simcompose.linalg import solve_lyapunov, spectral_norm
-from simcompose.simulate import Signal, bound_report, integrate, refine_and_run
+from simcompose.simulate import Signal, bound_report, refine_and_run
 from simcompose.systems import LinearSystem
 
 
@@ -52,8 +51,9 @@ def test_published_gains_from_injected_certificates():
     for d1, d2 in ((0.5, 0.5), (0.3, 0.8)):
         ic, results = demo_results((d1, d2, 0.5))
         certs = demo_certificates()
-        k4, _ = compute_k4(
-            certs["s1"][0], demo_projections()["s1"], np.array([[1.0]]), ic["s1"].B
+        (k4,), _ = compute_k4(
+            certs["s1"][0][None], demo_projections()["s1"][None], np.ones((1, 1, 1)),
+            ic["s1"].B[None],
         )
         assert abs(float(k4[0, 0]) - 1.47) <= 0.01
         assert abs(results["s1"].gains.rho - 1.81) <= 0.01
@@ -93,8 +93,9 @@ def test_abstraction_structure_is_exact():
     assert np.linalg.matrix_rank(bhat1) == 1
     rng = np.random.default_rng(2)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    _, rho_direct = compute_k4(s1.simfn.M, s1.simfn.P, bhat1, ic["s1"].B)
-    _, rho_rotated = compute_k4(s1.simfn.M, s1.simfn.P, bhat1 @ q, ic["s1"].B)
+    m, p, b = s1.simfn.M[None], s1.simfn.P[None], ic["s1"].B[None]
+    _, (rho_direct,) = compute_k4(m, p, bhat1[None], b)
+    _, (rho_rotated,) = compute_k4(m, p, (bhat1 @ q)[None], b)
     assert abs(rho_direct - rho_rotated) <= 1e-8
     assert abs(rho_direct - s1.gains.rho) <= 1e-8
 
@@ -227,14 +228,14 @@ def test_geometry_routes_agree():
         n = int(rng.integers(1, 9))
         a = rng.standard_normal((n, n))
         k = int(rng.integers(0, n + 1))
-        seed = image(rng.standard_normal((n, k)) if k else np.zeros((n, 0)))
+        seed = image((rng.standard_normal((n, k)) if k else np.zeros((n, 0)))[None])[0]
         direct = minimal_invariant(a, seed)
         powers = [seed.basis]
         for _ in range(n - 1):
             nxt = a @ powers[-1]
             scale = np.linalg.norm(nxt)
             powers.append(nxt / scale if scale > 0 else nxt)
-        brute = image(np.hstack(powers)) if k else image(np.zeros((n, 0)))
+        brute = image(np.hstack(powers)[None])[0] if k else image(np.zeros((1, n, 0)))[0]
         assert direct.dim == brute.dim
         assert brute.residual(direct.basis) <= 1e-8 if direct.dim else True
         assert direct.residual(brute.basis) <= 1e-8 if brute.dim else True
@@ -271,9 +272,9 @@ def test_numeric_kernels_meet_tolerances():
         n = int(rng.integers(1, 11))
         a = random_hurwitz(rng, n)
         q = random_spd(rng, n)
-        m = solve_lyapunov(a, q)
-        residual = spectral_norm(a.T @ m + m @ a + q)
-        scale = spectral_norm(a) * spectral_norm(m) + spectral_norm(q)
+        m = solve_lyapunov(a[None], q[None])[0]
+        residual = spectral_norm((a.T @ m + m @ a + q)[None])[0]
+        scale = spectral_norm(a[None])[0] * spectral_norm(m[None])[0] + spectral_norm(q[None])[0]
         assert residual <= 1e-8 * max(1.0, scale)
 
     for _ in range(20):

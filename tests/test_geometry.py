@@ -24,22 +24,22 @@ def krylov_span(a, seed_basis):
         nxt = a @ blocks[-1]
         scale = np.linalg.norm(nxt)
         blocks.append(nxt / scale if scale > 0 else nxt)
-    return image(np.hstack(blocks)) if seed_basis.size else zero_subspace(n)
+    return image(np.hstack(blocks)[None])[0] if seed_basis.size else zero_subspace(n)
 
 
 def test_image_examples():
-    assert image(np.zeros((3, 2))).dim == 0
-    span = image(NODE_COUPLING)
+    assert image(np.zeros((1, 3, 2)))[0].dim == 0
+    span = image(NODE_COUPLING[None])[0]
     assert span.dim == 1
     assert span.residual(np.array([[1.0], [-2.0]])) <= 1e-12
 
 
 def test_kernel_examples():
-    ker = kernel(np.array([[1.0, 0.0, 0.0]]))
+    ker = kernel(np.array([[[1.0, 0.0, 0.0]]]))[0]
     assert ker.dim == 2
     assert ker.residual(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])) <= 1e-12
-    assert kernel(np.eye(3)).dim == 0
-    assert kernel(np.zeros((0, 4))).dim == 4
+    assert kernel(np.eye(3)[None])[0].dim == 0
+    assert kernel(np.zeros((1, 0, 4)))[0].dim == 4
 
 
 def test_rank_nullity():
@@ -53,12 +53,12 @@ def test_rank_nullity():
             if rank
             else np.zeros((rows, cols))
         )
-        assert image(a).dim + kernel(a).dim == cols
+        assert image(a[None])[0].dim + kernel(a[None])[0].dim == cols
 
 
 def test_subspace_projection_and_residual():
     rng = np.random.default_rng(5)
-    sub = image(rng.standard_normal((5, 2)))
+    sub = image(rng.standard_normal((5, 2))[None])[0]
     x = rng.standard_normal(5)
     proj = project(sub, x)
     assert np.allclose(project(sub, proj), proj, atol=1e-12)
@@ -70,9 +70,9 @@ def test_contains_is_a_partial_order():
     rng = np.random.default_rng(9)
     for _ in range(20):
         vecs = rng.standard_normal((5, 3))
-        small = image(vecs[:, :1])
-        mid = image(vecs[:, :2])
-        large = image(vecs)
+        small = image(vecs[None, :, :1])[0]
+        mid = image(vecs[None, :, :2])[0]
+        large = image(vecs[None])[0]
         assert contains(small, small)
         assert contains(mid, small) and contains(large, mid)
         assert contains(large, small)
@@ -84,8 +84,8 @@ def test_sum_and_intersection_dimensions():
     rng = np.random.default_rng(13)
     for _ in range(25):
         n = rng.integers(2, 7)
-        u = image(rng.standard_normal((n, rng.integers(1, n + 1))))
-        w = image(rng.standard_normal((n, rng.integers(1, n + 1))))
+        u = image(rng.standard_normal((n, rng.integers(1, n + 1)))[None])[0]
+        w = image(rng.standard_normal((n, rng.integers(1, n + 1)))[None])[0]
         total = u.sum(w)
         overlap = u.intersect(w)
         assert total.dim + overlap.dim == u.dim + w.dim
@@ -101,7 +101,7 @@ def test_minimal_invariant_zero_seed():
 def test_minimal_invariant_eigenvector_seed():
     # (1, -2) is an eigenvector of the node matrix, so the span is already
     # invariant and the iteration stops at dimension one.
-    grown = minimal_invariant(DAMPED_NODE, image(NODE_COUPLING))
+    grown = minimal_invariant(DAMPED_NODE, image(NODE_COUPLING[None])[0])
     assert grown.dim == 1
     assert grown.residual(NODE_COUPLING) <= 1e-12
 
@@ -109,7 +109,7 @@ def test_minimal_invariant_eigenvector_seed():
 def test_minimal_invariant_grows_to_reachable_space():
     # A triple integrator driven through the last state reaches everything.
     a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    grown = minimal_invariant(a, image(np.array([[0.0], [0.0], [1.0]])))
+    grown = minimal_invariant(a, image(np.array([[[0.0], [0.0], [1.0]]]))[0])
     assert grown.dim == 3
 
 
@@ -120,9 +120,9 @@ def test_minimal_invariant_matches_krylov():
         a = rng.standard_normal((n, n))
         seed_cols = rng.integers(0, 3)
         seed_mat = rng.standard_normal((n, seed_cols))
-        grown = minimal_invariant(a, image(seed_mat))
+        grown = minimal_invariant(a, image(seed_mat[None])[0])
         brute = krylov_span(a, seed_mat)
         assert grown.dim == brute.dim
         assert contains(grown, brute) and contains(brute, grown)
         if grown.dim:
-            assert grown.residual(a @ grown.basis) <= 1e-8 * max(1.0, spectral_norm(a))
+            assert grown.residual(a @ grown.basis) <= 1e-8 * max(1.0, spectral_norm(a[None])[0])

@@ -33,32 +33,32 @@ M_NODE = np.array([[26.0, 10.0], [10.0, 4.0]])
 
 
 def test_eigenvalues_diagonal():
-    vals = eigenvalues(np.diag([-1.0, -2.0]))
+    vals = eigenvalues(np.diag([-1.0, -2.0])[None])[0]
     assert np.allclose(vals, [-2.0, -1.0])
 
 
 def test_eigenvalues_damped_node():
-    vals = eigenvalues(DAMPED_NODE)
+    vals = eigenvalues(DAMPED_NODE[None])[0]
     assert np.allclose(vals, [-3.0, -2.0], atol=1e-12)
 
 
 def test_eigenvalues_nilpotent():
-    vals = eigenvalues(TRIPLE_INTEGRATOR)
+    vals = eigenvalues(TRIPLE_INTEGRATOR[None])[0]
     assert np.max(np.abs(vals)) <= 1e-10
 
 
 def test_eigenvalues_sorted_deterministically():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 6))
-    vals = eigenvalues(a)
-    again = eigenvalues(a)
+    vals = eigenvalues(a[None])[0]
+    again = eigenvalues(a[None])[0]
     assert np.array_equal(vals, again)
     assert np.all(np.diff(vals.real) >= -1e-15)
 
 
 def test_eigenvalues_rejects_nonsquare():
     with pytest.raises(ValueError):
-        eigenvalues(np.zeros((2, 3)))
+        eigenvalues(np.zeros((2, 3))[None])
 
 
 def test_eigenvalues_against_singular_values():
@@ -68,26 +68,26 @@ def test_eigenvalues_against_singular_values():
         n = rng.integers(1, 7)
         a = rng.standard_normal((n, n))
         sigma = np.linalg.svd(a, compute_uv=False)
-        gram_eigs = np.sort(eigenvalues(a.T @ a).real)[::-1]
+        gram_eigs = np.sort(eigenvalues((a.T @ a)[None])[0].real)[::-1]
         assert np.allclose(gram_eigs, sigma**2, rtol=1e-8, atol=1e-10)
 
 
 def test_spectral_abscissa_and_radius():
-    assert spectral_abscissa(DAMPED_NODE) == pytest.approx(-2.0, abs=1e-12)
-    assert spectral_abscissa(DAMPED_NODE) < 0.0
-    assert not spectral_abscissa(TRIPLE_INTEGRATOR) < 0.0
-    assert spectral_norm(np.zeros((3, 0))) == 0.0
+    assert spectral_abscissa(DAMPED_NODE[None])[0] == pytest.approx(-2.0, abs=1e-12)
+    assert spectral_abscissa(DAMPED_NODE[None])[0] < 0.0
+    assert not spectral_abscissa(TRIPLE_INTEGRATOR[None])[0] < 0.0
+    assert spectral_norm(np.zeros((3, 0))[None])[0] == 0.0
 
 
 def test_solve_lyapunov_scalar():
-    m = solve_lyapunov(np.array([[-1.0]]), np.array([[2.0]]))
+    m = solve_lyapunov(np.array([[-1.0]])[None], np.array([[2.0]])[None])[0]
     assert m[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_lyapunov_decoupled_diagonal():
     # For A = diag(-1, -2) and Q = I the equation decouples entrywise:
     # 2 a_i m_ii = -1, so M = diag(1/2, 1/4).
-    m = solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
+    m = solve_lyapunov(np.diag([-1.0, -2.0])[None], np.eye(2)[None])[0]
     assert np.allclose(m, np.diag([0.5, 0.25]), atol=1e-12)
 
 
@@ -97,7 +97,7 @@ def test_solve_lyapunov_matches_scipy():
         n = rng.integers(1, 7)
         a = random_hurwitz(rng, n)
         q = random_spd(rng, n)
-        m = solve_lyapunov(a, q)
+        m = solve_lyapunov(a[None], q[None])[0]
         # scipy solves A X + X A^H = Q, so transpose and negate to match.
         ref = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
         assert np.allclose(m, ref, rtol=1e-8, atol=1e-10)
@@ -109,19 +109,21 @@ def test_solve_lyapunov_residual_bound():
         n = rng.integers(1, 11)
         a = random_hurwitz(rng, n)
         q = np.eye(n)
-        m = solve_lyapunov(a, q)
+        m = solve_lyapunov(a[None], q[None])[0]
         assert np.allclose(m, m.T)
         assert np.linalg.eigvalsh(m)[0] > 0.0
         residual = np.linalg.norm(a.T @ m + m @ a + q, "fro")
-        bound = 1e-8 * (spectral_norm(a) * spectral_norm(m) + spectral_norm(q))
+        bound = 1e-8 * (
+            spectral_norm(a[None])[0] * spectral_norm(m[None])[0] + spectral_norm(q[None])[0]
+        )
         assert residual <= max(bound, 1e-14)
 
 
 def test_solve_lyapunov_rejects_non_hurwitz():
     with pytest.raises(NumericsError):
-        solve_lyapunov(np.array([[1.0]]), np.eye(1))
+        solve_lyapunov(np.array([[1.0]])[None], np.eye(1)[None])
     with pytest.raises(NumericsError):
-        solve_lyapunov(TRIPLE_INTEGRATOR, np.eye(3))
+        solve_lyapunov(TRIPLE_INTEGRATOR[None], np.eye(3)[None])
 
 
 # A shifted, stabilized closed loop from a random injection instance:
@@ -146,7 +148,7 @@ def test_solve_lyapunov_matches_scipy_up_to_100_states():
     for n in range(1, 101):
         a = random_hurwitz(rng, n)
         q = random_spd(rng, n)
-        m = solve_lyapunov(a, q)
+        m = solve_lyapunov(a[None], q[None])[0]
         ref = lyapunov_oracle(a, q)
         assert np.allclose(m, ref, rtol=1e-8, atol=1e-10 * np.abs(ref).max()), n
 
@@ -154,10 +156,10 @@ def test_solve_lyapunov_matches_scipy_up_to_100_states():
 def test_solve_lyapunov_near_defective_closed_loop():
     # the stabilized triple integrator has a nearly defective triple
     # eigenvalue; shifted by half its decay margin as decay_certificate does
-    k, abscissa = stabilize(TRIPLE_INTEGRATOR, TRIPLE_INPUT)
+    (k,), (abscissa,) = stabilize(TRIPLE_INTEGRATOR[None], TRIPLE_INPUT[None])
     a_cl = TRIPLE_INTEGRATOR + TRIPLE_INPUT @ k
     a = a_cl + 0.5 * abs(abscissa) * np.eye(3)
-    m = solve_lyapunov(a, np.eye(3))
+    m = solve_lyapunov(a[None], np.eye(3)[None])[0]
     ref = lyapunov_oracle(a, np.eye(3))
     assert np.allclose(m, ref, rtol=1e-9, atol=0.0)
     assert np.linalg.norm(a.T @ m + m @ a + np.eye(3), 2) <= 1e-12 * np.linalg.norm(m, 2)
@@ -166,7 +168,7 @@ def test_solve_lyapunov_near_defective_closed_loop():
 def test_solve_lyapunov_stiff_residual_below_kronecker_level():
     a = STIFF_CLOSED_LOOP
     q = np.eye(4)
-    m = solve_lyapunov(a, q)
+    m = solve_lyapunov(a[None], q[None])[0]
     assert np.array_equal(m, m.T)
     assert np.linalg.eigvalsh(m)[0] > 0.0
     assert np.linalg.norm(a.T @ m + m @ a + q, 2) < 1e-2 * np.linalg.norm(q, 2)
@@ -178,7 +180,7 @@ def test_solve_lyapunov_200_states():
     n = 200
     a = random_hurwitz(rng, n)
     q = random_spd(rng, n)
-    m = solve_lyapunov(a, q)
+    m = solve_lyapunov(a[None], q[None])[0]
     ref = lyapunov_oracle(a, q)
     assert np.allclose(m, ref, rtol=1e-8, atol=1e-10 * np.abs(ref).max())
 
@@ -197,12 +199,12 @@ def test_solve_lyapunov_far_from_normal_fails_only_with_numerics_error():
         t = rng.standard_normal((n, n))
         a = t @ block @ np.linalg.inv(t)
         try:
-            m = solve_lyapunov(a, np.eye(n))
+            m = solve_lyapunov(a[None], np.eye(n)[None])[0]
         except NumericsError:
             continue
         solved += 1
         residual = np.linalg.norm(a.T @ m + m @ a + np.eye(n), "fro")
-        assert residual <= 1e-8 * (spectral_norm(a) * spectral_norm(m) + 1.0)
+        assert residual <= 1e-8 * (spectral_norm(a[None])[0] * spectral_norm(m[None])[0] + 1.0)
     # robustness floor: refinement with the sign iterates solves 67 draws
     assert solved >= 65
 
@@ -213,7 +215,7 @@ def test_solve_lyapunov_memory_is_quadratic():
     a = random_hurwitz(rng, n)
     tracemalloc.start()
     try:
-        solve_lyapunov(a, np.eye(n))
+        solve_lyapunov(a[None], np.eye(n)[None])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -223,27 +225,29 @@ def test_solve_lyapunov_memory_is_quadratic():
 
 def test_solve_lyapunov_rejects_asymmetric_q():
     with pytest.raises(ValueError):
-        solve_lyapunov(np.diag([-1.0, -2.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        solve_lyapunov(np.diag([-1.0, -2.0])[None], np.array([[0.0, 1.0], [0.0, 0.0]])[None])
 
 
 def test_stabilize_returns_zero_for_hurwitz():
     b = np.array([[0.0], [1.0]])
-    k, abscissa = stabilize(DAMPED_NODE, b)
+    (k,), (abscissa,) = stabilize(DAMPED_NODE[None], b[None])
     assert np.array_equal(k, np.zeros((1, 2)))
     # the open loop's own abscissa, the one the verdict was taken on
-    assert abscissa == spectral_abscissa(DAMPED_NODE + b @ k) == spectral_abscissa(DAMPED_NODE)
+    assert abscissa == spectral_abscissa((DAMPED_NODE + b @ k)[None])[0] == spectral_abscissa(
+        DAMPED_NODE[None]
+    )[0]
 
 
 def test_stabilize_scalar_integrator():
     a, b = np.array([[0.0]]), np.array([[1.0]])
-    k, abscissa = stabilize(a, b)
-    assert abscissa == spectral_abscissa(a + b @ k)
+    (k,), (abscissa,) = stabilize(a[None], b[None])
+    assert abscissa == spectral_abscissa((a + b @ k)[None])[0]
     assert abscissa < 0.0
 
 
 def test_stabilize_triple_integrator():
-    k, abscissa = stabilize(TRIPLE_INTEGRATOR, TRIPLE_INPUT)
-    assert abscissa == spectral_abscissa(TRIPLE_INTEGRATOR + TRIPLE_INPUT @ k)
+    (k,), (abscissa,) = stabilize(TRIPLE_INTEGRATOR[None], TRIPLE_INPUT[None])
+    assert abscissa == spectral_abscissa((TRIPLE_INTEGRATOR + TRIPLE_INPUT @ k)[None])[0]
     assert abscissa < 0.0
 
 
@@ -254,8 +258,8 @@ def test_stabilize_random_controllable_pairs():
         m = rng.integers(1, 3)
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, m))
-        k, abscissa = stabilize(a, b)
-        assert abscissa == spectral_abscissa(a + b @ k)
+        (k,), (abscissa,) = stabilize(a[None], b[None])
+        assert abscissa == spectral_abscissa((a + b @ k)[None])[0]
         assert abscissa < 0.0
 
 
@@ -263,35 +267,37 @@ def test_stabilize_rejects_unstabilizable():
     a = np.diag([1.0, -1.0])
     b = np.array([[0.0], [1.0]])
     with pytest.raises(NumericsError):
-        stabilize(a, b)
+        stabilize(a[None], b[None])
 
 
 def test_pbh_examples():
-    ok, witness = pbh_stabilizable(np.diag([1.0, -1.0]), np.array([[0.0], [1.0]]))
+    (ok,), (witness,) = pbh_stabilizable(
+        np.diag([1.0, -1.0])[None], np.array([[0.0], [1.0]])[None]
+    )
     assert not ok
     assert witness == pytest.approx(1.0)
-    ok, witness = pbh_stabilizable(TRIPLE_INTEGRATOR, TRIPLE_INPUT)
+    (ok,), (witness,) = pbh_stabilizable(TRIPLE_INTEGRATOR[None], TRIPLE_INPUT[None])
     assert ok and witness is None
     # An uncontrollable but stable mode is fine.
-    ok, _ = pbh_stabilizable(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
+    (ok,), _ = pbh_stabilizable(np.diag([-1.0, -2.0])[None], np.array([[1.0], [0.0]])[None])
     assert ok
     # No input at all: stabilizable exactly when already Hurwitz.
-    ok, _ = pbh_stabilizable(DAMPED_NODE, np.zeros((2, 0)))
+    (ok,), _ = pbh_stabilizable(DAMPED_NODE[None], np.zeros((1, 2, 0)))
     assert ok
-    ok, _ = pbh_stabilizable(np.array([[1.0]]), np.zeros((1, 0)))
+    (ok,), _ = pbh_stabilizable(np.array([[1.0]])[None], np.zeros((1, 1, 0)))
     assert not ok
 
 
 def test_check_spd():
-    m = check_spd(M_NODE, "M")
+    m = check_spd(M_NODE[None], "M")[0]
     assert np.allclose(m, M_NODE)
     with pytest.raises(ValueError):
-        check_spd(np.array([[1.0, 1.0], [0.0, 1.0]]), "M")
+        check_spd(np.array([[1.0, 1.0], [0.0, 1.0]])[None], "M")
     with pytest.raises(NumericsError):
-        check_spd(np.diag([1.0, -1.0]), "M")
+        check_spd(np.diag([1.0, -1.0])[None], "M")
     # the cutoff scales with |M|_2 once, not squared
     with pytest.raises(NumericsError):
-        check_spd(np.diag([1e6, -100.0]), "M")
+        check_spd(np.diag([1e6, -100.0])[None], "M")
 
 
 def test_sqrtm_spd_squares_back():
@@ -299,28 +305,28 @@ def test_sqrtm_spd_squares_back():
     for _ in range(25):
         n = rng.integers(1, 7)
         m = random_spd(rng, n)
-        root = sqrtm_spd(m)
+        root = sqrtm_spd(m[None])[0]
         assert np.allclose(root, root.T)
         assert np.allclose(root @ root, m, rtol=1e-9, atol=1e-10)
 
 
 def test_least_squares_exact_system():
     a = np.array([[1.0, 1.0], [-2.0, 0.0]])
-    x, residual = least_squares(a, np.array([-2.0, 4.0]))
-    assert np.allclose(x, [-2.0, 0.0], atol=1e-12)
+    (x,), (residual,) = least_squares(a[None], np.array([[[-2.0], [4.0]]]))
+    assert np.allclose(x[:, 0], [-2.0, 0.0], atol=1e-12)
     assert residual <= 1e-12
 
 
 def test_least_squares_minimum_norm():
-    x, residual = least_squares(np.array([[1.0, 0.0]]), np.array([3.0]))
+    (x,), (residual,) = least_squares(np.array([[[1.0, 0.0]]]), np.array([[[3.0]]]))
     assert residual <= 1e-12
-    assert np.allclose(x, [3.0, 0.0], atol=1e-12)
+    assert np.allclose(x[:, 0], [3.0, 0.0], atol=1e-12)
 
 
 def test_least_squares_inconsistent():
     a = np.array([[1.0], [1.0]])
-    x, residual = least_squares(a, np.array([0.0, 1.0]))
-    assert x[0] == pytest.approx(0.5, abs=1e-12)
+    (x,), (residual,) = least_squares(a[None], np.array([[[0.0], [1.0]]]))
+    assert x[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert residual == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
@@ -328,7 +334,7 @@ def test_least_squares_matrix_rhs():
     rng = np.random.default_rng(71)
     a = rng.standard_normal((5, 3))
     target = rng.standard_normal((3, 2))
-    x, residual = least_squares(a, a @ target)
+    (x,), (residual,) = least_squares(a[None], (a @ target)[None])
     assert np.allclose(x, target, atol=1e-9)
     assert residual <= 1e-9
 
@@ -377,7 +383,7 @@ def test_least_squares_member_alone_equals_its_result_in_a_stack():
         a, b = least_squares_stack(rng, 6, rows, cols, 2, np.arange(6) % 2 == 1)
         x, residual = least_squares(a, b)
         for j in range(6):
-            alone, alone_residual = least_squares(a[j], b[j])
+            (alone,), (alone_residual,) = least_squares(a[j][None], b[j][None])
             assert np.array_equal(alone, x[j]) and alone_residual == residual[j]
         # two right-hand sides share the SVD and keep their own residuals
         x1, r1, x2, r2 = least_squares(a, b[:, :, :1], b[:, :, 1:])
@@ -386,12 +392,12 @@ def test_least_squares_member_alone_equals_its_result_in_a_stack():
 
 
 def test_residual_ok_scales_with_reference_norm():
-    big = 4.0 * np.eye(2)
+    big = spectral_norm(4.0 * np.eye(2)[None])
     # equality is accepted, and the tolerance scales with the spectral norm
     assert residual_ok(RESIDUAL_TOL * 4.0, big)
     assert not residual_ok(RESIDUAL_TOL * 4.0 * (1.0 + 1e-6), big)
     # below unit norm the floor keeps the tolerance absolute
-    small = 1e-3 * np.eye(2)
+    small = spectral_norm(1e-3 * np.eye(2)[None])
     assert residual_ok(RESIDUAL_TOL, small)
     assert not residual_ok(2.0 * RESIDUAL_TOL, small)
-    assert residual_ok(RESIDUAL_TOL, np.zeros((3, 0)))
+    assert residual_ok(RESIDUAL_TOL, spectral_norm(np.zeros((1, 3, 0))))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from conftest import random_hurwitz, random_network
+from oracles import integrate
 from simcompose.abstraction import QuadraticSimFn, build_abstraction
 from simcompose.compose import GainMatrices, compose_simfn, gain_matrices, perron, small_gain
 from simcompose.demo import (
@@ -31,7 +32,6 @@ from simcompose.simulate import (
     _step_maps,
     appendix_gammas,
     bound_report,
-    integrate,
     refine_and_run,
     scalar_bound,
     square_switches,

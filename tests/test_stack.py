@@ -160,13 +160,8 @@ def test_a_failing_member_fails_as_alone_and_the_first_in_network_order_is_raise
     assert str(raised.value) == str(alone["s1"])
 
 
-def test_certify_halves_a_failed_stack_down_to_the_failing_member(monkeypatch):
-    # 32 same-shape nodes, one of which fails its certificate: the stack
-    # and one half at each of 5 levels make 11 build_abstraction calls,
-    # where a retry member by member would make 33
-    nodes = [node(f"n{k}", [[-1.0 - 0.01 * k, 0.5], [0.0, -2.0]]) for k in range(32)]
-    nodes[13] = node("n13", FAR_FROM_NORMAL)
-    project = parse_project({"subsystems": nodes, "simulation": {"t_final": 0.1, "dt": 0.01}})
+def counting(monkeypatch) -> list:
+    """The size of each stack ``cli`` certifies from now on."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -174,12 +169,65 @@ def test_certify_halves_a_failed_stack_down_to_the_failing_member(monkeypatch):
         return build_abstraction(*args, **kwargs)
 
     monkeypatch.setattr(cli, "build_abstraction", counted)
+    return calls
+
+
+def test_certify_halves_a_failed_stack_down_to_the_failing_member(monkeypatch):
+    # 32 same-shape nodes, one of which fails its certificate: the stack
+    # and one half at each of 5 levels make 11 build_abstraction calls,
+    # where a retry member by member would make 33
+    nodes = [node(f"n{k}", [[-1.0 - 0.01 * k, 0.5], [0.0, -2.0]]) for k in range(32)]
+    nodes[13] = node("n13", FAR_FROM_NORMAL)
+    project = parse_project({"subsystems": nodes, "simulation": {"t_final": 0.1, "dt": 0.01}})
+    calls = counting(monkeypatch)
     outcomes = certify(project)
     assert calls[0] == 32 and len(calls) <= 11
     subs = project.interconnection
     for name in subs.names:
         assert_outcome(outcomes[name], certify_alone(subs[name], project.directives[name].p))
     assert [name for name, outcome in outcomes.items() if isinstance(outcome, Exception)] == ["n13"]
+
+
+def test_build_abstractions_descends_once_into_a_failing_stack(monkeypatch):
+    # every node of a 200-node ring fails its injection conditions (no
+    # input, so A e1 leaves im P + im B). build_abstractions needs only
+    # the first failure: the stack and at most ceil(log2 200) = 8 halves,
+    # where certify's halving makes 2 * 200 - 1 = 399 certifications
+    doc = heterogeneous_ring(np.random.default_rng(1), 200)
+    for sub in doc["subsystems"]:
+        sub["B"] = [[0.0], [0.0], [0.0]]
+    project = parse_project(doc)
+    first = project.interconnection.subsystems[0]
+    alone = certify_alone(first, project.directives[first.name].p)
+    assert isinstance(alone, ValueError) and first.name in str(alone)
+    calls = counting(monkeypatch)
+    with pytest.raises(ValueError) as raised:
+        build_abstractions(project)
+    assert str(raised.value) == str(alone)
+    assert calls[0] == 200 and len(calls) <= 9
+
+
+def test_build_abstractions_raises_the_first_members_own_error(monkeypatch):
+    # member 0 fails its certificate and member 1 its injection
+    # conditions, an earlier phase, so the stack raises member 1's
+    # error; certifying member 0 alone finds its own, and member 1 is
+    # never certified alone
+    doc = {
+        "subsystems": [node("s1", FAR_FROM_NORMAL), node("bad", [[1.0, 0.0], [0.0, -1.0]])],
+        "simulation": {"t_final": 0.1, "dt": 0.01},
+    }
+    project = parse_project(doc)
+    subs = project.interconnection
+    alone = [certify_alone(subs[name], project.directives[name].p) for name in subs.names]
+    assert isinstance(alone[0], NumericsError) and isinstance(alone[1], ValueError)
+    with pytest.raises(ValueError) as raised:
+        build_abstraction(subs.subsystems, np.stack([np.eye(2)] * 2))
+    assert str(raised.value) == str(alone[1])
+    calls = counting(monkeypatch)
+    with pytest.raises(NumericsError) as raised:
+        build_abstractions(project)
+    assert str(raised.value) == str(alone[0])
+    assert calls == [2, 1]
 
 
 def test_certify_lets_a_linalg_error_through(monkeypatch):

@@ -6,7 +6,8 @@ owner for the 2-norm and rank decisions, one owner of the network
 layout, one reader of the interface law, one encoding of the bundled
 example, no function in src/ that the program never reaches,
 certification that calls numpy once per stack of subsystems, stacked
-routines that return values or raise but keep no failure dicts, no
+routines that return values or raise but keep no failure dicts, one
+calling form (stacks) below the three certification entry points, no
 ``lstsq`` beside the stacked least squares, and no eigendecomposition
 in composition or co-simulation."""
 
@@ -17,7 +18,8 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "simcompose"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "simcompose"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -132,10 +134,10 @@ def test_no_bare_threshold_decides_a_verdict():
     assert sorted(found) == []
 
 
-def calls_by_function() -> dict[str, set[str]]:
+def calls_by_function(paths=MODULES) -> dict[str, set[str]]:
     """Names called inside each module-level function, nested code included."""
     called = defaultdict(set)
-    for path in MODULES:
+    for path in paths:
         for func in parse(path).body:
             if isinstance(func, ast.FunctionDef):
                 for node in ast.walk(func):
@@ -147,7 +149,7 @@ def calls_by_function() -> dict[str, set[str]]:
 def test_one_propagator():
     called = calls_by_function()
     assert {name for name, names in called.items() if "_step_maps" in names} == {"_run_lti"}
-    assert "_run_lti" in called["integrate"]
+    assert "_run_lti" in calls_by_function([TESTS / "oracles.py"])["integrate"]
     assert "_run_lti" in called["refine_and_run"]
 
 
@@ -361,11 +363,25 @@ def _referenced(node: ast.AST) -> set[str]:
     return found
 
 
+# Functions the program never calls but README documents for use from
+# Python, each with the reason it stays in src/.
+DOCUMENTED_ENTRY_POINTS = {
+    # the bundled example's network, for building on it in Python
+    "demo.demo_interconnection",
+    # the example's published injections, beside the network
+    "demo.demo_projections",
+    # the example's published certificates, beside the network
+    "demo.demo_certificates",
+    # the interface law at one point, u for given xhat, x, what and uhat
+    "abstraction.interface",
+}
+
+
 def test_every_function_in_src_is_reachable():
     # src/ holds what the program runs: every top-level function is
-    # reached, by name, from cli.main, from an __all__ or from bench/
-    # (whose span table names functions as strings); test-only code
-    # lives in tests/oracles.py
+    # reached, by name, from cli.main or from bench/ (whose span table
+    # names functions as strings), or is a documented entry point;
+    # test-only code lives in tests/oracles.py
     edges = defaultdict(set)
     functions = []
     roots = {"main"}
@@ -380,8 +396,6 @@ def test_every_function_in_src_is_reachable():
                 for target in targets:
                     if isinstance(target, ast.Name):
                         edges[target.id] |= _referenced(node.value)
-                        if target.id == "__all__":
-                            roots |= _referenced(node.value)
     bench = SRC.parent.parent / "bench"
     for path in bench.glob("*.py"):
         roots |= _referenced(parse(path))
@@ -391,7 +405,43 @@ def test_every_function_in_src_is_reachable():
         if name not in reached:
             reached.add(name)
             todo.extend(edges.get(name, ()))
-    assert [f"{module}.{name}" for module, name in functions if name not in reached] == []
+    unreached = {f"{module}.{name}" for module, name in functions if name not in reached}
+    assert unreached == DOCUMENTED_ENTRY_POINTS
+
+
+def _enclosing_functions(tree: ast.Module):
+    """``(top-level function name or None, node)`` for every node."""
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            yield name, node
+
+
+def test_numerics_take_stacks_only():
+    # one matrix is a stack of one below the entry points: linalg and
+    # geometry keep no one-matrix mode, and only build_abstraction,
+    # check_P_conditions and decay_certificate turn a matrix into a stack
+    singles = [
+        f"{name}:{node.lineno}"
+        for name in ("linalg.py", "geometry.py")
+        for node in ast.walk(parse(SRC / name))
+        if (isinstance(node, ast.Name) and node.id == "single")
+        or (isinstance(node, ast.arg) and node.arg == "single")
+        or (isinstance(node, ast.keyword) and node.arg == "single")
+    ]
+    assert singles == []
+    users = {
+        f"{path.stem}.{function}"
+        for path in MODULES
+        for function, node in _enclosing_functions(parse(path))
+        if (isinstance(node, ast.Name) and node.id == "as_stack")
+        or (isinstance(node, ast.Attribute) and node.attr == "as_stack")
+    }
+    assert users == {
+        "abstraction.build_abstraction",
+        "abstraction.check_P_conditions",
+        "abstraction.decay_certificate",
+    }
 
 
 def test_certification_calls_numpy_once_per_stack(monkeypatch):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import random_network
+from oracles import integrate
 from simcompose.cli import _run_pipeline, parse_project
 from simcompose.demo import demo_interconnection, demo_project
-from simcompose.simulate import Signal, integrate
+from simcompose.simulate import Signal
 from simcompose.systems import (
     Interconnection,
     InternalChannel,
