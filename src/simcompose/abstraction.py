@@ -25,8 +25,8 @@ counts) run on the members they concern, so every member's numbers are
 those it gets alone. A stack is certified whole or not at all: a member
 that fails makes the stack raise the error that member raises alone.
 ``cli.certify`` certifies the halves of a failed stack again to give
-each member its own outcome; ``cli.build_abstractions`` searches it for
-its first failing member only.
+each member its own outcome; ``cli.build_abstractions`` stops at its
+first failing member.
 """
 
 from __future__ import annotations
@@ -200,14 +200,13 @@ def decay_certificate(a, b, c, pbh=None):
 
     For a stack, ``a`` and ``b`` are stacks, ``c`` a list of block stacks
     and ``pbh`` a pair of per-member sequences; the stack raises the
-    error of its first failing member.
+    error of its first failing member. ``pbh`` goes with the stack form
+    only.
     """
     single = np.ndim(a) != 3
     a, b = as_stack(a, "a"), as_stack(b, "b")
     count, n = a.shape[0], a.shape[-1]
     blocks = [blk[np.newaxis] for blk in _output_blocks(c, n)] if single else list(c)
-    if single and pbh is not None:
-        pbh = ([pbh[0]], [pbh[1]])
     k1, abscissa = stabilize(a, b, pbh=pbh)
     lam = 0.5 * np.abs(abscissa)
     m0 = solve_lyapunov(

@@ -449,49 +449,34 @@ def certify(project: Project) -> dict[str, AbstractionResult | Exception]:
     return {name: outcomes[name] for name in project.interconnection.names}
 
 
-def _certify_stack(members) -> list:
-    """Each member's abstraction, or the error it raises alone. A stack
-    that raises is certified again as its two halves, recursively: one
-    failing member among N costs about 2 log2 N stacks, where a retry
-    member by member would cost N."""
+def _certify_stack(members):
+    """Each member's abstraction, or the error it raises alone, in order
+    and lazily. A stack that raises is certified again as its two
+    halves, left first: one failing member among N costs about 2 log2 N
+    stacks, where a retry member by member would cost N, and a caller
+    that stops at the first error costs at most 2 ceil(log2 N) + 1."""
     outcome = _attempt(members)
     if not isinstance(outcome, Exception):
-        return outcome
-    if len(members) == 1:
-        return [outcome]
-    half = len(members) // 2
-    return _certify_stack(members[:half]) + _certify_stack(members[half:])
-
-
-def _first_failure(members, error: Exception) -> tuple[str, Exception]:
-    """The name of the first member that fails alone, and its own error,
-    for a stack that raised ``error``: each step certifies the left half
-    and keeps it if it raises, else the right half, which then holds
-    every failure of the stack whose error is held. The member left is
-    that stack's only failure, so the error is its own, even where the
-    whole stack raised a later member's (one failing an earlier phase).
-    At most ceil(log2 N) certifications for N members."""
-    while len(members) > 1:
+        yield from outcome
+    elif len(members) == 1:
+        yield outcome
+    else:
         half = len(members) // 2
-        left = _attempt(members[:half])
-        if isinstance(left, Exception):
-            members, error = members[:half], left
-        else:
-            members = members[half:]
-    return members[0][0].name, error
+        yield from _certify_stack(members[:half])
+        yield from _certify_stack(members[half:])
 
 
 def build_abstractions(project: Project) -> dict[str, AbstractionResult]:
     """Every subsystem's abstraction; raises the error of the first
-    subsystem, in network order, whose certification fails."""
+    subsystem, in network order, whose certification fails. Each stack
+    is halved only down to its first failing member."""
     results, failures = {}, {}
     for members in _stacks(project):
-        outcome = _attempt(members)
-        if isinstance(outcome, Exception):
-            name, error = _first_failure(members, outcome)
-            failures[name] = error
-        else:
-            results.update((sub.name, result) for (sub, _, _), result in zip(members, outcome))
+        for (sub, _, _), outcome in zip(members, _certify_stack(members)):
+            if isinstance(outcome, Exception):
+                failures[sub.name] = outcome
+                break
+            results[sub.name] = outcome
     names = project.interconnection.names
     for name in names:
         if name in failures:

@@ -11,7 +11,8 @@ one subspace per member, each at its own rank; :func:`residuals`,
 :func:`sums` and :func:`intersections` work on sequences of subspaces,
 one per member, and stack the members of equal dimensions into one call
 (:func:`~simcompose.linalg.by_shape`). One matrix is passed as a stack
-of one, and one subspace as a sequence of one.
+of one (a bare matrix raises ``ValueError``), and one subspace as a
+sequence of one.
 """
 
 from __future__ import annotations
@@ -60,7 +61,13 @@ def zero_subspace(ambient: int, tol: float | None = None) -> Subspace:
     return Subspace(ambient, np.zeros((ambient, 0)), tol)
 
 
-def _member_tols(a: np.ndarray, tol) -> np.ndarray:
+def _member_tols(a: np.ndarray, tol, routine: str) -> np.ndarray:
+    """One cutoff per member of ``a``, after checking ``a`` is a stack."""
+    if np.ndim(a) != 3:
+        raise ValueError(
+            f"{routine} takes a stack of matrices, got shape {np.shape(a)}; "
+            "pass one matrix as a[np.newaxis]"
+        )
     tol = np.asarray(rank_tol(a) if tol is None else tol, dtype=float)
     return np.full(len(a), tol) if tol.ndim == 0 else tol
 
@@ -68,8 +75,8 @@ def _member_tols(a: np.ndarray, tol) -> np.ndarray:
 def image(a: np.ndarray, tol=None) -> list[Subspace]:
     """Column space of each member of the stack ``a``, as orthonormal-basis
     subspaces; ``tol`` is one cutoff for every member or one per member."""
+    tols = _member_tols(a, tol, "image")
     rows, cols = a.shape[-2:]
-    tols = _member_tols(a, tol)
     if cols == 0:
         spaces = [Subspace(rows, np.zeros((rows, 0)), t) for t in tols.tolist()]
     else:
@@ -82,8 +89,8 @@ def image(a: np.ndarray, tol=None) -> list[Subspace]:
 def kernel(a: np.ndarray, tol=None) -> list[Subspace]:
     """Null space of each member of the stack ``a``, as orthonormal-basis
     subspaces; ``tol`` is one cutoff for every member or one per member."""
+    tols = _member_tols(a, tol, "kernel")
     rows, n = a.shape[-2:]
-    tols = _member_tols(a, tol)
     if rows == 0 or n == 0:
         spaces = [Subspace(n, np.eye(n), t) for t in tols.tolist()]
     else:

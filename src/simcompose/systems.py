@@ -63,11 +63,11 @@ class LinearSystem:
         if self.A.shape != (n, n):
             raise ValueError(f"{self.name}.A must be square, got {self.A.shape}")
         self.B = checked(self._coerce(self.B, n, "B"), "B")
-        self.C_ext = checked(self._coerce(self.C_ext, n, "C_ext", axis=1), "C_ext")
+        self.C_ext = checked(self._coerce_rows(self.C_ext, n, "C_ext"), "C_ext")
         self.D = checked(self._coerce(self.D, n, "D"), "D")
         self.channels_in = tuple(self.channels_in)
         self.C_int = {
-            peer: checked(self._coerce(c, n, f"C_int[{peer}]", axis=1), f"C_int[{peer}]")
+            peer: checked(self._coerce_rows(c, n, f"C_int[{peer}]"), f"C_int[{peer}]")
             for peer, c in self.C_int.items()
         }
         bounds = _offsets(ch.width for ch in self.channels_in)
@@ -92,20 +92,24 @@ class LinearSystem:
             raise ValueError(f"{self.name}.{label} has non-finite entries")
         return mat
 
-    def _coerce(self, mat, n: int, label: str, axis: int = 0) -> Matrix:
-        """``mat`` as a float matrix with ``n`` rows (``axis=0``: ``B``,
-        ``D``) or ``n`` columns (``axis=1``: output blocks); a vector
-        and an empty matrix are laid along ``axis``."""
+    def _coerce(self, mat, n: int, label: str) -> Matrix:
         mat = np.asarray(mat, dtype=float)
         if mat.ndim == 1:
-            mat = np.expand_dims(mat, 1 - axis)
+            mat = mat[:, None]
         if mat.size == 0:
-            mat = mat.reshape((n, -1) if axis == 0 else (-1, n))
-        if mat.ndim != 2 or mat.shape[axis] != n:
-            raise ValueError(
-                f"{self.name}.{label} must have {n} {('rows', 'columns')[axis]}, "
-                f"got shape {mat.shape}"
-            )
+            mat = mat.reshape(n, -1)
+        if mat.ndim != 2 or mat.shape[0] != n:
+            raise ValueError(f"{self.name}.{label} must have {n} rows, got shape {mat.shape}")
+        return mat
+
+    def _coerce_rows(self, mat, n: int, label: str) -> Matrix:
+        mat = np.asarray(mat, dtype=float)
+        if mat.ndim == 1:
+            mat = mat[None, :]
+        if mat.size == 0:
+            mat = mat.reshape(-1, n)
+        if mat.ndim != 2 or mat.shape[1] != n:
+            raise ValueError(f"{self.name}.{label} must have {n} columns, got shape {mat.shape}")
         return mat
 
     @property

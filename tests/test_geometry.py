@@ -42,6 +42,19 @@ def test_kernel_examples():
     assert kernel(np.zeros((1, 0, 4)))[0].dim == 4
 
 
+@pytest.mark.parametrize("a", [np.eye(3), np.array([[1.0, 0.0, 0.0]]), np.zeros((3, 0))])
+def test_image_rejects_one_matrix(a):
+    # the one-matrix form is gone: a matrix must come as a stack of one
+    with pytest.raises(ValueError, match=r"image takes a stack of matrices, got shape"):
+        image(a)
+
+
+@pytest.mark.parametrize("a", [np.eye(3), np.array([[1.0, 0.0, 0.0]]), np.zeros((3, 0))])
+def test_kernel_rejects_one_matrix(a):
+    with pytest.raises(ValueError, match=r"kernel takes a stack of matrices, got shape"):
+        kernel(a)
+
+
 def test_rank_nullity():
     rng = np.random.default_rng(3)
     for _ in range(30):

@@ -302,7 +302,7 @@ def test_an_overflowing_member_fails_alone_and_leaves_the_stack_as_it_was():
     with pytest.raises(NumericsError) as alone:
         build_abstraction(systems[1], p, certificate=certificates[1])
     assert str(alone.value) == message
-    outcomes = cli._certify_stack(list(zip(systems, [p] * 3, certificates)))
+    outcomes = list(cli._certify_stack(list(zip(systems, [p] * 3, certificates))))
     assert str(outcomes[1]) == message
     for k in (0, 2):
         assert_same(outcomes[k], build_abstraction(systems[k], p, certificate=certificates[k]))
