@@ -549,18 +549,33 @@ def _fmt_matrix(a) -> str:
     return "[" + "; ".join(", ".join(_fmt(x) for x in row) for row in a) + "]"
 
 
+def _check_stack(members) -> list:
+    """:func:`check_P_conditions` of the members as one stack: their
+    reports, or, if the stack raises, each member's report or
+    ``ValueError`` from a call of its own."""
+    try:
+        return check_P_conditions([sub for sub, _, _ in members], stack([p for _, p, _ in members]))
+    except ValueError as exc:
+        if len(members) == 1:
+            return [exc]
+        return [outcome for member in members for outcome in _check_stack([member])]
+
+
 def cmd_check(args) -> int:
     project = load_project(args.file)
     ic = project.interconnection
     print(f"interconnection: {len(ic.subsystems)} subsystems, wiring ok")
+    reports = {
+        sub.name: report
+        for members in _stacks(project)
+        for (sub, _, _), report in zip(members, _check_stack(members))
+    }
     all_ok = True
     for sub in ic.subsystems:
-        p = resolve_injection(sub, project.directives[sub.name])
-        try:
-            report = check_P_conditions(sub, p)
-        except ValueError as exc:
+        report = reports[sub.name]
+        if isinstance(report, ValueError):
             all_ok = False
-            print(f"{sub.name}: injection rejected: {exc}")
+            print(f"{sub.name}: injection rejected: {report}")
             continue
         if report.stabilizable:
             print(f"{sub.name}: stabilizable yes")

@@ -824,7 +824,9 @@ def write_table(path, table, header=None) -> None:
     rereading reproduces the doubles bit for bit and the file matches
     ``np.savetxt(fmt="%.17g", delimiter=",")`` byte for byte.  Chunks of
     whole rows, about ``2**13`` values each, are formatted in numpy (see
-    :class:`_G17`).
+    :class:`_G17`): each value's text is laid out in four 64-bit words,
+    a prefix, its 16 trailing digits and the exponent with the separator,
+    and one mask by notation, significant digits and sign keeps its bytes.
 
     For ``|x|`` in ``[1e-280, 1e280]`` the scaled value
     ``y = |x| 10**(16 - E0)``, ``E0 = floor(log10 |x|)``, is one exact
@@ -836,7 +838,8 @@ def write_table(path, table, header=None) -> None:
     ``[1e16, 1e17 - 0.5)``, where ``N`` keeps 17 digits.  Zeros are
     written directly.  Every other value is formatted by ``%`` itself:
     near-ties, values where ``log10`` is off by one, and ``|x|`` outside
-    the range, inf and NaN included.
+    the range, inf and NaN included; they are formatted together, one
+    list per chunk.
     """
     _write_columns(path, [np.atleast_2d(np.asarray(table, dtype=float))], header)
 
@@ -884,8 +887,9 @@ def write_gnuplot(path, csv_path, run: RefinementRun) -> None:
 
 
 # Values per formatting chunk, rounded down to whole rows (a wider row is
-# one chunk).  Its temporaries, about 200 bytes a value, keep the writer's
-# peak memory under 2 MB beyond the arrays it reads.
+# one chunk).  Its 32-byte rows and the temporaries, released as soon as
+# they are used, peak at about 140 bytes a value: the writer stays under
+# 2 MB beyond the arrays it reads.
 _CHUNK = 1 << 13
 # Veltkamp's splitter for doubles, 2**27 + 1.
 _SPLIT = 134217729.0
@@ -896,51 +900,6 @@ _K_MIN, _K_MAX = -270, 300
 # below which a value goes to the exact fallback; the scaled value's error
 # is under 1e-14.
 _TIE_WINDOW = 1e-9
-_QUADS = np.arange(10000, dtype=np.int16)
-# "%04d" of 0..9999 as one uint32 each, and its trailing zeros
-_DIGITS4 = (
-    np.stack([_QUADS // 10**j % 10 for j in (3, 2, 1, 0)], axis=1).astype(np.uint8) + ord("0")
-).view(np.uint32).ravel()
-_TRAILING4 = sum((_QUADS % 10**j == 0).astype(np.int8) for j in (1, 2, 3, 4))
-_EXP_OFFSET = 400
-_EXPONENTS = np.array(
-    [b"e%+03d" % e for e in range(-_EXP_OFFSET, _EXP_OFFSET)], dtype="S5"
-)
-# One value's slots: sign | "0" | 17 integer digits | "." | "000" |
-# 17 fraction digits | exponent | separator.  Both digit fields hold all
-# 17 digits; the mask keeps the integer part from the first and the
-# fraction from the second.
-_TEMPLATE = np.frombuffer(b"-0" + b"?" * 17 + b".000" + b"?" * 22 + b",", np.uint8)
-_SLOTS = len(_TEMPLATE)
-
-
-def _slot_masks() -> np.ndarray:
-    """Kept slots for every (category, significant digits, sign).
-
-    Categories ``E + 4`` are ``%g``'s fixed notation, ``-4 <= E < 17``;
-    21 and 22 are exponent notation with two and three exponent digits.
-    """
-    masks = np.zeros((23, 17, 2, _SLOTS), bool)
-    sig = np.arange(1, 18)[:, None, None]
-    j = np.arange(17)
-    for cat in range(23):
-        e = cat - 4
-        fixed = cat < 21
-        m = masks[cat]
-        # integer digits in the first field, after the "0." of |x| < 1
-        whole = (e + 1 if e >= 0 else 0) if fixed else 1
-        m[..., 1] = fixed and e < 0
-        m[..., 2:19] = j < whole
-        m[..., 19] = sig[..., 0] > whole
-        m[..., 20:23] = np.arange(3) < (-e - 1 if fixed else 0)
-        m[..., 23:40] = (j >= whole) & (j < sig)
-        m[..., 40:45] = np.arange(5) < (0 if fixed else cat - 17)
-    masks[..., 0] = [False, True]
-    masks[..., -1] = True
-    return masks.reshape(-1, _SLOTS).view(np.dtype((np.void, _SLOTS))).ravel()
-
-
-_MASKS = _slot_masks()
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -950,88 +909,212 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-class _G17:
-    """``%.17g`` text of the values of one table, chunk by chunk.
+def _power_splits() -> np.ndarray:
+    """Rows ``hi1, hi2, lo`` of ``10**k = hi1 + hi2 + lo`` for ``k`` from
+    ``_K_MIN`` to ``_K_MAX``: ``10**k`` rounded, split as ``hi1 + hi2``
+    for the Dekker product, and ``lo`` the exact remainder rounded.
+    Integer true division rounds correctly."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h = num / den
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    return np.stack([*_split(np.array(hi)), np.array(lo)])
 
-    Holds the slot buffer and the powers of ten, ``10**k = hi + lo``
-    with ``hi`` split for the Dekker product; a power is built, in exact
-    integer arithmetic, the first time a chunk needs it.
-    """
+
+_POWERS = _power_splits()
+
+_QUADS = np.arange(10000, dtype=np.int16)
+# "%04d" of 0..9999 as one little-endian uint32 each, and its trailing zeros
+_DIGITS4 = (
+    np.stack([_QUADS // 10**j % 10 for j in (3, 2, 1, 0)], axis=1).astype(np.uint8) + ord("0")
+).view("<u4").ravel()
+_TRAILING4 = sum((_QUADS % 10**j == 0).astype(np.int8) for j in (1, 2, 3, 4))
+
+# A value's text is laid out in a 32-byte row of four little-endian
+# uint64 words:
+#   word 0     the prefix, right-aligned: the sign, the "0." and leading
+#              zeros of 1e-4 <= |x| < 1, the lead digit, and the "." of
+#              exponent notation;
+#   words 1-2  the 16 digits after the lead digit; in fixed notation with
+#              1 <= |x| < 1e16 a "." is inserted after the integer digits,
+#              which moves the last digit into word 3;
+#   word 3     the exponent and the separator, after that moved digit.
+# A mask keyed by notation, significant digits and sign keeps the bytes of
+# "%.17g"; a value with 17 significant digits keeps one contiguous run.
+#
+# Notations are categories of the decimal exponent E: E + 4 for %g's fixed
+# notation, -4 <= E <= 16, then 21 and 22 for exponent notation with two
+# and three exponent digits.
+_EXP_OFFSET = 400
+_EXPONENTS = np.arange(-_EXP_OFFSET, _EXP_OFFSET)
+_CATEGORY = np.where(
+    (_EXPONENTS >= -4) & (_EXPONENTS <= 16),
+    _EXPONENTS + 4,
+    np.where(np.abs(_EXPONENTS) < 100, 21, 22),
+)
+_CATS = np.arange(23)
+_EXPONENT_NOTATION = _CATS >= 21
+# fixed notation with a "." inserted after the integer digits, E in [0, 15]
+_INSERTED = ~_EXPONENT_NOTATION & (_CATS >= 4) & (_CATS <= 19)
+
+
+def _prefixes() -> np.ndarray:
+    """Word 0 for every (category, sign, lead digit)."""
+    texts = []
+    for cat in range(23):
+        zeros = b"0." + b"0" * (3 - cat) if cat < 4 else b""
+        dot = b"." if _EXPONENT_NOTATION[cat] else b""
+        for sign in (b"", b"-"):
+            for lead in b"0123456789":
+                texts.append((sign + zeros + bytes([lead]) + dot).rjust(8, b"\0"))
+    return np.frombuffer(b"".join(texts), "<u8")
+
+
+def _tails() -> np.ndarray:
+    """Word 3 for every (exponent, last column): the exponent and the
+    separator, after the byte of a moved digit where a "." was inserted."""
+    texts = []
+    for e, cat in zip(_EXPONENTS.tolist(), _CATEGORY.tolist()):
+        exponent = b"e%+03d" % e if _EXPONENT_NOTATION[cat] else b""
+        moved = b"\0" if _INSERTED[cat] else b""
+        for sep in (b",", b"\n"):
+            texts.append((moved + exponent + sep).ljust(8, b"\0"))
+    return np.frombuffer(b"".join(texts), "<u8")
+
+
+def _insertions() -> np.ndarray:
+    """Rows ``low1, low2, dot1, dot2`` for every category: the bytes of
+    words 1 and 2 before the inserted ".", and the "." in its place; a
+    category without one keeps both words whole."""
+    at = np.where(_INSERTED, _CATS - 4, 16)[:, None]
+    byte = np.arange(16)
+    low = np.where(byte < at, 0xFF, 0).astype(np.uint8)
+    dot = np.where(byte == at, ord("."), 0).astype(np.uint8)
+    return np.hstack([low.view("<u8"), dot.view("<u8")]).T.copy()
+
+
+def _kept_masks() -> np.ndarray:
+    """Kept bytes of a row for every (category, significant digits, sign),
+    one 32-byte void each."""
+    cat = _CATS[:, None, None, None]
+    sig = np.arange(1, 18)[:, None, None]
+    neg = np.arange(2)[:, None]
+    byte = np.arange(32)
+    e = cat - 4
+    expo = _EXPONENT_NOTATION[cat]
+    inserted = _INSERTED[cat]
+    start = 8 - neg - np.where(expo, 2, np.where(e < 0, 2 - e, 1))
+    prefix = (byte >= start) & (byte < 8) & ~(expo & (byte == 7) & (sig == 1))
+    # fixed notation keeps every integer digit, and the "." only before a
+    # fraction digit
+    digits_end = 8 + np.where(inserted, np.where(sig > e + 1, sig, e), np.where(e == 16, 16, sig - 1))
+    digits = (byte >= 8) & (byte < digits_end)
+    # the separator, after "e+dd" or "e+ddd" in exponent notation
+    tail_start = np.where(inserted, 25, 24)
+    tail = (byte >= tail_start) & (byte < tail_start + np.where(expo, cat - 16, 1))
+    masks = np.ascontiguousarray(prefix | digits | tail)
+    return masks.reshape(-1, 32).view(np.dtype((np.void, 32))).ravel()
+
+
+_PREFIXES = _prefixes()
+_TAILS = _tails()
+_INSERTIONS = _insertions()
+_KEPT = _kept_masks()
+_SEPARATORS = np.array([ord(","), ord("\n")], "<u8")
+
+
+class _G17:
+    """``%.17g`` text of the values of one table, chunk by chunk, in
+    32-byte rows (see the layout above)."""
 
     def __init__(self, cols: int, size: int):
-        self.cols = cols
-        self.slots = np.empty((size, _SLOTS), np.uint8)
-        self.built = np.zeros(_K_MAX - _K_MIN + 1, bool)
-        self.powers = np.empty((4, _K_MAX - _K_MIN + 1))
-
-    def _powers_of_ten(self, k: np.ndarray) -> np.ndarray:
-        idx = k - _K_MIN
-        for i in np.unique(idx[~self.built[idx]]):
-            e = int(i) + _K_MIN
-            num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
-            # integer true division rounds correctly: hi is 10**e rounded,
-            # lo the exact remainder num/den - hi rounded
-            hi = num / den
-            a, b = hi.as_integer_ratio()
-            self.powers[:, i] = (hi, *_split(hi), (num * b - a * den) / (den * b))
-            self.built[i] = True
-        return np.take(self.powers, idx, axis=1)
+        self.words = np.empty((size, 4), "<u8")
+        # 1 where a value ends its table row
+        self.last = np.zeros(size, np.int8)
+        self.last[cols - 1::cols] = 1
 
     def _round17(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``|v|`` as ``N 10**(E - 16)`` with ``N`` the correctly rounded
         17-digit integer; returns ``(N, E, exact)``, where ``exact`` is
-        false for the values the fallback must format.  Zeros give
-        ``N = 0``, ``E = 0``."""
+        false for the values the fallback must format, whose ``N`` is 0.
+        Zeros give ``N = 0``, ``E = 0``."""
         x = np.abs(v)
         zero = x == 0.0
         exact = (x >= _FAST_MIN) & (x <= _FAST_MAX)
         x[~exact] = 1.0
         e = np.floor(np.log10(x)).astype(np.int64)
-        hi, hi1, hi2, lo = self._powers_of_ten(16 - e)
+        k = 16 - _K_MIN - e
+        hi1, hi2, lo = (np.take(power, k) for power in _POWERS)
         # y = x 10**k = p + c: Dekker's exact product x hi = p + err, plus x lo
-        p = x * hi
+        p = x * (hi1 + hi2)
         x1, x2 = _split(x)
         c = (((x1 * hi1 - p) + x1 * hi2 + x2 * hi1) + x2 * hi2) + x * lo
+        del x, x1, x2, k, hi1, hi2, lo
         floor = np.floor(c)
         frac = c - floor
         exact &= np.abs(frac - 0.5) > _TIE_WINDOW
         # y must round into [1e16, 1e17): no carry into an 18th digit
         exact &= ((p - 1e16) + c > _TIE_WINDOW) & ((p - 1e17) + c < -0.5 - _TIE_WINDOW)
         digits17 = p.astype(np.int64) + (floor + (frac > 0.5)).astype(np.int64)
-        # a zero's x is 1.0, which gave E = 0
-        digits17[zero] = 0
+        # a wrong decade leaves more than 17 digits: none may reach the tables
+        digits17[~exact] = 0
         return digits17, e, exact | zero
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """Text of ``v``, the flat values of whole table rows."""
         n = len(v)
         digits17, e, exact = self._round17(v)
-        # the 17 digits as ASCII: a lead digit and four groups of four
-        quads = np.empty((n, 5), np.int32)
-        upper, lower = np.divmod(digits17, 10**8)
-        quads[:, 0], upper = np.divmod(upper, 10**8)
-        quads[:, 1], quads[:, 2] = np.divmod(upper, 10**4)
-        quads[:, 3], quads[:, 4] = np.divmod(lower, 10**4)
-        digits = np.take(_DIGITS4, quads).view(np.uint8)[:, 3:]
-        trailing = _TRAILING4[quads[:, 4]]
-        for col in (3, 2, 1):
-            below = 4 * (4 - col)  # trailing zeros when the groups after col are all zero
-            trailing = np.where(trailing == below, below + _TRAILING4[quads[:, col]], trailing)
+        # the lead digit, and the 16 after it in two words of two groups of four
+        lead = digits17 // 10**16
+        rest = digits17 - lead * 10**16
+        halves = np.empty((2, n), np.int64)
+        halves[0] = rest // 10**8
+        halves[1] = rest - halves[0] * 10**8
+        del digits17, rest
+        quads = np.empty((2, n, 2), np.int64)
+        quads[..., 0] = halves // 10**4
+        quads[..., 1] = halves - quads[..., 0] * 10**4
+        del halves
+        # trailing zeros, counted from the last group of four
+        groups = quads[1, :, 1], quads[1, :, 0], quads[0, :, 1], quads[0, :, 0]
+        trailing = _TRAILING4[groups[0]]
+        for below, group in zip((4, 8, 12), groups[1:]):
+            trailing = np.where(trailing == below, below + _TRAILING4[group], trailing)
+        word1, word2 = np.take(_DIGITS4, quads).view("<u8")[..., 0]
+        del quads, groups, group
 
-        # slot mask by notation, significant digits and sign
-        cat = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
-        key = (cat * 17 + 16 - trailing) * 2 + np.signbit(v)
-        mask = np.take(_MASKS, key).view(bool).reshape(n, _SLOTS)
-        raw = self.slots[:n]
-        raw[:, :2] = _TEMPLATE[:2]
-        raw[:, 19:23] = _TEMPLATE[19:23]
-        raw[:, 2:19] = digits
-        raw[:, 23:40] = digits
-        raw[:, 40:45] = np.take(_EXPONENTS, e + _EXP_OFFSET).view(np.uint8).reshape(n, 5)
-        raw[:, -1] = ord(",")
-        raw[self.cols - 1::self.cols, -1] = ord("\n")
-        for i in np.flatnonzero(~exact):
-            text = b"%.17g" % v[i]
-            raw[i, :len(text)] = np.frombuffer(text, np.uint8)
-            mask[i, :-1] = np.arange(_SLOTS - 1) < len(text)
+        cat = np.take(_CATEGORY, e + _EXP_OFFSET)
+        negative = np.signbit(v)
+        key = (cat * 17 + 16 - trailing) * 2 + negative
+        words = self.words[:n]
+        words[:, 0] = np.take(_PREFIXES, (cat * 2 + negative) * 10 + lead)
+        words[:, 3] = np.take(_TAILS, (e + _EXP_OFFSET) * 2 + self.last[:n])
+        del e, lead, trailing, negative
+        # insert the "." into words 1-2: the bytes after it move up one,
+        # and the top byte of each word into the next
+        low1, low2, dot1, dot2 = (np.take(table, cat) for table in _INSERTIONS)
+        del cat
+        kept = word1 & low1
+        moved = word1 ^ kept
+        words[:, 1] = kept | moved << 8 | dot1
+        carry = moved >> 56
+        kept = word2 & low2
+        moved = word2 ^ kept
+        words[:, 2] = kept | moved << 8 | carry | dot2
+        words[:, 3] |= moved >> 56
+        del word1, word2, low1, low2, dot1, dot2, kept, moved, carry
+
+        mask = np.take(_KEPT, key).view(bool).reshape(n, 32)
+        del key
+        raw = words.view(np.uint8)
+        bad = np.flatnonzero(~exact)
+        if len(bad):
+            # "%.17g" is at most 24 bytes: words 0-2, NUL-padded
+            texts = np.array([b"%.17g" % x for x in v[bad].tolist()], "S24")
+            words[bad, :3] = texts.view("<u8").reshape(-1, 3)
+            words[bad, 3] = _SEPARATORS[self.last[bad]]
+            mask[bad] = raw[bad] != 0
         return raw[mask]

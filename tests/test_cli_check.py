@@ -2,6 +2,8 @@
 
 import json
 
+from simcompose import cli
+from simcompose.abstraction import check_P_conditions
 from simcompose.cli import main
 from simcompose.demo import demo_project
 
@@ -94,3 +96,49 @@ def test_an_injection_with_no_columns_is_rejected(tmp_path, capsys):
         capsys.readouterr()
         assert main(["bounds", path]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_makes_one_call_per_stack_and_names_each_rejected_member(tmp_path, capsys, monkeypatch):
+    # four same-shape subsystems are checked as one stack; a stack that
+    # raises is checked again member by member, so each rejected
+    # injection keeps its own line and the reports stay in network order
+    sizes = []
+
+    def counted(systems, p):
+        sizes.append(len(systems))
+        return check_P_conditions(systems, p)
+
+    monkeypatch.setattr(cli, "check_P_conditions", counted)
+    shared = {"A": [[0.0, 1.0], [-1.0, -1.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
+    doc = {
+        "subsystems": [
+            {"name": f"s{i}", **shared, "abstraction": {"P": [[1.0], [0.0]]}} for i in range(4)
+        ]
+    }
+    code, out = run_check(tmp_path, capsys, doc)
+    assert code == 0 and sizes == [4]
+    for i in (1, 3):
+        doc["subsystems"][i]["abstraction"]["P"] = [[0.0], [0.0]]
+    sizes.clear()
+    code, failed = run_check(tmp_path, capsys, doc)
+    assert code == 1 and sizes == [4, 1, 1, 1, 1]
+    blocks, passing = reports(failed), reports(out)
+    assert list(blocks) == ["s0", "s1", "s2", "s3"]
+    for i in (1, 3):
+        assert blocks[f"s{i}"] == [f"s{i}: injection rejected: P must have full column rank"
+                                   " (injective state mapping)"]
+    # the members that pass report exactly what they report in a passing stack
+    assert blocks["s0"] == passing["s0"] and blocks["s2"] == passing["s2"]
+
+
+def reports(out) -> dict[str, list[str]]:
+    """The lines of ``check``'s output by subsystem: its own line and the
+    indented lines after it."""
+    blocks = {}
+    for line in out.splitlines()[1:-1]:
+        if line.startswith(" "):
+            blocks[name].append(line)
+        else:
+            name = line.split(":")[0]
+            blocks.setdefault(name, []).append(line)
+    return blocks

@@ -1,7 +1,9 @@
 """Signals, fixed-step integration, refinement runs, and bound reports."""
 
 import io
+import itertools
 import re
+import tracemalloc
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -681,6 +683,25 @@ def exact_ties(rng, count):
     return ties
 
 
+def layout_grid() -> list[float]:
+    """For every notation the writer lays out (each fixed-notation decade
+    1e-4 ... 1e16, and exponents of two and three digits) and every count
+    of significant digits 1 ... 17, a double whose ``%.17g`` has that
+    decade and that many significant digits."""
+    grid = []
+    for exponent in [*range(-4, 17), -8, 17, -99, 98, -100, 100, -279, 280]:
+        for sig in range(1, 18):
+            # the first such decimal whose double keeps it in 17 digits
+            for fill, last in itertools.product("1379", "123456789"):
+                digits = ("1" + fill * (sig - 2) + last)[-sig:]
+                x = float(f"{digits[0]}.{digits[1:]}e{exponent}")
+                if "%.16e" % x == f"{digits[0]}.{digits[1:]:0<16}e{exponent:+03d}":
+                    grid.append(x)
+                    break
+    assert len(grid) == 29 * 17
+    return grid
+
+
 def test_write_table_matches_percent_on_edge_values(tmp_path):
     tiny, huge = 5e-324, np.finfo(float).max
     powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
@@ -699,6 +720,12 @@ def test_write_table_matches_percent_on_edge_values(tmp_path):
         exact_ties(np.random.default_rng(3), 100),
     ])
     table = np.concatenate([edge, -edge]).reshape(-1, 1)
+    assert written(tmp_path, table) == percent_text(table)
+    # every notation, significant-digit count and sign in the first,
+    # middle and last column of a row
+    grid = np.array(layout_grid())
+    grid = np.concatenate([grid, -grid])
+    table = np.column_stack([np.roll(grid, shift) for shift in range(3)])
     assert written(tmp_path, table) == percent_text(table)
     assert written(tmp_path, [[np.nan, np.inf, -np.inf]]) == b"nan,inf,-inf\n"
 
@@ -730,6 +757,22 @@ def test_write_table_matches_savetxt_on_every_shape(tmp_path):
     for table in tables:
         assert written(tmp_path, table) == savetxt_text(table), np.shape(table)
     assert written(tmp_path, np.eye(2), ["a", "b"]) == b"a,b\n1,0\n0,1\n"
+
+
+def test_write_table_peak_memory_stays_under_2_mb(tmp_path):
+    # the writer formats a chunk of about _CHUNK values at a time: five
+    # chunks of 1000-column rows hold under 2 MB beyond the table
+    rng = np.random.default_rng(29)
+    rows, cols = 5 * simulate._CHUNK // 1000, 1000
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-20, 20, (rows, cols))
+    table[::7, ::11] = 1e-300  # a share of values for the fallback
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "wide.csv", table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_demo_csv_matches_savetxt(tmp_path):
