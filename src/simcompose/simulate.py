@@ -26,6 +26,13 @@ One density rule picks the form from the state size and the nonzeros of
 measured sweep of both forms.  The drive ``d_k`` is one dense matrix
 product in the dense form, and a gather of the inputs, one column per
 stored pair of ``core B``, in the sparse form.
+
+The joint system is never flattened network by network: its ``A``, ``B``
+and output maps are lists of subsystem blocks (:func:`_joint_blocks`,
+:class:`_Blocks`).  In the dense form the blocks are written into zeros;
+in the sparse form they become (column, value) pairs directly, so no
+dense network-wide matrix is formed, and the outputs are gathered from
+the states through the ``C_ext`` blocks' pairs.
 """
 
 import os
@@ -36,7 +43,7 @@ import numpy as np
 from .abstraction import AbstractionResult, interface_gains
 from .compose import ComposedSimFn, GainMatrices, compose_abstractions, perron
 from .linalg import BOUND_TOL, GRID_TOL, Matrix, NumericsError
-from .systems import Interconnection, LinearSystem, build_monolithic
+from .systems import Interconnection
 
 # Default iteration count for the vector recursion.
 DEFAULT_BOUND_ITERATIONS = 50
@@ -48,7 +55,8 @@ SPARSE_STEP_OVERHEAD = 5000
 DENSE_ENTRY_COST = 1 / 11
 
 # Rows of the inputs _SparseRows.map_rows gathers at a time for the stored
-# pairs after the first (256 rows of 800 states: 1.6 MB).
+# pairs after the first (256 rows of 800 states: 1.6 MB), and of the input
+# samples Signal.sup_norm and _block_sup_norms square at a time.
 _GATHER_ROWS = 256
 
 
@@ -89,10 +97,14 @@ class Signal:
 
     @property
     def sup_norm(self) -> float:
-        """Largest euclidean norm over the sample values."""
+        """Largest euclidean norm over the sample values, squared
+        ``_GATHER_ROWS`` rows at a time."""
         if self.width == 0:
             return 0.0
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
+        return float(max(
+            np.linalg.norm(self.values[first:first + _GATHER_ROWS], axis=1).max()
+            for first in range(0, len(self.values), _GATHER_ROWS)
+        ))
 
     def value(self, t: float) -> np.ndarray:
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
@@ -132,12 +144,25 @@ class Signal:
 
     @classmethod
     def stack(cls, signals) -> "Signal":
-        """Stack several signals into one over the union of sample times."""
+        """Stack several signals into one over the union of sample times.
+
+        Each part's columns are filled from its own sample times, where
+        they sit in the union, rather than by sampling it on the union.
+        """
         signals = list(signals)
         if not signals:
             raise ValueError("nothing to stack")
         times = np.unique(np.concatenate([s.times for s in signals]))
-        return cls(times, np.hstack([s.sample(times) for s in signals]))
+        # C order, as np.hstack made it: sup_norm's row sums can change in
+        # the last bit on another layout
+        bounds = np.cumsum([0] + [s.width for s in signals])
+        values = np.empty((len(times), bounds[-1]))
+        for s, col, stop in zip(signals, bounds, bounds[1:]):
+            starts = np.searchsorted(times, s.times)
+            part = values[:, col:stop]
+            part[:starts[0]] = 0.0
+            part[starts[0]:] = np.repeat(s.values, np.diff(starts, append=len(times)), axis=0)
+        return cls(times, values)
 
 
 @dataclass(frozen=True)
@@ -234,18 +259,27 @@ def _step_maps(a, dt: float):
     core @ (B u)`` reproduces the Runge-Kutta stages exactly, so the
     whole run reduces to one matrix recursion.  ``a`` is a dense matrix
     or a :class:`_SparseRows`, and the maps come back in the same form.
+    Each map is the sum of its Taylor terms, left to right.
     """
-    eye = a.identity() if isinstance(a, _SparseRows) else np.eye(a.shape[0])
+    sparse = isinstance(a, _SparseRows)
+    eye = a.identity() if sparse else np.eye(a.shape[0])
     ad = dt * a
     ad2 = ad @ ad
     ad3 = ad2 @ ad
-    phi = eye + ad + ad2 / 2.0 + ad3 / 6.0 + ad3 @ ad / 24.0
-    core = dt * (eye + ad / 2.0 + ad2 / 6.0 + ad3 / 24.0)
+    if sparse:
+        # one from_triplets pass over all the terms, not one per +
+        phi = _SparseRows.total([eye, ad, ad2 / 2.0, ad3 / 6.0, ad3 @ ad / 24.0])
+        core = dt * _SparseRows.total([eye, ad / 2.0, ad2 / 6.0, ad3 / 24.0])
+    else:
+        # term by term: holding every dense term at once raised wide's
+        # peak memory by 0.7 MB
+        phi = eye + ad + ad2 / 2.0 + ad3 / 6.0 + ad3 @ ad / 24.0
+        core = dt * (eye + ad / 2.0 + ad2 / 6.0 + ad3 / 24.0)
     return phi, core
 
 
-def _run_lti(a: Matrix, b: Matrix, inputs: np.ndarray, x0: np.ndarray,
-             grid: np.ndarray, dt: float) -> np.ndarray:
+def _run_lti(a: "Matrix | _SparseRows", b: "Matrix | _SparseRows", inputs: np.ndarray,
+             x0: np.ndarray, grid: np.ndarray, dt: float) -> np.ndarray:
     """March ``x+ = phi x + d_k``, ``d_k = core B inputs[k]``, over the grid.
 
     ``inputs`` holds one input row per grid point, held over the step
@@ -274,24 +308,26 @@ def _run_lti(a: Matrix, b: Matrix, inputs: np.ndarray, x0: np.ndarray,
       ``core B``, straight into the states (the first step of the
       zero-state march).
 
-    The states are written straight into the returned array; a blow-up
-    is reported at the first grid time with a non-finite state.
+    ``A`` and ``B`` come as dense matrices or as :class:`_SparseRows`,
+    and either form is converted to the one the rule picks.  The states
+    are written straight into the returned array; a blow-up is reported
+    at the first grid time with a non-finite state.
     """
     n = len(x0)
     phi = None
     # A's nonzeros bound phi's from below, so a dense A builds nothing sparse
-    if _sparse_pays(n, np.count_nonzero(a)):
-        phi, core = _step_maps(_SparseRows.from_dense(a), dt)
+    if _sparse_pays(n, np.count_nonzero(a.vals if isinstance(a, _SparseRows) else a)):
+        phi, core = _step_maps(_SparseRows.of(a), dt)
         if not _sparse_pays(n, phi.pairs):
             phi = None
     sparse = phi is not None
     if sparse:
         states = np.empty((len(grid), n))
         # the drive of each step is the zero-state march's next row
-        (core @ _SparseRows.from_dense(b)).map_rows(inputs[:-1], out=states[1:])
+        (core @ _SparseRows.of(b)).map_rows(inputs[:-1], out=states[1:])
     else:
-        phi, core = _step_maps(a, dt)
-        drive = inputs @ (core @ b).T
+        phi, core = _step_maps(np.asarray(a), dt)
+        drive = inputs @ (core @ np.asarray(b)).T
         # made after the maps' temporaries are freed: made first, the
         # states raised wide's peak memory by 3.7 MB in 4 of 6 runs
         states = np.empty((len(grid), n))
@@ -382,6 +418,19 @@ class _SparseRows:
         rows, cols = np.nonzero(a)
         return cls.from_triplets(rows, cols, a[rows, cols], a.shape)
 
+    @classmethod
+    def of(cls, a) -> "_SparseRows":
+        """``a`` itself, or the rows of a dense matrix."""
+        return a if isinstance(a, _SparseRows) else cls.from_dense(a)
+
+    @classmethod
+    def total(cls, terms) -> "_SparseRows":
+        """Sum of same-shape ``terms`` in one :meth:`from_triplets` pass:
+        ``bincount`` adds each entry's terms in the order given, so the sum
+        is bit for bit the left-to-right one, without a sort per ``+``."""
+        parts = zip(*(term.triplets() for term in terms))
+        return cls.from_triplets(*(np.concatenate(p) for p in parts), terms[0].shape)
+
     def identity(self) -> "_SparseRows":
         n = self.shape[0]
         return _SparseRows(np.arange(n)[:, None], np.ones((n, 1)), (n, n))
@@ -400,9 +449,9 @@ class _SparseRows:
         np.add.at(out, (rows, cols), vals)
         return out
 
-    def __add__(self, other: "_SparseRows") -> "_SparseRows":
-        both = zip(self.triplets(), other.triplets())
-        return _SparseRows.from_triplets(*(np.concatenate(p) for p in both), self.shape)
+    def __array__(self, dtype=None, copy=None) -> Matrix:
+        # np.asarray gives the dense matrix, for the dense form and oracles
+        return self.todense() if dtype is None else self.todense().astype(dtype)
 
     def __mul__(self, scalar: float) -> "_SparseRows":
         return _SparseRows(self.cols, self.vals * scalar, self.shape)
@@ -500,8 +549,17 @@ def refine_and_run(
     input is produced by its subsystem's interface from the local pair
     of states, the abstract signals it receives and its slice of
     ``uhat``.  Both networks advance together as one joint linear system,
-    assembled block by block (:func:`_joint_matrices`), which keeps the
-    refinement exactly synchronous.
+    which keeps the refinement exactly synchronous.
+
+    The joint ``A`` and ``B`` are built once, as the list of subsystem
+    blocks (:func:`_joint_blocks`), and the density rule on ``A``'s
+    nonzeros picks their form: written into dense zeros for a small or
+    dense system (every system under 235 states), or turned straight into
+    the sparse rows of :func:`_run_lti` otherwise, so no network-wide
+    dense matrix is formed.  The outputs come from the ``C_ext`` blocks
+    in the same form.  A deviation or output mismatch whose squares pass
+    the float range raises ``NumericsError`` naming it, rather than
+    reading as an infinite violation.
 
     Parameters
     ----------
@@ -523,18 +581,16 @@ def refine_and_run(
     RefinementRun
     """
     abstract_ic = compose_abstractions(concrete, abstractions)
-    mono_c = build_monolithic(concrete)
-    mono_a = build_monolithic(abstract_ic)
     names = tuple(concrete.names)
     if tuple(composed.names) != names:
         raise ValueError("composition and interconnection name orders differ")
     order = [abstractions[name] for name in names]
-    a_joint, b_joint = _joint_matrices(concrete, abstractions, abstract_ic, mono_c, mono_a)
-    n_hat, n = mono_a.n, mono_c.n
+    a_blocks, b_blocks = _joint_blocks(concrete, abstractions, abstract_ic)
+    n_hat, n = abstract_ic.state_offsets[-1], concrete.state_offsets[-1]
 
-    if uhat.width != b_joint.shape[1]:
+    if uhat.width != b_blocks.shape[1]:
         raise ValueError(
-            f"abstract input width {uhat.width}, expected {b_joint.shape[1]}"
+            f"abstract input width {uhat.width}, expected {b_blocks.shape[1]}"
         )
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     xhat0 = np.asarray(xhat0, dtype=float).reshape(-1)
@@ -547,26 +603,45 @@ def refine_and_run(
         if not np.isfinite(start).all():
             raise ValueError(f"initial state {label} has non-finite entries")
 
+    # the density rule on A's nonzeros picks the form of every joint matrix
+    sparse = _sparse_pays(a_blocks.shape[0], a_blocks.nonzeros())
+    form = _Blocks.rows if sparse else _Blocks.dense
     grid = time_grid(t_final, dt)
     states = _run_lti(
-        a_joint, b_joint, uhat.sample(grid), np.concatenate([xhat0, x0]), grid, dt
+        form(a_blocks), form(b_blocks), uhat.sample(grid), np.concatenate([xhat0, x0]),
+        grid, dt,
     )
 
     xhat_states = states[:, :n_hat]
     x_states = states[:, n_hat:]
-    yhat = xhat_states @ mono_a.C_ext.T
-    y = x_states @ mono_c.C_ext.T
-
-    v = np.empty((len(grid), len(order)))
-    for i, (name, res) in enumerate(zip(names, order)):
-        err = (
-            x_states[:, concrete.state_slice(name)]
-            - xhat_states[:, abstract_ic.state_slice(name)] @ res.simfn.P.T
+    # overflow is reported below, by name, once every quantity is formed
+    with np.errstate(over="ignore", invalid="ignore"):
+        yhat, y = (
+            _map_rows(form(_output_blocks(ic)), part)
+            for ic, part in ((abstract_ic, xhat_states), (concrete, x_states))
         )
-        quad = np.einsum("ti,ti->t", err @ res.simfn.M, err)
-        v[:, i] = np.sqrt(np.maximum(quad, 0.0))
-    v_composed = np.max(v * composed.weights[np.newaxis, :], axis=1)
-    mismatch = np.linalg.norm(yhat - y, axis=1)
+        v = np.empty((len(grid), len(order)))
+        for i, (name, res) in enumerate(zip(names, order)):
+            err = (
+                x_states[:, concrete.state_slice(name)]
+                - xhat_states[:, abstract_ic.state_slice(name)] @ res.simfn.P.T
+            )
+            quad = np.einsum("ti,ti->t", err @ res.simfn.M, err)
+            v[:, i] = np.sqrt(np.maximum(quad, 0.0))
+        v_composed = np.max(v * composed.weights[np.newaxis, :], axis=1)
+        mismatch = np.linalg.norm(yhat - y, axis=1)
+    # the states are finite (_run_lti), so a non-finite value here is a
+    # square or product beyond the float range, not a violated bound
+    for values, labels in (
+        (v, [f"deviation V_{name}" for name in names]),
+        (mismatch[:, np.newaxis], ["output mismatch"]),
+    ):
+        if not _finite(values):
+            row = np.argmin(_finite(values, axis=1))
+            raise NumericsError(
+                f"{labels[np.argmin(np.isfinite(values[row]))]} overflows the float range"
+                f" at t = {grid[row]:.6g}, with every state finite"
+            )
 
     return RefinementRun(
         names=names,
@@ -579,36 +654,109 @@ def refine_and_run(
     )
 
 
-def _joint_matrices(concrete: Interconnection, abstractions: dict[str, AbstractionResult],
-                    abstract_ic: Interconnection, mono_c: LinearSystem,
-                    mono_a: LinearSystem) -> tuple[Matrix, Matrix]:
-    """State and input matrices of the joint system: the abstract network
-    (flattened as ``mono_a``) stacked over its refined twin (``mono_c``).
+def _map_rows(m, x: np.ndarray) -> np.ndarray:
+    """``x @ m.T``, by the stored pairs when ``m`` is a :class:`_SparseRows`."""
+    if not isinstance(m, _SparseRows):
+        return x @ m.T
+    out = m.map_rows(x)
+    # a dense product sums from +0, so its zeros are never -0
+    out += 0.0
+    return out
 
-    Subsystem ``i``'s interface reads only its own states, the ``what_i``
-    it receives and its slice of ``uhat``, so its rows ``B_i u_i`` are
-    written one subsystem at a time, where the two layouts put them.
+
+@dataclass(frozen=True)
+class _Blocks:
+    """A matrix of the joint system as the blocks ``(row, column,
+    block)`` that a network's layout puts at ``[row:, column:]``, no two
+    overlapping, with zeros elsewhere.  Two consumers read the list:
+    :meth:`dense` writes the blocks into zeros, and :meth:`rows` turns
+    them into the (column, value) pairs of :class:`_SparseRows` without
+    forming the dense matrix."""
+
+    shape: tuple[int, int]
+    blocks: list
+
+    def nonzeros(self) -> int:
+        return sum(np.count_nonzero(block) for _, _, block in self.blocks)
+
+    def dense(self) -> Matrix:
+        out = np.zeros(self.shape)
+        for row, col, block in self.blocks:
+            out[row:row + block.shape[0], col:col + block.shape[1]] = block
+        return out
+
+    def rows(self) -> "_SparseRows":
+        """The blocks' entries as triplets, one stack of same-shape blocks
+        at a time; the exact zeros are left out, so the pairs are bit for
+        bit :meth:`_SparseRows.from_dense` of :meth:`dense`."""
+        stacks: dict[tuple, list] = {}
+        for block in self.blocks:
+            stacks.setdefault(block[2].shape, []).append(block)
+        parts = [(np.empty(0, int), np.empty(0, int), np.empty(0))]
+        for (height, width), members in stacks.items():
+            corners = np.array([(row, col) for row, col, _ in members])
+            vals = np.stack([block for _, _, block in members])
+            rows = corners[:, 0, None, None] + np.arange(height)[:, None]
+            cols = corners[:, 1, None, None] + np.arange(width)
+            parts.append((
+                np.broadcast_to(rows, vals.shape).ravel(),
+                np.broadcast_to(cols, vals.shape).ravel(),
+                vals.ravel(),
+            ))
+        return _SparseRows.from_triplets(*(np.concatenate(p) for p in zip(*parts)), self.shape)
+
+
+def _output_blocks(ic: Interconnection) -> _Blocks:
+    """The block-diagonal external output map of ``ic``'s stacked state."""
+    states, outputs = ic.state_offsets, ic.output_offsets
+    return _Blocks(
+        (outputs[-1], states[-1]),
+        [(outputs[i], states[i], sub.C_ext) for i, sub in enumerate(ic.subsystems)],
+    )
+
+
+def _joint_blocks(concrete: Interconnection, abstractions: dict[str, AbstractionResult],
+                  abstract_ic: Interconnection) -> tuple[_Blocks, _Blocks]:
+    """State and input matrices of the joint system, as subsystem blocks:
+    the abstract network stacked over its refined twin.
+
+    Each network contributes its subsystems' ``A`` on the diagonal, each
+    coupling ``D_i[:, channel from j] @ C_ji`` in its ``(i, j)`` block and
+    ``B_i`` in the abstract rows.  Subsystem ``i``'s interface reads only
+    its own states, the ``what_i`` it receives and its slice of
+    ``uhat``, so its terms ``B_i u_i`` are written one subsystem at a
+    time, where the two layouts put them.
     """
-    n_hat = mono_a.n
-    size = n_hat + mono_c.n
-    a = np.zeros((size, size))
-    a[:n_hat, :n_hat] = mono_a.A
-    a[n_hat:, n_hat:] = mono_c.A
-    b = np.zeros((size, mono_a.m))
-    b[:n_hat] = mono_a.B
-    states, inputs = concrete.state_offsets, abstract_ic.input_offsets
+    hat_states, inputs = abstract_ic.state_offsets, abstract_ic.input_offsets
+    states = [hat_states[-1] + offset for offset in concrete.state_offsets]
+    a, b = [], []
+
+    def couplings(ic, sub, offsets):
+        # (column, block) of each channel sub receives; each coupling is
+        # added onto zeros, as in a full-width sum, so zero signs match it
+        for ch in sub.channels_in:
+            j = ic.index(ch.source)
+            yield offsets[j], sub.d_block(ch.source) @ ic[ch.source].C_int[sub.name] + 0.0
+
+    for i, twin in enumerate(abstract_ic.subsystems):
+        row = hat_states[i]
+        a.append((row, row, twin.A))
+        a += [(row, col, block) for col, block in couplings(abstract_ic, twin, hat_states)]
+        b.append((row, inputs[i], twin.B))
     for i, sub in enumerate(concrete.subsystems):
         xhat_gain, x_gain, what_gain, uhat_gain = interface_gains(abstractions[sub.name].simfn)
-        rows = slice(n_hat + states[i], n_hat + states[i + 1])
-        a[rows, abstract_ic.state_slice(sub.name)] = sub.B @ xhat_gain
-        a[rows, rows] += sub.B @ x_gain
+        row = states[i]
+        a.append((row, row, sub.A + sub.B @ x_gain))
+        a += [(row, col, block) for col, block in couplings(concrete, sub, states)]
+        a.append((row, hat_states[i], sub.B @ xhat_gain))
         for ch in sub.channels_in:
-            a[rows, abstract_ic.state_slice(ch.source)] = sub.B @ (
+            a.append((row, hat_states[abstract_ic.index(ch.source)], sub.B @ (
                 what_gain[:, sub.channel_slice(ch.source)]
                 @ abstract_ic[ch.source].C_int[sub.name]
-            )
-        b[rows, inputs[i]:inputs[i + 1]] = sub.B @ uhat_gain
-    return a, b
+            )))
+        b.append((row, inputs[i], sub.B @ uhat_gain))
+    size = states[-1]
+    return _Blocks((size, size), a), _Blocks((size, inputs[-1]), b)
 
 
 def scalar_bound(v0: float, lam: float, rho: float, u_inf: float, times) -> np.ndarray:
@@ -748,7 +896,8 @@ def bound_report(
     ``v0`` overrides the initial composed deviation in the scalar
     bound (to evaluate the bound from a prescribed level rather than
     the realised start).  Supremum norms are taken over the supplied
-    samples, so the bounds are relative to the simulated horizon.
+    samples, so the bounds are relative to the simulated horizon; a sup
+    norm that overflows raises ``NumericsError`` naming it.
     """
     if tuple(run.names) != tuple(gm.names):
         raise ValueError("run and gain matrices order their subsystems differently")
@@ -758,14 +907,27 @@ def bound_report(
         raise ValueError(f"bound start level v0 must be finite, got {v0}")
     elif v0 < 0:
         raise ValueError(f"bound start level v0 must be nonnegative, got {v0}")
-    u_inf = uhat.sup_norm
+    # a finite input whose squares pass the float range has an infinite
+    # norm, which would read as a violated bound
+    with np.errstate(over="ignore"):
+        u_inf = uhat.sup_norm
+        block_norms = _block_sup_norms(uhat.values, run.input_offsets)
+    if not (np.isfinite(u_inf) and np.isfinite(block_norms).all()):
+        raise NumericsError(
+            "input sup norm overflows the float range: its largest entry is"
+            f" {np.abs(uhat.values).max():.6g}"
+        )
     scalar_samples = scalar_bound(v0, composed.lam, composed.rho, u_inf, run.times)
     margin = scalar_samples - run.mismatch
 
-    _, fixed_point = vector_bound(gm, _block_sup_norms(uhat.values, run.input_offsets))
-    transient = np.exp(-gm.lam[np.newaxis, :] * run.times[:, np.newaxis])
-    allowance = fixed_point[np.newaxis, :] + transient * run.v[0][np.newaxis, :]
-    vvec_margin = np.min(allowance - run.v, axis=0)
+    _, fixed_point = vector_bound(gm, block_norms)
+    # fixed point + exp(-lam t) v(0) - v, one steps x subsystems array
+    allowance = np.multiply(run.times[:, np.newaxis], -gm.lam)
+    np.exp(allowance, out=allowance)
+    allowance *= run.v[0]
+    allowance += fixed_point
+    allowance -= run.v
+    vvec_margin = np.min(allowance, axis=0)
 
     return BoundReport(
         names=tuple(run.names),
@@ -785,15 +947,20 @@ def bound_report(
 def _block_sup_norms(values: np.ndarray, offsets) -> np.ndarray:
     """Largest euclidean norm over the rows of each column block
     ``values[:, offsets[i]:offsets[i + 1]]``, 0 for an empty block, in
-    one pass over ``values``."""
+    one pass over ``values``, ``_GATHER_ROWS`` rows of squares at a time."""
     offsets = np.asarray(offsets)
     nonempty = np.diff(offsets) > 0
     norms = np.zeros(len(offsets) - 1)
     if nonempty.any():
-        # reduceat returns the entry at an offset equal to the next one,
-        # not 0, so the empty blocks are left out
-        squares = np.add.reduceat(values ** 2, offsets[:-1][nonempty], axis=1)
-        norms[nonempty] = np.sqrt(squares.max(axis=0))
+        squares = np.zeros(np.count_nonzero(nonempty))
+        for first in range(0, len(values), _GATHER_ROWS):
+            # reduceat returns the entry at an offset equal to the next
+            # one, not 0, so the empty blocks are left out
+            sums = np.add.reduceat(
+                values[first:first + _GATHER_ROWS] ** 2, offsets[:-1][nonempty], axis=1
+            )
+            np.maximum(squares, sums.max(axis=0), out=squares)
+        norms[nonempty] = np.sqrt(squares)
     return norms
 
 

@@ -817,6 +817,27 @@ def test_cli_rejects_a_horizon_too_long_to_hold(tmp_path, capsys, monkeypatch):
     assert "error: horizon 1000000000000000.0 in steps of size 1.0 needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("amplitude, quantity", [
+    (1e160, r"deviation V_s1 overflows the float range at t = 0\.001"),
+    (1e154, r"input sup norm overflows the float range: its largest entry is 1e\+154"),
+])
+def test_cli_names_a_norm_that_overflows_instead_of_a_violated_bound(
+    tmp_path, capsys, amplitude, quantity
+):
+    # the states stay finite, but the squares in a norm pass the float
+    # range: exit 3 naming the quantity, not an inf/nan bound VIOLATED
+    # (pytest turns numpy's overflow warnings into errors)
+    doc = demo_project()
+    doc["simulation"]["inputs"]["s1"]["amplitude"] = [amplitude] * 3
+    doc["simulation"]["t_final"] = 1.0
+    path = write_project(tmp_path, doc)
+    for command in (["bounds", path], ["simulate", path, "--out", str(tmp_path / "run.csv")]):
+        assert main(command) == 3
+        captured = capsys.readouterr()
+        assert re.fullmatch(f"error: {quantity}.*\n", captured.err), captured.err
+        assert "VIOLATED" not in captured.out and "nan" not in captured.out
+
+
 def test_cli_rejects_a_square_wave_far_below_the_step(tmp_path, capsys, monkeypatch):
     # a period of 1e-12 puts 4e13 switch times in the demo's 20 s: check
     # and bounds both reject it before any signal is built, naming them

@@ -13,10 +13,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from conftest import random_hurwitz, random_network
+from conftest import heterogeneous_ring, random_hurwitz, random_network
 from oracles import integrate
 from simcompose.abstraction import QuadraticSimFn, build_abstraction
-from simcompose.compose import GainMatrices, compose_simfn, gain_matrices, perron, small_gain
+from simcompose.cli import (
+    build_abstractions,
+    build_input_signal,
+    parse_project,
+    resolve_initial_states,
+    run_compose,
+)
+from simcompose.compose import (
+    GainMatrices,
+    compose_abstractions,
+    compose_simfn,
+    gain_matrices,
+    perron,
+    small_gain,
+)
 from simcompose.demo import (
     DEMO_INPUT_AMPLITUDE,
     DEMO_INPUT_PERIOD,
@@ -127,6 +141,25 @@ def test_signal_stack():
     assert Signal.zero(2).sup_norm == 0.0
 
 
+def test_signal_stack_matches_sampling_each_part_on_the_union():
+    # each part is filled from its own sample times; the reference samples
+    # it on the union of all of them, and the result is C-ordered as
+    # np.hstack makes it, bit for bit
+    rng = np.random.default_rng(98)
+    parts = [
+        Signal(np.cumsum(rng.uniform(0.1, 1.0, k)) - rng.uniform(0.0, 1.0),
+               rng.standard_normal((k, width)))
+        for k, width in [(1, 2), (5, 1), (3, 0), (7, 3), (1, 1)]
+    ]
+    parts.append(Signal(parts[3].times[1:4], rng.standard_normal((3, 2))))
+    stacked = Signal.stack(parts)
+    times = np.unique(np.concatenate([p.times for p in parts]))
+    want = np.hstack([p.sample(times) for p in parts])
+    assert np.array_equal(stacked.times, times)
+    assert stacked.values.tobytes() == want.tobytes()
+    assert stacked.values.flags.c_contiguous
+
+
 def test_time_grid():
     grid = time_grid(1.0, 0.25)
     assert np.allclose(grid, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -162,9 +195,12 @@ def test_trajectory_accepts_its_own_long_grid_and_rejects_a_moved_point():
 
 def test_block_sup_norms_match_the_loop_over_blocks():
     # empty blocks first, between and last read 0; the others match the
-    # per-block norms to the rounding of the reordered sums
+    # per-block norms to the rounding of the reordered sums.  Both norms
+    # square _GATHER_ROWS rows at a time, and per row those are the
+    # whole-array sums, so the maxima are the same bits
     rng = np.random.default_rng(97)
-    values = rng.standard_normal((50, 9)) * 10.0 ** rng.uniform(-3, 3, 9)
+    rows = 2 * simulate._GATHER_ROWS + 7
+    values = rng.standard_normal((rows, 9)) * 10.0 ** rng.uniform(-3, 3, 9)
     offsets = [0, 0, 2, 2, 3, 7, 9, 9]
     want = [
         np.max(np.linalg.norm(values[:, lo:hi], axis=1)) if hi > lo else 0.0
@@ -173,6 +209,11 @@ def test_block_sup_norms_match_the_loop_over_blocks():
     got = simulate._block_sup_norms(values, offsets)
     assert got.shape == (7,) and got[[0, 2, 6]].tolist() == [0.0, 0.0, 0.0]
     assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+    whole = np.add.reduceat(values ** 2, [0, 2, 3, 7], axis=1).max(axis=0)
+    assert got[[1, 3, 4, 5]].tobytes() == np.sqrt(whole).tobytes()
+    assert Signal(np.arange(len(values)), values).sup_norm == np.max(
+        np.linalg.norm(values, axis=1)
+    )
     assert simulate._block_sup_norms(values[:, :0], [0, 0]).tolist() == [0.0]
 
 
@@ -434,9 +475,7 @@ def test_joint_matrices_match_the_dense_formula(max_width, max_inputs):
     for _ in range(20):
         ic = random_network(rng, max_width, max_inputs=max_inputs)
         abstractions, abstract_ic = random_twins(rng, ic, sparse_p=exact)
-        a, b = simulate._joint_matrices(
-            ic, abstractions, abstract_ic, build_monolithic(ic), build_monolithic(abstract_ic)
-        )
+        a, b = (part.dense() for part in simulate._joint_blocks(ic, abstractions, abstract_ic))
         parts = dense_parts(ic, abstractions, abstract_ic)
         ref_a, ref_b = dense_joint(*parts)
         assert a.shape == ref_a.shape and b.shape == ref_b.shape
@@ -448,6 +487,116 @@ def test_joint_matrices_match_the_dense_formula(max_width, max_inputs):
             scale = max(np.abs(m).max(initial=1.0) for m in dense_joint(*map(np.abs, parts)))
             assert np.abs(a - ref_a).max() <= 8 * eps * scale
             assert np.abs(b - ref_b).max(initial=0.0) <= 8 * eps * scale
+
+
+@pytest.fixture(scope="module")
+def hetero_ring():
+    """Arguments of refine_and_run for ``conftest.heterogeneous_ring`` of
+    300 nodes over 1 001 steps of 0.01, started off zero (node 0 at -0)."""
+    doc = heterogeneous_ring(np.random.default_rng(53), 300)
+    xhat0 = np.random.default_rng(54).uniform(-1.0, 1.0, 300)
+    xhat0[0] = -0.0
+    doc["simulation"].update(t_final=10.0, xhat0=xhat0.tolist())
+    project = parse_project(doc)
+    results = build_abstractions(project)
+    _, _, composed = run_compose(project, results)
+    uhat = build_input_signal(project, results, 10.0)
+    xhat0, x0 = resolve_initial_states(project, results)
+    return (project.interconnection, results, composed, x0, xhat0, uhat, 10.0, 0.01)
+
+
+def assembly_cases(hetero_ring):
+    """(interconnection, abstractions, abstract twin) on random networks
+    of both parametrizations and on the heterogeneous ring."""
+    for max_width, max_inputs in [(1, 1), (3, 2)]:
+        rng = np.random.default_rng(61 + max_width)
+        for _ in range(10):
+            ic = random_network(rng, max_width, max_inputs=max_inputs)
+            abstractions, abstract_ic = random_twins(rng, ic, sparse_p=max_width == 1)
+            yield ic, abstractions, abstract_ic
+    ic, results = hetero_ring[:2]
+    yield ic, results, compose_abstractions(ic, results)
+
+
+def test_sparse_joint_system_from_blocks_matches_the_dense_one(hetero_ring):
+    # the triplets of the blocks, with the exact zeros left out, are the
+    # pairs of the dense joint matrices, byte for byte, and the density
+    # rule reads the same nonzero count from both
+    for ic, abstractions, abstract_ic in assembly_cases(hetero_ring):
+        a, b = simulate._joint_blocks(ic, abstractions, abstract_ic)
+        for part in (a, b):
+            dense = part.dense()
+            got, want = part.rows(), simulate._SparseRows.from_dense(dense)
+            assert got.shape == want.shape == dense.shape
+            assert got.cols.tobytes() == want.cols.tobytes()
+            assert got.vals.tobytes() == want.vals.tobytes()
+            assert part.nonzeros() == np.count_nonzero(dense) == np.count_nonzero(got.vals)
+        n = a.shape[0]
+        assert simulate._sparse_pays(n, a.nonzeros()) == simulate._sparse_pays(
+            n, np.count_nonzero(a.dense())
+        )
+    # the ring's matrices are the dense formula's (every product there
+    # has one nonzero term), and its joint system takes the sparse form
+    ic, results = hetero_ring[:2]
+    abstract_ic = compose_abstractions(ic, results)
+    a, b = simulate._joint_blocks(ic, results, abstract_ic)
+    ring_a, ring_b = dense_joint(*dense_parts(ic, results, abstract_ic))
+    assert np.array_equal(a.dense(), ring_a) and np.array_equal(b.dense(), ring_b)
+    assert a.shape == (1200, 1200) and simulate._sparse_pays(1200, a.nonzeros())
+
+
+def test_run_lti_receives_the_ring_as_sparse_rows_and_the_demo_dense(monkeypatch, hetero_ring):
+    calls = []
+
+    def recording(*args):
+        calls.append(args[:2])
+        return _run_lti(*args)
+
+    monkeypatch.setattr(simulate, "_run_lti", recording)
+    demo_pipeline(t_final=0.01)
+    refine_and_run(*hetero_ring[:6], 0.05, 0.01)
+    (demo_a, demo_b), (ring_a, ring_b) = calls
+    assert type(demo_a) is np.ndarray and demo_a.shape == (14, 14)
+    assert type(demo_b) is np.ndarray and demo_b.shape == (14, 8)
+    assert isinstance(ring_a, simulate._SparseRows) and ring_a.shape == (1200, 1200)
+    assert isinstance(ring_b, simulate._SparseRows) and ring_b.shape[0] == 1200
+
+
+def test_refine_and_run_transient_is_no_larger_than_the_run_it_returns(hetero_ring):
+    # beyond the arrays of the run it returns, refine_and_run holds at
+    # most as much again: the joint system is never formed densely.  The
+    # sparse step maps' own transient (about 5 MB here, the sort of their
+    # product terms) does not grow with the horizon, so the run is long
+    # enough (1 001 steps) for the states to outweigh it
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run = refine_and_run(*hetero_ring)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    arrays = [
+        run.times, run.abstract.states, run.concrete.states, run.abstract.outputs,
+        run.concrete.outputs, run.v, run.v_composed, run.mismatch,
+    ]
+    owners = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
+              for a in arrays}
+    returned = sum(owner.nbytes for owner in owners.values())
+    assert run.concrete.states.shape == (1001, 900)
+    assert peak - returned <= returned
+
+
+def test_sparse_outputs_match_the_dense_product(hetero_ring):
+    # the ring's outputs come from the C_ext blocks, one stored pair per
+    # row: bit for bit the dense product of the flattened networks, zero
+    # signs included (node 0 starts at -0)
+    ic, results = hetero_ring[:2]
+    run = refine_and_run(*hetero_ring[:6], 0.05, 0.01)
+    assert np.signbit(run.abstract.states[0, 0]) and not np.signbit(run.abstract.outputs[0, 0])
+    for traj, net in ((run.concrete, ic), (run.abstract, compose_abstractions(ic, results))):
+        want = traj.states @ build_monolithic(net).C_ext.T
+        assert traj.outputs.tobytes() == want.tobytes()
 
 
 def test_demo_run_respects_scalar_and_vector_bounds():
@@ -1098,6 +1247,32 @@ def test_sparse_attempt_with_a_hub_row_falls_back_to_the_dense_form(monkeypatch)
         a, b, rng.standard_normal((len(grid), 1)), rng.standard_normal(n), grid, 1e-2
     )
     assert forms == ["sparse", "dense"]
+
+
+def test_sparse_total_matches_the_left_to_right_sum():
+    # one from_triplets pass over all terms gives the bits of the sum
+    # formed one + at a time, each + a from_triplets pass of its own
+    rng = np.random.default_rng(429)
+
+    def plus(x, y):
+        both = zip(x.triplets(), y.triplets())
+        return simulate._SparseRows.from_triplets(*(np.concatenate(p) for p in both), x.shape)
+
+    for _ in range(20):
+        terms = []
+        for _ in range(5):
+            mat = rng.standard_normal((30, 30)) * (rng.uniform(size=(30, 30)) < 0.2)
+            mat[rng.uniform(size=(30, 30)) < 0.05] = 1.0
+            terms.append(simulate._SparseRows.from_dense(mat * 10.0 ** rng.integers(-3, 4)))
+        # entries that cancel exactly are dropped between two + and
+        # cancel to zero in the one pass
+        terms.insert(1, -1.0 * terms[0])
+        want = terms[0]
+        for term in terms[1:]:
+            want = plus(want, term)
+        got = simulate._SparseRows.total(terms)
+        assert got.cols.tobytes() == want.cols.tobytes()
+        assert got.vals.tobytes() == want.vals.tobytes()
 
 
 def test_sparse_rows_pad_with_the_rows_own_column():
