@@ -39,12 +39,7 @@ from .simulate import (
     scalar_bound,
     vector_bound,
 )
-from .systems import (
-    Interconnection,
-    InternalChannel,
-    LinearSystem,
-    build_monolithic,
-)
+from .systems import Interconnection, InternalChannel, LinearSystem
 
 __version__ = "0.1.0"
 
@@ -68,7 +63,6 @@ __all__ = [
     "Trajectory",
     "bound_report",
     "build_abstraction",
-    "build_monolithic",
     "certificate_slacks",
     "check_P_conditions",
     "compose_abstractions",

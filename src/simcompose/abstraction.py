@@ -16,17 +16,17 @@ The unit of certification is a stack: subsystems of one shape (state,
 input, disturbance and abstract sizes, output block rows, and whether
 the certificate is computed or injected) are checked and certified
 together, each ``numpy.linalg`` routine called once for the whole stack
-(:mod:`~simcompose.linalg`). The three entry points,
-:func:`build_abstraction`, :func:`check_P_conditions` and
-:func:`decay_certificate`, take one subsystem or a stack; every routine
-they call takes stacks only, one subsystem as a stack of one. Steps that
-depend on a member's data (its ranks, its PBH pencils, its iteration
-counts) run on the members they concern, so every member's numbers are
-those it gets alone. A stack is certified whole or not at all: a member
-that fails makes the stack raise the error that member raises alone.
-``cli.certify`` certifies the halves of a failed stack again to give
-each member its own outcome; ``cli.build_abstractions`` stops at its
-first failing member.
+(:mod:`~simcompose.linalg`). Every certification function takes stacks
+only (a sequence of same-shape subsystems, 3-D stacks of matrices, a
+list of output block stacks), one subsystem as a stack of one, and
+returns one result per member. Steps that depend on a member's data
+(its ranks, its PBH pencils, its iteration counts) run on the members
+they concern, so every member's numbers are those it gets alone. A
+stack is certified whole or not at all: a member that fails makes the
+stack raise the error that member raises alone. ``cli.certify``
+certifies the halves of a failed stack again to give each member its
+own outcome; ``cli.build_abstractions`` stops at its first failing
+member.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .linalg import (
     Matrix,
     NumericsError,
     as_matrix,
-    as_stack,
     by_shape,
     check_spd,
     least_squares,
@@ -151,21 +150,14 @@ class AbstractionResult:
     conditions: PConditionReport
 
 
-def _output_blocks(c, n: int) -> list[Matrix]:
-    """Nonempty blocks of ``c``, each with ``n`` columns: ``c`` is one matrix
-    (an array or a nested list of numbers) or a list of 2-D blocks. A 1-D
-    matrix is one output row, as :class:`LinearSystem` reads ``C_ext``."""
-    if not (isinstance(c, (list, tuple)) and any(np.ndim(b) == 2 for b in c)):
-        c = [c]
-    rows = [np.reshape(b, (1, -1)) if np.ndim(b) == 1 and np.size(b) else b for b in c]
-    blocks = [as_matrix(b, "c") for b in rows]
+def _check_widths(blocks, n: int) -> None:
+    """Reject output block stacks whose members do not have ``n`` columns."""
     for block in blocks:
-        if block.shape[0] and block.shape[1] != n:
-            raise ValueError(f"output block has {block.shape[1]} columns, expected {n}")
-    return [b for b in blocks if b.shape[0]]
+        if block.shape[-1] != n:
+            raise ValueError(f"output block has {block.shape[-1]} columns, expected {n}")
 
 
-def _system_stack(systems) -> tuple[Matrix, Matrix, Matrix, list[Matrix]]:
+def system_stack(systems) -> tuple[Matrix, Matrix, Matrix, list[Matrix]]:
     """``A``, ``B``, ``D`` and the output blocks of same-shape subsystems,
     each stacked over the subsystems."""
     blocks = [sys.output_blocks() for sys in systems]
@@ -183,8 +175,9 @@ def _system_stack(systems) -> tuple[Matrix, Matrix, Matrix, list[Matrix]]:
     )
 
 
-def decay_certificate(a, b, c, pbh=None):
-    """Compute ``(M, K1, lam)`` certifying exponential deviation decay.
+def decay_certificate(a, b, blocks, pbh=None):
+    """Compute the stacks ``(M, K1, lam)`` certifying exponential
+    deviation decay of each member of the stacks ``a`` and ``b``.
 
     ``K1`` stabilizes ``(a, b)``; ``lam`` is half the closed-loop decay
     margin, read from the spectral abscissa :func:`stabilize` accepted;
@@ -193,20 +186,15 @@ def decay_certificate(a, b, c, pbh=None):
 
         (a + b K1)^T M + M (a + b K1) <= -2 lam M.
 
-    ``c`` may be a single output matrix or a list of blocks; the scaling
-    uses the worst block. The 1 percent headroom keeps both inequalities
-    strictly satisfied under roundoff. ``pbh`` is the PBH verdict on
-    ``(a, b)`` when the caller already has it (see :func:`stabilize`).
-
-    For a stack, ``a`` and ``b`` are stacks, ``c`` a list of block stacks
-    and ``pbh`` a pair of per-member sequences; the stack raises the
-    error of its first failing member. ``pbh`` goes with the stack form
-    only.
+    ``blocks`` is the list of output block stacks; the scaling uses each
+    member's worst block. The 1 percent headroom keeps both inequalities
+    strictly satisfied under roundoff. ``pbh`` is the PBH verdicts and
+    witnesses on ``(a, b)``, a pair of per-member sequences, when the
+    caller already has them (see :func:`stabilize`). The stack raises
+    the error of its first failing member.
     """
-    single = np.ndim(a) != 3
-    a, b = as_stack(a, "a"), as_stack(b, "b")
     count, n = a.shape[0], a.shape[-1]
-    blocks = [blk[np.newaxis] for blk in _output_blocks(c, n)] if single else list(c)
+    _check_widths(blocks, n)
     k1, abscissa = stabilize(a, b, pbh=pbh)
     lam = 0.5 * np.abs(abscissa)
     m0 = solve_lyapunov(
@@ -228,49 +216,25 @@ def decay_certificate(a, b, c, pbh=None):
         squared = np.array([norm ** 2 for norm in spectral_norm(z).tolist()])
         scale = np.where(squared > scale, squared, scale)
     m = (1.01 * scale)[:, None, None] * m0
-    return (m[0], k1[0], float(lam[0])) if single else (m, k1, lam)
+    return m, k1, lam
 
 
-def certificate_slacks(a, b, c, m, k1, lam) -> tuple[float, float]:
-    """Worst eigenvalue slacks of the two certificate inequalities.
+def certificate_slacks(a, b, blocks, m, k1, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Worst eigenvalue slacks of the two certificate inequalities, one
+    pair per member of the stacks.
 
     Returns ``(output_slack, decay_slack)``; both must be >= 0 for an
     exact certificate, and >= -tol for an acceptable one. ``output_slack``
     is the most negative eigenvalue of ``M - Cb^T Cb`` over the output
-    blocks, ``decay_slack`` the negated largest eigenvalue of
-    ``(a + b k1)^T M + M (a + b k1) + 2 lam M``; a slack is nan where
-    its matrix is not finite. An ``M`` that is not symmetric positive
-    semidefinite rejects the certificate (:func:`_check_m`).
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    m = _check_m(as_matrix(m, "M")[np.newaxis], ["certificate rejected"])
-    k1 = as_matrix(k1, "K1")
-    blocks = [blk[np.newaxis] for blk in _output_blocks(c, a.shape[0])]
-    slacks = _slacks(a[np.newaxis], b[np.newaxis], blocks, m, k1[np.newaxis],
-                     np.array([lam], dtype=float))
-    return float(slacks[0][0]), float(slacks[1][0])
-
-
-def _check_m(m: np.ndarray, rejected) -> np.ndarray:
-    """:func:`~simcompose.linalg.check_spd` of a stack of certificate
-    ``M``: one that is not symmetric positive semidefinite rejects its
-    certificate, a ``NumericsError`` that starts with its ``rejected``."""
-    try:
-        return check_spd(m, [f"{start}: M" for start in rejected])
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:
-        raise NumericsError(str(exc)) from None
-
-
-def _slacks(a, b, blocks, m, k1, lam) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`certificate_slacks` of validated stacks, one pair per member.
-
-    A slack is nan where its inequality matrices are not finite (an
-    overflowing ``lam``, say); their eigenvalues are not taken.
+    block stacks ``blocks``, ``decay_slack`` the negated largest
+    eigenvalue of ``(a + b k1)^T M + M (a + b k1) + 2 lam M``, with one
+    rate ``lam`` per member. A slack is nan where its matrix is not
+    finite (an overflowing ``lam``, say); its eigenvalues are not taken.
+    ``M`` is read as symmetric: :func:`check_certificate` is the test
+    that rejects one that is not symmetric positive semidefinite.
     """
     count, n = m.shape[0], m.shape[-1]
+    _check_widths(blocks, n)
     if not n:
         return np.zeros(count), np.zeros(count)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,17 +282,34 @@ def _require_slacks(slacks: tuple[float, float], tol: float, cause: str = "",
         )
 
 
-def check_certificate(a, b, c, m, k1, lam, tol: float) -> None:
-    """Raise ``NumericsError`` if either certificate inequality is
-    violated by more than ``tol`` (absolute eigenvalue slack) or ``m`` is
-    not symmetric positive semidefinite: the test
-    :func:`build_abstraction` applies to a certificate, run without the
-    construction."""
-    _require_slacks(certificate_slacks(a, b, c, m, k1, lam), tol)
+def check_certificate(a, b, blocks, m, k1, lam, tol: float,
+                      rejected=None, cause: str = "") -> np.ndarray:
+    """The certificate test, on stacks: a member's certificate is
+    rejected unless its ``m`` is symmetric positive semidefinite and
+    both inequalities (:func:`certificate_slacks`) hold to ``tol``
+    (absolute eigenvalue slack).
+
+    Returns the symmetrized stack ``m``, or raises the ``NumericsError``
+    of the first failing member. Its message starts with the member's
+    text in ``rejected`` ("certificate rejected" for every member by
+    default), and a slack rejection ends with ``cause``.
+    """
+    starts = ["certificate rejected"] * len(m) if rejected is None else rejected
+    try:
+        m = check_spd(m, [f"{start}: M" for start in starts])
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise NumericsError(str(exc)) from None
+    slacks = certificate_slacks(a, b, blocks, m, k1, lam)
+    for start, pair in zip(starts, zip(*(s.tolist() for s in slacks))):
+        _require_slacks(pair, tol, cause, start)
+    return m
 
 
-def check_P_conditions(sys, p):
-    """Check the four conditions an injection ``P`` must satisfy.
+def check_P_conditions(systems, p):
+    """Check the four conditions an injection ``P`` must satisfy, for
+    each of the same-shape ``systems`` and its member of the stack ``p``.
 
     1. ``(A, B)`` stabilizable;
     2. ``A (im P)`` inside ``im P + im B``;
@@ -341,19 +322,15 @@ def check_P_conditions(sys, p):
     raises ``ValueError``. Its rank is decided at the package cutoff
     :func:`~simcompose.linalg.rank_tol`.
 
-    ``sys`` may be a sequence of same-shape subsystems and ``p`` the
-    stack of their injections: then returns the list of their reports,
-    or raises the error of the first member whose ``P`` is rejected.
+    Returns the list of the members' reports, or raises the error of
+    the first member whose ``P`` is rejected.
     """
-    single = isinstance(sys, LinearSystem)
-    systems = [sys] if single else list(sys)
-    p = as_stack(p, "P")
     n = systems[0].n
     if p.shape[-2] != n:
         raise ValueError(f"P must have {n} rows, got {p.shape[-2:]}")
     if not p.shape[-1]:
         raise ValueError("P has no columns: an abstraction needs at least one state")
-    a, b, d, blocks = _system_stack(systems)
+    a, b, d, blocks = system_stack(systems)
     norm_p = spectral_norm(p)
     im_p = image(p, tol=rank_tol(p, norm_p))
     if any(space.dim < p.shape[-1] for space in im_p):
@@ -372,7 +349,7 @@ def check_P_conditions(sys, p):
         residual_ok(inv_res, norm_a).tolist(),
         residual_ok(dist_res, norm_d).tolist(),
     )
-    reports = [
+    return [
         PConditionReport(
             n=n,
             stabilizable=stab[j],
@@ -391,7 +368,6 @@ def check_P_conditions(sys, p):
         )
         for j in range(len(systems))
     ]
-    return reports[0] if single else reports
 
 
 def _left_inverse_through_kernel(p: np.ndarray, reports: list):
@@ -443,8 +419,9 @@ def _splitting(p, k, o):
     )
 
 
-def build_abstraction(sys, p, certificate=None):
-    """Construct the abstract twin of ``sys`` along the injection ``p``.
+def build_abstraction(systems, p, certificates=None):
+    """Construct the abstract twin of each of the same-shape ``systems``
+    along its member of the stack of injections ``p``.
 
     Solves ``A P = P Ahat + B K2`` and ``D = P Dhat + B K3`` in the
     least-squares sense (exact when the conditions hold), sets
@@ -454,17 +431,15 @@ def build_abstraction(sys, p, certificate=None):
 
     Parameters
     ----------
-    certificate : optional ``(M, K1, lam)``
-        Injected deviation certificate. When omitted one is computed;
-        injected certificates are verified at the loose tolerance
-        appropriate for rounded published data.
+    certificates : optional, one ``(M, K1, lam)`` per member
+        Injected deviation certificates, all of one shape. When omitted
+        every certificate is computed; injected certificates are
+        verified at the loose tolerance appropriate for rounded
+        published data.
 
-    A stack is certified in one pass: ``sys`` is then a sequence of
-    same-shape subsystems, ``p`` the stack of their injections and
-    ``certificate`` ``None`` (every certificate computed) or one injected
-    certificate per member, all of one shape. Returns the list of their
-    results, or raises the error of its first failing member, with the
-    message that member gets alone.
+    The stack is certified in one pass. Returns the list of the
+    members' results, or raises the error of its first failing member,
+    with the message that member gets alone.
 
     Raises
     ------
@@ -473,19 +448,14 @@ def build_abstraction(sys, p, certificate=None):
     NumericsError
         If the certificate or the construction identities fail.
     """
-    single = isinstance(sys, LinearSystem)
-    systems = [sys] if single else list(sys)
-    if single and certificate is not None:
-        certificate = [certificate]
-    p = as_stack(p, "P")
     reports = check_P_conditions(systems, p)
     for sub, report in zip(systems, reports):
         if not report.ok:
             raise ValueError(
                 f"injection conditions failed for {sub.name}: " + "; ".join(report.lines())
             )
-    a, b, d, blocks = _system_stack(systems)
-    if certificate is None:
+    a, b, d, blocks = system_stack(systems)
+    if certificates is None:
         m, k1, lam = decay_certificate(
             a, b, blocks,
             pbh=([r.stabilizable for r in reports], [r.witness for r in reports]),
@@ -498,24 +468,22 @@ def build_abstraction(sys, p, certificate=None):
             " inequality"
         )
     else:
-        m = stack([as_matrix(cert[0], "M") for cert in certificate])
-        k1 = stack([as_matrix(cert[1], "K1") for cert in certificate])
-        lam = np.array([float(cert[2]) for cert in certificate])
+        m = stack([as_matrix(cert[0], "M") for cert in certificates])
+        k1 = stack([as_matrix(cert[1], "K1") for cert in certificates])
+        lam = np.array([float(cert[2]) for cert in certificates])
+        n, m_in = a.shape[-1], b.shape[-1]
+        if k1.shape[1:] != (m_in, n):
+            raise ValueError(
+                f"{systems[0].name}: K1 has shape {k1.shape[1:]}, expected ({m_in}, {n})"
+            )
         tol = INJECTED_CERT_TOL
         cause = ""
-    rejected = [f"certificate rejected for {sub.name}" for sub in systems]
-    # the one symmetry and definiteness check of M: the slacks, K4 and
-    # every mu below work on this M and on its one square root
-    m = _check_m(m, rejected)
-    n, m_in = a.shape[-1], b.shape[-1]
-    if k1.shape[1:] != (m_in, n):
-        raise ValueError(
-            f"{systems[0].name}: K1 has shape {k1.shape[1:]}, expected ({m_in}, {n})"
-        )
-    for start, slacks in zip(rejected, zip(*(s.tolist() for s in _slacks(
-        a, b, blocks, m, k1, lam
-    )))):
-        _require_slacks(slacks, tol, cause, start)
+    # the one symmetry and definiteness check of M: K4 and every mu
+    # below work on this M and on its one square root
+    m = check_certificate(
+        a, b, blocks, m, k1, lam, tol,
+        [f"certificate rejected for {sub.name}" for sub in systems], cause,
+    )
 
     nhat = p.shape[-1]
     # one SVD of [P, B] serves both identities
@@ -561,7 +529,7 @@ def build_abstraction(sys, p, certificate=None):
             system=abstract, simfn=simfn, gains=gains, phat=phat[j], e=e[j], f=f[j],
             conditions=reports[j],
         ))
-    return results[0] if single else results
+    return results
 
 
 def compute_k4(m, p, bhat, b, root=None):

@@ -29,6 +29,7 @@ from .abstraction import (
     check_certificate,
     check_P_conditions,
     compute_k4,
+    system_stack,
 )
 from .compose import (
     SmallGainError,
@@ -422,12 +423,14 @@ def _stacks(project: Project) -> list[list]:
     return list(groups.values())
 
 
-def _attempt(members) -> list | Exception:
-    """:func:`build_abstraction` of the members as one stack: their
-    abstractions, or the error the stack raised. A ``LinAlgError``
-    propagates."""
+def _attempt(test, members) -> list | Exception:
+    """``test`` of the members as one stack, called with their
+    subsystems, the stack of their injections and their certificates
+    (``None`` when computed): its outcome for each member, or the error
+    the stack raised. A ``LinAlgError`` is a numerical failure, not a
+    member's verdict, and propagates."""
     try:
-        return build_abstraction(
+        return test(
             [sub for sub, _, _ in members],
             stack([p for _, p, _ in members]),
             None if members[0][2] is None else [cert for _, _, cert in members],
@@ -455,7 +458,7 @@ def _certify_stack(members):
     halves, left first: one failing member among N costs about 2 log2 N
     stacks, where a retry member by member would cost N, and a caller
     that stops at the first error costs at most 2 ceil(log2 N) + 1."""
-    outcome = _attempt(members)
+    outcome = _attempt(build_abstraction, members)
     if not isinstance(outcome, Exception):
         yield from outcome
     elif len(members) == 1:
@@ -549,31 +552,46 @@ def _fmt_matrix(a) -> str:
     return "[" + "; ".join(", ".join(_fmt(x) for x in row) for row in a) + "]"
 
 
-def _check_stack(members) -> list:
-    """:func:`check_P_conditions` of the members as one stack: their
-    reports, or, if the stack raises, each member's report or
-    ``ValueError`` from a call of its own."""
-    try:
-        return check_P_conditions([sub for sub, _, _ in members], stack([p for _, p, _ in members]))
-    except ValueError as exc:
-        if len(members) == 1:
-            return [exc]
-        return [outcome for member in members for outcome in _check_stack([member])]
+def _check_stack(test, members) -> list:
+    """``test`` of the members as one stack (:func:`_attempt`): its
+    outcomes, or, if the stack raises, each member's outcome or error
+    from a call of its own."""
+    outcome = _attempt(test, members)
+    if not isinstance(outcome, Exception):
+        return outcome
+    if len(members) == 1:
+        return [outcome]
+    return [outcome for member in members for outcome in _check_stack(test, [member])]
+
+
+def _certificates(systems, _, certificates) -> list:
+    """:func:`check_certificate` of injected ``certificates`` as one
+    stack, the test ``bounds`` applies: ``None`` for each member, as
+    each passes or has none."""
+    if certificates is not None:
+        a, b, _, blocks = system_stack(systems)
+        m, k1, lam = zip(*certificates)
+        check_certificate(a, b, blocks, stack(m), stack(k1), np.array(lam), INJECTED_CERT_TOL)
+    return [None] * len(systems)
 
 
 def cmd_check(args) -> int:
     project = load_project(args.file)
     ic = project.interconnection
     print(f"interconnection: {len(ic.subsystems)} subsystems, wiring ok")
-    reports = {
-        sub.name: report
+    outcomes = {
+        sub.name: outcome
         for members in _stacks(project)
-        for (sub, _, _), report in zip(members, _check_stack(members))
+        for (sub, _, _), *outcome in zip(
+            members,
+            _check_stack(lambda systems, p, _: check_P_conditions(systems, p), members),
+            _check_stack(_certificates, members),
+        )
     }
     all_ok = True
     for sub in ic.subsystems:
-        report = reports[sub.name]
-        if isinstance(report, ValueError):
+        report, rejected = outcomes[sub.name]
+        if isinstance(report, Exception):
             all_ok = False
             print(f"{sub.name}: injection rejected: {report}")
             continue
@@ -587,14 +605,9 @@ def cmd_check(args) -> int:
         for line in report.lines()[1:]:
             print(f"  {line}")
         all_ok = all_ok and report.ok
-        # the test bounds applies to an injected certificate
-        cert = project.directives[sub.name].certificate
-        if cert is not None:
-            try:
-                check_certificate(sub.A, sub.B, sub.output_blocks(), *cert, INJECTED_CERT_TOL)
-            except (ValueError, NumericsError) as exc:
-                all_ok = False
-                print(f"{sub.name}: {exc}")
+        if rejected is not None:
+            all_ok = False
+            print(f"{sub.name}: {rejected}")
     print("check:", "pass" if all_ok else "FAIL")
     return 0 if all_ok else 1
 

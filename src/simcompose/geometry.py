@@ -4,7 +4,8 @@ intersections and invariant hulls.
 A subspace is represented by an orthonormal basis (columns) plus the
 tolerance it was computed at. Tolerances travel with the subspace and
 are never re-derived from the basis, so containment decisions stay
-consistent across composite operations.
+consistent across composite operations. :class:`Subspace` holds a basis
+and does no arithmetic of its own.
 
 :func:`image` and :func:`kernel` take stacks of matrices only and give
 one subspace per member, each at its own rank; :func:`residuals`,
@@ -12,7 +13,7 @@ one subspace per member, each at its own rank; :func:`residuals`,
 one per member, and stack the members of equal dimensions into one call
 (:func:`~simcompose.linalg.by_shape`). One matrix is passed as a stack
 of one (a bare matrix raises ``ValueError``), and one subspace as a
-sequence of one.
+sequence of one: ``residuals([space], x[np.newaxis])[0]``.
 """
 
 from __future__ import annotations
@@ -43,17 +44,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def residual(self, x) -> float:
-        """Largest distance of the given columns from the subspace."""
-        return float(residuals([self], as_matrix(x, "x")[np.newaxis])[0])
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        return sums([self], [other])[0]
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection, computed from the kernel of the stacked bases."""
-        return intersections([self], [other])[0]
 
 
 def zero_subspace(ambient: int, tol: float | None = None) -> Subspace:
@@ -181,7 +171,7 @@ def minimal_invariant(a, seed: Subspace) -> Subspace:
     for _ in range(n + 1):
         if not current.dim:
             return current
-        grown = current.sum(image((a @ current.basis)[np.newaxis], tol=current.tol)[0])
+        grown = sums([current], image((a @ current.basis)[np.newaxis], tol=current.tol))[0]
         if grown.dim == current.dim:
             return grown
         current = grown

@@ -10,18 +10,19 @@ square roots, and a minimum-norm least-squares solver.
 The unit of work is a stack: same-shape matrices along a leading axis,
 which each ``numpy.linalg`` routine processes in one call, with the
 same LAPACK result for every member as alone. Every numerical routine
-here takes stacks only and returns one value per member; one matrix is passed as a
-stack of one (``a[np.newaxis]``), a view of the same memory, and its
-value read back with ``[0]``. Steps that depend on a member's data (the
-sign iteration's stopping step, the refinement's accept/reject, the
-pencils the PBH test ranks, the eigenvalue placement) run on the
-members still concerned, so every member's arithmetic is the one it
-gets alone. A routine returns a stack's values only if every member
-passes; otherwise it raises the error of its first failing member, with
-the message that member gets alone (``cli`` searches a failed stack:
-``certify`` for every failing member, ``build_abstractions`` for the
-first). Reductions keep
-the kernels one matrix uses: a Frobenius norm, a BLAS dot for one
+here, as in :mod:`~simcompose.geometry` and
+:mod:`~simcompose.abstraction`, takes stacks only and returns one value
+per member; one matrix is passed as a stack of one (``a[np.newaxis]``),
+a view of the same memory, and its value read back with ``[0]``. Steps
+that depend on a member's data (the sign iteration's stopping step, the
+refinement's accept/reject, the pencils the PBH test ranks, the
+eigenvalue placement) run on the members still concerned, so every
+member's arithmetic is the one it gets alone. A routine returns a
+stack's values only if every member passes; otherwise it raises the
+error of its first failing member, with the message that member gets
+alone (``cli`` searches a failed stack: ``certify`` and ``check`` for
+every failing member, ``build_abstractions`` for the first). Reductions
+keep the kernels one matrix uses: a Frobenius norm, a BLAS dot for one
 matrix, is a row-by-column product per member.
 
 This module also owns the tolerance table below: every threshold a
@@ -158,15 +159,6 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
-
-
-def as_stack(a, name: str = "matrix") -> np.ndarray:
-    """``a`` as a float stack of matrices along a leading axis, one matrix
-    as a stack of one (a 1-D input a column, as in :func:`as_matrix`):
-    the entry points of :mod:`~simcompose.abstraction` take either form,
-    and nothing below them does."""
-    arr = np.asarray(a, dtype=float)
-    return arr if arr.ndim == 3 else as_matrix(arr, name)[np.newaxis]
 
 
 def stack(arrays) -> np.ndarray:

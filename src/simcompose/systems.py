@@ -222,30 +222,3 @@ def _offsets(sizes) -> tuple[int, ...]:
     for s in sizes:
         out.append(out[-1] + s)
     return tuple(out)
-
-
-def build_monolithic(ic: Interconnection) -> LinearSystem:
-    """Flatten an interconnection by substituting ``w_ij = C_ji x_j``.
-
-    The result is one system named ``"network"`` with no internal
-    inputs, laid out as ``ic`` records: ``A`` holds the subsystem blocks
-    on the diagonal and each coupling ``D_i[:, channel from j] @ C_ji``
-    in its ``(i, j)`` block, and ``B`` and ``C_ext`` are block diagonal
-    over the external inputs and outputs.
-    """
-    states, inputs, outputs = ic.state_offsets, ic.input_offsets, ic.output_offsets
-    n_total = states[-1]
-    a = np.zeros((n_total, n_total))
-    b = np.zeros((n_total, inputs[-1]))
-    c = np.zeros((outputs[-1], n_total))
-    for i, sub in enumerate(ic.subsystems):
-        rows = slice(states[i], states[i + 1])
-        a[rows, rows] = sub.A
-        for ch in sub.channels_in:
-            # added onto zeros, as in a full-width sum, so zero signs match it
-            a[rows, ic.state_slice(ch.source)] += (
-                sub.d_block(ch.source) @ ic[ch.source].C_int[sub.name]
-            )
-        b[rows, inputs[i]:inputs[i + 1]] = sub.B
-        c[outputs[i]:outputs[i + 1], rows] = sub.C_ext
-    return LinearSystem("network", a, b, c, np.zeros((n_total, 0)))

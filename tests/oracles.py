@@ -10,6 +10,9 @@ the program against, beside scipy. None of them runs in the program.
   not go through ``P``;
 - :func:`integrate` runs one linear system through the program's one
   propagator, ``simulate._run_lti``;
+- :func:`build_monolithic` flattens an interconnection into one system,
+  the dense joint matrices ``simulate.refine_and_run`` assembles from
+  subsystem blocks;
 - :func:`project` and :func:`contains` project onto a subspace and
   decide containment;
 - :func:`serialize_project` writes a parsed project back as a document.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from simcompose.abstraction import QuadraticSimFn, compute_k4, decay_certificate
-from simcompose.geometry import Subspace, image
+from simcompose.geometry import Subspace, image, residuals, sums
 from simcompose.linalg import (
     Matrix,
     as_matrix,
@@ -30,7 +33,7 @@ from simcompose.linalg import (
     spectral_norm,
 )
 from simcompose.simulate import Signal, Trajectory, _run_lti, time_grid
-from simcompose.systems import LinearSystem
+from simcompose.systems import Interconnection, LinearSystem
 
 
 def graph_subspace(p) -> Subspace:
@@ -57,7 +60,9 @@ def simfn_from_relation(sys1, sys2, r: Subspace) -> QuadraticSimFn:
     if nhat and svals[-1] <= 1e-10 * max(1.0, svals[0]):
         raise ValueError("relation is not the graph of a map on the abstract states")
     p = x2 @ np.linalg.inv(x1) if nhat else np.zeros((n, 0))
-    m, k1, lam = decay_certificate(sys2.A, sys2.B, sys2.output_blocks())
+    (m,), (k1,), (lam,) = decay_certificate(
+        sys2.A[np.newaxis], sys2.B[np.newaxis], [blk[np.newaxis] for blk in sys2.output_blocks()]
+    )
     b2 = sys2.B[np.newaxis]
     k2 = least_squares(b2, (sys2.A @ p - p @ sys1.A)[np.newaxis])[0][0]
     k3 = least_squares(b2, (sys2.D - p @ sys1.D)[np.newaxis])[0][0]
@@ -155,11 +160,11 @@ def check_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> Relat
     def norm(x):
         return spectral_norm(x[np.newaxis])[0]
 
-    target = r.sum(image(b12[np.newaxis])[0])
-    inv_res = target.residual(a12 @ r.basis) if r.dim else 0.0
-    dist_res = target.residual(d12) if d12.shape[1] else 0.0
+    target = sums([r], image(b12[np.newaxis]))[0]
+    inv_res = residuals([target], (a12 @ r.basis)[np.newaxis])[0] if r.dim else 0.0
+    dist_res = residuals([target], d12[np.newaxis])[0] if d12.shape[1] else 0.0
     out_res = norm(c12 @ r.basis) if r.dim else 0.0
-    feed_res = target.residual(b21) if b21.shape[1] else 0.0
+    feed_res = residuals([target], b21[np.newaxis])[0] if b21.shape[1] else 0.0
     invariant = residual_ok(inv_res, norm(a12))
     ok_stab, witness = (False, None)
     if invariant:
@@ -185,7 +190,7 @@ def integrate(sys, x0, u: Signal | None = None, w: Signal | None = None,
 
     Classical fourth-order steps with the inputs held over each step:
     external input ``u`` and internal input ``w``.  A network flattened
-    by :func:`~simcompose.systems.build_monolithic` has no internal
+    by :func:`build_monolithic` has no internal
     inputs; its couplings are already folded into the state matrix.
 
     Returns
@@ -218,6 +223,33 @@ def integrate(sys, x0, u: Signal | None = None, w: Signal | None = None,
     return Trajectory(grid, states, states @ sys.C_ext.T)
 
 
+def build_monolithic(ic: Interconnection) -> LinearSystem:
+    """Flatten an interconnection by substituting ``w_ij = C_ji x_j``.
+
+    The result is one system named ``"network"`` with no internal
+    inputs, laid out as ``ic`` records: ``A`` holds the subsystem blocks
+    on the diagonal and each coupling ``D_i[:, channel from j] @ C_ji``
+    in its ``(i, j)`` block, and ``B`` and ``C_ext`` are block diagonal
+    over the external inputs and outputs.
+    """
+    states, inputs, outputs = ic.state_offsets, ic.input_offsets, ic.output_offsets
+    n_total = states[-1]
+    a = np.zeros((n_total, n_total))
+    b = np.zeros((n_total, inputs[-1]))
+    c = np.zeros((outputs[-1], n_total))
+    for i, sub in enumerate(ic.subsystems):
+        rows = slice(states[i], states[i + 1])
+        a[rows, rows] = sub.A
+        for ch in sub.channels_in:
+            # added onto zeros, as in a full-width sum, so zero signs match it
+            a[rows, ic.state_slice(ch.source)] += (
+                sub.d_block(ch.source) @ ic[ch.source].C_int[sub.name]
+            )
+        b[rows, inputs[i]:inputs[i + 1]] = sub.B
+        c[outputs[i]:outputs[i + 1], rows] = sub.C_ext
+    return LinearSystem("network", a, b, c, np.zeros((n_total, 0)))
+
+
 def project(space: Subspace, x) -> np.ndarray:
     """Orthogonal projection of vectors (columns) onto the subspace."""
     x = np.asarray(x, dtype=float)
@@ -229,8 +261,8 @@ def contains(space: Subspace, other) -> bool:
     if isinstance(other, Subspace):
         if other.ambient != space.ambient:
             raise ValueError("ambient dimensions differ")
-        return space.residual(other.basis) <= max(space.tol, other.tol)
-    return space.residual(other) <= space.tol
+        return residuals([space], other.basis[np.newaxis])[0] <= max(space.tol, other.tol)
+    return residuals([space], as_matrix(other, "x")[np.newaxis])[0] <= space.tol
 
 
 def serialize_project(project) -> dict:

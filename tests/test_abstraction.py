@@ -45,7 +45,9 @@ def demo_results(certificates=True, **couplings):
     projections = demo_projections()
     certs = demo_certificates() if certificates else {}
     return ic, {
-        name: build_abstraction(ic[name], projections[name], certs.get(name))
+        name: build_abstraction(
+            [ic[name]], projections[name][None], [certs[name]] if name in certs else None
+        )[0]
         for name in ic.names
     }
 
@@ -67,7 +69,9 @@ def assert_construction_identities(sys, res, tol=1e-8):
 
 
 def test_decay_certificate_scalar():
-    m, k1, lam = decay_certificate([[-1.0]], np.zeros((1, 0)), [[1.0]])
+    (m,), (k1,), (lam,) = decay_certificate(
+        np.array([[[-1.0]]]), np.zeros((1, 1, 0)), [np.array([[[1.0]]])]
+    )
     assert k1.shape == (0, 1)
     assert lam == pytest.approx(0.5, abs=1e-12)
     # M0 = 1 from the shifted equation, then the output scaling and the
@@ -79,42 +83,25 @@ def test_computed_certificates_satisfy_inequalities():
     ic = demo_interconnection()
     for name in ic.names:
         sub = ic[name]
-        m, k1, lam = decay_certificate(sub.A, sub.B, sub.output_blocks())
+        blocks = [blk[None] for blk in sub.output_blocks()]
+        (m,), (k1,), (lam,) = decay_certificate(sub.A[None], sub.B[None], blocks)
         assert lam > 0.0
         assert spectral_abscissa((sub.A + sub.B @ k1)[None])[0] < 0.0
-        out_slack, decay_slack = certificate_slacks(
-            sub.A, sub.B, sub.output_blocks(), m, k1, lam
+        (out_slack,), (decay_slack,) = certificate_slacks(
+            sub.A[None], sub.B[None], blocks, m[None], k1[None], np.array([lam])
         )
         assert out_slack >= -1e-7
         assert decay_slack >= -1e-7
 
 
 def test_nested_list_output_matrix_is_one_matrix():
-    # [[1, 0]] is the 1 x 2 output matrix, read as the array would be,
-    # not a list of 1-D blocks each turned into a column.
-    a, b = [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]]
-    row = np.array([[1.0, 0.0]])
-    m, k1, lam = decay_certificate(a, b, [[1.0, 0.0]])
-    expected = decay_certificate(a, b, row)
-    assert np.array_equal(m, expected[0]) and np.array_equal(k1, expected[1])
-    assert lam == expected[2]
-    assert certificate_slacks(a, b, [[1.0, 0.0]], m, k1, lam) == certificate_slacks(
-        a, b, row, m, k1, lam
-    )
-    assert certificate_slacks(a, b, [row], m, k1, lam) == certificate_slacks(
-        a, b, row, m, k1, lam
-    )
-    # a 1-D row, array or list, is that same one output row, as
-    # LinearSystem reads a 1-D C_ext; it is not a 2 x 1 column
-    assert lam == 0.5
-    for flat in (np.array([1.0, 0.0]), [1.0, 0.0]):
-        m_flat, k1_flat, lam_flat = decay_certificate(a, b, flat)
-        assert np.array_equal(m_flat, m) and np.array_equal(k1_flat, k1)
-        assert lam_flat == lam
-        assert certificate_slacks(a, b, flat, m, k1, lam) == certificate_slacks(
-            a, b, row, m, k1, lam
-        )
-    for c in ([[1.0, 0.0, 0.0]], [row, np.ones((1, 3))]):
+    # the output blocks are a list of block stacks, one 1 x 2 row here;
+    # a block stack of another width is rejected
+    a, b = np.array([[[0.0, 1.0], [0.0, 0.0]]]), np.array([[[0.0], [1.0]]])
+    row = np.array([[[1.0, 0.0]]])
+    m, k1, lam = decay_certificate(a, b, [row])
+    assert lam[0] == 0.5
+    for c in ([np.array([[[1.0, 0.0, 0.0]]])], [row, np.ones((1, 1, 3))]):
         with pytest.raises(ValueError, match="output block has 3 columns, expected 2"):
             decay_certificate(a, b, c)
         with pytest.raises(ValueError, match="output block has 3 columns, expected 2"):
@@ -131,8 +118,8 @@ def test_computed_certificates_random_instances():
         if m_in == 0 and not spectral_abscissa(a[None])[0] < 0.0:
             a = a - (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(n)
         c = rng.standard_normal((rng.integers(1, 3), n))
-        m, k1, lam = decay_certificate(a, b, c)
-        out_slack, decay_slack = certificate_slacks(a, b, c, m, k1, lam)
+        m, k1, lam = decay_certificate(a[None], b[None], [c[None]])
+        (out_slack,), (decay_slack,) = certificate_slacks(a[None], b[None], [c[None]], m, k1, lam)
         assert out_slack >= -1e-7
         assert decay_slack >= -1e-7
 
@@ -141,8 +128,9 @@ def test_injected_node_certificate_is_marginal():
     # The published 2x2 certificate satisfies both inequalities with
     # equality; both slacks must sit at zero up to roundoff.
     node = demo_interconnection()["s2"]
-    out_slack, decay_slack = certificate_slacks(
-        node.A, node.B, node.output_blocks(), CERT_M_NODE, np.zeros((0, 2)), CERT_LAM_NODE
+    (out_slack,), (decay_slack,) = certificate_slacks(
+        node.A[None], node.B[None], [blk[None] for blk in node.output_blocks()],
+        CERT_M_NODE[None], np.zeros((1, 0, 2)), np.array([CERT_LAM_NODE]),
     )
     assert abs(out_slack) <= 1e-9
     assert abs(decay_slack) <= 1e-9
@@ -153,13 +141,13 @@ def test_injected_integrator_certificate_needs_loose_tolerance():
     # the loose tolerance accepts it, a tight one must not.
     integ = demo_interconnection()["s1"]
     args = (
-        integ.A, integ.B, integ.output_blocks(),
-        CERT_M_INTEGRATOR, CERT_K1_INTEGRATOR, CERT_LAM_INTEGRATOR,
+        integ.A[None], integ.B[None], [blk[None] for blk in integ.output_blocks()],
+        CERT_M_INTEGRATOR[None], CERT_K1_INTEGRATOR[None], np.array([CERT_LAM_INTEGRATOR]),
     )
     check_certificate(*args, tol=5e-2)
     with pytest.raises(NumericsError):
         check_certificate(*args, tol=1e-4)
-    out_slack, decay_slack = certificate_slacks(*args)
+    (out_slack,), (decay_slack,) = certificate_slacks(*args)
     assert -5e-2 < min(out_slack, decay_slack) < 0.0
 
 
@@ -181,14 +169,14 @@ def test_computed_certificate_rejection_names_the_lyapunov_solve():
     # |A| |M|, yet the decay slack is -0.40; the message must say so.
     far = LinearSystem("far", FAR_FROM_NORMAL, np.zeros((2, 0)), np.eye(2), np.zeros((2, 0)))
     with pytest.raises(NumericsError) as computed:
-        build_abstraction(far, np.eye(2))
+        build_abstraction([far], np.eye(2)[None])
     assert "decay slack -3.973e-01" in str(computed.value)
     assert str(computed.value).endswith(
         "; M came from the shifted Lyapunov solve, which met its residual gate,"
         " but the closed loop is too far from normal for the decay inequality"
     )
     with pytest.raises(NumericsError) as injected:
-        build_abstraction(far, np.eye(2), certificate=(np.eye(2), np.zeros((0, 2)), 1.0))
+        build_abstraction([far], np.eye(2)[None], [(np.eye(2), np.zeros((0, 2)), 1.0)])
     assert str(injected.value).endswith("tolerance 5.0e-02")
 
 
@@ -196,13 +184,13 @@ def test_build_abstraction_names_a_k1_of_the_wrong_shape():
     sub = demo_interconnection()["s1"]
     with pytest.raises(ValueError, match=r"s1: K1 has shape \(0, 3\), expected \(1, 3\)"):
         build_abstraction(
-            sub, np.eye(3), certificate=(CERT_M_INTEGRATOR, np.zeros((0, 3)), CERT_LAM_INTEGRATOR)
+            [sub], np.eye(3)[None], [(CERT_M_INTEGRATOR, np.zeros((0, 3)), CERT_LAM_INTEGRATOR)]
         )
 
 
 def test_p_conditions_identity_injection():
     sub = demo_interconnection()["s1"]
-    report = check_P_conditions(sub, np.eye(3))
+    (report,) = check_P_conditions([sub], np.eye(3)[None])
     assert report.ok
     assert report.complement_ok and report.invariance_ok and report.disturbance_ok
 
@@ -211,7 +199,7 @@ def test_p_conditions_demo_injections():
     ic = demo_interconnection()
     projections = demo_projections()
     for name in ic.names:
-        report = check_P_conditions(ic[name], projections[name])
+        (report,) = check_P_conditions([ic[name]], projections[name][None])
         assert report.ok, report.lines()
         assert report.invariance_residual <= 1e-12
         assert report.disturbance_residual <= 1e-12
@@ -220,7 +208,7 @@ def test_p_conditions_demo_injections():
 def test_p_conditions_reject_rank_deficient():
     sub = demo_interconnection()["s1"]
     with pytest.raises(ValueError):
-        check_P_conditions(sub, np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
+        check_P_conditions([sub], np.array([[[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]]))
 
 
 def test_p_conditions_rank_uses_the_package_cutoff():
@@ -231,7 +219,7 @@ def test_p_conditions_rank_uses_the_package_cutoff():
     p = np.array([[1.0, 0.0], [0.0, 1e-12], [0.0, 0.0]])
     assert np.linalg.svd(p, compute_uv=False)[-1] > 3 * np.finfo(float).eps
     with pytest.raises(ValueError, match="full column rank"):
-        check_P_conditions(sub, p)
+        check_P_conditions([sub], p[None])
 
 
 def test_p_conditions_flag_bad_direction():
@@ -239,7 +227,7 @@ def test_p_conditions_flag_bad_direction():
     # ker C, so im P + ker C misses the first state, and A maps it outside
     # im P + im B.
     sub = demo_interconnection()["s1"]
-    report = check_P_conditions(sub, np.array([[0.0], [1.0], [0.0]]))
+    (report,) = check_P_conditions([sub], np.array([[[0.0], [1.0], [0.0]]]))
     assert not report.ok
     assert not report.complement_ok
     assert not report.invariance_ok
@@ -250,7 +238,7 @@ def test_build_abstraction_rejects_bad_injection_when_strict():
     sub = demo_interconnection()["s1"]
     bad = np.array([[0.0], [1.0], [0.0]])
     with pytest.raises(ValueError):
-        build_abstraction(sub, bad)
+        build_abstraction([sub], bad[None])
 
 
 def test_build_abstraction_runs_each_check_once(monkeypatch):
@@ -270,7 +258,7 @@ def test_build_abstraction_runs_each_check_once(monkeypatch):
         wrapped = counted(name, getattr(linalg, name))
         for module in (linalg, abstraction):
             monkeypatch.setattr(module, name, wrapped)
-    build_abstraction(sub, demo_projections()["s1"])
+    build_abstraction([sub], demo_projections()["s1"][None])
     assert counts == {"pbh_stabilizable": 1, "sqrtm_spd": 1, "check_spd": 1}
 
 
@@ -291,7 +279,7 @@ def test_decay_certificate_takes_the_abscissa_stabilize_decided_on(monkeypatch):
     (k,), (abscissa,) = linalg.stabilize(a[None], b[None])
     in_stabilize = len(calls)
     calls.clear()
-    m, k1, lam = decay_certificate(a, b, np.array([[1.0, 0.0, 0.0]]))
+    (m,), (k1,), (lam,) = decay_certificate(a[None], b[None], [np.array([[[1.0, 0.0, 0.0]]])])
     assert len(calls) == in_stabilize + 1 == 6
     assert np.array_equal(k1, k) and lam == 0.5 * abs(abscissa)
 
@@ -300,7 +288,7 @@ def test_decay_certificate_alone_still_runs_pbh():
     a = np.diag([1.0, -1.0])
     b = np.array([[0.0], [1.0]])
     with pytest.raises(NumericsError, match=r"eigenvalue \(1\+0j\)"):
-        decay_certificate(a, b, np.eye(2))
+        decay_certificate(a[None], b[None], [np.eye(2)[None]])
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 5), (5, 1), (4, 4), (60, 62)])
@@ -360,7 +348,7 @@ def test_published_gains():
 
 def test_identity_injection_roundtrip():
     sub = demo_interconnection()["s1"]
-    res = build_abstraction(sub, np.eye(3))
+    (res,) = build_abstraction([sub], np.eye(3)[None])
     # A = Ahat + B K2 exactly, and the twin keeps every output.
     assert spectral_norm((sub.A - res.system.A - sub.B @ res.simfn.K2)[None])[0] <= 1e-10
     x = np.array([0.3, -0.2, 0.9])
@@ -375,7 +363,7 @@ def test_construction_identities_random_instances():
         nhat = rng.integers(1, n)
         m = rng.integers(1, 3)
         sys, p = random_valid_instance(rng, n, nhat, m, p=rng.integers(0, 3))
-        res = build_abstraction(sys, p)
+        (res,) = build_abstraction([sys], p[None])
         assert_construction_identities(sys, res)
         assert res.conditions.ok
 
@@ -457,7 +445,7 @@ def test_output_distance_bounded_by_simfn():
     rng = np.random.default_rng(229)
     for name in ("s1", "s2"):
         sub = ic[name]
-        res = build_abstraction(sub, demo_projections()[name])
+        (res,) = build_abstraction([sub], demo_projections()[name][None])
         xhat = rng.standard_normal((10_000, 1))
         x = rng.standard_normal((10_000, sub.n))
         err = x - xhat @ res.simfn.P.T
@@ -477,7 +465,7 @@ def test_deviation_decays_along_trajectories():
     #            + (1 - exp(-lam d)) (rho |uhat| + mu |w - what|) / lam.
     ic = demo_interconnection()
     sub = ic["s1"]
-    res = build_abstraction(sub, demo_projections()["s1"])
+    (res,) = build_abstraction([sub], demo_projections()["s1"][None])
     fn, gains = res.simfn, res.gains
     nhat, n = 1, 3
 

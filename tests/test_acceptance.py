@@ -29,7 +29,7 @@ from simcompose.demo import (
     demo_interconnection,
     demo_projections,
 )
-from simcompose.geometry import image, minimal_invariant
+from simcompose.geometry import image, minimal_invariant, residuals
 from simcompose.linalg import solve_lyapunov, spectral_norm
 from simcompose.simulate import Signal, bound_report, refine_and_run
 from simcompose.systems import LinearSystem
@@ -40,7 +40,9 @@ def demo_results(d=(0.5, 0.5, 0.5), injected=True):
     projections = demo_projections()
     certs = demo_certificates() if injected else {n: None for n in ic.names}
     results = {
-        name: build_abstraction(ic[name], projections[name], certs[name])
+        name: build_abstraction(
+            [ic[name]], projections[name][None], None if certs[name] is None else [certs[name]]
+        )[0]
         for name in ic.names
     }
     return ic, results
@@ -194,8 +196,9 @@ def test_construction_identities_and_certificate_slacks():
     ic, results = demo_results(injected=False)
     for name in ic.names:
         sub, fn = ic[name], results[name].simfn
-        out_slack, decay_slack = certificate_slacks(
-            sub.A, sub.B, sub.output_blocks(), fn.M, fn.K1, fn.lam
+        (out_slack,), (decay_slack,) = certificate_slacks(
+            sub.A[None], sub.B[None], [blk[None] for blk in sub.output_blocks()],
+            fn.M[None], fn.K1[None], np.array([fn.lam]),
         )
         assert out_slack >= -1e-7
         assert decay_slack >= -1e-7
@@ -207,8 +210,9 @@ def test_construction_identities_and_certificate_slacks():
     for name in ic.names:
         sub = ic[name]
         m, k1, lam = certs[name]
-        out_slack, decay_slack = certificate_slacks(
-            sub.A, sub.B, sub.output_blocks(), m, k1, lam
+        (out_slack,), (decay_slack,) = certificate_slacks(
+            sub.A[None], sub.B[None], [blk[None] for blk in sub.output_blocks()],
+            m[None], k1[None], np.array([lam]),
         )
         assert min(out_slack, decay_slack) >= -INJECTED_CERT_TOL
 
@@ -217,7 +221,7 @@ def test_construction_identities_and_certificate_slacks():
         n = int(rng.integers(2, 7))
         nhat = int(rng.integers(1, n))
         sys, p = random_valid_instance(rng, n, nhat, m=int(rng.integers(1, 4)))
-        assert_identities(sys, build_abstraction(sys, p))
+        assert_identities(sys, build_abstraction([sys], p[None])[0])
 
 
 def test_geometry_routes_agree():
@@ -237,8 +241,8 @@ def test_geometry_routes_agree():
             powers.append(nxt / scale if scale > 0 else nxt)
         brute = image(np.hstack(powers)[None])[0] if k else image(np.zeros((1, n, 0)))[0]
         assert direct.dim == brute.dim
-        assert brute.residual(direct.basis) <= 1e-8 if direct.dim else True
-        assert direct.residual(brute.basis) <= 1e-8 if brute.dim else True
+        assert residuals([brute], direct.basis[None])[0] <= 1e-8 if direct.dim else True
+        assert residuals([direct], brute.basis[None])[0] <= 1e-8 if brute.dim else True
 
     # the P-condition route and the joint-space relation route accept
     # and reject the same injections
@@ -249,18 +253,18 @@ def test_geometry_routes_agree():
         nhat = int(rng.integers(1, 3))
         sys, p = random_valid_instance(rng, n, nhat, m=1)
         if accepted < 50:
-            pred = check_P_conditions(sys, p)
+            (pred,) = check_P_conditions([sys], p[None])
             assert pred.ok
-            result = build_abstraction(sys, p)
+            (result,) = build_abstraction([sys], p[None])
             rel = check_relation(result.system, sys, graph_subspace(p))
             assert rel.ok
             accepted += 1
         else:
             p_bad = p + 0.4 * rng.standard_normal(p.shape)
-            pred = check_P_conditions(sys, p_bad)
+            (pred,) = check_P_conditions([sys], p_bad[None])
             if pred.ok:
                 continue  # the random tilt happened to stay admissible
-            result = build_abstraction(sys, p)
+            (result,) = build_abstraction([sys], p[None])
             rel = check_relation(result.system, sys, graph_subspace(p_bad))
             assert not rel.ok
             rejected += 1

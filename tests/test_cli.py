@@ -397,8 +397,8 @@ def test_empty_k1_parses_to_the_zero_feedback():
     m, k1, lam = project.directives["solo"].certificate
     assert k1.shape == (1, 1) and not k1.any()
     parsed = build_abstractions(project)["solo"]
-    explicit = build_abstraction(
-        project.interconnection["solo"], np.eye(1), certificate=(m, np.zeros((1, 1)), lam)
+    (explicit,) = build_abstraction(
+        [project.interconnection["solo"]], np.eye(1)[None], [(m, np.zeros((1, 1)), lam)]
     )
     for key in ("P", "M", "K1", "K2", "K3", "K4"):
         assert np.array_equal(getattr(parsed.simfn, key), getattr(explicit.simfn, key))

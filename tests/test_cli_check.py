@@ -2,10 +2,14 @@
 
 import json
 
-from simcompose import cli
-from simcompose.abstraction import check_P_conditions
-from simcompose.cli import main
+import numpy as np
+import pytest
+
+from simcompose import abstraction, cli
+from simcompose.abstraction import check_certificate, check_P_conditions
+from simcompose.cli import main, parse_project
 from simcompose.demo import demo_project
+from simcompose.linalg import INJECTED_CERT_TOL, NumericsError
 
 
 def run_check(tmp_path, capsys, doc):
@@ -129,6 +133,57 @@ def test_check_makes_one_call_per_stack_and_names_each_rejected_member(tmp_path,
                                    " (injective state mapping)"]
     # the members that pass report exactly what they report in a passing stack
     assert blocks["s0"] == passing["s0"] and blocks["s2"] == passing["s2"]
+
+
+def test_check_tests_the_injected_certificates_once_per_stack(tmp_path, capsys, monkeypatch):
+    # the demo's stacks are [s1], [s2, s4] and [s3], one certificate test
+    # each; a stack that fails is tested again member by member, so only
+    # the failing member reports its certificate
+    sizes = []
+
+    def counted(*args, **kwargs):
+        sizes.append(len(args[3]))
+        return check_certificate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_certificate", counted)
+    code, out = run_check(tmp_path, capsys, demo_project())
+    assert code == 0 and sizes == [1, 2, 1]
+    doc = demo_project()
+    doc["subsystems"][3]["abstraction"]["certificate"]["lambda"] = 5.0
+    sizes.clear()
+    code, failed = run_check(tmp_path, capsys, doc)
+    assert code == 1 and sizes == [1, 2, 1, 1, 1]
+    project = parse_project(doc)
+    s4 = project.interconnection["s4"]
+    m, k1, lam = project.directives["s4"].certificate
+    with pytest.raises(NumericsError) as alone:
+        check_certificate(
+            s4.A[None], s4.B[None], [blk[None] for blk in s4.output_blocks()],
+            m[None], k1[None], np.array([lam]), INJECTED_CERT_TOL,
+        )
+    blocks, passing = reports(failed), reports(out)
+    assert [line for line in failed.splitlines() if "certificate" in line] == [f"s4: {alone.value}"]
+    assert blocks["s4"] == passing["s4"] + [f"s4: {alone.value}"]
+    for name in ("s1", "s2", "s3"):
+        assert blocks[name] == passing[name]
+
+
+@pytest.mark.parametrize("module, name", [
+    ("cli", "check_P_conditions"), ("abstraction", "certificate_slacks"),
+])
+def test_check_exits_3_on_a_linalg_error(tmp_path, capsys, monkeypatch, module, name):
+    # numpy's LinAlgError is a ValueError, but a numerical failure, not a
+    # subsystem's verdict: check reports it as bounds does, with exit 3
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr({"cli": cli, "abstraction": abstraction}[module], name, broken)
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(demo_project()))
+    assert main(["check", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert err == "error: numerical failure in numpy.linalg: SVD did not converge\n"
+    assert "rejected" not in out and "check:" not in out
 
 
 def reports(out) -> dict[str, list[str]]:

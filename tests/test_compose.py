@@ -34,7 +34,9 @@ def demo_setup(certificates=True, **couplings):
     projections = demo_projections()
     certs = demo_certificates() if certificates else {}
     results = {
-        name: build_abstraction(ic[name], projections[name], certs.get(name))
+        name: build_abstraction(
+            [ic[name]], projections[name][None], [certs[name]] if name in certs else None
+        )[0]
         for name in ic.names
     }
     gm = gain_matrices(ic, {name: results[name].gains for name in ic.names})
@@ -313,7 +315,7 @@ def test_compose_single_subsystem():
     ic = Interconnection([LinearSystem("solo", [[-1.0]], [[1.0]], [[1.0]], [])])
     gm = gain_matrices(ic, {"solo": ComparisonGains(lam=1.5, rho=0.7, mu=())})
     path = small_gain(gm, eta=np.array([1.0]), epsilon=4.0)
-    res = build_abstraction(ic["solo"], np.eye(1))
+    (res,) = build_abstraction([ic["solo"]], np.eye(1)[None])
     composed = compose_simfn({"solo": res.simfn}, gm, path)
     assert composed.lam == pytest.approx(1.5 * 4.0 / 5.0, rel=1e-12)
     assert composed.rho == pytest.approx(0.7 * 1.5, rel=1e-12)

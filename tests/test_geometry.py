@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from simcompose.geometry import image, kernel, minimal_invariant, zero_subspace
+from simcompose.geometry import (
+    image,
+    intersections,
+    kernel,
+    minimal_invariant,
+    residuals,
+    sums,
+    zero_subspace,
+)
 from simcompose.linalg import spectral_norm
 
 from oracles import contains, project
@@ -31,13 +39,13 @@ def test_image_examples():
     assert image(np.zeros((1, 3, 2)))[0].dim == 0
     span = image(NODE_COUPLING[None])[0]
     assert span.dim == 1
-    assert span.residual(np.array([[1.0], [-2.0]])) <= 1e-12
+    assert residuals([span], np.array([[[1.0], [-2.0]]]))[0] <= 1e-12
 
 
 def test_kernel_examples():
     ker = kernel(np.array([[[1.0, 0.0, 0.0]]]))[0]
     assert ker.dim == 2
-    assert ker.residual(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])) <= 1e-12
+    assert residuals([ker], np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]))[0] <= 1e-12
     assert kernel(np.eye(3)[None])[0].dim == 0
     assert kernel(np.zeros((1, 0, 4)))[0].dim == 4
 
@@ -75,8 +83,10 @@ def test_subspace_projection_and_residual():
     x = rng.standard_normal(5)
     proj = project(sub, x)
     assert np.allclose(project(sub, proj), proj, atol=1e-12)
-    assert sub.residual(proj) <= 1e-12
-    assert sub.residual(x - proj) == pytest.approx(np.linalg.norm(x - proj), abs=1e-10)
+    assert residuals([sub], proj[None, :, None])[0] <= 1e-12
+    assert residuals([sub], (x - proj)[None, :, None])[0] == pytest.approx(
+        np.linalg.norm(x - proj), abs=1e-10
+    )
 
 
 def test_contains_is_a_partial_order():
@@ -99,8 +109,8 @@ def test_sum_and_intersection_dimensions():
         n = rng.integers(2, 7)
         u = image(rng.standard_normal((n, rng.integers(1, n + 1)))[None])[0]
         w = image(rng.standard_normal((n, rng.integers(1, n + 1)))[None])[0]
-        total = u.sum(w)
-        overlap = u.intersect(w)
+        (total,) = sums([u], [w])
+        (overlap,) = intersections([u], [w])
         assert total.dim + overlap.dim == u.dim + w.dim
         assert contains(total, u) and contains(total, w)
         assert contains(u, overlap) and contains(w, overlap)
@@ -116,7 +126,7 @@ def test_minimal_invariant_eigenvector_seed():
     # invariant and the iteration stops at dimension one.
     grown = minimal_invariant(DAMPED_NODE, image(NODE_COUPLING[None])[0])
     assert grown.dim == 1
-    assert grown.residual(NODE_COUPLING) <= 1e-12
+    assert residuals([grown], NODE_COUPLING[None])[0] <= 1e-12
 
 
 def test_minimal_invariant_grows_to_reachable_space():
@@ -138,4 +148,6 @@ def test_minimal_invariant_matches_krylov():
         assert grown.dim == brute.dim
         assert contains(grown, brute) and contains(brute, grown)
         if grown.dim:
-            assert grown.residual(a @ grown.basis) <= 1e-8 * max(1.0, spectral_norm(a[None])[0])
+            assert residuals([grown], (a @ grown.basis)[None])[0] <= 1e-8 * max(
+                1.0, spectral_norm(a[None])[0]
+            )

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from conftest import heterogeneous_ring, random_hurwitz, random_network
-from oracles import integrate
+from oracles import build_monolithic, integrate
 from simcompose.abstraction import QuadraticSimFn, build_abstraction
 from simcompose.cli import (
     build_abstractions,
@@ -58,7 +58,7 @@ from simcompose.simulate import (
     write_gnuplot,
     write_table,
 )
-from simcompose.systems import Interconnection, InternalChannel, LinearSystem, build_monolithic
+from simcompose.systems import Interconnection, InternalChannel, LinearSystem
 
 DAMPED_NODE = np.array([[0.0, 1.0], [-6.0, -5.0]])
 
@@ -74,7 +74,7 @@ def demo_pipeline(uhat=None, x0=None, t_final=20.0, dt=1e-3):
     projections = demo_projections()
     certs = demo_certificates()
     results = {
-        name: build_abstraction(ic[name], projections[name], certs[name])
+        name: build_abstraction([ic[name]], projections[name][None], [certs[name]])[0]
         for name in ic.names
     }
     gm = gain_matrices(ic, {n: results[n].gains for n in ic.names})
@@ -370,7 +370,7 @@ def test_refinement_matched_start_zero_input():
 def test_refinement_single_subsystem_identity_projection():
     sys = LinearSystem("solo", DAMPED_NODE, [[0.0], [1.0]], [[1.0, 0.0]], [])
     ic = Interconnection([sys])
-    res = build_abstraction(sys, np.eye(2))
+    (res,) = build_abstraction([sys], np.eye(2)[None])
     gm = gain_matrices(ic, {"solo": res.gains})
     path = small_gain(gm)
     composed = compose_simfn({"solo": res.simfn}, gm, path)

@@ -52,7 +52,7 @@ def assert_same(result, alone):
 
 def certify_alone(sys, p, certificate=None):
     try:
-        return build_abstraction(sys, p, certificate=certificate)
+        return build_abstraction([sys], p[None], None if certificate is None else [certificate])[0]
     except (ValueError, NumericsError) as exc:
         return exc
 
@@ -115,7 +115,9 @@ def test_heterogeneous_ring_certifies_as_its_nodes_alone(seed):
     project = parse_project(heterogeneous_ring(np.random.default_rng(seed), 12))
     results = build_abstractions(project)
     for sub in project.interconnection.subsystems:
-        assert_same(results[sub.name], build_abstraction(sub, project.directives[sub.name].p))
+        assert_same(
+            results[sub.name], build_abstraction([sub], project.directives[sub.name].p[None])[0]
+        )
 
 
 def node(name, a, b=((0.0,), (1.0,))):
@@ -274,7 +276,7 @@ def test_injected_certificates_certify_as_a_stack():
     results = build_abstraction(systems, np.stack([np.eye(2)] * 3), certificates)
     assert len(results) == 3
     for result, sys, cert in zip(results, systems, certificates):
-        alone = build_abstraction(sys, np.eye(2), certificate=cert)
+        (alone,) = build_abstraction([sys], np.eye(2)[None], [cert])
         assert_same(result, alone)
 
 
@@ -300,12 +302,12 @@ def test_an_overflowing_member_fails_alone_and_leaves_the_stack_as_it_was():
     message = str(raised.value)
     assert message.startswith("certificate rejected for i1: ") and "not finite" in message
     with pytest.raises(NumericsError) as alone:
-        build_abstraction(systems[1], p, certificate=certificates[1])
+        build_abstraction([systems[1]], p[None], [certificates[1]])
     assert str(alone.value) == message
     outcomes = list(cli._certify_stack(list(zip(systems, [p] * 3, certificates))))
     assert str(outcomes[1]) == message
     for k in (0, 2):
-        assert_same(outcomes[k], build_abstraction(systems[k], p, certificate=certificates[k]))
+        assert_same(outcomes[k], build_abstraction([systems[k]], p[None], [certificates[k]])[0])
 
 
 def test_cli_abstract_exports_every_subsystem_but_the_overflowing_one(tmp_path, capsys):

@@ -7,7 +7,7 @@ layout, one reader of the interface law, one encoding of the bundled
 example, no function in src/ that the program never reaches,
 certification that calls numpy once per stack of subsystems, stacked
 routines that return values or raise but keep no failure dicts, one
-calling form (stacks) below the three certification entry points, no
+calling form (stacks) in every module, no
 ``lstsq`` beside the stacked least squares, and no eigendecomposition
 in composition or co-simulation."""
 
@@ -418,30 +418,38 @@ def _enclosing_functions(tree: ast.Module):
 
 
 def test_numerics_take_stacks_only():
-    # one matrix is a stack of one below the entry points: linalg and
-    # geometry keep no one-matrix mode, and only build_abstraction,
-    # check_P_conditions and decay_certificate turn a matrix into a stack
+    # one calling form in every module: one matrix is a stack of one and
+    # one subsystem a sequence of one, with no one-matrix mode, no
+    # coercion of a matrix to a stack, and no guess of the form from
+    # the argument
+    trees = {path.name: parse(path) for path in MODULES}
     singles = [
         f"{name}:{node.lineno}"
-        for name in ("linalg.py", "geometry.py")
-        for node in ast.walk(parse(SRC / name))
-        if (isinstance(node, ast.Name) and node.id == "single")
-        or (isinstance(node, ast.arg) and node.arg == "single")
-        or (isinstance(node, ast.keyword) and node.arg == "single")
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in ("single", "as_stack"))
+        or (isinstance(node, (ast.arg, ast.keyword)) and node.arg == "single")
+        or (isinstance(node, ast.Attribute) and node.attr == "as_stack")
+        or (isinstance(node, ast.FunctionDef) and node.name == "as_stack")
     ]
     assert singles == []
-    users = {
-        f"{path.stem}.{function}"
-        for path in MODULES
-        for function, node in _enclosing_functions(parse(path))
-        if (isinstance(node, ast.Name) and node.id == "as_stack")
-        or (isinstance(node, ast.Attribute) and node.attr == "as_stack")
-    }
-    assert users == {
-        "abstraction.build_abstraction",
-        "abstraction.check_P_conditions",
-        "abstraction.decay_certificate",
-    }
+    dispatch = [
+        f"abstraction.py:{node.lineno}"
+        for node in ast.walk(trees["abstraction.py"])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and "LinearSystem" in _referenced(node.args[1])
+    ]
+    assert dispatch == []
+    # Subspace holds a basis: residuals, sums and intersections take
+    # sequences of subspaces, one member as a sequence of one
+    subspace = next(
+        node for node in trees["geometry.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "Subspace"
+    )
+    methods = {node.name for node in subspace.body if isinstance(node, ast.FunctionDef)}
+    assert methods.isdisjoint({"residual", "sum", "intersect"})
 
 
 def test_certification_calls_numpy_once_per_stack(monkeypatch):

@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import random_network
-from oracles import integrate
+from oracles import build_monolithic, integrate
 from simcompose.cli import _run_pipeline, parse_project
 from simcompose.demo import demo_interconnection, demo_project
 from simcompose.simulate import Signal
-from simcompose.systems import (
-    Interconnection,
-    InternalChannel,
-    LinearSystem,
-    build_monolithic,
-)
+from simcompose.systems import Interconnection, InternalChannel, LinearSystem
 
 
 def scalar_pair(gain_ab=1.0, gain_ba=1.0):
