@@ -157,7 +157,7 @@ def _check_widths(blocks, n: int) -> None:
             raise ValueError(f"output block has {block.shape[-1]} columns, expected {n}")
 
 
-def system_stack(systems) -> tuple[Matrix, Matrix, Matrix, list[Matrix]]:
+def _system_stack(systems) -> tuple[Matrix, Matrix, Matrix, list[Matrix]]:
     """``A``, ``B``, ``D`` and the output blocks of same-shape subsystems,
     each stacked over the subsystems."""
     blocks = [sys.output_blocks() for sys in systems]
@@ -307,9 +307,11 @@ def check_certificate(a, b, blocks, m, k1, lam, tol: float,
     return m
 
 
-def check_P_conditions(systems, p):
+def check_P_conditions(a, b, d, blocks, p):
     """Check the four conditions an injection ``P`` must satisfy, for
-    each of the same-shape ``systems`` and its member of the stack ``p``.
+    each member of the stacks ``a``, ``b``, ``d`` and the output block
+    stacks ``blocks`` of same-shape subsystems, and its member of the
+    stack ``p``.
 
     1. ``(A, B)`` stabilizable;
     2. ``A (im P)`` inside ``im P + im B``;
@@ -325,12 +327,11 @@ def check_P_conditions(systems, p):
     Returns the list of the members' reports, or raises the error of
     the first member whose ``P`` is rejected.
     """
-    n = systems[0].n
+    count, n = a.shape[0], a.shape[-1]
     if p.shape[-2] != n:
         raise ValueError(f"P must have {n} rows, got {p.shape[-2:]}")
     if not p.shape[-1]:
         raise ValueError("P has no columns: an abstraction needs at least one state")
-    a, b, d, blocks = system_stack(systems)
     norm_p = spectral_norm(p)
     im_p = image(p, tol=rank_tol(p, norm_p))
     if any(space.dim < p.shape[-1] for space in im_p):
@@ -341,7 +342,7 @@ def check_P_conditions(systems, p):
     reach = image(np.concatenate([p, b], axis=-1))
     inv_res = residuals(reach, a @ p)
     dist_res = residuals(reach, d)
-    outputs = np.concatenate(blocks, axis=-2) if blocks else np.zeros((len(systems), 0, n))
+    outputs = np.concatenate(blocks, axis=-2) if blocks else np.zeros((count, 0, n))
     ker_c = kernel(outputs)
     comp = sums(im_p, ker_c)
     stab, inv_ok, dist_ok = (
@@ -366,7 +367,7 @@ def check_P_conditions(systems, p):
             norm_d=norm_d[j].item(),
             norm_p=norm_p[j].item(),
         )
-        for j in range(len(systems))
+        for j in range(count)
     ]
 
 
@@ -448,13 +449,13 @@ def build_abstraction(systems, p, certificates=None):
     NumericsError
         If the certificate or the construction identities fail.
     """
-    reports = check_P_conditions(systems, p)
+    a, b, d, blocks = _system_stack(systems)
+    reports = check_P_conditions(a, b, d, blocks, p)
     for sub, report in zip(systems, reports):
         if not report.ok:
             raise ValueError(
                 f"injection conditions failed for {sub.name}: " + "; ".join(report.lines())
             )
-    a, b, d, blocks = system_stack(systems)
     if certificates is None:
         m, k1, lam = decay_certificate(
             a, b, blocks,

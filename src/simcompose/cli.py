@@ -23,14 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .abstraction import (
-    AbstractionResult,
-    build_abstraction,
-    check_certificate,
-    check_P_conditions,
-    compute_k4,
-    system_stack,
-)
+from .abstraction import AbstractionResult, build_abstraction, compute_k4
 from .compose import (
     SmallGainError,
     compose_abstractions,
@@ -42,7 +35,6 @@ from .geometry import image, minimal_invariant
 from .linalg import (
     BOUND_TOL,
     EXACT_ENTRY_TOL,
-    INJECTED_CERT_TOL,
     PUBLISHED_ETA_TOL,
     PUBLISHED_GAIN_TOL,
     NumericsError,
@@ -423,24 +415,6 @@ def _stacks(project: Project) -> list[list]:
     return list(groups.values())
 
 
-def _attempt(test, members) -> list | Exception:
-    """``test`` of the members as one stack, called with their
-    subsystems, the stack of their injections and their certificates
-    (``None`` when computed): its outcome for each member, or the error
-    the stack raised. A ``LinAlgError`` is a numerical failure, not a
-    member's verdict, and propagates."""
-    try:
-        return test(
-            [sub for sub, _, _ in members],
-            stack([p for _, p, _ in members]),
-            None if members[0][2] is None else [cert for _, _, cert in members],
-        )
-    except np.linalg.LinAlgError:
-        raise
-    except (ValueError, NumericsError) as exc:
-        return exc
-
-
 def certify(project: Project) -> dict[str, AbstractionResult | Exception]:
     """Each subsystem's abstraction, or the error its certification
     raised, in network order. A stack that raises is halved
@@ -458,7 +432,17 @@ def _certify_stack(members):
     halves, left first: one failing member among N costs about 2 log2 N
     stacks, where a retry member by member would cost N, and a caller
     that stops at the first error costs at most 2 ceil(log2 N) + 1."""
-    outcome = _attempt(build_abstraction, members)
+    try:
+        outcome = build_abstraction(
+            [sub for sub, _, _ in members],
+            stack([p for _, p, _ in members]),
+            None if members[0][2] is None else [cert for _, _, cert in members],
+        )
+    except np.linalg.LinAlgError:
+        # a ValueError subclass, but a numerical failure, not a verdict
+        raise
+    except (ValueError, NumericsError) as exc:
+        outcome = exc
     if not isinstance(outcome, Exception):
         yield from outcome
     elif len(members) == 1:
@@ -552,64 +536,23 @@ def _fmt_matrix(a) -> str:
     return "[" + "; ".join(", ".join(_fmt(x) for x in row) for row in a) + "]"
 
 
-def _check_stack(test, members) -> list:
-    """``test`` of the members as one stack (:func:`_attempt`): its
-    outcomes, or, if the stack raises, each member's outcome or error
-    from a call of its own."""
-    outcome = _attempt(test, members)
-    if not isinstance(outcome, Exception):
-        return outcome
-    if len(members) == 1:
-        return [outcome]
-    return [outcome for member in members for outcome in _check_stack(test, [member])]
-
-
-def _certificates(systems, _, certificates) -> list:
-    """:func:`check_certificate` of injected ``certificates`` as one
-    stack, the test ``bounds`` applies: ``None`` for each member, as
-    each passes or has none."""
-    if certificates is not None:
-        a, b, _, blocks = system_stack(systems)
-        m, k1, lam = zip(*certificates)
-        check_certificate(a, b, blocks, stack(m), stack(k1), np.array(lam), INJECTED_CERT_TOL)
-    return [None] * len(systems)
-
-
 def cmd_check(args) -> int:
+    """Print each subsystem's injection conditions as :func:`certify`
+    decides them, or the error its certification raises."""
     project = load_project(args.file)
-    ic = project.interconnection
-    print(f"interconnection: {len(ic.subsystems)} subsystems, wiring ok")
-    outcomes = {
-        sub.name: outcome
-        for members in _stacks(project)
-        for (sub, _, _), *outcome in zip(
-            members,
-            _check_stack(lambda systems, p, _: check_P_conditions(systems, p), members),
-            _check_stack(_certificates, members),
-        )
-    }
-    all_ok = True
-    for sub in ic.subsystems:
-        report, rejected = outcomes[sub.name]
-        if isinstance(report, Exception):
-            all_ok = False
-            print(f"{sub.name}: injection rejected: {report}")
+    print(f"interconnection: {len(project.interconnection.subsystems)} subsystems, wiring ok")
+    outcomes = certify(project)
+    for name, result in outcomes.items():
+        if isinstance(result, Exception):
+            print(f"{name}: construction failed: {result}")
             continue
-        if report.stabilizable:
-            print(f"{sub.name}: stabilizable yes")
-        else:
-            witness = report.witness
-            print(f"{sub.name}: stabilizable NO (eigenvalue {_fmt(witness.real)}"
-                  f"{witness.imag:+.6g}j uncontrollable)")
-        # the header above states the stabilizability line of the report
-        for line in report.lines()[1:]:
+        # a certified subsystem is stabilizable, the first line of its report
+        print(f"{name}: stabilizable yes")
+        for line in result.conditions.lines()[1:]:
             print(f"  {line}")
-        all_ok = all_ok and report.ok
-        if rejected is not None:
-            all_ok = False
-            print(f"{sub.name}: {rejected}")
-    print("check:", "pass" if all_ok else "FAIL")
-    return 0 if all_ok else 1
+    ok = not any(isinstance(result, Exception) for result in outcomes.values())
+    print("check:", "pass" if ok else "FAIL")
+    return 0 if ok else 1
 
 
 _EXPORTS = (
@@ -828,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="validate a project and its injections")
+    p = sub.add_parser("check", help="certify every subsystem and report its injection conditions")
     p.add_argument("file")
     p.set_defaults(func=cmd_check)
 

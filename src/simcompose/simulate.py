@@ -45,9 +45,6 @@ from .compose import ComposedSimFn, GainMatrices, compose_abstractions, perron
 from .linalg import BOUND_TOL, GRID_TOL, Matrix, NumericsError
 from .systems import Interconnection
 
-# Default iteration count for the vector recursion.
-DEFAULT_BOUND_ITERATIONS = 50
-
 # The density rule of the propagator (see _sparse_pays), in units of one
 # stored pair of the sparse march: its fixed cost per step, and the cost
 # per step of one of the n^2 entries of the blocked dense march.
@@ -778,17 +775,17 @@ def appendix_gammas(lam: float, rho: float, mu_total: float) -> tuple[float, flo
     return 4.0 * rho / lam, 4.0 * mu_total / lam
 
 
-def vector_bound(gm: GainMatrices, uhat_inf, v0=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subsystem deviation recursion and its fixed point.
+def vector_bound(gm: GainMatrices, uhat_inf) -> np.ndarray:
+    """Fixed point of the per-subsystem deviation recursion.
 
-    Iterates ``V <- S V + Lambda^-1 Zhat`` with ``S = Gamma Lambda^-1``
-    and ``Zhat_i = rho_i * uhat_inf_i`` for ``DEFAULT_BOUND_ITERATIONS``
-    steps, and also returns the closed-form fixed point
-    ``(I - S)^-1 Lambda^-1 Zhat``. The recursion converges exactly when
-    ``rho(S) < 1``, which for ``S >= 0`` holds exactly when ``(I - S) x
-    = 1`` has a solution ``x > 0`` (``I - S`` is a nonsingular M-matrix;
-    Berman and Plemmons 1979). That solve decides; ``NumericsError`` is
-    raised on divergence, with the radius from :func:`perron`.
+    The recursion ``V <- S V + Lambda^-1 Zhat``, with ``S = Gamma
+    Lambda^-1`` and ``Zhat_i = rho_i * uhat_inf_i``, has the fixed point
+    ``(I - S)^-1 Lambda^-1 Zhat``, returned here. It converges exactly
+    when ``rho(S) < 1``, which for ``S >= 0`` holds exactly when ``(I -
+    S) x = 1`` has a solution ``x > 0`` (``I - S`` is a nonsingular
+    M-matrix; Berman and Plemmons 1979). That solve decides;
+    ``NumericsError`` is raised on divergence, with the radius from
+    :func:`perron`.
 
     Parameters
     ----------
@@ -796,12 +793,9 @@ def vector_bound(gm: GainMatrices, uhat_inf, v0=None) -> tuple[np.ndarray, np.nd
         Interconnection gains.
     uhat_inf : (N,) array_like
         Supremum norm of each subsystem's abstract input.
-    v0 : (N,) array_like, optional
-        Starting iterate, zero when omitted.
 
     Returns
     -------
-    iterates : (DEFAULT_BOUND_ITERATIONS + 1, N) ndarray
     fixed_point : (N,) ndarray
     """
     uhat_inf = np.asarray(uhat_inf, dtype=float).reshape(-1)
@@ -823,12 +817,7 @@ def vector_bound(gm: GainMatrices, uhat_inf, v0=None) -> tuple[np.ndarray, np.nd
         raise NumericsError(
             f"deviation recursion diverges: spectral radius {radius:.6g} >= 1"
         )
-    iterates = np.empty((DEFAULT_BOUND_ITERATIONS + 1, len(z)))
-    iterates[0] = np.zeros_like(z) if v0 is None else np.asarray(v0, dtype=float)
-    for k in range(DEFAULT_BOUND_ITERATIONS):
-        iterates[k + 1] = scaled @ iterates[k] + z
-    fixed_point = np.linalg.solve(i_minus_s, z)
-    return iterates, fixed_point
+    return np.linalg.solve(i_minus_s, z)
 
 
 @dataclass(frozen=True)
@@ -920,7 +909,7 @@ def bound_report(
     scalar_samples = scalar_bound(v0, composed.lam, composed.rho, u_inf, run.times)
     margin = scalar_samples - run.mismatch
 
-    _, fixed_point = vector_bound(gm, block_norms)
+    fixed_point = vector_bound(gm, block_norms)
     # fixed point + exp(-lam t) v(0) - v, one steps x subsystems array
     allowance = np.multiply(run.times[:, np.newaxis], -gm.lam)
     np.exp(allowance, out=allowance)

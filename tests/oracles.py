@@ -13,6 +13,9 @@ the program against, beside scipy. None of them runs in the program.
 - :func:`build_monolithic` flattens an interconnection into one system,
   the dense joint matrices ``simulate.refine_and_run`` assembles from
   subsystem blocks;
+- :func:`vector_recursion` iterates the per-subsystem deviation
+  recursion whose fixed point :func:`~simcompose.simulate.vector_bound`
+  solves for;
 - :func:`project` and :func:`contains` project onto a subspace and
   decide containment;
 - :func:`serialize_project` writes a parsed project back as a document.
@@ -248,6 +251,19 @@ def build_monolithic(ic: Interconnection) -> LinearSystem:
         b[rows, inputs[i]:inputs[i + 1]] = sub.B
         c[outputs[i]:outputs[i + 1], rows] = sub.C_ext
     return LinearSystem("network", a, b, c, np.zeros((n_total, 0)))
+
+
+def vector_recursion(gm, uhat_inf, v0=None, steps: int = 50) -> np.ndarray:
+    """The iterates ``V <- S V + Lambda^-1 Zhat`` from ``v0`` (zero when
+    omitted), ``S = Gamma Lambda^-1`` and ``Zhat_i = rho_i * uhat_inf_i``:
+    a ``(steps + 1, N)`` array, the start first."""
+    scaled = gm.scaled
+    z = gm.rho * np.asarray(uhat_inf, dtype=float) / gm.lam
+    iterates = np.empty((steps + 1, len(z)))
+    iterates[0] = np.zeros_like(z) if v0 is None else np.asarray(v0, dtype=float)
+    for k in range(steps):
+        iterates[k + 1] = scaled @ iterates[k] + z
+    return iterates
 
 
 def project(space: Subspace, x) -> np.ndarray:

@@ -19,6 +19,7 @@ from simcompose.abstraction import (
     decay_certificate,
     eval_simfn,
     interface,
+    _system_stack,
 )
 from simcompose.demo import (
     CERT_K1_INTEGRATOR,
@@ -190,7 +191,7 @@ def test_build_abstraction_names_a_k1_of_the_wrong_shape():
 
 def test_p_conditions_identity_injection():
     sub = demo_interconnection()["s1"]
-    (report,) = check_P_conditions([sub], np.eye(3)[None])
+    (report,) = check_P_conditions(*_system_stack([sub]), np.eye(3)[None])
     assert report.ok
     assert report.complement_ok and report.invariance_ok and report.disturbance_ok
 
@@ -199,7 +200,7 @@ def test_p_conditions_demo_injections():
     ic = demo_interconnection()
     projections = demo_projections()
     for name in ic.names:
-        (report,) = check_P_conditions([ic[name]], projections[name][None])
+        (report,) = check_P_conditions(*_system_stack([ic[name]]), projections[name][None])
         assert report.ok, report.lines()
         assert report.invariance_residual <= 1e-12
         assert report.disturbance_residual <= 1e-12
@@ -208,7 +209,9 @@ def test_p_conditions_demo_injections():
 def test_p_conditions_reject_rank_deficient():
     sub = demo_interconnection()["s1"]
     with pytest.raises(ValueError):
-        check_P_conditions([sub], np.array([[[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]]))
+        check_P_conditions(
+            *_system_stack([sub]), np.array([[[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
+        )
 
 
 def test_p_conditions_rank_uses_the_package_cutoff():
@@ -219,7 +222,7 @@ def test_p_conditions_rank_uses_the_package_cutoff():
     p = np.array([[1.0, 0.0], [0.0, 1e-12], [0.0, 0.0]])
     assert np.linalg.svd(p, compute_uv=False)[-1] > 3 * np.finfo(float).eps
     with pytest.raises(ValueError, match="full column rank"):
-        check_P_conditions([sub], p[None])
+        check_P_conditions(*_system_stack([sub]), p[None])
 
 
 def test_p_conditions_flag_bad_direction():
@@ -227,7 +230,7 @@ def test_p_conditions_flag_bad_direction():
     # ker C, so im P + ker C misses the first state, and A maps it outside
     # im P + im B.
     sub = demo_interconnection()["s1"]
-    (report,) = check_P_conditions([sub], np.array([[[0.0], [1.0], [0.0]]]))
+    (report,) = check_P_conditions(*_system_stack([sub]), np.array([[[0.0], [1.0], [0.0]]]))
     assert not report.ok
     assert not report.complement_ok
     assert not report.invariance_ok

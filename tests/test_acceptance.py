@@ -18,6 +18,7 @@ from simcompose.abstraction import (
     certificate_slacks,
     check_P_conditions,
     compute_k4,
+    _system_stack,
 )
 from simcompose.cli import main
 from simcompose.compose import compose_simfn, gain_matrices, small_gain
@@ -253,7 +254,7 @@ def test_geometry_routes_agree():
         nhat = int(rng.integers(1, 3))
         sys, p = random_valid_instance(rng, n, nhat, m=1)
         if accepted < 50:
-            (pred,) = check_P_conditions([sys], p[None])
+            (pred,) = check_P_conditions(*_system_stack([sys]), p[None])
             assert pred.ok
             (result,) = build_abstraction([sys], p[None])
             rel = check_relation(result.system, sys, graph_subspace(p))
@@ -261,7 +262,7 @@ def test_geometry_routes_agree():
             accepted += 1
         else:
             p_bad = p + 0.4 * rng.standard_normal(p.shape)
-            (pred,) = check_P_conditions([sys], p_bad[None])
+            (pred,) = check_P_conditions(*_system_stack([sys]), p_bad[None])
             if pred.ok:
                 continue  # the random tilt happened to stay admissible
             (result,) = build_abstraction([sys], p[None])

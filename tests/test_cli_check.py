@@ -1,15 +1,23 @@
-"""The ``check`` command on injections and subsystems that fail."""
+"""The ``check`` command on injections and subsystems that fail: it
+prints what ``cli.certify`` decides, as ``abstract`` does."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simcompose import abstraction, cli
-from simcompose.abstraction import check_certificate, check_P_conditions
-from simcompose.cli import main, parse_project
+from conftest import heterogeneous_ring, random_network
+from oracles import serialize_project
+from simcompose import cli
+from simcompose.abstraction import build_abstraction
+from simcompose.cli import Directive, Project, SimulationSpec, main, parse_project
 from simcompose.demo import demo_project
-from simcompose.linalg import INJECTED_CERT_TOL, NumericsError
+from simcompose.linalg import NumericsError
+from test_stack import FAR_FROM_NORMAL
 
 
 def run_check(tmp_path, capsys, doc):
@@ -27,7 +35,8 @@ def test_check_reports_unstabilizable_subsystem_once(tmp_path, capsys):
     }
     code, out = run_check(tmp_path, capsys, doc)
     assert code == 1
-    assert "solo: stabilizable NO (eigenvalue 1+0j uncontrollable)" in out
+    assert ("solo: construction failed: injection conditions failed for solo:"
+            " stabilizable: no (witness (1+0j)); ") in out
     assert out.count("stabilizable") == 1
     assert "check: FAIL" in out
 
@@ -37,7 +46,7 @@ def test_check_reports_rank_deficient_injection(tmp_path, capsys):
     doc["subsystems"][1]["abstraction"]["P"] = [[1.0, 1.0], [1.0, 1.0]]
     code, out = run_check(tmp_path, capsys, doc)
     assert code == 1
-    assert "s2: injection rejected: P must have full column rank" in out
+    assert "s2: construction failed: P must have full column rank" in out
     assert "s1: stabilizable yes" in out
     assert "check: FAIL" in out
 
@@ -51,10 +60,14 @@ def test_check_rejects_the_injected_certificate_bounds_rejects(tmp_path, capsys)
         assert code == 1
         lines = [line for line in out.splitlines() if "certificate rejected" in line]
         assert len(lines) == 1
-        assert lines[0].startswith("s1: certificate rejected: ") and reason in lines[0]
+        assert lines[0].startswith("s1: construction failed: certificate rejected for s1: ")
+        assert reason in lines[0]
         assert out.endswith("check: FAIL\n")
         assert main(["bounds", str(tmp_path / "project.json")]) == 3
-        assert capsys.readouterr().err.startswith("error: certificate rejected for s1: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: certificate rejected for s1: ")
+        # one rejection, one text
+        assert lines[0] == "s1: construction failed: " + err.removeprefix("error: ").rstrip("\n")
 
 
 def test_an_asymmetric_injected_m_is_a_rejected_certificate(tmp_path, capsys):
@@ -62,7 +75,7 @@ def test_an_asymmetric_injected_m_is_a_rejected_certificate(tmp_path, capsys):
     doc["subsystems"][0]["abstraction"]["certificate"]["M"][0][1] += 1.0
     code, out = run_check(tmp_path, capsys, doc)
     assert code == 1
-    assert "s1: certificate rejected: M must be symmetric\n" in out
+    assert "s1: construction failed: certificate rejected for s1: M must be symmetric\n" in out
     assert out.endswith("check: FAIL\n")
     path = str(tmp_path / "project.json")
     assert main(["abstract", path, "--out", str(tmp_path / "out")]) == 1
@@ -88,7 +101,7 @@ def test_an_injection_with_no_columns_is_rejected(tmp_path, capsys):
         code, out = run_check(tmp_path, capsys, doc)
         assert code == 1
         message = "P has no columns: an abstraction needs at least one state"
-        assert f"a: injection rejected: {message}\n" in out
+        assert f"a: construction failed: {message}\n" in out
         assert out.endswith("check: FAIL\n")
         path = str(tmp_path / "project.json")
         out_dir = tmp_path / f"out{k}"
@@ -103,16 +116,16 @@ def test_an_injection_with_no_columns_is_rejected(tmp_path, capsys):
 
 
 def test_check_makes_one_call_per_stack_and_names_each_rejected_member(tmp_path, capsys, monkeypatch):
-    # four same-shape subsystems are checked as one stack; a stack that
-    # raises is checked again member by member, so each rejected
+    # four same-shape subsystems are certified as one stack; a stack that
+    # raises is certified again as its halves, so each rejected
     # injection keeps its own line and the reports stay in network order
     sizes = []
 
-    def counted(systems, p):
+    def counted(systems, *args):
         sizes.append(len(systems))
-        return check_P_conditions(systems, p)
+        return build_abstraction(systems, *args)
 
-    monkeypatch.setattr(cli, "check_P_conditions", counted)
+    monkeypatch.setattr(cli, "build_abstraction", counted)
     shared = {"A": [[0.0, 1.0], [-1.0, -1.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
     doc = {
         "subsystems": [
@@ -125,27 +138,27 @@ def test_check_makes_one_call_per_stack_and_names_each_rejected_member(tmp_path,
         doc["subsystems"][i]["abstraction"]["P"] = [[0.0], [0.0]]
     sizes.clear()
     code, failed = run_check(tmp_path, capsys, doc)
-    assert code == 1 and sizes == [4, 1, 1, 1, 1]
+    assert code == 1 and sizes == [4, 2, 1, 1, 2, 1, 1]
     blocks, passing = reports(failed), reports(out)
     assert list(blocks) == ["s0", "s1", "s2", "s3"]
     for i in (1, 3):
-        assert blocks[f"s{i}"] == [f"s{i}: injection rejected: P must have full column rank"
+        assert blocks[f"s{i}"] == [f"s{i}: construction failed: P must have full column rank"
                                    " (injective state mapping)"]
     # the members that pass report exactly what they report in a passing stack
     assert blocks["s0"] == passing["s0"] and blocks["s2"] == passing["s2"]
 
 
 def test_check_tests_the_injected_certificates_once_per_stack(tmp_path, capsys, monkeypatch):
-    # the demo's stacks are [s1], [s2, s4] and [s3], one certificate test
-    # each; a stack that fails is tested again member by member, so only
+    # the demo's stacks are [s1], [s2, s4] and [s3], one certification
+    # each; a stack that fails is certified again as its halves, so only
     # the failing member reports its certificate
     sizes = []
 
-    def counted(*args, **kwargs):
-        sizes.append(len(args[3]))
-        return check_certificate(*args, **kwargs)
+    def counted(systems, *args):
+        sizes.append(len(systems))
+        return build_abstraction(systems, *args)
 
-    monkeypatch.setattr(cli, "check_certificate", counted)
+    monkeypatch.setattr(cli, "build_abstraction", counted)
     code, out = run_check(tmp_path, capsys, demo_project())
     assert code == 0 and sizes == [1, 2, 1]
     doc = demo_project()
@@ -154,22 +167,21 @@ def test_check_tests_the_injected_certificates_once_per_stack(tmp_path, capsys, 
     code, failed = run_check(tmp_path, capsys, doc)
     assert code == 1 and sizes == [1, 2, 1, 1, 1]
     project = parse_project(doc)
-    s4 = project.interconnection["s4"]
-    m, k1, lam = project.directives["s4"].certificate
+    directive = project.directives["s4"]
     with pytest.raises(NumericsError) as alone:
-        check_certificate(
-            s4.A[None], s4.B[None], [blk[None] for blk in s4.output_blocks()],
-            m[None], k1[None], np.array([lam]), INJECTED_CERT_TOL,
+        build_abstraction(
+            [project.interconnection["s4"]], directive.p[None], [directive.certificate]
         )
+    rejected = f"s4: construction failed: {alone.value}"
     blocks, passing = reports(failed), reports(out)
-    assert [line for line in failed.splitlines() if "certificate" in line] == [f"s4: {alone.value}"]
-    assert blocks["s4"] == passing["s4"] + [f"s4: {alone.value}"]
+    assert [line for line in failed.splitlines() if "certificate" in line] == [rejected]
+    assert blocks["s4"] == [rejected]
     for name in ("s1", "s2", "s3"):
         assert blocks[name] == passing[name]
 
 
 @pytest.mark.parametrize("module, name", [
-    ("cli", "check_P_conditions"), ("abstraction", "certificate_slacks"),
+    ("abstraction", "check_P_conditions"), ("abstraction", "certificate_slacks"),
 ])
 def test_check_exits_3_on_a_linalg_error(tmp_path, capsys, monkeypatch, module, name):
     # numpy's LinAlgError is a ValueError, but a numerical failure, not a
@@ -177,13 +189,73 @@ def test_check_exits_3_on_a_linalg_error(tmp_path, capsys, monkeypatch, module, 
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr({"cli": cli, "abstraction": abstraction}[module], name, broken)
+    monkeypatch.setattr(f"simcompose.{module}.{name}", broken)
     path = tmp_path / "project.json"
     path.write_text(json.dumps(demo_project()))
     assert main(["check", str(path)]) == 3
     out, err = capsys.readouterr()
     assert err == "error: numerical failure in numpy.linalg: SVD did not converge\n"
     assert "rejected" not in out and "check:" not in out
+
+
+def test_check_rejects_the_computed_certificate_bounds_rejects(tmp_path, capsys):
+    # the injection conditions hold, but the computed certificate fails
+    # the decay inequality: check fails with the text bounds prints
+    doc = {"subsystems": [{"name": "far", "A": FAR_FROM_NORMAL, "C": np.eye(2).tolist()}]}
+    code, out = run_check(tmp_path, capsys, doc)
+    assert code == 1
+    assert main(["bounds", str(tmp_path / "project.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate rejected for far: ") and "decay slack -3.973e-01" in err
+    assert out.splitlines()[1:] == [
+        "far: construction failed: " + err.removeprefix("error: ").rstrip("\n"), "check: FAIL",
+    ]
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    """``main`` on ``argv``: its exit code and standard output."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), ring=st.booleans(), size=st.integers(2, 6))
+def test_check_passes_exactly_what_build_abstractions_certifies(tmp_path_factory, seed, ring, size):
+    # random networks (identity or minimal-invariant injections) fail on
+    # unstabilizable pairs and on certificates; rings whose nodes lose
+    # their input fail the injection conditions inside a stack
+    rng = np.random.default_rng(seed)
+    if ring:
+        doc = heterogeneous_ring(rng, size)
+        for node in doc["subsystems"]:
+            if rng.uniform() < 0.3:
+                node["B"] = [[0.0]] * 3
+    else:
+        ic = random_network(rng, max_width=2, count=size)
+        directives = {
+            name: Directive(p=str(rng.choice(["identity", "minimal-invariant"])))
+            for name in ic.names
+        }
+        doc = serialize_project(Project(ic, directives, SimulationSpec()))
+    work = tmp_path_factory.mktemp("network")
+    path = work / "project.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cli.build_abstractions(parse_project(doc))
+    except (ValueError, NumericsError):
+        certified = False
+    else:
+        certified = True
+    code, out = run_quietly(["check", str(path)])
+    assert code == (0 if certified else 1)
+    assert out.endswith("check: pass\n" if certified else "check: FAIL\n")
+    abstract_code, summary = run_quietly(["abstract", str(path), "--out", str(work / "out")])
+    assert abstract_code == code
+    failed = [line for line in summary.splitlines() if ": construction failed: " in line]
+    assert [line for line in out.splitlines() if ": construction failed: " in line] == failed
+    assert bool(failed) != certified
 
 
 def reports(out) -> dict[str, list[str]]:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from conftest import heterogeneous_ring, random_hurwitz, random_network
-from oracles import build_monolithic, integrate
+from oracles import build_monolithic, integrate, vector_recursion
 from simcompose.abstraction import QuadraticSimFn, build_abstraction
 from simcompose.cli import (
     build_abstractions,
@@ -649,7 +649,8 @@ def test_vector_bound_zero_gamma():
         names=("x", "y"), gamma=np.zeros((2, 2)),
         lam=np.array([1.0, 2.0]), rho=np.array([2.0, 4.0]),
     )
-    iterates, fixed_point = vector_bound(gm, [0.5, 0.25])
+    fixed_point = vector_bound(gm, [0.5, 0.25])
+    iterates = vector_recursion(gm, [0.5, 0.25])
     assert np.allclose(fixed_point, [1.0, 0.5])
     assert np.allclose(iterates[0], [0.0, 0.0])
     assert np.allclose(iterates[1], fixed_point)
@@ -662,7 +663,8 @@ def test_vector_bound_two_by_two_closed_form():
         lam=np.ones(2), rho=np.array([1.0, 1.0]),
     )
     z = np.array([0.3, 0.1])
-    iterates, fixed_point = vector_bound(gm, z)
+    fixed_point = vector_bound(gm, z)
+    iterates = vector_recursion(gm, z)
     denom = 1.0 - a * b
     assert fixed_point[0] == pytest.approx((z[0] + a * z[1]) / denom, rel=1e-12)
     assert fixed_point[1] == pytest.approx((z[1] + b * z[0]) / denom, rel=1e-12)
@@ -677,8 +679,8 @@ def test_vector_bound_from_above():
         names=("x", "y"), gamma=np.array([[0.0, 0.4], [0.5, 0.0]]),
         lam=np.ones(2), rho=np.array([1.0, 1.0]),
     )
-    _, fixed_point = vector_bound(gm, [0.3, 0.1])
-    iterates, _ = vector_bound(gm, [0.3, 0.1], v0=fixed_point + 1.0)
+    fixed_point = vector_bound(gm, [0.3, 0.1])
+    iterates = vector_recursion(gm, [0.3, 0.1], v0=fixed_point + 1.0)
     assert np.all(iterates >= fixed_point[None, :] - 1e-12)
     assert np.allclose(iterates[-1], fixed_point, atol=1e-6)
 
@@ -722,7 +724,7 @@ def test_vector_bound_diverges_exactly_when_the_radius_reaches_one(data):
         with pytest.raises(NumericsError, match="diverges"):
             vector_bound(gm, np.ones(n))
     else:
-        _, fixed_point = vector_bound(gm, np.ones(n))
+        fixed_point = vector_bound(gm, np.ones(n))
         assert np.all(fixed_point > 0.0)
 
 

@@ -303,6 +303,28 @@ def test_stacked_routines_return_no_failure_dicts():
     assert found == []
 
 
+def test_cli_certifies_only_through_build_abstraction():
+    # check, abstract and bounds share one verdict path: the command line
+    # reaches the injection and certificate tests only through
+    # build_abstraction, and runs no check of its own beside it
+    tests = {"check_P_conditions", "check_certificate", "certificate_slacks", "decay_certificate"}
+    found, names = [], set()
+    for node in ast.walk(parse(SRC / "cli.py")):
+        name = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias)
+            else None
+        )
+        names.add(name)
+        if name in tests:
+            found.append(f"cli.py:{node.lineno} {name}")
+        elif isinstance(node, ast.FunctionDef) and node.name == "_check_stack":
+            found.append(f"cli.py:{node.lineno} def _check_stack")
+    assert found == []
+    assert "build_abstraction" in names
+
+
 def test_one_table_writer():
     # every CSV goes through simulate.write_table's exact %.17g kernel
     users = [
