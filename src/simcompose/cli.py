@@ -538,7 +538,8 @@ def _fmt_matrix(a) -> str:
 
 def cmd_check(args) -> int:
     """Print each subsystem's injection conditions as :func:`certify`
-    decides them, or the error its certification raises."""
+    decides them, or its error; then decide the certified network as
+    ``bounds`` does before its run (:func:`_prepare_run`)."""
     project = load_project(args.file)
     print(f"interconnection: {len(project.interconnection.subsystems)} subsystems, wiring ok")
     outcomes = certify(project)
@@ -550,9 +551,12 @@ def cmd_check(args) -> int:
         print(f"{name}: stabilizable yes")
         for line in result.conditions.lines()[1:]:
             print(f"  {line}")
-    ok = not any(isinstance(result, Exception) for result in outcomes.values())
-    print("check:", "pass" if ok else "FAIL")
-    return 0 if ok else 1
+    if any(isinstance(result, Exception) for result in outcomes.values()):
+        print("check: FAIL")
+        return 1
+    _prepare_run(project, outcomes, project.simulation.t_final, project.simulation.dt)
+    print("check: pass")
+    return 0
 
 
 _EXPORTS = (
@@ -623,6 +627,22 @@ def cmd_compose(args) -> int:
     return 0
 
 
+def _prepare_run(project: Project, results, horizon: float, step: float):
+    """Everything ``bounds`` decides before its run: the composition, the
+    run's memory, the input signal and the initial states, returned as
+    ``gm, path, composed, uhat, xhat0, x0``."""
+    gm, path, composed = run_compose(project, results)
+    # a bad horizon or step, and a run too large for memory (the joint
+    # states, abstract inputs and switch times), before any is allocated
+    width = project.interconnection.state_offsets[-1] + sum(
+        r.system.n + r.system.m for r in results.values()
+    )
+    require_memory(horizon, step, width, _most_switches(project.simulation, horizon))
+    uhat = build_input_signal(project, results, horizon)
+    xhat0, x0 = resolve_initial_states(project, results)
+    return gm, path, composed, uhat, xhat0, x0
+
+
 def _run_pipeline(project: Project, t_final=None, dt=None, v0=None):
     """Abstract, compose, co-simulate and check the bounds.
 
@@ -633,18 +653,8 @@ def _run_pipeline(project: Project, t_final=None, dt=None, v0=None):
     sim = project.simulation
     horizon = sim.t_final if t_final is None else t_final
     step = sim.dt if dt is None else dt
-    # reject a bad horizon or step before any signal is built from it
-    grid_steps(horizon, step)
     results = build_abstractions(project)
-    gm, path, composed = run_compose(project, results)
-    # the joint states and the abstract input samples, before any of them
-    # (or a square wave's switch times) is allocated
-    width = project.interconnection.state_offsets[-1] + sum(
-        r.system.n + r.system.m for r in results.values()
-    )
-    require_memory(horizon, step, width, _most_switches(sim, horizon))
-    uhat = build_input_signal(project, results, horizon)
-    xhat0, x0 = resolve_initial_states(project, results)
+    gm, path, composed, uhat, xhat0, x0 = _prepare_run(project, results, horizon, step)
     run = refine_and_run(
         project.interconnection, results, composed, x0, xhat0, uhat,
         t_final=horizon, dt=step,
@@ -771,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="certify every subsystem and report its injection conditions")
+    p = sub.add_parser("check", help="certify every subsystem and test the network as bounds does")
     p.add_argument("file")
     p.set_defaults(func=cmd_check)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abstraction import AbstractionResult, ComparisonGains, QuadraticSimFn, eval_simfn
-from .linalg import BRACKET_TOL, EPSILON_SAFETY, REDUCIBLE_SHIFT, Matrix, NumericsError
+from .linalg import BRACKET_TOL, EPSILON_SAFETY, Matrix, NumericsError
 from .systems import Interconnection
 
 #: Ceiling on the automatically chosen margin parameter epsilon.
@@ -30,10 +30,9 @@ class SmallGainError(NumericsError):
         self.rho_spec = rho_spec
         self.cycle = cycle
         self.cycle_gain = cycle_gain
-        loop = " -> ".join(cycle + cycle[:1]) if cycle else "(none)"
         super().__init__(
-            f"small-gain test failed: spectral radius {rho_spec:.6g} >= 1; "
-            f"dominant cycle {loop} with mean gain {cycle_gain:.6g}"
+            f"small-gain test failed: spectral radius {rho_spec:.6g} >= 1; dominant cycle"
+            f" {' -> '.join(cycle + cycle[:1])} with mean gain {cycle_gain:.6g}"
         )
 
 
@@ -120,7 +119,7 @@ def gain_matrices(ic: Interconnection, gains: dict[str, ComparisonGains]) -> Gai
 
 
 def perron(mat) -> tuple[float, np.ndarray]:
-    """Spectral radius and a positive dominant vector of ``mat >= 0``.
+    """Spectral radius and a positive weight vector of ``mat >= 0``.
 
     No eigendecomposition. For an irreducible ``mat`` (its graph of
     nonzero entries strongly connected), both come from Noda's
@@ -137,10 +136,11 @@ def perron(mat) -> tuple[float, np.ndarray]:
     A reducible ``mat`` has the largest radius of the diagonal blocks
     of its strongly connected components (a one-node block's radius is
     its entry, so a nilpotent matrix gives exactly 0), and its vector
-    is Noda's on ``mat`` plus a uniform ``REDUCIBLE_SHIFT``, which is
-    irreducible, so the vector is strictly positive. The vector is
-    normalized to unit maximum. A matrix that is not square, has a
-    negative entry or is not finite raises ``ValueError``.
+    is ``x = (r I - mat)^-1 1`` with ``r = (1 + rho) / 2`` below unit
+    radius (else ``2 rho``): ``x >= 1 / r > 0`` and ``mat x = r x - 1 <
+    r x``, a small-gain margin of ``1 / r - 1 > 0``. The vector has unit
+    maximum. A matrix that is not square, has a negative entry or is
+    not finite raises ``ValueError``.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     n = mat.shape[0]
@@ -156,7 +156,15 @@ def perron(mat) -> tuple[float, np.ndarray]:
     if len(blocks) == 1:
         return _noda(mat)
     rho = max(_noda(mat[np.ix_(block, block)])[0] for block in blocks)
-    return rho, _noda(mat + REDUCIBLE_SHIFT)[1]
+    shift = (1.0 + rho) / 2.0 if rho < 1.0 else 2.0 * rho
+    # block by block: Tarjan emits a component after every component it
+    # reaches, so the right-hand side of its rows is known by then
+    vec = np.zeros(n)
+    for block in blocks:
+        shifted = -mat[np.ix_(block, block)]
+        shifted.flat[:: len(block) + 1] += shift
+        vec[block] = np.linalg.solve(shifted, 1.0 + mat[block] @ vec)
+    return rho, vec / vec.max()
 
 
 def _noda(mat: Matrix) -> tuple[float, np.ndarray]:
@@ -237,30 +245,20 @@ def _components(mat: Matrix) -> list[list[int]]:
 
 
 def _dominant_cycle(scaled: Matrix, names: tuple[str, ...]):
-    """Greedy max-weight walk from the heaviest edge until a node
-    repeats; returns the cycle and its geometric-mean gain. A bounded
-    diagnostic witness, not an exact maximum-cycle search."""
-    n = scaled.shape[0]
-    if n == 0 or not np.any(scaled > 0):
-        return (), 0.0
-    r, c = np.unravel_index(int(np.argmax(scaled)), scaled.shape)
-    node = int(c)
-    walk = [node]
-    seen = {node: 0}
-    for _ in range(n + 1):
-        col = scaled[:, node]
-        nxt = int(np.argmax(col))
-        if col[nxt] <= 0.0:
-            break  # sink: the walk cannot close
-        if nxt in seen:
-            cycle = walk[seen[nxt]:]
-            edges = [scaled[cycle[(k + 1) % len(cycle)], cycle[k]] for k in range(len(cycle))]
-            gain = float(np.prod(edges) ** (1.0 / len(edges)))
-            return tuple(names[k] for k in cycle), gain
-        seen[nxt] = len(walk)
-        walk.append(nxt)
-        node = nxt
-    return (names[int(c)], names[int(r)]), float(scaled[r, c])
+    """Greedy max-weight walk in the strongly connected component of
+    largest radius, where every node feeds another, from its heaviest
+    edge until a node repeats; returns the cycle and its geometric-mean
+    gain. A diagnostic witness, not an exact maximum-cycle search."""
+    block = sorted(max(_components(scaled), key=lambda b: _noda(scaled[np.ix_(b, b)])[0]))
+    sub = scaled[np.ix_(block, block)]
+    node = int(np.unravel_index(int(np.argmax(sub)), sub.shape)[1])
+    walk = []
+    while node not in walk:
+        walk.append(node)
+        node = int(np.argmax(sub[:, node]))
+    cycle = walk[walk.index(node):]
+    edges = [sub[cycle[(k + 1) % len(cycle)], cycle[k]] for k in range(len(cycle))]
+    return tuple(names[block[k]] for k in cycle), float(np.prod(edges) ** (1.0 / len(edges)))
 
 
 def small_gain(
@@ -270,7 +268,7 @@ def small_gain(
 ) -> OmegaPath:
     """Find a weight vector certifying the network small-gain condition.
 
-    Default path: take the spectral radius and positive dominant vector
+    Default path: take the spectral radius and positive weight vector
     of ``Gamma Lambda^{-1}`` from one :func:`perron` call, and normalize
     the vector so the max-form deviation function bounds the stacked
     output mismatch with unit coefficient. Without an ``epsilon``
@@ -295,8 +293,7 @@ def small_gain(
     rho_spec, vec = perron(scaled)
     overridden = eta is not None or epsilon is not None
     if not overridden and rho_spec >= 1.0:
-        cycle, gain = _dominant_cycle(scaled, gm.names)
-        raise SmallGainError(rho_spec, cycle, gain)
+        raise SmallGainError(rho_spec, *_dominant_cycle(scaled, gm.names))
 
     if eta is None:
         eta_vec = vec
@@ -321,8 +318,7 @@ def small_gain(
             float(np.min(eta_vec[driven] / s_eta[driven])) - 1.0 if driven.any() else np.inf
         )
         if not overridden and not eps_max > 0.0:
-            cycle, gain = _dominant_cycle(scaled, gm.names)
-            raise SmallGainError(rho_spec, cycle, gain)
+            raise SmallGainError(rho_spec, *_dominant_cycle(scaled, gm.names))
         eps = min(EPSILON_SAFETY * eps_max, EPSILON_CAP)
     else:
         eps = float(epsilon)

@@ -93,12 +93,6 @@ COMPUTED_CERT_TOL = 1e-7
 #: violated by a few 1e-3 (the bundled integrators by 8.6e-3).
 INJECTED_CERT_TOL = 5e-2
 
-#: Uniform perturbation added to a reducible gain matrix before its
-#: positive weight vector is taken: it makes the matrix irreducible, and
-#: at ``REL_TOL``'s size it moves the weights far below the gains'
-#: own precision.
-REDUCIBLE_SHIFT = 1e-9
-
 #: Relative width of the Collatz-Wielandt bracket at which the
 #: spectral-radius iteration stops: a few units of roundoff, the
 #: rounding of its row ratios, below which the bracket cannot shrink.

@@ -1,5 +1,7 @@
 """The ``check`` command on injections and subsystems that fail: it
-prints what ``cli.certify`` decides, as ``abstract`` does."""
+prints what ``cli.certify`` decides, as ``abstract`` does, and then fails
+what ``bounds`` rejects before its run, with ``bounds``' exit code and
+error."""
 
 import contextlib
 import io
@@ -212,20 +214,112 @@ def test_check_rejects_the_computed_certificate_bounds_rejects(tmp_path, capsys)
     ]
 
 
-def run_quietly(argv) -> tuple[int, str]:
-    """``main`` on ``argv``: its exit code and standard output."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def run_quietly(argv) -> tuple[int, str, str]:
+    """``main`` on ``argv``: its exit code, standard output and standard
+    error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+# edits of the demo's simulation block that every subsystem certifies
+# and bounds rejects before its run, with its error after "error: "
+REJECTED_INPUTS = {
+    "xhat0 one entry short": (
+        lambda sim: sim["xhat0"].pop(), "xhat0 has length 3, the abstractions have 4 states",
+    ),
+    "x0 of length 3": (
+        lambda sim: sim.update(x0=[0.0, 0.0, 0.0]),
+        "x0 has length 3, the interconnection has 10 states",
+    ),
+    "s1 amplitude of width 2": (
+        lambda sim: sim["inputs"]["s1"]["amplitude"].pop(),
+        "input for s1 has width 2, the abstraction takes 3",
+    ),
+    "s2 times decrease": (
+        lambda sim: sim["inputs"].update(
+            s2={"kind": "samples", "times": [1.0, 0.0], "values": [[0.0], [0.0]]}),
+        "simulation.inputs.s2: sample times must be strictly increasing",
+    ),
+    "s2 fewer rows than times": (
+        lambda sim: sim["inputs"].update(
+            s2={"kind": "samples", "times": [0.0, 1.0], "values": [[0.0]]}),
+        "simulation.inputs.s2: signal needs one value row per sample time",
+    ),
+}
+
+
+def rejected_before_the_run():
+    """``(project, exit code, error)`` of each network above, and of a
+    ring whose couplings fail the small-gain test."""
+    cases = {}
+    for label, (edit, message) in REJECTED_INPUTS.items():
+        doc = demo_project()
+        edit(doc["simulation"])
+        cases[label] = (doc, 2, message)
+    cases["ring of radius 7.15"] = (
+        heterogeneous_ring(np.random.default_rng(1), 6, coupling=3.0), 1,
+        "small-gain test failed: spectral radius 7.15034 >= 1; dominant cycle",
+    )
+    return cases
+
+
+@pytest.mark.parametrize("label", list(rejected_before_the_run()))
+def test_check_fails_what_bounds_rejects_before_its_run(tmp_path, capsys, label):
+    doc, expected, message = rejected_before_the_run()[label]
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", str(path)])
+    out, err = capsys.readouterr()
+    assert code == expected and err.startswith(f"error: {message}")
+    # every subsystem certified, and no verdict line
+    assert "construction failed" not in out and "check:" not in out
+    assert main(["bounds", str(path)]) == code
+    assert capsys.readouterr().err == err
+
+
+class ReachedTheRun(Exception):
+    """Raised in place of the co-simulation: the command accepted the
+    network."""
+
+
+def reached(*args, **kwargs):
+    raise ReachedTheRun
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(edit=st.none() | st.sampled_from(list(REJECTED_INPUTS)), coupling=st.floats(0.25, 2.0))
+def test_check_exits_as_bounds_does_up_to_its_run(tmp_path_factory, edit, coupling):
+    # the demo's radius grows linearly with its couplings and reaches 1
+    # near coupling 1.05; check exits 0 exactly when bounds starts its
+    # run, and otherwise with bounds' exit code and error
+    doc = demo_project(coupling, coupling, coupling)
+    if edit is not None:
+        REJECTED_INPUTS[edit][0](doc["simulation"])
+    path = tmp_path_factory.mktemp("demo") / "project.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_quietly(["check", str(path)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "refine_and_run", reached)
+        try:
+            bounds = run_quietly(["bounds", str(path)])
+        except ReachedTheRun:
+            bounds = None
+    if bounds is None:
+        assert (code, err) == (0, "") and out.endswith("check: pass\n")
+    else:
+        assert (code, err) == bounds[::2] and code != 0
+        assert "check:" not in out
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), ring=st.booleans(), size=st.integers(2, 6))
-def test_check_passes_exactly_what_build_abstractions_certifies(tmp_path_factory, seed, ring, size):
+def test_check_passes_exactly_what_bounds_accepts_before_its_run(tmp_path_factory, seed, ring, size):
     # random networks (identity or minimal-invariant injections) fail on
     # unstabilizable pairs and on certificates; rings whose nodes lose
-    # their input fail the injection conditions inside a stack
+    # their input fail the injection conditions inside a stack; networks
+    # that certify may still fail the small-gain test
     rng = np.random.default_rng(seed)
     if ring:
         doc = heterogeneous_ring(rng, size)
@@ -242,17 +336,28 @@ def test_check_passes_exactly_what_build_abstractions_certifies(tmp_path_factory
     work = tmp_path_factory.mktemp("network")
     path = work / "project.json"
     path.write_text(json.dumps(doc))
+    project = parse_project(doc)
+    certified = accepted = False
     try:
-        cli.build_abstractions(parse_project(doc))
-    except (ValueError, NumericsError):
-        certified = False
-    else:
+        results = cli.build_abstractions(project)
         certified = True
-    code, out = run_quietly(["check", str(path)])
-    assert code == (0 if certified else 1)
-    assert out.endswith("check: pass\n" if certified else "check: FAIL\n")
-    abstract_code, summary = run_quietly(["abstract", str(path), "--out", str(work / "out")])
-    assert abstract_code == code
+        sim = project.simulation
+        cli._prepare_run(project, results, sim.t_final, sim.dt)
+        accepted = True
+    except (ValueError, NumericsError):
+        pass
+    code, out, err = run_quietly(["check", str(path)])
+    assert (code == 0) == accepted
+    if accepted:
+        assert out.endswith("check: pass\n") and err == ""
+    elif certified:
+        # bounds' error, before its run
+        assert "check:" not in out
+        assert run_quietly(["bounds", str(path)])[::2] == (code, err)
+    else:
+        assert code == 1 and out.endswith("check: FAIL\n")
+    abstract_code, summary, _ = run_quietly(["abstract", str(path), "--out", str(work / "out")])
+    assert abstract_code == (0 if certified else 1)
     failed = [line for line in summary.splitlines() if ": construction failed: " in line]
     assert [line for line in out.splitlines() if ": construction failed: " in line] == failed
     assert bool(failed) != certified

@@ -232,6 +232,66 @@ def test_small_gain_raises_beyond_unit_radius():
     assert err.cycle_gain > 0
 
 
+def unit_gains(gamma) -> GainMatrices:
+    n = len(gamma)
+    return GainMatrices(tuple(f"n{i}" for i in range(n)), gamma, np.ones(n), np.ones(n))
+
+
+@pytest.mark.parametrize("gain", [2.0, 20.0, 1e3])
+def test_small_gain_validates_a_feedforward_chain(gain):
+    # n0 -> n1 -> ... -> n9 has no cycle, so its radius is 0 whatever
+    # the gains; the weights admit an epsilon of at least 1/r - 1 = 1
+    # (r = 1/2), up to rounding
+    gamma = np.diag(np.full(9, gain), -1)
+    path = small_gain(unit_gains(gamma))
+    assert path.rho_spec == 0.0 and path.validated
+    assert path.epsilon >= 0.99 * (1.0 - 1e-12)
+    assert np.all(path.eta > 0)
+    assert np.all((1.0 + path.epsilon) * gamma @ path.eta < path.eta)
+
+
+def test_small_gain_error_names_a_cycle_of_the_dominant_component():
+    # a <-> b at 1.2 is the only cycle; the heavier edge c -> d ends at
+    # the sink d, so no cycle passes through it
+    gamma = np.zeros((4, 4))
+    gamma[0, 1] = gamma[1, 0] = 1.2
+    gamma[3, 2] = 5.0
+    gm = GainMatrices(("a", "b", "c", "d"), gamma, np.ones(4), np.ones(4))
+    with pytest.raises(SmallGainError) as excinfo:
+        small_gain(gm)
+    assert excinfo.value.rho_spec == pytest.approx(1.2, rel=1e-14)
+    assert sorted(excinfo.value.cycle) == ["a", "b"]
+    assert excinfo.value.cycle_gain == pytest.approx(1.2, rel=1e-14)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_small_gain_validates_every_reducible_network_below_unit_radius(data):
+    # block upper triangular: irreducible-or-not diagonal blocks scaled
+    # to radii below 0.999, couplings over six decades above them, and
+    # the nodes relabelled
+    n = data.draw(st.integers(2, 14), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    density = data.draw(st.floats(0.0, 1.0), label="density")
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, n + 1))
+    cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
+    group = np.searchsorted(cuts, np.arange(n), side="right")
+    drawn = rng.random((n, n)) < density
+    s = np.where(drawn & (group[:, None] < group[None, :]), 10 ** rng.uniform(-3, 3, (n, n)), 0.0)
+    for g in range(k):
+        block = np.ix_(group == g, group == g)
+        s[block] = np.where(drawn[block], 10 ** rng.uniform(-3, 1, (n, n))[block], 0.0)
+        radius = np.max(np.abs(np.linalg.eigvals(s[block])))
+        if radius > 0:
+            s[block] *= rng.uniform(0.0, 0.999) / radius
+    s = permuted(s, rng)
+    assert np.max(np.abs(np.linalg.eigvals(s))) < 1.0
+    path = small_gain(unit_gains(s))
+    assert path.validated and np.all(path.eta > 0)
+    assert np.all((1.0 + path.epsilon) * s @ path.eta < path.eta)
+
+
 def test_small_gain_radius_scales_linearly():
     _, _, gm1 = demo_setup()
     _, _, gm2 = demo_setup(d1=1.0, d2=1.0, d3=1.0)

@@ -5,7 +5,8 @@ propagator with one per-step loop, one reader of the entry grammar, one
 owner for the 2-norm and rank decisions, one owner of the network
 layout, one reader of the interface law, one encoding of the bundled
 example, no function in src/ that the program never reaches,
-certification that calls numpy once per stack of subsystems, stacked
+certification that calls numpy once per stack of subsystems, one
+front half of the run for ``check`` and ``bounds``, stacked
 routines that return values or raise but keep no failure dicts, one
 calling form (stacks) in every module, no
 ``lstsq`` beside the stacked least squares, and no eigendecomposition
@@ -323,6 +324,18 @@ def test_cli_certifies_only_through_build_abstraction():
             found.append(f"cli.py:{node.lineno} def _check_stack")
     assert found == []
     assert "build_abstraction" in names
+
+
+def test_check_and_bounds_share_everything_before_the_run():
+    # one function of cli.py builds the run's input signal and initial
+    # states; check and the bounds pipeline both call it, so check runs
+    # no small-gain, width or length test of its own
+    called = calls_by_function([SRC / "cli.py"])
+    front = {"build_input_signal", "resolve_initial_states"}
+    builders = [name for name, names in called.items() if names & front]
+    assert len(builders) == 1 and front <= called[builders[0]]
+    assert builders[0] in called["cmd_check"] and builders[0] in called["_run_pipeline"]
+    assert not {"small_gain", "gain_matrices"} & called["cmd_check"]
 
 
 def test_one_table_writer():
