@@ -46,6 +46,7 @@ from .linalg import (
     as_matrix,
     by_shape,
     check_spd,
+    frobenius,
     least_squares,
     pbh_stabilizable,
     rank_tol,
@@ -63,7 +64,8 @@ from .systems import LinearSystem
 class QuadraticSimFn:
     """Weighted deviation function plus the interface gain matrices.
 
-    ``V(xhat, x) = sqrt((x - P xhat)^T M (x - P xhat))`` and the
+    ``V(xhat, x) = sqrt((x - P xhat)^T M (x - P xhat))``, which a run
+    (:func:`~simcompose.simulate.refine_and_run`) samples, and the
     interface ``u = K1 (x - P xhat) - K2 xhat - K3 what + K4 uhat``.
     """
 
@@ -74,9 +76,6 @@ class QuadraticSimFn:
     K3: Matrix
     K4: Matrix
     lam: float
-
-    def __call__(self, xhat, x) -> float:
-        return eval_simfn(self, xhat, x)
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,6 @@ class AbstractionResult:
     simfn: QuadraticSimFn
     gains: ComparisonGains
     phat: Matrix
-    e: Matrix
-    f: Matrix
     conditions: PConditionReport
 
 
@@ -267,23 +264,7 @@ def _eigvalsh(mats: np.ndarray, finite: np.ndarray) -> np.ndarray:
     return values
 
 
-def _require_slacks(slacks: tuple[float, float], tol: float, cause: str = "",
-                    rejected: str = "certificate rejected") -> None:
-    """Reject a certificate unless both slacks are at least ``-tol``;
-    the message starts with ``rejected``."""
-    out_slack, decay_slack = slacks
-    if not (out_slack >= -tol and decay_slack >= -tol):
-        overflowed = [kind for kind, slack in zip(("output", "decay"), slacks) if np.isnan(slack)]
-        if overflowed:
-            cause = f"; the {' and '.join(overflowed)} inequality is not finite" + cause
-        raise NumericsError(
-            f"{rejected}: output slack {out_slack:.3e}, decay slack "
-            f"{decay_slack:.3e}, tolerance {tol:.1e}{cause}"
-        )
-
-
-def check_certificate(a, b, blocks, m, k1, lam, tol: float,
-                      rejected=None, cause: str = "") -> np.ndarray:
+def check_certificate(a, b, blocks, m, k1, lam, tol: float, rejected, cause: str) -> np.ndarray:
     """The certificate test, on stacks: a member's certificate is
     rejected unless its ``m`` is symmetric positive semidefinite and
     both inequalities (:func:`certificate_slacks`) hold to ``tol``
@@ -291,19 +272,24 @@ def check_certificate(a, b, blocks, m, k1, lam, tol: float,
 
     Returns the symmetrized stack ``m``, or raises the ``NumericsError``
     of the first failing member. Its message starts with the member's
-    text in ``rejected`` ("certificate rejected" for every member by
-    default), and a slack rejection ends with ``cause``.
+    text in ``rejected``, and a slack rejection ends with ``cause``.
     """
-    starts = ["certificate rejected"] * len(m) if rejected is None else rejected
     try:
-        m = check_spd(m, [f"{start}: M" for start in starts])
+        m = check_spd(m, [f"{start}: M" for start in rejected])
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:
         raise NumericsError(str(exc)) from None
     slacks = certificate_slacks(a, b, blocks, m, k1, lam)
-    for start, pair in zip(starts, zip(*(s.tolist() for s in slacks))):
-        _require_slacks(pair, tol, cause, start)
+    for start, pair in zip(rejected, zip(*(s.tolist() for s in slacks))):
+        out_slack, decay_slack = pair
+        if not (out_slack >= -tol and decay_slack >= -tol):
+            nan = [kind for kind, slack in zip(("output", "decay"), pair) if np.isnan(slack)]
+            note = f"; the {' and '.join(nan)} inequality is not finite" if nan else ""
+            raise NumericsError(
+                f"{start}: output slack {out_slack:.3e}, decay slack "
+                f"{decay_slack:.3e}, tolerance {tol:.1e}{note}{cause}"
+            )
     return m
 
 
@@ -372,17 +358,18 @@ def check_P_conditions(a, b, d, blocks, p):
 
 
 def _left_inverse_through_kernel(p: np.ndarray, reports: list):
-    """Build ``(phat, e, f)`` with ``phat p = I``, ``C p phat = C`` and
-    ``p phat + e f = I`` where ``im e = ker C``, for each member of the
-    stack ``p``.
+    """Build ``phat`` with ``phat p = I`` and ``C p phat = C``, and the
+    orthonormal basis ``e`` of ``ker C``, for each member of the stack
+    ``p``.
 
     Decomposes the state space as ``im p (+) W`` with ``W`` a complement
     of ``im p  ker C`` inside ``ker C``; ``phat`` reads off the ``p``
-    coordinate of that splitting. ``im p``, ``ker C`` and ``|p|`` come
-    from ``reports``, the :func:`check_P_conditions` of each member.
-    Returns ``(phat, e, f)``; ``e`` and ``f`` are lists, since ``dim ker
-    C`` is each member's own. Raises the ``NumericsError`` of the first
-    member whose splitting fails.
+    coordinate of that splitting, so ``I - p phat`` factors through
+    ``ker C``: its residual ``(I - e e^T)(I - p phat)`` is checked.
+    ``im p``, ``ker C`` and ``|p|`` come from ``reports``, the
+    :func:`check_P_conditions` of each member. Returns ``(phat, e)``;
+    ``e`` is a list, since ``dim ker C`` is each member's own. Raises
+    the ``NumericsError`` of the first member whose splitting fails.
     """
     n, nhat = p.shape[1:]
     e = [report.kernel_c.basis for report in reports]
@@ -400,14 +387,16 @@ def _left_inverse_through_kernel(p: np.ndarray, reports: list):
     if (svals[:, -1] <= SPLIT_RCOND * svals[:, 0]).any():
         raise NumericsError("state decomposition [P, W] is numerically singular")
     phat = np.linalg.solve(t, np.eye(n))[:, :nhat, :]
-    # one solve per stack of members with the same dim ker C
-    solved = by_shape(least_squares, e, np.eye(n) - p @ phat)
-    for report, (_, f_res) in zip(reports, solved):
-        if not residual_ok(f_res, report.norm_p):
+    # one product per stack of members with the same dim ker C
+    rest = by_shape(
+        lambda e, r: frobenius(r - e @ (e.swapaxes(-1, -2) @ r)), e, np.eye(n) - p @ phat
+    )
+    for report, res in zip(reports, rest):
+        if not residual_ok(res, report.norm_p):
             raise NumericsError(
-                f"projector residual {f_res:.3e}: I - P phat does not factor through ker C"
+                f"projector residual {res:.3e}: I - P phat does not factor through ker C"
             )
-    return phat, e, [f for f, _ in solved]
+    return phat, e
 
 
 def _splitting(p, k, o):
@@ -498,14 +487,14 @@ def build_abstraction(systems, p, certificates=None):
         raise NumericsError(
             f"construction identities inconsistent: residuals {res_a[j]:.3e}, {res_d[j]:.3e}"
         )
-    phat, e, f = _left_inverse_through_kernel(p, reports)
+    phat, e = _left_inverse_through_kernel(p, reports)
 
     bhat = by_shape(
         lambda phat_b, phat_a, e: np.concatenate([phat_b, phat_a @ e], axis=-1),
         phat @ b, phat @ a, e,
     )
-    root = sqrtm_spd(m, checked=True)
-    k4_rho = by_shape(compute_k4, m, p, bhat, b, root)
+    root = sqrtm_spd(m)
+    k4_rho = by_shape(compute_k4, root, p, bhat, b)
     mu = [spectral_norm(root @ d[:, :, k, None]).tolist() for k in range(d.shape[-1])]
     lam = lam.tolist()
     results = []
@@ -527,37 +516,26 @@ def build_abstraction(systems, p, certificates=None):
         )
         gains = ComparisonGains(lam=lam[j], rho=float(rho), mu=tuple(column[j] for column in mu))
         results.append(AbstractionResult(
-            system=abstract, simfn=simfn, gains=gains, phat=phat[j], e=e[j], f=f[j],
-            conditions=reports[j],
+            system=abstract, simfn=simfn, gains=gains, phat=phat[j], conditions=reports[j],
         ))
     return results
 
 
-def compute_k4(m, p, bhat, b, root=None):
+def compute_k4(root, p, bhat, b):
     """Abstract-input matching gains and the resulting deviation gains of
     stacks, from one least-squares solve of the whole stack.
 
     Minimizes ``|sqrt(M) (P Bhat - B K4)|`` columnwise (minimum-norm
-    solution); ``rho`` is the spectral norm of the optimal residual.
-    With no concrete input (``B`` has zero width) this degenerates to
-    ``K4`` empty and ``rho = |sqrt(M) P Bhat|``. ``root`` is
-    ``sqrtm_spd(m)`` when the caller has already formed it. Returns the
-    stack of gains and one ``rho`` per member.
+    solution), for the stack ``root`` of square roots ``sqrtm_spd(M)``;
+    ``rho`` is the spectral norm of the optimal residual. With no
+    concrete input (``B`` has zero width) this degenerates to ``K4``
+    empty and ``rho = |sqrt(M) P Bhat|``. Returns the stack of gains
+    and one ``rho`` per member.
     """
-    if root is None:
-        root = sqrtm_spd(m)
     target = root @ (p @ bhat)
     root_b = root @ b
     k4, _ = least_squares(root_b, target)
     return k4, spectral_norm(target - root_b @ k4)
-
-
-def eval_simfn(fn: QuadraticSimFn, xhat, x) -> float:
-    """Value of the deviation function at one abstract/concrete pair."""
-    xhat = np.asarray(xhat, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    e = x - fn.P @ xhat
-    return float(np.sqrt(max(e @ fn.M @ e, 0.0)))
 
 
 def interface_gains(fn: QuadraticSimFn) -> tuple[Matrix, Matrix, Matrix, Matrix]:

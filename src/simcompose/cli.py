@@ -39,6 +39,7 @@ from .linalg import (
     PUBLISHED_GAIN_TOL,
     NumericsError,
     spectral_norm,
+    sqrtm_spd,
     stack,
 )
 from .simulate import (
@@ -125,12 +126,12 @@ def _at(index) -> str:
     return "".join(f"[{i}]" for i in index)
 
 
-def read_numbers(value, parameters: dict, where: str, shape=None) -> np.ndarray:
+def read_numbers(value, parameters: dict, where: str, shape) -> np.ndarray:
     """A number, or a rectangular nested array of entries, as one finite
     float array.
 
     ``shape`` lists the dimensions the field needs, ``None`` for a free
-    one; without it any depth is read. ``[]`` is empty at any depth. A
+    one; ``shape=None`` reads any depth. ``[]`` is empty at any depth. A
     rejected entry is named by its index, as in ``where[i][j]``.
     """
     try:
@@ -476,7 +477,7 @@ def run_compose(project: Project, results, eta=None, epsilon=None):
         project.interconnection, {n: r.gains for n, r in results.items()}
     )
     path = small_gain(gm, eta=eta, epsilon=epsilon)
-    composed = compose_simfn({n: r.simfn for n, r in results.items()}, gm, path)
+    composed = compose_simfn(gm, path)
     return gm, path, composed
 
 
@@ -730,9 +731,9 @@ def cmd_reproduce(args) -> int:
     d1, d2 = float(ic["s1"].D[2, 0]), float(-ic["s2"].D[0, 0])
     # the published interface gain is stated for the unit abstract
     # input direction, so recompute it against bhat = 1
-    s1_directive = project.directives["s1"]
+    s1_simfn = results["s1"].simfn
     k4_scalar = compute_k4(
-        s1_directive.certificate[0][np.newaxis], s1_directive.p[np.newaxis],
+        sqrtm_spd(s1_simfn.M[np.newaxis]), s1_simfn.P[np.newaxis],
         np.ones((1, 1, 1)), ic["s1"].B[np.newaxis],
     )[0][0]
     s1, s2 = results["s1"], results["s2"]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstraction import AbstractionResult, ComparisonGains, QuadraticSimFn, eval_simfn
+from .abstraction import AbstractionResult, ComparisonGains
 from .linalg import BRACKET_TOL, EPSILON_SAFETY, Matrix, NumericsError
 from .systems import Interconnection
 
@@ -67,7 +67,6 @@ class OmegaPath:
     rho_spec: float
     margin: float
     validated: bool
-    overridden: bool
 
 
 @dataclass
@@ -75,21 +74,14 @@ class ComposedSimFn:
     """Max-form deviation function of the interconnection.
 
     ``V = max_i weights[i] * V_i`` with ``weights[i] = lam_i / eta_i``;
-    decays at rate ``lam`` with abstract-input gain ``rho``.
+    decays at rate ``lam`` with abstract-input gain ``rho``. A run
+    (:func:`~simcompose.simulate.refine_and_run`) samples ``V``.
     """
 
     names: tuple[str, ...]
-    parts: tuple[QuadraticSimFn, ...]
     weights: np.ndarray
     lam: float
     rho: float
-
-    def __call__(self, xhats, xs) -> float:
-        values = [
-            w * eval_simfn(fn, xh, x)
-            for w, fn, xh, x in zip(self.weights, self.parts, xhats, xs)
-        ]
-        return float(max(values)) if values else 0.0
 
 
 def gain_matrices(ic: Interconnection, gains: dict[str, ComparisonGains]) -> GainMatrices:
@@ -258,7 +250,8 @@ def _dominant_cycle(scaled: Matrix, names: tuple[str, ...]):
         node = int(np.argmax(sub[:, node]))
     cycle = walk[walk.index(node):]
     edges = [sub[cycle[(k + 1) % len(cycle)], cycle[k]] for k in range(len(cycle))]
-    return tuple(names[block[k]] for k in cycle), float(np.prod(edges) ** (1.0 / len(edges)))
+    # a mean of logarithms, as the product of large gains passes the float range
+    return tuple(names[block[k]] for k in cycle), float(np.exp(np.mean(np.log(edges))))
 
 
 def small_gain(
@@ -314,9 +307,11 @@ def small_gain(
         # Collatz-Wielandt: (1 + eps) S eta <= eta holds exactly for
         # eps <= min_i eta_i / (S eta)_i - 1 over the rows with (S eta)_i > 0
         driven = s_eta > 0.0
-        eps_max = (
-            float(np.min(eta_vec[driven] / s_eta[driven])) - 1.0 if driven.any() else np.inf
-        )
+        # a subnormal (S eta)_i gives an infinite ratio, which EPSILON_CAP caps
+        with np.errstate(over="ignore"):
+            eps_max = (
+                float(np.min(eta_vec[driven] / s_eta[driven])) - 1.0 if driven.any() else np.inf
+            )
         if not overridden and not eps_max > 0.0:
             raise SmallGainError(rho_spec, *_dominant_cycle(scaled, gm.names))
         eps = min(EPSILON_SAFETY * eps_max, EPSILON_CAP)
@@ -333,15 +328,10 @@ def small_gain(
         rho_spec=float(rho_spec),
         margin=margin,
         validated=margin > 0.0,
-        overridden=overridden,
     )
 
 
-def compose_simfn(
-    simfns: dict[str, QuadraticSimFn],
-    gm: GainMatrices,
-    path: OmegaPath,
-) -> ComposedSimFn:
+def compose_simfn(gm: GainMatrices, path: OmegaPath) -> ComposedSimFn:
     """Assemble the max-form network deviation function.
 
     Decay rate ``min_i lam_i * eps / (1 + eps)`` and abstract-input gain
@@ -351,14 +341,7 @@ def compose_simfn(
     weights = gm.lam / path.eta
     lam_c = float(np.min(gm.lam) * path.epsilon / (1.0 + path.epsilon))
     rho_c = float(np.max(gm.rho * weights)) if len(gm.names) else 0.0
-    parts = tuple(simfns[name] for name in gm.names)
-    return ComposedSimFn(
-        names=gm.names,
-        parts=parts,
-        weights=weights,
-        lam=lam_c,
-        rho=rho_c,
-    )
+    return ComposedSimFn(names=gm.names, weights=weights, lam=lam_c, rho=rho_c)
 
 
 def compose_abstractions(

@@ -46,8 +46,7 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def zero_subspace(ambient: int, tol: float | None = None) -> Subspace:
-    tol = rank_tol(np.eye(max(ambient, 1))[np.newaxis])[0] if tol is None else tol
+def zero_subspace(ambient: int, tol: float) -> Subspace:
     return Subspace(ambient, np.zeros((ambient, 0)), tol)
 
 
@@ -100,7 +99,18 @@ def residuals(spaces, x) -> np.ndarray:
     def largest(basis, cols):
         r = cols - basis @ (basis.swapaxes(-1, -2) @ cols)
         # the column norms as np.linalg.norm(r, axis=0) sums them
-        return np.sqrt(np.add.reduce(r * r, axis=-2)).max(axis=-1)
+        with np.errstate(over="ignore"):
+            squares = np.add.reduce(r * r, axis=-2)
+        norms = np.sqrt(squares)
+        # a finite column whose squares pass the float range: summed
+        # again scaled to unit maximum entry
+        over = ~np.isfinite(squares)
+        if over.any():
+            scale = np.abs(r).max(axis=-2)
+            over &= np.isfinite(scale)
+            scaled = r.swapaxes(-1, -2)[over] / scale[over][:, None]
+            norms[over] = scale[over] * np.sqrt(np.add.reduce(scaled * scaled, axis=-1))
+        return norms.max(axis=-1)
 
     return np.array(by_shape(largest, [s.basis for s in spaces], x))
 

@@ -145,7 +145,7 @@ class NumericsError(RuntimeError):
     """
 
 
-def as_matrix(a, name: str = "matrix") -> Matrix:
+def as_matrix(a, name: str) -> Matrix:
     """Coerce to a 2-D float array; 1-D input becomes a column."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim == 1:
@@ -191,15 +191,26 @@ def by_shape(fn, *members):
     return out
 
 
-def _frobenius(x: np.ndarray) -> np.ndarray:
+def frobenius(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each member of a C-ordered stack.
 
     ``np.linalg.norm(x, "fro")`` of one matrix is a BLAS dot of its
     entries; a row-by-column product per member is the same dot, where
-    a stacked ``einsum`` would sum in another order.
+    a stacked ``einsum`` would sum in another order. A finite member
+    whose sum of squares passes the float range is summed again scaled
+    to unit maximum entry, so its norm is finite.
     """
     flat = x.reshape(x.shape[0], 1, x.shape[-2] * x.shape[-1])
-    return np.sqrt((flat @ flat.swapaxes(-1, -2))[:, 0, 0])
+    with np.errstate(over="ignore"):
+        squares = (flat @ flat.swapaxes(-1, -2))[:, 0, 0]
+    norms = np.sqrt(squares)
+    over = ~np.isfinite(squares)
+    if over.any():
+        scale = np.abs(flat).max(axis=-1)[:, 0]
+        over &= np.isfinite(scale)
+        scaled = flat[over] / scale[over, None, None]
+        norms[over] = scale[over] * np.sqrt((scaled @ scaled.swapaxes(-1, -2))[:, 0, 0])
+    return norms
 
 
 def spectral_norm(a: np.ndarray) -> np.ndarray:
@@ -353,9 +364,9 @@ def _refine(a, q, m, steps) -> tuple[np.ndarray, np.ndarray]:
         return a.swapaxes(-1, -2) @ x + x @ a + q
 
     residual = residual_of(a, m, q)
-    res_norm = _frobenius(residual)
+    res_norm = frobenius(residual)
     roundoff = 8 * a.shape[-1] * _EPS * (
-        2.0 * _frobenius(a) * _frobenius(m) + _frobenius(q)
+        2.0 * frobenius(a) * frobenius(m) + frobenius(q)
     )
     active = ~(res_norm <= roundoff)
     for _ in range(_REFINE_CYCLES):
@@ -364,7 +375,7 @@ def _refine(a, q, m, steps) -> tuple[np.ndarray, np.ndarray]:
         pos = np.flatnonzero(active)
         trial = _symmetrize(m[pos] + _sign_solve(steps, residual, active)[pos])
         trial_residual = residual_of(a[pos], trial, q[pos])
-        trial_norm = _frobenius(trial_residual)
+        trial_norm = frobenius(trial_residual)
         better = trial_norm < res_norm[pos]
         kept = pos[better]
         m[kept], residual[kept], res_norm[kept] = (
@@ -646,7 +657,7 @@ def stabilize(a, b, pbh=None):
     return k, abscissa
 
 
-def check_spd(m, name="matrix"):
+def check_spd(m, name):
     """Validate the symmetry (else ``ValueError``) and positive
     semidefiniteness (else ``NumericsError``) of each member, and return
     the symmetrized stack. The stack raises the error of its first
@@ -671,15 +682,13 @@ def check_spd(m, name="matrix"):
     return m
 
 
-def sqrtm_spd(m: np.ndarray, checked: bool = False) -> np.ndarray:
-    """Symmetric square root of each positive semidefinite member.
+def sqrtm_spd(m: np.ndarray) -> np.ndarray:
+    """Symmetric square root of each member of a stack that
+    :func:`check_spd` returned (symmetric positive semidefinite).
 
     Computed from the eigendecomposition; eigenvalues below the noise
-    floor are clipped to zero. ``checked`` says ``m`` is already the
-    output of :func:`check_spd`, so the check is not run again.
+    floor are clipped to zero.
     """
-    if not checked:
-        m = check_spd(m)
     if m.shape[-1]:
         w, u = np.linalg.eigh(m)
         diag = np.zeros_like(u)
@@ -725,6 +734,6 @@ def least_squares(a: np.ndarray, *rhs: np.ndarray):
         start, stop = stop, stop + part.shape[-1]
         out += [
             np.ascontiguousarray(x[..., start:stop]),
-            _frobenius(np.ascontiguousarray(error[..., start:stop])),
+            frobenius(np.ascontiguousarray(error[..., start:stop])),
         ]
     return tuple(out)

@@ -103,12 +103,6 @@ class Signal:
             for first in range(0, len(self.values), _GATHER_ROWS)
         ))
 
-    def value(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        if idx < 0:
-            return np.zeros(self.width)
-        return self.values[idx]
-
     def sample(self, grid) -> np.ndarray:
         """Evaluate on a whole time grid at once."""
         grid = np.asarray(grid, dtype=float)
@@ -210,7 +204,7 @@ def grid_steps(t_final: float, dt: float) -> int:
     return steps
 
 
-def require_memory(t_final: float, dt: float, width: int, switches: float = 0) -> None:
+def require_memory(t_final: float, dt: float, width: int, switches: float) -> None:
     """Reject a run that cannot fit in physical memory before it starts.
 
     A run keeps ``width`` doubles at every point of the grid ``0, dt,
@@ -537,8 +531,8 @@ def refine_and_run(
     x0,
     xhat0,
     uhat: Signal,
-    t_final: float = 20.0,
-    dt: float = 1e-3,
+    t_final: float,
+    dt: float,
 ) -> RefinementRun:
     """Run the abstract network and its interface-refined concrete twin.
 
@@ -572,6 +566,8 @@ def refine_and_run(
         order; every entry must be finite.
     uhat : Signal
         Stacked abstract input.
+    t_final, dt : float
+        Horizon and step size of the time grid.
 
     Returns
     -------
@@ -830,12 +826,10 @@ class BoundReport:
     """
 
     names: tuple[str, ...]
-    times: np.ndarray
     v0: float
     lam: float
     rho: float
     u_inf: float
-    scalar_samples: np.ndarray
     mismatch: np.ndarray
     margin: np.ndarray
     vvec_fixed_point: np.ndarray
@@ -906,8 +900,7 @@ def bound_report(
             "input sup norm overflows the float range: its largest entry is"
             f" {np.abs(uhat.values).max():.6g}"
         )
-    scalar_samples = scalar_bound(v0, composed.lam, composed.rho, u_inf, run.times)
-    margin = scalar_samples - run.mismatch
+    margin = scalar_bound(v0, composed.lam, composed.rho, u_inf, run.times) - run.mismatch
 
     fixed_point = vector_bound(gm, block_norms)
     # fixed point + exp(-lam t) v(0) - v, one steps x subsystems array
@@ -920,12 +913,10 @@ def bound_report(
 
     return BoundReport(
         names=tuple(run.names),
-        times=run.times,
         v0=v0,
         lam=composed.lam,
         rho=composed.rho,
         u_inf=u_inf,
-        scalar_samples=scalar_samples,
         mismatch=run.mismatch,
         margin=margin,
         vvec_fixed_point=fixed_point,
@@ -972,9 +963,8 @@ def write_csv(path, run: RefinementRun) -> None:
     )
 
 
-def write_table(path, table, header=None) -> None:
-    """Write a float matrix as CSV, one line per row, after an optional
-    header line.
+def write_table(path, table) -> None:
+    """Write a float matrix as CSV, one line per row.
 
     Every value is written exactly as ``b"%.17g" % value`` writes it, so
     rereading reproduces the doubles bit for bit and the file matches
@@ -997,12 +987,13 @@ def write_table(path, table, header=None) -> None:
     the range, inf and NaN included; they are formatted together, one
     list per chunk.
     """
-    _write_columns(path, [np.atleast_2d(np.asarray(table, dtype=float))], header)
+    _write_columns(path, [np.atleast_2d(np.asarray(table, dtype=float))], None)
 
 
 def _write_columns(path, blocks, header) -> None:
-    """:func:`write_table` of the matrices ``blocks`` placed side by side;
-    they share their row count."""
+    """:func:`write_table` of the matrices ``blocks`` placed side by side,
+    after the line ``header`` unless it is None; they share their row
+    count."""
     rows = blocks[0].shape[0]
     cols = sum(block.shape[1] for block in blocks)
     with open(path, "wb") as fh:

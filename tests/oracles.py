@@ -8,6 +8,9 @@ the program against, beside scipy. None of them runs in the program.
 - :func:`check_relation` checks a joint-space relation between an
   abstract and a concrete subsystem, a test of the certificate that does
   not go through ``P``;
+- :func:`eval_simfn` evaluates a deviation function at one pair of
+  states, the reference for the sampled ``V`` of
+  :func:`~simcompose.simulate.refine_and_run`;
 - :func:`integrate` runs one linear system through the program's one
   propagator, ``simulate._run_lti``;
 - :func:`build_monolithic` flattens an interconnection into one system,
@@ -34,6 +37,7 @@ from simcompose.linalg import (
     pbh_stabilizable,
     residual_ok,
     spectral_norm,
+    sqrtm_spd,
 )
 from simcompose.simulate import Signal, Trajectory, _run_lti, time_grid
 from simcompose.systems import Interconnection, LinearSystem
@@ -69,8 +73,17 @@ def simfn_from_relation(sys1, sys2, r: Subspace) -> QuadraticSimFn:
     b2 = sys2.B[np.newaxis]
     k2 = least_squares(b2, (sys2.A @ p - p @ sys1.A)[np.newaxis])[0][0]
     k3 = least_squares(b2, (sys2.D - p @ sys1.D)[np.newaxis])[0][0]
-    k4 = compute_k4(m[np.newaxis], p[np.newaxis], sys1.B[np.newaxis], b2)[0][0]
+    k4 = compute_k4(sqrtm_spd(m[np.newaxis]), p[np.newaxis], sys1.B[np.newaxis], b2)[0][0]
     return QuadraticSimFn(P=p, M=m, K1=k1, K2=k2, K3=k3, K4=k4, lam=lam)
+
+
+def eval_simfn(fn: QuadraticSimFn, xhat, x) -> float:
+    """Value of the deviation function ``|sqrt(M) (x - P xhat)|`` at one
+    abstract/concrete pair."""
+    xhat = np.asarray(xhat, dtype=float).reshape(-1)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    e = x - fn.P @ xhat
+    return float(np.sqrt(max(e @ fn.M @ e, 0.0)))
 
 
 def _stacked_outputs(sys: LinearSystem) -> Matrix:

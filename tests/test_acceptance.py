@@ -31,7 +31,7 @@ from simcompose.demo import (
     demo_projections,
 )
 from simcompose.geometry import image, minimal_invariant, residuals
-from simcompose.linalg import solve_lyapunov, spectral_norm
+from simcompose.linalg import solve_lyapunov, spectral_norm, sqrtm_spd
 from simcompose.simulate import Signal, bound_report, refine_and_run
 from simcompose.systems import LinearSystem
 
@@ -55,7 +55,7 @@ def test_published_gains_from_injected_certificates():
         ic, results = demo_results((d1, d2, 0.5))
         certs = demo_certificates()
         (k4,), _ = compute_k4(
-            certs["s1"][0][None], demo_projections()["s1"][None], np.ones((1, 1, 1)),
+            sqrtm_spd(certs["s1"][0][None]), demo_projections()["s1"][None], np.ones((1, 1, 1)),
             ic["s1"].B[None],
         )
         assert abs(float(k4[0, 0]) - 1.47) <= 0.01
@@ -96,7 +96,7 @@ def test_abstraction_structure_is_exact():
     assert np.linalg.matrix_rank(bhat1) == 1
     rng = np.random.default_rng(2)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    m, p, b = s1.simfn.M[None], s1.simfn.P[None], ic["s1"].B[None]
+    m, p, b = sqrtm_spd(s1.simfn.M[None]), s1.simfn.P[None], ic["s1"].B[None]
     _, (rho_direct,) = compute_k4(m, p, bhat1[None], b)
     _, (rho_rotated,) = compute_k4(m, p, (bhat1 @ q)[None], b)
     assert abs(rho_direct - rho_rotated) <= 1e-8
@@ -114,9 +114,7 @@ def test_published_composition_path(capsys):
     assert abs(path.rho_spec - 0.19) > 0.05
 
     published = small_gain(gm, eta=(0.4, 0.6, 0.5, 0.6), epsilon=4.0)
-    composed = compose_simfn(
-        {n: results[n].simfn for n in ic.names}, gm, published
-    )
+    composed = compose_simfn(gm, published)
     assert composed.lam == 0.8
     assert 4.5 <= composed.rho <= 4.8
     assert 5.6 <= composed.rho / composed.lam <= 6.0
@@ -148,9 +146,7 @@ def test_deviation_bounds_hold_across_random_instances():
         gm = gain_matrices(ic, {n: results[n].gains for n in ic.names})
         path = small_gain(gm)
         assert path.validated
-        composed = compose_simfn(
-            {n: results[n].simfn for n in ic.names}, gm, path
-        )
+        composed = compose_simfn(gm, path)
         x0 = np.concatenate([
             results[n].simfn.P @ xhat0[i:i + 1] for i, n in enumerate(ic.names)
         ])

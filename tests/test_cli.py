@@ -95,15 +95,15 @@ def test_parse_matrix():
 def test_read_numbers_shapes():
     assert read_numbers([], PARAMS, "B", (None, None)).shape == (0, 0)
     assert read_numbers([[], []], PARAMS, "B", (2, None)).shape == (2, 0)
-    assert read_numbers(7, PARAMS, "t").shape == ()
+    assert read_numbers(7, PARAMS, "t", None).shape == ()
     with pytest.raises(ProjectError, match=r"^P: expected 3 rows, got 0$"):
         read_numbers([], PARAMS, "P", (3, None))
     with pytest.raises(ProjectError, match=r"^x: expected a number$"):
         read_numbers([1.0], PARAMS, "x", ())
     with pytest.raises(ProjectError, match=r"^v\[1\]: rows have unequal lengths$"):
-        read_numbers([[[1], [2]], [[3], [4, 5]]], PARAMS, "v")
+        read_numbers([[[1], [2]], [[3], [4, 5]]], PARAMS, "v", None)
     with pytest.raises(ProjectError, match=r"^v: rows have unequal depths$"):
-        read_numbers([[1.0], [[2.0]]], PARAMS, "v")
+        read_numbers([[1.0], [[2.0]]], PARAMS, "v", None)
 
 
 # a rectangular array of depth 0-2 mixing numbers and parameter entries
@@ -440,13 +440,13 @@ def test_build_input_signal_kinds():
     project = parse_project(doc)
     results = build_abstractions(project)
     sig = build_input_signal(project, results, 1.0)
-    assert np.allclose(sig.value(0.25), [0.2])
-    assert np.allclose(sig.value(0.75), [0.4])
+    assert np.allclose(sig.sample([0.25])[0], [0.2])
+    assert np.allclose(sig.sample([0.75])[0], [0.4])
 
     doc = solo_project(inputs={"solo": {"kind": "constant", "value": [0.3]}})
     project = parse_project(doc)
     sig = build_input_signal(project, build_abstractions(project), 1.0)
-    assert np.allclose(sig.value(10.0), [0.3])
+    assert np.allclose(sig.sample([10.0])[0], [0.3])
 
     doc = solo_project(inputs={"solo": {"kind": "constant", "value": [0.3, 0.1]}})
     project = parse_project(doc)
@@ -689,6 +689,49 @@ def test_cli_compose_strong_coupling_fails(tmp_path, capsys):
     path = write_project(tmp_path, doc)
     assert main(["compose", path]) == 1
     assert "small-gain test failed" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("coupling, radius, gain", [
+    (1e150, "9.51952e+149", "7.55565e+149"),
+    (1e300, "9.51952e+299", "7.55565e+299"),
+], ids=["1e150", "1e300"])
+def test_cli_overflowing_couplings_fail_the_small_gain_test(
+    tmp_path, capsys, coupling, radius, gain
+):
+    # the loop's gains pass the float range when multiplied, and their
+    # squares when measured: each subsystem still certifies, and the
+    # small-gain error names a finite mean gain, with no numpy warning
+    path = write_project(tmp_path, demo_project(coupling, coupling, coupling))
+    for command in ("check", "compose"):
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert captured.err == (
+            f"error: small-gain test failed: spectral radius {radius} >= 1; dominant cycle"
+            f" s1 -> s2 -> s3 -> s1 with mean gain {gain}\n"
+        )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_subnormal_couplings_pass_without_warning(tmp_path, capsys):
+    # S eta is subnormal: the ratio eta / (S eta) that bounds epsilon is
+    # infinite, and EPSILON_CAP caps it
+    path = write_project(tmp_path, demo_project(1e-310, 1e-310, 1e-310))
+    assert main(["check", path]) == 0
+    assert "check: pass" in capsys.readouterr().out
+    assert main(["compose", path]) == 0
+    assert "path margin: 0.5 (strict)" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_compose_subnormal_eta_override_exits_1_without_warning(tmp_path, capsys):
+    path = write_project(tmp_path, demo_project())
+    assert main(["compose", path, "--eta", "1e-320,1,1,1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: epsilon must be finite and positive, got -0.99"
+        " (the largest the given eta admits)\n"
+    )
 
 
 def test_cli_compose_bad_eta_count(tmp_path, capsys):
@@ -1009,8 +1052,8 @@ def test_input_signal_entries_read_parameters():
         "kind": "square", "amplitude": [0.1], "period": 0.4,
     }
     sig = build_input_signal(project, build_abstractions(project), 1.0)
-    assert np.allclose(sig.value(0.1), [0.1])
-    assert np.allclose(sig.value(0.3), [-0.1])
+    assert np.allclose(sig.sample([0.1])[0], [0.1])
+    assert np.allclose(sig.sample([0.3])[0], [-0.1])
 
 def test_cli_reproduce_example(capsys):
     assert main(["reproduce-example"]) == 0

@@ -17,7 +17,7 @@ from simcompose.compose import (
     perron,
     small_gain,
 )
-from simcompose.abstraction import eval_simfn
+from oracles import eval_simfn
 from simcompose.demo import demo_certificates, demo_interconnection, demo_projections
 from simcompose.simulate import Signal, refine_and_run
 from simcompose.systems import Interconnection, LinearSystem
@@ -184,7 +184,7 @@ def test_small_gain_demo_default_path():
     _, _, gm = demo_setup()
     path = small_gain(gm)
     assert path.rho_spec == pytest.approx(demo_rho_spec(), rel=1e-9)
-    assert path.validated and not path.overridden
+    assert path.validated
     assert path.margin > 0.0
     # eta is the dominant vector, normalized so sqrt(N) max eta_i/lam_i = 1.
     scaled = gm.scaled
@@ -303,7 +303,7 @@ def test_small_gain_radius_scales_linearly():
 def test_small_gain_published_overrides_fail_strictly():
     _, _, gm = demo_setup()
     path = small_gain(gm, eta=np.array([0.4, 0.6, 0.5, 0.6]), epsilon=4.0)
-    assert path.overridden and not path.validated
+    assert not path.validated
     # Worst slot: eta_2 - 5 * sqrt(2) d2 eta_1 = 0.6 - sqrt(2).
     assert path.margin == pytest.approx(0.6 - np.sqrt(2.0), abs=1e-9)
     assert np.allclose(path.eta, [0.4, 0.6, 0.5, 0.6])
@@ -314,7 +314,7 @@ def test_small_gain_overrides_can_validate():
     _, _, gm = demo_setup()
     default = small_gain(gm)
     path = small_gain(gm, eta=default.eta, epsilon=1.0)
-    assert path.overridden and path.validated
+    assert path.validated
     assert path.margin > 0.0
 
 
@@ -346,7 +346,7 @@ def test_small_gain_rejects_bad_overrides():
 def test_compose_simfn_published_overrides():
     _, results, gm = demo_setup()
     path = small_gain(gm, eta=np.array([0.4, 0.6, 0.5, 0.6]), epsilon=4.0)
-    composed = compose_simfn({n: results[n].simfn for n in gm.names}, gm, path)
+    composed = compose_simfn(gm, path)
     assert composed.lam == 0.8
     assert composed.rho == pytest.approx(np.sqrt(2.0) * 10.0 / 3.0, rel=1e-9)
     assert composed.rho / composed.lam == pytest.approx(5.892557, abs=1e-5)
@@ -354,19 +354,30 @@ def test_compose_simfn_published_overrides():
 
 
 def test_compose_simfn_is_weighted_max():
-    _, results, gm = demo_setup()
+    # the run samples each V_i at the pair of states it reached, and the
+    # composed V as their max weighted by composed.weights
+    ic, results, gm = demo_setup()
     path = small_gain(gm)
-    composed = compose_simfn({n: results[n].simfn for n in gm.names}, gm, path)
+    composed = compose_simfn(gm, path)
     rng = np.random.default_rng(307)
-    sizes = [(1, 3), (1, 2), (1, 3), (1, 2)]
-    for _ in range(20):
-        xhats = [rng.standard_normal(nh) for nh, _ in sizes]
-        xs = [rng.standard_normal(nc) for _, nc in sizes]
-        direct = max(
-            w * eval_simfn(fn, xh, x)
-            for w, fn, xh, x in zip(composed.weights, composed.parts, xhats, xs)
-        )
-        assert composed(xhats, xs) == pytest.approx(direct, rel=1e-12)
+    abstract_ic = compose_abstractions(ic, results)
+    width = sum(results[n].system.m for n in gm.names)
+    run = refine_and_run(
+        ic, results, composed, rng.standard_normal(10), rng.standard_normal(4),
+        Signal.zero(width), t_final=0.2, dt=1e-2,
+    )
+    for row in range(len(run.times)):
+        values = [
+            eval_simfn(
+                results[name].simfn,
+                run.abstract.states[row, abstract_ic.state_slice(name)],
+                run.concrete.states[row, ic.state_slice(name)],
+            )
+            for name in gm.names
+        ]
+        assert run.v[row] == pytest.approx(values, rel=1e-12)
+        direct = max(w * v for w, v in zip(composed.weights, values))
+        assert run.v_composed[row] == pytest.approx(direct, rel=1e-12)
 
 
 def test_compose_single_subsystem():
@@ -375,8 +386,7 @@ def test_compose_single_subsystem():
     ic = Interconnection([LinearSystem("solo", [[-1.0]], [[1.0]], [[1.0]], [])])
     gm = gain_matrices(ic, {"solo": ComparisonGains(lam=1.5, rho=0.7, mu=())})
     path = small_gain(gm, eta=np.array([1.0]), epsilon=4.0)
-    (res,) = build_abstraction([ic["solo"]], np.eye(1)[None])
-    composed = compose_simfn({"solo": res.simfn}, gm, path)
+    composed = compose_simfn(gm, path)
     assert composed.lam == pytest.approx(1.5 * 4.0 / 5.0, rel=1e-12)
     assert composed.rho == pytest.approx(0.7 * 1.5, rel=1e-12)
     assert composed.weights[0] == pytest.approx(1.5, rel=1e-12)
@@ -404,7 +414,7 @@ def test_composed_deviation_decays_in_closed_loop():
     # lie under its own exponential envelope at every sample.
     ic, results, gm = demo_setup(certificates=False, d1=0.2, d2=0.2, d3=0.2)
     path = small_gain(gm)
-    composed = compose_simfn({n: results[n].simfn for n in gm.names}, gm, path)
+    composed = compose_simfn(gm, path)
     xhat0 = np.array([0.5, -0.3, 0.4, 0.2])
     x0 = np.concatenate([
         results[name].simfn.P @ xhat0[i:i + 1] for i, name in enumerate(gm.names)
@@ -426,7 +436,7 @@ def test_composed_deviation_respects_input_offset():
     # offset; checked with the same computed-certificate setup.
     ic, results, gm = demo_setup(certificates=False, d1=0.2, d2=0.2, d3=0.2)
     path = small_gain(gm)
-    composed = compose_simfn({n: results[n].simfn for n in gm.names}, gm, path)
+    composed = compose_simfn(gm, path)
     xhat0 = np.array([0.5, -0.3, 0.4, 0.2])
     x0 = np.concatenate([
         results[name].simfn.P @ xhat0[i:i + 1] for i, name in enumerate(gm.names)

@@ -12,7 +12,7 @@ from simcompose.geometry import (
     sums,
     zero_subspace,
 )
-from simcompose.linalg import spectral_norm
+from simcompose.linalg import REL_TOL, spectral_norm
 
 from oracles import contains, project
 
@@ -32,7 +32,7 @@ def krylov_span(a, seed_basis):
         nxt = a @ blocks[-1]
         scale = np.linalg.norm(nxt)
         blocks.append(nxt / scale if scale > 0 else nxt)
-    return image(np.hstack(blocks)[None])[0] if seed_basis.size else zero_subspace(n)
+    return image(np.hstack(blocks)[None])[0] if seed_basis.size else zero_subspace(n, n * REL_TOL)
 
 
 def test_image_examples():
@@ -117,7 +117,7 @@ def test_sum_and_intersection_dimensions():
 
 
 def test_minimal_invariant_zero_seed():
-    grown = minimal_invariant(np.eye(3), zero_subspace(3))
+    grown = minimal_invariant(np.eye(3), zero_subspace(3, 3 * REL_TOL))
     assert grown.dim == 0
 
 

@@ -79,7 +79,7 @@ def demo_pipeline(uhat=None, x0=None, t_final=20.0, dt=1e-3):
     }
     gm = gain_matrices(ic, {n: results[n].gains for n in ic.names})
     path = small_gain(gm)
-    composed = compose_simfn({n: results[n].simfn for n in ic.names}, gm, path)
+    composed = compose_simfn(gm, path)
     xhat0 = np.array(DEMO_XHAT0)
     if x0 is None:
         x0 = np.concatenate(
@@ -109,11 +109,11 @@ def test_signal_validation():
 
 def test_signal_hold_semantics():
     sig = Signal(np.array([1.0, 2.0]), np.array([[3.0], [5.0]]))
-    assert np.allclose(sig.value(0.5), [0.0])  # zero before the first sample
-    assert np.allclose(sig.value(1.0), [3.0])
-    assert np.allclose(sig.value(1.999), [3.0])
-    assert np.allclose(sig.value(2.0), [5.0])
-    assert np.allclose(sig.value(10.0), [5.0])
+    assert np.allclose(sig.sample([0.5])[0], [0.0])  # zero before the first sample
+    assert np.allclose(sig.sample([1.0])[0], [3.0])
+    assert np.allclose(sig.sample([1.999])[0], [3.0])
+    assert np.allclose(sig.sample([2.0])[0], [5.0])
+    assert np.allclose(sig.sample([10.0])[0], [5.0])
     grid = np.array([0.5, 1.0, 1.5, 2.5])
     sampled = sig.sample(grid)
     assert np.allclose(sampled, [[0.0], [3.0], [3.0], [5.0]])
@@ -122,10 +122,10 @@ def test_signal_hold_semantics():
 
 def test_signal_square_wave():
     sig = Signal.square([2.0, -1.0], period=4.0, t_final=10.0)
-    assert np.allclose(sig.value(0.0), [2.0, -1.0])
-    assert np.allclose(sig.value(1.9), [2.0, -1.0])
-    assert np.allclose(sig.value(2.0), [-2.0, 1.0])
-    assert np.allclose(sig.value(4.0), [2.0, -1.0])
+    assert np.allclose(sig.sample([0.0])[0], [2.0, -1.0])
+    assert np.allclose(sig.sample([1.9])[0], [2.0, -1.0])
+    assert np.allclose(sig.sample([2.0])[0], [-2.0, 1.0])
+    assert np.allclose(sig.sample([4.0])[0], [2.0, -1.0])
     assert sig.sup_norm == pytest.approx(np.sqrt(5.0))
     with pytest.raises(ValueError):
         Signal.square([1.0], period=0.0, t_final=1.0)
@@ -136,8 +136,8 @@ def test_signal_stack():
     b = Signal(np.array([0.0, 2.0]), np.array([[0.5, 0.0], [0.0, -1.0]]))
     stacked = Signal.stack([a, b])
     assert stacked.width == 3
-    assert np.allclose(stacked.value(1.0), [1.0, 0.5, 0.0])
-    assert np.allclose(stacked.value(3.0), [1.0, 0.0, -1.0])
+    assert np.allclose(stacked.sample([1.0])[0], [1.0, 0.5, 0.0])
+    assert np.allclose(stacked.sample([3.0])[0], [1.0, 0.0, -1.0])
     assert Signal.zero(2).sup_norm == 0.0
 
 
@@ -233,19 +233,19 @@ def test_require_memory_compares_the_run_with_physical_memory(monkeypatch):
     # 1000 pages of 4096 bytes hold 512 000 doubles
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
     monkeypatch.setattr(simulate.os, "sysconf", pages.__getitem__)
-    simulate.require_memory(511999.0, 1.0, 1)
-    simulate.require_memory(255999.0, 1.0, 2)
+    simulate.require_memory(511999.0, 1.0, 1, 0)
+    simulate.require_memory(255999.0, 1.0, 2, 0)
     with pytest.raises(ValueError, match=r"^horizon 512000\.0 in steps of size 1\.0 needs"
                        r" 0\.0041 GB .* than the 0\.0041 GB of physical memory$"):
-        simulate.require_memory(512000.0, 1.0, 1)
+        simulate.require_memory(512000.0, 1.0, 1, 0)
     with pytest.raises(ValueError, match="not a whole number of steps"):
-        simulate.require_memory(1.5, 1.0, 1)
+        simulate.require_memory(1.5, 1.0, 1, 0)
 
     def unknown(name):
         raise ValueError(f"unrecognized configuration name {name}")
 
     monkeypatch.setattr(simulate.os, "sysconf", unknown)
-    simulate.require_memory(1e12, 1.0, 1000)
+    simulate.require_memory(1e12, 1.0, 1000, 0)
 
 
 def test_require_memory_counts_square_wave_switch_times(monkeypatch):
@@ -373,7 +373,7 @@ def test_refinement_single_subsystem_identity_projection():
     (res,) = build_abstraction([sys], np.eye(2)[None])
     gm = gain_matrices(ic, {"solo": res.gains})
     path = small_gain(gm)
-    composed = compose_simfn({"solo": res.simfn}, gm, path)
+    composed = compose_simfn(gm, path)
     x0 = np.array([1.0, 0.0])
     xhat0 = np.array([0.2, -0.4])
     run = refine_and_run(
@@ -742,7 +742,7 @@ def test_bound_report_v0_override():
     ic, results, gm, path, composed, uhat, run = demo_pipeline(t_final=2.0)
     report = bound_report(run, composed, gm, uhat, v0=0.85)
     assert report.v0 == 0.85
-    assert report.scalar_samples[0] == pytest.approx(
+    assert report.margin[0] + report.mismatch[0] == pytest.approx(
         0.85 + composed.rho / composed.lam * uhat.sup_norm, rel=1e-12
     )
 
@@ -798,9 +798,9 @@ def savetxt_text(table) -> bytes:
     return buf.getvalue()
 
 
-def written(tmp_path, table, header=None) -> bytes:
+def written(tmp_path, table) -> bytes:
     path = tmp_path / "table.csv"
-    write_table(path, table, header)
+    write_table(path, table)
     return path.read_bytes()
 
 
@@ -907,7 +907,8 @@ def test_write_table_matches_savetxt_on_every_shape(tmp_path):
     ]
     for table in tables:
         assert written(tmp_path, table) == savetxt_text(table), np.shape(table)
-    assert written(tmp_path, np.eye(2), ["a", "b"]) == b"a,b\n1,0\n0,1\n"
+    simulate._write_columns(tmp_path / "header.csv", [np.eye(2)], ["a", "b"])
+    assert (tmp_path / "header.csv").read_bytes() == b"a,b\n1,0\n0,1\n"
 
 
 def test_write_table_peak_memory_stays_under_2_mb(tmp_path):

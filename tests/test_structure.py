@@ -4,7 +4,9 @@ verdict uses named in linalg's tolerance table (and README's), one
 propagator with one per-step loop, one reader of the entry grammar, one
 owner for the 2-norm and rank decisions, one owner of the network
 layout, one reader of the interface law, one encoding of the bundled
-example, no function in src/ that the program never reaches,
+example, no function in src/ that the program never reaches and no
+class member it never reads, a reason for every parameter default, one
+no pointwise deviation function in src/ beside the run's,
 certification that calls numpy once per stack of subsystems, one
 front half of the run for ``check`` and ``bounds``, stacked
 routines that return values or raise but keep no failure dicts, one
@@ -398,6 +400,83 @@ def _referenced(node: ast.AST) -> set[str]:
     return found
 
 
+def _read(node: ast.AST) -> set[str]:
+    """Every attribute read and string constant inside ``node``: the ways
+    a class member is reached, by name (``getattr`` and bench's span
+    table name members as strings)."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _class_members(cls: ast.ClassDef):
+    """``(name, node)`` of the non-dunder methods, properties and fields
+    of ``cls``; an ``InitVar`` or ``KW_ONLY`` annotation declares a
+    constructor parameter, not a member."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and not _is_dunder(node.name):
+            yield node.name, node
+        elif (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and not {"InitVar", "KW_ONLY"} & _referenced(node.annotation)
+        ):
+            yield node.target.id, node
+
+
+def program_walk():
+    """What the program reaches, by name, from ``cli.main`` and from
+    bench/: the top-level names it refers to, the members it reads, and
+    every ``(module.Class.member, name)`` of src/.
+
+    A function, class or module constant is reached when reached code
+    names it; a class's own statements (bases, decorators, dunder
+    methods) come with it, and a member's body only once reached code
+    reads the member. bench/'s span table names functions as strings."""
+    code = defaultdict(list)
+    members = []
+    for path in MODULES:
+        for node in parse(path).body:
+            if isinstance(node, ast.ClassDef):
+                own = list(_class_members(node))
+                members += [(f"{path.stem}.{node.name}.{name}", name, body) for name, body in own]
+                bodies = [body for _, body in own]
+                code[node.name] += [
+                    part for part in ast.iter_child_nodes(node)
+                    if not any(part is body for body in bodies)
+                ]
+            elif isinstance(node, ast.FunctionDef):
+                code[node.name].append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        code[target.id].append(node.value)
+    names, reads = {"main"}, set()
+    for path in (SRC.parent.parent / "bench").glob("*.py"):
+        tree = parse(path)
+        names |= _referenced(tree)
+        reads |= _read(tree)
+    seen = set()
+    while True:
+        todo = [node for name in names for node in code.get(name, ()) if id(node) not in seen]
+        todo += [body for _, name, body in members if name in reads and id(body) not in seen]
+        if not todo:
+            return names, reads, [(qualname, name) for qualname, name, _ in members]
+        for node in todo:
+            seen.add(id(node))
+            names |= _referenced(node)
+            reads |= _read(node)
+
+
 # Functions the program never calls but README documents for use from
 # Python, each with the reason it stays in src/.
 DOCUMENTED_ENTRY_POINTS = {
@@ -414,34 +493,109 @@ DOCUMENTED_ENTRY_POINTS = {
 
 def test_every_function_in_src_is_reachable():
     # src/ holds what the program runs: every top-level function is
-    # reached, by name, from cli.main or from bench/ (whose span table
-    # names functions as strings), or is a documented entry point;
-    # test-only code lives in tests/oracles.py
-    edges = defaultdict(set)
-    functions = []
-    roots = {"main"}
-    for path in MODULES:
-        for node in parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                edges[node.name] |= _referenced(node)
-                if isinstance(node, ast.FunctionDef):
-                    functions.append((path.stem, node.name))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        edges[target.id] |= _referenced(node.value)
-    bench = SRC.parent.parent / "bench"
-    for path in bench.glob("*.py"):
-        roots |= _referenced(parse(path))
-    reached, todo = set(), list(roots)
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo.extend(edges.get(name, ()))
-    unreached = {f"{module}.{name}" for module, name in functions if name not in reached}
+    # reached, by name, from cli.main or from bench/, or is a documented
+    # entry point; test-only code lives in tests/oracles.py
+    names, _, _ = program_walk()
+    unreached = {
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in parse(path).body
+        if isinstance(node, ast.FunctionDef) and node.name not in names
+    }
     assert unreached == DOCUMENTED_ENTRY_POINTS
+
+
+def test_every_class_member_in_src_is_read_by_the_program():
+    # every non-dunder method, property and dataclass field of a src/
+    # class is read, by name, by code the program reaches or by bench/;
+    # a member only tests read belongs in the tests
+    _, reads, members = program_walk()
+    assert len(members) > 50
+    assert [qualname for qualname, name in members if name not in reads] == []
+
+
+def test_one_encoding_of_the_deviation_function():
+    # V is evaluated by refine_and_run's row loop alone; the pointwise
+    # reference the tests check it against is oracles.eval_simfn
+    defined = {
+        node.name: node
+        for path in MODULES
+        for node in parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "eval_simfn" not in defined
+    for name in ("QuadraticSimFn", "ComposedSimFn"):
+        methods = {node.name for node in defined[name].body if isinstance(node, ast.FunctionDef)}
+        assert "__call__" not in methods
+
+
+# Every parameter default in src/, by module.function.parameter (a
+# dataclass InitVar as module.Class.field), with the reason it stays.
+PARAMETER_DEFAULTS = {
+    # used by the program with both values
+    "abstraction.build_abstraction.certificates": "computed certificates unless the project injects one",
+    "cli.run_compose.eta": "compose --eta overrides it; bounds and check take the Perron weights",
+    "cli.run_compose.epsilon": "compose --eps overrides it; bounds and check choose it",
+    "cli._run_pipeline.t_final": "--tfinal overrides the project's horizon; reproduce-example keeps it",
+    "cli._run_pipeline.dt": "--dt overrides the project's step; reproduce-example keeps it",
+    "cli._run_pipeline.v0": "--v0 overrides the bound's start level; reproduce-example keeps it",
+    "compose.small_gain.eta": "the weight override compose --eta passes on",
+    "compose.small_gain.epsilon": "the margin override compose --eps passes on",
+    "geometry.image.tol": "P's rank, sums and intersections pass a cutoff; [P, B] takes rank_tol",
+    "geometry.kernel.tol": "intersections pass their operands' cutoff; ker C takes rank_tol",
+    "linalg.rank_tol.norm": "check_P_conditions passes |P|; the other callers have no norm",
+    "linalg._sign_solve.members": "refinement advances the members still active; the first solve all",
+    "simulate._SparseRows.map_rows.out": "the drive maps into the states buffer; the outputs allocate",
+    "simulate._finite.axis": "one verdict for the run, then one per row to name the first bad one",
+    "simulate.bound_report.v0": "cli passes the --v0 override; bench/ takes the run's start",
+    "systems.LinearSystem.finite": "the project reader has checked every entry; other builders have not",
+    # reuse parameters whose default only direct callers rely on: the
+    # program passes what it has computed, a direct call computes it
+    "abstraction.decay_certificate.pbh": "build_abstraction passes check_P_conditions' PBH verdicts",
+    "linalg.stabilize.pbh": "decay_certificate passes the PBH verdicts it was given",
+    "linalg.pbh_stabilizable.norm": "check_P_conditions passes |A|, computed for its own residuals",
+    # entry points and protocols
+    "cli.main.argv": "the console script calls main() on the command line's arguments",
+    "demo.demo_project.d1": "the published coupling; the program builds the example as published",
+    "demo.demo_project.d2": "the published coupling; the program builds the example as published",
+    "demo.demo_project.d3": "the published coupling; the program builds the example as published",
+    "demo.demo_interconnection.d1": "documented entry point, with demo_project's couplings",
+    "demo.demo_interconnection.d2": "documented entry point, with demo_project's couplings",
+    "demo.demo_interconnection.d3": "documented entry point, with demo_project's couplings",
+    "simulate._SparseRows.__array__.dtype": "numpy's __array__ protocol",
+    "simulate._SparseRows.__array__.copy": "numpy's __array__ protocol",
+}
+
+
+def _defaults(node: ast.AST, prefix: str):
+    """Qualified names of the parameters with a default in every function
+    under ``node``, and of the dataclass ``InitVar`` fields with one."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            yield from (f"{prefix}{child.name}.{arg.arg}" for arg in with_default)
+            yield from _defaults(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _defaults(child, f"{prefix}{child.name}.")
+        elif (
+            isinstance(child, ast.AnnAssign)
+            and child.value is not None
+            and "InitVar" in _referenced(child.annotation)
+        ):
+            yield f"{prefix}{child.target.id}"
+
+
+def test_every_parameter_default_in_src_has_a_reason():
+    # a default no program call relies on is a second calling form of
+    # its function; the ones left are listed above with their reason
+    found = sorted(name for path in MODULES for name in _defaults(parse(path), f"{path.stem}."))
+    assert found == sorted(PARAMETER_DEFAULTS)
+    assert all(reason for reason in PARAMETER_DEFAULTS.values())
 
 
 def _enclosing_functions(tree: ast.Module):
