@@ -96,8 +96,9 @@ class PConditionReport:
     """Verdicts for the four injection conditions on ``(system, P)``.
 
     Also carries what the checks computed and the construction reuses:
-    ``im P``, ``ker C`` (``C`` stacked over all output blocks) and the
-    spectral norms of ``A``, ``D`` and ``P``.
+    ``im P``, ``ker C`` (``C`` stacked over all output blocks), the
+    spectral norms of ``A``, ``D`` and ``P``, and the spectral abscissa
+    of ``A`` from the PBH test's spectrum.
     """
 
     n: int
@@ -112,6 +113,7 @@ class PConditionReport:
     image_p: Subspace = field(repr=False, compare=False)
     kernel_c: Subspace = field(repr=False, compare=False)
     norm_a: float = field(repr=False, compare=False)
+    abscissa: float = field(repr=False, compare=False)
     norm_d: float = field(repr=False, compare=False)
     norm_p: float = field(repr=False, compare=False)
 
@@ -185,10 +187,11 @@ def decay_certificate(a, b, blocks, pbh=None):
 
     ``blocks`` is the list of output block stacks; the scaling uses each
     member's worst block. The 1 percent headroom keeps both inequalities
-    strictly satisfied under roundoff. ``pbh`` is the PBH verdicts and
-    witnesses on ``(a, b)``, a pair of per-member sequences, when the
-    caller already has them (see :func:`stabilize`). The stack raises
-    the error of its first failing member.
+    strictly satisfied under roundoff. ``pbh`` is the PBH verdicts,
+    witnesses and open-loop abscissae on ``(a, b)`` with ``|a|_2``, four
+    per-member sequences, when the caller already has them (see
+    :func:`stabilize`). The stack raises the error of its first failing
+    member.
     """
     count, n = a.shape[0], a.shape[-1]
     _check_widths(blocks, n)
@@ -324,7 +327,7 @@ def check_P_conditions(a, b, d, blocks, p):
         raise ValueError("P must have full column rank (injective state mapping)")
     norm_a = spectral_norm(a)
     norm_d = spectral_norm(d)
-    ok_stab, witness = pbh_stabilizable(a, b, norm=norm_a)
+    ok_stab, witness, abscissa = pbh_stabilizable(a, b, norm=norm_a)
     reach = image(np.concatenate([p, b], axis=-1))
     inv_res = residuals(reach, a @ p)
     dist_res = residuals(reach, d)
@@ -350,6 +353,7 @@ def check_P_conditions(a, b, d, blocks, p):
             image_p=im_p[j],
             kernel_c=ker_c[j],
             norm_a=norm_a[j].item(),
+            abscissa=abscissa[j].item(),
             norm_d=norm_d[j].item(),
             norm_p=norm_p[j].item(),
         )
@@ -448,7 +452,10 @@ def build_abstraction(systems, p, certificates=None):
     if certificates is None:
         m, k1, lam = decay_certificate(
             a, b, blocks,
-            pbh=([r.stabilizable for r in reports], [r.witness for r in reports]),
+            pbh=(
+                [r.stabilizable for r in reports], [r.witness for r in reports],
+                [r.abscissa for r in reports], [r.norm_a for r in reports],
+            ),
         )
         tol = COMPUTED_CERT_TOL
         # the solve's residual gate is relative to |A| |M|, the slack absolute

@@ -44,8 +44,10 @@ _EPS = float(np.finfo(float).eps)
 # The tolerance table. Each entry's "#:" line gives the reason for its
 # value; README's Tolerances section lists the same entries.
 
-#: Rank and eigenvalue-margin coefficient: singular values at or below
-#: ``REL_TOL * max(shape) * max(1, |A|_2)`` count as zero. About 5e6
+#: Rank and stability-margin coefficient: singular values at or below
+#: ``REL_TOL * max(shape) * max(1, |A|_2)`` count as zero, and the PBH
+#: test and :func:`stabilize` share the margin
+#: ``-REL_TOL * max(1, |A|_2)`` (:func:`_stability_margin`). About 5e6
 #: units of roundoff, so rounding never decides a rank, while the data
 #: (given to a few digits) has no genuine singular value that small.
 REL_TOL = 1e-9
@@ -280,16 +282,16 @@ def _sign_iterates(at: np.ndarray):
 
     ``E <- (c E + E^-1 / c) / 2`` from ``E = at``, with the determinant
     scaling ``c = |det E|^(-1/n)``, converges quadratically to
-    ``sign(at) = -I`` for a Hurwitz matrix (Roberts 1980; Byers 1987).
-    Each member takes the steps it would take alone: the last is the one
-    after ``|E + I|_1`` fell below ``SIGN_TOL``, which brings the iterate
-    to roundoff. Returns, per step, ``(positions, c, E)`` of the members
-    that took it.
+    ``sign(at)``, which is ``-I`` exactly when ``at`` is Hurwitz
+    (Roberts 1980; Byers 1987). Each member takes the steps it would
+    take alone: the last is the one after ``|E + I|_1`` fell below
+    ``SIGN_TOL``, which brings the iterate to roundoff.
 
-    Raises
-    ------
-    NumericsError
-        If an iterate is numerically singular.
+    Returns ``(steps, unconverged)``: per step, ``(positions, c, E)`` of
+    the members that took it, and the positions of the members that
+    never came within ``SIGN_TOL`` of ``-I`` in ``_SIGN_MAX_STEPS``
+    steps. When an iterate is numerically singular ``steps`` is None and
+    ``unconverged`` holds every member still iterating.
     """
     n = at.shape[-1]
     eye = np.eye(n)
@@ -306,10 +308,7 @@ def _sign_iterates(at: np.ndarray):
         try:
             inv = np.linalg.inv(e)
         except np.linalg.LinAlgError:
-            raise NumericsError(
-                "Lyapunov sign iteration reached a numerically singular iterate; "
-                "the equation is too ill-conditioned for the dense solver"
-            ) from None
+            return None, live
         steps.append((
             np.concatenate([live, stopped]),
             np.concatenate([c, np.ones(stopped.size)]),
@@ -321,7 +320,24 @@ def _sign_iterates(at: np.ndarray):
         live, e = live[~done], e[~done]
     if stopped.size:
         steps.append((stopped, np.ones(stopped.size), stopped_e))
-    return steps
+    return steps, live
+
+
+def _require_hurwitz(a: np.ndarray, members: np.ndarray) -> None:
+    """Raise the ``NumericsError`` of the first of ``members`` (positions
+    in the stack ``a``) whose spectral abscissa is not below 0, naming
+    its rightmost eigenvalue; return if there is none."""
+    if not members.size:
+        return
+    # sorted by (real, imag): the last eigenvalue has the largest real part
+    rightmost = eigenvalues(a[members])[:, -1]
+    unstable = np.flatnonzero(~(rightmost.real < 0.0))
+    if unstable.size:
+        worst = rightmost[unstable[0]]
+        raise NumericsError(
+            f"Lyapunov equation requires a Hurwitz matrix; eigenvalue {worst} "
+            f"has real part {worst.real:.6g} >= 0"
+        )
 
 
 def _sign_solve(steps, r: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
@@ -394,6 +410,15 @@ def solve_lyapunov(a, q):
     from normal its residual can sit far above roundoff; :func:`_refine`
     then lowers it by iterative refinement on the same sign iterates.
 
+    The iteration is also the Hurwitz test: it reaches ``-I`` exactly
+    when ``A`` is Hurwitz, so no spectrum is taken up front. Only a
+    member that fails takes one, at the point it fails: a numerically
+    singular iterate (every member still iterating), no convergence in
+    ``_SIGN_MAX_STEPS`` steps, or the residual gate. A member the
+    iteration brings to ``-I`` and whose ``M`` meets the gate is
+    accepted, even where ``eigvals`` puts an eigenvalue of its ``A`` at
+    or right of the axis by rounding.
+
     Parameters
     ----------
     a : stack of n x n matrices, each Hurwitz.
@@ -408,9 +433,14 @@ def solve_lyapunov(a, q):
     ValueError
         If a ``q`` is not symmetric.
     NumericsError
-        If an ``a`` is not Hurwitz, the sign iteration meets a
-        numerically singular iterate, or the residual check fails. The
-        stack raises the error of its first failing member.
+        If a failing member's spectral abscissa is not below 0:
+        "Lyapunov equation requires a Hurwitz matrix; eigenvalue ...
+        has real part ... >= 0", naming its rightmost eigenvalue.
+        Otherwise, for a failing Hurwitz member, the iteration's own
+        error: a numerically singular iterate, or a residual over its
+        bound. The stack raises the Hurwitz error of its first failing
+        member that is not Hurwitz, else the error of its first failing
+        member, as the spectrum taken first did.
     """
     n = a.shape[-1]
     if a.shape[1:] != (n, n) or q.shape != a.shape:
@@ -419,23 +449,25 @@ def solve_lyapunov(a, q):
         )
     if (spectral_norm(q - q.swapaxes(-1, -2)) > rank_tol(q)).any():
         raise ValueError("q must be symmetric")
-    abscissa = spectral_abscissa(a)
-    if not (abscissa < 0.0).all():
-        worst = eigenvalues(a[np.argmin(abscissa < 0.0)][np.newaxis])[0, -1]
-        raise NumericsError(
-            f"Lyapunov equation requires a Hurwitz matrix; eigenvalue {worst} "
-            f"has real part {worst.real:.6g} >= 0"
-        )
     if n == 0:
         return np.zeros(a.shape)
     # C-ordered, whatever the caller's layout: the layout decides the
     # BLAS kernels a product takes, and so its last bits
     a, q = np.ascontiguousarray(a), _symmetrize(np.ascontiguousarray(q))
-    steps = _sign_iterates(a.swapaxes(-1, -2))
+    steps, unconverged = _sign_iterates(a.swapaxes(-1, -2))
+    # the iteration is the Hurwitz test: a member that did not reach -I
+    # is judged by its spectrum, and only a Hurwitz one goes on
+    _require_hurwitz(a, unconverged)
+    if steps is None:
+        raise NumericsError(
+            "Lyapunov sign iteration reached a numerically singular iterate; "
+            "the equation is too ill-conditioned for the dense solver"
+        )
     m, residual = _refine(a, q, _symmetrize(_sign_solve(steps, q)), steps)
     bound = RESIDUAL_TOL * (spectral_norm(a) * spectral_norm(m) + spectral_norm(q))
     failed = np.flatnonzero(residual > np.maximum(bound, LYAPUNOV_RESIDUAL_FLOOR))
     if failed.size:
+        _require_hurwitz(a, failed)
         j = failed[0]
         raise NumericsError(
             f"Lyapunov residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}; "
@@ -444,22 +476,33 @@ def solve_lyapunov(a, q):
     return m
 
 
+def _stability_margin(norm):
+    """Real part below which an eigenvalue of a matrix with spectral norm
+    ``norm`` is stable: ``-REL_TOL * max(1, norm)``. The PBH test ranks
+    the pencils of the eigenvalues not below it, and :func:`stabilize`
+    places every open loop whose abscissa is not below it, so one margin
+    decides both."""
+    return -REL_TOL * np.maximum(1.0, norm)
+
+
 def pbh_stabilizable(a, b, norm=None):
     """PBH test: is each pair ``(a, b)`` of the stacks stabilizable?
 
     Checks ``rank [a - s I, b] == n`` for every eigenvalue ``s`` of ``a``
-    that lies in the closed right half plane (within tolerance of the
-    imaginary axis counts, so marginally stable clusters are tested too).
-    Every pencil is ranked at its member's one cutoff ``rank_tol([a,
-    b])``, and the pencils of all members in one call. ``norm`` is
-    ``|a|_2`` when the caller has already computed it.
+    not below :func:`_stability_margin` (so marginally stable clusters
+    are tested too). Every pencil is ranked at its member's one cutoff
+    ``rank_tol([a, b])``, and the pencils of all members in one call.
+    ``norm`` is ``|a|_2`` when the caller has already computed it.
 
     Returns
     -------
-    (ok, witness)
-        An array of verdicts and a list of witnesses: a member's witness
-        is an offending eigenvalue when its verdict is False, the first
-        in sorted order, and None otherwise.
+    (ok, witness, abscissa)
+        An array of verdicts, a list of witnesses and the array of the
+        open-loop spectral abscissae: a member's witness is an offending
+        eigenvalue when its verdict is False, the first in sorted order,
+        and None otherwise. The abscissa is :func:`spectral_abscissa` of
+        the member, from the spectrum the test took (``-inf`` for
+        ``n = 0``), so :func:`stabilize` need not take it again.
     """
     count, n = a.shape[0], a.shape[-1]
     if a.shape[-2] != n:
@@ -468,12 +511,14 @@ def pbh_stabilizable(a, b, norm=None):
         raise ValueError(f"b must have {n} rows, got {b.shape[-2:]}")
     ok = [True] * count
     witness: list = [None] * count
+    abscissa = np.full(count, -np.inf)
     if n and count:
         if norm is None:
             norm = spectral_norm(a)
         vals = eigenvalues(a)
-        # "not below -margin", as the eigenvalues are finite
-        tested = vals.real >= np.reshape(-REL_TOL * np.maximum(1.0, norm), (-1, 1))
+        abscissa = vals.real.max(axis=-1)
+        # "not below the margin", as the eigenvalues are finite
+        tested = vals.real >= np.reshape(_stability_margin(norm), (-1, 1))
         # a repeated eigenvalue gives the same pencil: rank it once (the
         # sort puts equal eigenvalues next to each other)
         tested[:, 1:] &= vals[:, 1:] != vals[:, :-1]
@@ -489,7 +534,7 @@ def pbh_stabilizable(a, b, norm=None):
             for i, value in zip(member[short][::-1].tolist(), s[short][::-1].tolist()):
                 ok[i] = False
                 witness[i] = complex(value)
-    return np.array(ok), witness
+    return np.array(ok), witness, abscissa
 
 
 def _real_directions(u: np.ndarray, member_real: np.ndarray) -> np.ndarray:
@@ -594,22 +639,27 @@ def _placed(acl, b, basis, place) -> np.ndarray:
 
 def stabilize(a, b, pbh=None):
     """Return the stacks ``(K, abscissa)``: each ``a + b K`` is Hurwitz
-    with spectral abscissa ``abscissa``.
+    with spectral abscissa ``abscissa`` below the stability margin.
 
-    Already-Hurwitz matrices get ``K = 0``. Otherwise unstable
-    eigenvalues are moved one real eigenvalue or conjugate pair at a
-    time (:func:`_assignment_step`): stable modes are never touched,
-    each step is a one- or two-dimensional placement, and the gains
-    stay moderate where a single gramian-based design would overdrive
-    the weakly coupled directions. Each closed loop, the open loop
-    first, is judged by one :func:`spectral_abscissa` (the placement's
-    ``eig`` of the transpose differs in the last digits), and the
-    passing one returned. In a stack each member leaves the loop at the
-    step its closed loop passes, so its steps are those it takes alone.
+    An open loop whose abscissa is below :func:`_stability_margin` gets
+    ``K = 0``; every other one is placed, so no loop the PBH test treats
+    as marginal is accepted unplaced. Unstable eigenvalues are moved one
+    real eigenvalue or conjugate pair at a time
+    (:func:`_assignment_step`): stable modes are never touched, each
+    step is a one- or two-dimensional placement, and the gains stay
+    moderate where a single gramian-based design would overdrive the
+    weakly coupled directions. Each closed loop is judged by one
+    :func:`spectral_abscissa` (the placement's ``eig`` of the transpose
+    differs in the last digits) against the same margin, and the passing
+    one returned. In a stack each member leaves the loop at the step its
+    closed loop passes, so its steps are those it takes alone.
 
-    ``pbh`` is the verdicts and witnesses ``pbh_stabilizable(a, b)``
-    when the caller has already computed them for these same matrices;
-    the test is then not run again.
+    ``pbh`` is ``pbh_stabilizable(a, b, norm)`` and ``norm = |a|_2``,
+    the per-member sequences ``(ok, witness, abscissa, norm)``, when the
+    caller has already computed them for these same matrices; then
+    neither the test nor the open-loop spectrum is taken again, and the
+    abscissa, the same function of the same array, gives the same
+    decisions. Without ``pbh`` both are computed here.
 
     Raises
     ------
@@ -625,12 +675,19 @@ def stabilize(a, b, pbh=None):
         raise ValueError(f"a must be square, got {a.shape[-2:]}")
     if b.shape[-2] != n:
         raise ValueError(f"b must have {n} rows, got {b.shape[-2:]}")
-    abscissa = spectral_abscissa(a)
+    if pbh is None:
+        norm = spectral_norm(a)
+        abscissa = spectral_abscissa(a)
+    else:
+        norm = np.asarray(pbh[3], dtype=float)
+        # a copy: the placed members' entries are overwritten below
+        abscissa = np.array(pbh[2], dtype=float)
+    margin = _stability_margin(norm)
     k = np.zeros((count, b.shape[-1], n))
-    live = np.flatnonzero(~(abscissa < 0.0))
+    live = np.flatnonzero(~(abscissa < margin))
     if live.size:
         if pbh is None:
-            ok, witness = pbh_stabilizable(a[live], b[live])
+            ok, witness, _ = pbh_stabilizable(a[live], b[live], norm=norm[live])
         else:
             ok = np.asarray(pbh[0], dtype=bool)[live]
             witness = [pbh[1][i] for i in live.tolist()]
@@ -646,7 +703,7 @@ def stabilize(a, b, pbh=None):
         k[live] = k[live] + _assignment_step(acl, b[live])
         acl = a[live] + b[live] @ k[live]
         closed = spectral_abscissa(acl)
-        done = closed < 0.0
+        done = closed < margin[live]
         abscissa[live[done]] = closed[done]
         live, acl = live[~done], acl[~done]
     if live.size:

@@ -46,8 +46,8 @@ class LinearSystem:
     B: Matrix
     C_ext: Matrix
     D: Matrix
-    channels_in: tuple[InternalChannel, ...] = ()
-    C_int: dict[str, Matrix] = field(default_factory=dict)
+    channels_in: tuple[InternalChannel, ...]
+    C_int: dict[str, Matrix]
     _channel_slices: dict[str, slice] = field(init=False, repr=False, compare=False)
     _: KW_ONLY
     finite: InitVar[bool] = False

@@ -43,7 +43,7 @@ def random_valid_instance(rng, n, nhat, m, p=1, q=1, name="sys"):
         a = a0 + (on_p - a0 @ pmat) @ pmat.T
         d = pmat @ rng.standard_normal((nhat, p)) + b @ rng.standard_normal((m, p))
         c = rng.standard_normal((q, n)) @ (pmat @ pmat.T)
-        (ok,), _ = pbh_stabilizable(a[None], b[None])
+        (ok,), _, _ = pbh_stabilizable(a[None], b[None])
         if not ok:
             continue
         channels = (InternalChannel("w", p),) if p else ()

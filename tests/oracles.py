@@ -184,7 +184,7 @@ def check_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> Relat
     invariant = residual_ok(inv_res, norm(a12))
     ok_stab, witness = (False, None)
     if invariant:
-        ok, witnesses = pbh_stabilizable(a12[np.newaxis], np.hstack([b12, r.basis])[np.newaxis])
+        ok, witnesses, _ = pbh_stabilizable(a12[np.newaxis], np.hstack([b12, r.basis])[np.newaxis])
         ok_stab, witness = ok[0], witnesses[0]
     return RelationReport(
         controlled_invariant=invariant,
@@ -263,7 +263,7 @@ def build_monolithic(ic: Interconnection) -> LinearSystem:
             )
         b[rows, inputs[i]:inputs[i + 1]] = sub.B
         c[outputs[i]:outputs[i + 1], rows] = sub.C_ext
-    return LinearSystem("network", a, b, c, np.zeros((n_total, 0)))
+    return LinearSystem("network", a, b, c, np.zeros((n_total, 0)), (), {})
 
 
 def vector_recursion(gm, uhat_inf, v0=None, steps: int = 50) -> np.ndarray:

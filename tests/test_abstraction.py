@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simcompose import abstraction, linalg
-from conftest import random_valid_instance
+from conftest import random_hurwitz, random_valid_instance
 from oracles import check_relation, eval_simfn, graph_subspace, integrate, simfn_from_relation
 from simcompose.abstraction import (
     INJECTED_CERT_TOL,
@@ -174,7 +174,9 @@ FAR_FROM_NORMAL = np.array(
 def test_computed_certificate_rejection_names_the_lyapunov_solve():
     # The shifted solve meets its residual gate, which is relative to
     # |A| |M|, yet the decay slack is -0.40; the message must say so.
-    far = LinearSystem("far", FAR_FROM_NORMAL, np.zeros((2, 0)), np.eye(2), np.zeros((2, 0)))
+    far = LinearSystem(
+        "far", FAR_FROM_NORMAL, np.zeros((2, 0)), np.eye(2), np.zeros((2, 0)), (), {}
+    )
     with pytest.raises(NumericsError) as computed:
         build_abstraction([far], np.eye(2)[None])
     assert "decay slack -3.973e-01" in str(computed.value)
@@ -273,8 +275,8 @@ def test_build_abstraction_runs_each_check_once(monkeypatch):
 
 def test_decay_certificate_takes_the_abscissa_stabilize_decided_on(monkeypatch):
     # decay_certificate takes no spectrum of its own: every eigenvalue
-    # computation is stabilize's (open loop, PBH, one per placement) or
-    # the Lyapunov solver's Hurwitz check
+    # computation is stabilize's (open loop, PBH, one per placement); the
+    # Lyapunov solver's sign iteration decides Hurwitz and takes none
     a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     b = np.array([[0.0], [0.0], [1.0]])
     calls = []
@@ -289,8 +291,47 @@ def test_decay_certificate_takes_the_abscissa_stabilize_decided_on(monkeypatch):
     in_stabilize = len(calls)
     calls.clear()
     (m,), (k1,), (lam,) = decay_certificate(a[None], b[None], [np.array([[[1.0, 0.0, 0.0]]])])
-    assert len(calls) == in_stabilize + 1 == 6
+    assert len(calls) == in_stabilize == 5
     assert np.array_equal(k1, k) and lam == 0.5 * abs(abscissa)
+
+
+def test_a_computed_stack_takes_its_open_loop_spectrum_once(monkeypatch):
+    # the PBH test's spectrum is the stack's only one: stabilize reads its
+    # abscissa, and the sign iteration decides Hurwitz without a spectrum;
+    # a stack stabilize has to move adds one per placement step
+    rng = np.random.default_rng(17)
+    hurwitz = [
+        LinearSystem(f"h{k}", random_hurwitz(rng, 4), rng.standard_normal((4, 1)),
+                     rng.standard_normal((1, 4)), np.zeros((4, 0)), (), {})
+        for k in range(2)
+    ]
+    integrators = [demo_interconnection()["s1"]] * 2
+    calls = []
+    real = linalg.eigenvalues
+
+    def counted(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(linalg, "eigenvalues", counted)
+    in_solve = []
+    solve = abstraction.solve_lyapunov
+
+    def counted_solve(*args):
+        before = len(calls)
+        m = solve(*args)
+        in_solve.append(len(calls) - before)
+        return m
+
+    monkeypatch.setattr(abstraction, "solve_lyapunov", counted_solve)
+    for systems, p, spectra in (
+        (hurwitz, np.eye(4), 1),
+        (integrators, demo_projections()["s1"], 1 + 3),
+    ):
+        calls.clear()
+        build_abstraction(systems, np.stack([p] * 2))
+        assert len(calls) == spectra
+    assert in_solve == [0, 0]
 
 
 def test_decay_certificate_alone_still_runs_pbh():
@@ -487,7 +528,7 @@ def test_deviation_decays_along_trajectories():
         [res.system.B, res.system.D, np.zeros((nhat, 1))],
         [sub.B @ fn.K4, -sub.B @ fn.K3, sub.D],
     ])
-    joint = LinearSystem("joint", a_joint, b_joint, np.zeros((0, nhat + n)), [])
+    joint = LinearSystem("joint", a_joint, b_joint, np.zeros((0, nhat + n)), [], (), {})
 
     t_final, dt = 8.0, 1e-3
     uhat = Signal.square([0.05, 0.03, -0.04], period=3.0, t_final=t_final)
@@ -548,8 +589,8 @@ def relation_of_pair(a, b, v):
     stable eigenvalue -1, so the verdicts are those of ``im v`` for
     ``(a, b)``."""
     n = a.shape[0]
-    abstract = LinearSystem("abstract", [[-1.0]], np.zeros((1, 0)), np.zeros((0, 1)), [])
-    concrete = LinearSystem("concrete", a, b, np.zeros((0, n)), [])
+    abstract = LinearSystem("abstract", [[-1.0]], np.zeros((1, 0)), np.zeros((0, 1)), [], (), {})
+    concrete = LinearSystem("concrete", a, b, np.zeros((0, n)), [], (), {})
     return check_relation(
         abstract, concrete, image(np.vstack([np.zeros((1, v.shape[1])), v])[None])[0]
     )
@@ -644,7 +685,7 @@ def test_simfn_from_relation_matches_direct_construction():
 
 def test_simfn_from_relation_identical_systems():
     node = demo_interconnection()["s2"]
-    loner = LinearSystem("n", node.A, [[0.0], [1.0]], node.C_ext, [])
+    loner = LinearSystem("n", node.A, [[0.0], [1.0]], node.C_ext, [], (), {})
     fn = simfn_from_relation(loner, loner, graph_subspace(np.eye(2)))
     assert np.allclose(fn.P, np.eye(2), atol=1e-12)
     rng = np.random.default_rng(239)
@@ -655,7 +696,7 @@ def test_simfn_from_relation_identical_systems():
 
 def test_simfn_from_relation_rejects_non_graphs():
     node = demo_interconnection()["s2"]
-    loner = LinearSystem("n", node.A, [[0.0], [1.0]], node.C_ext, [])
+    loner = LinearSystem("n", node.A, [[0.0], [1.0]], node.C_ext, [], (), {})
     with pytest.raises(ValueError):
         simfn_from_relation(loner, loner, zero_subspace(4, 4 * REL_TOL))
     # A vertical subspace is not the graph of any map on the abstract states.

@@ -283,7 +283,7 @@ def test_numeric_kernels_meet_tolerances():
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         a = q @ np.diag(-rng.uniform(0.2, 3.0, n)) @ q.T
         x0 = rng.standard_normal(n)
-        sys = LinearSystem("s", a, np.zeros((n, 0)), np.eye(n), [])
+        sys = LinearSystem("s", a, np.zeros((n, 0)), np.eye(n), [], (), {})
         traj = integrate(sys, x0, t_final=1.0, dt=1e-3)
         vals, vecs = np.linalg.eig(a)
         exact = (vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs)).real @ x0

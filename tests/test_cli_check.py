@@ -72,6 +72,22 @@ def test_check_rejects_the_injected_certificate_bounds_rejects(tmp_path, capsys)
         assert lines[0] == "s1: construction failed: " + err.removeprefix("error: ").rstrip("\n")
 
 
+def test_a_marginally_stable_computed_subsystem_is_placed(tmp_path, capsys):
+    # s1's A less 1e-14 I is Hurwitz by a hair, inside the margin at which
+    # the PBH test treats an eigenvalue as marginal. Accepted unplaced, its
+    # decay rate of 5e-15 left a Lyapunov solution too stiff to scale;
+    # stabilize places it at that margin
+    doc = demo_project()
+    s1 = doc["subsystems"][0]
+    del s1["abstraction"]["certificate"]
+    s1["A"] = (np.array(s1["A"]) - 1e-14 * np.eye(3)).tolist()
+    code, out = run_check(tmp_path, capsys, doc)
+    assert code == 0
+    assert out.endswith("check: pass\n")
+    assert main(["bounds", str(tmp_path / "project.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_an_asymmetric_injected_m_is_a_rejected_certificate(tmp_path, capsys):
     doc = demo_project()
     doc["subsystems"][0]["abstraction"]["certificate"]["M"][0][1] += 1.0

@@ -69,7 +69,7 @@ def test_gain_matrices_parametric_couplings():
 def test_gain_matrices_validation():
     from simcompose.abstraction import ComparisonGains
 
-    ic = Interconnection([LinearSystem("solo", [[-1.0]], [[1.0]], [[1.0]], [])])
+    ic = Interconnection([LinearSystem("solo", [[-1.0]], [[1.0]], [[1.0]], [], (), {})])
     gm = gain_matrices(ic, {"solo": ComparisonGains(lam=1.0, rho=0.5, mu=())})
     assert np.allclose(gm.gamma, [[0.0]])
     with pytest.raises(ValueError, match="mu coefficients"):
@@ -198,7 +198,7 @@ def test_small_gain_demo_default_path():
 
 
 def test_small_gain_zero_gamma_caps_epsilon():
-    ic = Interconnection([LinearSystem("solo", [[-1.0]], [[1.0]], [[1.0]], [])])
+    ic = Interconnection([LinearSystem("solo", [[-1.0]], [[1.0]], [[1.0]], [], (), {})])
     from simcompose.abstraction import ComparisonGains
 
     gm = gain_matrices(ic, {"solo": ComparisonGains(lam=2.0, rho=1.0, mu=())})
@@ -383,7 +383,7 @@ def test_compose_simfn_is_weighted_max():
 def test_compose_single_subsystem():
     from simcompose.abstraction import ComparisonGains
 
-    ic = Interconnection([LinearSystem("solo", [[-1.0]], [[1.0]], [[1.0]], [])])
+    ic = Interconnection([LinearSystem("solo", [[-1.0]], [[1.0]], [[1.0]], [], (), {})])
     gm = gain_matrices(ic, {"solo": ComparisonGains(lam=1.5, rho=0.7, mu=())})
     path = small_gain(gm, eta=np.array([1.0]), epsilon=4.0)
     composed = compose_simfn(gm, path)

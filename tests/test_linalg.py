@@ -119,11 +119,48 @@ def test_solve_lyapunov_residual_bound():
         assert residual <= max(bound, 1e-14)
 
 
+def solve_against_the_spectrum(a):
+    """``solve_lyapunov(a, I)``, checked against the spectrum taken first.
+
+    A matrix whose spectral abscissa is not below 0 is rejected with the
+    message naming its rightmost eigenvalue, unless the sign iteration
+    brings it to -I and M meets the residual gate; no other matrix gets
+    that message. Returns M, or None on a rejection.
+    """
+    n = a.shape[0]
+    worst = eigenvalues(a[None])[0, -1]
+    hurwitz = spectral_abscissa(a[None])[0] < 0.0
+    message = (
+        f"Lyapunov equation requires a Hurwitz matrix; eigenvalue {worst} "
+        f"has real part {worst.real:.6g} >= 0"
+    )
+    try:
+        m = solve_lyapunov(a[None], np.eye(n)[None])[0]
+    except NumericsError as exc:
+        assert (str(exc) == message) != hurwitz
+        return None
+    residual = np.linalg.norm(a.T @ m + m @ a + np.eye(n), "fro")
+    assert residual <= 1e-8 * (spectral_norm(a[None])[0] * spectral_norm(m[None])[0] + 1.0)
+    return m
+
+
 def test_solve_lyapunov_rejects_non_hurwitz():
-    with pytest.raises(NumericsError):
-        solve_lyapunov(np.array([[1.0]])[None], np.eye(1)[None])
-    with pytest.raises(NumericsError):
-        solve_lyapunov(TRIPLE_INTEGRATOR[None], np.eye(3)[None])
+    # the sign iteration is the Hurwitz test: every matrix the spectrum
+    # calls unstable is rejected with the message it gave when the
+    # spectrum was taken first
+    for a in (np.array([[1.0]]), TRIPLE_INTEGRATOR, np.diag([0.0, -1.0])):
+        with pytest.raises(NumericsError, match="requires a Hurwitz matrix"):
+            solve_lyapunov(a[None], np.eye(len(a))[None])
+        assert solve_against_the_spectrum(a) is None
+    rng = np.random.default_rng(3)
+    for k in range(60):
+        n = int(rng.integers(1, 25))
+        a = random_hurwitz(rng, n)
+        if k % 2:
+            # half of the draws shifted right of the axis by up to 0.5
+            a = a + (abs(spectral_abscissa(a[None])[0]) + rng.uniform(-0.5, 0.5)) * np.eye(n)
+        accepted = solve_against_the_spectrum(a) is not None
+        assert accepted == (spectral_abscissa(a[None])[0] < 0.0)
 
 
 # A shifted, stabilized closed loop from a random injection instance:
@@ -187,9 +224,11 @@ def test_solve_lyapunov_200_states():
 
 def test_solve_lyapunov_far_from_normal_fails_only_with_numerics_error():
     # Hurwitz Jordan-like blocks with superdiagonals up to 1e4, seen in a
-    # random basis. Some are too ill-conditioned to solve, and on some a
-    # sign iterate is numerically singular; every failure must still be
-    # a NumericsError, and every returned M must meet the residual gate.
+    # random basis. Some are too ill-conditioned to solve, on some a sign
+    # iterate is numerically singular, and on 86 the computed spectrum
+    # crosses the axis; every failure must still be a NumericsError with
+    # the message the spectrum decides, and every returned M must meet
+    # the residual gate.
     rng = np.random.default_rng(5)
     solved = 0
     for _ in range(200):
@@ -198,13 +237,7 @@ def test_solve_lyapunov_far_from_normal_fails_only_with_numerics_error():
         block += np.diag(np.full(n - 1, 10 ** rng.uniform(2, 4)), 1)
         t = rng.standard_normal((n, n))
         a = t @ block @ np.linalg.inv(t)
-        try:
-            m = solve_lyapunov(a[None], np.eye(n)[None])[0]
-        except NumericsError:
-            continue
-        solved += 1
-        residual = np.linalg.norm(a.T @ m + m @ a + np.eye(n), "fro")
-        assert residual <= 1e-8 * (spectral_norm(a[None])[0] * spectral_norm(m[None])[0] + 1.0)
+        solved += solve_against_the_spectrum(a) is not None
     # robustness floor: refinement with the sign iterates solves 67 draws
     assert solved >= 65
 
@@ -246,9 +279,13 @@ def test_stabilize_scalar_integrator():
 
 
 def test_stabilize_triple_integrator():
-    (k,), (abscissa,) = stabilize(TRIPLE_INTEGRATOR[None], TRIPLE_INPUT[None])
-    assert abscissa == spectral_abscissa((TRIPLE_INTEGRATOR + TRIPLE_INPUT @ k)[None])[0]
-    assert abscissa < 0.0
+    # shifted left by 1e-14 the open loop is Hurwitz by a hair, inside the
+    # margin the PBH test treats as marginal, so it is placed too
+    for shift in (0.0, 1e-14):
+        a = TRIPLE_INTEGRATOR - shift * np.eye(3)
+        (k,), (abscissa,) = stabilize(a[None], TRIPLE_INPUT[None])
+        assert abscissa == spectral_abscissa((a + TRIPLE_INPUT @ k)[None])[0]
+        assert abscissa < -REL_TOL
 
 
 def test_stabilize_random_controllable_pairs():
@@ -271,20 +308,20 @@ def test_stabilize_rejects_unstabilizable():
 
 
 def test_pbh_examples():
-    (ok,), (witness,) = pbh_stabilizable(
+    (ok,), (witness,), _ = pbh_stabilizable(
         np.diag([1.0, -1.0])[None], np.array([[0.0], [1.0]])[None]
     )
     assert not ok
     assert witness == pytest.approx(1.0)
-    (ok,), (witness,) = pbh_stabilizable(TRIPLE_INTEGRATOR[None], TRIPLE_INPUT[None])
+    (ok,), (witness,), _ = pbh_stabilizable(TRIPLE_INTEGRATOR[None], TRIPLE_INPUT[None])
     assert ok and witness is None
     # An uncontrollable but stable mode is fine.
-    (ok,), _ = pbh_stabilizable(np.diag([-1.0, -2.0])[None], np.array([[1.0], [0.0]])[None])
+    (ok,), _, _ = pbh_stabilizable(np.diag([-1.0, -2.0])[None], np.array([[1.0], [0.0]])[None])
     assert ok
     # No input at all: stabilizable exactly when already Hurwitz.
-    (ok,), _ = pbh_stabilizable(DAMPED_NODE[None], np.zeros((1, 2, 0)))
+    (ok,), _, _ = pbh_stabilizable(DAMPED_NODE[None], np.zeros((1, 2, 0)))
     assert ok
-    (ok,), _ = pbh_stabilizable(np.array([[1.0]])[None], np.zeros((1, 1, 0)))
+    (ok,), _, _ = pbh_stabilizable(np.array([[1.0]])[None], np.zeros((1, 1, 0)))
     assert not ok
 
 

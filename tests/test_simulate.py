@@ -268,7 +268,7 @@ def test_square_switches_count_what_signal_square_holds(period, t_final):
 
 
 def test_integrate_scalar_decay():
-    sys = LinearSystem("s", [[-1.0]], np.zeros((1, 0)), [[1.0]], [])
+    sys = LinearSystem("s", [[-1.0]], np.zeros((1, 0)), [[1.0]], [], (), {})
     traj = integrate(sys, [1.0], t_final=1.0, dt=1e-3)
     assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-9)
     assert traj.outputs.shape == (1001, 1)
@@ -284,14 +284,14 @@ def test_integrate_matches_eigendecomposition_oracle():
     for a in mats:
         n = a.shape[0]
         x0 = rng.standard_normal(n)
-        sys = LinearSystem("s", a, np.zeros((n, 0)), np.eye(n), [])
+        sys = LinearSystem("s", a, np.zeros((n, 0)), np.eye(n), [], (), {})
         traj = integrate(sys, x0, t_final=1.0, dt=1e-3)
         exact = expm_eig(a, 1.0) @ x0
         assert np.max(np.abs(traj.states[-1] - exact)) <= 1e-8
 
 
 def test_integrate_zero_dynamics_is_straight_line():
-    sys = LinearSystem("s", np.zeros((2, 2)), np.eye(2), np.eye(2), [])
+    sys = LinearSystem("s", np.zeros((2, 2)), np.eye(2), np.eye(2), [], (), {})
     u = Signal.constant([1.0, -2.0])
     traj = integrate(sys, [0.0, 0.0], u=u, t_final=2.0, dt=1e-3)
     assert np.allclose(traj.states[-1], [2.0, -4.0], atol=1e-10)
@@ -302,7 +302,7 @@ def test_integrate_zero_dynamics_is_straight_line():
 def test_integrate_internal_channel_signal():
     sys = LinearSystem(
         "s", [[-1.0]], np.zeros((1, 0)), [[1.0]], [[1.0]],
-        (InternalChannel("peer", 1),),
+        (InternalChannel("peer", 1),), {},
     )
     traj = integrate(sys, [0.0], w=Signal.constant([1.0]), t_final=3.0, dt=1e-3)
     exact = 1.0 - np.exp(-3.0)
@@ -311,7 +311,7 @@ def test_integrate_internal_channel_signal():
 
 def test_integrate_fourth_order_convergence():
     x0 = np.array([1.0, -1.0])
-    sys = LinearSystem("s", DAMPED_NODE, np.zeros((2, 0)), np.eye(2), [])
+    sys = LinearSystem("s", DAMPED_NODE, np.zeros((2, 0)), np.eye(2), [], (), {})
     exact = expm_eig(DAMPED_NODE, 1.0) @ x0
     errs = []
     for dt in (0.05, 0.025):
@@ -322,13 +322,13 @@ def test_integrate_fourth_order_convergence():
 
 
 def test_integrate_detects_blowup():
-    sys = LinearSystem("s", [[5.0]], np.zeros((1, 0)), [[1.0]], [])
+    sys = LinearSystem("s", [[5.0]], np.zeros((1, 0)), [[1.0]], [], (), {})
     with pytest.raises(NumericsError, match="non-finite"):
         integrate(sys, [1.0], t_final=300.0, dt=1e-2)
 
 
 def test_integrate_argument_checks():
-    sys = LinearSystem("s", [[-1.0]], [[1.0]], [[1.0]], [])
+    sys = LinearSystem("s", [[-1.0]], [[1.0]], [[1.0]], [], (), {})
     with pytest.raises(ValueError, match="width"):
         integrate(sys, [0.0], u=Signal.constant([1.0, 2.0]))
     with pytest.raises(ValueError, match="initial state"):
@@ -344,7 +344,7 @@ def test_integrate_argument_checks():
 
 
 def test_integrate_checks_width_of_zero_width_input():
-    sys = LinearSystem("s", [[-1.0]], np.zeros((1, 0)), [[1.0]], [])
+    sys = LinearSystem("s", [[-1.0]], np.zeros((1, 0)), [[1.0]], [], (), {})
     with pytest.raises(ValueError, match="signal width 2 does not match input width 0"):
         integrate(sys, [1.0], u=Signal.constant([5.0, 7.0]))
     traj = integrate(sys, [1.0], u=Signal.zero(0), t_final=0.1)
@@ -352,7 +352,7 @@ def test_integrate_checks_width_of_zero_width_input():
 
 
 def test_integrate_zero_horizon():
-    sys = LinearSystem("s", [[-1.0]], np.zeros((1, 0)), [[1.0]], [])
+    sys = LinearSystem("s", [[-1.0]], np.zeros((1, 0)), [[1.0]], [], (), {})
     traj = integrate(sys, [0.7], t_final=0.0, dt=1e-3)
     assert traj.states.shape == (1, 1)
     assert traj.states[0, 0] == 0.7
@@ -368,7 +368,7 @@ def test_refinement_matched_start_zero_input():
 
 
 def test_refinement_single_subsystem_identity_projection():
-    sys = LinearSystem("solo", DAMPED_NODE, [[0.0], [1.0]], [[1.0, 0.0]], [])
+    sys = LinearSystem("solo", DAMPED_NODE, [[0.0], [1.0]], [[1.0, 0.0]], [], (), {})
     ic = Interconnection([sys])
     (res,) = build_abstraction([sys], np.eye(2)[None])
     gm = gain_matrices(ic, {"solo": res.gains})
@@ -957,7 +957,7 @@ def test_run_lti_stability_against_long_horizon():
     # terminal state with the eigendecomposition oracle.
     rng = np.random.default_rng(409)
     a = random_hurwitz(rng, 4)
-    sys = LinearSystem("s", a, np.zeros((4, 0)), np.eye(4), [])
+    sys = LinearSystem("s", a, np.zeros((4, 0)), np.eye(4), [], (), {})
     x0 = rng.standard_normal(4)
     traj = integrate(sys, x0, t_final=20.0, dt=1e-3)
     exact = expm_eig(a, 20.0) @ x0
@@ -1049,7 +1049,7 @@ def test_run_lti_unexcited_unstable_mode_stays_finite():
     # phi^L of the unstable mode overflows for long blocks; the state
     # never touches that mode, so the run must not see inf * 0 = NaN
     a = np.diag([-1.0, 800.0])
-    sys = LinearSystem("s", a, np.zeros((2, 0)), np.eye(2), [])
+    sys = LinearSystem("s", a, np.zeros((2, 0)), np.eye(2), [], (), {})
     traj = integrate(sys, [1.0, 0.0], t_final=300.0, dt=1e-2)
     ref = reference_march(
         a, np.zeros((2, 0)), np.zeros((len(traj.times), 0)), np.array([1.0, 0.0]),

@@ -530,7 +530,8 @@ def test_one_encoding_of_the_deviation_function():
 
 
 # Every parameter default in src/, by module.function.parameter (a
-# dataclass InitVar as module.Class.field), with the reason it stays.
+# dataclass field, InitVar included, as module.Class.field), with the
+# reason it stays.
 PARAMETER_DEFAULTS = {
     # used by the program with both values
     "abstraction.build_abstraction.certificates": "computed certificates unless the project injects one",
@@ -549,6 +550,14 @@ PARAMETER_DEFAULTS = {
     "simulate._finite.axis": "one verdict for the run, then one per row to name the first bad one",
     "simulate.bound_report.v0": "cli passes the --v0 override; bench/ takes the run's start",
     "systems.LinearSystem.finite": "the project reader has checked every entry; other builders have not",
+    # a project file's values where it omits them, as README's project format lists them
+    "cli.Directive.p": "a subsystem without an abstraction block gets the identity injection",
+    "cli.Directive.certificate": "a subsystem without an injected certificate gets a computed one",
+    "cli.SimulationSpec.t_final": "the horizon of a project without simulation.t_final",
+    "cli.SimulationSpec.dt": "the step of a project without simulation.dt",
+    "cli.SimulationSpec.xhat0": "the abstract start of a project without simulation.xhat0",
+    "cli.SimulationSpec.x0": "a project without simulation.x0 starts each subsystem at P xhat0",
+    "cli.SimulationSpec.inputs": "a project without simulation.inputs drives no abstract input",
     # reuse parameters whose default only direct callers rely on: the
     # program passes what it has computed, a direct call computes it
     "abstraction.decay_certificate.pbh": "build_abstraction passes check_P_conditions' PBH verdicts",
@@ -569,7 +578,7 @@ PARAMETER_DEFAULTS = {
 
 def _defaults(node: ast.AST, prefix: str):
     """Qualified names of the parameters with a default in every function
-    under ``node``, and of the dataclass ``InitVar`` fields with one."""
+    under ``node``, and of the dataclass fields with one."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = child.args
@@ -581,13 +590,28 @@ def _defaults(node: ast.AST, prefix: str):
             yield from (f"{prefix}{child.name}.{arg.arg}" for arg in with_default)
             yield from _defaults(child, f"{prefix}{child.name}.")
         elif isinstance(child, ast.ClassDef):
+            if any("dataclass" in _referenced(deco) for deco in child.decorator_list):
+                yield from (
+                    f"{prefix}{child.name}.{item.target.id}"
+                    for item in child.body if _field_default(item)
+                )
             yield from _defaults(child, f"{prefix}{child.name}.")
-        elif (
-            isinstance(child, ast.AnnAssign)
-            and child.value is not None
-            and "InitVar" in _referenced(child.annotation)
-        ):
-            yield f"{prefix}{child.target.id}"
+
+
+def _field_default(node: ast.AST) -> bool:
+    """Whether a dataclass body statement declares a field, ``InitVar``
+    included, with a default: a value, or a ``field()`` given ``default``
+    or ``default_factory``."""
+    if (
+        not isinstance(node, ast.AnnAssign)
+        or node.value is None
+        or "ClassVar" in _referenced(node.annotation)
+    ):
+        return False
+    value = node.value
+    if isinstance(value, ast.Call) and "field" in _referenced(value.func):
+        return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+    return True
 
 
 def test_every_parameter_default_in_src_has_a_reason():

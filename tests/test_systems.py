@@ -27,7 +27,7 @@ def scalar_pair(gain_ab=1.0, gain_ba=1.0):
 
 
 def test_coercion_of_vector_and_empty_blocks():
-    sys = LinearSystem("s", [[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], [1.0, 0.0], [])
+    sys = LinearSystem("s", [[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], [1.0, 0.0], [], (), {})
     assert sys.B.shape == (2, 1)
     assert sys.C_ext.shape == (1, 2)
     assert sys.D.shape == (2, 0)
@@ -35,7 +35,7 @@ def test_coercion_of_vector_and_empty_blocks():
 
 
 def test_zero_width_input_matrix():
-    sys = LinearSystem("s", [[-1.0]], np.zeros((1, 0)), [[1.0]], [])
+    sys = LinearSystem("s", [[-1.0]], np.zeros((1, 0)), [[1.0]], [], (), {})
     assert sys.m == 0
     assert sys.B.shape == (1, 0)
 
@@ -44,16 +44,16 @@ def test_a_subsystem_without_states_is_rejected():
     # [] reads as 0 x 1 and np.zeros((0, 0)) as 0 x 0: both have no states
     for a in ([], np.zeros((0, 0))):
         with pytest.raises(ValueError, match=r"z\.A has no states"):
-            LinearSystem("z", a, np.zeros((0, 1)), np.zeros((1, 0)), np.zeros((0, 0)))
+            LinearSystem("z", a, np.zeros((0, 1)), np.zeros((1, 0)), np.zeros((0, 0)), (), {})
     with pytest.raises(ValueError, match=r"z\.A has no states"):
-        LinearSystem("z", [], [], [], [])
+        LinearSystem("z", [], [], [], [], (), {})
 
 
 def test_non_finite_entries_are_rejected():
     with pytest.raises(ValueError, match=r"s\.A has non-finite entries"):
-        LinearSystem("s", [[np.nan]], [[1.0]], [[1.0]], [])
+        LinearSystem("s", [[np.nan]], [[1.0]], [[1.0]], [], (), {})
     with pytest.raises(ValueError, match=r"s\.B has non-finite entries"):
-        LinearSystem("s", [[-1.0]], [[np.inf]], [[1.0]], [])
+        LinearSystem("s", [[-1.0]], [[np.inf]], [[1.0]], [], (), {})
     with pytest.raises(ValueError, match=r"s\.C_int\[t\] has non-finite entries"):
         LinearSystem("s", [[-1.0]], [[1.0]], [[1.0]], [], (), {"t": [[np.nan]]})
 
@@ -67,14 +67,14 @@ def test_the_project_reader_checks_finiteness_once(monkeypatch):
     monkeypatch.setattr(LinearSystem, "_finite", rescan)
     assert len(parse_project(demo_project()).interconnection.subsystems) == 4
     with pytest.raises(AssertionError, match=r"s\.A scanned twice"):
-        LinearSystem("s", [[-1.0]], [[1.0]], [[1.0]], [])
+        LinearSystem("s", [[-1.0]], [[1.0]], [[1.0]], [], (), {})
 
 
 def test_d_width_must_match_declared_channels():
     with pytest.raises(ValueError):
         LinearSystem(
             "s", [[-1.0]], [[1.0]], [[1.0]], [[1.0, 2.0]],
-            (InternalChannel("p", 1),),
+            (InternalChannel("p", 1),), {},
         )
 
 
@@ -82,17 +82,17 @@ def test_channel_sanity_checks():
     with pytest.raises(ValueError):
         LinearSystem(
             "s", [[-1.0]], [[1.0]], [[1.0]], [[1.0]],
-            (InternalChannel("s", 1),),
+            (InternalChannel("s", 1),), {},
         )
     with pytest.raises(ValueError):
         LinearSystem(
             "s", [[-1.0]], [[1.0]], [[1.0]], [[1.0, 1.0]],
-            (InternalChannel("p", 1), InternalChannel("p", 1)),
+            (InternalChannel("p", 1), InternalChannel("p", 1)), {},
         )
     with pytest.raises(ValueError):
         LinearSystem(
             "s", [[-1.0]], [[1.0]], [[1.0]], [[1.0]],
-            (InternalChannel("p", 0),),
+            (InternalChannel("p", 0),), {},
         )
 
 
@@ -111,19 +111,19 @@ def test_output_blocks_external_first_then_sorted_peers():
     blocks = ic["s1"].output_blocks()
     assert len(blocks) == 3
     assert all(np.allclose(b, [[1.0, 0.0, 0.0]]) for b in blocks)
-    quiet = LinearSystem("q", [[-1.0]], [[1.0]], np.zeros((0, 1)), [])
+    quiet = LinearSystem("q", [[-1.0]], [[1.0]], np.zeros((0, 1)), [], (), {})
     assert quiet.output_blocks() == []
 
 
 def test_interconnection_validation_errors():
-    base = LinearSystem("a", [[-1.0]], [[1.0]], [[1.0]], [])
+    base = LinearSystem("a", [[-1.0]], [[1.0]], [[1.0]], [], (), {})
     with pytest.raises(ValueError, match="duplicate"):
-        Interconnection([base, LinearSystem("a", [[-1.0]], [[1.0]], [[1.0]], [])])
+        Interconnection([base, LinearSystem("a", [[-1.0]], [[1.0]], [[1.0]], [], (), {})])
     with pytest.raises(ValueError, match="unknown subsystem"):
         Interconnection([
             LinearSystem(
                 "a", [[-1.0]], [[1.0]], [[1.0]], [[1.0]],
-                (InternalChannel("ghost", 1),),
+                (InternalChannel("ghost", 1),), {},
             )
         ])
     # The receiver declares the channel but the sender has no matching block.
@@ -131,9 +131,9 @@ def test_interconnection_validation_errors():
         Interconnection([
             LinearSystem(
                 "a", [[-1.0]], [[1.0]], [[1.0]], [[1.0]],
-                (InternalChannel("b", 1),),
+                (InternalChannel("b", 1),), {},
             ),
-            LinearSystem("b", [[-1.0]], [[1.0]], [[1.0]], []),
+            LinearSystem("b", [[-1.0]], [[1.0]], [[1.0]], [], (), {}),
         ])
     # Widths must agree between declaration and the sender's block.
     with pytest.raises(ValueError, match="width"):
@@ -141,16 +141,16 @@ def test_interconnection_validation_errors():
             LinearSystem(
                 "a", np.diag([-1.0, -1.0]), [[1.0], [0.0]], [[1.0, 0.0]],
                 [[1.0, 0.0], [0.0, 1.0]],
-                (InternalChannel("b", 2),),
+                (InternalChannel("b", 2),), {},
             ),
             LinearSystem(
-                "b", [[-1.0]], [[1.0]], [[1.0]], [],
+                "b", [[-1.0]], [[1.0]], [[1.0]], [], (),
                 C_int={"a": [[1.0]]},
             ),
         ])
     with pytest.raises(ValueError, match="unknown subsystem"):
         Interconnection([
-            LinearSystem("a", [[-1.0]], [[1.0]], [[1.0]], [], C_int={"ghost": [[1.0]]})
+            LinearSystem("a", [[-1.0]], [[1.0]], [[1.0]], [], (), C_int={"ghost": [[1.0]]})
         ])
 
 
@@ -197,7 +197,7 @@ def test_interconnection_subsystems_are_immutable():
     ic = scalar_pair()
     assert isinstance(ic.subsystems, tuple)
     with pytest.raises(AttributeError):
-        ic.subsystems.append(LinearSystem("c", [[-1.0]], [[1.0]], [[1.0]], []))
+        ic.subsystems.append(LinearSystem("c", [[-1.0]], [[1.0]], [[1.0]], [], (), {}))
 
 
 def test_interconnection_layout():
@@ -217,7 +217,7 @@ def test_interconnection_layout():
 
 
 def test_single_subsystem_network():
-    ic = Interconnection([LinearSystem("solo", [[-1.0]], [[1.0]], [[1.0]], [])])
+    ic = Interconnection([LinearSystem("solo", [[-1.0]], [[1.0]], [[1.0]], [], (), {})])
     mono = build_monolithic(ic)
     assert np.allclose(mono.A, [[-1.0]])
 
@@ -230,8 +230,8 @@ def test_monolithic_two_scalar_loop():
 
 
 def test_monolithic_without_channels_is_block_diagonal():
-    s1 = LinearSystem("a", [[-1.0]], [[1.0]], [[1.0]], [])
-    s2 = LinearSystem("b", np.diag([-2.0, -3.0]), [[0.0], [1.0]], [[1.0, 0.0]], [])
+    s1 = LinearSystem("a", [[-1.0]], [[1.0]], [[1.0]], [], (), {})
+    s2 = LinearSystem("b", np.diag([-2.0, -3.0]), [[0.0], [1.0]], [[1.0, 0.0]], [], (), {})
     mono = build_monolithic(Interconnection([s1, s2]))
     assert np.allclose(mono.A, np.diag([-1.0, -2.0, -3.0]))
     assert np.allclose(mono.B, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
