@@ -14,8 +14,6 @@ from .abstraction import (
     build_abstraction,
     certificate_slacks,
     check_P_conditions,
-    decay_certificate,
-    interface,
 )
 from .compose import (
     ComposedSimFn,
@@ -67,10 +65,8 @@ __all__ = [
     "check_P_conditions",
     "compose_abstractions",
     "compose_simfn",
-    "decay_certificate",
     "gain_matrices",
     "image",
-    "interface",
     "kernel",
     "minimal_invariant",
     "refine_and_run",

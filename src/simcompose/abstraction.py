@@ -174,29 +174,30 @@ def _system_stack(systems) -> tuple[Matrix, Matrix, Matrix, list[Matrix]]:
     )
 
 
-def decay_certificate(a, b, blocks, pbh=None):
+def decay_certificate(a, b, blocks, abscissa, norm):
     """Compute the stacks ``(M, K1, lam)`` certifying exponential
     deviation decay of each member of the stacks ``a`` and ``b``.
 
-    ``K1`` stabilizes ``(a, b)``; ``lam`` is half the closed-loop decay
-    margin, read from the spectral abscissa :func:`stabilize` accepted;
-    ``M`` solves a shifted Lyapunov equation and is scaled so every
-    output block ``Cb`` satisfies ``Cb^T Cb <= M`` while
+    Every pair must have passed the PBH test, which gave the open-loop
+    spectral abscissae ``abscissa`` on the spectral norms ``norm`` of
+    ``a`` (:func:`check_P_conditions`; :func:`build_abstraction` runs it
+    first). ``K1`` stabilizes ``(a, b)`` from them (:func:`stabilize`);
+    ``lam`` is half the closed-loop decay margin, read from the spectral
+    abscissa :func:`stabilize` accepted; ``M`` solves a shifted Lyapunov
+    equation and is scaled so every output block ``Cb`` satisfies
+    ``Cb^T Cb <= M`` while
 
         (a + b K1)^T M + M (a + b K1) <= -2 lam M.
 
     ``blocks`` is the list of output block stacks; the scaling uses each
     member's worst block. The 1 percent headroom keeps both inequalities
-    strictly satisfied under roundoff. ``pbh`` is the PBH verdicts,
-    witnesses and open-loop abscissae on ``(a, b)`` with ``|a|_2``, four
-    per-member sequences, when the caller already has them (see
-    :func:`stabilize`). The stack raises the error of its first failing
-    member.
+    strictly satisfied under roundoff. The stack raises the error of its
+    first failing member.
     """
     count, n = a.shape[0], a.shape[-1]
     _check_widths(blocks, n)
-    k1, abscissa = stabilize(a, b, pbh=pbh)
-    lam = 0.5 * np.abs(abscissa)
+    k1, closed = stabilize(a, b, abscissa, norm)
+    lam = 0.5 * np.abs(closed)
     m0 = solve_lyapunov(
         a + b @ k1 + lam[:, None, None] * np.eye(n), np.tile(np.eye(n), (count, 1, 1))
     )
@@ -427,9 +428,11 @@ def build_abstraction(systems, p, certificates=None):
     ----------
     certificates : optional, one ``(M, K1, lam)`` per member
         Injected deviation certificates, all of one shape. When omitted
-        every certificate is computed; injected certificates are
-        verified at the loose tolerance appropriate for rounded
-        published data.
+        every certificate is computed (:func:`decay_certificate`) from
+        the open-loop spectrum and ``|A|_2`` the check of the injection
+        conditions took, once they hold; this is the one way to a
+        computed certificate. Injected certificates are verified at the
+        loose tolerance appropriate for rounded published data.
 
     The stack is certified in one pass. Returns the list of the
     members' results, or raises the error of its first failing member,
@@ -449,14 +452,9 @@ def build_abstraction(systems, p, certificates=None):
             raise ValueError(
                 f"injection conditions failed for {sub.name}: " + "; ".join(report.lines())
             )
+    norm_a = np.array([r.norm_a for r in reports])
     if certificates is None:
-        m, k1, lam = decay_certificate(
-            a, b, blocks,
-            pbh=(
-                [r.stabilizable for r in reports], [r.witness for r in reports],
-                [r.abscissa for r in reports], [r.norm_a for r in reports],
-            ),
-        )
+        m, k1, lam = decay_certificate(a, b, blocks, [r.abscissa for r in reports], norm_a)
         tol = COMPUTED_CERT_TOL
         # the solve's residual gate is relative to |A| |M|, the slack absolute
         cause = (
@@ -486,7 +484,7 @@ def build_abstraction(systems, p, certificates=None):
     # one SVD of [P, B] serves both identities
     sol_a, res_a, sol_d, res_d = least_squares(np.concatenate([p, b], axis=-1), a @ p, d)
     consistent = (
-        residual_ok(res_a, np.array([r.norm_a for r in reports]))
+        residual_ok(res_a, norm_a)
         & residual_ok(res_d, np.array([r.norm_d for r in reports]))
     )
     if not consistent.all():
@@ -551,17 +549,8 @@ def interface_gains(fn: QuadraticSimFn) -> tuple[Matrix, Matrix, Matrix, Matrix]
     The law ``u = K1 (x - P xhat) - K2 xhat - K3 what + K4 uhat``,
     grouped by signal, gives ``-(K1 P) - K2`` on ``xhat``, ``K1`` on
     ``x``, ``-K3`` on ``what`` and ``K4`` on ``uhat``.  This is the one
-    encoding of the law: :func:`interface` evaluates it at a point, and
-    :func:`~simcompose.simulate.refine_and_run` writes it into the joint
-    system one subsystem at a time.
+    encoding of the law: :func:`~simcompose.simulate.refine_and_run`
+    writes it into the joint system one subsystem at a time.
     """
     return -(fn.K1 @ fn.P) - fn.K2, fn.K1, -fn.K3, fn.K4
 
-
-def interface(fn: QuadraticSimFn, xhat, x, what, uhat) -> np.ndarray:
-    """Concrete input that tracks the abstract system.
-
-    ``u = K1 (x - P xhat) - K2 xhat - K3 what + K4 uhat``.
-    """
-    signals = [np.asarray(s, dtype=float).reshape(-1) for s in (xhat, x, what, uhat)]
-    return sum(g @ s for g, s in zip(interface_gains(fn), signals))

@@ -485,14 +485,14 @@ def _stability_margin(norm):
     return -REL_TOL * np.maximum(1.0, norm)
 
 
-def pbh_stabilizable(a, b, norm=None):
+def pbh_stabilizable(a, b, norm):
     """PBH test: is each pair ``(a, b)`` of the stacks stabilizable?
 
     Checks ``rank [a - s I, b] == n`` for every eigenvalue ``s`` of ``a``
-    not below :func:`_stability_margin` (so marginally stable clusters
-    are tested too). Every pencil is ranked at its member's one cutoff
-    ``rank_tol([a, b])``, and the pencils of all members in one call.
-    ``norm`` is ``|a|_2`` when the caller has already computed it.
+    not below :func:`_stability_margin` of ``norm``, the spectral norms
+    ``|a|_2`` (so marginally stable clusters are tested too). Every
+    pencil is ranked at its member's one cutoff ``rank_tol([a, b])``,
+    and the pencils of all members in one call.
 
     Returns
     -------
@@ -502,7 +502,7 @@ def pbh_stabilizable(a, b, norm=None):
         eigenvalue when its verdict is False, the first in sorted order,
         and None otherwise. The abscissa is :func:`spectral_abscissa` of
         the member, from the spectrum the test took (``-inf`` for
-        ``n = 0``), so :func:`stabilize` need not take it again.
+        ``n = 0``): :func:`stabilize` starts from it, with ``norm``.
     """
     count, n = a.shape[0], a.shape[-1]
     if a.shape[-2] != n:
@@ -513,8 +513,6 @@ def pbh_stabilizable(a, b, norm=None):
     witness: list = [None] * count
     abscissa = np.full(count, -np.inf)
     if n and count:
-        if norm is None:
-            norm = spectral_norm(a)
         vals = eigenvalues(a)
         abscissa = vals.real.max(axis=-1)
         # "not below the margin", as the eigenvalues are finite
@@ -637,65 +635,45 @@ def _placed(acl, b, basis, place) -> np.ndarray:
     return place(basis_t @ acl @ basis, basis_t @ b) @ basis_t
 
 
-def stabilize(a, b, pbh=None):
+def stabilize(a, b, abscissa, norm):
     """Return the stacks ``(K, abscissa)``: each ``a + b K`` is Hurwitz
     with spectral abscissa ``abscissa`` below the stability margin.
 
-    An open loop whose abscissa is below :func:`_stability_margin` gets
-    ``K = 0``; every other one is placed, so no loop the PBH test treats
-    as marginal is accepted unplaced. Unstable eigenvalues are moved one
-    real eigenvalue or conjugate pair at a time
-    (:func:`_assignment_step`): stable modes are never touched, each
-    step is a one- or two-dimensional placement, and the gains stay
-    moderate where a single gramian-based design would overdrive the
-    weakly coupled directions. Each closed loop is judged by one
-    :func:`spectral_abscissa` (the placement's ``eig`` of the transpose
-    differs in the last digits) against the same margin, and the passing
-    one returned. In a stack each member leaves the loop at the step its
-    closed loop passes, so its steps are those it takes alone.
-
-    ``pbh`` is ``pbh_stabilizable(a, b, norm)`` and ``norm = |a|_2``,
-    the per-member sequences ``(ok, witness, abscissa, norm)``, when the
-    caller has already computed them for these same matrices; then
-    neither the test nor the open-loop spectrum is taken again, and the
-    abscissa, the same function of the same array, gives the same
-    decisions. Without ``pbh`` both are computed here.
+    Every pair must have passed the PBH test (:func:`pbh_stabilizable`):
+    ``abscissa`` holds the open-loop spectral abscissae it returned and
+    ``norm`` the ``|a|_2`` it was given, one per member, so the
+    stability margin is the test's own. An open loop whose abscissa is
+    below :func:`_stability_margin` gets ``K = 0``; every other one is
+    placed, so no loop the PBH test treats as marginal is accepted
+    unplaced.
+    Unstable eigenvalues are moved one real eigenvalue or conjugate pair
+    at a time (:func:`_assignment_step`): stable modes are never
+    touched, each step is a one- or two-dimensional placement, and the
+    gains stay moderate where a single gramian-based design would
+    overdrive the weakly coupled directions. Each closed loop is judged
+    by one :func:`spectral_abscissa` (the placement's ``eig`` of the
+    transpose differs in the last digits) against the same margin, and
+    the passing one returned. In a stack each member leaves the loop at
+    the step its closed loop passes, so its steps are those it takes
+    alone.
 
     Raises
     ------
     NumericsError
-        If a pair fails the PBH test (message names the witness
-        eigenvalue), or the assignment loop fails a final Hurwitz
-        verification because an unstable mode is too close to
-        uncontrollable. The stack raises the error of its first failing
-        member.
+        If the assignment loop fails a final Hurwitz verification
+        because an unstable mode is too close to uncontrollable. The
+        stack raises the error of its first failing member.
     """
     count, n = a.shape[0], a.shape[-1]
     if a.shape[-2] != n:
         raise ValueError(f"a must be square, got {a.shape[-2:]}")
     if b.shape[-2] != n:
         raise ValueError(f"b must have {n} rows, got {b.shape[-2:]}")
-    if pbh is None:
-        norm = spectral_norm(a)
-        abscissa = spectral_abscissa(a)
-    else:
-        norm = np.asarray(pbh[3], dtype=float)
-        # a copy: the placed members' entries are overwritten below
-        abscissa = np.array(pbh[2], dtype=float)
+    # a copy: the placed members' entries are overwritten below
+    abscissa = np.array(abscissa, dtype=float)
     margin = _stability_margin(norm)
     k = np.zeros((count, b.shape[-1], n))
     live = np.flatnonzero(~(abscissa < margin))
-    if live.size:
-        if pbh is None:
-            ok, witness, _ = pbh_stabilizable(a[live], b[live], norm=norm[live])
-        else:
-            ok = np.asarray(pbh[0], dtype=bool)[live]
-            witness = [pbh[1][i] for i in live.tolist()]
-        if not ok.all():
-            raise NumericsError(
-                f"pair is not stabilizable: eigenvalue {witness[np.argmin(ok)]} "
-                "cannot be moved by the input"
-            )
     acl = a[live]
     for _ in range(2 * n + 4):
         if not live.size:
@@ -714,13 +692,12 @@ def stabilize(a, b, pbh=None):
     return k, abscissa
 
 
-def check_spd(m, name):
+def check_spd(m, names):
     """Validate the symmetry (else ``ValueError``) and positive
     semidefiniteness (else ``NumericsError``) of each member, and return
     the symmetrized stack. The stack raises the error of its first
-    failing member; ``name`` names every member or lists one name per
-    member for the message."""
-    names = [name] * len(m) if isinstance(name, str) else list(name)
+    failing member; ``names`` lists one name per member for the
+    message."""
     if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{names[0]} must be square, got {m.shape[-2:]}")
     tols = rank_tol(m)

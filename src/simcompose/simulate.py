@@ -75,8 +75,6 @@ class Signal:
     def __post_init__(self):
         times = np.atleast_1d(np.asarray(self.times, dtype=float))
         values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, np.newaxis]
         if times.ndim != 1 or values.ndim != 2 or len(times) != len(values):
             raise ValueError("signal needs one value row per sample time")
         if len(times) == 0:

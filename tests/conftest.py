@@ -6,7 +6,7 @@ controls its own seed and the suite stays reproducible.
 
 import numpy as np
 
-from simcompose.linalg import pbh_stabilizable, spectral_abscissa
+from simcompose.linalg import pbh_stabilizable, spectral_abscissa, spectral_norm
 from simcompose.systems import Interconnection, InternalChannel, LinearSystem
 
 
@@ -43,7 +43,7 @@ def random_valid_instance(rng, n, nhat, m, p=1, q=1, name="sys"):
         a = a0 + (on_p - a0 @ pmat) @ pmat.T
         d = pmat @ rng.standard_normal((nhat, p)) + b @ rng.standard_normal((m, p))
         c = rng.standard_normal((q, n)) @ (pmat @ pmat.T)
-        (ok,), _, _ = pbh_stabilizable(a[None], b[None])
+        (ok,), _, _ = pbh_stabilizable(a[None], b[None], spectral_norm(a[None]))
         if not ok:
             continue
         channels = (InternalChannel("w", p),) if p else ()

@@ -8,9 +8,16 @@ the program against, beside scipy. None of them runs in the program.
 - :func:`check_relation` checks a joint-space relation between an
   abstract and a concrete subsystem, a test of the certificate that does
   not go through ``P``;
+- :func:`open_loop` takes the PBH test that
+  :func:`~simcompose.abstraction.check_P_conditions` runs before a
+  certificate is computed, for tests that call ``decay_certificate`` or
+  ``stabilize`` on pairs directly;
 - :func:`eval_simfn` evaluates a deviation function at one pair of
   states, the reference for the sampled ``V`` of
   :func:`~simcompose.simulate.refine_and_run`;
+- :func:`interface` evaluates the interface law at one point, the
+  reference for the gains :func:`~simcompose.abstraction.interface_gains`
+  writes into the joint system;
 - :func:`integrate` runs one linear system through the program's one
   propagator, ``simulate._run_lti``;
 - :func:`build_monolithic` flattens an interconnection into one system,
@@ -28,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from simcompose.abstraction import QuadraticSimFn, compute_k4, decay_certificate
+from simcompose.abstraction import QuadraticSimFn, compute_k4, decay_certificate, interface_gains
 from simcompose.geometry import Subspace, image, residuals, sums
 from simcompose.linalg import (
     Matrix,
+    NumericsError,
     as_matrix,
     least_squares,
     pbh_stabilizable,
@@ -67,14 +75,39 @@ def simfn_from_relation(sys1, sys2, r: Subspace) -> QuadraticSimFn:
     if nhat and svals[-1] <= 1e-10 * max(1.0, svals[0]):
         raise ValueError("relation is not the graph of a map on the abstract states")
     p = x2 @ np.linalg.inv(x1) if nhat else np.zeros((n, 0))
+    a2, b2 = sys2.A[np.newaxis], sys2.B[np.newaxis]
     (m,), (k1,), (lam,) = decay_certificate(
-        sys2.A[np.newaxis], sys2.B[np.newaxis], [blk[np.newaxis] for blk in sys2.output_blocks()]
+        a2, b2, [blk[np.newaxis] for blk in sys2.output_blocks()], *open_loop(a2, b2)
     )
-    b2 = sys2.B[np.newaxis]
     k2 = least_squares(b2, (sys2.A @ p - p @ sys1.A)[np.newaxis])[0][0]
     k3 = least_squares(b2, (sys2.D - p @ sys1.D)[np.newaxis])[0][0]
     k4 = compute_k4(sqrtm_spd(m[np.newaxis]), p[np.newaxis], sys1.B[np.newaxis], b2)[0][0]
     return QuadraticSimFn(P=p, M=m, K1=k1, K2=k2, K3=k3, K4=k4, lam=lam)
+
+
+def open_loop(a, b):
+    """``(abscissa, norm)`` of the stacks of pairs ``(a, b)``: the
+    open-loop spectral abscissae and ``|a|_2`` that ``decay_certificate``
+    and ``stabilize`` take, from the PBH test ``check_P_conditions``
+    runs. A stack with a pair that fails the test raises
+    ``NumericsError`` naming the first such pair's witness."""
+    norm = spectral_norm(a)
+    ok, witness, abscissa = pbh_stabilizable(a, b, norm)
+    if not ok.all():
+        raise NumericsError(
+            f"pair is not stabilizable: eigenvalue {witness[np.argmin(ok)]} "
+            "cannot be moved by the input"
+        )
+    return abscissa, norm
+
+
+def interface(fn: QuadraticSimFn, xhat, x, what, uhat) -> np.ndarray:
+    """Concrete input that tracks the abstract system.
+
+    ``u = K1 (x - P xhat) - K2 xhat - K3 what + K4 uhat``.
+    """
+    signals = [np.asarray(s, dtype=float).reshape(-1) for s in (xhat, x, what, uhat)]
+    return sum(g @ s for g, s in zip(interface_gains(fn), signals))
 
 
 def eval_simfn(fn: QuadraticSimFn, xhat, x) -> float:
@@ -184,7 +217,9 @@ def check_relation(sys1: LinearSystem, sys2: LinearSystem, r: Subspace) -> Relat
     invariant = residual_ok(inv_res, norm(a12))
     ok_stab, witness = (False, None)
     if invariant:
-        ok, witnesses, _ = pbh_stabilizable(a12[np.newaxis], np.hstack([b12, r.basis])[np.newaxis])
+        ok, witnesses, _ = pbh_stabilizable(
+            a12[np.newaxis], np.hstack([b12, r.basis])[np.newaxis], spectral_norm(a12[np.newaxis])
+        )
         ok_stab, witness = ok[0], witnesses[0]
     return RelationReport(
         controlled_invariant=invariant,

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from simcompose import abstraction, linalg
 from conftest import random_hurwitz, random_valid_instance
-from oracles import check_relation, eval_simfn, graph_subspace, integrate, simfn_from_relation
+from oracles import (
+    check_relation,
+    eval_simfn,
+    graph_subspace,
+    integrate,
+    interface,
+    open_loop,
+    simfn_from_relation,
+)
 from simcompose.abstraction import (
     INJECTED_CERT_TOL,
     QuadraticSimFn,
@@ -17,7 +25,6 @@ from simcompose.abstraction import (
     check_P_conditions,
     compute_k4,
     decay_certificate,
-    interface,
     _system_stack,
 )
 from simcompose.demo import (
@@ -68,9 +75,8 @@ def assert_construction_identities(sys, res, tol=1e-8):
 
 
 def test_decay_certificate_scalar():
-    (m,), (k1,), (lam,) = decay_certificate(
-        np.array([[[-1.0]]]), np.zeros((1, 1, 0)), [np.array([[[1.0]]])]
-    )
+    a, b = np.array([[[-1.0]]]), np.zeros((1, 1, 0))
+    (m,), (k1,), (lam,) = decay_certificate(a, b, [np.array([[[1.0]]])], *open_loop(a, b))
     assert k1.shape == (0, 1)
     assert lam == pytest.approx(0.5, abs=1e-12)
     # M0 = 1 from the shifted equation, then the output scaling and the
@@ -83,7 +89,9 @@ def test_computed_certificates_satisfy_inequalities():
     for name in ic.names:
         sub = ic[name]
         blocks = [blk[None] for blk in sub.output_blocks()]
-        (m,), (k1,), (lam,) = decay_certificate(sub.A[None], sub.B[None], blocks)
+        (m,), (k1,), (lam,) = decay_certificate(
+            sub.A[None], sub.B[None], blocks, *open_loop(sub.A[None], sub.B[None])
+        )
         assert lam > 0.0
         assert spectral_abscissa((sub.A + sub.B @ k1)[None])[0] < 0.0
         (out_slack,), (decay_slack,) = certificate_slacks(
@@ -98,11 +106,11 @@ def test_nested_list_output_matrix_is_one_matrix():
     # a block stack of another width is rejected
     a, b = np.array([[[0.0, 1.0], [0.0, 0.0]]]), np.array([[[0.0], [1.0]]])
     row = np.array([[[1.0, 0.0]]])
-    m, k1, lam = decay_certificate(a, b, [row])
+    m, k1, lam = decay_certificate(a, b, [row], *open_loop(a, b))
     assert lam[0] == 0.5
     for c in ([np.array([[[1.0, 0.0, 0.0]]])], [row, np.ones((1, 1, 3))]):
         with pytest.raises(ValueError, match="output block has 3 columns, expected 2"):
-            decay_certificate(a, b, c)
+            decay_certificate(a, b, c, *open_loop(a, b))
         with pytest.raises(ValueError, match="output block has 3 columns, expected 2"):
             certificate_slacks(a, b, c, m, k1, lam)
 
@@ -117,7 +125,7 @@ def test_computed_certificates_random_instances():
         if m_in == 0 and not spectral_abscissa(a[None])[0] < 0.0:
             a = a - (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(n)
         c = rng.standard_normal((rng.integers(1, 3), n))
-        m, k1, lam = decay_certificate(a[None], b[None], [c[None]])
+        m, k1, lam = decay_certificate(a[None], b[None], [c[None]], *open_loop(a[None], b[None]))
         (out_slack,), (decay_slack,) = certificate_slacks(a[None], b[None], [c[None]], m, k1, lam)
         assert out_slack >= -1e-7
         assert decay_slack >= -1e-7
@@ -275,10 +283,12 @@ def test_build_abstraction_runs_each_check_once(monkeypatch):
 
 def test_decay_certificate_takes_the_abscissa_stabilize_decided_on(monkeypatch):
     # decay_certificate takes no spectrum of its own: every eigenvalue
-    # computation is stabilize's (open loop, PBH, one per placement); the
-    # Lyapunov solver's sign iteration decides Hurwitz and takes none
+    # computation is stabilize's, one per placement step, from the open
+    # loop the PBH test took; the Lyapunov solver's sign iteration
+    # decides Hurwitz and takes none
     a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     b = np.array([[0.0], [0.0], [1.0]])
+    start = open_loop(a[None], b[None])
     calls = []
     real = linalg.eigenvalues
 
@@ -287,11 +297,13 @@ def test_decay_certificate_takes_the_abscissa_stabilize_decided_on(monkeypatch):
         return real(mat)
 
     monkeypatch.setattr(linalg, "eigenvalues", counted)
-    (k,), (abscissa,) = linalg.stabilize(a[None], b[None])
+    (k,), (abscissa,) = linalg.stabilize(a[None], b[None], *start)
     in_stabilize = len(calls)
     calls.clear()
-    (m,), (k1,), (lam,) = decay_certificate(a[None], b[None], [np.array([[[1.0, 0.0, 0.0]]])])
-    assert len(calls) == in_stabilize == 5
+    (m,), (k1,), (lam,) = decay_certificate(
+        a[None], b[None], [np.array([[[1.0, 0.0, 0.0]]])], *start
+    )
+    assert len(calls) == in_stabilize == 3
     assert np.array_equal(k1, k) and lam == 0.5 * abs(abscissa)
 
 
@@ -332,13 +344,6 @@ def test_a_computed_stack_takes_its_open_loop_spectrum_once(monkeypatch):
         build_abstraction(systems, np.stack([p] * 2))
         assert len(calls) == spectra
     assert in_solve == [0, 0]
-
-
-def test_decay_certificate_alone_still_runs_pbh():
-    a = np.diag([1.0, -1.0])
-    b = np.array([[0.0], [1.0]])
-    with pytest.raises(NumericsError, match=r"eigenvalue \(1\+0j\)"):
-        decay_certificate(a[None], b[None], [np.eye(2)[None]])
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 5), (5, 1), (4, 4), (60, 62)])

@@ -30,17 +30,25 @@ def run_check(tmp_path, capsys, doc):
 
 
 def test_check_reports_unstabilizable_subsystem_once(tmp_path, capsys):
-    doc = {
-        "subsystems": [
-            {"name": "solo", "A": [[1.0]], "B": [[0.0]], "C": [[1.0]]}
-        ]
-    }
-    code, out = run_check(tmp_path, capsys, doc)
-    assert code == 1
-    assert ("solo: construction failed: injection conditions failed for solo:"
-            " stabilizable: no (witness (1+0j)); ") in out
-    assert out.count("stabilizable") == 1
-    assert "check: FAIL" in out
+    for a, b in (
+        ([[1.0]], [[0.0]]),
+        # the unstable mode is uncoupled from the input, the stable one driven
+        ([[1.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]]),
+    ):
+        doc = {
+            "subsystems": [
+                {"name": "solo", "A": a, "B": b, "C": [[1.0] + [0.0] * (len(a) - 1)]}
+            ]
+        }
+        with pytest.raises(ValueError, match=r"^injection conditions failed for solo: "
+                           r"stabilizable: no \(witness \(1\+0j\)\); "):
+            cli.build_abstractions(parse_project(doc))
+        code, out = run_check(tmp_path, capsys, doc)
+        assert code == 1
+        assert ("solo: construction failed: injection conditions failed for solo:"
+                " stabilizable: no (witness (1+0j)); ") in out
+        assert out.count("stabilizable") == 1
+        assert "check: FAIL" in out
 
 
 def test_check_reports_rank_deficient_injection(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hurwitz, random_spd
+from oracles import open_loop
 from simcompose.linalg import (
     REL_TOL,
     NumericsError,
@@ -193,7 +194,10 @@ def test_solve_lyapunov_matches_scipy_up_to_100_states():
 def test_solve_lyapunov_near_defective_closed_loop():
     # the stabilized triple integrator has a nearly defective triple
     # eigenvalue; shifted by half its decay margin as decay_certificate does
-    (k,), (abscissa,) = stabilize(TRIPLE_INTEGRATOR[None], TRIPLE_INPUT[None])
+    (k,), (abscissa,) = stabilize(
+        TRIPLE_INTEGRATOR[None], TRIPLE_INPUT[None],
+        *open_loop(TRIPLE_INTEGRATOR[None], TRIPLE_INPUT[None]),
+    )
     a_cl = TRIPLE_INTEGRATOR + TRIPLE_INPUT @ k
     a = a_cl + 0.5 * abs(abscissa) * np.eye(3)
     m = solve_lyapunov(a[None], np.eye(3)[None])[0]
@@ -263,7 +267,9 @@ def test_solve_lyapunov_rejects_asymmetric_q():
 
 def test_stabilize_returns_zero_for_hurwitz():
     b = np.array([[0.0], [1.0]])
-    (k,), (abscissa,) = stabilize(DAMPED_NODE[None], b[None])
+    (k,), (abscissa,) = stabilize(
+        DAMPED_NODE[None], b[None], *open_loop(DAMPED_NODE[None], b[None])
+    )
     assert np.array_equal(k, np.zeros((1, 2)))
     # the open loop's own abscissa, the one the verdict was taken on
     assert abscissa == spectral_abscissa((DAMPED_NODE + b @ k)[None])[0] == spectral_abscissa(
@@ -273,7 +279,7 @@ def test_stabilize_returns_zero_for_hurwitz():
 
 def test_stabilize_scalar_integrator():
     a, b = np.array([[0.0]]), np.array([[1.0]])
-    (k,), (abscissa,) = stabilize(a[None], b[None])
+    (k,), (abscissa,) = stabilize(a[None], b[None], *open_loop(a[None], b[None]))
     assert abscissa == spectral_abscissa((a + b @ k)[None])[0]
     assert abscissa < 0.0
 
@@ -283,7 +289,9 @@ def test_stabilize_triple_integrator():
     # margin the PBH test treats as marginal, so it is placed too
     for shift in (0.0, 1e-14):
         a = TRIPLE_INTEGRATOR - shift * np.eye(3)
-        (k,), (abscissa,) = stabilize(a[None], TRIPLE_INPUT[None])
+        (k,), (abscissa,) = stabilize(
+            a[None], TRIPLE_INPUT[None], *open_loop(a[None], TRIPLE_INPUT[None])
+        )
         assert abscissa == spectral_abscissa((a + TRIPLE_INPUT @ k)[None])[0]
         assert abscissa < -REL_TOL
 
@@ -295,46 +303,41 @@ def test_stabilize_random_controllable_pairs():
         m = rng.integers(1, 3)
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, m))
-        (k,), (abscissa,) = stabilize(a[None], b[None])
+        (k,), (abscissa,) = stabilize(a[None], b[None], *open_loop(a[None], b[None]))
         assert abscissa == spectral_abscissa((a + b @ k)[None])[0]
         assert abscissa < 0.0
 
 
-def test_stabilize_rejects_unstabilizable():
-    a = np.diag([1.0, -1.0])
-    b = np.array([[0.0], [1.0]])
-    with pytest.raises(NumericsError):
-        stabilize(a[None], b[None])
+def pbh(a, b):
+    return pbh_stabilizable(a[None], b[None], spectral_norm(a[None]))
 
 
 def test_pbh_examples():
-    (ok,), (witness,), _ = pbh_stabilizable(
-        np.diag([1.0, -1.0])[None], np.array([[0.0], [1.0]])[None]
-    )
+    (ok,), (witness,), _ = pbh(np.diag([1.0, -1.0]), np.array([[0.0], [1.0]]))
     assert not ok
     assert witness == pytest.approx(1.0)
-    (ok,), (witness,), _ = pbh_stabilizable(TRIPLE_INTEGRATOR[None], TRIPLE_INPUT[None])
+    (ok,), (witness,), _ = pbh(TRIPLE_INTEGRATOR, TRIPLE_INPUT)
     assert ok and witness is None
     # An uncontrollable but stable mode is fine.
-    (ok,), _, _ = pbh_stabilizable(np.diag([-1.0, -2.0])[None], np.array([[1.0], [0.0]])[None])
+    (ok,), _, _ = pbh(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
     assert ok
     # No input at all: stabilizable exactly when already Hurwitz.
-    (ok,), _, _ = pbh_stabilizable(DAMPED_NODE[None], np.zeros((1, 2, 0)))
+    (ok,), _, _ = pbh(DAMPED_NODE, np.zeros((2, 0)))
     assert ok
-    (ok,), _, _ = pbh_stabilizable(np.array([[1.0]])[None], np.zeros((1, 1, 0)))
+    (ok,), _, _ = pbh(np.array([[1.0]]), np.zeros((1, 0)))
     assert not ok
 
 
 def test_check_spd():
-    m = check_spd(M_NODE[None], "M")[0]
+    m = check_spd(M_NODE[None], ["M"])[0]
     assert np.allclose(m, M_NODE)
     with pytest.raises(ValueError):
-        check_spd(np.array([[1.0, 1.0], [0.0, 1.0]])[None], "M")
+        check_spd(np.array([[1.0, 1.0], [0.0, 1.0]])[None], ["M"])
     with pytest.raises(NumericsError):
-        check_spd(np.diag([1.0, -1.0])[None], "M")
+        check_spd(np.diag([1.0, -1.0])[None], ["M"])
     # the cutoff scales with |M|_2 once, not squared
     with pytest.raises(NumericsError):
-        check_spd(np.diag([1e6, -100.0])[None], "M")
+        check_spd(np.diag([1e6, -100.0])[None], ["M"])
 
 
 def test_sqrtm_spd_squares_back():

@@ -101,6 +101,8 @@ def test_signal_validation():
         Signal(np.array([1.0, 0.5]), np.zeros((2, 1)))
     with pytest.raises(ValueError):
         Signal(np.array([0.0]), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="signal needs one value row per sample time"):
+        Signal(np.array([0.0, 1.0]), np.zeros(2))
     with pytest.raises(ValueError):
         Signal(np.zeros(0), np.zeros((0, 1)))
     with pytest.raises(ValueError):

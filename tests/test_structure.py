@@ -5,7 +5,8 @@ propagator with one per-step loop, one reader of the entry grammar, one
 owner for the 2-norm and rank decisions, one owner of the network
 layout, one reader of the interface law, one encoding of the bundled
 example, no function in src/ that the program never reaches and no
-class member it never reads, a reason for every parameter default, one
+class member it never reads, no public name that is neither reached nor
+named in README, a reason for every parameter default, one
 no pointwise deviation function in src/ beside the run's,
 certification that calls numpy once per stack of subsystems, one
 front half of the run for ``check`` and ``bounds``, stacked
@@ -486,8 +487,6 @@ DOCUMENTED_ENTRY_POINTS = {
     "demo.demo_projections",
     # the example's published certificates, beside the network
     "demo.demo_certificates",
-    # the interface law at one point, u for given xhat, x, what and uhat
-    "abstraction.interface",
 }
 
 
@@ -503,6 +502,29 @@ def test_every_function_in_src_is_reachable():
         if isinstance(node, ast.FunctionDef) and node.name not in names
     }
     assert unreached == DOCUMENTED_ENTRY_POINTS
+
+
+def _readme_code_names() -> set[str]:
+    """Every identifier in README's code blocks and code spans."""
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```.*?```", readme, flags=re.DOTALL)
+    prose = re.sub(r"```.*?```", "", readme, flags=re.DOTALL)
+    code = blocks + re.findall(r"`([^`\n]+)`", prose)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def test_every_public_name_is_reached_or_documented():
+    # simcompose.__all__ offers what the program runs or what README
+    # documents for use from Python; a name only tests use is imported
+    # from its module, or lives in tests/oracles.py
+    import simcompose
+
+    names, _, _ = program_walk()
+    documented = _readme_code_names()
+    assert [
+        name for name in simcompose.__all__
+        if name != "__version__" and name not in names and name not in documented
+    ] == []
 
 
 def test_every_class_member_in_src_is_read_by_the_program():
@@ -558,11 +580,6 @@ PARAMETER_DEFAULTS = {
     "cli.SimulationSpec.xhat0": "the abstract start of a project without simulation.xhat0",
     "cli.SimulationSpec.x0": "a project without simulation.x0 starts each subsystem at P xhat0",
     "cli.SimulationSpec.inputs": "a project without simulation.inputs drives no abstract input",
-    # reuse parameters whose default only direct callers rely on: the
-    # program passes what it has computed, a direct call computes it
-    "abstraction.decay_certificate.pbh": "build_abstraction passes check_P_conditions' PBH verdicts",
-    "linalg.stabilize.pbh": "decay_certificate passes the PBH verdicts it was given",
-    "linalg.pbh_stabilizable.norm": "check_P_conditions passes |A|, computed for its own residuals",
     # entry points and protocols
     "cli.main.argv": "the console script calls main() on the command line's arguments",
     "demo.demo_project.d1": "the published coupling; the program builds the example as published",
