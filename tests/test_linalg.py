@@ -265,6 +265,29 @@ def test_solve_lyapunov_rejects_asymmetric_q():
         solve_lyapunov(np.diag([-1.0, -2.0])[None], np.array([[0.0, 1.0], [0.0, 0.0]])[None])
 
 
+def test_solve_lyapunov_takes_one_norm_of_an_exactly_symmetric_q(monkeypatch):
+    # |a|_2, |m|_2 and one |q|_2, which serves the symmetry test and the
+    # residual bound; a q symmetric only to rounding also takes |q - q^T|_2
+    rng = np.random.default_rng(8)
+    a = random_hurwitz(rng, 6)[None]
+    q = random_spd(rng, 6)[None]
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    m = solve_lyapunov(a, q)
+    assert len(calls) == 3
+    calls.clear()
+    nearly = q.copy()
+    nearly[0, 0, 1] += 1e-15
+    assert np.allclose(solve_lyapunov(a, nearly), m, rtol=1e-12, atol=0.0)
+    assert len(calls) == 4
+
+
 def test_stabilize_returns_zero_for_hurwitz():
     b = np.array([[0.0], [1.0]])
     (k,), (abscissa,) = stabilize(

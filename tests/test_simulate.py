@@ -162,6 +162,23 @@ def test_signal_stack_matches_sampling_each_part_on_the_union():
     assert stacked.values.flags.c_contiguous
 
 
+def test_signal_sample_matches_the_fancy_index_gather():
+    # np.take along axis 0 gathers the held rows as indexing does; the
+    # signal starts after t = 0, so the leading rows are zero, and it
+    # switches between grid points
+    rng = np.random.default_rng(12)
+    times = 0.0125 + np.cumsum(np.append(0.0, rng.uniform(0.003, 0.02, 39)))
+    sig = Signal(times, rng.standard_normal((40, 8)))
+    grid = time_grid(1.0, 1e-3)
+    idx = np.searchsorted(sig.times, grid, side="right") - 1
+    want = sig.values[np.maximum(idx, 0)]
+    want[idx < 0] = 0.0
+    got = sig.sample(grid)
+    assert idx[0] < 0 and np.all(got[:13] == 0.0) and np.any(got[13] != 0.0)
+    assert not np.isin(sig.times, grid).any()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_time_grid():
     grid = time_grid(1.0, 0.25)
     assert np.allclose(grid, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -599,6 +616,69 @@ def test_sparse_outputs_match_the_dense_product(hetero_ring):
     for traj, net in ((run.concrete, ic), (run.abstract, compose_abstractions(ic, results))):
         want = traj.states @ build_monolithic(net).C_ext.T
         assert traj.outputs.tobytes() == want.tobytes()
+
+
+def random_network_pipeline(rng, ic):
+    """refine_and_run and bound_report on ``ic`` with random twins,
+    weights and gains: only the reductions along the run are compared."""
+    abstractions, abstract_ic = random_twins(rng, ic, sparse_p=False)
+    for sub in abstract_ic.subsystems:
+        abstractions[sub.name].system = sub
+    count, n_hat = len(ic.names), abstract_ic.state_offsets[-1]
+    composed = SimpleNamespace(names=ic.names, weights=rng.uniform(0.5, 2.0, count),
+                               lam=rng.uniform(0.5, 2.0), rho=rng.uniform(0.5, 2.0))
+    gm = SimpleNamespace(names=ic.names, lam=rng.uniform(0.5, 2.0, count),
+                         rho=rng.uniform(0.5, 2.0, count),
+                         scaled=rng.uniform(0.0, 0.5 / count, (count, count)))
+    x0 = rng.standard_normal(ic.state_offsets[-1])
+    widths = abstract_ic.input_offsets[-1]
+    uhat = Signal(np.arange(4) * 0.25, rng.standard_normal((4, widths)))
+    run = refine_and_run(ic, abstractions, composed, x0, rng.standard_normal(n_hat), uhat, 1.0, 0.01)
+    return run, bound_report(run, composed, gm, uhat), composed, gm, uhat
+
+
+def reduction_cases():
+    """(run, report, composed, gains, input) on the demo, a heterogeneous
+    ring of 12 nodes (12 outputs) and random networks of 0 to 10 outputs."""
+    ic, results, gm, path, composed, uhat, run = demo_pipeline(t_final=2.0)
+    yield run, bound_report(run, composed, gm, uhat), composed, gm, uhat
+    project = parse_project(heterogeneous_ring(np.random.default_rng(17), 12))
+    results = build_abstractions(project)
+    gm, _, composed = run_compose(project, results)
+    uhat = build_input_signal(project, results, 2.0)
+    xhat0, x0 = resolve_initial_states(project, results)
+    run = refine_and_run(project.interconnection, results, composed, x0, xhat0, uhat, 2.0, 0.01)
+    yield run, bound_report(run, composed, gm, uhat), composed, gm, uhat
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        yield random_network_pipeline(rng, random_network(rng, 3))
+
+
+def test_run_reductions_match_their_row_wise_definitions():
+    # v is column-major and the output error is summed output by output;
+    # each reduction equals its definition on C-ordered copies bit for
+    # bit, the mismatch being the in-order sum of squares over outputs
+    widths = set()
+    for run, report, composed, gm, uhat in reduction_cases():
+        v = np.ascontiguousarray(run.v)
+        assert run.v.flags.f_contiguous
+        want = np.max(v * composed.weights[np.newaxis, :], axis=1)
+        assert run.v_composed.tobytes() == want.tobytes()
+        yhat, y = (np.ascontiguousarray(t.outputs) for t in (run.abstract, run.concrete))
+        diff = yhat - y
+        squares = np.zeros(len(diff))
+        for column in diff.T:
+            squares = squares + column * column
+        widths.add(y.shape[1])
+        assert run.mismatch.tobytes() == np.sqrt(squares).tobytes()
+        want = scalar_bound(float(run.v_composed[0]), composed.lam, composed.rho,
+                            uhat.sup_norm, run.times) - run.mismatch
+        assert report.margin.tobytes() == want.tobytes()
+        allowance = np.exp(run.times[:, np.newaxis] * -gm.lam) * v[0]
+        want = np.min(allowance + report.vvec_fixed_point - v, axis=0)
+        assert report.vvec_margin.tobytes() == want.tobytes()
+    # widths on both sides of the 8 at which numpy's row sums turn pairwise
+    assert min(widths) < 8 <= max(widths)
 
 
 def test_demo_run_respects_scalar_and_vector_bounds():

@@ -12,8 +12,9 @@ certification that calls numpy once per stack of subsystems, one
 front half of the run for ``check`` and ``bounds``, stacked
 routines that return values or raise but keep no failure dicts, one
 calling form (stacks) in every module, no
-``lstsq`` beside the stacked least squares, and no eigendecomposition
-in composition or co-simulation."""
+``lstsq`` beside the stacked least squares, no eigendecomposition
+in composition or co-simulation, and a function in the program for
+every span boundary of the benchmark."""
 
 import ast
 import re
@@ -373,6 +374,27 @@ def test_demo_and_cli_import_in_either_order():
             [sys.executable, "-c", code], check=True, cwd=SRC.parent,
             capture_output=True, timeout=60,
         )
+
+
+def test_every_span_boundary_of_the_benchmark_resolves():
+    # bench/spans.py wraps each (module, attribute) of BOUNDARIES that it
+    # finds and only lists the others, so a renamed function would read
+    # as a zero per-layer metric; build_monolithic, no longer imported by
+    # simulate, is the one entry allowed to be missing
+    import importlib
+
+    tree = parse(SRC.parent.parent / "bench" / "spans.py")
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "BOUNDARIES" for t in node.targets)
+    ]
+    missing = {
+        (module, attribute)
+        for module, attribute, _ in ast.literal_eval(table)
+        if not hasattr(importlib.import_module(f"simcompose.{module}"), attribute)
+    }
+    assert missing == {("simulate", "build_monolithic")}
 
 
 def test_interface_law_is_read_only_through_its_gains():
