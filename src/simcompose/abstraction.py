@@ -270,20 +270,16 @@ def _eigvalsh(mats: np.ndarray, finite: np.ndarray) -> np.ndarray:
 
 def check_certificate(a, b, blocks, m, k1, lam, tol: float, rejected, cause: str) -> np.ndarray:
     """The certificate test, on stacks: a member's certificate is
-    rejected unless its ``m`` is symmetric positive semidefinite and
-    both inequalities (:func:`certificate_slacks`) hold to ``tol``
-    (absolute eigenvalue slack).
+    rejected unless its ``m`` passes :func:`check_spd` (square,
+    symmetric, positive semidefinite) and both inequalities
+    (:func:`certificate_slacks`) hold to ``tol`` (absolute eigenvalue
+    slack).
 
     Returns the symmetrized stack ``m``, or raises the ``NumericsError``
     of the first failing member. Its message starts with the member's
     text in ``rejected``, and a slack rejection ends with ``cause``.
     """
-    try:
-        m = check_spd(m, [f"{start}: M" for start in rejected])
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:
-        raise NumericsError(str(exc)) from None
+    m = check_spd(m, [f"{start}: M" for start in rejected])
     slacks = certificate_slacks(a, b, blocks, m, k1, lam)
     for start, pair in zip(rejected, zip(*(s.tolist() for s in slacks))):
         out_slack, decay_slack = pair

@@ -698,17 +698,16 @@ def stabilize(a, b, abscissa, norm):
 
 
 def check_spd(m, names):
-    """Validate the symmetry (else ``ValueError``) and positive
-    semidefiniteness (else ``NumericsError``) of each member, and return
-    the symmetrized stack. The stack raises the error of its first
-    failing member; ``names`` lists one name per member for the
-    message."""
+    """Validate that each member is square, symmetric and positive
+    semidefinite, and return the symmetrized stack. The stack raises
+    the ``NumericsError`` of its first failing member; ``names`` lists
+    one name per member for the message."""
     if m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"{names[0]} must be square, got {m.shape[-2:]}")
+        raise NumericsError(f"{names[0]} must be square, got {m.shape[-2:]}")
     tols = rank_tol(m)
     asymmetric = np.flatnonzero(spectral_norm(m - m.swapaxes(-1, -2)) > tols)
     if asymmetric.size:
-        raise ValueError(f"{names[asymmetric[0]]} must be symmetric")
+        raise NumericsError(f"{names[asymmetric[0]]} must be symmetric")
     m = _symmetrize(m)
     if m.shape[-1]:
         lowest = np.linalg.eigvalsh(m)[:, 0]

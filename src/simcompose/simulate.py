@@ -93,9 +93,8 @@ class Signal:
     @property
     def sup_norm(self) -> float:
         """Largest euclidean norm over the sample values, squared
-        ``_GATHER_ROWS`` rows at a time."""
-        if self.width == 0:
-            return 0.0
+        ``_GATHER_ROWS`` rows at a time (0 for no columns: every row
+        norm of an empty block is 0)."""
         return float(max(
             np.linalg.norm(self.values[first:first + _GATHER_ROWS], axis=1).max()
             for first in range(0, len(self.values), _GATHER_ROWS)
@@ -125,36 +124,26 @@ class Signal:
     def square(cls, amplitude, period: float, t_final: float) -> "Signal":
         """Square wave alternating between ``+amplitude`` and ``-amplitude``.
 
-        Switches every half ``period``, starting positive at ``t = 0``.
+        Switches every half ``period``, starting positive at ``t = 0``;
+        it holds the :func:`square_switches` switch times up to
+        ``t_final``, the count the memory guard charges.
         """
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
         amplitude = np.atleast_1d(np.asarray(amplitude, dtype=float))
-        times = np.arange(0.0, max(t_final, period / 2.0), period / 2.0)
+        times = period / 2.0 * np.arange(square_switches(period, t_final))
         signs = np.where(np.arange(len(times)) % 2 == 0, 1.0, -1.0)
         return cls(times, signs[:, np.newaxis] * amplitude[np.newaxis, :])
 
     @classmethod
     def stack(cls, signals) -> "Signal":
-        """Stack several signals into one over the union of sample times.
-
-        Each part's columns are filled from its own sample times, where
-        they sit in the union, rather than by sampling it on the union.
-        """
+        """Stack several signals into one over the union of sample times:
+        each part sampled there (:meth:`sample`), side by side."""
         signals = list(signals)
         if not signals:
             raise ValueError("nothing to stack")
         times = np.unique(np.concatenate([s.times for s in signals]))
-        # C order, as np.hstack made it: sup_norm's row sums can change in
-        # the last bit on another layout
-        bounds = np.cumsum([0] + [s.width for s in signals])
-        values = np.empty((len(times), bounds[-1]))
-        for s, col, stop in zip(signals, bounds, bounds[1:]):
-            starts = np.searchsorted(times, s.times)
-            part = values[:, col:stop]
-            part[:starts[0]] = 0.0
-            part[starts[0]:] = np.repeat(s.values, np.diff(starts, append=len(times)), axis=0)
-        return cls(times, values)
+        return cls(times, np.hstack([s.sample(times) for s in signals]))
 
 
 @dataclass(frozen=True)
@@ -233,8 +222,8 @@ def require_memory(t_final: float, dt: float, width: int, switches: float) -> No
 
 
 def square_switches(period: float, t_final: float) -> float:
-    """How many switch times :meth:`Signal.square` holds up to ``t_final``,
-    counted as ``np.arange`` counts them, without making them."""
+    """How many switch times :meth:`Signal.square` holds up to ``t_final``:
+    the multiples of half the ``period`` below it, and at least one."""
     half = period / 2.0
     return float(np.ceil(max(t_final, half) / half))
 

@@ -354,9 +354,12 @@ def test_pbh_examples():
 def test_check_spd():
     m = check_spd(M_NODE[None], ["M"])[0]
     assert np.allclose(m, M_NODE)
-    with pytest.raises(ValueError):
+    # every rejection is the NumericsError the certificate test reports
+    with pytest.raises(NumericsError, match="^M must be symmetric$"):
         check_spd(np.array([[1.0, 1.0], [0.0, 1.0]])[None], ["M"])
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match=r"^M must be square, got \(2, 3\)$"):
+        check_spd(np.ones((1, 2, 3)), ["M"])
+    with pytest.raises(NumericsError, match="^M is not positive semidefinite"):
         check_spd(np.diag([1.0, -1.0])[None], ["M"])
     # the cutoff scales with |M|_2 once, not squared
     with pytest.raises(NumericsError):

@@ -144,9 +144,9 @@ def test_signal_stack():
 
 
 def test_signal_stack_matches_sampling_each_part_on_the_union():
-    # each part is filled from its own sample times; the reference samples
-    # it on the union of all of them, and the result is C-ordered as
-    # np.hstack makes it, bit for bit
+    # at each time of the union, a part holds its last row sampled at or
+    # before it, and zero before its first sample: a plain loop over the
+    # union times, matched bit for bit, with the result in C order
     rng = np.random.default_rng(98)
     parts = [
         Signal(np.cumsum(rng.uniform(0.1, 1.0, k)) - rng.uniform(0.0, 1.0),
@@ -156,7 +156,14 @@ def test_signal_stack_matches_sampling_each_part_on_the_union():
     parts.append(Signal(parts[3].times[1:4], rng.standard_normal((3, 2))))
     stacked = Signal.stack(parts)
     times = np.unique(np.concatenate([p.times for p in parts]))
-    want = np.hstack([p.sample(times) for p in parts])
+    want = np.zeros((len(times), sum(p.width for p in parts)))
+    for row, t in enumerate(times):
+        col = 0
+        for p in parts:
+            held = [k for k, start in enumerate(p.times) if start <= t]
+            if held:
+                want[row, col:col + p.width] = p.values[held[-1]]
+            col += p.width
     assert np.array_equal(stacked.times, times)
     assert stacked.values.tobytes() == want.tobytes()
     assert stacked.values.flags.c_contiguous
@@ -283,7 +290,11 @@ def test_require_memory_counts_square_wave_switch_times(monkeypatch):
     (5.0, 20.0), (0.3, 1.0), (0.1, 0.7), (2.0, 0.0), (7.0, 1.0), (1e-3, 2.0), (0.2 / 3, 1.3),
 ])
 def test_square_switches_count_what_signal_square_holds(period, t_final):
-    assert square_switches(period, t_final) == len(Signal.square([1.0], period, t_final).times)
+    times = Signal.square([1.0], period, t_final).times
+    assert square_switches(period, t_final) == len(times)
+    # the switch times np.arange makes from 0 in steps of half the period
+    want = np.arange(0.0, max(t_final, period / 2), period / 2)
+    assert times.tobytes() == want.tobytes()
 
 
 def test_integrate_scalar_decay():

@@ -6,8 +6,9 @@ owner for the 2-norm and rank decisions, one owner of the network
 layout, one reader of the interface law, one encoding of the bundled
 example, no function in src/ that the program never reaches and no
 class member it never reads, no public name that is neither reached nor
-named in README, a reason for every parameter default, one
-no pointwise deviation function in src/ beside the run's,
+named in README, a reason for every parameter default, one sampler
+of a signal in simulate.py, no pointwise deviation function in src/
+beside the run's,
 certification that calls numpy once per stack of subsystems, one
 front half of the run for ``check`` and ``bounds``, stacked
 routines that return values or raise but keep no failure dicts, one
@@ -395,6 +396,29 @@ def test_every_span_boundary_of_the_benchmark_resolves():
         if not hasattr(importlib.import_module(f"simcompose.{module}"), attribute)
     }
     assert missing == {("simulate", "build_monolithic")}
+
+
+def test_one_sampler_of_a_signal():
+    # Signal.sample is the one function in simulate.py that looks up the
+    # rows a signal holds at given times; stacking samples each part
+    # through it rather than placing the rows a second way
+    callers = set()
+    for top in parse(SRC / "simulate.py").body:
+        if isinstance(top, ast.FunctionDef):
+            functions = [(top.name, top)]
+        elif isinstance(top, ast.ClassDef):
+            functions = [(f"{top.name}.{node.name}", node) for node in top.body
+                         if isinstance(node, ast.FunctionDef)]
+        else:
+            continue
+        for name, func in functions:
+            if any(
+                (isinstance(node, ast.Attribute) and node.attr == "searchsorted")
+                or (isinstance(node, ast.Name) and node.id == "searchsorted")
+                for node in ast.walk(func)
+            ):
+                callers.add(name)
+    assert callers == {"Signal.sample"}
 
 
 def test_interface_law_is_read_only_through_its_gains():
