@@ -773,13 +773,15 @@ def appendix_gammas(lam: float, rho: float, mu_total: float) -> tuple[float, flo
 
 
 def vector_bound(gm: GainMatrices, uhat_inf) -> np.ndarray:
-    """Fixed point of the per-subsystem deviation recursion.
+    """Fixed point of the per-subsystem comparison system.
 
-    The recursion ``V <- S V + Lambda^-1 Zhat``, with ``S = Gamma
-    Lambda^-1`` and ``Zhat_i = rho_i * uhat_inf_i``, has the fixed point
-    ``(I - S)^-1 Lambda^-1 Zhat``, returned here. It converges exactly
-    when ``rho(S) < 1``, which for ``S >= 0`` holds exactly when ``(I -
-    S) x = 1`` has a solution ``x > 0`` (``I - S`` is a nonsingular
+    The certificates give ``dV/dt <= (Gamma - Lambda) V + Zhat``
+    componentwise, with ``Zhat_i = rho_i * uhat_inf_i``; its fixed
+    point ``(Lambda - Gamma)^-1 Zhat``, returned here, bounds every
+    deviation it settles to (Siljak 1978; Dashkovskiy, Rueffer and
+    Wirth 2010). It is stable exactly when ``rho(Gamma Lambda^-1) < 1``,
+    which for the Z-matrix ``Lambda - Gamma`` holds exactly when
+    ``(Lambda - Gamma) x = 1`` has a solution ``x > 0`` (a nonsingular
     M-matrix; Berman and Plemmons 1979). That solve decides;
     ``NumericsError`` is raised on divergence, with the radius from
     :func:`perron`.
@@ -802,19 +804,18 @@ def vector_bound(gm: GainMatrices, uhat_inf) -> np.ndarray:
         )
     if np.any(uhat_inf < 0):
         raise ValueError("input norms must be nonnegative")
-    scaled = gm.scaled
-    z = gm.rho * uhat_inf / gm.lam
-    i_minus_s = np.eye(len(z)) - scaled
+    z = gm.rho * uhat_inf
+    lam_minus_gamma = np.diag(gm.lam) - gm.gamma
     try:
-        converges = bool(np.all(np.linalg.solve(i_minus_s, np.ones(len(z))) > 0.0))
+        converges = bool(np.all(np.linalg.solve(lam_minus_gamma, np.ones(len(z))) > 0.0))
     except np.linalg.LinAlgError:
         converges = False
     if not converges:
-        radius, _ = perron(scaled)
+        radius, _ = perron(gm.scaled)
         raise NumericsError(
             f"deviation recursion diverges: spectral radius {radius:.6g} >= 1"
         )
-    return np.linalg.solve(i_minus_s, z)
+    return np.linalg.solve(lam_minus_gamma, z)
 
 
 @dataclass(frozen=True)
@@ -823,7 +824,9 @@ class BoundReport:
 
     ``margin`` is the scalar bound minus the output mismatch per
     sample; ``vvec_margin`` is the worst slack of each subsystem
-    deviation against its fixed-point bound plus decaying transient.
+    deviation against its comparison-system bound: the fixed point
+    ``vvec_fixed_point`` plus the composed deviation's decay, scaled
+    by ``1 / weights`` (see :func:`bound_report`).
     """
 
     names: tuple[str, ...]
@@ -881,9 +884,16 @@ def bound_report(
     bound (to evaluate the bound from a prescribed level rather than
     the realised start).  Supremum norms are taken over the supplied
     samples, so the bounds are relative to the simulated horizon; a sup
-    norm that overflows raises ``NumericsError`` naming it.  The vector
-    bound's allowance is formed column-major, as ``run.v`` is, so its
-    minimum per subsystem runs down contiguous columns.
+    norm that overflows raises ``NumericsError`` naming it.
+
+    The vector bound is ``V_i(t) <= z*_i + V_c(0) e^{-lam_c t} xi_i``,
+    with ``z*`` from :func:`vector_bound`, ``V_c(0)`` the run's first
+    composed deviation, ``lam_c`` the composed rate and ``xi = 1 /
+    weights``: ``V(0) <= V_c(0) xi``, and ``(Gamma - Lambda) xi <=
+    -lam_c xi`` on a validated small-gain path, bound the comparison
+    system's transient. One exponential serves every subsystem; the
+    allowance is formed column-major, as ``run.v`` is, so its minimum
+    per subsystem runs down contiguous columns.
     """
     if tuple(run.names) != tuple(gm.names):
         raise ValueError("run and gain matrices order their subsystems differently")
@@ -906,12 +916,11 @@ def bound_report(
     margin = scalar_bound(v0, composed.lam, composed.rho, u_inf, run.times) - run.mismatch
 
     fixed_point = vector_bound(gm, block_norms)
-    # fixed point + exp(-lam t) v(0) - v, one steps x subsystems array,
-    # column-major as run.v is
+    # exp(-lam_c t) V_c(0) xi + fixed point - v, one steps x subsystems
+    # array, column-major as run.v is
     allowance = np.empty(run.v.shape, order="F")
-    np.multiply(run.times[:, np.newaxis], -gm.lam, out=allowance)
-    np.exp(allowance, out=allowance)
-    allowance *= run.v[0]
+    np.multiply(np.exp(run.times * -composed.lam)[:, np.newaxis],
+                float(run.v_composed[0]) / composed.weights, out=allowance)
     allowance += fixed_point
     allowance -= run.v
     vvec_margin = np.min(allowance, axis=0)

@@ -302,15 +302,15 @@ def build_monolithic(ic: Interconnection) -> LinearSystem:
 
 
 def vector_recursion(gm, uhat_inf, v0=None, steps: int = 50) -> np.ndarray:
-    """The iterates ``V <- S V + Lambda^-1 Zhat`` from ``v0`` (zero when
-    omitted), ``S = Gamma Lambda^-1`` and ``Zhat_i = rho_i * uhat_inf_i``:
-    a ``(steps + 1, N)`` array, the start first."""
-    scaled = gm.scaled
-    z = gm.rho * np.asarray(uhat_inf, dtype=float) / gm.lam
+    """The iterates ``V <- Lambda^-1 (Gamma V + Zhat)`` from ``v0`` (zero
+    when omitted), ``Zhat_i = rho_i * uhat_inf_i``: a ``(steps + 1, N)``
+    array, the start first. Their fixed point solves ``(Lambda - Gamma)
+    V = Zhat``."""
+    z = gm.rho * np.asarray(uhat_inf, dtype=float)
     iterates = np.empty((steps + 1, len(z)))
     iterates[0] = np.zeros_like(z) if v0 is None else np.asarray(v0, dtype=float)
     for k in range(steps):
-        iterates[k + 1] = scaled @ iterates[k] + z
+        iterates[k + 1] = (gm.gamma @ iterates[k] + z) / gm.lam
     return iterates
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, expm
 
 from conftest import heterogeneous_ring, random_hurwitz, random_network
 from oracles import build_monolithic, integrate, vector_recursion
@@ -640,7 +640,7 @@ def random_network_pipeline(rng, ic):
                                lam=rng.uniform(0.5, 2.0), rho=rng.uniform(0.5, 2.0))
     gm = SimpleNamespace(names=ic.names, lam=rng.uniform(0.5, 2.0, count),
                          rho=rng.uniform(0.5, 2.0, count),
-                         scaled=rng.uniform(0.0, 0.5 / count, (count, count)))
+                         gamma=rng.uniform(0.0, 0.5 / count, (count, count)))
     x0 = rng.standard_normal(ic.state_offsets[-1])
     widths = abstract_ic.input_offsets[-1]
     uhat = Signal(np.arange(4) * 0.25, rng.standard_normal((4, widths)))
@@ -685,7 +685,8 @@ def test_run_reductions_match_their_row_wise_definitions():
         want = scalar_bound(float(run.v_composed[0]), composed.lam, composed.rho,
                             uhat.sup_norm, run.times) - run.mismatch
         assert report.margin.tobytes() == want.tobytes()
-        allowance = np.exp(run.times[:, np.newaxis] * -gm.lam) * v[0]
+        allowance = (np.exp(run.times * -composed.lam)[:, np.newaxis]
+                     * (float(run.v_composed[0]) / composed.weights))
         want = np.min(allowance + report.vvec_fixed_point - v, axis=0)
         assert report.vvec_margin.tobytes() == want.tobytes()
     # widths on both sides of the 8 at which numpy's row sums turn pairwise
@@ -702,19 +703,24 @@ def test_demo_run_respects_scalar_and_vector_bounds():
 
 
 def test_demo_vector_fixed_point_closed_form():
-    # Hand reduction of the four-node recursion: with inputs only on the
-    # two integrator abstractions (identical z), eliminating the chain
-    # gives F0 = z (1 + mu_i) / (1 - mu_i^2 mu_n), F1 = F3 = mu_n F0,
-    # F2 = mu_i mu_n F0 + z.
+    # Hand reduction of the four-node fixed point (Lambda - Gamma) F = Z:
+    # the integrator abstractions s1, s3 decay at 1 and take the inputs
+    # (identical Z = z); the nodes s2, s4 decay at lam_n = 2 and each
+    # hear s1 with gain mu_n. So F1 = F3 = (mu_n / lam_n) F0, F2 = mu_i
+    # (F1 + F3) + z, and F0 = mu_i F2 + z gives F0 = z (1 + mu_i) / (1 -
+    # 2 mu_i^2 mu_n / lam_n).
     ic, results, gm, path, composed, uhat, run = demo_pipeline(t_final=0.0)
     report = bound_report(run, composed, gm, uhat)
     mu_i = np.sqrt(0.61) * 0.5
     mu_n = np.sqrt(2.0) * 0.5
+    lam_n = 2.0
     rho_1 = np.sqrt(4.59 - 0.81 / 0.61)
     z = rho_1 * 0.1 / np.sqrt(2.0)
-    f0 = z * (1.0 + mu_i) / (1.0 - mu_i**2 * mu_n)
-    expected = np.array([f0, mu_n * f0, mu_i * mu_n * f0 + z, mu_n * f0])
+    f0 = z * (1.0 + mu_i) / (1.0 - 2.0 * mu_i**2 * mu_n / lam_n)
+    f1 = mu_n / lam_n * f0
+    expected = np.array([f0, f1, 2.0 * mu_i * f1 + z, f1])
     assert np.allclose(report.vvec_fixed_point, expected, atol=1e-9)
+    assert np.allclose(gm.lam, [1.0, lam_n, 1.0, lam_n])
 
 
 def test_scalar_bound_values():
@@ -765,6 +771,57 @@ def test_vector_bound_two_by_two_closed_form():
     # From zero the recursion climbs monotonically toward the fixed point.
     assert np.all(np.diff(iterates, axis=0) >= -1e-12)
     assert np.all(iterates[-1] <= fixed_point + 1e-12)
+
+
+def test_vector_bound_solves_lambda_minus_gamma_with_unequal_rates():
+    # with lam = (1, 10), Gamma Lambda^-1 and Lambda^-1 Gamma differ; the
+    # fixed point solves (Lambda - Gamma) F = Z: F0 = a F1 + Z0 and
+    # 10 F1 = b F0 + Z1
+    a, b = 2.0, 3.0
+    gm = GainMatrices(
+        names=("x", "y"), gamma=np.array([[0.0, a], [b, 0.0]]),
+        lam=np.array([1.0, 10.0]), rho=np.array([1.0, 1.0]),
+    )
+    z = np.array([0.3, 0.1])
+    fixed_point = vector_bound(gm, z)
+    denom = 1.0 - a * b / 10.0
+    assert fixed_point[0] == pytest.approx((z[0] + a * z[1] / 10.0) / denom, rel=1e-12)
+    assert fixed_point[1] == pytest.approx((z[1] + b * z[0]) / 10.0 / denom, rel=1e-12)
+    assert np.allclose(vector_recursion(gm, z, steps=200)[-1], fixed_point, rtol=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_vector_bound_and_composed_decay_stay_above_the_comparison_system(data):
+    # z* + V_c(0) exp(-lam_c t) xi, xi = 1 / weights, is at or above the
+    # solution of dz/dt = (Gamma - Lambda) z + Z, z(0) = V(0), taken
+    # exactly with one matrix exponential of the system augmented by Z
+    n = data.draw(st.integers(1, 6), label="n")
+    entries = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))
+    lam = np.array(data.draw(st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n)))
+    rho = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)))
+    uhat_inf = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    v0 = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    target = data.draw(st.floats(0.05, 0.95), label="radius")
+    gamma = np.array(entries).reshape(n, n)
+    radius = perron(gamma / lam[None, :])[0]
+    assume(radius > 1e-3)
+    gm = GainMatrices(names=tuple(f"s{i}" for i in range(n)),
+                      gamma=gamma * (target / radius), lam=lam, rho=rho)
+    path = small_gain(gm)
+    assume(path.validated)
+    composed = compose_simfn(gm, path)
+    fixed_point = vector_bound(gm, uhat_inf)
+    xi = 1.0 / composed.weights
+    vc0 = float(np.max(composed.weights * v0))
+    drift = np.zeros((n + 1, n + 1))
+    drift[:n, :n] = gm.gamma - np.diag(lam)
+    drift[:n, n] = rho * uhat_inf
+    for t in (0.0, 0.01, 0.3, 1.0, 5.0, 40.0):
+        flow = expm(drift * t)
+        exact = flow[:n, :n] @ v0 + flow[:n, n]
+        bound = fixed_point + vc0 * np.exp(-composed.lam * t) * xi
+        assert np.all(bound >= exact - 1e-9 * (1.0 + np.abs(exact)))
 
 
 def test_vector_bound_from_above():
