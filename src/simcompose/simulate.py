@@ -776,10 +776,11 @@ def vector_bound(gm: GainMatrices, uhat_inf) -> np.ndarray:
     """Fixed point of the per-subsystem comparison system.
 
     The certificates give ``dV/dt <= (Gamma - Lambda) V + Zhat``
-    componentwise, with ``Zhat_i = rho_i * uhat_inf_i``; its fixed
-    point ``(Lambda - Gamma)^-1 Zhat``, returned here, bounds every
-    deviation it settles to (Siljak 1978; Dashkovskiy, Rueffer and
-    Wirth 2010). It is stable exactly when ``rho(Gamma Lambda^-1) < 1``,
+    componentwise, with ``Zhat_i = rho_i * uhat_inf_i``, so each
+    ``V_i`` stays under the solution of this comparison system, and
+    every solution tends to its fixed point ``(Lambda - Gamma)^-1 Zhat``,
+    returned here (Siljak 1978; Dashkovskiy, Rueffer and Wirth 2010).
+    It is stable exactly when ``rho(Gamma Lambda^-1) < 1``,
     which for the Z-matrix ``Lambda - Gamma`` holds exactly when
     ``(Lambda - Gamma) x = 1`` has a solution ``x > 0`` (a nonsingular
     M-matrix; Berman and Plemmons 1979). That solve decides;
