@@ -21,7 +21,9 @@ only (a sequence of same-shape subsystems, 3-D stacks of matrices, a
 list of output block stacks), one subsystem as a stack of one, and
 returns one result per member. Steps that depend on a member's data
 (its ranks, its PBH pencils, its iteration counts) run on the members
-they concern, so every member's numbers are those it gets alone. A
+they concern, so every member's numbers are those it gets alone.
+Members equal byte for byte in all but ``D`` form a class, and every
+step that does not read ``D`` runs once per class (:func:`_classes`). A
 stack is certified whole or not at all: a member that fails makes the
 stack raise the error that member raises alone. ``cli.certify``
 certifies the halves of a failed stack again to give each member its
@@ -174,6 +176,23 @@ def _system_stack(systems) -> tuple[Matrix, Matrix, Matrix, list[Matrix]]:
     )
 
 
+def _classes(*stacks) -> tuple[list[int], list[int]]:
+    """Split the members of ``stacks`` (arrays along axis 0, one entry
+    per member) into classes of members equal in every stack, byte for
+    byte: members that differ in any bit, the sign of a zero included,
+    never share a class. Returns the position of each class's first
+    member, in order, and each member's class."""
+    first: list[int] = []
+    index: list[int] = []
+    classes: dict[tuple, int] = {}
+    for j, key in enumerate(zip(*[[x.tobytes() for x in s] for s in stacks])):
+        if key not in classes:
+            classes[key] = len(first)
+            first.append(j)
+        index.append(classes[key])
+    return first, index
+
+
 def decay_certificate(a, b, blocks, abscissa, norm):
     """Compute the stacks ``(M, K1, lam)`` certifying exponential
     deviation decay of each member of the stacks ``a`` and ``b``.
@@ -310,14 +329,22 @@ def check_P_conditions(a, b, d, blocks, p):
     raises ``ValueError``. Its rank is decided at the package cutoff
     :func:`~simcompose.linalg.rank_tol`.
 
+    Members whose ``A``, ``B``, output blocks and ``P`` are equal byte
+    for byte form a class (:func:`_classes`): every step but those that
+    read ``D`` runs on each class's first member, and the class's
+    members share its results. ``|D|_2`` and condition 3's residual,
+    against the class's ``im P + im B``, are each member's own.
+
     Returns the list of the members' reports, or raises the error of
     the first member whose ``P`` is rejected.
     """
-    count, n = a.shape[0], a.shape[-1]
+    n = a.shape[-1]
     if p.shape[-2] != n:
         raise ValueError(f"P must have {n} rows, got {p.shape[-2:]}")
     if not p.shape[-1]:
         raise ValueError("P has no columns: an abstraction needs at least one state")
+    first, index = _classes(a, b, p, *blocks)
+    a, b, p, blocks = a[first], b[first], p[first], [blk[first] for blk in blocks]
     norm_p = spectral_norm(p)
     im_p = image(p, tol=rank_tol(p, norm_p))
     if any(space.dim < p.shape[-1] for space in im_p):
@@ -327,8 +354,8 @@ def check_P_conditions(a, b, d, blocks, p):
     ok_stab, witness, abscissa = pbh_stabilizable(a, b, norm=norm_a)
     reach = image(np.concatenate([p, b], axis=-1))
     inv_res = residuals(reach, a @ p)
-    dist_res = residuals(reach, d)
-    outputs = np.concatenate(blocks, axis=-2) if blocks else np.zeros((count, 0, n))
+    dist_res = residuals([reach[c] for c in index], d)
+    outputs = np.concatenate(blocks, axis=-2) if blocks else np.zeros((len(first), 0, n))
     ker_c = kernel(outputs)
     comp = sums(im_p, ker_c)
     stab, inv_ok, dist_ok = (
@@ -339,22 +366,22 @@ def check_P_conditions(a, b, d, blocks, p):
     return [
         PConditionReport(
             n=n,
-            stabilizable=stab[j],
-            witness=witness[j],
-            invariance_ok=inv_ok[j],
-            invariance_residual=inv_res[j].item(),
+            stabilizable=stab[c],
+            witness=witness[c],
+            invariance_ok=inv_ok[c],
+            invariance_residual=inv_res[c].item(),
             disturbance_ok=dist_ok[j],
             disturbance_residual=dist_res[j].item(),
-            complement_ok=comp[j].dim == n,
-            complement_dim=comp[j].dim,
-            image_p=im_p[j],
-            kernel_c=ker_c[j],
-            norm_a=norm_a[j].item(),
-            abscissa=abscissa[j].item(),
+            complement_ok=comp[c].dim == n,
+            complement_dim=comp[c].dim,
+            image_p=im_p[c],
+            kernel_c=ker_c[c],
+            norm_a=norm_a[c].item(),
+            abscissa=abscissa[c].item(),
             norm_d=norm_d[j].item(),
-            norm_p=norm_p[j].item(),
+            norm_p=norm_p[c].item(),
         )
-        for j in range(count)
+        for j, c in enumerate(index)
     ]
 
 
@@ -430,9 +457,16 @@ def build_abstraction(systems, p, certificates=None):
         computed certificate. Injected certificates are verified at the
         loose tolerance appropriate for rounded published data.
 
-    The stack is certified in one pass. Returns the list of the
-    members' results, or raises the error of its first failing member,
-    with the message that member gets alone.
+    The stack is certified in one pass. Members whose ``A``, ``B``,
+    output blocks, ``P`` and injected certificate are equal byte for
+    byte form a class (:func:`_classes`), so only ``D`` may differ
+    within one. The certificate and its test, ``phat``, ``Bhat``,
+    ``sqrt(M)`` and ``K4`` are computed once per class, on its first
+    member in network order, and its members share them as views. The
+    least-squares solve and its residual gate, ``Dhat``, ``K3`` and
+    ``mu`` read ``D`` and are every member's own. Returns the list of
+    the members' results, or raises the error of its first failing
+    member, with the message that member gets alone.
 
     Raises
     ------
@@ -448,9 +482,28 @@ def build_abstraction(systems, p, certificates=None):
             raise ValueError(
                 f"injection conditions failed for {sub.name}: " + "; ".join(report.lines())
             )
-    norm_a = np.array([r.norm_a for r in reports])
+    given = []
+    if certificates is not None:
+        given = [
+            stack([as_matrix(cert[0], "M") for cert in certificates]),
+            stack([as_matrix(cert[1], "K1") for cert in certificates]),
+            np.array([float(cert[2]) for cert in certificates]),
+        ]
+        n, m_in = a.shape[-1], b.shape[-1]
+        if given[1].shape[1:] != (m_in, n):
+            raise ValueError(
+                f"{systems[0].name}: K1 has shape {given[1].shape[1:]}, expected ({m_in}, {n})"
+            )
+    first, index = _classes(a, b, p, *blocks, *given)
+    # each class's first member stands for the class in every step that
+    # does not read D
+    ca, cb, cp = a[first], b[first], p[first]
+    cblocks = [blk[first] for blk in blocks]
+    creports = [reports[j] for j in first]
     if certificates is None:
-        m, k1, lam = decay_certificate(a, b, blocks, [r.abscissa for r in reports], norm_a)
+        m, k1, lam = decay_certificate(
+            ca, cb, cblocks, [r.abscissa for r in creports], np.array([r.norm_a for r in creports])
+        )
         tol = COMPUTED_CERT_TOL
         # the solve's residual gate is relative to |A| |M|, the slack absolute
         cause = (
@@ -459,28 +512,21 @@ def build_abstraction(systems, p, certificates=None):
             " inequality"
         )
     else:
-        m = stack([as_matrix(cert[0], "M") for cert in certificates])
-        k1 = stack([as_matrix(cert[1], "K1") for cert in certificates])
-        lam = np.array([float(cert[2]) for cert in certificates])
-        n, m_in = a.shape[-1], b.shape[-1]
-        if k1.shape[1:] != (m_in, n):
-            raise ValueError(
-                f"{systems[0].name}: K1 has shape {k1.shape[1:]}, expected ({m_in}, {n})"
-            )
+        m, k1, lam = (x[first] for x in given)
         tol = INJECTED_CERT_TOL
         cause = ""
     # the one symmetry and definiteness check of M: K4 and every mu
     # below work on this M and on its one square root
     m = check_certificate(
-        a, b, blocks, m, k1, lam, tol,
-        [f"certificate rejected for {sub.name}" for sub in systems], cause,
+        ca, cb, cblocks, m, k1, lam, tol,
+        [f"certificate rejected for {systems[j].name}" for j in first], cause,
     )
 
     nhat = p.shape[-1]
     # one SVD of [P, B] serves both identities
     sol_a, res_a, sol_d, res_d = least_squares(np.concatenate([p, b], axis=-1), a @ p, d)
     consistent = (
-        residual_ok(res_a, norm_a)
+        residual_ok(res_a, np.array([r.norm_a for r in reports]))
         & residual_ok(res_d, np.array([r.norm_d for r in reports]))
     )
     if not consistent.all():
@@ -488,36 +534,37 @@ def build_abstraction(systems, p, certificates=None):
         raise NumericsError(
             f"construction identities inconsistent: residuals {res_a[j]:.3e}, {res_d[j]:.3e}"
         )
-    phat, e = _left_inverse_through_kernel(p, reports)
+    phat, e = _left_inverse_through_kernel(cp, creports)
 
     bhat = by_shape(
         lambda phat_b, phat_a, e: np.concatenate([phat_b, phat_a @ e], axis=-1),
-        phat @ b, phat @ a, e,
+        phat @ cb, phat @ ca, e,
     )
     root = sqrtm_spd(m)
-    k4_rho = by_shape(compute_k4, root, p, bhat, b)
-    mu = [spectral_norm(root @ d[:, :, k, None]).tolist() for k in range(d.shape[-1])]
+    k4_rho = by_shape(compute_k4, root, cp, bhat, cb)
+    member_root = root[index]
+    mu = [spectral_norm(member_root @ d[:, :, k, None]).tolist() for k in range(d.shape[-1])]
     lam = lam.tolist()
     results = []
-    for j, sub in enumerate(systems):
+    for j, (sub, c) in enumerate(zip(systems, index)):
         pj, sol_a_j, sol_d_j = p[j], sol_a[j], sol_d[j]
-        k4, rho = k4_rho[j]
+        k4, rho = k4_rho[c]
         abstract = LinearSystem(
             name=sub.name,
             A=sol_a_j[:nhat, :],
-            B=bhat[j],
+            B=bhat[c],
             C_ext=sub.C_ext @ pj,
             D=sol_d_j[:nhat, :],
             channels_in=sub.channels_in,
             C_int={peer: blk @ pj for peer, blk in sub.C_int.items()},
         )
         simfn = QuadraticSimFn(
-            P=pj, M=m[j], K1=k1[j], K2=sol_a_j[nhat:, :], K3=sol_d_j[nhat:, :], K4=k4,
-            lam=lam[j],
+            P=pj, M=m[c], K1=k1[c], K2=sol_a_j[nhat:, :], K3=sol_d_j[nhat:, :], K4=k4,
+            lam=lam[c],
         )
-        gains = ComparisonGains(lam=lam[j], rho=float(rho), mu=tuple(column[j] for column in mu))
+        gains = ComparisonGains(lam=lam[c], rho=float(rho), mu=tuple(column[j] for column in mu))
         results.append(AbstractionResult(
-            system=abstract, simfn=simfn, gains=gains, phat=phat[j], conditions=reports[j],
+            system=abstract, simfn=simfn, gains=gains, phat=phat[c], conditions=reports[j],
         ))
     return results
 

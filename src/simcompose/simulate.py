@@ -138,12 +138,18 @@ class Signal:
     @classmethod
     def stack(cls, signals) -> "Signal":
         """Stack several signals into one over the union of sample times:
-        each part sampled there (:meth:`sample`), side by side."""
+        each part sampled there (:meth:`sample`) into its own column
+        block of one array, so one part's samples are held at a time."""
         signals = list(signals)
         if not signals:
             raise ValueError("nothing to stack")
         times = np.unique(np.concatenate([s.times for s in signals]))
-        return cls(times, np.hstack([s.sample(times) for s in signals]))
+        widths = [s.width for s in signals]
+        values = np.empty((len(times), sum(widths)))
+        # np.split's column blocks are views of values
+        for block, s in zip(np.split(values, np.cumsum(widths)[:-1], axis=1), signals):
+            block[...] = s.sample(times)
+        return cls(times, values)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import heterogeneous_ring, random_valid_instance
-from simcompose import cli
+from simcompose import abstraction, cli
 from simcompose.abstraction import build_abstraction
 from simcompose.cli import build_abstractions, certify, main, parse_project
 from simcompose.demo import CERT_K1_INTEGRATOR, CERT_M_INTEGRATOR, demo_project
@@ -109,6 +109,89 @@ def test_a_stack_certifies_each_member_as_alone(seed, n, nhat_frac, m, p, q, siz
     assert_stack_matches_alone([s for s, _ in members], [pm for _, pm in members])
 
 
+def counting(patch, module=cli, name="build_abstraction") -> list:
+    """The stack size of each call of ``module.<name>`` from now on; by
+    default the size of each stack ``cli`` certifies."""
+    sizes = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        sizes.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    patch.setattr(module, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("injected", [False, True])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    nhat_frac=st.floats(0.0, 1.0),
+    m=st.integers(1, 2),
+    p=st.integers(0, 2),
+    q=st.integers(0, 2),
+    kinds=st.integers(1, 3),
+)
+def test_members_equal_but_in_d_share_one_certification_exactly(
+    seed, n, nhat_frac, m, p, q, kinds, injected
+):
+    # each kind of subsystem comes as a copy, a copy with its own D, a
+    # copy whose A holds -0.0 for one +0.0 and, with injected
+    # certificates, a copy whose M differs by one ulp in one entry. The
+    # first two share the kind's class; the other two are classes of
+    # their own. Shuffled into one stack, every member gets what it gets
+    # alone, bit for bit, and the injection check and the certificate
+    # test run once per class.
+    rng = np.random.default_rng(seed)
+    nhat = 1 + int(nhat_frac * (n - 1))
+    members = []
+    for _ in range(kinds):
+        sys, pmat = random_valid_instance(rng, n, nhat, m, p, q)
+        # an exact zero in A that keeps A P, and so the injection
+        # conditions: row i moves along row j of I - P P^T
+        a, i = sys.A.copy(), int(rng.integers(n))
+        proj = np.eye(n) - pmat @ pmat.T
+        j = int(np.argmax(np.diag(proj)))
+        if nhat < n:
+            a[i] -= a[i, j] / proj[j, j] * proj[j]
+        a[i, j] = 0.0
+        negated = a.copy()
+        negated[i, j] = -0.0
+
+        def copy(a=a, d=sys.D, sys=sys):
+            return LinearSystem("", a, sys.B, sys.C_ext, d, sys.channels_in, {})
+
+        cert = None
+        if injected:
+            base = certify_alone(copy(), pmat)
+            assume(not isinstance(base, Exception))
+            cert = (base.simfn.M, base.simfn.K1, base.simfn.lam)
+        own_d = pmat @ rng.standard_normal((nhat, p)) + sys.B @ rng.standard_normal((m, p))
+        members += [(copy(), pmat, cert), (copy(d=own_d), pmat, cert),
+                    (copy(a=negated), pmat, cert)]
+        if injected:
+            bumped = cert[0].copy()
+            bumped[0, 0] = np.nextafter(bumped[0, 0], np.inf)
+            members.append((copy(), pmat, (bumped, *cert[1:])))
+    stacked = [
+        (LinearSystem(f"s{k}", sys.A, sys.B, sys.C_ext, sys.D, sys.channels_in, {}), pm, cert)
+        for k, (sys, pm, cert) in enumerate(members[i] for i in rng.permutation(len(members)))
+    ]
+    alone = [certify_alone(*member) for member in stacked]
+    with pytest.MonkeyPatch.context() as patch:
+        checked, certified = (
+            counting(patch, abstraction, name) for name in ("pbh_stabilizable", "check_certificate")
+        )
+        outcomes = list(cli._certify_stack(stacked))
+    for outcome, want in zip(outcomes, alone):
+        assert_outcome(outcome, want)
+    assert checked[0] == 2 * kinds
+    if not any(isinstance(want, Exception) for want in alone):
+        assert certified == [(2 + injected) * kinds]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_heterogeneous_ring_certifies_as_its_nodes_alone(seed):
     project = parse_project(heterogeneous_ring(np.random.default_rng(seed), 12))
@@ -161,16 +244,49 @@ def test_a_failing_member_fails_as_alone_and_the_first_in_network_order_is_raise
     assert str(raised.value) == str(alone["s1"])
 
 
-def counting(monkeypatch) -> list:
-    """The size of each stack ``cli`` certifies from now on."""
-    calls = []
+def repeated_ring(edit: str) -> dict:
+    """A ring of 12 nodes that repeat node 0 in everything but ``D``,
+    so one class, with ``edit`` applied: ``"B"`` zeroes ``B`` at
+    positions 3 and 7, a failing class after a passing one; ``"D"``
+    moves position 5's disturbance off ``im P + im B``, a condition 3
+    failure in one member of the class."""
+    doc = heterogeneous_ring(np.random.default_rng(4), 12)
+    nodes = doc["subsystems"]
+    for sub in nodes:
+        sub["A"] = nodes[0]["A"]
+    if edit == "B":
+        for k in (3, 7):
+            nodes[k]["B"] = [[0.0], [0.0], [0.0]]
+    else:
+        nodes[5]["D"] = [[0.0], nodes[5]["D"][2], [0.0]]
+    return doc
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return build_abstraction(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_abstraction", counted)
-    return calls
+@pytest.mark.parametrize("edit, failing", [("B", ["h003", "h007"]), ("D", ["h005"])])
+def test_a_member_of_a_class_fails_as_alone(tmp_path, capsys, edit, failing):
+    # a failure in a step that does not read D belongs to its class's
+    # first member, and one that reads D to its member only: either way
+    # build_abstractions raises the first failing member's own error, and
+    # certify and check give each member its own outcome and text
+    doc = repeated_ring(edit)
+    project = parse_project(doc)
+    subs = project.interconnection
+    alone = {name: certify_alone(subs[name], project.directives[name].p) for name in subs.names}
+    assert [name for name in subs.names if isinstance(alone[name], Exception)] == failing
+    with pytest.raises(ValueError) as raised:
+        build_abstractions(project)
+    assert str(raised.value) == str(alone[failing[0]])
+    outcomes = certify(project)
+    for name in subs.names:
+        assert_outcome(outcomes[name], alone[name])
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "construction failed" in line] == [
+        f"{name}: construction failed: {alone[name]}" for name in failing
+    ]
+    assert lines[-1] == "check: FAIL"
 
 
 def test_certify_halves_a_failed_stack_down_to_the_failing_member(monkeypatch):

@@ -734,10 +734,13 @@ def test_certification_calls_numpy_once_per_stack(monkeypatch):
     # certifying a ring of 40 nodes makes as many calls as one of 20,
     # where a loop over the members would double them. Nodes 20-39 of
     # the larger ring repeat nodes 0-19, so both take the same
-    # data-dependent steps.
+    # data-dependent steps. A ring whose 40 nodes all repeat node 0 but
+    # in D is one class: it makes the calls of node 0 certified alone
+    # (a ring of one node cannot be written, a node may not hear
+    # itself), and its certificate is computed on a stack of one.
     import numpy as np
     from conftest import heterogeneous_ring
-    from simcompose import cli
+    from simcompose import abstraction, cli
 
     small = heterogeneous_ring(np.random.default_rng(5), 20)
     large = heterogeneous_ring(np.random.default_rng(5), 40)
@@ -745,6 +748,12 @@ def test_certification_calls_numpy_once_per_stack(monkeypatch):
         assert (node["A"], node["D"]) == (twin["A"], twin["D"])
     for node, twin in zip(large["subsystems"][20:], small["subsystems"]):
         node.update(A=twin["A"], D=twin["D"])
+    repeated = heterogeneous_ring(np.random.default_rng(5), 40)
+    for node in repeated["subsystems"]:
+        node["A"] = repeated["subsystems"][0]["A"]
+    assert len({str(node["D"]) for node in repeated["subsystems"]}) == 40
+    repeated = cli.parse_project(repeated)
+    node0 = repeated.interconnection.subsystems[0]
     calls = defaultdict(int)
     inside = []
 
@@ -768,6 +777,15 @@ def test_certification_calls_numpy_once_per_stack(monkeypatch):
                  "matrix_rank", "norm", "pinv", "qr", "slogdet", "solve", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(cli, "build_abstraction", stage(cli.build_abstraction))
+    decayed = []
+    decay = abstraction.decay_certificate
+
+    def recorded(a, *args):
+        decayed.append(len(a))
+        return decay(a, *args)
+
+    monkeypatch.setattr(abstraction, "decay_certificate", recorded)
+
     counts = []
     for doc in (small, large):
         calls.clear()
@@ -776,3 +794,13 @@ def test_certification_calls_numpy_once_per_stack(monkeypatch):
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert sum(counts[0].values()) > 20
+    # the 40-node ring is 20 classes: its nodes 20-39 repeat nodes 0-19
+    assert decayed == [20, 20]
+    decayed.clear()
+    calls.clear()
+    cli.build_abstraction([node0], repeated.directives[node0.name].p[None])
+    alone = dict(calls)
+    calls.clear()
+    assert len(cli.build_abstractions(repeated)) == 40
+    assert dict(calls) == alone
+    assert decayed == [1, 1]
