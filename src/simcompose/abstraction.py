@@ -258,19 +258,13 @@ def certificate_slacks(a, b, blocks, m, k1, lam) -> tuple[np.ndarray, np.ndarray
     if not n:
         return np.zeros(count), np.zeros(count)
     with np.errstate(over="ignore", invalid="ignore"):
-        outputs = [m - blk.swapaxes(-1, -2) @ blk for blk in blocks] or [m]
+        # (members, output blocks, n, n)
+        outputs = np.stack([m - blk.swapaxes(-1, -2) @ blk for blk in blocks] or [m], axis=1)
         a_cl = a + b @ k1
         decay = a_cl.swapaxes(-1, -2) @ m + m @ a_cl + (2.0 * lam)[:, None, None] * m
-    # one mask for every block: a nan slack of a later block would lose
-    # to a finite one in the comparison below
-    finite = np.logical_and.reduce([_finite(mat) for mat in outputs])
-    output_slack = None
-    for mat in outputs:
-        slack = _eigvalsh(mat, finite)[:, 0]
-        # the first block's slack unless a later one is smaller, as min() keeps it
-        output_slack = slack if output_slack is None else np.where(
-            slack < output_slack, slack, output_slack
-        )
+    # one mask for every block: a nan slack of one block would lose to a
+    # finite one of another in the minimum
+    output_slack = _eigvalsh(outputs, _finite(outputs).all(axis=-1))[..., 0].min(axis=-1)
     return output_slack, -_eigvalsh(decay, _finite(decay))[:, -1]
 
 

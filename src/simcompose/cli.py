@@ -351,7 +351,7 @@ def parse_project(doc) -> Project:
     try:
         require_memory(
             simulation.t_final, simulation.dt, interconnection.state_offsets[-1],
-            _most_switches(simulation, simulation.t_final),
+            _input_rows(simulation, simulation.t_final),
         )
     except ValueError as exc:
         raise ProjectError(f"simulation: {exc}") from exc
@@ -362,13 +362,15 @@ def parse_project(doc) -> Project:
     )
 
 
-def _most_switches(simulation: SimulationSpec, t_final: float) -> float:
-    """The most switch times any one square-wave input holds up to
-    ``t_final``: the input signal has a row at each of them at least."""
-    return max(
-        (square_switches(float(spec["period"]), t_final)
-         for spec in simulation.inputs.values() if spec["kind"] == "square"),
-        default=0,
+def _input_rows(simulation: SimulationSpec, t_final: float) -> float:
+    """The switch and sample times the stacked input signal holds up to
+    ``t_final``, at most: a row at each of its parts' times, so those of
+    each distinct square-wave period (inputs of one period share them)
+    and of each ``samples`` input."""
+    specs = simulation.inputs.values()
+    periods = {float(spec["period"]) for spec in specs if spec["kind"] == "square"}
+    return sum(square_switches(period, t_final) for period in periods) + sum(
+        len(spec["times"]) for spec in specs if spec["kind"] == "samples"
     )
 
 
@@ -511,9 +513,17 @@ def resolve_initial_states(project: Project, results):
             f"xhat0 has length {len(xhat0)}, the abstractions have {n_hat} states"
         )
     if isinstance(sim.x0, str):
-        x0 = np.concatenate([
-            results[name].simfn.P @ xhat0[abstract.state_slice(name)] for name in ic.names
-        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = [
+                results[name].simfn.P @ xhat0[abstract.state_slice(name)] for name in ic.names
+            ]
+        x0 = np.concatenate(parts)
+        if not np.isfinite(x0).all():
+            name = next(n for n, part in zip(ic.names, parts) if not np.isfinite(part).all())
+            raise NumericsError(
+                f"xhat0 is too large for subsystem {name}: its matched"
+                " initial state P xhat0 has non-finite entries"
+            )
     else:
         x0 = sim.x0
         n = ic.state_offsets[-1]
@@ -638,7 +648,7 @@ def _prepare_run(project: Project, results, horizon: float, step: float):
     width = project.interconnection.state_offsets[-1] + sum(
         r.system.n + r.system.m for r in results.values()
     )
-    require_memory(horizon, step, width, _most_switches(project.simulation, horizon))
+    require_memory(horizon, step, width, _input_rows(project.simulation, horizon))
     uhat = build_input_signal(project, results, horizon)
     xhat0, x0 = resolve_initial_states(project, results)
     return gm, path, composed, uhat, xhat0, x0

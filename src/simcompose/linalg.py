@@ -2,10 +2,10 @@
 
 Everything operates on plain ``numpy`` arrays in double precision. The
 routines here are small and deliberately explicit: spectra, an O(n^3)
-Lyapunov solver (matrix sign function iteration with iterative
-refinement on the same iterates, hundreds of states), a stabilizing
-feedback by eigenvalue assignment, PBH stabilizability tests, symmetric
-square roots, and a minimum-norm least-squares solver.
+Lyapunov solver (matrix sign function iteration, rerun for iterative
+refinement, hundreds of states), a stabilizing feedback by eigenvalue
+assignment, PBH stabilizability tests, symmetric square roots, and a
+minimum-norm least-squares solver.
 
 The unit of work is a stack: same-shape matrices along a leading axis,
 which each ``numpy.linalg`` routine processes in one call, with the
@@ -277,52 +277,6 @@ def _symmetrize(m: Matrix) -> Matrix:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def _sign_iterates(at: np.ndarray):
-    """Scaled Newton iterates for the matrix sign function of each member.
-
-    ``E <- (c E + E^-1 / c) / 2`` from ``E = at``, with the determinant
-    scaling ``c = |det E|^(-1/n)``, converges quadratically to
-    ``sign(at)``, which is ``-I`` exactly when ``at`` is Hurwitz
-    (Roberts 1980; Byers 1987). Each member takes the steps it would
-    take alone: the last is the one after ``|E + I|_1`` fell below
-    ``SIGN_TOL``, which brings the iterate to roundoff.
-
-    Returns ``(steps, unconverged)``: per step, ``(positions, c, E)`` of
-    the members that took it, and the positions of the members that
-    never came within ``SIGN_TOL`` of ``-I`` in ``_SIGN_MAX_STEPS``
-    steps. When an iterate is numerically singular ``steps`` is None and
-    ``unconverged`` holds every member still iterating.
-    """
-    n = at.shape[-1]
-    eye = np.eye(n)
-    live = np.arange(at.shape[0])
-    e = at
-    steps = []
-    # members that stopped take their last step (c = 1) with the next step
-    # of the others, so a stack takes as many steps as its slowest member
-    stopped, stopped_e = live[:0], e[:0]
-    for _ in range(_SIGN_MAX_STEPS):
-        if not live.size:
-            break
-        c = np.exp(-np.linalg.slogdet(e)[1] / n)
-        try:
-            inv = np.linalg.inv(e)
-        except np.linalg.LinAlgError:
-            return None, live
-        steps.append((
-            np.concatenate([live, stopped]),
-            np.concatenate([c, np.ones(stopped.size)]),
-            np.concatenate([e, stopped_e]),
-        ))
-        e = 0.5 * (c[:, None, None] * e + inv / c[:, None, None])
-        done = np.linalg.norm(e + eye, 1, axis=(-2, -1)) <= SIGN_TOL
-        stopped, stopped_e = live[done], e[done]
-        live, e = live[~done], e[~done]
-    if stopped.size:
-        steps.append((stopped, np.ones(stopped.size), stopped_e))
-    return steps, live
-
-
 def _require_hurwitz(a: np.ndarray, members: np.ndarray) -> None:
     """Raise the ``NumericsError`` of the first of ``members`` (positions
     in the stack ``a``) whose spectral abscissa is not below 0, naming
@@ -340,41 +294,66 @@ def _require_hurwitz(a: np.ndarray, members: np.ndarray) -> None:
         )
 
 
-def _sign_solve(steps, r: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
-    """Approximate ``X`` with ``A^T X + X A = -R`` from the sign iterates of ``A^T``.
+def _sign_solve(at: np.ndarray, r: np.ndarray):
+    """Approximate ``X`` with ``A^T X + X A = -R`` for each member of ``at = A^T``.
 
-    Runs the coupled iteration ``G <- (c G + E^-1 G E^-T / c) / 2`` from
-    ``G = R``; ``G`` tends to ``2 X`` as ``E`` tends to ``-I``. The map
-    is linear in ``R``, so the same iterates serve any right-hand side.
-    The products with ``E^-1`` are LU solves: on stiff inputs they keep
-    the residual orders of magnitude below an explicit inverse. Only the
-    members flagged in ``members`` (all by default) are advanced.
+    The scaled Newton iteration ``E <- (c E + E^-1 / c) / 2`` from ``E =
+    at``, with the determinant scaling ``c = |det E|^(-1/n)``, converges
+    quadratically to ``sign(at)``, which is ``-I`` exactly when ``at`` is
+    Hurwitz (Roberts 1980; Byers 1987). Each of its steps also advances
+    ``G <- (c G + E^-1 G E^-T / c) / 2`` from ``G = R``, and ``G`` tends
+    to ``2 X`` as ``E`` tends to ``-I``. The products with ``E^-1`` are
+    LU solves: on stiff inputs they keep the residual orders of magnitude
+    below an explicit inverse. A member takes one last step, at ``c =
+    1``, once ``|E + I|_1`` falls below ``SIGN_TOL``, which brings the
+    iterate to roundoff; the members still iterating go on, so each
+    member takes the steps it takes alone.
+
+    Returns ``(X, unconverged)``: the stack of solutions and the
+    positions of the members that never came within ``SIGN_TOL`` of
+    ``-I`` in ``_SIGN_MAX_STEPS`` steps (their ``X`` is that of their
+    last iterate). When an iterate is numerically singular ``X`` is None
+    and ``unconverged`` holds every member still iterating.
     """
-    g = np.array(r)
-    for positions, c, e in steps:
-        if members is not None:
-            take = members[positions]
-            positions, c, e = positions[take], c[take], e[take]
-        if not positions.size:
-            continue
-        c = c[:, None, None]
-        x = g[positions]
-        g[positions] = 0.5 * (
-            c * x + np.linalg.solve(e, np.linalg.solve(e, x).swapaxes(-1, -2)).swapaxes(-1, -2) / c
-        )
-    return 0.5 * g
+    def step(e, g, c):
+        solved = np.linalg.solve(e, np.linalg.solve(e, g).swapaxes(-1, -2)).swapaxes(-1, -2)
+        return 0.5 * (c * g + solved / c)
+
+    n = at.shape[-1]
+    eye = np.eye(n)
+    x = np.empty(r.shape)
+    live = np.arange(at.shape[0])
+    e, g = at, r
+    for _ in range(_SIGN_MAX_STEPS):
+        if not live.size:
+            break
+        c = np.exp(-np.linalg.slogdet(e)[1] / n)[:, None, None]
+        try:
+            # G first: E^-1 is not yet held while G's solves run
+            g = step(e, g, c)
+            e = 0.5 * (c * e + np.linalg.inv(e) / c)
+        except np.linalg.LinAlgError:
+            return None, live
+        done = np.linalg.norm(e + eye, 1, axis=(-2, -1)) <= SIGN_TOL
+        if done.any():
+            x[live[done]] = 0.5 * step(e[done], g[done], 1.0)
+            live, e, g = live[~done], e[~done], g[~done]
+    x[live] = 0.5 * g
+    return x, live
 
 
-def _refine(a, q, m, steps) -> tuple[np.ndarray, np.ndarray]:
-    """Iterative refinement of ``A^T M + M A = -Q`` with the sign iterates.
+def _refine(a, q, m) -> tuple[np.ndarray, np.ndarray]:
+    """Iterative refinement of ``A^T M + M A = -Q`` by the sign iteration.
 
     Unless the residual ``R`` of ``m`` is already at roundoff, ``8 n eps
     (2 |A|_F |M|_F + |Q|_F)``, each cycle solves the correction equation
-    ``A^T D + D A = -R`` by :func:`_sign_solve` on the same iterates
-    (Moler 1967) and keeps ``m + D`` only if that lowers the residual,
-    for at most ``_REFINE_CYCLES`` cycles; a member stops at its first
-    rejected correction. Returns the refined ``m`` and the Frobenius
-    norm of each residual.
+    ``A^T D + D A = -R`` by :func:`_sign_solve` (Moler 1967) and keeps
+    ``m + D`` only if that lowers the residual, for at most
+    ``_REFINE_CYCLES`` cycles; a member stops at its first rejected
+    correction. A cycle reruns the iteration on its active members:
+    their iterates do not depend on ``R``, so each takes the steps of the
+    first solve again. Returns the refined ``m`` and the Frobenius norm
+    of each residual.
     """
     def residual_of(a, x, q):
         return a.swapaxes(-1, -2) @ x + x @ a + q
@@ -389,7 +368,8 @@ def _refine(a, q, m, steps) -> tuple[np.ndarray, np.ndarray]:
         if not active.any():
             break
         pos = np.flatnonzero(active)
-        trial = _symmetrize(m[pos] + _sign_solve(steps, residual, active)[pos])
+        correction, _ = _sign_solve(a[pos].swapaxes(-1, -2), residual[pos])
+        trial = _symmetrize(m[pos] + correction)
         trial_residual = residual_of(a[pos], trial, q[pos])
         trial_norm = frobenius(trial_residual)
         better = trial_norm < res_norm[pos]
@@ -406,9 +386,10 @@ def solve_lyapunov(a, q):
 
     O(n^3) time and O(n^2) memory, so hundreds of states are practical.
     The scaled Newton iteration for the matrix sign function of ``A^T``
-    gives a first solution (:func:`_sign_solve`). On stiff inputs far
-    from normal its residual can sit far above roundoff; :func:`_refine`
-    then lowers it by iterative refinement on the same sign iterates.
+    gives a first solution (:func:`_sign_solve`), in one pass that keeps
+    no iterates. On stiff inputs far from normal its residual can sit far
+    above roundoff; :func:`_refine` then lowers it by iterative
+    refinement, each cycle a new pass of the iteration.
 
     The iteration is also the Hurwitz test: it reaches ``-I`` exactly
     when ``A`` is Hurwitz, so no spectrum is taken up front. Only a
@@ -459,16 +440,16 @@ def solve_lyapunov(a, q):
     # C-ordered, whatever the caller's layout: the layout decides the
     # BLAS kernels a product takes, and so its last bits
     a, q = np.ascontiguousarray(a), _symmetrize(np.ascontiguousarray(q))
-    steps, unconverged = _sign_iterates(a.swapaxes(-1, -2))
+    x, unconverged = _sign_solve(a.swapaxes(-1, -2), q)
     # the iteration is the Hurwitz test: a member that did not reach -I
     # is judged by its spectrum, and only a Hurwitz one goes on
     _require_hurwitz(a, unconverged)
-    if steps is None:
+    if x is None:
         raise NumericsError(
             "Lyapunov sign iteration reached a numerically singular iterate; "
             "the equation is too ill-conditioned for the dense solver"
         )
-    m, residual = _refine(a, q, _symmetrize(_sign_solve(steps, q)), steps)
+    m, residual = _refine(a, q, _symmetrize(x))
     bound = RESIDUAL_TOL * (spectral_norm(a) * spectral_norm(m) + q_norm)
     failed = np.flatnonzero(residual > np.maximum(bound, LYAPUNOV_RESIDUAL_FLOOR))
     if failed.size:

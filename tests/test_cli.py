@@ -904,6 +904,39 @@ def test_cli_rejects_a_square_wave_far_below_the_step(tmp_path, capsys, monkeypa
         assert "pass" not in captured.out
 
 
+def test_cli_memory_guard_charges_the_switch_times_of_every_period(tmp_path, capsys, monkeypatch):
+    # four square inputs of distinct periods near 0.01 s: the stacked
+    # input holds the union of their switch times, 15 577 rows in 20 s,
+    # where the busiest input alone holds 4 000. A memory of 15 000 rows
+    # past the grid's 2 001 points, for the 10 concrete states, is too
+    # small, and check and bounds say so before any signal is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a signal was built")
+
+    monkeypatch.setattr(Signal, "square", unreachable)
+    pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 10 * (2001 + 15000)}
+    monkeypatch.setattr(simulate.os, "sysconf", pages.__getitem__)
+    doc = demo_project()
+    doc["simulation"]["dt"] = 0.01
+    for name, width, period in (
+        ("s1", 3, 0.01), ("s2", 1, 0.0101), ("s3", 3, 0.0102), ("s4", 1, 0.0103),
+    ):
+        doc["simulation"]["inputs"][name] = {
+            "kind": "square", "amplitude": [0.01] * width, "period": period,
+        }
+    path = write_project(tmp_path, doc)
+    message = re.compile(
+        r"error: simulation: horizon 20\.0 in steps of size 0\.01 and 1\.58e\+04 square-wave"
+        r" switch times needs 0\.00142 GB for the run's states and inputs, more than the"
+        r" 0\.00136 GB of physical memory\n"
+    )
+    for command in (["check", path], ["bounds", path]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert message.fullmatch(captured.err), captured.err
+        assert "pass" not in captured.out
+
+
 def test_cli_unwritable_out_exits_1(tmp_path, capsys):
     path = write_project(tmp_path, demo_project())
     missing = tmp_path / "no" / "such" / "run.csv"

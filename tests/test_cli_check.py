@@ -275,8 +275,9 @@ REJECTED_INPUTS = {
 
 
 def rejected_before_the_run():
-    """``(project, exit code, error)`` of each network above, and of a
-    ring whose couplings fail the small-gain test."""
+    """``(project, exit code, error)`` of each network above, of a ring
+    whose couplings fail the small-gain test, and of the demo from an
+    ``xhat0`` whose matched ``x0`` overflows."""
     cases = {}
     for label, (edit, message) in REJECTED_INPUTS.items():
         doc = demo_project()
@@ -285,6 +286,14 @@ def rejected_before_the_run():
     cases["ring of radius 7.15"] = (
         heterogeneous_ring(np.random.default_rng(1), 6, coupling=3.0), 1,
         "small-gain test failed: spectral radius 7.15034 >= 1; dominant cycle",
+    )
+    # the matched x0 = P xhat0 passes the float range for s2 and s4
+    doc = demo_project()
+    doc["simulation"]["xhat0"] = [1e308] * 4
+    cases["xhat0 of 1e308"] = (
+        doc, 3,
+        "xhat0 is too large for subsystem s2: its matched initial state P xhat0"
+        " has non-finite entries\n",
     )
     return cases
 

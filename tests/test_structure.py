@@ -613,7 +613,6 @@ PARAMETER_DEFAULTS = {
     "geometry.image.tol": "P's rank, sums and intersections pass a cutoff; [P, B] takes rank_tol",
     "geometry.kernel.tol": "intersections pass their operands' cutoff; ker C takes rank_tol",
     "linalg.rank_tol.norm": "check_P_conditions passes |P|; the other callers have no norm",
-    "linalg._sign_solve.members": "refinement advances the members still active; the first solve all",
     "simulate._SparseRows.map_rows.out": "the drive maps into the states buffer; the outputs allocate",
     "simulate._finite.axis": "one verdict for the run, then one per row to name the first bad one",
     "simulate.bound_report.v0": "cli passes the --v0 override; bench/ takes the run's start",
